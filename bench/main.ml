@@ -1016,12 +1016,43 @@ let native_smoke () =
   end;
   Fmt.epr "bench native-smoke: ok@."
 
+(* Minor words a 1-domain compile allocates: deterministic, unlike its
+   time. *)
+let compile_minor_words chk =
+  let w0 = Gc.minor_words () in
+  ignore (Dhpf.Gen.compile ~phase:(Dhpf.Phase.create ()) ~domains:1 chk);
+  Gc.minor_words () -. w0
+
+(* A repeat compile over warm memo tables must cost less than a cold one:
+   fails if the warm compile allocates more than half the cold one's minor
+   words (the memo hit path has regressed to re-doing work). *)
+let warm_alloc_guard () =
+  List.filter_map
+    (fun (name, src) ->
+      let chk = Hpf.Sema.analyze_source src in
+      Iset.Cache.clear_all ();
+      let cold = compile_minor_words chk in
+      let warm = compile_minor_words chk in
+      Fmt.epr "bench smoke: %s minor words cold %.1fM, warm %.1fM@." name
+        (cold /. 1e6) (warm /. 1e6);
+      if warm > cold /. 2.0 then Some name else None)
+    (table1_apps ~smoke:true ())
+
 (* Smoke mode backs `make bench-smoke` in the tier-1 check flow: a fast
    Table-1 subset, JSON on stdout, and a hard failure if the memoization
-   layer shows no hits (i.e. the caches silently stopped working). *)
+   layer shows no hits (i.e. the caches silently stopped working) or its
+   warm path allocates like a cold compile. *)
 let smoke () =
   let results = bench_json ~smoke:true () in
   if Iset.Cache.enabled () then begin
+    (match warm_alloc_guard () with
+    | [] -> ()
+    | bad ->
+        Fmt.epr
+          "bench smoke: FAILED — warm compile allocates more than half the \
+           cold one's minor words: %s@."
+          (String.concat ", " bad);
+        exit 1);
     let hits_of (_, _, _, stats, _) =
       List.fold_left
         (fun acc key -> acc + (try List.assoc key stats with Not_found -> 0))

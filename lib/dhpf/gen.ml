@@ -950,10 +950,12 @@ let rec demand_at g depth node : Rel.t option =
    Omega-backed Rel.equal on every pair of adjacent statements. *)
 let demand_equal a b =
   let conj_key c = List.sort Constr.compare (Conj.constraints c) in
-  let key r = List.sort compare (List.map conj_key (Rel.conjuncts r)) in
+  let key r =
+    List.sort (List.compare Constr.compare) (List.map conj_key (Rel.conjuncts r))
+  in
   match (a, b) with
   | None, None -> true
-  | Some x, Some y -> ( try key x = key y with _ -> false)
+  | Some x, Some y -> List.equal (List.equal Constr.equal) (key x) (key y)
   | _ -> false
 
 (* context set for one loop: lo <= v <= hi with outer loop variables as

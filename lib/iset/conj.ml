@@ -80,10 +80,13 @@ end) ()
 
 let () = Tbl.register_gauge "interned conjuncts"
 
-(* Interning a conjunct interns its constraints (and their terms), so equal
-   conjuncts share the whole subtree and the physical-equality fast paths in
-   [Constr.equal] / [Lin.compare] fire on every later comparison. *)
-let intern_pair t = Tbl.intern { t with cs = List.map Constr.intern t.cs }
+(* A new representative gets its constraints (and their terms) interned,
+   so equal conjuncts share the whole subtree and the physical-equality fast
+   paths in [Constr.equal] / [Lin.compare] fire on every later comparison.
+   A lookup that hits interns nothing else: the representative's children
+   are canonical already. *)
+let intern_pair t =
+  Tbl.intern_with t (fun t -> { t with cs = List.map Constr.intern t.cs })
 let intern t = fst (intern_pair t)
 let id t = snd (intern_pair t)
 
@@ -188,7 +191,7 @@ let tighten cs =
             if not (Hashtbl.mem dropped nkey) then begin
               Hashtbl.replace dropped key ();
               extra_eqs :=
-                Constr.eq { Lin.coeffs = key; const = k } :: !extra_eqs
+                Constr.eq (Lin.of_coeffs key k) :: !extra_eqs
             end
           end
       | _ -> ())
@@ -198,7 +201,7 @@ let tighten cs =
       (fun key k acc ->
         if Hashtbl.mem dropped key || Hashtbl.mem dropped (Var.Map.map (fun c -> -c) key)
         then acc
-        else Constr.geq { Lin.coeffs = key; const = k } :: acc)
+        else Constr.geq (Lin.of_coeffs key k) :: acc)
       best []
   in
   eqs @ !extra_eqs @ geqs

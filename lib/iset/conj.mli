@@ -37,8 +37,9 @@ val equal : t -> t -> bool
 val hash : t -> int
 
 val intern : t -> t
-(** Canonical physically-shared representative; interns the constraints and
-    terms too. *)
+(** Canonical physically-shared representative. A new representative gets
+    its constraints and terms interned too; a lookup that finds one interns
+    nothing else. *)
 
 val id : t -> int
 (** Stable interned id (see {!Hcons}); never reused across evictions. *)

@@ -24,8 +24,9 @@ let compare a b =
     | Geq, Eq -> 1
     | _ -> Lin.compare a.lin b.lin
 
-let equal a b = a == b || compare a b = 0
+let equal a b = a == b || (a.kind = b.kind && Lin.equal a.lin b.lin)
 
+(* O(1): the term stores its hash *)
 let hash c = (Lin.hash c.lin * 2) + (match c.kind with Eq -> 0 | Geq -> 1)
 
 module Tbl = Hcons.Make (struct
@@ -36,10 +37,12 @@ end) ()
 
 let () = Tbl.register_gauge "interned constraints"
 
-(* Interning a constraint also interns its term, so structurally equal
-   constraints share their whole subtree and compare by pointer. *)
-let intern c = fst (Tbl.intern { c with lin = Lin.intern c.lin })
-let id c = snd (Tbl.intern { c with lin = Lin.intern c.lin })
+(* A new representative gets its term interned, so structurally equal
+   constraints share their whole subtree and compare by pointer. A lookup
+   that hits interns nothing else. *)
+let intern_pair c = Tbl.intern_with c (fun c -> { c with lin = Lin.intern c.lin })
+let intern c = fst (intern_pair c)
+let id c = snd (intern_pair c)
 
 (* canonical byte codec: one kind character, then the term *)
 let wire_put b c =

@@ -20,10 +20,13 @@ val kind : t -> kind
 val lin : t -> Lin.t
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** O(1), from the term's stored hash. *)
 
 val intern : t -> t
-(** Canonical representative; also interns the underlying term. *)
+(** Canonical representative; a new representative gets its term interned
+    too. *)
 
 val id : t -> int
 (** Stable interned id; never reused across cache evictions. *)

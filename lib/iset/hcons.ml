@@ -13,43 +13,92 @@
     the same stripe (equal values hash equal), so canonical representatives
     stay unique. Clear-on-full applies per stripe with a per-stripe share of
     {!Cache.capacity}, preserving the global bound whenever the capacity is
-    at least the stripe count (each stripe must hold at least one entry). *)
+    at least the stripe count (each stripe must hold at least one entry).
+
+    Cost: [H.hash] runs once per intern and is mixed; the low
+    [stripe_bits] bits of the mix pick the stripe and the bits above them
+    pick the bucket inside it, so every stripe spreads its keys over all
+    its buckets. Each entry keeps those bucket bits, which a chain walk
+    compares before calling [H.equal] and a resize reuses. *)
 
 module Make (H : Hashtbl.HashedType) () = struct
-  module T = Hashtbl.Make (H)
+  let stripe_bits = 4
+  let n_stripes = 1 lsl stripe_bits
+  let initial_buckets = 64
 
-  let n_stripes = 16
+  type chain =
+    | Nil
+    | Cons of { bits : int; rep : H.t; id : int; next : chain }
 
-  type stripe = { mu : Mutex.t; tbl : (H.t * int) T.t }
+  type stripe = {
+    mu : Mutex.t;
+    mutable buckets : chain array; (* length is a power of two *)
+    mutable count : int;
+  }
 
   let stripes =
-    Array.init n_stripes (fun _ -> { mu = Mutex.create (); tbl = T.create 64 })
+    Array.init n_stripes (fun _ ->
+        { mu = Mutex.create (); buckets = Array.make initial_buckets Nil; count = 0 })
 
   let next_id = Atomic.make 0
 
+  let reset s =
+    s.buckets <- Array.make initial_buckets Nil;
+    s.count <- 0
+
   let () =
     Cache.register_clear (fun () ->
-        Array.iter
-          (fun s -> Mutex.protect s.mu (fun () -> T.reset s.tbl))
-          stripes)
+        Array.iter (fun s -> Mutex.protect s.mu (fun () -> reset s)) stripes)
 
-  let size () = Array.fold_left (fun acc s -> acc + T.length s.tbl) 0 stripes
+  let size () = Array.fold_left (fun acc s -> acc + s.count) 0 stripes
 
   let register_gauge name = Stats.register_gauge name size
 
-  let intern x =
-    let s = stripes.(H.hash x land max_int mod n_stripes) in
-    Mutex.protect s.mu @@ fun () ->
-    match T.find_opt s.tbl x with
-    | Some rep -> rep
-    | None ->
-        let id = Atomic.fetch_and_add next_id 1 in
-        if T.length s.tbl >= max 1 (Cache.capacity () / n_stripes) then begin
-          T.reset s.tbl;
-          Stats.bump Stats.evictions
-        end;
-        T.replace s.tbl x (x, id);
-        (x, id)
+  (* murmur3's 64-bit finalizer, constants cut to OCaml's 63-bit ints:
+     every output bit depends on every input bit *)
+  let mix h =
+    let h = (h lxor (h lsr 33)) * 0x3f51afd7ed558ccd in
+    let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
+    h lxor (h lsr 33)
 
+  let slot s bits = bits land (Array.length s.buckets - 1)
+
+  let grow s =
+    let old = s.buckets in
+    s.buckets <- Array.make (2 * Array.length old) Nil;
+    let rec move = function
+      | Nil -> ()
+      | Cons e ->
+          let i = slot s e.bits in
+          s.buckets.(i) <- Cons { e with next = s.buckets.(i) };
+          move e.next
+    in
+    Array.iter move old
+
+  let insert s bits x =
+    let id = Atomic.fetch_and_add next_id 1 in
+    if s.count >= max 1 (Cache.capacity () / n_stripes) then begin
+      reset s;
+      Stats.bump Stats.evictions
+    end
+    else if s.count >= 2 * Array.length s.buckets then grow s;
+    let i = slot s bits in
+    s.buckets.(i) <- Cons { bits; rep = x; id; next = s.buckets.(i) };
+    s.count <- s.count + 1;
+    (x, id)
+
+  let intern_with x canon =
+    let h = mix (H.hash x) in
+    let s = stripes.(h land (n_stripes - 1)) in
+    let bits = h lsr stripe_bits in
+    Mutex.protect s.mu @@ fun () ->
+    let rec find = function
+      | Nil -> insert s bits (canon x)
+      | Cons e ->
+          if e.bits = bits && H.equal e.rep x then (e.rep, e.id) else find e.next
+    in
+    find s.buckets.(slot s bits)
+
+  let intern x = intern_with x Fun.id
   let id x = snd (intern x)
 end

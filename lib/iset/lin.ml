@@ -1,16 +1,39 @@
 (** Linear (affine) integer terms: [sum_i c_i * v_i + k].
 
     Coefficients are native ints; the sets manipulated by the compiler stay
-    far below 2^62. Zero coefficients are never stored. *)
+    far below 2^62. Zero coefficients are never stored.
 
-type t = { coeffs : int Var.Map.t; const : int }
+    Every term carries its hash, set once by the constructor that builds
+    it. The hash is linear in the term, [sum_i c_i * weight v_i + k *
+    const_weight] in wrapping arithmetic, so [add], [neg], [scale],
+    [add_const] and [drop] update it in O(1) and interning never folds
+    over the coefficient map. *)
 
-let zero = { coeffs = Var.Map.empty; const = 0 }
+type t = { coeffs : int Var.Map.t; const : int; hash : int }
 
-let const k = { coeffs = Var.Map.empty; const = k }
+(* pseudo-random weight per variable, so that distinct small coefficient
+   vectors get unrelated sums *)
+let weight v =
+  let h = (Var.hash v + 1) * 0x1e3779b97f4a7c15 in
+  (h lxor (h lsr 32)) * 0x3f51afd7ed558ccd
+
+let const_weight = 0x2545f4914f6cdd1d
+
+let zero = { coeffs = Var.Map.empty; const = 0; hash = 0 }
+
+let const k = { coeffs = Var.Map.empty; const = k; hash = k * const_weight }
 
 let var ?(coef = 1) v =
-  if coef = 0 then zero else { coeffs = Var.Map.singleton v coef; const = 0 }
+  if coef = 0 then zero
+  else { coeffs = Var.Map.singleton v coef; const = 0; hash = coef * weight v }
+
+(** The term with the given coefficient map (no zero coefficients) and
+    constant; the hash is computed with one fold. *)
+let of_coeffs coeffs k =
+  let hash =
+    Var.Map.fold (fun v c acc -> acc + (c * weight v)) coeffs (k * const_weight)
+  in
+  { coeffs; const = k; hash }
 
 let coeff t v = match Var.Map.find_opt v t.coeffs with Some c -> c | None -> 0
 
@@ -22,25 +45,35 @@ let add a b =
   let coeffs =
     Var.Map.union (fun _ x y -> if x + y = 0 then None else Some (x + y)) a.coeffs b.coeffs
   in
-  { coeffs; const = a.const + b.const }
+  { coeffs; const = a.const + b.const; hash = a.hash + b.hash }
 
 let neg a =
-  { coeffs = Var.Map.map (fun c -> -c) a.coeffs; const = -a.const }
+  { coeffs = Var.Map.map (fun c -> -c) a.coeffs; const = -a.const; hash = -a.hash }
 
 let sub a b = add a (neg b)
 
 let scale k a =
   if k = 0 then zero
   else if k = 1 then a
-  else { coeffs = Var.Map.map (fun c -> k * c) a.coeffs; const = k * a.const }
+  else
+    {
+      coeffs = Var.Map.map (fun c -> k * c) a.coeffs;
+      const = k * a.const;
+      hash = k * a.hash;
+    }
 
-let add_const k a = { a with const = a.const + k }
+let add_const k a =
+  { a with const = a.const + k; hash = a.hash + (k * const_weight) }
 
 let of_list pairs k =
   List.fold_left (fun acc (c, v) -> add acc (var ~coef:c v)) (const k) pairs
 
 (** Remove [v]'s term entirely. *)
-let drop v t = { t with coeffs = Var.Map.remove v t.coeffs }
+let drop v t =
+  match Var.Map.find_opt v t.coeffs with
+  | None -> t
+  | Some c ->
+      { t with coeffs = Var.Map.remove v t.coeffs; hash = t.hash - (c * weight v) }
 
 (** [subst v rhs t] replaces every occurrence of [v] by the term [rhs]. *)
 let subst v rhs t =
@@ -70,15 +103,14 @@ let compare a b =
     let c = Var.Map.compare Int.compare a.coeffs b.coeffs in
     if c <> 0 then c else Int.compare a.const b.const
 
-let equal a b = a == b || compare a b = 0
+(* unequal hashes reject before the map walk *)
+let equal a b =
+  a == b
+  || a.hash = b.hash
+     && a.const = b.const
+     && Var.Map.equal Int.equal a.coeffs b.coeffs
 
-(* Deterministic: Var.Map folds in canonical key order. *)
-let hash t =
-  Var.Map.fold
-    (fun v c acc -> (((acc * 31) + Var.hash v) * 31) + c)
-    t.coeffs
-    ((t.const * 17) + 11)
-  land max_int
+let hash t = t.hash land max_int
 
 module Tbl = Hcons.Make (struct
   type nonrec t = t
@@ -113,7 +145,7 @@ let wire_read c =
   let coeffs =
     List.fold_left (fun m (v, k) -> Var.Map.add v k m) Var.Map.empty pairs
   in
-  { coeffs; const = Wire.read_int c }
+  of_coeffs coeffs (Wire.read_int c)
 
 (* Euclidean division helpers: floor and ceil for possibly-negative
    numerators, positive denominators. *)

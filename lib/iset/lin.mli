@@ -2,9 +2,12 @@
 
     Coefficients are native ints (the sets the compiler manipulates stay far
     below [2^62]); zero coefficients are never stored, so structural
-    equality of the coefficient map is semantic equality. *)
+    equality of the coefficient map is semantic equality.
 
-type t = { coeffs : int Var.Map.t; const : int }
+    A term stores its hash, set once by the constructor that builds it;
+    the type is private so that no record literal can skip it. *)
+
+type t = private { coeffs : int Var.Map.t; const : int; hash : int }
 
 val zero : t
 val const : int -> t
@@ -14,6 +17,10 @@ val var : ?coef:int -> Var.t -> t
 
 val of_list : (int * Var.t) list -> int -> t
 (** [of_list [(c1,v1);...] k] is [c1*v1 + ... + k]. *)
+
+val of_coeffs : int Var.Map.t -> int -> t
+(** [of_coeffs m k] is the term with coefficient map [m] (which must hold
+    no zero coefficient) and constant [k]. *)
 
 val coeff : t -> Var.t -> int
 (** Coefficient of a variable (0 when absent). *)
@@ -48,7 +55,10 @@ val compare : t -> t -> int
     O(1). *)
 
 val equal : t -> t -> bool
+(** Rejects on unequal stored hashes before comparing coefficient maps. *)
+
 val hash : t -> int
+(** The stored hash, O(1); never written to {!Wire}. *)
 
 val intern : t -> t
 (** Canonical physically-shared representative (see {!Hcons}). *)

@@ -403,7 +403,7 @@ let handle st fd ~admitted =
     match Proto.read_json fd with
     | None -> None (* connected, then closed without sending a request *)
     | exception Proto.Proto_error e ->
-        Some (Proto.error ~code:"protocol" e, "")
+        Some (Proto.error ~code:"protocol" e, "", Unix.gettimeofday () -. t0)
     | Some v ->
         let rid =
           match Jsonx.get_str v "rid" with
@@ -411,9 +411,10 @@ let handle st fd ~admitted =
           | None ->
               Printf.sprintf "r-%d" (Atomic.fetch_and_add st.rid_ctr 1)
         in
-        let r =
+        let r, service_s =
           match Proto.request_of_json v with
-          | Error e -> Proto.error ~code:"protocol" e
+          | Error e ->
+              (Proto.error ~code:"protocol" e, Unix.gettimeofday () -. t0)
           | Ok req ->
               op := Proto.op_name req;
               if Obs.Log.enabled Obs.Log.Debug then
@@ -443,25 +444,26 @@ let handle st fd ~admitted =
                       flight_flush st;
                       Proto.error ~code msg)
               in
+              let service_s = Unix.gettimeofday () -. t0 in
               let telemetry =
                 Jsonx.Obj
                   ([
                      ("rid", Jsonx.Str rid);
                      ("queue_wait_s", Jsonx.Num queue_s);
-                     ( "service_s",
-                       Jsonx.Num (Unix.gettimeofday () -. t0) );
+                     ("service_s", Jsonx.Num service_s);
                    ]
                   @ iset_delta iset0)
               in
-              inject_telemetry resp ~rid ~telemetry
+              (inject_telemetry resp ~rid ~telemetry, service_s)
         in
-        Some (r, rid)
+        Some (r, rid, service_s)
   in
   (match resp with
   | None -> ()
-  | Some (r, rid) ->
-      (try Proto.write_json fd r with _ -> ());
-      Atomic.incr st.served;
+  | Some (r, rid, service_s) ->
+      (* everything a later request can observe (flight ring, stats
+         window, metrics, served count) is recorded before the client can
+         see this response, with the service time its telemetry reports *)
       let status =
         Option.value (Jsonx.get_str r "status") ~default:"error"
       in
@@ -470,7 +472,6 @@ let handle st fd ~admitted =
         | Some "protocol" -> "protocol"
         | _ -> status
       in
-      let service_s = Unix.gettimeofday () -. t0 in
       m_request !op status;
       m_latency !op service_s;
       m_queue_wait !op queue_s;
@@ -485,6 +486,8 @@ let handle st fd ~admitted =
               ("service_s", Obs.Float service_s);
             ]
           "serve.request";
+      Atomic.incr st.served;
+      (try Proto.write_json fd r with _ -> ());
       if Obs.Log.enabled Obs.Log.Info then
         Obs.Log.info ~rid
           ~fields:(fun () ->

@@ -6,6 +6,9 @@
      is served from the cache);
    - soundness of the trivially_unsat pre-filter against the full Omega
      test;
+   - shape independence of interning: terms, constraints and conjuncts
+     built in permuted orders are equal, hash equal, share one id, and
+     the representative's children are canonical;
    - the eviction bound: every intern/memo table stays within the
      configured capacity, with monotone (never reused) interned ids. *)
 
@@ -108,6 +111,84 @@ let prop_prefilter_sound =
     (fun c -> (not (Conj.trivially_unsat c)) || not (Conj.sat c))
 
 (* ------------------------------------------------------------------ *)
+(* Interning is shape-independent                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The same term built from a coefficient list and from a permutation of
+   it: the two Var.Map trees are built in different insertion orders, so
+   their shapes usually differ, yet the terms must be equal, hash equal
+   and intern to one id. *)
+let wide_var_gen =
+  QCheck.Gen.oneofl
+    [
+      Var.In 0; Var.In 1; Var.In 2; Var.In 3; Var.Out 0; Var.Out 1;
+      Var.Param "n"; Var.Param "m"; Var.Param "p"; Var.Ex 0; Var.Ex 1;
+    ]
+
+let term_twice_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 7) (pair (int_range (-5) 5) wide_var_gen)
+    >>= fun pairs ->
+    shuffle_l pairs >>= fun perm ->
+    int_range (-12) 12 >|= fun k -> (Lin.of_list pairs k, Lin.of_list perm k))
+
+let constr_twice_gen =
+  QCheck.Gen.(
+    map2
+      (fun eq (a, b) ->
+        if eq then (Constr.eq a, Constr.eq b) else (Constr.geq a, Constr.geq b))
+      bool term_twice_gen)
+
+let conj_twice_gen =
+  QCheck.Gen.(
+    map2
+      (fun n_ex pairs ->
+        let cs, cs' = List.split pairs in
+        (Conj.make ~n_ex cs, Conj.make ~n_ex cs'))
+      (int_range 0 2)
+      (list_size (int_range 0 5) constr_twice_gen))
+
+let prop_lin_shape =
+  QCheck.Test.make ~count:300 ~name:"permuted terms: equal, same hash, same id"
+    (QCheck.make
+       ~print:(fun (a, b) -> Lin.to_string a ^ " | " ^ Lin.to_string b)
+       term_twice_gen)
+    (fun (a, b) ->
+      Lin.equal a b && Lin.compare a b = 0
+      && Lin.hash a = Lin.hash b
+      && Lin.id a = Lin.id b)
+
+let prop_constr_shape =
+  QCheck.Test.make ~count:300
+    ~name:"permuted constraints: equal, same hash, same id"
+    (QCheck.make
+       ~print:(fun (a, b) -> Constr.to_string a ^ " | " ^ Constr.to_string b)
+       constr_twice_gen)
+    (fun (a, b) ->
+      Constr.equal a b
+      && Constr.hash a = Constr.hash b
+      && Constr.id a = Constr.id b)
+
+let prop_conj_shape =
+  QCheck.Test.make ~count:300
+    ~name:"permuted conjuncts: equal, same hash, same id, canonical children"
+    (QCheck.make
+       ~print:(fun (a, b) -> conj_print a ^ " | " ^ conj_print b)
+       conj_twice_gen)
+    (fun (a, b) ->
+      let rep = Conj.intern a in
+      Conj.equal a b
+      && Conj.hash a = Conj.hash b
+      && Conj.id a = Conj.id b
+      && Conj.intern b == rep
+      (* children are interned only when the representative is inserted,
+         yet every constraint and term of it is its own representative *)
+      && List.for_all
+           (fun c ->
+             Constr.intern c == c && Lin.intern (Constr.lin c) == Constr.lin c)
+           (Conj.constraints rep))
+
+(* ------------------------------------------------------------------ *)
 (* Unit tests: hit accounting, eviction bound, id stability             *)
 (* ------------------------------------------------------------------ *)
 
@@ -194,6 +275,9 @@ let () =
             prop_equal;
             prop_prefilter_sound;
           ] );
+      ( "interning",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_lin_shape; prop_constr_shape; prop_conj_shape ] );
       ( "bounds",
         [
           Alcotest.test_case "hits recorded" `Quick test_hits_recorded;
