@@ -7,7 +7,7 @@
 DUNE ?= dune
 DHPFC = $(DUNE) exec bin/dhpfc.exe --
 
-.PHONY: all check test resilience fuzz bench bench-smoke bench-run bench-run-smoke bench-par-smoke bench-native-smoke bench-native bench-serve bench-serve-smoke serve-obs-smoke metrics-smoke fmt fmt-check clean
+.PHONY: all check test loc resilience fuzz bench bench-smoke bench-run bench-run-smoke bench-par-smoke bench-native-smoke bench-native bench-serve bench-serve-smoke serve-obs-smoke metrics-smoke fmt fmt-check clean
 
 all:
 	$(DUNE) build
@@ -86,6 +86,18 @@ metrics-smoke:
 	$(DHPFC) run jacobi -p 4 --check-comm --faults 1 > /dev/null
 
 test: check
+
+# Size report: line counts of the tracked .ml/.mli/.mll files under each
+# library, executable and test directory (subdirectories included), plus
+# the total. Run it on two commits to get a change's net lines per library.
+LOC_DIRS = $(sort $(wildcard lib/*)) bin bench perfbench test
+loc:
+	@for d in $(LOC_DIRS); do \
+	  n=$$(git ls-files -- "$$d/*.ml" "$$d/*.mli" "$$d/*.mll" | xargs -r cat | wc -l); \
+	  printf '%-14s %7d\n' "$$d" "$$n"; \
+	done
+	@printf '%-14s %7d\n' total \
+	  "$$(git ls-files -- $(foreach d,$(LOC_DIRS),'$(d)/*.ml' '$(d)/*.mli' '$(d)/*.mll') | xargs -r cat | wc -l)"
 
 # Formatting is pinned by .ocamlformat and enforced in CI; both targets
 # degrade to a no-op warning when ocamlformat is not installed locally.

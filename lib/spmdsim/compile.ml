@@ -1,17 +1,18 @@
-(* Closure-compiling SPMD execution engine (the default behind
-   [Exec.make ~engine:`Closure]).
+(* The closure engine (the default behind [Exec.make ~engine:`Closure]),
+   and the per-processor state both back ends of the SPMD lowering run
+   over.
 
    The interpreter in {!Exec} re-matches the [Spmd] AST and resolves every
    name through [Hashtbl.find_opt] on every loop iteration, and keeps every
    array element in a per-processor [(int, float) Hashtbl.t]. This engine
-   removes both costs with a one-time lowering pass per program:
+   removes both costs:
 
-   - every [stmt]/[fexpr]/[expr] tree becomes an OCaml closure over a small
-     per-processor state record, with integer names (loop variables, [m$k],
-     [vm$k]) resolved to slots of an [int array] and replicated scalars to
-     slots of a [float array] once, at compile time; global parameters fold
-     into compile-time constants (so most loop bounds and strides are
-     literals inside the closures);
+   - {!Imp.lower} resolves the program once — integer names (loop
+     variables, [m$k], [vm$k]) to slots of an [int array], replicated
+     scalars to slots of a [float array], global parameters to constants —
+     and this module turns each node of the resulting kernel into an OCaml
+     closure over a small per-processor state record (the native engine
+     prints the same kernel as OCaml source instead, {!Emit});
    - each processor's owned section of a distributed array is a dense
      [float array] block, addressed through per-dimension ownership tables
      built at setup from the layout descriptors — exact for block, cyclic
@@ -120,287 +121,27 @@ type rt = {
 let tick rt dt = rt.r_clock <- rt.r_clock +. (dt *. rt.r_skew)
 
 (* ------------------------------------------------------------------ *)
-(* Compilation context                                                  *)
+(* Shared runtime paths                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type cint = rt -> int
-type cfloat = rt -> float
-type cstmt = rt -> unit
+(* Everything below up to the closure builders is shared with the kernels
+   the native engine emits: generated source inlines the hot sequences but
+   calls back here for communication, reductions, dense misses and
+   failures, so halo lookups, sparse-array defaults, effects and error
+   messages are one piece of code for both back ends. *)
 
-(* integer values: constants fold at compile time (global parameters are
-   fixed before lowering, so bounds like [n - 1] become literals) *)
-type cival = KConst of int | KDyn of cint
+let bad_step (rt : rt) var =
+  errf "proc %d: non-positive loop step for %s" rt.r_pid var
 
-type ctx = {
-  x_prog : Spmd.program;
-  x_genv : (string, int) Hashtbl.t;
-  x_machine : Machine.t;
-  x_tr : Runtime.transport;
-  x_extents : int array;
-  x_islots : (string, int) Hashtbl.t;
-  mutable x_nint : int;
-  x_fslots : (string, int) Hashtbl.t;
-  mutable x_nfloat : int;
-  x_arrays : (string, int) Hashtbl.t;  (* array name -> store id *)
-  x_ameta : Runtime.ameta array;  (* by store id *)
-  x_inplace : (int, unit) Hashtbl.t;
-  x_rect : (int, unit) Hashtbl.t;
-  x_subs : (string, cstmt Lazy.t) Hashtbl.t;
-  x_vm_slots : int array;  (* slot of vm$k per processor dimension *)
-  x_phys_of_vp : int list -> int;
-}
+let unbound_int (rt : rt) name =
+  errf "proc %d: unbound integer name %s" rt.r_pid name
 
-let islot ctx name =
-  match Hashtbl.find_opt ctx.x_islots name with
-  | Some s -> s
-  | None ->
-      let s = ctx.x_nint in
-      ctx.x_nint <- s + 1;
-      Hashtbl.replace ctx.x_islots name s;
-      s
-
-let fslot ctx name =
-  match Hashtbl.find_opt ctx.x_fslots name with
-  | Some s -> s
-  | None ->
-      let s = ctx.x_nfloat in
-      ctx.x_nfloat <- s + 1;
-      Hashtbl.replace ctx.x_fslots name s;
-      s
-
-(* ------------------------------------------------------------------ *)
-(* Integer expressions                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let force = function KConst k -> fun _ -> k | KDyn f -> f
-
-let rec cexpr ctx (e : Spmd.expr) : cival =
-  let open Iset.Codegen in
-  match e with
-  | EInt k -> KConst k
-  | EVar s -> (
-      match Hashtbl.find_opt ctx.x_islots s with
-      | Some slot -> KDyn (fun rt -> rt.r_int.(slot))
-      | None -> (
-          match Hashtbl.find_opt ctx.x_genv s with
-          | Some v -> KConst v
-          | None ->
-              KDyn (fun rt -> errf "proc %d: unbound integer name %s" rt.r_pid s)))
-  | EAdd (a, b) -> (
-      match (cexpr ctx a, cexpr ctx b) with
-      | KConst x, KConst y -> KConst (x + y)
-      | KConst x, KDyn g -> KDyn (fun rt -> x + g rt)
-      | KDyn f, KConst y -> KDyn (fun rt -> f rt + y)
-      | KDyn f, KDyn g -> KDyn (fun rt -> f rt + g rt))
-  | ESub (a, b) -> (
-      match (cexpr ctx a, cexpr ctx b) with
-      | KConst x, KConst y -> KConst (x - y)
-      | KConst x, KDyn g -> KDyn (fun rt -> x - g rt)
-      | KDyn f, KConst y -> KDyn (fun rt -> f rt - y)
-      | KDyn f, KDyn g -> KDyn (fun rt -> f rt - g rt))
-  | EMul (k, a) -> (
-      match cexpr ctx a with
-      | KConst x -> KConst (k * x)
-      | KDyn f -> KDyn (fun rt -> k * f rt))
-  | EFloorDiv (a, k) -> (
-      match cexpr ctx a with
-      | KConst x -> KConst (Iset.Lin.fdiv x k)
-      | KDyn f -> KDyn (fun rt -> Iset.Lin.fdiv (f rt) k))
-  | ECeilDiv (a, k) -> (
-      match cexpr ctx a with
-      | KConst x -> KConst (Iset.Lin.cdiv x k)
-      | KDyn f -> KDyn (fun rt -> Iset.Lin.cdiv (f rt) k))
-  | EMax es ->
-      let cs = List.map (cexpr ctx) es in
-      if List.for_all (function KConst _ -> true | _ -> false) cs then
-        KConst
-          (List.fold_left
-             (fun m c -> match c with KConst k -> max m k | _ -> m)
-             min_int cs)
-      else
-        let fs = Array.of_list (List.map force cs) in
-        KDyn
-          (fun rt ->
-            let m = ref min_int in
-            Array.iter (fun f -> m := max !m (f rt)) fs;
-            !m)
-  | EMin es ->
-      let cs = List.map (cexpr ctx) es in
-      if List.for_all (function KConst _ -> true | _ -> false) cs then
-        KConst
-          (List.fold_left
-             (fun m c -> match c with KConst k -> min m k | _ -> m)
-             max_int cs)
-      else
-        let fs = Array.of_list (List.map force cs) in
-        KDyn
-          (fun rt ->
-            let m = ref max_int in
-            Array.iter (fun f -> m := min !m (f rt)) fs;
-            !m)
-  | EAlignUp (e, target, k) -> (
-      match (cexpr ctx e, cexpr ctx target, cexpr ctx k) with
-      | KConst x, KConst t, KConst k -> KConst (x + Iset.Lin.pmod (t - x) k)
-      | ce, ct, ck ->
-          let fe = force ce and ft = force ct and fk = force ck in
-          KDyn
-            (fun rt ->
-              let x = fe rt in
-              x + Iset.Lin.pmod (ft rt - x) (fk rt)))
-
-let cexpr_f ctx e = force (cexpr ctx e)
-
-let rec ccond ctx (c : Spmd.cond) : rt -> bool =
-  let open Iset.Codegen in
-  match c with
-  | CTrue -> fun _ -> true
-  | CGeq0 e -> (
-      match cexpr ctx e with
-      | KConst k ->
-          let b = k >= 0 in
-          fun _ -> b
-      | KDyn f -> fun rt -> f rt >= 0)
-  | CEq0 e -> (
-      match cexpr ctx e with
-      | KConst k ->
-          let b = k = 0 in
-          fun _ -> b
-      | KDyn f -> fun rt -> f rt = 0)
-  | CDivides (k, e) -> (
-      match cexpr ctx e with
-      | KConst x ->
-          let b = Iset.Lin.pmod x k = 0 in
-          fun _ -> b
-      | KDyn f -> fun rt -> Iset.Lin.pmod (f rt) k = 0)
-  | CAnd cs ->
-      let fs = List.map (ccond ctx) cs in
-      fun rt -> List.for_all (fun f -> f rt) fs
-  | COr cs ->
-      let fs = List.map (ccond ctx) cs in
-      fun rt -> List.exists (fun f -> f rt) fs
-  | CNot c ->
-      let f = ccond ctx c in
-      fun rt -> not (f rt)
-
-(* ------------------------------------------------------------------ *)
-(* Element addressing                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let access_name = function
-  | Spmd.Local -> "Local"
-  | Spmd.Overlay -> "Overlay"
-  | Spmd.Checked -> "Checked"
-  | Spmd.Global -> "Global"
+let unknown_sub (rt : rt) f = errf "proc %d: unknown subroutine %s" rt.r_pid f
 
 let bounds_fail (am : Runtime.ameta) d x =
   let lo, hi = am.Runtime.am_bounds.(d) in
   errf "array %s: index %d outside [%d,%d] (dim %d)" am.Runtime.am_name x lo hi
     (d + 1)
-
-(* One compiled access site: evaluates the subscripts, bounds-checks them in
-   dimension order (matching the interpreter's [encode]), and produces the
-   dense slot (or -1) and the global linear index. Ranks 1-3 are specialized
-   to keep subscript values in registers; higher ranks use the per-processor
-   scratch buffer (subscript expressions are integer-only, so an access
-   cannot re-enter another access mid-computation). *)
-type addr = { a_slot : int; a_enc : int }
-
-let caddr ctx aid (idx : Spmd.expr list) : rt -> addr =
-  let am = ctx.x_ameta.(aid) in
-  let nd = Array.length am.Runtime.am_ext in
-  if List.length idx <> nd then
-    errf "array %s: %d subscripts for rank %d" am.Runtime.am_name
-      (List.length idx) nd;
-  let cidx = Array.of_list (List.map (cexpr_f ctx) idx) in
-  let lo d = fst am.Runtime.am_bounds.(d) in
-  let ext = am.Runtime.am_ext and str = am.Runtime.am_strides in
-  let check d x =
-    let u = x - lo d in
-    if u < 0 || u >= ext.(d) then bounds_fail am d x;
-    u
-  in
-  match nd with
-  | 1 ->
-      let i0 = cidx.(0) and lo0 = lo 0 and e0 = ext.(0) in
-      fun rt ->
-        let x0 = i0 rt in
-        let u0 = x0 - lo0 in
-        if u0 < 0 || u0 >= e0 then bounds_fail am 0 x0;
-        let st = rt.r_stores.(aid) in
-        let slot = if st.st_owned then st.st_dmaps.(0).(u0) else -1 in
-        { a_slot = (if st.st_data == [||] then -1 else slot); a_enc = u0 }
-  | 2 ->
-      let i0 = cidx.(0) and i1 = cidx.(1) in
-      let lo0 = lo 0 and lo1 = lo 1 in
-      let e0 = ext.(0) and e1 = ext.(1) in
-      let s1 = str.(1) in
-      fun rt ->
-        let x0 = i0 rt in
-        let x1 = i1 rt in
-        let u0 = x0 - lo0 in
-        if u0 < 0 || u0 >= e0 then bounds_fail am 0 x0;
-        let u1 = x1 - lo1 in
-        if u1 < 0 || u1 >= e1 then bounds_fail am 1 x1;
-        let st = rt.r_stores.(aid) in
-        let slot =
-          if st.st_owned && st.st_data != [||] then begin
-            let l0 = st.st_dmaps.(0).(u0) and l1 = st.st_dmaps.(1).(u1) in
-            if l0 >= 0 && l1 >= 0 then l0 + (l1 * st.st_lstride.(1)) else -1
-          end
-          else -1
-        in
-        { a_slot = slot; a_enc = u0 + (u1 * s1) }
-  | 3 ->
-      let i0 = cidx.(0) and i1 = cidx.(1) and i2 = cidx.(2) in
-      let lo0 = lo 0 and lo1 = lo 1 and lo2 = lo 2 in
-      let e0 = ext.(0) and e1 = ext.(1) and e2 = ext.(2) in
-      let s1 = str.(1) and s2 = str.(2) in
-      fun rt ->
-        let x0 = i0 rt in
-        let x1 = i1 rt in
-        let x2 = i2 rt in
-        let u0 = x0 - lo0 in
-        if u0 < 0 || u0 >= e0 then bounds_fail am 0 x0;
-        let u1 = x1 - lo1 in
-        if u1 < 0 || u1 >= e1 then bounds_fail am 1 x1;
-        let u2 = x2 - lo2 in
-        if u2 < 0 || u2 >= e2 then bounds_fail am 2 x2;
-        let st = rt.r_stores.(aid) in
-        let slot =
-          if st.st_owned && st.st_data != [||] then begin
-            let l0 = st.st_dmaps.(0).(u0)
-            and l1 = st.st_dmaps.(1).(u1)
-            and l2 = st.st_dmaps.(2).(u2) in
-            if l0 >= 0 && l1 >= 0 && l2 >= 0 then
-              l0 + (l1 * st.st_lstride.(1)) + (l2 * st.st_lstride.(2))
-            else -1
-          end
-          else -1
-        in
-        { a_slot = slot; a_enc = u0 + (u1 * s1) + (u2 * s2) }
-  | _ ->
-      fun rt ->
-        let u = rt.r_scratch in
-        for d = 0 to nd - 1 do
-          u.(d) <- check d (cidx.(d) rt)
-        done;
-        let st = rt.r_stores.(aid) in
-        let enc = ref 0 in
-        for d = 0 to nd - 1 do
-          enc := !enc + (u.(d) * str.(d))
-        done;
-        let slot =
-          if st.st_owned && st.st_data != [||] then begin
-            let s = ref 0 and ok = ref true in
-            for d = 0 to nd - 1 do
-              let l = st.st_dmaps.(d).(u.(d)) in
-              if l < 0 then ok := false else s := !s + (l * st.st_lstride.(d))
-            done;
-            if !ok then !s else -1
-          end
-          else -1
-        in
-        { a_slot = slot; a_enc = !enc }
 
 (* pretty-print the subscripts of an access for an error message (cold) *)
 let idx_string (am : Runtime.ameta) enc =
@@ -412,11 +153,6 @@ let idx_string (am : Runtime.ameta) enc =
     parts := string_of_int (u + fst am.Runtime.am_bounds.(d)) :: !parts
   done;
   String.concat "," (List.rev !parts)
-
-(* Cold paths, shared with the kernels the native engine emits: generated
-   source inlines the hot access sequences but calls back here on a dense
-   miss or an illegal access, so halo lookups, sparse-array defaults and
-   failure messages stay identical across engines. *)
 
 let load_miss (rt : rt) aid ~aname enc =
   let st = rt.r_stores.(aid) in
@@ -443,67 +179,274 @@ let local_store_fail (rt : rt) aid enc =
   errf "proc %d: Local store to non-owned %s(%s)" rt.r_pid
     st.st_am.Runtime.am_name (idx_string st.st_am enc)
 
+type link = {
+  l_tr : Runtime.transport;
+  l_phys : int list -> int;
+  l_arrays : (string, int) Hashtbl.t;
+  l_vm_slots : int array;
+}
+
+let my_vp link (rt : rt) =
+  Array.to_list (Array.map (fun s -> rt.r_int.(s)) link.l_vm_slots)
+
+let send link (rt : rt) ~event ~inplace ~rect dest_vp =
+  let pl = Runtime.packbuf_flush rt.r_packbufs.(event) in
+  Runtime.send link.l_tr
+    ~tick:(fun dt -> tick rt dt)
+    ~get_clock:(fun () -> rt.r_clock)
+    ~pid:rt.r_pid ~dst_pid:(link.l_phys dest_vp) ~event ~src_vp:(my_vp link rt)
+    ~dst_vp:dest_vp ~inplace ~rect pl
+
+let recv link (rt : rt) ~event ~recv_o ~unpack src_vp =
+  let k = { Runtime.k_event = event; k_src = src_vp; k_dst = my_vp link rt } in
+  let t0 = rt.r_clock in
+  let msg = Effect.perform (Runtime.ERecv k) in
+  tick rt recv_o;
+  rt.r_clock <- Float.max rt.r_clock msg.Runtime.m_arrival;
+  let pl = msg.Runtime.m_payload in
+  let n = Array.length pl.Runtime.pl_idx in
+  if not msg.Runtime.m_contig then tick rt (float_of_int n *. unpack);
+  if n > 0 then begin
+    let st =
+      match Hashtbl.find_opt link.l_arrays pl.Runtime.pl_arr with
+      | Some aid -> rt.r_stores.(aid)
+      | None -> errf "unknown array %s" pl.Runtime.pl_arr
+    in
+    for i = 0 to n - 1 do
+      put_enc st pl.Runtime.pl_idx.(i) pl.Runtime.pl_val.(i)
+    done
+  end;
+  Runtime.trace_recv link.l_tr ~tid:rt.r_pid ~t0 ~t1:rt.r_clock k msg
+
+let reduce_arr_effect name op = Effect.perform (Runtime.EReduceArr (name, op))
+
+let reduce_scalar (rt : rt) slot op =
+  let mine = if rt.r_fvalid.(slot) then rt.r_fval.(slot) else 0.0 in
+  let combined = Effect.perform (Runtime.EReduce (op, mine)) in
+  rt.r_fval.(slot) <- combined;
+  rt.r_fvalid.(slot) <- true
+
 (* ------------------------------------------------------------------ *)
-(* Float expressions                                                    *)
+(* Closures over the kernel IR                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec cfexpr ctx (e : Spmd.fexpr) : cfloat =
-  let m = ctx.x_machine in
+type cint = rt -> int
+type cfloat = rt -> float
+type cstmt = rt -> unit
+
+(* {!Imp.lower} has already folded every constant subexpression, so a
+   constant operand is visible in the node shape and gets its own closure *)
+let rec cexpr (e : Imp.iexpr) : cint =
   match e with
-  | Spmd.FConst x -> fun _ -> x
-  | Spmd.FOfInt ie -> (
-      match cexpr ctx ie with
-      | KConst k ->
-          let x = float_of_int k in
-          fun _ -> x
-      | KDyn f -> fun rt -> float_of_int (f rt))
-  | Spmd.FScalar s -> (
-      let fallback =
-        (* the interpreter falls back to the integer environment when a name
-           is absent from fenv (e.g. FScalar wrapping a loop variable) *)
-        match Hashtbl.find_opt ctx.x_islots s with
-        | Some slot -> fun rt -> float_of_int rt.r_int.(slot)
-        | None -> (
-            match Hashtbl.find_opt ctx.x_genv s with
-            | Some v ->
-                let x = float_of_int v in
-                fun _ -> x
-            | None ->
-                fun rt -> errf "proc %d: unbound integer name %s" rt.r_pid s)
+  | IConst k -> fun _ -> k
+  | ISlot (slot, _) -> fun rt -> rt.r_int.(slot)
+  | IUnbound s -> fun rt -> unbound_int rt s
+  | IAdd (IConst x, b) ->
+      let g = cexpr b in
+      fun rt -> x + g rt
+  | IAdd (a, IConst y) ->
+      let f = cexpr a in
+      fun rt -> f rt + y
+  | IAdd (a, b) ->
+      let f = cexpr a and g = cexpr b in
+      fun rt -> f rt + g rt
+  | ISub (IConst x, b) ->
+      let g = cexpr b in
+      fun rt -> x - g rt
+  | ISub (a, IConst y) ->
+      let f = cexpr a in
+      fun rt -> f rt - y
+  | ISub (a, b) ->
+      let f = cexpr a and g = cexpr b in
+      fun rt -> f rt - g rt
+  | IMul (k, a) ->
+      let f = cexpr a in
+      fun rt -> k * f rt
+  | IFloorDiv (a, k) ->
+      let f = cexpr a in
+      fun rt -> Iset.Lin.fdiv (f rt) k
+  | ICeilDiv (a, k) ->
+      let f = cexpr a in
+      fun rt -> Iset.Lin.cdiv (f rt) k
+  | IMax es ->
+      let fs = Array.of_list (List.map cexpr es) in
+      fun rt ->
+        let m = ref min_int in
+        Array.iter (fun f -> m := max !m (f rt)) fs;
+        !m
+  | IMin es ->
+      let fs = Array.of_list (List.map cexpr es) in
+      fun rt ->
+        let m = ref max_int in
+        Array.iter (fun f -> m := min !m (f rt)) fs;
+        !m
+  | IAlignUp (e, target, k) ->
+      let fe = cexpr e and ft = cexpr target and fk = cexpr k in
+      fun rt ->
+        let x = fe rt in
+        x + Iset.Lin.pmod (ft rt - x) (fk rt)
+
+let rec ccond (c : Imp.icond) : rt -> bool =
+  match c with
+  | BConst b -> fun _ -> b
+  | BGeq0 e ->
+      let f = cexpr e in
+      fun rt -> f rt >= 0
+  | BEq0 e ->
+      let f = cexpr e in
+      fun rt -> f rt = 0
+  | BDivides (k, e) ->
+      let f = cexpr e in
+      fun rt -> Iset.Lin.pmod (f rt) k = 0
+  | BAnd cs ->
+      let fs = List.map ccond cs in
+      fun rt -> List.for_all (fun f -> f rt) fs
+  | BOr cs ->
+      let fs = List.map ccond cs in
+      fun rt -> List.exists (fun f -> f rt) fs
+  | BNot c ->
+      let f = ccond c in
+      fun rt -> not (f rt)
+
+(* One access site: evaluates the subscripts, bounds-checks every one of
+   them in dimension order (the interval proofs are the emitter's business),
+   and produces the dense slot (or -1) and the global linear index. Ranks
+   1-3 are specialized to keep subscript values in registers; higher ranks
+   use the per-processor scratch buffer (subscript expressions are
+   integer-only, so an access cannot re-enter another access
+   mid-computation). *)
+type addr = { a_slot : int; a_enc : int }
+
+let caddr (ap : Imp.access_plan) : rt -> addr =
+  let aid = ap.ap_aid and dims = ap.ap_dims in
+  let nd = Array.length dims in
+  let cidx = Array.map (fun (da : Imp.dim_access) -> cexpr da.da_idx) dims in
+  let lo d = dims.(d).da_lo and ext d = dims.(d).da_ext in
+  let str d = dims.(d).da_stride in
+  let fail rt d x = bounds_fail rt.r_stores.(aid).st_am d x in
+  match nd with
+  | 1 ->
+      let i0 = cidx.(0) and lo0 = lo 0 and e0 = ext 0 in
+      fun rt ->
+        let x0 = i0 rt in
+        let u0 = x0 - lo0 in
+        if u0 < 0 || u0 >= e0 then fail rt 0 x0;
+        let st = rt.r_stores.(aid) in
+        let slot = if st.st_owned then st.st_dmaps.(0).(u0) else -1 in
+        { a_slot = (if st.st_data == [||] then -1 else slot); a_enc = u0 }
+  | 2 ->
+      let i0 = cidx.(0) and i1 = cidx.(1) in
+      let lo0 = lo 0 and lo1 = lo 1 in
+      let e0 = ext 0 and e1 = ext 1 in
+      let s1 = str 1 in
+      fun rt ->
+        let x0 = i0 rt in
+        let x1 = i1 rt in
+        let u0 = x0 - lo0 in
+        if u0 < 0 || u0 >= e0 then fail rt 0 x0;
+        let u1 = x1 - lo1 in
+        if u1 < 0 || u1 >= e1 then fail rt 1 x1;
+        let st = rt.r_stores.(aid) in
+        let slot =
+          if st.st_owned && st.st_data != [||] then begin
+            let l0 = st.st_dmaps.(0).(u0) and l1 = st.st_dmaps.(1).(u1) in
+            if l0 >= 0 && l1 >= 0 then l0 + (l1 * st.st_lstride.(1)) else -1
+          end
+          else -1
+        in
+        { a_slot = slot; a_enc = u0 + (u1 * s1) }
+  | 3 ->
+      let i0 = cidx.(0) and i1 = cidx.(1) and i2 = cidx.(2) in
+      let lo0 = lo 0 and lo1 = lo 1 and lo2 = lo 2 in
+      let e0 = ext 0 and e1 = ext 1 and e2 = ext 2 in
+      let s1 = str 1 and s2 = str 2 in
+      fun rt ->
+        let x0 = i0 rt in
+        let x1 = i1 rt in
+        let x2 = i2 rt in
+        let u0 = x0 - lo0 in
+        if u0 < 0 || u0 >= e0 then fail rt 0 x0;
+        let u1 = x1 - lo1 in
+        if u1 < 0 || u1 >= e1 then fail rt 1 x1;
+        let u2 = x2 - lo2 in
+        if u2 < 0 || u2 >= e2 then fail rt 2 x2;
+        let st = rt.r_stores.(aid) in
+        let slot =
+          if st.st_owned && st.st_data != [||] then begin
+            let l0 = st.st_dmaps.(0).(u0)
+            and l1 = st.st_dmaps.(1).(u1)
+            and l2 = st.st_dmaps.(2).(u2) in
+            if l0 >= 0 && l1 >= 0 && l2 >= 0 then
+              l0 + (l1 * st.st_lstride.(1)) + (l2 * st.st_lstride.(2))
+            else -1
+          end
+          else -1
+        in
+        { a_slot = slot; a_enc = u0 + (u1 * s1) + (u2 * s2) }
+  | _ ->
+      fun rt ->
+        let u = rt.r_scratch in
+        for d = 0 to nd - 1 do
+          let x = cidx.(d) rt in
+          let v = x - lo d in
+          if v < 0 || v >= ext d then fail rt d x;
+          u.(d) <- v
+        done;
+        let st = rt.r_stores.(aid) in
+        let enc = ref 0 in
+        for d = 0 to nd - 1 do
+          enc := !enc + (u.(d) * str d)
+        done;
+        let slot =
+          if st.st_owned && st.st_data != [||] then begin
+            let s = ref 0 and ok = ref true in
+            for d = 0 to nd - 1 do
+              let l = st.st_dmaps.(d).(u.(d)) in
+              if l < 0 then ok := false else s := !s + (l * st.st_lstride.(d))
+            done;
+            if !ok then !s else -1
+          end
+          else -1
+        in
+        { a_slot = slot; a_enc = !enc }
+
+let rec cfexpr (e : Imp.kfexpr) : cfloat =
+  match e with
+  | KFConst x -> fun _ -> x
+  | KFOfInt ie ->
+      let f = cexpr ie in
+      fun rt -> float_of_int (f rt)
+  | KFScalar { slot; fallback } -> (
+      (* an uninitialized or absent scalar falls back to the integer
+         environment, as the interpreter's fenv-then-ienv lookup does *)
+      let fallback : cfloat =
+        match fallback with
+        | FbSlot (s, _) -> fun rt -> float_of_int rt.r_int.(s)
+        | FbConst x -> fun _ -> x
+        | FbUnbound s -> fun rt -> unbound_int rt s
       in
-      match Hashtbl.find_opt ctx.x_fslots s with
+      match slot with
       | Some slot ->
           fun rt -> if rt.r_fvalid.(slot) then rt.r_fval.(slot) else fallback rt
       | None -> fallback)
-  | Spmd.FLoad { arr; idx; access } -> (
-      let aid =
-        match Hashtbl.find_opt ctx.x_arrays arr with
-        | Some a -> a
-        | None -> errf "unknown array %s" arr
-      in
-      let addr = caddr ctx aid idx in
-      let flop = m.Machine.flop_time in
-      let checked = access = Spmd.Checked in
-      let check = m.Machine.check_time in
-      let aname = access_name access in
-      let miss rt (a : addr) = load_miss rt aid ~aname a.a_enc in
+  | KFLoad { ap; aname; checked; flop; check } ->
+      let aid = ap.ap_aid and addr = caddr ap in
       if checked then fun rt ->
         tick rt flop;
         let a = addr rt in
         tick rt check;
         if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot)
-        else miss rt a
+        else load_miss rt aid ~aname a.a_enc
       else fun rt ->
         tick rt flop;
         let a = addr rt in
         if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot)
-        else miss rt a)
-  | Spmd.FNeg a ->
-      let f = cfexpr ctx a in
+        else load_miss rt aid ~aname a.a_enc
+  | KFNeg a ->
+      let f = cfexpr a in
       fun rt -> -.f rt
-  | Spmd.FBin (op, a, b) -> (
-      let fa = cfexpr ctx a and fb = cfexpr ctx b in
-      let flop = m.Machine.flop_time in
+  | KFBin { op; a; b; flop } -> (
+      let fa = cfexpr a and fb = cfexpr b in
       match op with
       | Hpf.Ast.Add ->
           fun rt ->
@@ -529,17 +472,16 @@ let rec cfexpr ctx (e : Spmd.fexpr) : cfloat =
             let y = fb rt in
             tick rt flop;
             x /. y)
-  | Spmd.FIntrin (f, args) ->
-      let cargs = List.map (cfexpr ctx) args in
-      let flop = m.Machine.flop_time in
+  | KFIntrin { name; args; flop } ->
+      let cargs = List.map cfexpr args in
       fun rt ->
         tick rt flop;
-        Serial.intrinsic f (List.map (fun g -> g rt) cargs)
+        Serial.intrinsic name (List.map (fun g -> g rt) cargs)
 
-let rec cfcond ctx (c : Spmd.fcond) : rt -> bool =
+let rec cfcond (c : Imp.kfcond) : rt -> bool =
   match c with
-  | Spmd.FCmp (a, op, b) -> (
-      let fa = cfexpr ctx a and fb = cfexpr ctx b in
+  | KFCmp (op, a, b) -> (
+      let fa = cfexpr a and fb = cfexpr b in
       match op with
       | Hpf.Ast.Lt ->
           fun rt ->
@@ -571,19 +513,15 @@ let rec cfcond ctx (c : Spmd.fcond) : rt -> bool =
             let x = fa rt in
             let y = fb rt in
             x <> y)
-  | Spmd.FAnd (a, b) ->
-      let ca = cfcond ctx a and cb = cfcond ctx b in
+  | KFAnd (a, b) ->
+      let ca = cfcond a and cb = cfcond b in
       fun rt -> ca rt && cb rt
-  | Spmd.FOr (a, b) ->
-      let ca = cfcond ctx a and cb = cfcond ctx b in
+  | KFOr (a, b) ->
+      let ca = cfcond a and cb = cfcond b in
       fun rt -> ca rt || cb rt
-  | Spmd.FNot a ->
-      let ca = cfcond ctx a in
+  | KFNot a ->
+      let ca = cfcond a in
       fun rt -> not (ca rt)
-
-(* ------------------------------------------------------------------ *)
-(* Statements                                                           *)
-(* ------------------------------------------------------------------ *)
 
 let seq (fs : cstmt list) : cstmt =
   match fs with
@@ -602,23 +540,16 @@ let seq (fs : cstmt list) : cstmt =
       let a = Array.of_list l in
       fun rt -> Array.iter (fun f -> f rt) a
 
-let my_vp ctx : rt -> int list =
-  let slots = ctx.x_vm_slots in
-  fun rt -> Array.to_list (Array.map (fun s -> rt.r_int.(s)) slots)
-
-let rec cstmt ctx (s : Spmd.stmt) : cstmt =
-  let m = ctx.x_machine in
+(* [subs]: one lazy per subroutine name, so mutually recursive calls
+   reference each other's closures by name *)
+let rec cstmt link (subs : (string, cstmt Lazy.t) Hashtbl.t) (s : Imp.kstmt) :
+    cstmt =
   match s with
-  | Spmd.Comment _ -> fun _ -> ()
-  | Spmd.For { var; lo; hi; step; body } -> (
-      let clo = cexpr ctx lo and chi = cexpr ctx hi in
-      let cst = cexpr ctx step in
-      let slot = islot ctx var in
-      let cbody = cstmts ctx body in
-      let loopt = m.Machine.loop_time in
-      match cst with
-      | KConst 1 ->
-          let flo = force clo and fhi = force chi in
+  | KFor { slot; var; lo; hi; step; body; loopt } -> (
+      let flo = cexpr lo and fhi = cexpr hi in
+      let cbody = cstmts link subs body in
+      match step with
+      | IConst 1 ->
           fun rt ->
             let h = fhi rt in
             let i = ref (flo rt) in
@@ -629,12 +560,11 @@ let rec cstmt ctx (s : Spmd.stmt) : cstmt =
               incr i
             done
       | _ ->
-          let flo = force clo and fhi = force chi and fst = force cst in
+          let fst = cexpr step in
           fun rt ->
             let l = flo rt and h = fhi rt in
             let st = fst rt in
-            if st <= 0 then
-              errf "proc %d: non-positive loop step for %s" rt.r_pid var;
+            if st <= 0 then bad_step rt var;
             let i = ref l in
             while !i <= h do
               rt.r_int.(slot) <- !i;
@@ -642,45 +572,34 @@ let rec cstmt ctx (s : Spmd.stmt) : cstmt =
               cbody rt;
               i := !i + st
             done)
-  | Spmd.If (c, body) ->
-      let cc = ccond ctx c in
-      let cbody = cstmts ctx body in
-      let guard = m.Machine.guard_time in
+  | KIf { cond; body; guard } ->
+      let cc = ccond cond in
+      let cbody = cstmts link subs body in
       fun rt ->
         tick rt guard;
         if cc rt then cbody rt
-  | Spmd.FIf (c, t, e) ->
-      let cc = cfcond ctx c in
-      let ct = cstmts ctx t and ce = cstmts ctx e in
-      let guard = m.Machine.guard_time in
+  | KFIf { cond; then_; else_; guard } ->
+      let cc = cfcond cond in
+      let ct = cstmts link subs then_ and ce = cstmts link subs else_ in
       fun rt ->
         tick rt guard;
         if cc rt then ct rt else ce rt
-  | Spmd.SetScalar (name, v) ->
-      let cv = cfexpr ctx v in
-      let slot = fslot ctx name in
-      let flop = m.Machine.flop_time in
+  | KSetScalar { slot; value; flop } ->
+      let cv = cfexpr value in
       fun rt ->
         let x = cv rt in
         tick rt flop;
         rt.r_fval.(slot) <- x;
         rt.r_fvalid.(slot) <- true
-  | Spmd.Store { arr; idx; value; access } -> (
-      let aid =
-        match Hashtbl.find_opt ctx.x_arrays arr with
-        | Some a -> a
-        | None -> errf "unknown array %s" arr
-      in
-      let addr = caddr ctx aid idx in
-      let cv = cfexpr ctx value in
-      let flop = m.Machine.flop_time in
+  | KStore { ap; value; access; flop; check } -> (
+      let aid = ap.ap_aid and addr = caddr ap in
+      let cv = cfexpr value in
       let put rt (a : addr) x =
         if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot) <- x
         else Hashtbl.replace rt.r_stores.(aid).st_side a.a_enc x
       in
       match access with
       | Spmd.Checked ->
-          let check = m.Machine.check_time in
           fun rt ->
             let x = cv rt in
             tick rt flop;
@@ -704,13 +623,8 @@ let rec cstmt ctx (s : Spmd.stmt) : cstmt =
             tick rt flop;
             let a = addr rt in
             put rt a x)
-  | Spmd.Pack { event; arr; idx } ->
-      let aid =
-        match Hashtbl.find_opt ctx.x_arrays arr with
-        | Some a -> a
-        | None -> errf "unknown array %s" arr
-      in
-      let addr = caddr ctx aid idx in
+  | KPack { event; arr; ap } ->
+      let aid = ap.ap_aid and addr = caddr ap in
       fun rt ->
         let a = addr rt in
         let v =
@@ -718,85 +632,24 @@ let rec cstmt ctx (s : Spmd.stmt) : cstmt =
           else pack_miss rt aid a.a_enc
         in
         Runtime.packbuf_push rt.r_packbufs.(event) ~arr a.a_enc v
-  | Spmd.Send { event; dest } ->
-      let cdest = List.map (cexpr_f ctx) dest in
-      let inplace = Hashtbl.mem ctx.x_inplace event in
-      let rect = Hashtbl.mem ctx.x_rect event in
-      let myvp = my_vp ctx in
-      let pvp = ctx.x_phys_of_vp in
-      let tr = ctx.x_tr in
-      fun rt ->
-        let dest_vp = List.map (fun f -> f rt) cdest in
-        let pl = Runtime.packbuf_flush rt.r_packbufs.(event) in
-        Runtime.send tr
-          ~tick:(fun dt -> tick rt dt)
-          ~get_clock:(fun () -> rt.r_clock)
-          ~pid:rt.r_pid ~dst_pid:(pvp dest_vp) ~event ~src_vp:(myvp rt)
-          ~dst_vp:dest_vp ~inplace ~rect pl
-  | Spmd.Recv { event; src } ->
-      let csrc = List.map (cexpr_f ctx) src in
-      let myvp = my_vp ctx in
-      let arrays = ctx.x_arrays in
-      let recv_o = m.Machine.recv_overhead in
-      let unpack = m.Machine.unpack_time in
-      let tr = ctx.x_tr in
-      fun rt ->
-        let src_vp = List.map (fun f -> f rt) csrc in
-        let k =
-          { Runtime.k_event = event; k_src = src_vp; k_dst = myvp rt }
-        in
-        let t0 = rt.r_clock in
-        let msg = Effect.perform (Runtime.ERecv k) in
-        tick rt recv_o;
-        rt.r_clock <- Float.max rt.r_clock msg.Runtime.m_arrival;
-        let pl = msg.Runtime.m_payload in
-        let n = Array.length pl.Runtime.pl_idx in
-        if not msg.Runtime.m_contig then tick rt (float_of_int n *. unpack);
-        if n > 0 then begin
-          let st =
-            match Hashtbl.find_opt arrays pl.Runtime.pl_arr with
-            | Some aid -> rt.r_stores.(aid)
-            | None -> errf "unknown array %s" pl.Runtime.pl_arr
-          in
-          for i = 0 to n - 1 do
-            put_enc st pl.Runtime.pl_idx.(i) pl.Runtime.pl_val.(i)
-          done
-        end;
-        Runtime.trace_recv tr ~tid:rt.r_pid ~t0 ~t1:rt.r_clock k msg
-  | Spmd.Reduce { scalar; op } ->
-      if Hashtbl.mem ctx.x_arrays scalar then fun _ ->
-        Effect.perform (Runtime.EReduceArr (scalar, op))
-      else
-        let slot = fslot ctx scalar in
-        fun rt ->
-          let mine = if rt.r_fvalid.(slot) then rt.r_fval.(slot) else 0.0 in
-          let combined = Effect.perform (Runtime.EReduce (op, mine)) in
-          rt.r_fval.(slot) <- combined;
-          rt.r_fvalid.(slot) <- true
-  | Spmd.Call f ->
-      let sub =
-        match Hashtbl.find_opt ctx.x_subs f with
-        | Some l -> l
-        | None -> lazy (fun rt -> errf "proc %d: unknown subroutine %s" rt.r_pid f)
-      in
+  | KSend { event; dest; inplace; rect } ->
+      let cdest = List.map cexpr dest in
+      fun rt -> send link rt ~event ~inplace ~rect (List.map (fun f -> f rt) cdest)
+  | KRecv { event; src; recv_o; unpack } ->
+      let csrc = List.map cexpr src in
+      fun rt -> recv link rt ~event ~recv_o ~unpack (List.map (fun f -> f rt) csrc)
+  | KReduceArr { name; op } -> fun _ -> reduce_arr_effect name op
+  | KReduceScalar { slot; op } -> fun rt -> reduce_scalar rt slot op
+  | KCall f ->
+      let sub = Hashtbl.find subs f in
       fun rt -> (Lazy.force sub) rt
+  | KUnknownSub f -> fun rt -> unknown_sub rt f
 
-and cstmts ctx body = seq (List.map (cstmt ctx) body)
+and cstmts link subs body = seq (List.map (cstmt link subs) body)
 
 (* ------------------------------------------------------------------ *)
 (* Setup: dense storage construction                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* arrays named in Reduce statements keep the sparse representation (see
-   the header comment) *)
-let reduce_targets (prog : Spmd.program) =
-  let tbl = Hashtbl.create 8 in
-  Spmd.iter_program
-    (function
-      | Spmd.Reduce { scalar; _ } -> Hashtbl.replace tbl scalar ()
-      | _ -> ())
-    prog;
-  tbl
 
 (* build one processor's storage for one array: evaluate the ownership
    formula of every layout dimension over the full extent of its data
@@ -867,16 +720,15 @@ type csim = {
   c_tr : Runtime.transport;
   c_rts : rt array;
   c_main : cstmt;
+  c_kernel : Imp.kernel;
   c_arrays : (string, int) Hashtbl.t;
   c_ameta : Runtime.ameta array;
   c_layouts : Spmd.array_layout option array;
-  c_islots : (string, int) Hashtbl.t;
-  c_fslots : (string, int) Hashtbl.t;
   c_domains : int;
   mutable c_ran : bool;
 }
 
-let make ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
+let prepare ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
     ~nprocs ?(params = []) (prog : Spmd.program) : csim =
   let su = Runtime.setup ?faults ~nprocs ~params prog in
   let geval e = Runtime.eval_genv su.Runtime.su_genv e in
@@ -891,91 +743,30 @@ let make ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
   let layouts =
     Array.of_list (List.map (fun (ad : Spmd.array_decl) -> ad.Spmd.ad_layout) prog.Spmd.arrays)
   in
-  let inplace = Hashtbl.create 8 and rect = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Spmd.event_info) ->
-      if e.Spmd.ev_inplace then Hashtbl.replace inplace e.Spmd.ev_id ();
-      if e.Spmd.ev_rect then Hashtbl.replace rect e.Spmd.ev_id ())
-    prog.Spmd.events;
-  let phys_of_vp = Runtime.phys_of_vp ~eval:geval prog ~extents:su.Runtime.su_extents in
-  let ctx =
-    {
-      x_prog = prog;
-      x_genv = su.Runtime.su_genv;
-      x_machine = machine;
-      x_tr = tr;
-      x_extents = su.Runtime.su_extents;
-      x_islots = Hashtbl.create 32;
-      x_nint = 0;
-      x_fslots = Hashtbl.create 16;
-      x_nfloat = 0;
-      x_arrays = arrays;
-      x_ameta = ameta;
-      x_inplace = inplace;
-      x_rect = rect;
-      x_subs = Hashtbl.create 8;
-      x_vm_slots = [||];
-      x_phys_of_vp = phys_of_vp;
-    }
+  let k =
+    Imp.lower ~machine ~genv:su.Runtime.su_genv ~extents:su.Runtime.su_extents
+      ~arrays ~ameta prog
   in
-  (* pre-allocate coordinate and scalar slots so every compiled reference
-     resolves to the same cell the startup code fills *)
-  let ndim = List.length prog.Spmd.proc_dims in
-  let m_slots = Array.init ndim (fun k -> islot ctx (Printf.sprintf "m$%d" (k + 1))) in
-  let vm_slots = Array.init ndim (fun k -> islot ctx (Printf.sprintf "vm$%d" (k + 1))) in
-  let ctx = { ctx with x_vm_slots = vm_slots } in
-  List.iter (fun s -> ignore (fslot ctx s)) prog.Spmd.scalars;
-  let declared = Hashtbl.copy ctx.x_fslots in
-  List.iter
-    (fun s -> if not (Hashtbl.mem arrays s) then ignore (fslot ctx s))
-    (Spmd.assigned_scalars prog);
-  (* lower subroutines through memoized lazies (so mutually recursive
-     calls reference each other by name) and then the main program *)
-  List.iter
-    (fun (name, body) ->
-      Hashtbl.replace ctx.x_subs name (lazy (cstmts ctx body)))
-    prog.Spmd.subs;
-  let c_main = cstmts ctx prog.Spmd.main in
-  (* force every subroutine body now: compiling one may allocate new
-     integer/scalar slots, and the per-processor slot arrays below are
-     sized once — a body first compiled mid-run would index past them.
-     (A Call closure forces the lazy at invocation, not here, so mutual
-     recursion still terminates.) *)
-  List.iter
-    (fun (name, _) ->
-      ignore (Lazy.force (Hashtbl.find ctx.x_subs name) : cstmt))
-    prog.Spmd.subs;
-  (* per-processor state, sized by the final slot counts *)
-  let sparse = reduce_targets prog in
+  (* per-processor state, sized by the kernel's slot counts *)
   let max_rank =
     Array.fold_left (fun n am -> max n (Array.length am.Runtime.am_ext)) 1 ameta
   in
-  let n_events =
-    let n = ref 0 in
-    List.iter (fun (e : Spmd.event_info) -> n := max !n (e.Spmd.ev_id + 1)) prog.Spmd.events;
-    Spmd.iter_program
-      (function
-        | Spmd.Pack { event; _ } | Spmd.Send { event; _ } | Spmd.Recv { event; _ } ->
-            n := max !n (event + 1)
-        | _ -> ())
-      prog;
-    !n
-  in
   let rts =
     Array.init su.Runtime.su_total (fun pid ->
-        let r_int = Array.make (max ctx.x_nint 1) 0 in
-        Array.iteri (fun k s -> r_int.(s) <- su.Runtime.su_coords.(pid).(k)) m_slots;
-        List.iter (fun (k, v) -> r_int.(vm_slots.(k)) <- v) su.Runtime.su_vm0.(pid);
-        let r_fval = Array.make (max ctx.x_nfloat 1) 0.0 in
-        let r_fvalid = Array.make (max ctx.x_nfloat 1) false in
+        let r_int = Array.make (max k.Imp.k_nint 1) 0 in
+        Array.iteri (fun d s -> r_int.(s) <- su.Runtime.su_coords.(pid).(d)) k.Imp.k_m_slots;
+        List.iter (fun (d, v) -> r_int.(k.Imp.k_vm_slots.(d)) <- v) su.Runtime.su_vm0.(pid);
+        let r_fval = Array.make (max k.Imp.k_nfloat 1) 0.0 in
+        let r_fvalid = Array.make (max k.Imp.k_nfloat 1) false in
         (* declared replicated scalars start initialized at zero, matching
            the interpreter's fenv pre-population *)
-        Hashtbl.iter (fun _ s -> r_fvalid.(s) <- true) declared;
+        List.iter
+          (fun s -> r_fvalid.(List.assoc s k.Imp.k_fslots) <- true)
+          prog.Spmd.scalars;
         let stores =
           Array.init (Array.length ameta) (fun aid ->
-              build_store ~geval ~su
-                ~sparse:(Hashtbl.mem sparse ameta.(aid).Runtime.am_name)
-                pid ameta.(aid) layouts.(aid))
+              build_store ~geval ~su ~sparse:k.Imp.k_sparse.(aid) pid ameta.(aid)
+                layouts.(aid))
         in
         {
           r_pid = pid;
@@ -983,7 +774,8 @@ let make ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
           r_fval;
           r_fvalid;
           r_stores = stores;
-          r_packbufs = Array.init (max n_events 1) (fun _ -> Runtime.packbuf_create ());
+          r_packbufs =
+            Array.init (max k.Imp.k_nevents 1) (fun _ -> Runtime.packbuf_create ());
           r_clock = 0.0;
           r_skew = su.Runtime.su_skew.(pid);
           r_scratch = Array.make max_rank 0;
@@ -994,22 +786,43 @@ let make ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
     c_su = su;
     c_tr = tr;
     c_rts = rts;
-    c_main;
+    c_main = (fun _ -> errf "simulation has no main installed");
+    c_kernel = k;
     c_arrays = arrays;
     c_ameta = ameta;
     c_layouts = layouts;
-    c_islots = ctx.x_islots;
-    c_fslots = ctx.x_fslots;
     c_domains = domains;
     c_ran = false;
   }
 
 let nprocs cs = cs.c_su.Runtime.su_total
 
-let phys_of_vp cs vp =
+let phys_of_vp cs =
   Runtime.phys_of_vp
     ~eval:(Runtime.eval_genv cs.c_su.Runtime.su_genv)
-    cs.c_prog ~extents:cs.c_su.Runtime.su_extents vp
+    cs.c_prog ~extents:cs.c_su.Runtime.su_extents
+
+let link cs =
+  {
+    l_tr = cs.c_tr;
+    l_phys = phys_of_vp cs;
+    l_arrays = cs.c_arrays;
+    l_vm_slots = cs.c_kernel.Imp.k_vm_slots;
+  }
+
+let make ?machine ?faults ?domains ~nprocs ?params prog : csim =
+  let cs = prepare ?machine ?faults ?domains ~nprocs ?params prog in
+  let link = link cs and subs = Hashtbl.create 8 in
+  let k_subs = cs.c_kernel.Imp.k_subs in
+  List.iter
+    (fun (name, body) -> Hashtbl.replace subs name (lazy (cstmts link subs body)))
+    k_subs;
+  let main = cstmts link subs cs.c_kernel.Imp.k_main in
+  (* force every body now, so a run never forces a lazy — racy across the
+     scheduler's domains (a Call closure forces at invocation, not at
+     construction, so mutual recursion still terminates) *)
+  List.iter (fun (name, _) -> ignore (Lazy.force (Hashtbl.find subs name) : cstmt)) k_subs;
+  { cs with c_main = main }
 
 (* element-wise array reduction over the (sparse) side tables: combine the
    values present on some processor, in pid order, and write the result
@@ -1112,7 +925,7 @@ let comm_cells cs = Runtime.comm_cells cs.c_tr
 
 (** Scalar value (replicated; read from processor 0). *)
 let get_scalar cs name =
-  match Hashtbl.find_opt cs.c_fslots name with
+  match List.assoc_opt name cs.c_kernel.Imp.k_fslots with
   | Some slot when cs.c_rts.(0).r_fvalid.(slot) -> cs.c_rts.(0).r_fval.(slot)
   | _ -> errf "unknown scalar %s" name
 
@@ -1166,16 +979,15 @@ let capture (cs : csim) : Runtime.image =
   let procs =
     Array.map
       (fun rt ->
+        (* the kernel's slot tables are sorted by name *)
         let ints =
-          Hashtbl.fold (fun n s acc -> (n, rt.r_int.(s)) :: acc) cs.c_islots []
-          |> List.sort compare |> Array.of_list
+          Array.of_list (List.map (fun (n, s) -> (n, rt.r_int.(s))) cs.c_kernel.Imp.k_islots)
         in
         let floats =
-          Hashtbl.fold
-            (fun n s acc ->
-              if rt.r_fvalid.(s) then (n, rt.r_fval.(s)) :: acc else acc)
-            cs.c_fslots []
-          |> List.sort compare |> Array.of_list
+          List.filter_map
+            (fun (n, s) -> if rt.r_fvalid.(s) then Some (n, rt.r_fval.(s)) else None)
+            cs.c_kernel.Imp.k_fslots
+          |> Array.of_list
         in
         let elems =
           List.map (fun (n, aid) -> (n, store_elems rt.r_stores.(aid))) anames

@@ -1,16 +1,17 @@
-(** Closure-compiling SPMD execution engine — the default engine behind
-    {!Exec.make}.
+(** The closure engine — the default engine behind {!Exec.make} — and the
+    per-processor state both SPMD back ends run over.
 
-    A one-time lowering pass turns each [Spmd.stmt]/[fexpr]/[expr] tree into
-    an OCaml closure over a compact per-processor state record: integer
-    names resolve to [int array] slots, replicated scalars to [float array]
-    slots, and global parameters fold into compile-time constants, so the
-    per-iteration cost is a closure call instead of an AST match with
-    hashtable lookups. Each processor's owned section of a distributed
-    array is a dense [float array] block addressed through per-dimension
-    ownership tables (exact for block, cyclic and block-cyclic layouts
-    under any alignment), with a side hashtable only for received non-local
-    values; arrays that are array-reduction targets keep the sparse
+    There is one lowering, {!Imp.lower}: it resolves every name of the
+    program to a slot, store id or constant and attaches the machine
+    costs. This module turns the resulting kernel into OCaml closures over
+    a compact per-processor state record, so the per-iteration cost is a
+    closure call instead of an AST match with hashtable lookups; the
+    native engine ({!Native}) prints the same kernel instead ({!Emit}).
+    Each processor's owned section of a distributed array is a dense
+    [float array] block addressed through per-dimension ownership tables
+    (exact for block, cyclic and block-cyclic layouts under any
+    alignment), with a side hashtable only for received non-local values;
+    arrays that are array-reduction targets keep the sparse
     representation so collective semantics match the interpreter exactly.
 
     The transport and scheduler are shared with the interpreter via
@@ -19,11 +20,10 @@
     interpreter remains the differential oracle ({!Diffcheck.engines}).
 
     The per-processor representation ([store], [rt]) and the sim record
-    ([csim]) are exposed concretely: the native engine ({!Native}) reuses
-    this engine's setup, storage, transport and result plumbing verbatim and
-    only replaces [c_main] with a dynlinked kernel emitted by {!Emit}, so
-    everything outside the kernel body is structurally identical across the
-    two engines. *)
+    ([csim]) are exposed concretely: the native engine takes this
+    module's setup, storage, transport and result plumbing verbatim
+    ({!prepare}) and only supplies its own [c_main], so everything outside
+    the kernel body is structurally identical across the two engines. *)
 
 (** {1 Per-processor storage} *)
 
@@ -73,17 +73,20 @@ type rt = {
 val tick : rt -> float -> unit
 (** Charge [dt] (scaled by the processor's skew) to the local clock. *)
 
-type cint = rt -> int
-type cfloat = rt -> float
 type cstmt = rt -> unit
 
-(** {1 Cold paths shared with emitted kernels}
+(** {1 Runtime paths shared with emitted kernels}
 
-    Generated kernels inline the hot access sequences but call back here on
-    a dense miss or an illegal access, so halo lookups, sparse-array
-    defaults and failure messages stay identical across engines. *)
+    Generated kernels inline the hot sequences but call back here for
+    communication, reductions, dense misses and failures, so effects, halo
+    lookups, sparse-array defaults and error messages are one piece of code
+    for both back ends. *)
 
-val access_name : Dhpf.Spmd.access -> string
+val bad_step : rt -> string -> 'a
+(** The non-positive loop step error for the named loop variable. *)
+
+val unbound_int : rt -> string -> 'a
+val unknown_sub : rt -> string -> 'a
 val bounds_fail : Runtime.ameta -> int -> int -> 'a
 val idx_string : Runtime.ameta -> int -> string
 
@@ -98,6 +101,26 @@ val pack_miss : rt -> int -> int -> float
 val local_store_fail : rt -> int -> int -> 'a
 (** The [Local]-store-to-non-owned-element error. *)
 
+type link = {
+  l_tr : Runtime.transport;
+  l_phys : int list -> int;  (** VP coordinates -> physical pid *)
+  l_arrays : (string, int) Hashtbl.t;  (** array name -> store id *)
+  l_vm_slots : int array;  (** slot of [vm$k] per processor dimension *)
+}
+(** What a kernel needs of its sim beyond the per-processor state. *)
+
+val send :
+  link -> rt -> event:int -> inplace:bool -> rect:bool -> int list -> unit
+(** Flush the event's pack buffer to the VP with the given coordinates. *)
+
+val recv :
+  link -> rt -> event:int -> recv_o:float -> unpack:float -> int list -> unit
+(** Block on the event's message from the given VP, charge the receive
+    and unpack costs, and store the payload. *)
+
+val reduce_arr_effect : string -> Dhpf.Spmd.reduce_op -> unit
+val reduce_scalar : rt -> int -> Dhpf.Spmd.reduce_op -> unit
+
 (** {1 The compiled simulation} *)
 
 type csim = {
@@ -106,14 +129,28 @@ type csim = {
   c_tr : Runtime.transport;
   c_rts : rt array;
   c_main : cstmt;
+  c_kernel : Imp.kernel;  (** the program's one lowering *)
   c_arrays : (string, int) Hashtbl.t;  (** array name -> store id *)
   c_ameta : Runtime.ameta array;  (** by store id *)
   c_layouts : Dhpf.Spmd.array_layout option array;
-  c_islots : (string, int) Hashtbl.t;
-  c_fslots : (string, int) Hashtbl.t;
   c_domains : int;
   mutable c_ran : bool;
 }
+
+val prepare :
+  ?machine:Machine.t ->
+  ?faults:Fault.spec ->
+  ?domains:int ->
+  nprocs:int ->
+  ?params:(string * int) list ->
+  Dhpf.Spmd.program ->
+  csim
+(** Lower the program ({!Imp.lower}, once) and build per-processor dense
+    storage sized by the kernel, leaving [c_main] for a back end to
+    install (it raises {!Runtime.Error} until then). Parameters are as in
+    {!make}. *)
+
+val link : csim -> link
 
 val make :
   ?machine:Machine.t ->
@@ -123,7 +160,7 @@ val make :
   ?params:(string * int) list ->
   Dhpf.Spmd.program ->
   csim
-(** Compile the program to closures and build per-processor dense storage.
+(** {!prepare}, then install the kernel's closures as [c_main].
     Parameters are as in {!Exec.make}; [domains] defaults to
     [Par.domains ()]. *)
 

@@ -1,23 +1,25 @@
-(* OCaml-source emitter for the native engine.
+(* OCaml-source back end of the SPMD lowering (the native engine).
 
-   [emit] prints an {!Imp.kernel} as a standalone compilation unit:
-   straight-line OCaml over {!Compile}'s per-processor state record, with
-   every loop a [while] over an [int ref], every array access an inlined
-   address computation against the dense owned block, and every machine
-   cost a hexadecimal float literal ([%h], bit-exact round trip). The unit
-   registers its entry point with {!Native.register} at load time;
-   {!Native} compiles it out-of-process and dynlinks the result.
+   {!Imp.lower} produces one kernel per program; the closure engine
+   ({!Compile}) turns it into closures and [emit] prints it as a
+   standalone compilation unit: straight-line OCaml over {!Compile}'s
+   per-processor state record, with every loop a [while] over an
+   [int ref], every array access an inlined address computation against
+   the dense owned block, and every machine cost a hexadecimal float
+   literal ([%h], bit-exact round trip). The unit registers its entry
+   point with {!Native.register} at load time; {!Native} compiles it
+   out-of-process and dynlinks the result.
 
-   The contract is bit-identity with the closure engine: clock charges are
-   issued at exactly {!Compile}'s points and in its order, float operands
-   are let-sequenced in its evaluation order (FP arithmetic is not
+   Each kernel node executes as its closure does, bit for bit: clock
+   charges at the same points and in the same order, float operands
+   let-sequenced in the same evaluation order (FP arithmetic is not
    associative, so shapes matter, not just operand sets), and every cold
    path (dense-slot miss, bounds failure, unbound name, non-positive step,
-   unknown subroutine) calls back into {!Compile}/{!Native} so failure
-   messages are shared. [Array.unsafe_get]/[unsafe_set] is used where it
-   is unconditionally safe — slot reads, post-check ownership tables — and
-   a subscript's bounds comparison is dropped only when {!Imp}'s interval
-   analysis proved it cannot fire. *)
+   unknown subroutine) and every effect calls the shared runtime paths in
+   {!Compile}, re-exported by {!Native}. [Array.unsafe_get]/[unsafe_set]
+   is used where it is unconditionally safe — slot reads, post-check
+   ownership tables — and a subscript's bounds comparison is dropped only
+   when {!Imp}'s interval analysis proved it cannot fire. *)
 
 open Imp
 
@@ -106,7 +108,7 @@ let rec pb env (c : icond) : string =
 (* Access sites                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The inlined form of one Compile.caddr site, as a run of [let]s binding
+(* The inlined form of one access site, as a run of [let]s binding
    [slot] (and optionally [enc]); spliced into a parenthesized block, so
    the fixed internal names scope away (nested accesses close over their
    own). The prologue's per-array hoists carry the loop-invariant parts:
@@ -115,10 +117,9 @@ let rec pb env (c : icond) : string =
    dynlinked unit is that unit's own static block, so a physical
    comparison here would diverge), [dm_A_d]/[ls_A_d] the ownership maps
    and data strides, [sd_A]/[ss_A] the dense block and side table.
-   Ranks 1-3 evaluate all subscripts before checking (Compile's register
-   specialization); higher ranks check per dimension as Compile's scratch
-   loop does — the orders differ only in which of two errors wins, and we
-   match Compile rank for rank. A dimension's comparison is emitted only
+   Ranks 1-3 evaluate all subscripts before checking; higher ranks check
+   per dimension — the orders differ only in which of two errors wins, and
+   both back ends use the same order rank for rank. A dimension's comparison is emitted only
    when the interval analysis failed to prove it dead; the ownership-table
    reads after it are unconditionally safe either way (checked or proven
    in range).
@@ -217,8 +218,8 @@ let rec pf env (e : kfexpr) : string =
         ap.ap_aid ap.ap_aid aname (access_enc ap)
   | KFNeg a -> spf "(-. %s)" (pf env a)
   | KFBin { op; a; b; flop } ->
-      (* operands sequenced left then right, charge after both: Compile's
-         order (FP is not associative; shape is part of the contract) *)
+      (* operands sequenced left then right, charge after both (FP is not
+         associative; shape is part of the contract) *)
       spf "(let va = %s in\n   let vb = %s in\n   %s va %s vb)"
         (pf env a) (pf env b) (ptick flop) (fbinop op)
   | KFIntrin { name; args; flop } ->
@@ -289,7 +290,7 @@ let rec estmt st ind env (s : kstmt) : unit =
           add_line st ind "done;"
       | IConst _ ->
           (* statically non-positive step: evaluate the bounds (they may
-             raise first, as in Compile), then fail *)
+             raise first), then fail *)
           add_line st ind (spf "let _ = %s in" (pe env lo));
           add_line st ind (spf "let _ = %s in" (pe env hi));
           add_line st ind (spf "N.bad_step rt %S;" var)
@@ -473,11 +474,10 @@ let emit_fn st header body =
 
 let emit (k : kernel) : string =
   let subs = Array.of_list k.k_subs in
-  (* duplicate names resolve to the last definition, as in Compile *)
+  (* [k_subs] holds one body per name, and [KCall] names only those *)
   let sub_index name =
-    let idx = ref (-1) in
-    Array.iteri (fun i (n, _) -> if n = name then idx := i) subs;
-    !idx
+    let rec find i = if fst subs.(i) = name then i else find (i + 1) in
+    find 0
   in
   let st = { b = Buffer.create 16384; gen = 0; sub_index } in
   let add s = Buffer.add_string st.b s in

@@ -1,13 +1,16 @@
 (** SPMD execution facade: runs the compiler's {!Dhpf.Spmd} programs on a
-    simulated distributed-memory machine, through one of two engines.
+    simulated distributed-memory machine, through one of three engines.
 
-    [`Closure] (the default, {!Compile}) lowers the program once into OCaml
-    closures with slot-resolved environments and dense per-processor array
-    blocks. [`Interp] is the original tree-walking interpreter, kept as the
-    differential oracle: both engines share {!Runtime}'s transport and
-    scheduler and charge clock time in the same order, so they produce
-    bit-identical element values and identical message/byte/retransmit
-    counters (asserted by the engine-differential property tests).
+    [`Closure] (the default) and [`Native] are the two back ends of one
+    lowering ({!Imp.lower}): {!Compile} turns the lowered kernel into OCaml
+    closures over slot-resolved state and dense per-processor array blocks,
+    and {!Native} prints it as OCaml source ({!Emit}) and dynlinks the
+    compiled result. [`Interp], this module's tree-walking interpreter, is
+    kept as the differential oracle: all three engines share {!Runtime}'s
+    transport and scheduler and charge clock time in the same order, so
+    they produce bit-identical element values and identical
+    message/byte/retransmit counters (asserted by the engine-differential
+    property tests).
 
     Each processor runs as an effect-handler fiber with its own virtual
     clock; sends are buffered (non-blocking), receives block until the
@@ -209,13 +212,7 @@ let load sim p (mt : meta) idx (access : Spmd.access) : float =
       if owns sim p mt idx then 0.0
       else
         errf "proc %d: %s access to non-local %s(%s) with no received value"
-          p.pid
-          (match access with
-          | Spmd.Local -> "Local"
-          | Spmd.Overlay -> "Overlay"
-          | Spmd.Checked -> "Checked"
-          | Spmd.Global -> "Global")
-          mt.ma.Runtime.am_name
+          p.pid (Imp.access_name access) mt.ma.Runtime.am_name
           (String.concat "," (List.map string_of_int idx))
 
 let store_elem sim p (mt : meta) idx value (access : Spmd.access) : unit =
@@ -382,7 +379,10 @@ let rec exec_stmt sim p (s : Spmd.stmt) : unit =
         Hashtbl.replace p.fenv scalar combined
       end
   | Spmd.Call f -> (
-      match List.assoc_opt f sim.prog.subs with
+      (* a later definition of a name shadows an earlier one, as in the
+         lowering ({!Imp.lower}) *)
+      let last acc (name, body) = if name = f then Some body else acc in
+      match List.fold_left last None sim.prog.subs with
       | Some body -> List.iter (exec_stmt sim p) body
       | None -> errf "proc %d: unknown subroutine %s" p.pid f)
 

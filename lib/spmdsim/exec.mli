@@ -1,15 +1,15 @@
 (** SPMD execution facade: runs the compiler's {!Dhpf.Spmd} programs on a
     simulated distributed-memory machine through one of three engines.
 
-    [`Closure] (the default, {!Compile}) lowers the program once into OCaml
-    closures — integer names resolved to array slots, global parameters
-    folded to constants — and stores each processor's owned array section
-    in a dense [float array] block, so per-iteration cost is a closure call
-    instead of an AST match with hashtable lookups. [`Interp] is the
-    original tree-walking interpreter, kept as the differential oracle.
-    [`Native] ({!Native}) goes one step further and emits the lowered
-    program as OCaml source, compiled out-of-process and dynlinked, so
-    the inner loops run as straight-line machine code.
+    [`Closure] (the default, {!Compile}) and [`Native] ({!Native}) run
+    the one lowering of the program ({!Imp.lower}: integer names resolved
+    to array slots, global parameters folded to constants) over dense
+    per-processor [float array] blocks. The closure engine turns it into
+    OCaml closures, so per-iteration cost is a closure call instead of an
+    AST match with hashtable lookups; the native engine emits it as OCaml
+    source, compiled out-of-process and dynlinked, so the inner loops run
+    as straight-line machine code. [`Interp] is the original tree-walking
+    interpreter, kept as the differential oracle.
 
     All engines share {!Runtime}'s transport and scheduler and charge
     clock time in the same order: runs are bit-identical in element values

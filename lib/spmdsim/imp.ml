@@ -1,26 +1,31 @@
-(* Imperative kernel IR for the native engine.
+(* The SPMD lowering: [Spmd] program -> imperative kernel IR.
 
-   [lower] flattens an [Spmd] program into loops over integer ranges,
-   float-slot loads/stores into the dense owned-section arrays of
-   {!Compile}, pack/unpack of communication buffers, and explicit
-   send/recv/reduce operations priced by {!Machine}. All name resolution
-   happens here, once: integer names become [r_int] slots, replicated
-   scalars become [r_fval] slots, arrays become store ids, global
-   parameters fold into constants, and machine costs become literals
-   attached to the nodes that charge them. The result is what {!Emit}
-   prints as a standalone OCaml program.
+   [lower] is the only pass that resolves [Spmd] names. It flattens a
+   program into loops over integer ranges, float-slot loads/stores into
+   dense owned-section arrays, pack/unpack of communication buffers, and
+   explicit send/recv/reduce operations priced by {!Machine}: integer
+   names become [r_int] slots, replicated scalars become [r_fval] slots,
+   arrays become store ids, global parameters fold into constants, and
+   machine costs become literals attached to the nodes that charge them.
 
-   Slot allocation replicates {!Compile.make}'s traversal order exactly
-   ([m$k], [vm$k], declared scalars, assigned scalars, main, then
-   subroutines in declaration order) so the kernel's slot numbers index the
-   very arrays the closure engine builds; {!Native.make} asserts the two
-   tables agree.
+   The kernel has two back ends: the closure engine turns it into OCaml
+   closures (the default engine), and {!Emit} prints it as a standalone
+   OCaml unit (the native engine). Both run over the same per-processor
+   state, sized by the slot counts recorded here, so neither can drift
+   from the other.
+
+   Slots are allocated on first sight in one fixed traversal: [m$k],
+   [vm$k], declared scalars, assigned scalars, the main program, then each
+   subroutine name at its first declaration (with that name's last body).
+   A loop's bounds and step are lowered before its variable's slot, so a
+   bound naming the variable resolves to an outer binding or a global.
 
    Lowering also runs an interval analysis ({!Iset.Codegen.interval_of_expr})
    over every subscript: a dimension whose index provably stays inside the
    array's declared bounds is marked [da_proven], licensing an unchecked
-   access in the emitted kernel. Proofs never change observable behavior —
-   they only remove comparisons that cannot fire. *)
+   access in the emitted kernel (the closure engine checks every
+   dimension). Proofs never change observable behavior — they only remove
+   comparisons that cannot fire. *)
 
 open Dhpf
 
@@ -121,12 +126,16 @@ type kstmt =
 
 type kernel = {
   k_main : kstmt list;
-  k_subs : (string * kstmt list) list;  (* declaration order *)
+  k_subs : (string * kstmt list) list;  (* declaration order, names unique *)
   k_nint : int;
   k_nfloat : int;
-  k_vm_slots : int array;
-  k_islots : (string * int) list;  (* sorted, for the table cross-check *)
+  k_m_slots : int array;  (* slot of m$k per processor dimension *)
+  k_vm_slots : int array;  (* slot of vm$k per processor dimension *)
+  k_islots : (string * int) list;  (* sorted by name *)
   k_fslots : (string * int) list;
+  k_nevents : int;  (* one past the largest event id *)
+  k_sparse : bool array;
+      (* by array id: named by a Reduce, so kept in sparse storage *)
   k_proven : int;  (* subscript dimensions proved in-bounds *)
   k_unproven : int;  (* subscript dimensions that keep the runtime check *)
 }
@@ -153,7 +162,6 @@ type lctx = {
   mutable l_unproven : int;
 }
 
-(* identical allocate-on-miss discipline as Compile.islot/fslot *)
 let islot ctx name =
   match Hashtbl.find_opt ctx.l_islots name with
   | Some s -> s
@@ -191,10 +199,8 @@ let interval ctx e = Iset.Codegen.interval_of_expr (ienv ctx) e
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirrors Compile.cexpr: slots win over globals; the same constant folds
-   happen here so the emitted literals equal the closure engine's folded
-   constants. Integer evaluation is pure (no clock charges), so residual
-   shape differences cannot affect observable behavior. *)
+(* A name holding a slot wins over a global parameter; operations over
+   constants fold, so both back ends see literals for most bounds. *)
 let rec lexpr ctx (e : Spmd.expr) : iexpr =
   let open Iset.Codegen in
   match e with
@@ -264,6 +270,12 @@ let rec lcond ctx (c : Spmd.cond) : icond =
 (* Access plans                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let access_name = function
+  | Spmd.Local -> "Local"
+  | Spmd.Overlay -> "Overlay"
+  | Spmd.Checked -> "Checked"
+  | Spmd.Global -> "Global"
+
 let laccess ctx arr (idx : Spmd.expr list) : access_plan =
   let aid =
     match Hashtbl.find_opt ctx.l_arrays arr with
@@ -323,7 +335,7 @@ let rec lfexpr ctx (e : Spmd.fexpr) : kfexpr =
       KFLoad
         {
           ap = laccess ctx arr idx;
-          aname = Compile.access_name access;
+          aname = access_name access;
           checked = access = Spmd.Checked;
           flop = m.Machine.flop_time;
           check = m.Machine.check_time;
@@ -351,8 +363,7 @@ let rec lstmt ctx (s : Spmd.stmt) : kstmt list =
   match s with
   | Spmd.Comment _ -> []
   | Spmd.For { var; lo; hi; step; body } ->
-      (* same order as Compile: bounds and step lowered before the loop
-         variable's slot is (possibly) allocated *)
+      (* bounds and step before the loop variable's slot (see the header) *)
       let llo = lexpr ctx lo and lhi = lexpr ctx hi in
       let lst = lexpr ctx step in
       let slot = islot ctx var in
@@ -460,7 +471,7 @@ let lower ?(machine = Machine.default) ~genv ~extents ~arrays ~ameta
       l_unproven = 0;
     }
   in
-  (* replicate Compile.make's slot preallocation order exactly *)
+  (* the fixed preallocation order (see the header) *)
   let ndim = List.length prog.Spmd.proc_dims in
   let m_slots =
     Array.init ndim (fun k -> islot ctx (Printf.sprintf "m$%d" (k + 1)))
@@ -473,20 +484,16 @@ let lower ?(machine = Machine.default) ~genv ~extents ~arrays ~ameta
     (fun s -> if not (Hashtbl.mem arrays s) then ignore (fslot ctx s))
     (Spmd.assigned_scalars prog);
   (* the processor's own grid coordinates are fixed for a whole run *)
-  Array.iteri
-    (fun k slot ->
-      ignore slot;
-      Hashtbl.replace ctx.l_ranges
-        (Printf.sprintf "m$%d" (k + 1))
-        (Iset.Codegen.itv ~lo:0 ~hi:(extents.(k) - 1) ()))
-    m_slots;
+  for k = 0 to ndim - 1 do
+    Hashtbl.replace ctx.l_ranges
+      (Printf.sprintf "m$%d" (k + 1))
+      (Iset.Codegen.itv ~lo:0 ~hi:(extents.(k) - 1) ())
+  done;
   let base_ranges = Hashtbl.copy ctx.l_ranges in
   let k_main = lstmts ctx prog.Spmd.main in
-  (* Compile.make registers one lazy per subroutine *name* (a duplicate
-     definition replaces the earlier lazy) and forces them in declaration
-     order, so the latest body of each name is compiled at the *first*
-     occurrence of that name. Replicate both facts, or slot allocation
-     order would diverge on shadowed subroutines. *)
+  (* one kernel body per subroutine name: a later definition replaces an
+     earlier one, but is lowered at the name's first position, so shadowing
+     never reorders slot allocation *)
   let latest = Hashtbl.create 8 in
   List.iter (fun (name, body) -> Hashtbl.replace latest name body) prog.Spmd.subs;
   let emitted = Hashtbl.create 8 in
@@ -507,14 +514,32 @@ let lower ?(machine = Machine.default) ~genv ~extents ~arrays ~ameta
   let sorted tbl =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
   in
+  (* event buffers and sparse arrays count every body, shadowed or not *)
+  let nevents = ref 0 and sparse = Array.make (Array.length ameta) false in
+  List.iter
+    (fun (e : Spmd.event_info) -> nevents := max !nevents (e.Spmd.ev_id + 1))
+    prog.Spmd.events;
+  Spmd.iter_program
+    (function
+      | Spmd.Pack { event; _ } | Spmd.Send { event; _ } | Spmd.Recv { event; _ } ->
+          nevents := max !nevents (event + 1)
+      | Spmd.Reduce { scalar; _ } ->
+          Array.iteri
+            (fun aid am -> if am.Runtime.am_name = scalar then sparse.(aid) <- true)
+            ameta
+      | _ -> ())
+    prog;
   {
     k_main;
     k_subs;
     k_nint = ctx.l_nint;
     k_nfloat = ctx.l_nfloat;
+    k_m_slots = m_slots;
     k_vm_slots = vm_slots;
     k_islots = sorted ctx.l_islots;
     k_fslots = sorted ctx.l_fslots;
+    k_nevents = !nevents;
+    k_sparse = sparse;
     k_proven = ctx.l_proven;
     k_unproven = ctx.l_unproven;
   }

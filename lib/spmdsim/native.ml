@@ -1,22 +1,22 @@
-(* Native execution engine: Spmd -> Imp -> generated OCaml -> cmxs.
+(* Native execution engine: the program's kernel ({!Imp}) -> generated
+   OCaml -> cmxs.
 
-   [make] builds the closure engine's sim ({!Compile.make} — setup, dense
-   storage, transport, slot tables), lowers the program again through
-   {!Imp.lower} (asserting the two slot tables agree), prints the kernel
-   with {!Emit.emit}, compiles it out-of-process with
+   [make] takes the closure engine's setup ({!Compile.prepare} — the one
+   lowering, dense storage, transport), prints the stored kernel with
+   {!Emit.emit}, compiles it out-of-process with
    [ocamlfind ocamlopt -shared] into a cache directory keyed on a hash of
-   the emitted source (plus compiler version and the lib .cmi digests, so
-   a rebuilt tree never reuses stale kernels), dynlinks the result, and
-   returns the csim with [c_main] swapped for the generated entry point.
-   Everything outside the kernel body — run loop, reductions, result
-   inspection, checkpoint capture — is {!Compile}'s code operating on the
-   same state records, so structural identity with the closure engine is
-   by construction; the kernel itself replicates Compile's clock-charge
-   and FP-evaluation order (verified bit-exactly by {!Diffcheck.engines}).
+   the emitted source (plus compiler version and the libraries' .cmi/.cmx
+   digests, so a rebuilt tree never reuses stale kernels), dynlinks the result, and
+   installs the generated entry point as the csim's [c_main]. Everything
+   outside the kernel body — run loop, reductions, result inspection,
+   checkpoint capture — is {!Compile}'s code operating on the same state
+   records, and the kernel is the one the closure engine runs, so the two
+   engines differ only in how the kernel is executed ({!Diffcheck.engines}
+   checks them bit-exactly).
 
    The generated unit calls back into this module: [register] hands over
-   the entry point at load time, and the [do_*] / failure helpers keep
-   transport interaction and error messages engine-identical.
+   the entry point at load time, and the [do_*] / failure helpers are
+   {!Compile}'s shared runtime paths.
 
    Loading requires the host executable to be linked with [-linkall]
    (dune [link_flags]); the emitted unit references library modules the
@@ -28,70 +28,20 @@ let errf = Runtime.errf
 (* Kernel-facing runtime                                               *)
 (* ------------------------------------------------------------------ *)
 
-type kctx = {
-  k_tr : Runtime.transport;
-  k_phys : int list -> int;
-  k_arrays : (string, int) Hashtbl.t;
-  k_vm_slots : int array;
-}
-
+type kctx = Compile.link
 type kernel_fn = kctx -> Compile.rt -> unit
 
 (* handoff slot: the dynlinked unit's top-level [let () = N.register ...]
    runs during loadfile, and [obtain] picks the closure up right after *)
 let pending : kernel_fn option ref = ref None
 let register f = pending := Some f
-
-let bad_step (rt : Compile.rt) var =
-  errf "proc %d: non-positive loop step for %s" rt.Compile.r_pid var
-
-let unbound_int (rt : Compile.rt) name =
-  errf "proc %d: unbound integer name %s" rt.Compile.r_pid name
-
-let unknown_sub (rt : Compile.rt) f =
-  errf "proc %d: unknown subroutine %s" rt.Compile.r_pid f
-
-let my_vp ctx (rt : Compile.rt) =
-  Array.to_list (Array.map (fun s -> rt.Compile.r_int.(s)) ctx.k_vm_slots)
-
-let do_send ctx (rt : Compile.rt) ~event ~inplace ~rect dest_vp =
-  let pl = Runtime.packbuf_flush rt.Compile.r_packbufs.(event) in
-  Runtime.send ctx.k_tr
-    ~tick:(fun dt -> Compile.tick rt dt)
-    ~get_clock:(fun () -> rt.Compile.r_clock)
-    ~pid:rt.Compile.r_pid ~dst_pid:(ctx.k_phys dest_vp) ~event
-    ~src_vp:(my_vp ctx rt) ~dst_vp:dest_vp ~inplace ~rect pl
-
-let do_recv ctx (rt : Compile.rt) ~event ~recv_o ~unpack src_vp =
-  let k = { Runtime.k_event = event; k_src = src_vp; k_dst = my_vp ctx rt } in
-  let t0 = rt.Compile.r_clock in
-  let msg = Effect.perform (Runtime.ERecv k) in
-  Compile.tick rt recv_o;
-  rt.Compile.r_clock <- Float.max rt.Compile.r_clock msg.Runtime.m_arrival;
-  let pl = msg.Runtime.m_payload in
-  let n = Array.length pl.Runtime.pl_idx in
-  if not msg.Runtime.m_contig then Compile.tick rt (float_of_int n *. unpack);
-  if n > 0 then begin
-    let st =
-      match Hashtbl.find_opt ctx.k_arrays pl.Runtime.pl_arr with
-      | Some aid -> rt.Compile.r_stores.(aid)
-      | None -> errf "unknown array %s" pl.Runtime.pl_arr
-    in
-    for i = 0 to n - 1 do
-      Compile.put_enc st pl.Runtime.pl_idx.(i) pl.Runtime.pl_val.(i)
-    done
-  end;
-  Runtime.trace_recv ctx.k_tr ~tid:rt.Compile.r_pid ~t0 ~t1:rt.Compile.r_clock k msg
-
-let do_reduce_arr name op = Effect.perform (Runtime.EReduceArr (name, op))
-
-let do_reduce_scalar (rt : Compile.rt) slot op =
-  let mine =
-    if rt.Compile.r_fvalid.(slot) then rt.Compile.r_fval.(slot) else 0.0
-  in
-  let combined = Effect.perform (Runtime.EReduce (op, mine)) in
-  rt.Compile.r_fval.(slot) <- combined;
-  rt.Compile.r_fvalid.(slot) <- true
+let bad_step = Compile.bad_step
+let unbound_int = Compile.unbound_int
+let unknown_sub = Compile.unknown_sub
+let do_send = Compile.send
+let do_recv = Compile.recv
+let do_reduce_arr = Compile.reduce_arr_effect
+let do_reduce_scalar = Compile.reduce_scalar
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-process build, hash-keyed cache, dynlink                     *)
@@ -141,24 +91,32 @@ let include_dirs () =
             "native engine: cannot locate the dune build tree from %s (set DHPF_NATIVE_INCLUDES to the library include directories)"
             Sys.executable_name)
 
-(* interface digests of the libraries the kernel compiles against: part of
-   the cache key, so an .ml-identical kernel never links against cmis it
-   was not built with *)
+(* .cmi/.cmx digests of every module the kernel can compile against (each
+   library's modules, not just its alias module): part of the cache key,
+   so an .ml-identical kernel never links against interfaces or inlined
+   implementations it was not built with. What a process is linked with
+   cannot change under it, so the digests are computed once per process. *)
+let cmi_digests_memo : (string list * string list) option Atomic.t = Atomic.make None
+
 let lib_cmi_digests dirs =
-  List.filter_map
-    (fun dir ->
-      let objs = Filename.basename (Filename.dirname dir) in
-      if
-        String.length objs > 6
-        && objs.[0] = '.'
-        && Filename.check_suffix objs ".objs"
-      then
-        let name = String.sub objs 1 (String.length objs - 6) in
-        let cmi = Filename.concat dir (name ^ ".cmi") in
-        if Sys.file_exists cmi then Some (Digest.to_hex (Digest.file cmi))
-        else None
-      else None)
-    dirs
+  match Atomic.get cmi_digests_memo with
+  | Some (d, digests) when d = dirs -> digests
+  | _ ->
+      let digests =
+        List.concat_map
+          (fun dir ->
+            match Sys.readdir dir with
+            | names ->
+                Array.to_list names
+                |> List.filter (fun n ->
+                       Filename.check_suffix n ".cmi" || Filename.check_suffix n ".cmx")
+                |> List.sort compare
+                |> List.map (fun n -> Digest.to_hex (Digest.file (Filename.concat dir n)))
+            | exception Sys_error _ -> [])
+          dirs
+      in
+      Atomic.set cmi_digests_memo (Some (dirs, digests));
+      digests
 
 let cache_key ~dirs src =
   Digest.to_hex
@@ -171,9 +129,9 @@ let cache_key ~dirs src =
 let write_file path contents = Iset.Diskcache.write_atomic path contents
 
 (* Size bound for the kernel cache (DHPF_NATIVE_CACHE_MB, default 512
-   MiB). A kernel is a group of files sharing one basename prefix — .ml,
-   .cmxs, .cmi/.cmx/.o, .log — that live and die together; eviction is
-   whole-group oldest-first (group age = newest member). *)
+   MiB). A kernel is a group of files sharing one basename prefix (its .ml
+   and .cmxs) that live and die together; eviction is whole-group
+   oldest-first (group age = newest member). *)
 let cache_budget () =
   let mb =
     match Sys.getenv_opt "DHPF_NATIVE_CACHE_MB" with
@@ -211,14 +169,28 @@ let obtain_mu = Mutex.create ()
 let m_build = lazy (Obs.Metrics.histogram "native/build_s")
 let m_hits = lazy (Obs.Metrics.counter "native/cache_hit")
 
+(* ocamlopt writes .cmi/.cmx/.o beside its source, so processes building
+   one kernel side by side in the shared cache directory would overwrite
+   each other's objects: each build runs in a private directory, and only
+   the finished .cmxs is renamed (atomically) into the cache *)
 let compile_plugin ~dirs ~src ~ml ~cmxs =
   write_file ml src;
-  let tmp = cmxs ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  let log = cmxs ^ ".log" in
+  let work = Filename.temp_dir ~temp_dir:(Filename.dirname cmxs) "dhpf_build_" "" in
+  let clean () =
+    try
+      Array.iter (fun f -> Sys.remove (Filename.concat work f)) (Sys.readdir work);
+      Sys.rmdir work
+    with Sys_error _ -> ()
+  in
+  Fun.protect ~finally:clean @@ fun () ->
+  let wml = Filename.concat work (Filename.basename ml) in
+  let tmp = Filename.concat work (Filename.basename cmxs) in
+  let log = Filename.concat work "build.log" in
+  write_file wml src;
   let cmd =
     Printf.sprintf "ocamlfind ocamlopt -shared -w -a -package fmt %s -o %s %s > %s 2>&1"
       (String.concat " " (List.map (fun d -> "-I " ^ Filename.quote d) dirs))
-      (Filename.quote tmp) (Filename.quote ml) (Filename.quote log)
+      (Filename.quote tmp) (Filename.quote wml) (Filename.quote log)
   in
   let rc = Sys.command cmd in
   if rc <> 0 then
@@ -329,34 +301,13 @@ let presize_packbufs (cs : Compile.csim) ?params ~nprocs prog =
 (* Engine construction                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let sorted_tbl tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-
-let make ?(machine = Machine.default) ?faults ?domains ?cache_dir ~nprocs
-    ?params (prog : Dhpf.Spmd.program) : Compile.csim =
-  let cs = Compile.make ~machine ?faults ?domains ~nprocs ?params prog in
-  let kernel =
-    Imp.lower ~machine ~genv:cs.Compile.c_su.Runtime.su_genv
-      ~extents:cs.Compile.c_su.Runtime.su_extents ~arrays:cs.Compile.c_arrays
-      ~ameta:cs.Compile.c_ameta prog
-  in
-  if
-    sorted_tbl cs.Compile.c_islots <> kernel.Imp.k_islots
-    || sorted_tbl cs.Compile.c_fslots <> kernel.Imp.k_fslots
-  then
-    errf
-      "native engine: lowered slot tables diverge from the closure engine (internal invariant)";
+let make ?machine ?faults ?domains ?cache_dir ~nprocs ?params
+    (prog : Dhpf.Spmd.program) : Compile.csim =
+  let cs = Compile.prepare ?machine ?faults ?domains ~nprocs ?params prog in
   let cache_dir =
     match cache_dir with Some d -> d | None -> default_cache_dir ()
   in
-  let fn = obtain ~cache_dir kernel in
-  let kctx =
-    {
-      k_tr = cs.Compile.c_tr;
-      k_phys = Compile.phys_of_vp cs;
-      k_arrays = cs.Compile.c_arrays;
-      k_vm_slots = kernel.Imp.k_vm_slots;
-    }
-  in
+  let fn = obtain ~cache_dir cs.Compile.c_kernel in
+  let kctx = Compile.link cs in
   presize_packbufs cs ?params ~nprocs prog;
   { cs with Compile.c_main = (fun rt -> fn kctx rt) }

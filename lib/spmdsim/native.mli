@@ -1,16 +1,17 @@
 (** Native execution engine — the third engine behind {!Exec.make}.
 
-    Lowers the SPMD program to the imperative kernel IR ({!Imp}), prints
-    it as a standalone OCaml compilation unit ({!Emit}), compiles that
-    unit out-of-process with [ocamlfind ocamlopt -shared] into a cache
-    directory keyed on a hash of the emitted source (plus the compiler
-    version and library interface digests), dynlinks the result, and runs
-    it in place of the closure engine's compiled main. Setup, storage,
-    transport, scheduling and result inspection are {!Compile}'s, shared
-    verbatim — [make] returns a plain {!Compile.csim} — so the engine is
-    bit-identical to the closure engine (and hence the interpreter) in
-    element values, clocks, counters and per-pair communication cells;
-    {!Diffcheck.engines} asserts this three-way.
+    Takes the kernel that {!Compile.prepare} lowered once ({!Imp}),
+    prints it as a standalone OCaml compilation unit ({!Emit}), compiles
+    that unit out-of-process with [ocamlfind ocamlopt -shared] into a
+    cache directory keyed on a hash of the emitted source (plus the
+    compiler version and the digests of every library .cmi/.cmx),
+    dynlinks the result, and runs it in place of the closure engine's
+    closures over the same kernel. Setup, storage, transport, scheduling and result inspection
+    are {!Compile}'s, shared verbatim — [make] returns a plain
+    {!Compile.csim} — so the engine is bit-identical to the closure engine
+    (and hence the interpreter) in element values, clocks, counters and
+    per-pair communication cells; {!Diffcheck.engines} asserts this
+    three-way.
 
     The cache directory defaults to [$DHPF_NATIVE_CACHE] or
     [<tmpdir>/dhpf-native-cache]; a warm cache skips the compiler
@@ -19,7 +20,7 @@
     Host executables must link with [-linkall] so the dynlinked kernel
     finds every library module. *)
 
-type kctx
+type kctx = Compile.link
 (** Per-sim context threaded through the generated kernel: transport,
     VP-to-physical mapping, array ids, [vm$k] slots. *)
 
@@ -31,8 +32,9 @@ val register : kernel_fn -> unit
 
 (** {1 Kernel runtime}
 
-    Called from emitted code only; each replicates the corresponding
-    closure-engine path exactly (clock charges, effects, error texts). *)
+    Called from emitted code only; each is the closure engine's own path
+    ({!Compile.send}, {!Compile.recv}, ...), so clock charges, effects and
+    error texts are shared, not copied. *)
 
 val bad_step : Compile.rt -> string -> 'a
 val unbound_int : Compile.rt -> string -> 'a
@@ -66,8 +68,7 @@ val default_cache_dir : unit -> string
 
 val kernel_group : string -> string
 (** The eviction group of a cache file name: its basename up to the first
-    dot, so one kernel's [.ml]/[.cmxs]/[.cmi]/[.cmx]/[.o]/[.log] live and
-    die together. *)
+    dot, so one kernel's [.ml] and [.cmxs] live and die together. *)
 
 val prune_cache : string -> unit
 (** Bound the kernel cache directory to [DHPF_NATIVE_CACHE_MB] (default

@@ -139,12 +139,259 @@ let test_cache_hit () =
   Obs.Metrics.disable ();
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
+(* ---- hand-built programs: runtime error paths, subroutine resolution ---- *)
+
+open Dhpf
+open Iset.Codegen
+
+let engines = [ `Closure; `Interp; `Native ]
+
+let prog ?(arrays = []) ?(scalars = []) ?(subs = []) main : Spmd.program =
+  {
+    proc_dims =
+      [ { Spmd.pd_mode = Spmd.VpIsPhys; pd_extent = EInt 2; pd_tlo = EInt 0;
+          pd_bsize = None } ];
+    proc_extents = [ EInt 2 ];
+    params = [];
+    arrays;
+    scalars;
+    events = [];
+    main;
+    subs;
+  }
+
+(* a(1:4), block-distributed: processor 0 owns a(1:2), processor 1 a(3:4) *)
+let block_a =
+  {
+    Spmd.ad_name = "a";
+    ad_bounds = [ (EInt 1, EInt 4) ];
+    ad_layout =
+      Some
+        {
+          Spmd.la_name = "a";
+          la_dims =
+            [
+              {
+                Spmd.source = Spmd.FromData { data_dim = 0; coef = 1; off = EInt 0 };
+                fmt = Spmd.RBlock { bsize = EInt 2 };
+                tlo = EInt 1;
+                vp_mode = Spmd.VpIsPhys;
+                pextent = EInt 2;
+              };
+            ];
+        };
+  }
+
+let on_proc0 body = Spmd.If (CEq0 (EVar "m$1"), body)
+
+let loop var ~hi ?(step = EInt 1) body =
+  Spmd.For { var; lo = EInt 1; hi; step; body }
+
+(* each case raises on processor 0 only, so the message is deterministic *)
+let error_cases =
+  [
+    ( "subscript out of bounds (unproven dimension)",
+      prog ~arrays:[ block_a ]
+        [
+          on_proc0
+            [
+              loop "k" ~hi:(EInt 5)
+                [
+                  Spmd.Store
+                    { arr = "a"; idx = [ EVar "k" ]; value = FConst 1.0;
+                      access = Spmd.Global };
+                ];
+            ];
+        ],
+      "array a: index 5 outside [1,4] (dim 1)" );
+    ( "non-positive loop step",
+      prog [ on_proc0 [ loop "k" ~hi:(EInt 4) ~step:(EVar "m$1") [] ] ],
+      "proc 0: non-positive loop step for k" );
+    ( "unbound integer name",
+      prog ~scalars:[ "s" ]
+        [ on_proc0 [ Spmd.SetScalar ("s", Spmd.FOfInt (EVar "nope")) ] ],
+      "proc 0: unbound integer name nope" );
+    ( "Local store to a non-owned element",
+      prog ~arrays:[ block_a ]
+        [
+          on_proc0
+            [
+              Spmd.Store
+                { arr = "a"; idx = [ EInt 3 ]; value = FConst 1.0; access = Spmd.Local };
+            ];
+        ],
+      "proc 0: Local store to non-owned a(3)" );
+    ( "Checked read of never-received data",
+      prog ~arrays:[ block_a ] ~scalars:[ "s" ]
+        [
+          on_proc0
+            [
+              Spmd.SetScalar
+                ("s", Spmd.FLoad { arr = "a"; idx = [ EInt 4 ]; access = Spmd.Checked });
+            ];
+        ],
+      "proc 0: Checked access to non-local a(4) with no received value" );
+    ( "packing a non-resident element",
+      prog ~arrays:[ block_a ]
+        [ on_proc0 [ Spmd.Pack { event = 0; arr = "a"; idx = [ EInt 3 ] } ] ],
+      "proc 0: packing non-resident element a(3)" );
+    ( "Call to an unknown subroutine",
+      prog [ on_proc0 [ Spmd.Call "missing" ] ],
+      "proc 0: unknown subroutine missing" );
+  ]
+
+let error_case (name, p, want) =
+  Alcotest.test_case name `Quick (fun () ->
+      List.iter
+        (fun engine ->
+          let got =
+            match Spmdsim.Exec.run (Spmdsim.Exec.make ~engine ~nprocs:2 p) with
+            | _ -> None
+            | exception Spmdsim.Runtime.Error msg -> Some msg
+          in
+          Alcotest.(check (option string))
+            (Spmdsim.Exec.engine_to_string engine)
+            (Some want) got)
+        engines)
+
+(* Subroutine names resolve by the lowering's rules: a later definition
+   shadows an earlier one but is lowered at the first one's position in
+   slot order, a subroutine may call one declared after it, and a slot
+   first seen inside a subroutine still sizes every processor's state. *)
+let sub_prog =
+  let b =
+    { Spmd.ad_name = "b"; ad_bounds = [ (EInt 1, EInt 4) ]; ad_layout = None }
+  in
+  prog ~arrays:[ b ] ~scalars:[ "s" ]
+    ~subs:
+      [
+        ("first", [ Spmd.Call "second" ]);
+        ("dup", [ loop "x" ~hi:(EInt 1) [ Spmd.SetScalar ("s", Spmd.FConst 1.0) ] ]);
+        ( "second",
+          [
+            loop "k" ~hi:(EInt 4)
+              [
+                Spmd.Store
+                  {
+                    arr = "b";
+                    idx = [ EVar "k" ];
+                    value = Spmd.FBin (Hpf.Ast.Mul, Spmd.FOfInt (EVar "k"), Spmd.FConst 0.5);
+                    access = Spmd.Global;
+                  };
+                Spmd.SetScalar ("t", Spmd.FOfInt (EVar "k"));
+              ];
+          ] );
+        ( "dup",
+          [
+            loop "j" ~hi:(EInt 2)
+              [
+                Spmd.SetScalar
+                  ("s", Spmd.FBin (Hpf.Ast.Add, Spmd.FScalar "s", Spmd.FOfInt (EVar "j")));
+              ];
+          ] );
+      ]
+    [ Spmd.Call "first"; Spmd.Call "dup" ]
+
+let test_sub_resolution () =
+  let k = (Spmdsim.Compile.prepare ~nprocs:2 sub_prog).Spmdsim.Compile.c_kernel in
+  let islot n = List.assoc_opt n k.Spmdsim.Imp.k_islots in
+  Alcotest.(check (option int)) "shadowed body is never lowered" None (islot "x");
+  Alcotest.(check bool) "later dup body lowered at dup's first position" true
+    (islot "j" < islot "k" && islot "j" <> None);
+  let bits x = Int64.bits_of_float x in
+  let observe engine =
+    let sim = Spmdsim.Exec.make ~engine ~nprocs:2 sub_prog in
+    let st = Spmdsim.Exec.run sim in
+    ( List.map bits
+        ([ Spmdsim.Exec.get_scalar sim "s"; Spmdsim.Exec.get_scalar sim "t" ]
+        @ List.map (fun i -> Spmdsim.Exec.get_elem sim "b" [ i ]) [ 1; 2; 3; 4 ]),
+      List.map bits (st.Spmdsim.Exec.s_time :: Array.to_list (Spmdsim.Exec.clocks sim)) )
+  in
+  let want = List.map bits [ 3.0; 4.0; 0.5; 1.0; 1.5; 2.0 ] in
+  let _, ref_clocks = observe `Interp in
+  List.iter
+    (fun engine ->
+      let name = Spmdsim.Exec.engine_to_string engine in
+      let values, clocks = observe engine in
+      Alcotest.(check (list int64)) (name ^ ": values") want values;
+      Alcotest.(check (list int64)) (name ^ ": clocks match the interpreter")
+        ref_clocks clocks)
+    engines
+
+(* Concurrent cold builds of one kernel: three processes make the same
+   never-seen program over one empty cache directory at once. Each must
+   succeed (no process may link against another's half-written objects)
+   and all must compute bit-identical results. *)
+let test_concurrent_build () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dhpf-native-race-%d" (Unix.getpid ()))
+  in
+  (* a literal no earlier build has seen: every child misses memo and disk *)
+  let fresh = Unix.gettimeofday () in
+  let p =
+    prog ~arrays:[ block_a ] ~scalars:[ "s" ]
+      [
+        loop "k" ~hi:(EInt 4)
+          [
+            Spmd.If
+              ( CEq0 (ESub (EVar "m$1", EFloorDiv (ESub (EVar "k", EInt 1), 2))),
+                [
+                  Spmd.Store
+                    {
+                      arr = "a";
+                      idx = [ EVar "k" ];
+                      value = Spmd.FBin (Hpf.Ast.Mul, Spmd.FOfInt (EVar "k"), Spmd.FConst fresh);
+                      access = Spmd.Local;
+                    };
+                ] );
+          ];
+      ]
+  in
+  let result i = Filename.concat dir (Printf.sprintf "result.%d" i) in
+  let child i () =
+    let sim = Spmdsim.Native.make ~cache_dir:dir ~nprocs:2 p in
+    let st = Spmdsim.Compile.run sim in
+    let oc = open_out (result i) in
+    List.iter
+      (fun x -> Printf.fprintf oc "%Lx\n" (Int64.bits_of_float x))
+      (st.Spmdsim.Runtime.s_time
+      :: List.map (fun k -> Spmdsim.Compile.get_elem sim "a" [ k ]) [ 1; 2; 3; 4 ]);
+    close_out oc
+  in
+  Unix.mkdir dir 0o755;
+  let pids =
+    List.map
+      (fun i ->
+        match Unix.fork () with
+        | 0 -> Unix._exit (match child i () with () -> 0 | exception _ -> 1)
+        | pid -> pid)
+      [ 0; 1; 2 ]
+  in
+  List.iteri
+    (fun i pid ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.failf "child %d failed to make or run the kernel" i)
+    pids;
+  let read i = In_channel.with_open_bin (result i) In_channel.input_all in
+  Alcotest.(check bool) "results were written" true (read 0 <> "");
+  Alcotest.(check string) "child 1 bit-identical to child 0" (read 0) (read 1);
+  Alcotest.(check string) "child 2 bit-identical to child 0" (read 0) (read 2);
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+
 let () =
   Alcotest.run "native"
     [
+      (* forks: first, before any test can leave other domains running *)
+      ( "build race",
+        [ Alcotest.test_case "concurrent cold builds" `Slow test_concurrent_build ] );
       ("benchmarks", benchmark_cases);
       ( "random",
         List.map QCheck_alcotest.to_alcotest [ prop_three_way_random ] );
       ( "cache",
         [ Alcotest.test_case "source-hash cache hit" `Slow test_cache_hit ] );
+      ("errors", List.map error_case error_cases);
+      ( "calls",
+        [ Alcotest.test_case "resolution rules" `Quick test_sub_resolution ] );
     ]
