@@ -21,8 +21,9 @@ check:
 bench-smoke:
 	$(DUNE) exec bench/main.exe -- smoke
 
+# `bench` regenerates BENCH_compile.json (full Table 1, a few minutes).
 bench:
-	$(DUNE) exec bench/main.exe -- json
+	$(DUNE) exec bench/main.exe -- json > BENCH_compile.json
 
 # Fast Figure-7 runtime subset: runs each workload under both execution
 # engines, fails if their counters disagree or if the closure engine is
@@ -30,8 +31,9 @@ bench:
 bench-run-smoke:
 	$(DUNE) exec bench/main.exe -- run-smoke
 
+# `bench-run` regenerates BENCH_run.json.
 bench-run:
-	$(DUNE) exec bench/main.exe -- run-json
+	$(DUNE) exec bench/main.exe -- run-json > BENCH_run.json
 
 # Domain-parallel smoke: the sharded-lane scheduler must stay bit-identical
 # to the sequential one (always checked), and on hosts with >= 2 cores the

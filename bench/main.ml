@@ -312,19 +312,13 @@ let set_micro () =
 (* (fast subset + cache-hit assertion, for `make bench-smoke`)          *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Obs.Json
+
+let num_fields kvs = List.map (fun (k, v) -> (k, J.Num v)) kvs
+
+(* one document per line on stdout; `make bench`, `bench-run` and
+   `bench-native` redirect it to the committed baseline *)
+let print_doc doc = print_endline (J.to_string doc)
 
 (* Compile the Table-1 applications and emit one JSON document with per-app
    wall-clock, per-phase seconds, and the cache counters — the format the
@@ -348,51 +342,38 @@ let bench_json ~smoke () =
         (name, total, phases, stats, par))
       apps
   in
-  let buf = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "{\n";
-  pf "  \"schema\": \"dhpf-bench-compile/2\",\n";
-  pf "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full");
-  pf "  \"host_cores\": %d,\n" (Par.recommended ());
-  pf "  \"cache_enabled\": %b,\n" (Iset.Cache.enabled ());
-  pf "  \"apps\": [\n";
-  List.iteri
-    (fun i (name, total, phases, stats, par) ->
-      pf "    {\n";
-      pf "      \"name\": \"%s\",\n" (json_escape name);
-      pf "      \"total_s\": %.6f,\n" total;
-      pf "      \"compile_domains\": [\n";
-      (let t1 =
-         try List.assoc 1 par with Not_found -> List.assoc (List.hd domain_sweep) par
-       in
-       List.iteri
-         (fun j (d, s) ->
-           pf "        {\"domains\": %d, \"wall_s\": %.6f, \"speedup\": %.2f}%s\n"
-             d s
-             (t1 /. Float.max s 1e-9)
-             (if j + 1 < List.length par then "," else ""))
-         par);
-      pf "      ],\n";
-      pf "      \"phases_s\": {\n";
-      List.iteri
-        (fun j (l, s) ->
-          pf "        \"%s\": %.6f%s\n" (json_escape l) s
-            (if j + 1 < List.length phases then "," else ""))
-        phases;
-      pf "      },\n";
-      pf "      \"cache\": {\n";
-      let n = List.length stats in
-      List.iteri
-        (fun j (k, v) ->
-          pf "        \"%s\": %d%s\n" (json_escape k) v
-            (if j + 1 < n then "," else ""))
-        stats;
-      pf "      }\n";
-      pf "    }%s\n" (if i + 1 < List.length results then "," else ""))
-    results;
-  pf "  ]\n";
-  pf "}\n";
-  print_string (Buffer.contents buf);
+  let app_json (name, total, phases, stats, par) =
+    let t1 =
+      try List.assoc 1 par with Not_found -> List.assoc (List.hd domain_sweep) par
+    in
+    J.Obj
+      [
+        ("name", J.Str name);
+        ("total_s", J.Num total);
+        ( "compile_domains",
+          J.List
+            (List.map
+               (fun (d, s) ->
+                 J.Obj
+                   [
+                     ("domains", J.int d);
+                     ("wall_s", J.Num s);
+                     ("speedup", J.Num (t1 /. Float.max s 1e-9));
+                   ])
+               par) );
+        ("phases_s", J.Obj (num_fields phases));
+        ("cache", J.Obj (List.map (fun (k, v) -> (k, J.int v)) stats));
+      ]
+  in
+  print_doc
+    (J.Obj
+       [
+         ("schema", J.Str "dhpf-bench-compile/2");
+         ("mode", J.Str (if smoke then "smoke" else "full"));
+         ("host_cores", J.int (Par.recommended ()));
+         ("cache_enabled", J.Bool (Iset.Cache.enabled ()));
+         ("apps", J.List (List.map app_json results));
+       ]);
   results
 
 let json () = ignore (bench_json ~smoke:false ())
@@ -624,91 +605,82 @@ let bench_run_json ~smoke () =
         })
       (run_workloads ~smoke ())
   in
-  let buf = Buffer.create 2048 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let ckpt_rows = ckpt_sweep ~smoke () in
-  pf "{\n";
-  pf "  \"schema\": \"dhpf-bench-run/5\",\n";
-  pf "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full");
-  pf "  \"host_cores\": %d,\n" (Par.recommended ());
-  pf "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      pf "    {\n";
-      pf "      \"name\": \"%s\",\n" (json_escape r.rr_name);
-      pf "      \"nprocs\": %d,\n" r.rr_nprocs;
-      pf "      \"compile_wall_s\": %.6f,\n" r.rr_compile_s;
-      pf "      \"compile_phases_s\": {\n";
-      List.iteri
-        (fun j (l, s) ->
-          pf "        \"%s\": %.6f%s\n" (json_escape l) s
-            (if j + 1 < List.length r.rr_phases then "," else ""))
-        r.rr_phases;
-      pf "      },\n";
-      pf "      \"interp_wall_s\": %.6f,\n" r.rr_interp_s;
-      pf "      \"closure_wall_s\": %.6f,\n" r.rr_closure_s;
-      pf "      \"speedup\": %.2f,\n" (r.rr_interp_s /. r.rr_closure_s);
-      pf "      \"counters_equal\": %b,\n" r.rr_counters_equal;
-      pf "      \"sim_domains\": [\n";
-      (let t1 =
-         match r.rr_domains with (1, w, _) :: _ -> w | _ -> r.rr_closure_s
-       in
-       List.iteri
-         (fun j (d, w, deq) ->
-           pf
-             "        {\"domains\": %d, \"wall_s\": %.6f, \"speedup\": %.2f, \
-              \"bit_identical\": %b}%s\n"
-             d w
-             (t1 /. Float.max w 1e-9)
-             deq
-             (if j + 1 < List.length r.rr_domains then "," else ""))
-         r.rr_domains);
-      pf "      ],\n";
-      pf "      \"sim\": {\n";
-      pf "        \"time_s\": %.9f,\n" r.rr_stats.Spmdsim.Exec.s_time;
-      pf "        \"msgs\": %d,\n" r.rr_stats.s_msgs;
-      pf "        \"bytes\": %d,\n" r.rr_stats.s_bytes;
-      pf "        \"elems\": %d\n" r.rr_stats.s_elems;
-      pf "      },\n";
-      pf "      \"metrics\": {\n";
-      List.iter
-        (fun (n, v) -> pf "        \"%s\": %.6f,\n" (json_escape n) v)
-        r.rr_metrics;
-      pf "        \"comm_matrix\": [\n";
-      List.iteri
-        (fun j (s, d, m, e, b) ->
-          pf
-            "          {\"src\": %d, \"dst\": %d, \"msgs\": %d, \"elems\": \
-             %d, \"bytes\": %d}%s\n"
-            s d m e b
-            (if j + 1 < List.length r.rr_matrix then "," else ""))
-        r.rr_matrix;
-      pf "        ]\n";
-      pf "      }\n";
-      pf "    }%s\n" (if i + 1 < List.length rows then "," else ""))
-    rows;
-  pf "  ],\n";
-  (let name, _, nprocs = ckpt_workload ~smoke in
-   let seed, crash_prob, crash_max = ckpt_faults in
-   pf "  \"resilience\": {\n";
-   pf "    \"workload\": \"%s\",\n" (json_escape name);
-   pf "    \"nprocs\": %d,\n" nprocs;
-   pf "    \"crash_seed\": %d,\n" seed;
-   pf "    \"crash_prob\": %.4f,\n" crash_prob;
-   pf "    \"crash_max\": %d,\n" crash_max;
-   pf "    \"sweep\": [\n";
-   List.iteri
-     (fun j r ->
-       pf
-         "      {\"checkpoint_every\": %d, \"ckpts\": %d, \"ckpt_bytes\": \
-          %d, \"crashes\": %d, \"lost_work_s\": %.9f, \"time_s\": %.9f}%s\n"
-         r.ck_every r.ck_ckpts r.ck_bytes r.ck_crashes r.ck_lost_s r.ck_time_s
-         (if j + 1 < List.length ckpt_rows then "," else ""))
-     ckpt_rows;
-   pf "    ]\n";
-   pf "  }\n");
-  pf "}\n";
-  print_string (Buffer.contents buf);
+  let row_json r =
+    let t1 = match r.rr_domains with (1, w, _) :: _ -> w | _ -> r.rr_closure_s in
+    let cell (s, d, m, e, b) =
+      J.Obj
+        [ ("src", J.int s); ("dst", J.int d); ("msgs", J.int m);
+          ("elems", J.int e); ("bytes", J.int b) ]
+    in
+    J.Obj
+      [
+        ("name", J.Str r.rr_name);
+        ("nprocs", J.int r.rr_nprocs);
+        ("compile_wall_s", J.Num r.rr_compile_s);
+        ("compile_phases_s", J.Obj (num_fields r.rr_phases));
+        ("interp_wall_s", J.Num r.rr_interp_s);
+        ("closure_wall_s", J.Num r.rr_closure_s);
+        ("speedup", J.Num (r.rr_interp_s /. r.rr_closure_s));
+        ("counters_equal", J.Bool r.rr_counters_equal);
+        ( "sim_domains",
+          J.List
+            (List.map
+               (fun (d, w, deq) ->
+                 J.Obj
+                   [
+                     ("domains", J.int d);
+                     ("wall_s", J.Num w);
+                     ("speedup", J.Num (t1 /. Float.max w 1e-9));
+                     ("bit_identical", J.Bool deq);
+                   ])
+               r.rr_domains) );
+        ( "sim",
+          J.Obj
+            [
+              ("time_s", J.Num r.rr_stats.Spmdsim.Exec.s_time);
+              ("msgs", J.int r.rr_stats.s_msgs);
+              ("bytes", J.int r.rr_stats.s_bytes);
+              ("elems", J.int r.rr_stats.s_elems);
+            ] );
+        ( "metrics",
+          J.Obj
+            (num_fields r.rr_metrics
+            @ [ ("comm_matrix", J.List (List.map cell r.rr_matrix)) ]) );
+      ]
+  in
+  let resilience_json =
+    let name, _, nprocs = ckpt_workload ~smoke in
+    let seed, crash_prob, crash_max = ckpt_faults in
+    let ckpt_json r =
+      J.Obj
+        [
+          ("checkpoint_every", J.int r.ck_every);
+          ("ckpts", J.int r.ck_ckpts);
+          ("ckpt_bytes", J.int r.ck_bytes);
+          ("crashes", J.int r.ck_crashes);
+          ("lost_work_s", J.Num r.ck_lost_s);
+          ("time_s", J.Num r.ck_time_s);
+        ]
+    in
+    J.Obj
+      [
+        ("workload", J.Str name);
+        ("nprocs", J.int nprocs);
+        ("crash_seed", J.int seed);
+        ("crash_prob", J.Num crash_prob);
+        ("crash_max", J.int crash_max);
+        ("sweep", J.List (List.map ckpt_json (ckpt_sweep ~smoke ())));
+      ]
+  in
+  print_doc
+    (J.Obj
+       [
+         ("schema", J.Str "dhpf-bench-run/5");
+         ("mode", J.Str (if smoke then "smoke" else "full"));
+         ("host_cores", J.int (Par.recommended ()));
+         ("workloads", J.List (List.map row_json rows));
+         ("resilience", resilience_json);
+       ]);
   rows
 
 let run_json () = ignore (bench_run_json ~smoke:false ())
@@ -968,30 +940,26 @@ let native_measure () =
   }
 
 let native_json_doc r =
-  let buf = Buffer.create 512 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "{\n";
-  pf "  \"schema\": \"dhpf-bench-native/1\",\n";
-  pf "  \"host_cores\": %d,\n" (Par.recommended ());
-  pf "  \"workload\": \"JACOBI-384\",\n";
-  pf "  \"nprocs\": 8,\n";
-  pf
-    "  \"three_way_identity\": {\"workload\": \"JACOBI-96\", \"runs\": %d, \
-     \"pass\": true},\n"
-    r.nv_diff_runs;
-  pf "  \"kernel_obtain_s\": %.6f,\n" r.nv_obtain_s;
-  pf "  \"kernel_make_warm_s\": %.6f,\n" r.nv_make_warm_s;
-  pf "  \"interp_run_s\": %.6f,\n" r.nv_interp_s;
-  pf "  \"closure_run_s\": %.6f,\n" r.nv_closure_s;
-  pf "  \"native_run_s\": %.6f,\n" r.nv_native_s;
-  pf "  \"speedup_vs_closure\": %.2f,\n"
-    (r.nv_closure_s /. Float.max r.nv_native_s 1e-9);
-  pf "  \"speedup_vs_interp\": %.2f\n"
-    (r.nv_interp_s /. Float.max r.nv_native_s 1e-9);
-  pf "}\n";
-  Buffer.contents buf
+  J.Obj
+    [
+      ("schema", J.Str "dhpf-bench-native/1");
+      ("host_cores", J.int (Par.recommended ()));
+      ("workload", J.Str "JACOBI-384");
+      ("nprocs", J.int 8);
+      ( "three_way_identity",
+        J.Obj
+          [ ("workload", J.Str "JACOBI-96"); ("runs", J.int r.nv_diff_runs);
+            ("pass", J.Bool true) ] );
+      ("kernel_obtain_s", J.Num r.nv_obtain_s);
+      ("kernel_make_warm_s", J.Num r.nv_make_warm_s);
+      ("interp_run_s", J.Num r.nv_interp_s);
+      ("closure_run_s", J.Num r.nv_closure_s);
+      ("native_run_s", J.Num r.nv_native_s);
+      ("speedup_vs_closure", J.Num (r.nv_closure_s /. Float.max r.nv_native_s 1e-9));
+      ("speedup_vs_interp", J.Num (r.nv_interp_s /. Float.max r.nv_native_s 1e-9));
+    ]
 
-let native_json () = print_string (native_json_doc (native_measure ()))
+let native_json () = print_doc (native_json_doc (native_measure ()))
 
 (* Backs `make bench-native-smoke`: identity always, speedup gated by
    DHPF_NATIVE_SMOKE_MIN_SPEEDUP (default 3x — the run-phase comparison

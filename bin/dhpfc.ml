@@ -540,13 +540,9 @@ let compile_cmd =
             ~statements:(List.length compiled.cprog.Dhpf.Spmd.main)
             ()
         in
-        let s = Serve.Jsonx.to_string j in
-        if path = "-" then print_endline s
+        if path = "-" then print_endline (Obs.Json.to_string j)
         else begin
-          let oc = open_out path in
-          output_string oc s;
-          output_char oc '\n';
-          close_out oc;
+          Obs.write_json path j;
           Fmt.epr "report: %s@." path
         end);
     if not (show_sets || show_spmd || report || report_json <> None) then
@@ -1217,8 +1213,8 @@ let bench_serve_cmd =
       match stats with
       | None -> 0
       | Some v -> (
-          match Serve.Jsonx.get v "iset" with
-          | Some o -> Option.value (Serve.Jsonx.get_int o key) ~default:0
+          match Obs.Json.get v "iset" with
+          | Some o -> Option.value (Obs.Json.get_int o key) ~default:0
           | None -> 0)
     in
     let hit_ratio stats =
@@ -1266,61 +1262,61 @@ let bench_serve_cmd =
     | Some path ->
         let op_json (op, lats) =
           ( op,
-            Serve.Jsonx.Obj
+            Obs.Json.Obj
               [
-                ("n", Serve.Jsonx.int (Array.length lats));
+                ("n", Obs.Json.int (Array.length lats));
                 ( "p50_s",
-                  Serve.Jsonx.Num (Serve.Loadgen.percentile 0.5 lats) );
+                  Obs.Json.Num (Serve.Loadgen.percentile 0.5 lats) );
                 ( "p90_s",
-                  Serve.Jsonx.Num (Serve.Loadgen.percentile 0.9 lats) );
+                  Obs.Json.Num (Serve.Loadgen.percentile 0.9 lats) );
                 ( "p99_s",
-                  Serve.Jsonx.Num (Serve.Loadgen.percentile 0.99 lats) );
+                  Obs.Json.Num (Serve.Loadgen.percentile 0.99 lats) );
               ] )
         in
         let phase_json name (r : Serve.Loadgen.result) stats =
-          Serve.Jsonx.Obj
+          Obs.Json.Obj
             [
-              ("phase", Serve.Jsonx.Str name);
-              ("ok", Serve.Jsonx.int r.lg_ok);
-              ("error", Serve.Jsonx.int r.lg_error);
-              ("overloaded_retries", Serve.Jsonx.int r.lg_overloaded);
-              ("wall_s", Serve.Jsonx.Num r.lg_wall_s);
-              ("throughput_rps", Serve.Jsonx.Num (rps r));
-              ("p50_s", Serve.Jsonx.Num (pct 0.5 r));
-              ("p90_s", Serve.Jsonx.Num (pct 0.9 r));
-              ("p99_s", Serve.Jsonx.Num (pct 0.99 r));
+              ("phase", Obs.Json.Str name);
+              ("ok", Obs.Json.int r.lg_ok);
+              ("error", Obs.Json.int r.lg_error);
+              ("overloaded_retries", Obs.Json.int r.lg_overloaded);
+              ("wall_s", Obs.Json.Num r.lg_wall_s);
+              ("throughput_rps", Obs.Json.Num (rps r));
+              ("p50_s", Obs.Json.Num (pct 0.5 r));
+              ("p90_s", Obs.Json.Num (pct 0.9 r));
+              ("p99_s", Obs.Json.Num (pct 0.99 r));
               ( "queue_p50_s",
-                Serve.Jsonx.Num
+                Obs.Json.Num
                   (Serve.Loadgen.percentile 0.5 r.lg_queue_waits) );
               ( "queue_p99_s",
-                Serve.Jsonx.Num
+                Obs.Json.Num
                   (Serve.Loadgen.percentile 0.99 r.lg_queue_waits) );
               ( "service_p50_s",
-                Serve.Jsonx.Num
+                Obs.Json.Num
                   (Serve.Loadgen.percentile 0.5 r.lg_services) );
               ( "service_p99_s",
-                Serve.Jsonx.Num
+                Obs.Json.Num
                   (Serve.Loadgen.percentile 0.99 r.lg_services) );
-              ("by_op", Serve.Jsonx.Obj (List.map op_json r.lg_by_op));
-              ("disk_hits", Serve.Jsonx.int (disk_counter stats "disk hits"));
+              ("by_op", Obs.Json.Obj (List.map op_json r.lg_by_op));
+              ("disk_hits", Obs.Json.int (disk_counter stats "disk hits"));
               ( "disk_lookups",
-                Serve.Jsonx.int (disk_counter stats "disk lookups") );
+                Obs.Json.int (disk_counter stats "disk lookups") );
               ( "disk_evictions",
-                Serve.Jsonx.int (disk_counter stats "disk evictions") );
-              ("disk_hit_ratio", Serve.Jsonx.Num (hit_ratio stats));
+                Obs.Json.int (disk_counter stats "disk evictions") );
+              ("disk_hit_ratio", Obs.Json.Num (hit_ratio stats));
             ]
         in
         let doc =
-          Serve.Jsonx.Obj
+          Obs.Json.Obj
             [
-              ("schema", Serve.Jsonx.Str "dhpf-bench-serve/2");
-              ("version", Serve.Jsonx.Str version);
-              ("clients", Serve.Jsonx.int clients);
-              ("requests_per_client", Serve.Jsonx.int requests);
-              ("workers", Serve.Jsonx.int workers);
-              ("pressure_kb", Serve.Jsonx.int pressure_kb);
+              ("schema", Obs.Json.Str "dhpf-bench-serve/2");
+              ("version", Obs.Json.Str version);
+              ("clients", Obs.Json.int clients);
+              ("requests_per_client", Obs.Json.int requests);
+              ("workers", Obs.Json.int workers);
+              ("pressure_kb", Obs.Json.int pressure_kb);
               ( "phases",
-                Serve.Jsonx.List
+                Obs.Json.List
                   ([
                      phase_json "cold" cold cold_stats;
                      phase_json "warm" warm warm_stats;
@@ -1330,13 +1326,10 @@ let bench_serve_cmd =
                   | Some (r, stats, _) ->
                       [ phase_json "pressure" r stats ]
                   | None -> []) );
-              ("clean_shutdown", Serve.Jsonx.Bool clean);
+              ("clean_shutdown", Obs.Json.Bool clean);
             ]
         in
-        let oc = open_out path in
-        output_string oc (Serve.Jsonx.to_string doc);
-        output_char oc '\n';
-        close_out oc;
+        Obs.write_json path doc;
         Fmt.epr "bench-serve: results -> %s@." path);
     if smoke then begin
       let failures = ref [] in
@@ -1354,13 +1347,13 @@ let bench_serve_cmd =
         "warm responses were missing telemetry sections";
       (* dump must return a parseable flight bundle under load *)
       let check_dump name dump =
-        match Option.bind dump (fun v -> Serve.Jsonx.get v "flight") with
+        match Option.bind dump (fun v -> Obs.Json.get v "flight") with
         | Some flight ->
             check
-              (Serve.Jsonx.get_str flight "schema" = Some "dhpf-flight/1")
+              (Obs.Json.get_str flight "schema" = Some "dhpf-flight/1")
               (name ^ " dump returned a bundle with the wrong schema");
             check
-              (match Serve.Jsonx.get_list flight "entries" with
+              (match Obs.Json.get_list flight "entries" with
               | Some (_ :: _) -> true
               | _ -> false)
               (name ^ " dump returned an empty flight recorder")
@@ -1385,8 +1378,8 @@ let bench_serve_cmd =
       (* stats v2 sanity: rolling-window gauges present and ordered *)
       (let wnum stats k =
          Option.bind stats (fun v ->
-             Option.bind (Serve.Jsonx.get v "window") (fun w ->
-                 Serve.Jsonx.get_num w k))
+             Option.bind (Obs.Json.get v "window") (fun w ->
+                 Obs.Json.get_num w k))
        in
        match (wnum warm_stats "service_p50_s", wnum warm_stats "service_p99_s")
        with
@@ -1396,7 +1389,7 @@ let bench_serve_cmd =
       check
         (match
            Option.bind warm_stats (fun v ->
-               Serve.Jsonx.get_str v "stats_schema")
+               Obs.Json.get_str v "stats_schema")
          with
         | Some "dhpf-stats/2" -> true
         | _ -> false)
@@ -1416,16 +1409,16 @@ let bench_serve_cmd =
                   check (lines <> []) (tag ^ " log is empty");
                   List.iter
                     (fun l ->
-                      match Serve.Jsonx.of_string l with
+                      match Obs.Json.of_string l with
                       | v ->
                           check
-                            (Serve.Jsonx.get_str v "schema"
+                            (Obs.Json.get_str v "schema"
                              = Some "dhpf-log/1"
-                            && Serve.Jsonx.get_num v "ts" <> None
-                            && Serve.Jsonx.get_str v "level" <> None
-                            && Serve.Jsonx.get_str v "event" <> None)
+                            && Obs.Json.get_num v "ts" <> None
+                            && Obs.Json.get_str v "level" <> None
+                            && Obs.Json.get_str v "event" <> None)
                             (tag ^ " log line missing dhpf-log/1 fields")
-                      | exception Serve.Jsonx.Error _ ->
+                      | exception Obs.Json.Error _ ->
                           check false (tag ^ " log line is not valid JSON"))
                     lines
               | _ -> check false (tag ^ " log file missing"));
@@ -1449,13 +1442,13 @@ let bench_serve_cmd =
               | _ -> check false (tag ^ " prometheus file missing"));
               match obs_file tag ".flight.json" with
               | Some path when Sys.file_exists path -> (
-                  match Serve.Jsonx.of_string (read_file path) with
+                  match Obs.Json.of_string (read_file path) with
                   | v ->
                       check
-                        (Serve.Jsonx.get_str v "schema"
+                        (Obs.Json.get_str v "schema"
                         = Some "dhpf-flight/1")
                         (tag ^ " flight dump has the wrong schema")
-                  | exception Serve.Jsonx.Error _ ->
+                  | exception Obs.Json.Error _ ->
                       check false (tag ^ " flight dump is not valid JSON"))
               | _ -> check false (tag ^ " flight dump missing"))
             ([ "cold"; "warm" ] @ if with_pressure then [ "pressure" ] else []));
@@ -1504,14 +1497,14 @@ let top_cmd =
     let render v =
       Buffer.clear buf;
       let s fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      let num ?(o = v) k = Option.value (Serve.Jsonx.get_num o k) ~default:0. in
-      let int_ ?(o = v) k = Option.value (Serve.Jsonx.get_int o k) ~default:0 in
-      let str k d = Option.value (Serve.Jsonx.get_str v k) ~default:d in
+      let num ?(o = v) k = Option.value (Obs.Json.get_num o k) ~default:0. in
+      let int_ ?(o = v) k = Option.value (Obs.Json.get_int o k) ~default:0 in
+      let str k d = Option.value (Obs.Json.get_str v k) ~default:d in
       s "dhpfc top — %s   version %s   uptime %.1fs\n" socket
         (str "version" "?") (num "uptime_s");
       s "served %d   rejected %d   queue %d   workers %d\n" (int_ "served")
         (int_ "rejected") (int_ "queue_depth") (int_ "workers");
-      (match Serve.Jsonx.get v "window" with
+      (match Obs.Json.get v "window" with
       | Some w ->
           s "window %.0fs: %d reqs  %.1f rps  errors %d  overloaded %d\n"
             (num ~o:w "seconds") (int_ ~o:w "samples") (num ~o:w "rps")
@@ -1525,13 +1518,13 @@ let top_cmd =
             (num ~o:w "queue_p95_s" *. 1e3)
             (num ~o:w "queue_p99_s" *. 1e3)
       | None -> ());
-      (match Serve.Jsonx.get v "ratios" with
+      (match Obs.Json.get v "ratios" with
       | Some r ->
           s "ratios: memo %.1f%%   disk %.1f%%\n"
             (num ~o:r "memo_hit" *. 100.)
             (num ~o:r "disk_hit" *. 100.)
       | None -> ());
-      (match Serve.Jsonx.get v "diskcache" with
+      (match Obs.Json.get v "diskcache" with
       | Some d -> s "diskcache: %d bytes\n" (int_ ~o:d "bytes")
       | None -> ());
       Buffer.contents buf

@@ -59,23 +59,6 @@ let rec mkdir_p d =
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
 
-let tmp_seq = Atomic.make 0
-
-let tmp_name target =
-  Printf.sprintf "%s.tmp.%d.%d" target (Unix.getpid ())
-    (Atomic.fetch_and_add tmp_seq 1)
-
-let write_atomic path contents =
-  let tmp = tmp_name path in
-  let oc = open_out_bin tmp in
-  (try output_string oc contents
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
-
 let read_file path =
   try
     let ic = open_in_bin path in
@@ -87,8 +70,9 @@ let read_file path =
 let file_size path =
   try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0
 
-(* in-flight temp files are not entries: scans and GC skip them so a
-   concurrent writer's rename cannot be raced away *)
+(* in-flight temp files (Obs.write_atomic names them <path>.tmp.<pid>.<n>)
+   are not entries: scans and GC skip them so a concurrent writer's rename
+   cannot be raced away *)
 let is_tmp name =
   let rec has i =
     i + 5 <= String.length name
@@ -348,7 +332,7 @@ let store ~kind key value =
       mkdir_p (Filename.dirname path);
       let bytes = encode_entry ~kind key value in
       let before = file_size path in
-      match write_atomic path bytes with
+      match Obs.write_atomic path bytes with
       | () ->
           Stats.bump Stats.disk_stores;
           add_bytes root (String.length bytes - before);

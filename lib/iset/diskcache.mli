@@ -92,11 +92,6 @@ val clear : unit -> unit
 
     Reused by other on-disk caches (the native engine's kernel cache). *)
 
-val write_atomic : string -> string -> unit
-(** Write contents to a unique temp file next to the target, then
-    [rename] into place.
-    @raise Sys_error when the write itself fails. *)
-
 val prune_dir :
   ?group:(string -> string) -> max_bytes:int -> string -> int
 (** [prune_dir ~group ~max_bytes d]: bound the total size of the plain

@@ -4,8 +4,10 @@
    (2) tracing never writes simulated state — simulator events carry
        explicit timestamps read from the virtual clocks, so traced and
        untraced runs are bit-identical;
-   (3) no dependencies beyond [unix] (for the wall clock), and a
-       hand-rolled JSON writer rather than a JSON library. *)
+   (3) no dependencies beyond [unix] (for the wall clock): every export
+       is built as a [Json.t] and printed by the in-tree codec. *)
+
+module Json = Json
 
 type arg = Str of string | Int of int | Float of float | Bool of bool
 
@@ -132,62 +134,21 @@ let set_thread_name ~pid ~tid name =
 let events () = Mutex.protect buf_mu (fun () -> List.rev !buf)
 let events_count () = Mutex.protect buf_mu (fun () -> !n)
 
-(* JSON string escaping per RFC 8259: quote, backslash and control
-   characters; everything else (including UTF-8 bytes) passes through *)
-let escape_into b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+(* the one conversion from typed arguments to JSON *)
+let json_of_arg = function
+  | Str s -> Json.Str s
+  | Int i -> Json.int i
+  | Float v -> Json.Num v
+  | Bool v -> Json.Bool v
 
-let jstr b s =
-  Buffer.add_char b '"';
-  escape_into b s;
-  Buffer.add_char b '"'
+let args_json args = Json.Obj (List.map (fun (k, v) -> (k, json_of_arg v)) args)
 
-let jfloat v =
-  (* JSON has no infinities/NaN; clamp rather than emit invalid output *)
-  if Float.is_nan v then "0"
-  else if v = Float.infinity then "1e308"
-  else if v = Float.neg_infinity then "-1e308"
-  else Printf.sprintf "%.3f" v
+(* trace timestamps are microseconds; rounding to three decimals keeps
+   their nanosecond resolution without a second number format *)
+let us x = Json.Num (Float.round (x *. 1e3) /. 1e3)
 
-let jarg b = function
-  | Str s -> jstr b s
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float v -> Buffer.add_string b (jfloat v)
-  | Bool v -> Buffer.add_string b (string_of_bool v)
-
-let jargs b args =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      jstr b k;
-      Buffer.add_char b ':';
-      jarg b v)
-    args;
-  Buffer.add_char b '}'
-
-let event_into b e =
-  let field k v =
-    Buffer.add_char b ',';
-    jstr b k;
-    Buffer.add_char b ':';
-    v ()
-  in
-  Buffer.add_string b "{\"ph\":";
-  let ph_str =
+let event_json e =
+  let ph =
     match e.e_ph with
     | X -> "X"
     | I -> "i"
@@ -196,43 +157,53 @@ let event_into b e =
     | FlowEnd -> "f"
     | Meta _ -> "M"
   in
-  jstr b ph_str;
-  field "name" (fun () ->
-      jstr b (match e.e_ph with Meta m -> m | _ -> e.e_name));
-  if e.e_cat <> "" then field "cat" (fun () -> jstr b e.e_cat);
-  field "pid" (fun () -> Buffer.add_string b (string_of_int e.e_pid));
-  field "tid" (fun () -> Buffer.add_string b (string_of_int e.e_tid));
-  field "ts" (fun () -> Buffer.add_string b (jfloat e.e_ts));
-  (match e.e_ph with
-  | X -> field "dur" (fun () -> Buffer.add_string b (jfloat e.e_dur))
-  | I -> field "s" (fun () -> jstr b "t")
-  | FlowStart | FlowEnd ->
-      field "id" (fun () -> Buffer.add_string b (string_of_int e.e_id));
-      if e.e_ph = FlowEnd then field "bp" (fun () -> jstr b "e")
-  | C | Meta _ -> ());
-  if e.e_args <> [] then field "args" (fun () -> jargs b e.e_args);
-  Buffer.add_char b '}'
+  Json.Obj
+    ([ ("ph", Json.Str ph);
+       ("name", Json.Str (match e.e_ph with Meta m -> m | _ -> e.e_name)) ]
+    @ (if e.e_cat <> "" then [ ("cat", Json.Str e.e_cat) ] else [])
+    @ [ ("pid", Json.int e.e_pid); ("tid", Json.int e.e_tid); ("ts", us e.e_ts) ]
+    @ (match e.e_ph with
+      | X -> [ ("dur", us e.e_dur) ]
+      | I -> [ ("s", Json.Str "t") ]
+      | FlowStart -> [ ("id", Json.int e.e_id) ]
+      | FlowEnd -> [ ("id", Json.int e.e_id); ("bp", Json.Str "e") ]
+      | C | Meta _ -> [])
+    @ if e.e_args <> [] then [ ("args", args_json e.e_args) ] else [])
 
 let to_chrome_json () =
-  let b = Buffer.create (256 * (events_count () + 2)) in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
-  Buffer.add_string b "\"generator\":\"dhpf obs\",\"trace_epoch_unix_s\":";
-  jstr b (Printf.sprintf "%.6f" !epoch);
-  Buffer.add_string b "},\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      event_into b e)
-    (events ());
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  Json.Obj
+    [
+      ("displayTimeUnit", Json.Str "ms");
+      ( "otherData",
+        Json.Obj
+          [
+            ("generator", Json.Str "dhpf obs");
+            ("trace_epoch_unix_s", Json.Str (Printf.sprintf "%.6f" !epoch));
+          ] );
+      ("traceEvents", Json.List (List.map event_json (events ())));
+    ]
 
-let write path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome_json ()))
+(* unique temp name per process and call, so concurrent writers of one
+   path never share a temp file; the last rename wins whole *)
+let tmp_seq = Atomic.make 0
+
+let write_atomic path contents =
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
+      (Atomic.fetch_and_add tmp_seq 1)
+  in
+  let oc = open_out_bin tmp in
+  try
+    output_string oc contents;
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+let write_json path v = write_atomic path (Json.to_string v ^ "\n")
+let write path = write_json path (to_chrome_json ())
 
 let summary () =
   (* aggregate complete events per (cat, name) *)
@@ -281,35 +252,14 @@ let init_env () =
       at_exit (fun () -> try write path with Sys_error _ -> ())
   | _ -> ()
 
-(* precise numbers for the log/flight-recorder/prometheus exporters:
-   jfloat's fixed %.3f is right for microsecond trace timestamps but
-   truncates latencies-in-seconds and absolute unix times; %.17g
-   round-trips every float and stays valid JSON once non-finite values
-   are clamped *)
-let jnum v =
-  if Float.is_nan v then "0"
-  else if v = Float.infinity then "1e308"
-  else if v = Float.neg_infinity then "-1e308"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
-
-let jarg_num b = function
-  | Str s -> jstr b s
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float v -> Buffer.add_string b (jnum v)
-  | Bool v -> Buffer.add_string b (string_of_bool v)
-
-let jfields b fields =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      jstr b k;
-      Buffer.add_char b ':';
-      jarg_num b v)
-    fields;
-  Buffer.add_char b '}'
+(* a log line or flight entry: [head] fields, then the optional request
+   id, the event name and the optional caller fields *)
+let record_json head ~rid ~event ~fields =
+  Json.Obj
+    (head
+    @ (match rid with Some r -> [ ("rid", Json.Str r) ] | None -> [])
+    @ (("event", Json.Str event)
+      :: (if fields <> [] then [ ("fields", args_json fields) ] else [])))
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: an always-on bounded ring of recent events          *)
@@ -378,50 +328,26 @@ module Recorder = struct
       List.filter_map (fun k -> a.((lo + k) mod n)) (List.init (w - lo) Fun.id)
     end
 
-  let entry_into b e =
-    Buffer.add_string b "{\"ts\":";
-    Buffer.add_string b (jnum e.fr_ts);
-    Buffer.add_string b ",\"kind\":";
-    jstr b e.fr_kind;
-    Buffer.add_string b ",\"level\":";
-    jstr b e.fr_level;
-    if e.fr_rid <> "" then begin
-      Buffer.add_string b ",\"rid\":";
-      jstr b e.fr_rid
-    end;
-    Buffer.add_string b ",\"event\":";
-    jstr b e.fr_event;
-    if e.fr_fields <> [] then begin
-      Buffer.add_string b ",\"fields\":";
-      jfields b e.fr_fields
-    end;
-    Buffer.add_char b '}'
+  let entry_json e =
+    record_json
+      [ ("ts", Json.Num e.fr_ts); ("kind", Json.Str e.fr_kind);
+        ("level", Json.Str e.fr_level) ]
+      ~rid:(if e.fr_rid = "" then None else Some e.fr_rid)
+      ~event:e.fr_event ~fields:e.fr_fields
 
   let to_json () =
     let es = entries () in
     let total = recorded () in
-    let b = Buffer.create (256 * (List.length es + 2)) in
-    Buffer.add_string b "{\"schema\":";
-    jstr b schema;
-    Buffer.add_string b
-      (Printf.sprintf ",\"capacity\":%d,\"recorded\":%d,\"dropped\":%d"
-         (capacity ()) total
-         (max 0 (total - capacity ())));
-    Buffer.add_string b ",\"entries\":[";
-    List.iteri
-      (fun i e ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_char b '\n';
-        entry_into b e)
-      es;
-    Buffer.add_string b "\n]}\n";
-    Buffer.contents b
+    Json.Obj
+      [
+        ("schema", Json.Str schema);
+        ("capacity", Json.int (capacity ()));
+        ("recorded", Json.int total);
+        ("dropped", Json.int (max 0 (total - capacity ())));
+        ("entries", Json.List (List.map entry_json es));
+      ]
 
-  let write path =
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (to_json ()))
+  let write path = write_json path (to_json ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -497,26 +423,11 @@ module Log = struct
     || Recorder.enabled ()
 
   let line ~ts ~lvl ~rid ~fields event =
-    let b = Buffer.create 160 in
-    Buffer.add_string b "{\"schema\":";
-    jstr b schema;
-    Buffer.add_string b ",\"ts\":";
-    Buffer.add_string b (jnum ts);
-    Buffer.add_string b ",\"level\":";
-    jstr b (level_to_string lvl);
-    (match rid with
-    | Some r ->
-        Buffer.add_string b ",\"rid\":";
-        jstr b r
-    | None -> ());
-    Buffer.add_string b ",\"event\":";
-    jstr b event;
-    if fields <> [] then begin
-      Buffer.add_string b ",\"fields\":";
-      jfields b fields
-    end;
-    Buffer.add_char b '}';
-    Buffer.contents b
+    Json.to_string
+      (record_json
+         [ ("schema", Json.Str schema); ("ts", Json.Num ts);
+           ("level", Json.Str (level_to_string lvl)) ]
+         ~rid ~event ~fields)
 
   let emit ?rid ?(fields = fun () -> []) lvl event =
     let to_sink = Atomic.get sink && rank lvl >= Atomic.get threshold in
@@ -562,8 +473,8 @@ end
 module Metrics = struct
   (* Same design constraints as tracing: the disabled path is one boolean
      read (mutation sites check [enabled ()] and touch nothing when off),
-     instrumentation only ever *reads* simulated state, and export is
-     hand-rolled RFC-8259 JSON. Unlike trace events, metrics are
+     instrumentation only ever *reads* simulated state, and export is a
+     [Json.t] value. Unlike trace events, metrics are
      pre-aggregated: a series is (name, sorted labels) -> one counter,
      gauge or log2-bucketed histogram cell, so cost is O(series), not
      O(events). *)
@@ -837,61 +748,44 @@ module Metrics = struct
     Buffer.contents b
 
   (* machine-readable export: schema dhpf-metrics/1, stable ordering *)
-  let samples_to_json (samples : sample list) : string =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\"schema\":\"dhpf-metrics/1\",\"metrics\":[";
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b "\n{\"name\":";
-        jstr b s.m_name;
-        if s.m_labels <> [] then begin
-          Buffer.add_string b ",\"labels\":{";
-          List.iteri
-            (fun j (k, v) ->
-              if j > 0 then Buffer.add_char b ',';
-              jstr b k;
-              Buffer.add_char b ':';
-              jstr b v)
-            s.m_labels;
-          Buffer.add_char b '}'
-        end;
-        (match s.m_value with
-        | VCounter v ->
-            Buffer.add_string b ",\"type\":\"counter\",\"value\":";
-            Buffer.add_string b (jfloat v)
-        | VGauge v ->
-            Buffer.add_string b ",\"type\":\"gauge\",\"value\":";
-            Buffer.add_string b (jfloat v)
-        | VHisto h ->
-            Buffer.add_string b
-              (Printf.sprintf ",\"type\":\"histogram\",\"count\":%d,\"sum\":%s"
-                 h.hs_count (jfloat h.hs_sum));
-            Buffer.add_string b
-              (Printf.sprintf ",\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s"
-                 (jfloat h.hs_min) (jfloat h.hs_max)
-                 (jfloat (percentile 0.50 h))
-                 (jfloat (percentile 0.90 h))
-                 (jfloat (percentile 0.99 h)));
-            Buffer.add_string b ",\"buckets\":[";
-            List.iteri
-              (fun j (bk, c) ->
-                if j > 0 then Buffer.add_char b ',';
-                Buffer.add_string b (Printf.sprintf "[%d,%d]" bk c))
-              h.hs_buckets;
-            Buffer.add_char b ']');
-        Buffer.add_char b '}')
-      samples;
-    Buffer.add_string b "\n]}\n";
-    Buffer.contents b
+  let sample_json s =
+    let value =
+      match s.m_value with
+      | VCounter v -> [ ("type", Json.Str "counter"); ("value", Json.Num v) ]
+      | VGauge v -> [ ("type", Json.Str "gauge"); ("value", Json.Num v) ]
+      | VHisto h ->
+          [
+            ("type", Json.Str "histogram");
+            ("count", Json.int h.hs_count);
+            ("sum", Json.Num h.hs_sum);
+            ("min", Json.Num h.hs_min);
+            ("max", Json.Num h.hs_max);
+            ("p50", Json.Num (percentile 0.50 h));
+            ("p90", Json.Num (percentile 0.90 h));
+            ("p99", Json.Num (percentile 0.99 h));
+            ( "buckets",
+              Json.List
+                (List.map
+                   (fun (bk, c) -> Json.List [ Json.int bk; Json.int c ])
+                   h.hs_buckets) );
+          ]
+    in
+    let labels =
+      if s.m_labels = [] then []
+      else
+        [ ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.m_labels)) ]
+    in
+    Json.Obj ((("name", Json.Str s.m_name) :: labels) @ value)
+
+  let samples_to_json samples =
+    Json.Obj
+      [
+        ("schema", Json.Str "dhpf-metrics/1");
+        ("metrics", Json.List (List.map sample_json samples));
+      ]
 
   let to_json () = samples_to_json (snapshot ())
-
-  let write path =
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (to_json ()))
+  let write path = write_json path (to_json ())
 
   (* ---------------- Prometheus text exposition ---------------- *)
 
@@ -923,7 +817,7 @@ module Metrics = struct
     if Float.is_nan v then "NaN"
     else if v = Float.infinity then "+Inf"
     else if v = Float.neg_infinity then "-Inf"
-    else jnum v
+    else Json.to_string (Json.Num v)
 
   (* labels (plus an optional trailing le="...") in exposition syntax *)
   let prom_labels ?le labels =
@@ -982,13 +876,7 @@ module Metrics = struct
       samples;
     Buffer.contents b
 
-  let write_prometheus path =
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (to_prometheus (snapshot ())));
-    Sys.rename tmp path
+  let write_prometheus path = write_atomic path (to_prometheus (snapshot ()))
 
   let init_env () =
     match Sys.getenv_opt "DHPF_METRICS" with

@@ -17,7 +17,27 @@
     [if Obs.enabled () then ...] and nothing is allocated when tracing is
     off. Lanes in the exported trace are (pid, tid) pairs: the compiler
     reports on pid 0, each simulation instance claims a fresh pid with one
-    tid per simulated processor. *)
+    tid per simulated processor.
+
+    Every export is a {!Json.t} value printed by the one codec, {!Json}:
+    the Chrome trace, the flight-recorder dump, each JSONL log line and
+    the metrics export. Files are written through {!write_atomic}. *)
+
+module Json = Json
+(** The repository's JSON codec (value type, printer, parser). *)
+
+(** {1 Files} *)
+
+val write_atomic : string -> string -> unit
+(** [write_atomic path contents] writes [contents] to a temp file unique
+    to this process and call, next to [path], then renames it into place:
+    a reader never sees a torn file, and of concurrent writers the last
+    rename wins whole. The temp file is removed when the write fails.
+    Temp names contain [".tmp."].
+    @raise Sys_error when the write or the rename fails. *)
+
+val write_json : string -> Json.t -> unit
+(** [write_atomic] of the printed value plus a final newline. *)
 
 (** {1 Event model} *)
 
@@ -115,13 +135,14 @@ val events : unit -> event list
 
 val events_count : unit -> int
 
-val to_chrome_json : unit -> string
+val to_chrome_json : unit -> Json.t
 (** The buffer as a Chrome trace-event JSON object ({e JSON Object
     Format}: [{"traceEvents": [...], ...}]), loadable in Perfetto and
-    chrome://tracing. All strings are escaped; timestamps are microseconds. *)
+    chrome://tracing. Timestamps and durations are microseconds rounded
+    to three decimals (nanosecond resolution). *)
 
 val write : string -> unit
-(** Write {!to_chrome_json} to a file. *)
+(** Write {!to_chrome_json} to a file ({!write_json}). *)
 
 val summary : unit -> string
 (** Plain-text table aggregating complete events by (category, name):
@@ -174,12 +195,14 @@ module Recorder : sig
   (** Current ring contents, oldest first (best-effort under concurrent
       writers). *)
 
-  val to_json : unit -> string
+  val to_json : unit -> Json.t
   (** The ring as a [dhpf-flight/1] bundle:
       [{"schema":...,"capacity":N,"recorded":M,"dropped":D,
       "entries":[...]}]. *)
 
   val write : string -> unit
+  (** Write {!to_json} to a file ({!write_json}); safe to call from
+      several domains or processes at once. *)
 end
 
 (** {1 Structured logging}
@@ -247,8 +270,8 @@ end
     log₂-bucketed histograms — with the same design constraints as
     tracing. The disabled path is a single [bool] read per mutation;
     instrumentation only reads simulated state (never advances clocks), so
-    a metered simulation run is bit-identical to a bare one; export is
-    dependency-free JSON.
+    a metered simulation run is bit-identical to a bare one; export is a
+    {!Json.t} value.
 
     Handles are interned by (name, sorted labels): creating the same
     series twice returns the same cell, so instrumentation sites can be
@@ -340,17 +363,18 @@ module Metrics : sig
   (** Plain-text table of every series (histograms with count/sum/min/
       p50/p90/p99/max). *)
 
-  val to_json : unit -> string
+  val to_json : unit -> Json.t
   (** The snapshot as stable machine-readable JSON, schema
       [dhpf-metrics/1]:
       [{"schema":"dhpf-metrics/1","metrics":[{"name":...,"labels":{...},
-      "type":"counter"|"gauge"|"histogram",...}]}]. *)
+      "type":"counter"|"gauge"|"histogram",...}]}]. Values are exact
+      (the {!Json} number rule). *)
 
-  val samples_to_json : sample list -> string
+  val samples_to_json : sample list -> Json.t
   (** {!to_json} over an explicit (e.g. merged) snapshot. *)
 
   val write : string -> unit
-  (** Write {!to_json} to a file. *)
+  (** Write {!to_json} to a file ({!write_json}). *)
 
   val to_prometheus : sample list -> string
   (** The snapshot in Prometheus text exposition format: names are
@@ -361,5 +385,5 @@ module Metrics : sig
 
   val write_prometheus : string -> unit
   (** Write {!to_prometheus} of the current {!snapshot} to a file
-      atomically (temp + rename). *)
+      ({!write_atomic}). *)
 end

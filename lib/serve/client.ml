@@ -39,8 +39,8 @@ let request ?rid ~socket req =
   let payload = Proto.request_to_json req in
   let payload =
     match (rid, payload) with
-    | Some r, Jsonx.Obj fields ->
-        Jsonx.Obj (fields @ [ ("rid", Jsonx.Str r) ])
+    | Some r, Obs.Json.Obj fields ->
+        Obs.Json.Obj (fields @ [ ("rid", Obs.Json.Str r) ])
     | _ -> payload
   in
   request_json ~socket payload
@@ -52,7 +52,7 @@ let wait_ready ?(attempts = 100) ?(delay_s = 0.05) ~socket () =
       let up =
         try
           let v = request ~socket Proto.Ping in
-          Jsonx.get_str v "status" = Some "ok"
+          Obs.Json.get_str v "status" = Some "ok"
         with Connect_error _ | Proto.Proto_error _ -> false
       in
       if up then true

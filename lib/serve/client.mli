@@ -4,7 +4,7 @@
 exception Connect_error of string
 (** The socket could not be reached (no server, stale path, refused). *)
 
-val request : ?rid:string -> socket:string -> Proto.request -> Jsonx.t
+val request : ?rid:string -> socket:string -> Proto.request -> Obs.Json.t
 (** One round trip on a fresh connection. [rid] is the caller-chosen
     trace id stamped on the request; the server threads it through its
     log/flight-recorder and echoes it in the response ([rid] plus the
@@ -13,7 +13,7 @@ val request : ?rid:string -> socket:string -> Proto.request -> Jsonx.t
     @raise Proto.Proto_error on a malformed response (including a server
     that closed the connection without answering). *)
 
-val request_json : socket:string -> Jsonx.t -> Jsonx.t
+val request_json : socket:string -> Obs.Json.t -> Obs.Json.t
 (** {!request} with a caller-built payload — the escape hatch used by
     the protocol-error tests to send frames no {!Proto.request}
     constructor would produce. *)

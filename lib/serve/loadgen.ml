@@ -24,9 +24,9 @@ type tally = {
 (* the server-side split of a response: the telemetry section lives
    inside the compile report when there is one, top-level otherwise *)
 let telemetry_of v =
-  match Option.bind (Jsonx.get v "report") (fun r -> Jsonx.get r "telemetry") with
+  match Option.bind (Obs.Json.get v "report") (fun r -> Obs.Json.get r "telemetry") with
   | Some t -> Some t
-  | None -> Jsonx.get v "telemetry"
+  | None -> Obs.Json.get v "telemetry"
 
 (* one request, retrying overloaded answers with linear backoff; returns
    the final status and the overloaded count along the way *)
@@ -37,7 +37,7 @@ let issue ~socket ~rid req tally =
     let status, telemetry =
       try
         let v = Client.request ~rid ~socket req in
-        ( Option.value (Jsonx.get_str v "status") ~default:"error",
+        ( Option.value (Obs.Json.get_str v "status") ~default:"error",
           telemetry_of v )
       with Client.Connect_error _ | Proto.Proto_error _ -> ("error", None)
     in
@@ -51,10 +51,10 @@ let issue ~socket ~rid req tally =
       tally.t_lat <- (op, dt) :: tally.t_lat;
       (match telemetry with
       | Some t ->
-          (match Jsonx.get_num t "queue_wait_s" with
+          (match Obs.Json.get_num t "queue_wait_s" with
           | Some q -> tally.t_queue <- q :: tally.t_queue
           | None -> ());
-          (match Jsonx.get_num t "service_s" with
+          (match Obs.Json.get_num t "service_s" with
           | Some s -> tally.t_service <- s :: tally.t_service
           | None -> ())
       | None -> ());

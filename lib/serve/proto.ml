@@ -59,15 +59,15 @@ let read_frame fd =
     Some (Bytes.unsafe_to_string b)
   end
 
-let write_json fd v = write_frame fd (Jsonx.to_string v)
+let write_json fd v = write_frame fd (Obs.Json.to_string v)
 
 let read_json fd =
   match read_frame fd with
   | None -> None
   | Some payload -> (
-      match Jsonx.of_string payload with
+      match Obs.Json.of_string payload with
       | v -> Some v
-      | exception Jsonx.Error msg -> perr "bad JSON payload: %s" msg)
+      | exception Obs.Json.Error msg -> perr "bad JSON payload: %s" msg)
 
 (* -- requests ------------------------------------------------------- *)
 
@@ -91,20 +91,20 @@ type request =
     }
 
 let opts_to_json (o : Dhpf.Gen.options) =
-  Jsonx.Obj
+  Obs.Json.Obj
     [
-      ("split", Jsonx.Bool o.Dhpf.Gen.opt_split);
-      ("vectorize", Jsonx.Bool o.Dhpf.Gen.opt_vectorize);
-      ("coalesce", Jsonx.Bool o.Dhpf.Gen.opt_coalesce);
-      ("inplace", Jsonx.Bool o.Dhpf.Gen.opt_inplace);
+      ("split", Obs.Json.Bool o.Dhpf.Gen.opt_split);
+      ("vectorize", Obs.Json.Bool o.Dhpf.Gen.opt_vectorize);
+      ("coalesce", Obs.Json.Bool o.Dhpf.Gen.opt_coalesce);
+      ("inplace", Obs.Json.Bool o.Dhpf.Gen.opt_inplace);
     ]
 
 let opts_of_json v =
-  match Jsonx.get v "opts" with
+  match Obs.Json.get v "opts" with
   | None -> Dhpf.Gen.default_options
   | Some o ->
       let d = Dhpf.Gen.default_options in
-      let flag k dflt = Option.value (Jsonx.get_bool o k) ~default:dflt in
+      let flag k dflt = Option.value (Obs.Json.get_bool o k) ~default:dflt in
       {
         Dhpf.Gen.opt_split = flag "split" d.Dhpf.Gen.opt_split;
         opt_vectorize = flag "vectorize" d.Dhpf.Gen.opt_vectorize;
@@ -113,16 +113,16 @@ let opts_of_json v =
       }
 
 let params_to_json ps =
-  Jsonx.List
-    (List.map (fun (n, v) -> Jsonx.List [ Jsonx.Str n; Jsonx.int v ]) ps)
+  Obs.Json.List
+    (List.map (fun (n, v) -> Obs.Json.List [ Obs.Json.Str n; Obs.Json.int v ]) ps)
 
 let params_of_json v =
-  match Jsonx.get v "params" with
+  match Obs.Json.get v "params" with
   | None -> Ok []
-  | Some (Jsonx.List xs) ->
+  | Some (Obs.Json.List xs) ->
       let rec go acc = function
         | [] -> Ok (List.rev acc)
-        | Jsonx.List [ Jsonx.Str n; Jsonx.Num x ] :: rest
+        | Obs.Json.List [ Obs.Json.Str n; Obs.Json.Num x ] :: rest
           when Float.is_integer x ->
             go ((n, int_of_float x) :: acc) rest
         | _ -> Error "params must be a list of [name, int] pairs"
@@ -131,9 +131,9 @@ let params_of_json v =
   | Some _ -> Error "params must be a list of [name, int] pairs"
 
 let src_fields label source =
-  ("src", Jsonx.Str label)
+  ("src", Obs.Json.Str label)
   ::
-  (match source with Some s -> [ ("source", Jsonx.Str s) ] | None -> [])
+  (match source with Some s -> [ ("source", Obs.Json.Str s) ] | None -> [])
 
 let op_name = function
   | Ping -> "ping"
@@ -144,26 +144,26 @@ let op_name = function
   | Run _ -> "run"
 
 let request_to_json = function
-  | Ping -> Jsonx.Obj [ ("op", Jsonx.Str "ping") ]
-  | Stats -> Jsonx.Obj [ ("op", Jsonx.Str "stats") ]
-  | Dump -> Jsonx.Obj [ ("op", Jsonx.Str "dump") ]
-  | Shutdown -> Jsonx.Obj [ ("op", Jsonx.Str "shutdown") ]
+  | Ping -> Obs.Json.Obj [ ("op", Obs.Json.Str "ping") ]
+  | Stats -> Obs.Json.Obj [ ("op", Obs.Json.Str "stats") ]
+  | Dump -> Obs.Json.Obj [ ("op", Obs.Json.Str "dump") ]
+  | Shutdown -> Obs.Json.Obj [ ("op", Obs.Json.Str "shutdown") ]
   | Compile { label; source; opts } ->
-      Jsonx.Obj
-        ((("op", Jsonx.Str "compile") :: src_fields label source)
+      Obs.Json.Obj
+        ((("op", Obs.Json.Str "compile") :: src_fields label source)
         @ [ ("opts", opts_to_json opts) ])
   | Run { label; source; opts; nprocs; params; engine } ->
-      Jsonx.Obj
-        ((("op", Jsonx.Str "run") :: src_fields label source)
+      Obs.Json.Obj
+        ((("op", Obs.Json.Str "run") :: src_fields label source)
         @ [
             ("opts", opts_to_json opts);
-            ("nprocs", Jsonx.int nprocs);
+            ("nprocs", Obs.Json.int nprocs);
             ("params", params_to_json params);
-            ("engine", Jsonx.Str engine);
+            ("engine", Obs.Json.Str engine);
           ])
 
 let request_of_json v =
-  match Jsonx.get_str v "op" with
+  match Obs.Json.get_str v "op" with
   | None -> Error "missing op field"
   | Some "ping" -> Ok Ping
   | Some "stats" -> Ok Stats
@@ -171,9 +171,9 @@ let request_of_json v =
   | Some "shutdown" -> Ok Shutdown
   | Some ("compile" | "run") as op -> (
       let op = Option.get op in
-      let source = Jsonx.get_str v "source" in
+      let source = Obs.Json.get_str v "source" in
       let label =
-        match (Jsonx.get_str v "src", source) with
+        match (Obs.Json.get_str v "src", source) with
         | Some l, _ -> Some l
         | None, Some _ -> Some "<inline>"
         | None, None -> None
@@ -189,10 +189,10 @@ let request_of_json v =
               | Error e -> Error e
               | Ok params ->
                   let nprocs =
-                    Option.value (Jsonx.get_int v "nprocs") ~default:4
+                    Option.value (Obs.Json.get_int v "nprocs") ~default:4
                   in
                   let engine =
-                    Option.value (Jsonx.get_str v "engine") ~default:"closure"
+                    Option.value (Obs.Json.get_str v "engine") ~default:"closure"
                   in
                   if nprocs < 1 then Error "nprocs must be positive"
                   else Ok (Run { label; source; opts; nprocs; params; engine })
@@ -202,14 +202,14 @@ let request_of_json v =
 (* -- responses ------------------------------------------------------ *)
 
 let base status rest =
-  Jsonx.Obj
-    ((("schema", Jsonx.Str schema) :: [ ("status", Jsonx.Str status) ]) @ rest)
+  Obs.Json.Obj
+    ((("schema", Obs.Json.Str schema) :: [ ("status", Obs.Json.Str status) ]) @ rest)
 
 let ok fields = base "ok" fields
 
 let error ~code msg =
-  base "error" [ ("code", Jsonx.Str code); ("message", Jsonx.Str msg) ]
+  base "error" [ ("code", Obs.Json.Str code); ("message", Obs.Json.Str msg) ]
 
 let overloaded =
   base "overloaded"
-    [ ("message", Jsonx.Str "queue full; retry later") ]
+    [ ("message", Obs.Json.Str "queue full; retry later") ]

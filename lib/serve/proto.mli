@@ -35,9 +35,9 @@ val read_frame : Unix.file_descr -> string option
 (** [None] on a clean EOF before the first length byte.
     @raise Proto_error on a short or oversized frame. *)
 
-val write_json : Unix.file_descr -> Jsonx.t -> unit
+val write_json : Unix.file_descr -> Obs.Json.t -> unit
 
-val read_json : Unix.file_descr -> Jsonx.t option
+val read_json : Unix.file_descr -> Obs.Json.t option
 (** @raise Proto_error when the payload is not valid JSON. *)
 
 (** {1 Requests} *)
@@ -64,13 +64,13 @@ type request =
 val op_name : request -> string
 (** The wire ["op"] string of a request (["ping"], ["compile"], ...). *)
 
-val request_to_json : request -> Jsonx.t
+val request_to_json : request -> Obs.Json.t
 
-val request_of_json : Jsonx.t -> (request, string) result
+val request_of_json : Obs.Json.t -> (request, string) result
 (** [Error] carries the reason (unknown op, missing field, bad type). *)
 
 (** {1 Response builders} *)
 
-val ok : (string * Jsonx.t) list -> Jsonx.t
-val error : code:string -> string -> Jsonx.t
-val overloaded : Jsonx.t
+val ok : (string * Obs.Json.t) list -> Obs.Json.t
+val error : code:string -> string -> Obs.Json.t
+val overloaded : Obs.Json.t

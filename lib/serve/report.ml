@@ -7,43 +7,43 @@ let compile_report ?telemetry ~version ~src ~domains ~phase ~events
   let phases =
     List.map
       (fun l ->
-        Jsonx.Obj
+        Obs.Json.Obj
           [
-            ("phase", Jsonx.Str l);
-            ("seconds", Jsonx.Num (Dhpf.Phase.total phase l));
+            ("phase", Obs.Json.Str l);
+            ("seconds", Obs.Json.Num (Dhpf.Phase.total phase l));
           ])
       (Dhpf.Phase.labels phase)
   in
   let counters =
-    List.map (fun (n, v) -> (n, Jsonx.int v)) (Iset.Stats.report ())
+    List.map (fun (n, v) -> (n, Obs.Json.int v)) (Iset.Stats.report ())
   in
   let diskcache =
-    Jsonx.Obj
+    Obs.Json.Obj
       [
-        ("enabled", Jsonx.Bool (Iset.Diskcache.enabled ()));
+        ("enabled", Obs.Json.Bool (Iset.Diskcache.enabled ()));
         ( "dir",
           match Iset.Diskcache.dir () with
-          | Some d -> Jsonx.Str d
-          | None -> Jsonx.Null );
-        ("max_bytes", Jsonx.int (Iset.Diskcache.max_bytes ()));
-        ("bytes", Jsonx.int (Iset.Diskcache.bytes_used ()));
+          | Some d -> Obs.Json.Str d
+          | None -> Obs.Json.Null );
+        ("max_bytes", Obs.Json.int (Iset.Diskcache.max_bytes ()));
+        ("bytes", Obs.Json.int (Iset.Diskcache.bytes_used ()));
       ]
   in
-  Jsonx.Obj
+  Obs.Json.Obj
     ([
-       ("schema", Jsonx.Str schema);
-       ("version", Jsonx.Str version);
-       ("src", Jsonx.Str src);
-       ("domains", Jsonx.int domains);
-       ("total_s", Jsonx.Num (Dhpf.Phase.elapsed phase));
-       ("phases", Jsonx.List phases);
-       ("events", Jsonx.int events);
-       ("statements", Jsonx.int statements);
+       ("schema", Obs.Json.Str schema);
+       ("version", Obs.Json.Str version);
+       ("src", Obs.Json.Str src);
+       ("domains", Obs.Json.int domains);
+       ("total_s", Obs.Json.Num (Dhpf.Phase.elapsed phase));
+       ("phases", Obs.Json.List phases);
+       ("events", Obs.Json.int events);
+       ("statements", Obs.Json.int statements);
        ( "cache",
-         Jsonx.Obj
+         Obs.Json.Obj
            [
-             ("enabled", Jsonx.Bool (Iset.Cache.enabled ()));
-             ("counters", Jsonx.Obj counters);
+             ("enabled", Obs.Json.Bool (Iset.Cache.enabled ()));
+             ("counters", Obs.Json.Obj counters);
            ] );
        ("diskcache", diskcache);
      ]

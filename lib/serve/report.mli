@@ -26,7 +26,7 @@ val schema : string
 (** ["dhpf-report/2"]. *)
 
 val compile_report :
-  ?telemetry:Jsonx.t ->
+  ?telemetry:Obs.Json.t ->
   version:string ->
   src:string ->
   domains:int ->
@@ -34,4 +34,4 @@ val compile_report :
   events:int ->
   statements:int ->
   unit ->
-  Jsonx.t
+  Obs.Json.t

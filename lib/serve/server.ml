@@ -198,7 +198,7 @@ let handle_compile st ~label ~source ~opts =
     [
       ("report", report);
       ( "spmd",
-        Jsonx.Str (Dhpf.Spmd.program_to_string compiled.Dhpf.Gen.cprog) );
+        Obs.Json.Str (Dhpf.Spmd.program_to_string compiled.Dhpf.Gen.cprog) );
     ]
 
 let handle_run st ~label ~source ~opts ~nprocs ~params ~engine =
@@ -218,17 +218,17 @@ let handle_run st ~label ~source ~opts ~nprocs ~params ~engine =
         [
           ("report", report);
           ( "run",
-            Jsonx.Obj
+            Obs.Json.Obj
               [
-                ("nprocs", Jsonx.int (Spmdsim.Exec.nprocs sim));
-                ("engine", Jsonx.Str (Spmdsim.Exec.engine_to_string engine));
-                ("serial_s", Jsonx.Num serial.Spmdsim.Serial.r_time);
-                ("flops", Jsonx.int serial.Spmdsim.Serial.r_flops);
-                ("spmd_s", Jsonx.Num stats.Spmdsim.Exec.s_time);
-                ("msgs", Jsonx.int stats.Spmdsim.Exec.s_msgs);
-                ("bytes", Jsonx.int stats.Spmdsim.Exec.s_bytes);
+                ("nprocs", Obs.Json.int (Spmdsim.Exec.nprocs sim));
+                ("engine", Obs.Json.Str (Spmdsim.Exec.engine_to_string engine));
+                ("serial_s", Obs.Json.Num serial.Spmdsim.Serial.r_time);
+                ("flops", Obs.Json.int serial.Spmdsim.Serial.r_flops);
+                ("spmd_s", Obs.Json.Num stats.Spmdsim.Exec.s_time);
+                ("msgs", Obs.Json.int stats.Spmdsim.Exec.s_msgs);
+                ("bytes", Obs.Json.int stats.Spmdsim.Exec.s_bytes);
                 ( "speedup",
-                  Jsonx.Num
+                  Obs.Json.Num
                     (serial.Spmdsim.Serial.r_time
                     /. stats.Spmdsim.Exec.s_time) );
               ] );
@@ -253,10 +253,10 @@ let cache_ratios () =
     + g "subset hits"
   in
   let ratio h l = if l = 0 then 0.0 else float_of_int h /. float_of_int l in
-  Jsonx.Obj
+  Obs.Json.Obj
     [
-      ("memo_hit", Jsonx.Num (ratio memo_h memo_l));
-      ("disk_hit", Jsonx.Num (ratio (g "disk hits") (g "disk lookups")));
+      ("memo_hit", Obs.Json.Num (ratio memo_h memo_l));
+      ("disk_hit", Obs.Json.Num (ratio (g "disk hits") (g "disk lookups")));
     ]
 
 let window_stats st =
@@ -284,54 +284,51 @@ let window_stats st =
   (* the rate denominator: a daemon younger than the window has only
      been collecting for its uptime *)
   let horizon = Float.max 0.001 (Float.min window_seconds (now -. st.started)) in
-  Jsonx.Obj
+  Obs.Json.Obj
     [
-      ("seconds", Jsonx.Num window_seconds);
-      ("samples", Jsonx.int (List.length handled));
-      ("rps", Jsonx.Num (float_of_int (List.length handled) /. horizon));
-      ("service_p50_s", Jsonx.Num (pctl 0.50 services));
-      ("service_p95_s", Jsonx.Num (pctl 0.95 services));
-      ("service_p99_s", Jsonx.Num (pctl 0.99 services));
-      ("queue_p50_s", Jsonx.Num (pctl 0.50 queues));
-      ("queue_p95_s", Jsonx.Num (pctl 0.95 queues));
-      ("queue_p99_s", Jsonx.Num (pctl 0.99 queues));
-      ("errors", Jsonx.int errors);
-      ("overloaded", Jsonx.int (List.length rejected));
+      ("seconds", Obs.Json.Num window_seconds);
+      ("samples", Obs.Json.int (List.length handled));
+      ("rps", Obs.Json.Num (float_of_int (List.length handled) /. horizon));
+      ("service_p50_s", Obs.Json.Num (pctl 0.50 services));
+      ("service_p95_s", Obs.Json.Num (pctl 0.95 services));
+      ("service_p99_s", Obs.Json.Num (pctl 0.99 services));
+      ("queue_p50_s", Obs.Json.Num (pctl 0.50 queues));
+      ("queue_p95_s", Obs.Json.Num (pctl 0.95 queues));
+      ("queue_p99_s", Obs.Json.Num (pctl 0.99 queues));
+      ("errors", Obs.Json.int errors);
+      ("overloaded", Obs.Json.int (List.length rejected));
     ]
 
 let handle_stats st =
   let counters =
-    List.map (fun (n, v) -> (n, Jsonx.int v)) (Iset.Stats.report ())
+    List.map (fun (n, v) -> (n, Obs.Json.int v)) (Iset.Stats.report ())
   in
-  (* the registry export is already stable JSON; round-trip it through
-     the parser to embed it structurally *)
-  let metrics = Jsonx.of_string (Obs.Metrics.to_json ()) in
   Proto.ok
     [
-      ("stats_schema", Jsonx.Str "dhpf-stats/2");
-      ("version", Jsonx.Str st.cfg.version);
-      ("uptime_s", Jsonx.Num (Unix.gettimeofday () -. st.started));
-      ("queue_depth", Jsonx.int (Atomic.get st.depth));
-      ("workers", Jsonx.int st.cfg.workers);
-      ("served", Jsonx.int (Atomic.get st.served));
-      ("rejected", Jsonx.int (Atomic.get st.rejected));
+      ("stats_schema", Obs.Json.Str "dhpf-stats/2");
+      ("version", Obs.Json.Str st.cfg.version);
+      ("uptime_s", Obs.Json.Num (Unix.gettimeofday () -. st.started));
+      ("queue_depth", Obs.Json.int (Atomic.get st.depth));
+      ("workers", Obs.Json.int st.cfg.workers);
+      ("served", Obs.Json.int (Atomic.get st.served));
+      ("rejected", Obs.Json.int (Atomic.get st.rejected));
       ("window", window_stats st);
       ("ratios", cache_ratios ());
-      ("iset", Jsonx.Obj counters);
+      ("iset", Obs.Json.Obj counters);
       ( "diskcache",
-        Jsonx.Obj
+        Obs.Json.Obj
           [
-            ("enabled", Jsonx.Bool (Iset.Diskcache.enabled ()));
-            ("bytes", Jsonx.int (Iset.Diskcache.bytes_used ()));
+            ("enabled", Obs.Json.Bool (Iset.Diskcache.enabled ()));
+            ("bytes", Obs.Json.int (Iset.Diskcache.bytes_used ()));
           ] );
-      ("metrics", metrics);
+      ("metrics", Obs.Metrics.to_json ());
     ]
 
 let handle_dump () =
   Proto.ok
     [
-      ("flight", Jsonx.of_string (Obs.Recorder.to_json ()));
-      ("metrics", Jsonx.of_string (Obs.Metrics.to_json ()));
+      ("flight", Obs.Recorder.to_json ());
+      ("metrics", Obs.Metrics.to_json ());
     ]
 
 let wake st = try ignore (Unix.write st.wake_w (Bytes.make 1 '!') 0 1) with _ -> ()
@@ -343,14 +340,14 @@ let dispatch st = function
   | Proto.Ping ->
       Proto.ok
         [
-          ("version", Jsonx.Str st.cfg.version);
-          ("workers", Jsonx.int st.cfg.workers);
+          ("version", Obs.Json.Str st.cfg.version);
+          ("workers", Obs.Json.int st.cfg.workers);
         ]
   | Proto.Stats -> handle_stats st
   | Proto.Dump -> handle_dump ()
   | Proto.Shutdown ->
       begin_stop st;
-      Proto.ok [ ("stopping", Jsonx.Bool true) ]
+      Proto.ok [ ("stopping", Obs.Json.Bool true) ]
   | Proto.Compile { label; source; opts } ->
       handle_compile st ~label ~source ~opts
   | Proto.Run { label; source; opts; nprocs; params; engine } ->
@@ -365,33 +362,33 @@ let iset_delta before =
     List.filter_map
       (fun (n, v1) ->
         match List.assoc_opt n before with
-        | Some v0 when v1 - v0 <> 0 -> Some (n, Jsonx.int (v1 - v0))
-        | None when v1 <> 0 -> Some (n, Jsonx.int v1)
+        | Some v0 when v1 - v0 <> 0 -> Some (n, Obs.Json.int (v1 - v0))
+        | None when v1 <> 0 -> Some (n, Obs.Json.int v1)
         | _ -> None)
       (Iset.Stats.report ())
   in
-  if d = [] then [] else [ ("iset", Jsonx.Obj d) ]
+  if d = [] then [] else [ ("iset", Obs.Json.Obj d) ]
 
 (* every response carries its trace id; the telemetry object rides
    inside the compile report when there is one (dhpf-report/2), at the
    top level otherwise *)
 let inject_telemetry r ~rid ~telemetry =
   match r with
-  | Jsonx.Obj fields ->
+  | Obs.Json.Obj fields ->
       let has_report = ref false in
       let fields =
         List.map
           (fun (k, v) ->
             match (k, v) with
-            | "report", Jsonx.Obj rf ->
+            | "report", Obs.Json.Obj rf ->
                 has_report := true;
-                (k, Jsonx.Obj (rf @ [ ("telemetry", telemetry) ]))
+                (k, Obs.Json.Obj (rf @ [ ("telemetry", telemetry) ]))
             | _ -> (k, v))
           fields
       in
-      Jsonx.Obj
+      Obs.Json.Obj
         (fields
-        @ ("rid", Jsonx.Str rid)
+        @ ("rid", Obs.Json.Str rid)
           :: (if !has_report then [] else [ ("telemetry", telemetry) ]))
   | r -> r
 
@@ -406,7 +403,7 @@ let handle st fd ~admitted =
         Some (Proto.error ~code:"protocol" e, "", Unix.gettimeofday () -. t0)
     | Some v ->
         let rid =
-          match Jsonx.get_str v "rid" with
+          match Obs.Json.get_str v "rid" with
           | Some r -> r
           | None ->
               Printf.sprintf "r-%d" (Atomic.fetch_and_add st.rid_ctr 1)
@@ -446,11 +443,11 @@ let handle st fd ~admitted =
               in
               let service_s = Unix.gettimeofday () -. t0 in
               let telemetry =
-                Jsonx.Obj
+                Obs.Json.Obj
                   ([
-                     ("rid", Jsonx.Str rid);
-                     ("queue_wait_s", Jsonx.Num queue_s);
-                     ("service_s", Jsonx.Num service_s);
+                     ("rid", Obs.Json.Str rid);
+                     ("queue_wait_s", Obs.Json.Num queue_s);
+                     ("service_s", Obs.Json.Num service_s);
                    ]
                   @ iset_delta iset0)
               in
@@ -465,10 +462,10 @@ let handle st fd ~admitted =
          window, metrics, served count) is recorded before the client can
          see this response, with the service time its telemetry reports *)
       let status =
-        Option.value (Jsonx.get_str r "status") ~default:"error"
+        Option.value (Obs.Json.get_str r "status") ~default:"error"
       in
       let status =
-        match Jsonx.get_str r "code" with
+        match Obs.Json.get_str r "code" with
         | Some "protocol" -> "protocol"
         | _ -> status
       in

@@ -123,11 +123,6 @@ let cache_key ~dirs src =
     (Digest.string
        (String.concat "\x00" (src :: Sys.ocaml_version :: lib_cmi_digests dirs)))
 
-(* unique-temp-plus-atomic-rename, shared with the analysis disk cache:
-   concurrent servers building the same kernel can never expose a torn
-   file, the last rename simply wins *)
-let write_file path contents = Iset.Diskcache.write_atomic path contents
-
 (* Size bound for the kernel cache (DHPF_NATIVE_CACHE_MB, default 512
    MiB). A kernel is a group of files sharing one basename prefix (its .ml
    and .cmxs) that live and die together; eviction is whole-group
@@ -174,7 +169,9 @@ let m_hits = lazy (Obs.Metrics.counter "native/cache_hit")
    each other's objects: each build runs in a private directory, and only
    the finished .cmxs is renamed (atomically) into the cache *)
 let compile_plugin ~dirs ~src ~ml ~cmxs =
-  write_file ml src;
+  (* atomic: concurrent servers building one kernel never expose a torn
+     file, the last rename simply wins *)
+  Obs.write_atomic ml src;
   let work = Filename.temp_dir ~temp_dir:(Filename.dirname cmxs) "dhpf_build_" "" in
   let clean () =
     try
@@ -186,7 +183,7 @@ let compile_plugin ~dirs ~src ~ml ~cmxs =
   let wml = Filename.concat work (Filename.basename ml) in
   let tmp = Filename.concat work (Filename.basename cmxs) in
   let log = Filename.concat work "build.log" in
-  write_file wml src;
+  Obs.write_atomic wml src;
   let cmd =
     Printf.sprintf "ocamlfind ocamlopt -shared -w -a -package fmt %s -o %s %s > %s 2>&1"
       (String.concat " " (List.map (fun d -> "-I " ^ Filename.quote d) dirs))

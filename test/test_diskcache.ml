@@ -278,7 +278,7 @@ let test_prune_dir_groups () =
   @@ fun () ->
   let put name ~age contents =
     let p = Filename.concat d name in
-    Diskcache.write_atomic p contents;
+    Obs.write_atomic p contents;
     (* explicit mtimes make age deterministic: [old] predates [new] *)
     Unix.utimes p age age
   in

@@ -97,7 +97,8 @@ let test_multidomain_hammer () =
   | _ -> Alcotest.fail "hammer/h not a histogram");
   (* a quiescent registry exports deterministically *)
   Alcotest.(check string) "snapshot JSON is stable"
-    (M.samples_to_json snap) (M.samples_to_json snap);
+    (Obs.Json.to_string (M.samples_to_json snap))
+    (Obs.Json.to_string (M.samples_to_json snap));
   (* merge with itself doubles counters and bucket counts *)
   (match
      List.find_opt
@@ -195,6 +196,57 @@ let test_prometheus_format () =
     | _ -> true
   in
   Alcotest.(check bool) "buckets are cumulative" true (monotone bucket_counts)
+
+(* ---- export precision: both exports carry exact values, down to
+   sub-millisecond latencies ---- *)
+
+let test_export_precision () =
+  let (), snap =
+    with_metrics (fun () ->
+        let h = M.histogram "serve/latency_s" in
+        List.iter (M.observe h) [ 2.5e-5; 4e-4 ];
+        M.set (M.gauge "compiler/phase_s") 0.0123456)
+  in
+  let module J = Obs.Json in
+  let doc = J.of_string (J.to_string (M.samples_to_json snap)) in
+  let series name =
+    match
+      List.find_opt
+        (fun m -> J.get_str m "name" = Some name)
+        (Option.value (J.get_list doc "metrics") ~default:[])
+    with
+    | Some m -> m
+    | None -> Alcotest.failf "series %s missing from the export" name
+  in
+  let num m k =
+    match J.get_num m k with
+    | Some v -> v
+    | None -> Alcotest.failf "field %s missing" k
+  in
+  let h = series "serve/latency_s" in
+  (* 2.5e-5 +. 4e-4 is one ulp above the literal 4.25e-4; the export
+     must carry the sum the histogram holds *)
+  let sum = 2.5e-5 +. 4e-4 in
+  Alcotest.(check (float 0.0)) "sum" sum (num h "sum");
+  Alcotest.(check (float 1e-19)) "sum is 4.25e-4" 4.25e-4 (num h "sum");
+  Alcotest.(check (float 0.0)) "min" 2.5e-5 (num h "min");
+  Alcotest.(check (float 0.0)) "max" 4e-4 (num h "max");
+  Alcotest.(check (float 0.0)) "gauge" 0.0123456
+    (num (series "compiler/phase_s") "value");
+  (* the Prometheus text parses back to the same floats *)
+  let prom name =
+    let lines = String.split_on_char '\n' (M.to_prometheus snap) in
+    match
+      List.find_opt (fun l -> String.starts_with ~prefix:(name ^ " ") l) lines
+    with
+    | Some l ->
+        float_of_string (String.sub l (String.length name + 1)
+                           (String.length l - String.length name - 1))
+    | None -> Alcotest.failf "prometheus line %s missing" name
+  in
+  Alcotest.(check (float 0.0)) "prometheus sum" sum (prom "serve_latency_s_sum");
+  Alcotest.(check (float 0.0)) "prometheus gauge" 0.0123456
+    (prom "compiler_phase_s")
 
 (* ---- QCheck: merge associativity, percentile bounds ---- *)
 
@@ -427,6 +479,8 @@ let () =
             test_multidomain_hammer;
           Alcotest.test_case "prometheus exposition" `Quick
             test_prometheus_format;
+          Alcotest.test_case "exports keep full precision" `Quick
+            test_export_precision;
         ] );
       ( "histograms",
         [

@@ -1,5 +1,6 @@
 (* Unit and property tests for the observability subsystem: span
-   nesting, the disabled fast path, JSON escaping, counter-window reset
+   nesting, the disabled fast path, JSON escaping, the JSON codec and
+   atomic file writes, counter-window reset
    at subcommand granularity, send<->recv flow matching on random stencil
    programs, and the guarantee that tracing a run changes nothing. *)
 
@@ -54,122 +55,11 @@ let test_span_exception () =
   Alcotest.(check bool) "span recorded despite exception" true
     (List.exists (fun e -> e.Obs.e_name = "raises") evs)
 
-(* ---- JSON export: a tiny validating parser over the emitted subset ---- *)
+(* ---- JSON export ---- *)
 
-exception Bad_json of string
+module J = Obs.Json
 
-let validate_json (s : string) =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then raise (Bad_json "eof");
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let skip_ws () =
-    while
-      !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\n' || s.[!pos] = '\t'
-                  || s.[!pos] = '\r')
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    let g = next () in
-    if g <> c then raise (Bad_json (Printf.sprintf "expected %c got %c" c g))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> string_ ()
-    | Some ('t' | 'f' | 'n') -> word ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> raise (Bad_json (Printf.sprintf "unexpected %c" c))
-    | None -> raise (Bad_json "eof")
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then ignore (next ())
-    else begin
-      let rec members () =
-        skip_ws ();
-        string_ ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match next () with
-        | ',' -> members ()
-        | '}' -> ()
-        | c -> raise (Bad_json (Printf.sprintf "in object: %c" c))
-      in
-      members ()
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then ignore (next ())
-    else begin
-      let rec elems () =
-        value ();
-        skip_ws ();
-        match next () with
-        | ',' -> elems ()
-        | ']' -> ()
-        | c -> raise (Bad_json (Printf.sprintf "in array: %c" c))
-      in
-      elems ()
-    end
-  and string_ () =
-    expect '"';
-    let rec go () =
-      match next () with
-      | '"' -> ()
-      | '\\' -> (
-          match next () with
-          | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> go ()
-          | 'u' ->
-              for _ = 1 to 4 do
-                match next () with
-                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-                | c -> raise (Bad_json (Printf.sprintf "bad \\u digit %c" c))
-              done;
-              go ()
-          | c -> raise (Bad_json (Printf.sprintf "bad escape \\%c" c)))
-      | c when Char.code c < 0x20 ->
-          raise (Bad_json "raw control character in string")
-      | _ -> go ()
-    in
-    go ()
-  and number () =
-    let started = !pos in
-    while
-      !pos < n
-      && (match s.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      incr pos
-    done;
-    if !pos = started then raise (Bad_json "empty number")
-  and word () =
-    let take w =
-      if !pos + String.length w <= n && String.sub s !pos (String.length w) = w
-      then pos := !pos + String.length w
-      else raise (Bad_json ("bad literal at " ^ string_of_int !pos))
-    in
-    match peek () with
-    | Some 't' -> take "true"
-    | Some 'f' -> take "false"
-    | _ -> take "null"
-  in
-  value ();
-  skip_ws ();
-  if !pos <> n then raise (Bad_json "trailing garbage")
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let test_json_escaping () =
   Obs.reset ();
@@ -180,12 +70,14 @@ let test_json_escaping () =
   Obs.counter "c\"c" [ ("s\\s", 1.5) ];
   Obs.set_process_name ~pid:3 "p\"name";
   Obs.flow_start ~pid:1 ~tid:0 ~ts:1.0 ~id:(Obs.next_flow_id ()) "m\"sg";
-  let json = Obs.to_chrome_json () in
+  let json = J.to_string (Obs.to_chrome_json ()) in
   Obs.disable ();
   Obs.reset ();
-  (match validate_json json with
-  | () -> ()
-  | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg);
+  let v =
+    match J.of_string json with
+    | v -> v
+    | exception J.Error msg -> Alcotest.failf "invalid JSON: %s" msg
+  in
   let contains sub =
     let ls = String.length sub and lj = String.length json in
     let rec go i = i + ls <= lj && (String.sub json i ls = sub || go (i + 1)) in
@@ -195,12 +87,134 @@ let test_json_escaping () =
   Alcotest.(check bool) "backslash escaped" true (contains {|back\\slash|});
   Alcotest.(check bool) "control char unicode-escaped" true
     (contains {|\u0001|});
-  (* no raw control bytes anywhere in the output *)
+  Alcotest.(check bool) "names decode to the original bytes" true
+    (List.exists
+       (fun e -> J.get_str e "name" = Some nasty)
+       (Option.value (J.get_list v "traceEvents") ~default:[]));
+  (* no raw control bytes (newlines included) anywhere in the output *)
   String.iter
     (fun c ->
-      if Char.code c < 0x20 && c <> '\n' then
+      if Char.code c < 0x20 then
         Alcotest.failf "raw control byte %d in JSON output" (Char.code c))
     json
+
+(* a non-finite field must read back as null, never as a real number *)
+let test_flight_nan () =
+  Obs.Recorder.start ~capacity:16 ();
+  Fun.protect ~finally:Obs.Recorder.stop @@ fun () ->
+  Obs.Recorder.record
+    ~fields:[ ("x", Obs.Float nan); ("inf", Obs.Float infinity) ]
+    "nan-probe";
+  let path = Filename.temp_file "flight" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Obs.Recorder.write path;
+  match J.get_list (J.of_string (read_file path)) "entries" with
+  | Some [ e ] ->
+      let field k = Option.bind (J.get e "fields") (fun f -> J.get f k) in
+      Alcotest.(check bool) "NaN field is null" true (field "x" = Some J.Null);
+      Alcotest.(check bool) "infinite field is null" true
+        (field "inf" = Some J.Null)
+  | _ -> Alcotest.fail "dump should hold exactly one entry"
+
+(* two domains write different documents to one path at once: each round
+   leaves one whole document and no temp file *)
+let test_atomic_write_race () =
+  let dir = Filename.temp_dir "obs_atomic" "" in
+  let path = Filename.concat dir "doc.json" in
+  let doc i =
+    J.Obj
+      [ ("writer", J.int i);
+        ("pad", J.Str (String.make (100_000 * (i + 1)) (Char.chr (97 + i)))) ]
+  in
+  let docs = [| doc 0; doc 1 |] in
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  for round = 1 to 200 do
+    let writers =
+      Array.map (fun d -> Domain.spawn (fun () -> Obs.write_json path d)) docs
+    in
+    Array.iter Domain.join writers;
+    match J.of_string (read_file path) with
+    | v when v = docs.(0) || v = docs.(1) -> ()
+    | _ -> Alcotest.failf "round %d: file holds neither document" round
+    | exception J.Error msg -> Alcotest.failf "round %d: torn file (%s)" round msg
+  done;
+  Alcotest.(check (list string)) "no temp file left" [ "doc.json" ]
+    (Array.to_list (Sys.readdir dir))
+
+(* ---- the codec itself ---- *)
+
+let json_gen =
+  let open QCheck.Gen in
+  let byte =
+    oneof [ char; oneofl [ '"'; '\\'; '\n'; '\000'; '\031'; '\127'; '\xc3'; '\xa9' ] ]
+  in
+  let str = string_size ~gen:byte (int_range 0 12) in
+  let num =
+    oneof
+      [
+        map float_of_int int;
+        map3
+          (fun neg m e -> (if neg then -.m else m) *. (10. ** float_of_int e))
+          bool (float_range 1. 10.) (int_range (-300) 299);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [ return J.Null; map (fun b -> J.Bool b) bool;
+               map (fun x -> J.Num x) num; map (fun s -> J.Str s) str ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               (1, map (fun l -> J.List l) (list_size (int_range 0 4) (self (n / 4))));
+               ( 1,
+                 map (fun l -> J.Obj l)
+                   (list_size (int_range 0 4) (pair str (self (n / 4)))) );
+             ])
+
+let arb_json = QCheck.make ~print:J.to_string json_gen
+
+let prop_round_trip =
+  QCheck.Test.make ~count:500 ~name:"of_string (to_string v) = v" arb_json
+    (fun v -> J.of_string (J.to_string v) = v)
+
+let prop_no_control_bytes =
+  QCheck.Test.make ~count:500 ~name:"output has no byte below 0x20" arb_json
+    (fun v -> String.for_all (fun c -> Char.code c >= 0x20) (J.to_string v))
+
+let test_number_rule () =
+  List.iter
+    (fun (x, want) -> Alcotest.(check string) want want (J.to_string (J.Num x)))
+    [ (2.5e-5, "2.5e-05"); (3.0, "3"); (-42.0, "-42"); (0.1, "0.1");
+      (0x1p53, "9007199254740992"); (1. /. 3., "0.33333333333333331");
+      (nan, "null"); (infinity, "null"); (neg_infinity, "null") ];
+  Alcotest.(check string) "integers print without a fraction" "[0,7,-1]"
+    (J.to_string (J.List [ J.int 0; J.int 7; J.int (-1) ]))
+
+let test_rejections () =
+  List.iter
+    (fun (what, input) ->
+      match J.of_string input with
+      | _ -> Alcotest.failf "%s accepted: %S" what input
+      | exception J.Error _ -> ())
+    [ ("raw control character", "\"a\nb\"");
+      ("bad escape", {|"\q"|});
+      ("bad \\u digit", {|"\u12g4"|});
+      ("unpaired high surrogate", {|"\ud800"|});
+      ("unpaired low surrogate", {|"\udc00x"|});
+      ("high surrogate without low", {|"\ud800A"|});
+      ("trailing garbage", "{} x");
+      ("empty number", "[1,]");
+      ("lone minus", "-");
+      ("bad literal", "tru");
+      ("bad literal null", "nul") ]
 
 (* ---- measurement-window reset (the CLI calls Iset.Stats.reset at every
    subcommand entry; windows over a warm cache must be reproducible, and
@@ -389,7 +403,19 @@ let () =
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_exception;
         ] );
-      ("export", [ Alcotest.test_case "JSON escaping" `Quick test_json_escaping ]);
+      ( "export",
+        [
+          Alcotest.test_case "JSON escaping" `Quick test_json_escaping;
+          Alcotest.test_case "flight NaN is null" `Quick test_flight_nan;
+          Alcotest.test_case "atomic writes race" `Quick test_atomic_write_race;
+        ] );
+      ( "codec",
+        [
+          QCheck_alcotest.to_alcotest prop_round_trip;
+          QCheck_alcotest.to_alcotest prop_no_control_bytes;
+          Alcotest.test_case "number rule" `Quick test_number_rule;
+          Alcotest.test_case "rejections" `Quick test_rejections;
+        ] );
       ( "windows",
         [ Alcotest.test_case "stats reset at subcommand entry" `Quick
             test_stats_window_reset ] );

@@ -69,8 +69,8 @@ let with_server ?workers ?max_queue ?disk_cache ?log ?prom ?flight_dump
         (Client.wait_ready ~socket ());
       f socket)
 
-let status r = Option.value (Jsonx.get_str r "status") ~default:"?"
-let code r = Option.value (Jsonx.get_str r "code") ~default:"?"
+let status r = Option.value (Obs.Json.get_str r "status") ~default:"?"
+let code r = Option.value (Obs.Json.get_str r "code") ~default:"?"
 
 let check_error ~code:expect r =
   Alcotest.(check string) "status" "error" (status r);
@@ -84,10 +84,10 @@ let test_ping () =
   Alcotest.(check string) "status" "ok" (status r);
   Alcotest.(check string)
     "schema" Proto.schema
-    (Option.value (Jsonx.get_str r "schema") ~default:"?");
+    (Option.value (Obs.Json.get_str r "schema") ~default:"?");
   Alcotest.(check string)
     "version" "test"
-    (Option.value (Jsonx.get_str r "version") ~default:"?")
+    (Option.value (Obs.Json.get_str r "version") ~default:"?")
 
 let test_compile_builtin () =
   with_server @@ fun socket ->
@@ -97,17 +97,17 @@ let test_compile_builtin () =
   in
   Alcotest.(check string) "status" "ok" (status r);
   let report =
-    match Jsonx.get r "report" with
+    match Obs.Json.get r "report" with
     | Some rep -> rep
     | None -> Alcotest.fail "compile response has no report"
   in
   Alcotest.(check string)
     "report schema" "dhpf-report/2"
-    (Option.value (Jsonx.get_str report "schema") ~default:"?");
-  (match Jsonx.get_int report "events" with
+    (Option.value (Obs.Json.get_str report "schema") ~default:"?");
+  (match Obs.Json.get_int report "events" with
   | Some n -> Alcotest.(check bool) "events > 0" true (n > 0)
   | None -> Alcotest.fail "report has no events count");
-  match Jsonx.get_str r "spmd" with
+  match Obs.Json.get_str r "spmd" with
   | Some s -> Alcotest.(check bool) "spmd nonempty" true (String.length s > 0)
   | None -> Alcotest.fail "compile response has no spmd text"
 
@@ -124,13 +124,13 @@ let test_compile_inline () =
   in
   Alcotest.(check string) "status" "ok" (status r);
   let report =
-    match Jsonx.get r "report" with
+    match Obs.Json.get r "report" with
     | Some rep -> rep
     | None -> Alcotest.fail "no report"
   in
   Alcotest.(check string)
     "labelled src" "inline-figure2"
-    (Option.value (Jsonx.get_str report "src") ~default:"?")
+    (Option.value (Obs.Json.get_str report "src") ~default:"?")
 
 let test_run () =
   with_server @@ fun socket ->
@@ -148,18 +148,18 @@ let test_run () =
   in
   Alcotest.(check string) "status" "ok" (status r);
   let run =
-    match Jsonx.get r "run" with
+    match Obs.Json.get r "run" with
     | Some run -> run
     | None -> Alcotest.fail "run response has no run section"
   in
-  Alcotest.(check (option int)) "nprocs" (Some 4) (Jsonx.get_int run "nprocs");
+  Alcotest.(check (option int)) "nprocs" (Some 4) (Obs.Json.get_int run "nprocs");
   Alcotest.(check (option string))
     "engine" (Some "closure")
-    (Jsonx.get_str run "engine");
-  (match Jsonx.get_int run "msgs" with
+    (Obs.Json.get_str run "engine");
+  (match Obs.Json.get_int run "msgs" with
   | Some n -> Alcotest.(check bool) "msgs >= 0" true (n >= 0)
   | None -> Alcotest.fail "no msgs");
-  match Jsonx.get_num run "speedup" with
+  match Obs.Json.get_num run "speedup" with
   | Some s -> Alcotest.(check bool) "speedup finite" true (Float.is_finite s)
   | None -> Alcotest.fail "no speedup"
 
@@ -197,9 +197,9 @@ let test_protocol_errors () =
   (* a syntactically valid request with an op no constructor produces *)
   check_error ~code:"protocol"
     (Client.request_json ~socket
-       (Jsonx.Obj [ ("op", Jsonx.Str "frobnicate") ]));
+       (Obs.Json.Obj [ ("op", Obs.Json.Str "frobnicate") ]));
   check_error ~code:"protocol"
-    (Client.request_json ~socket (Jsonx.Obj [ ("note", Jsonx.Str "no op") ]));
+    (Client.request_json ~socket (Obs.Json.Obj [ ("note", Obs.Json.Str "no op") ]));
   (* a frame that is not JSON at all, below the client's builders *)
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -218,17 +218,17 @@ let test_stats () =
        (Proto.Compile { label = "figure2"; source = None; opts }));
   let r = Client.request ~socket Proto.Stats in
   Alcotest.(check string) "status" "ok" (status r);
-  (match Jsonx.get_int r "served" with
+  (match Obs.Json.get_int r "served" with
   | Some n -> Alcotest.(check bool) "served >= 1" true (n >= 1)
   | None -> Alcotest.fail "no served counter");
-  (match Jsonx.get r "iset" with
-  | Some (Jsonx.Obj kvs) ->
+  (match Obs.Json.get r "iset" with
+  | Some (Obs.Json.Obj kvs) ->
       Alcotest.(check bool)
         "iset counters include disk lookups" true
         (List.mem_assoc "disk lookups" kvs)
   | _ -> Alcotest.fail "no iset counter object");
-  match Jsonx.get r "metrics" with
-  | Some (Jsonx.Obj _) -> ()
+  match Obs.Json.get r "metrics" with
+  | Some (Obs.Json.Obj _) -> ()
   | _ -> Alcotest.fail "no embedded metrics registry"
 
 (* -- admission control and shutdown ---------------------------------- *)
@@ -273,7 +273,7 @@ let test_shutdown_op () =
       Alcotest.(check string) "status" "ok" (status r);
       Alcotest.(check (option bool))
         "stopping" (Some true)
-        (Jsonx.get_bool r "stopping");
+        (Obs.Json.get_bool r "stopping");
       Server.wait srv;
       Alcotest.(check bool)
         "socket unlinked" false
@@ -298,7 +298,7 @@ let compile_via socket label =
     Client.request ~socket (Proto.Compile { label; source = None; opts })
   in
   Alcotest.(check string) "status" "ok" (status r);
-  match Jsonx.get_str r "spmd" with
+  match Obs.Json.get_str r "spmd" with
   | Some s -> s
   | None -> Alcotest.fail "no spmd text"
 
@@ -324,9 +324,9 @@ let test_warm_second_server () =
         let spmd = compile_via socket "jacobi" in
         let stats = Client.request ~socket Proto.Stats in
         let hits =
-          match Jsonx.get stats "iset" with
+          match Obs.Json.get stats "iset" with
           | Some iset ->
-              Option.value (Jsonx.get_int iset "disk hits") ~default:0
+              Option.value (Obs.Json.get_int iset "disk hits") ~default:0
           | None -> 0
         in
         (spmd, hits)
@@ -395,13 +395,13 @@ let test_cross_process_warm () =
           "warm process output byte-identical"
           (read_file (out "cold.txt"))
           (read_file (out "warm.txt"));
-        let report = Jsonx.of_string (read_file (out "report.json")) in
+        let report = Obs.Json.of_string (read_file (out "report.json")) in
         let counters =
-          match Jsonx.get report "cache" with
-          | Some c -> Option.value (Jsonx.get c "counters") ~default:Jsonx.Null
-          | None -> Jsonx.Null
+          match Obs.Json.get report "cache" with
+          | Some c -> Option.value (Obs.Json.get c "counters") ~default:Obs.Json.Null
+          | None -> Obs.Json.Null
         in
-        match Jsonx.get_int counters "disk hits" with
+        match Obs.Json.get_int counters "disk hits" with
         | Some hits ->
             Alcotest.(check bool) "cross-process disk hits" true (hits > 0)
         | None -> Alcotest.fail "report has no disk hits counter")
@@ -417,28 +417,28 @@ let test_telemetry_section () =
   in
   Alcotest.(check string) "status" "ok" (status r);
   Alcotest.(check (option string))
-    "response echoes rid" (Some "my-trace") (Jsonx.get_str r "rid");
+    "response echoes rid" (Some "my-trace") (Obs.Json.get_str r "rid");
   let report =
-    match Jsonx.get r "report" with
+    match Obs.Json.get r "report" with
     | Some rep -> rep
     | None -> Alcotest.fail "no report"
   in
   let tel =
-    match Jsonx.get report "telemetry" with
+    match Obs.Json.get report "telemetry" with
     | Some t -> t
     | None -> Alcotest.fail "report has no telemetry section"
   in
   Alcotest.(check (option string))
-    "telemetry rid" (Some "my-trace") (Jsonx.get_str tel "rid");
-  (match Jsonx.get_num tel "queue_wait_s" with
+    "telemetry rid" (Some "my-trace") (Obs.Json.get_str tel "rid");
+  (match Obs.Json.get_num tel "queue_wait_s" with
   | Some q -> Alcotest.(check bool) "queue_wait_s >= 0" true (q >= 0.)
   | None -> Alcotest.fail "no queue_wait_s");
-  (match Jsonx.get_num tel "service_s" with
+  (match Obs.Json.get_num tel "service_s" with
   | Some s -> Alcotest.(check bool) "service_s >= 0" true (s >= 0.)
   | None -> Alcotest.fail "no service_s");
   (* a generated rid when the client sends none *)
   let r2 = Client.request ~socket Proto.Ping in
-  match Jsonx.get_str r2 "rid" with
+  match Obs.Json.get_str r2 "rid" with
   | Some rid -> Alcotest.(check bool) "generated rid" true (rid <> "")
   | None -> Alcotest.fail "ping response has no rid"
 
@@ -454,33 +454,33 @@ let test_stats_v2 () =
   Alcotest.(check string) "status" "ok" (status r);
   Alcotest.(check (option string))
     "stats schema" (Some "dhpf-stats/2")
-    (Jsonx.get_str r "stats_schema");
-  (match Jsonx.get_num r "uptime_s" with
+    (Obs.Json.get_str r "stats_schema");
+  (match Obs.Json.get_num r "uptime_s" with
   | Some u -> Alcotest.(check bool) "uptime >= 0" true (u >= 0.)
   | None -> Alcotest.fail "no uptime_s");
   let w =
-    match Jsonx.get r "window" with
+    match Obs.Json.get r "window" with
     | Some w -> w
     | None -> Alcotest.fail "no window gauges"
   in
   (match
-     ( Jsonx.get_num w "service_p50_s",
-       Jsonx.get_num w "service_p95_s",
-       Jsonx.get_num w "service_p99_s" )
+     ( Obs.Json.get_num w "service_p50_s",
+       Obs.Json.get_num w "service_p95_s",
+       Obs.Json.get_num w "service_p99_s" )
    with
   | Some p50, Some p95, Some p99 ->
       Alcotest.(check bool)
         "percentiles ordered" true
         (0. <= p50 && p50 <= p95 && p95 <= p99)
   | _ -> Alcotest.fail "missing service percentiles");
-  (match (Jsonx.get_num w "rps", Jsonx.get_int w "samples") with
+  (match (Obs.Json.get_num w "rps", Obs.Json.get_int w "samples") with
   | Some rps, Some n ->
       Alcotest.(check bool) "rps positive" true (rps > 0.);
       Alcotest.(check bool) "window samples >= 2" true (n >= 2)
   | _ -> Alcotest.fail "missing rps/samples");
-  match Jsonx.get r "ratios" with
+  match Obs.Json.get r "ratios" with
   | Some rt -> (
-      match (Jsonx.get_num rt "memo_hit", Jsonx.get_num rt "disk_hit") with
+      match (Obs.Json.get_num rt "memo_hit", Obs.Json.get_num rt "disk_hit") with
       | Some m, Some d ->
           Alcotest.(check bool)
             "ratios in [0,1]" true
@@ -496,15 +496,15 @@ let test_dump_op () =
   let r = Client.request ~socket Proto.Dump in
   Alcotest.(check string) "status" "ok" (status r);
   let flight =
-    match Jsonx.get r "flight" with
+    match Obs.Json.get r "flight" with
     | Some f -> f
     | None -> Alcotest.fail "dump has no flight bundle"
   in
   Alcotest.(check (option string))
     "flight schema" (Some "dhpf-flight/1")
-    (Jsonx.get_str flight "schema");
+    (Obs.Json.get_str flight "schema");
   let entries =
-    match Jsonx.get_list flight "entries" with
+    match Obs.Json.get_list flight "entries" with
     | Some es -> es
     | None -> Alcotest.fail "flight bundle has no entries"
   in
@@ -513,11 +513,11 @@ let test_dump_op () =
     "request summary recorded" true
     (List.exists
        (fun e ->
-         Jsonx.get_str e "kind" = Some "request"
-         && Jsonx.get_str e "rid" = Some "dump-probe")
+         Obs.Json.get_str e "kind" = Some "request"
+         && Obs.Json.get_str e "rid" = Some "dump-probe")
        entries);
-  match Jsonx.get r "metrics" with
-  | Some (Jsonx.Obj _) -> ()
+  match Obs.Json.get r "metrics" with
+  | Some (Obs.Json.Obj _) -> ()
   | _ -> Alcotest.fail "dump has no metrics snapshot"
 
 let test_dump_on_exception () =
@@ -542,18 +542,18 @@ let test_dump_on_exception () =
       Alcotest.(check bool)
         "flight dump written on failure" true
         (Sys.file_exists flight);
-      let v = Jsonx.of_string (read_file flight) in
+      let v = Obs.Json.of_string (read_file flight) in
       Alcotest.(check (option string))
         "dump schema" (Some "dhpf-flight/1")
-        (Jsonx.get_str v "schema");
-      match Jsonx.get_list v "entries" with
+        (Obs.Json.get_str v "schema");
+      match Obs.Json.get_list v "entries" with
       | Some entries ->
           Alcotest.(check bool)
             "error event in dump" true
             (List.exists
                (fun e ->
-                 Jsonx.get_str e "event" = Some "serve.error"
-                 && Jsonx.get_str e "rid" = Some "boom")
+                 Obs.Json.get_str e "event" = Some "serve.error"
+                 && Obs.Json.get_str e "rid" = Some "boom")
                entries)
       | None -> Alcotest.fail "dump has no entries")
 
@@ -575,21 +575,21 @@ let test_log_lines () =
         |> List.filter (fun l -> String.trim l <> "")
       in
       Alcotest.(check bool) "log nonempty" true (lines <> []);
-      let parsed = List.map Jsonx.of_string lines in
+      let parsed = List.map Obs.Json.of_string lines in
       List.iter
         (fun v ->
           Alcotest.(check (option string))
-            "line schema" (Some "dhpf-log/1") (Jsonx.get_str v "schema");
-          Alcotest.(check bool) "line has ts" true (Jsonx.get_num v "ts" <> None);
+            "line schema" (Some "dhpf-log/1") (Obs.Json.get_str v "schema");
+          Alcotest.(check bool) "line has ts" true (Obs.Json.get_num v "ts" <> None);
           Alcotest.(check bool)
             "line has level" true
-            (Jsonx.get_str v "level" <> None);
+            (Obs.Json.get_str v "level" <> None);
           Alcotest.(check bool)
             "line has event" true
-            (Jsonx.get_str v "event" <> None))
+            (Obs.Json.get_str v "event" <> None))
         parsed;
       let has event =
-        List.exists (fun v -> Jsonx.get_str v "event" = Some event) parsed
+        List.exists (fun v -> Obs.Json.get_str v "event" = Some event) parsed
       in
       Alcotest.(check bool) "serve.start logged" true (has "serve.start");
       Alcotest.(check bool) "serve.complete logged" true (has "serve.complete");
@@ -597,7 +597,7 @@ let test_log_lines () =
       Alcotest.(check bool)
         "rid threaded into log" true
         (List.exists
-           (fun v -> Jsonx.get_str v "rid" = Some "log-probe")
+           (fun v -> Obs.Json.get_str v "rid" = Some "log-probe")
            parsed))
 
 (* the acceptance invariant: telemetry must be inert — the same compile
@@ -649,9 +649,9 @@ let test_flight_wraparound () =
       Alcotest.(check string)
         "newest entry" "e-39"
         (List.nth es 15).Obs.Recorder.fr_event;
-      let v = Jsonx.of_string (Obs.Recorder.to_json ()) in
-      Alcotest.(check (option int)) "dropped" (Some 24) (Jsonx.get_int v "dropped");
-      match Jsonx.get_list v "entries" with
+      let v = Obs.Recorder.to_json () in
+      Alcotest.(check (option int)) "dropped" (Some 24) (Obs.Json.get_int v "dropped");
+      match Obs.Json.get_list v "entries" with
       | Some entries -> Alcotest.(check int) "json entries" 16 (List.length entries)
       | None -> Alcotest.fail "bundle has no entries")
 
