@@ -85,6 +85,11 @@ let handle_errors f =
   | Spmdsim.Predict.Unpredictable msg ->
       Fmt.epr "unsupported: communication volume not predictable: %s@." msg;
       exit exit_unsupported
+  | Iset.Conj.Too_hard ->
+      Fmt.epr
+        "unsupported: integer-set query too hard: the Omega test ran out of \
+         fuel@.";
+      exit exit_unsupported
   | Serve.Server.Bind_error msg ->
       Fmt.epr "bind error: %s@." msg;
       exit exit_bind
@@ -864,8 +869,10 @@ let workers_t =
     value & opt int 0
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Worker domains serving requests concurrently (default 0 = the \
-           session domain pool: $(b,-j)/$(b,DHPF_DOMAINS), else 1).")
+          "Workers serving requests concurrently, one domain each: the \
+           first shares the main domain with the acceptor, so $(docv) \
+           workers run on $(docv) domains (default 0 = the session domain \
+           pool: $(b,-j)/$(b,DHPF_DOMAINS), else 1).")
 
 let max_queue_t =
   Arg.(
@@ -1016,7 +1023,8 @@ let bench_serve_cmd =
   let bworkers_t =
     Arg.(
       value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker domains per daemon.")
+      & info [ "workers" ] ~docv:"N"
+          ~doc:"Workers per daemon, one domain each.")
   in
   let json_t =
     Arg.(

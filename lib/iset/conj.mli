@@ -15,6 +15,13 @@ exception Inexact_negation
     when a residual existential is not in window form; does not occur for
     the set class the compiler produces. *)
 
+exception Too_hard
+(** Raised by {!sat} (and every operation that decides emptiness through
+    it) when the Omega test exhausts its fuel: a fixed budget of
+    elimination, shadow and splinter steps per query. The query is not
+    undecidable, only too expensive to answer; the compiler reports it as
+    an unsupported program rather than a runtime failure. *)
+
 val true_ : t
 val make : n_ex:int -> Constr.t list -> t
 val constraints : t -> Constr.t list
