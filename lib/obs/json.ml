@@ -187,11 +187,18 @@ let parse_number c =
   | Some x -> Num x
   | None -> err "bad number %S at offset %d" tok start
 
-let rec parse_value c =
+let max_depth = 512
+
+(* [depth]: containers open around the value. The parser recurses once per
+   level, so a cap keeps a hostile document from growing the stack (and
+   the collector's work on it) with its length. *)
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> err "unexpected end of input"
   | Some '"' -> Str (parse_string c)
+  | Some ('{' | '[') when depth >= max_depth ->
+      err "nesting deeper than %d at offset %d" max_depth c.pos
   | Some '{' ->
       expect c '{';
       skip_ws c;
@@ -205,7 +212,7 @@ let rec parse_value c =
           let k = parse_string c in
           skip_ws c;
           expect c ':';
-          let v = parse_value c in
+          let v = parse_value c (depth + 1) in
           skip_ws c;
           match next c with
           | ',' -> fields ((k, v) :: acc)
@@ -223,7 +230,7 @@ let rec parse_value c =
       end
       else begin
         let rec elems acc =
-          let v = parse_value c in
+          let v = parse_value c (depth + 1) in
           skip_ws c;
           match next c with
           | ',' -> elems (v :: acc)
@@ -239,7 +246,7 @@ let rec parse_value c =
 
 let of_string s =
   let c = { s; pos = 0 } in
-  let v = parse_value c in
+  let v = parse_value c 0 in
   skip_ws c;
   if c.pos <> String.length s then err "trailing garbage at offset %d" c.pos;
   v

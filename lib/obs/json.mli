@@ -28,8 +28,13 @@ val to_string : t -> string
     back to the same float and with [%.17g] otherwise, so every finite
     number round-trips exactly. Non-finite numbers print as [null]. *)
 
+val max_depth : int
+(** The deepest nesting of arrays and objects {!of_string} accepts (512);
+    no document the project writes comes near it. *)
+
 val of_string : string -> t
-(** @raise Error on any malformation, including trailing garbage. *)
+(** @raise Error on any malformation, including trailing garbage and
+    nesting deeper than {!max_depth}. *)
 
 (** {1 Builders and accessors} *)
 

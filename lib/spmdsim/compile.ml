@@ -104,6 +104,11 @@ let owns_enc (st : store) enc =
 (* Per-processor runtime state                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* a float-only record is stored flat, so [tick] updates it in place; a
+   mutable float field of [rt], whose fields are mixed, would box every
+   charge *)
+type clock = { mutable now : float }
+
 type rt = {
   r_pid : int;
   r_int : int array;  (* integer slots: loop vars, m$k, vm$k *)
@@ -113,12 +118,16 @@ type rt = {
          scalar only after initialization (declared) or first assignment *)
   r_stores : store array;  (* indexed by array id *)
   r_packbufs : Runtime.packbuf array;  (* indexed by event id *)
-  mutable r_clock : float;
+  r_clock : clock;
   r_skew : float;
   r_scratch : int array;  (* index scratch for arrays of rank > 3 *)
+  r_freg : float array;  (* float register file, see [cfexpr] *)
+  mutable r_enc : int;  (* global linear index of the last [caddr] *)
 }
 
-let tick rt dt = rt.r_clock <- rt.r_clock +. (dt *. rt.r_skew)
+let tick rt dt =
+  let c = rt.r_clock in
+  c.now <- c.now +. (dt *. rt.r_skew)
 
 (* ------------------------------------------------------------------ *)
 (* Shared runtime paths                                                 *)
@@ -193,16 +202,17 @@ let send link (rt : rt) ~event ~inplace ~rect dest_vp =
   let pl = Runtime.packbuf_flush rt.r_packbufs.(event) in
   Runtime.send link.l_tr
     ~tick:(fun dt -> tick rt dt)
-    ~get_clock:(fun () -> rt.r_clock)
+    ~get_clock:(fun () -> rt.r_clock.now)
     ~pid:rt.r_pid ~dst_pid:(link.l_phys dest_vp) ~event ~src_vp:(my_vp link rt)
     ~dst_vp:dest_vp ~inplace ~rect pl
 
 let recv link (rt : rt) ~event ~recv_o ~unpack src_vp =
   let k = { Runtime.k_event = event; k_src = src_vp; k_dst = my_vp link rt } in
-  let t0 = rt.r_clock in
+  let c = rt.r_clock in
+  let t0 = c.now in
   let msg = Effect.perform (Runtime.ERecv k) in
   tick rt recv_o;
-  rt.r_clock <- Float.max rt.r_clock msg.Runtime.m_arrival;
+  c.now <- Float.max c.now msg.Runtime.m_arrival;
   let pl = msg.Runtime.m_payload in
   let n = Array.length pl.Runtime.pl_idx in
   if not msg.Runtime.m_contig then tick rt (float_of_int n *. unpack);
@@ -216,7 +226,7 @@ let recv link (rt : rt) ~event ~recv_o ~unpack src_vp =
       put_enc st pl.Runtime.pl_idx.(i) pl.Runtime.pl_val.(i)
     done
   end;
-  Runtime.trace_recv link.l_tr ~tid:rt.r_pid ~t0 ~t1:rt.r_clock k msg
+  Runtime.trace_recv link.l_tr ~tid:rt.r_pid ~t0 ~t1:c.now k msg
 
 let reduce_arr_effect name op = Effect.perform (Runtime.EReduceArr (name, op))
 
@@ -231,7 +241,6 @@ let reduce_scalar (rt : rt) slot op =
 (* ------------------------------------------------------------------ *)
 
 type cint = rt -> int
-type cfloat = rt -> float
 type cstmt = rt -> unit
 
 (* {!Imp.lower} has already folded every constant subexpression, so a
@@ -272,13 +281,17 @@ let rec cexpr (e : Imp.iexpr) : cint =
       let fs = Array.of_list (List.map cexpr es) in
       fun rt ->
         let m = ref min_int in
-        Array.iter (fun f -> m := max !m (f rt)) fs;
+        for i = 0 to Array.length fs - 1 do
+          m := max !m (fs.(i) rt)
+        done;
         !m
   | IMin es ->
       let fs = Array.of_list (List.map cexpr es) in
       fun rt ->
         let m = ref max_int in
-        Array.iter (fun f -> m := min !m (f rt)) fs;
+        for i = 0 to Array.length fs - 1 do
+          m := min !m (fs.(i) rt)
+        done;
         !m
   | IAlignUp (e, target, k) ->
       let fe = cexpr e and ft = cexpr target and fk = cexpr k in
@@ -299,25 +312,34 @@ let rec ccond (c : Imp.icond) : rt -> bool =
       let f = cexpr e in
       fun rt -> Iset.Lin.pmod (f rt) k = 0
   | BAnd cs ->
-      let fs = List.map ccond cs in
-      fun rt -> List.for_all (fun f -> f rt) fs
+      let fs = Array.of_list (List.map ccond cs) in
+      fun rt ->
+        let i = ref 0 in
+        while !i < Array.length fs && fs.(!i) rt do
+          incr i
+        done;
+        !i = Array.length fs
   | BOr cs ->
-      let fs = List.map ccond cs in
-      fun rt -> List.exists (fun f -> f rt) fs
+      let fs = Array.of_list (List.map ccond cs) in
+      fun rt ->
+        let i = ref 0 in
+        while !i < Array.length fs && not (fs.(!i) rt) do
+          incr i
+        done;
+        !i < Array.length fs
   | BNot c ->
       let f = ccond c in
       fun rt -> not (f rt)
 
 (* One access site: evaluates the subscripts, bounds-checks every one of
    them in dimension order (the interval proofs are the emitter's business),
-   and produces the dense slot (or -1) and the global linear index. Ranks
-   1-3 are specialized to keep subscript values in registers; higher ranks
-   use the per-processor scratch buffer (subscript expressions are
-   integer-only, so an access cannot re-enter another access
-   mid-computation). *)
-type addr = { a_slot : int; a_enc : int }
-
-let caddr (ap : Imp.access_plan) : rt -> addr =
+   returns the dense slot (or -1) and leaves the global linear index in
+   [r_enc] for the miss, pack, sparse-ownership and side-table paths to
+   read right after the call. Ranks 1-3 are specialized to keep subscript
+   values in registers; higher ranks use the per-processor scratch buffer
+   (subscript expressions are integer-only, so an access cannot re-enter
+   another access mid-computation). *)
+let caddr (ap : Imp.access_plan) : cint =
   let aid = ap.ap_aid and dims = ap.ap_dims in
   let nd = Array.length dims in
   let cidx = Array.map (fun (da : Imp.dim_access) -> cexpr da.da_idx) dims in
@@ -331,9 +353,9 @@ let caddr (ap : Imp.access_plan) : rt -> addr =
         let x0 = i0 rt in
         let u0 = x0 - lo0 in
         if u0 < 0 || u0 >= e0 then fail rt 0 x0;
+        rt.r_enc <- u0;
         let st = rt.r_stores.(aid) in
-        let slot = if st.st_owned then st.st_dmaps.(0).(u0) else -1 in
-        { a_slot = (if st.st_data == [||] then -1 else slot); a_enc = u0 }
+        if st.st_owned && st.st_data != [||] then st.st_dmaps.(0).(u0) else -1
   | 2 ->
       let i0 = cidx.(0) and i1 = cidx.(1) in
       let lo0 = lo 0 and lo1 = lo 1 in
@@ -346,15 +368,13 @@ let caddr (ap : Imp.access_plan) : rt -> addr =
         if u0 < 0 || u0 >= e0 then fail rt 0 x0;
         let u1 = x1 - lo1 in
         if u1 < 0 || u1 >= e1 then fail rt 1 x1;
+        rt.r_enc <- u0 + (u1 * s1);
         let st = rt.r_stores.(aid) in
-        let slot =
-          if st.st_owned && st.st_data != [||] then begin
-            let l0 = st.st_dmaps.(0).(u0) and l1 = st.st_dmaps.(1).(u1) in
-            if l0 >= 0 && l1 >= 0 then l0 + (l1 * st.st_lstride.(1)) else -1
-          end
-          else -1
-        in
-        { a_slot = slot; a_enc = u0 + (u1 * s1) }
+        if st.st_owned && st.st_data != [||] then begin
+          let l0 = st.st_dmaps.(0).(u0) and l1 = st.st_dmaps.(1).(u1) in
+          if l0 >= 0 && l1 >= 0 then l0 + (l1 * st.st_lstride.(1)) else -1
+        end
+        else -1
   | 3 ->
       let i0 = cidx.(0) and i1 = cidx.(1) and i2 = cidx.(2) in
       let lo0 = lo 0 and lo1 = lo 1 and lo2 = lo 2 in
@@ -370,19 +390,17 @@ let caddr (ap : Imp.access_plan) : rt -> addr =
         if u1 < 0 || u1 >= e1 then fail rt 1 x1;
         let u2 = x2 - lo2 in
         if u2 < 0 || u2 >= e2 then fail rt 2 x2;
+        rt.r_enc <- u0 + (u1 * s1) + (u2 * s2);
         let st = rt.r_stores.(aid) in
-        let slot =
-          if st.st_owned && st.st_data != [||] then begin
-            let l0 = st.st_dmaps.(0).(u0)
-            and l1 = st.st_dmaps.(1).(u1)
-            and l2 = st.st_dmaps.(2).(u2) in
-            if l0 >= 0 && l1 >= 0 && l2 >= 0 then
-              l0 + (l1 * st.st_lstride.(1)) + (l2 * st.st_lstride.(2))
-            else -1
-          end
+        if st.st_owned && st.st_data != [||] then begin
+          let l0 = st.st_dmaps.(0).(u0)
+          and l1 = st.st_dmaps.(1).(u1)
+          and l2 = st.st_dmaps.(2).(u2) in
+          if l0 >= 0 && l1 >= 0 && l2 >= 0 then
+            l0 + (l1 * st.st_lstride.(1)) + (l2 * st.st_lstride.(2))
           else -1
-        in
-        { a_slot = slot; a_enc = u0 + (u1 * s1) + (u2 * s2) }
+        end
+        else -1
   | _ ->
       fun rt ->
         let u = rt.r_scratch in
@@ -397,122 +415,201 @@ let caddr (ap : Imp.access_plan) : rt -> addr =
         for d = 0 to nd - 1 do
           enc := !enc + (u.(d) * str d)
         done;
-        let slot =
-          if st.st_owned && st.st_data != [||] then begin
-            let s = ref 0 and ok = ref true in
-            for d = 0 to nd - 1 do
-              let l = st.st_dmaps.(d).(u.(d)) in
-              if l < 0 then ok := false else s := !s + (l * st.st_lstride.(d))
-            done;
-            if !ok then !s else -1
-          end
-          else -1
-        in
-        { a_slot = slot; a_enc = !enc }
+        rt.r_enc <- !enc;
+        if st.st_owned && st.st_data != [||] then begin
+          let s = ref 0 and ok = ref true in
+          for d = 0 to nd - 1 do
+            let l = st.st_dmaps.(d).(u.(d)) in
+            if l < 0 then ok := false else s := !s + (l * st.st_lstride.(d))
+          done;
+          if !ok then !s else -1
+        end
+        else -1
 
-let rec cfexpr (e : Imp.kfexpr) : cfloat =
+(* Float expressions evaluate into the per-processor register file
+   [r_freg], never through a returned (boxed) float: the node at depth [d]
+   writes register [d]; a binary node evaluates its left operand into [d]
+   and its right into [d + 1], and an intrinsic its arguments into
+   [d .. d + n - 1]. {!Imp.fregs} sizes the file. Clock charges keep the
+   interpreter's order: a load charges the flop, addresses, then charges
+   the check; a binary node evaluates both operands, then charges; an
+   intrinsic charges, then evaluates its arguments in order. *)
+let rec cfexpr d (e : Imp.kfexpr) : cstmt =
   match e with
-  | KFConst x -> fun _ -> x
+  | KFConst x -> fun rt -> rt.r_freg.(d) <- x
   | KFOfInt ie ->
       let f = cexpr ie in
-      fun rt -> float_of_int (f rt)
+      fun rt -> rt.r_freg.(d) <- float_of_int (f rt)
   | KFScalar { slot; fallback } -> (
       (* an uninitialized or absent scalar falls back to the integer
          environment, as the interpreter's fenv-then-ienv lookup does *)
-      let fallback : cfloat =
+      let fallback : cstmt =
         match fallback with
-        | FbSlot (s, _) -> fun rt -> float_of_int rt.r_int.(s)
-        | FbConst x -> fun _ -> x
+        | FbSlot (s, _) -> fun rt -> rt.r_freg.(d) <- float_of_int rt.r_int.(s)
+        | FbConst x -> fun rt -> rt.r_freg.(d) <- x
         | FbUnbound s -> fun rt -> unbound_int rt s
       in
       match slot with
       | Some slot ->
-          fun rt -> if rt.r_fvalid.(slot) then rt.r_fval.(slot) else fallback rt
+          fun rt ->
+            if rt.r_fvalid.(slot) then rt.r_freg.(d) <- rt.r_fval.(slot)
+            else fallback rt
       | None -> fallback)
   | KFLoad { ap; aname; checked; flop; check } ->
       let aid = ap.ap_aid and addr = caddr ap in
       if checked then fun rt ->
         tick rt flop;
-        let a = addr rt in
+        let s = addr rt in
         tick rt check;
-        if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot)
-        else load_miss rt aid ~aname a.a_enc
+        rt.r_freg.(d) <-
+          (if s >= 0 then rt.r_stores.(aid).st_data.(s)
+           else load_miss rt aid ~aname rt.r_enc)
       else fun rt ->
         tick rt flop;
-        let a = addr rt in
-        if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot)
-        else load_miss rt aid ~aname a.a_enc
+        let s = addr rt in
+        rt.r_freg.(d) <-
+          (if s >= 0 then rt.r_stores.(aid).st_data.(s)
+           else load_miss rt aid ~aname rt.r_enc)
   | KFNeg a ->
-      let f = cfexpr a in
-      fun rt -> -.f rt
+      let f = cfexpr d a in
+      fun rt ->
+        f rt;
+        rt.r_freg.(d) <- -.rt.r_freg.(d)
   | KFBin { op; a; b; flop } -> (
-      let fa = cfexpr a and fb = cfexpr b in
+      let fa = cfexpr d a and fb = cfexpr (d + 1) b in
       match op with
       | Hpf.Ast.Add ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
+            fa rt;
+            fb rt;
             tick rt flop;
-            x +. y
+            let r = rt.r_freg in
+            r.(d) <- r.(d) +. r.(d + 1)
       | Hpf.Ast.Sub ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
+            fa rt;
+            fb rt;
             tick rt flop;
-            x -. y
+            let r = rt.r_freg in
+            r.(d) <- r.(d) -. r.(d + 1)
       | Hpf.Ast.Mul ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
+            fa rt;
+            fb rt;
             tick rt flop;
-            x *. y
+            let r = rt.r_freg in
+            r.(d) <- r.(d) *. r.(d + 1)
       | Hpf.Ast.Div ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
+            fa rt;
+            fb rt;
             tick rt flop;
-            x /. y)
-  | KFIntrin { name; args; flop } ->
-      let cargs = List.map cfexpr args in
-      fun rt ->
+            let r = rt.r_freg in
+            r.(d) <- r.(d) /. r.(d + 1))
+  | KFIntrin { fn; args; flop } -> (
+      let cargs = Array.of_list (List.mapi (fun i a -> cfexpr (d + i) a) args) in
+      let eval rt =
         tick rt flop;
-        Serial.intrinsic name (List.map (fun g -> g rt) cargs)
+        for i = 0 to Array.length cargs - 1 do
+          cargs.(i) rt
+        done
+      in
+      (* the bodies are {!Serial.intrinsic}'s, case for case *)
+      match fn with
+      | Abs ->
+          fun rt ->
+            eval rt;
+            let r = rt.r_freg in
+            r.(d) <- Float.abs r.(d)
+      | Sqrt ->
+          fun rt ->
+            eval rt;
+            let r = rt.r_freg in
+            r.(d) <- sqrt r.(d)
+      | Exp ->
+          fun rt ->
+            eval rt;
+            let r = rt.r_freg in
+            r.(d) <- exp r.(d)
+      | Log ->
+          fun rt ->
+            eval rt;
+            let r = rt.r_freg in
+            r.(d) <- log r.(d)
+      | Sin ->
+          fun rt ->
+            eval rt;
+            let r = rt.r_freg in
+            r.(d) <- sin r.(d)
+      | Cos ->
+          fun rt ->
+            eval rt;
+            let r = rt.r_freg in
+            r.(d) <- cos r.(d)
+      | Float -> eval (* float(x) is x, already in register [d] *)
+      | Max ->
+          fun rt ->
+            eval rt;
+            let r = rt.r_freg in
+            r.(d) <- Float.max r.(d) r.(d + 1)
+      | Min ->
+          fun rt ->
+            eval rt;
+            let r = rt.r_freg in
+            r.(d) <- Float.min r.(d) r.(d + 1)
+      | Mod ->
+          fun rt ->
+            eval rt;
+            let r = rt.r_freg in
+            r.(d) <- Float.rem r.(d) r.(d + 1)
+      | Sign ->
+          fun rt ->
+            eval rt;
+            let r = rt.r_freg in
+            let a = Float.abs r.(d) in
+            r.(d) <- (if r.(d + 1) >= 0.0 then a else -.a)
+      | Unknown (name, n) ->
+          fun rt ->
+            eval rt;
+            ignore
+              (Serial.intrinsic name (List.init n (fun i -> rt.r_freg.(d + i)))
+                : float))
 
+(* a float comparison evaluates its operands into registers 0 and 1 *)
 let rec cfcond (c : Imp.kfcond) : rt -> bool =
   match c with
   | KFCmp (op, a, b) -> (
-      let fa = cfexpr a and fb = cfexpr b in
+      let fa = cfexpr 0 a and fb = cfexpr 1 b in
+      let operands rt =
+        fa rt;
+        fb rt;
+        rt.r_freg
+      in
       match op with
       | Hpf.Ast.Lt ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x < y
+            let r = operands rt in
+            r.(0) < r.(1)
       | Hpf.Ast.Le ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x <= y
+            let r = operands rt in
+            r.(0) <= r.(1)
       | Hpf.Ast.Gt ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x > y
+            let r = operands rt in
+            r.(0) > r.(1)
       | Hpf.Ast.Ge ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x >= y
+            let r = operands rt in
+            r.(0) >= r.(1)
       | Hpf.Ast.Eq ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x = y
+            let r = operands rt in
+            r.(0) = r.(1)
       | Hpf.Ast.Ne ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x <> y)
+            let r = operands rt in
+            r.(0) <> r.(1))
   | KFAnd (a, b) ->
       let ca = cfcond a and cb = cfcond b in
       fun rt -> ca rt && cb rt
@@ -538,7 +635,10 @@ let seq (fs : cstmt list) : cstmt =
         c rt
   | l ->
       let a = Array.of_list l in
-      fun rt -> Array.iter (fun f -> f rt) a
+      fun rt ->
+        for i = 0 to Array.length a - 1 do
+          a.(i) rt
+        done
 
 (* [subs]: one lazy per subroutine name, so mutually recursive calls
    reference each other's closures by name *)
@@ -585,53 +685,51 @@ let rec cstmt link (subs : (string, cstmt Lazy.t) Hashtbl.t) (s : Imp.kstmt) :
         tick rt guard;
         if cc rt then ct rt else ce rt
   | KSetScalar { slot; value; flop } ->
-      let cv = cfexpr value in
+      let cv = cfexpr 0 value in
       fun rt ->
-        let x = cv rt in
+        cv rt;
         tick rt flop;
-        rt.r_fval.(slot) <- x;
+        rt.r_fval.(slot) <- rt.r_freg.(0);
         rt.r_fvalid.(slot) <- true
   | KStore { ap; value; access; flop; check } -> (
       let aid = ap.ap_aid and addr = caddr ap in
-      let cv = cfexpr value in
-      let put rt (a : addr) x =
-        if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot) <- x
-        else Hashtbl.replace rt.r_stores.(aid).st_side a.a_enc x
+      let cv = cfexpr 0 value in
+      (* the value is in register 0, the global index in [r_enc] *)
+      let put rt s =
+        if s >= 0 then rt.r_stores.(aid).st_data.(s) <- rt.r_freg.(0)
+        else Hashtbl.replace rt.r_stores.(aid).st_side rt.r_enc rt.r_freg.(0)
       in
       match access with
       | Spmd.Checked ->
           fun rt ->
-            let x = cv rt in
+            cv rt;
             tick rt flop;
-            let a = addr rt in
+            let s = addr rt in
             tick rt check;
-            put rt a x
+            put rt s
       | Spmd.Local ->
           fun rt ->
-            let x = cv rt in
+            cv rt;
             tick rt flop;
-            let a = addr rt in
+            let s = addr rt in
             let st = rt.r_stores.(aid) in
-            let owned =
-              if st_sparse st then owns_enc st a.a_enc else a.a_slot >= 0
-            in
-            if not owned then local_store_fail rt aid a.a_enc;
-            put rt a x
+            let owned = if st_sparse st then owns_enc st rt.r_enc else s >= 0 in
+            if not owned then local_store_fail rt aid rt.r_enc;
+            put rt s
       | Spmd.Overlay | Spmd.Global ->
           fun rt ->
-            let x = cv rt in
+            cv rt;
             tick rt flop;
-            let a = addr rt in
-            put rt a x)
+            put rt (addr rt))
   | KPack { event; arr; ap } ->
       let aid = ap.ap_aid and addr = caddr ap in
       fun rt ->
-        let a = addr rt in
+        let s = addr rt in
+        let enc = rt.r_enc in
         let v =
-          if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot)
-          else pack_miss rt aid a.a_enc
+          if s >= 0 then rt.r_stores.(aid).st_data.(s) else pack_miss rt aid enc
         in
-        Runtime.packbuf_push rt.r_packbufs.(event) ~arr a.a_enc v
+        Runtime.packbuf_push rt.r_packbufs.(event) ~arr enc v
   | KSend { event; dest; inplace; rect } ->
       let cdest = List.map cexpr dest in
       fun rt -> send link rt ~event ~inplace ~rect (List.map (fun f -> f rt) cdest)
@@ -776,9 +874,11 @@ let prepare ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
           r_stores = stores;
           r_packbufs =
             Array.init (max k.Imp.k_nevents 1) (fun _ -> Runtime.packbuf_create ());
-          r_clock = 0.0;
+          r_clock = { now = 0.0 };
           r_skew = su.Runtime.su_skew.(pid);
           r_scratch = Array.make max_rank 0;
+          r_freg = Array.make (max k.Imp.k_fregs 1) 0.0;
+          r_enc = 0;
         })
   in
   {
@@ -871,14 +971,14 @@ let run (cs : csim) : Runtime.stats =
     {
       Runtime.h_nprocs = Array.length cs.c_rts;
       h_tr = cs.c_tr;
-      h_clock = (fun p -> cs.c_rts.(p).r_clock);
-      h_set_clock = (fun p t -> cs.c_rts.(p).r_clock <- t);
+      h_clock = (fun p -> cs.c_rts.(p).r_clock.now);
+      h_set_clock = (fun p t -> cs.c_rts.(p).r_clock.now <- t);
       h_body = (fun p -> cs.c_main cs.c_rts.(p));
       h_reduce_arr = reduce_arr cs;
       h_phys_of_vp = phys_of_vp cs;
     };
   Runtime.stats_of cs.c_tr
-    ~proc_times:(Array.map (fun rt -> rt.r_clock) cs.c_rts)
+    ~proc_times:(Array.map (fun rt -> rt.r_clock.now) cs.c_rts)
 
 (* ------------------------------------------------------------------ *)
 (* Result inspection                                                    *)
@@ -934,9 +1034,11 @@ let get_scalar cs name =
 (* ------------------------------------------------------------------ *)
 
 let transport cs = cs.c_tr
-let clocks cs = Array.map (fun rt -> rt.r_clock) cs.c_rts
-let set_clocks cs t = Array.iter (fun rt -> rt.r_clock <- t) cs.c_rts
-let charge cs dt = Array.iter (fun rt -> rt.r_clock <- rt.r_clock +. dt) cs.c_rts
+let clocks cs = Array.map (fun rt -> rt.r_clock.now) cs.c_rts
+let set_clocks cs t = Array.iter (fun rt -> rt.r_clock.now <- t) cs.c_rts
+
+let charge cs dt =
+  Array.iter (fun rt -> rt.r_clock.now <- rt.r_clock.now +. dt) cs.c_rts
 
 (* every resident element of one store as sorted (global linear index,
    value) pairs: the dense owned block enumerated through the per-dimension
@@ -1001,7 +1103,7 @@ let capture (cs : csim) : Runtime.image =
               staged := (ev, pl) :: !staged)
           rt.r_packbufs;
         {
-          Runtime.pi_clock = rt.r_clock;
+          Runtime.pi_clock = rt.r_clock.now;
           pi_ints = ints;
           pi_floats = floats;
           pi_elems = elems;

@@ -56,6 +56,10 @@ val owns_enc : store -> int -> bool
 
 (** {1 Per-processor runtime state} *)
 
+type clock = { mutable now : float }
+(** A processor's virtual clock. A float-only record is stored flat, so a
+    charge updates it in place instead of boxing a new float. *)
+
 type rt = {
   r_pid : int;
   r_int : int array;  (** integer slots: loop vars, [m$k], [vm$k] *)
@@ -65,9 +69,16 @@ type rt = {
           scalar only after initialization (declared) or first assignment *)
   r_stores : store array;  (** indexed by array id *)
   r_packbufs : Runtime.packbuf array;  (** indexed by event id *)
-  mutable r_clock : float;
+  r_clock : clock;
   r_skew : float;
   r_scratch : int array;  (** index scratch for arrays of rank > 3 *)
+  r_freg : float array;
+      (** the closure engine's float register file: the float-expression
+          node at depth [d] writes register [d] (sized by
+          {!Imp.kernel.k_fregs}) *)
+  mutable r_enc : int;
+      (** global linear index of the closure engine's last address
+          computation *)
 }
 
 val tick : rt -> float -> unit

@@ -43,20 +43,20 @@ let pfloat x =
 (* Clock accumulation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile's [tick] is [r_clock <- r_clock +. dt *. r_skew]: a call plus a
-   boxed-float store into a mixed record, per machine-cost charge. Emitted
-   kernels accumulate the clock in a local [float ref] instead (a flat
-   one-field record — in-place update, no allocation) with the identical
-   chain of [+. (dt *. sk)] operations, so the result is bit-equal; the
-   local is flushed to [rt.r_clock] before anything that can observe it —
-   an effect (send/recv/reduce suspends the fiber and the scheduler prices
-   against live clocks) or a subroutine call (which accumulates its own) —
-   and reloaded after, since the handler may have advanced it. Error paths
+(* Compile's [tick] is [r_clock.now <- r_clock.now +. dt *. r_skew]: a
+   call plus a store to memory, per machine-cost charge. Emitted kernels
+   accumulate the clock in a local [float ref] instead (kept in a register
+   by the native compiler) with the identical chain of [+. (dt *. sk)]
+   operations, so the result is bit-equal; the local is flushed to the
+   processor's clock cell before anything that can observe it — an effect
+   (send/recv/reduce suspends the fiber and the scheduler prices against
+   live clocks) or a subroutine call (which accumulates its own) — and
+   reloaded after, since the handler may have advanced it. Error paths
    abort the run, so a stale clock under them is unobservable. *)
 let ptick x = spf "clk := !clk +. (%s *. sk);" (pfloat x)
 
-let flush_clk = "rt.C.r_clock <- !clk;"
-let reload_clk = "clk := rt.C.r_clock;"
+let flush_clk = "rt.C.r_clock.C.now <- !clk;"
+let reload_clk = "clk := rt.C.r_clock.C.now;"
 
 (* ------------------------------------------------------------------ *)
 (* Integer expressions                                                 *)
@@ -222,14 +222,31 @@ let rec pf env (e : kfexpr) : string =
          associative; shape is part of the contract) *)
       spf "(let va = %s in\n   let vb = %s in\n   %s va %s vb)"
         (pf env a) (pf env b) (ptick flop) (fbinop op)
-  | KFIntrin { name; args; flop } ->
+  | KFIntrin { fn; args; flop } ->
       let lets =
         String.concat ""
           (List.mapi (fun i a -> spf "let a%d = %s in\n   " i (pf env a)) args)
       in
-      let vars = List.mapi (fun i _ -> spf "a%d" i) args in
-      spf "(%s\n   %sS.intrinsic %S [%s])" (ptick flop) lets name
-        (String.concat "; " vars)
+      (* {!Serial.intrinsic}'s bodies, called directly; a name/arity pair
+         no intrinsic matches still raises its error there *)
+      let call =
+        match fn with
+        | Abs -> "Float.abs a0"
+        | Sqrt -> "Float.sqrt a0"
+        | Exp -> "Float.exp a0"
+        | Log -> "Float.log a0"
+        | Sin -> "Float.sin a0"
+        | Cos -> "Float.cos a0"
+        | Float -> "a0"
+        | Max -> "Float.max a0 a1"
+        | Min -> "Float.min a0 a1"
+        | Mod -> "Float.rem a0 a1"
+        | Sign -> "(if a1 >= 0.0 then Float.abs a0 else -.(Float.abs a0))"
+        | Unknown (name, _) ->
+            spf "S.intrinsic %S [%s]" name
+              (String.concat "; " (List.mapi (fun i _ -> spf "a%d" i) args))
+      in
+      spf "(%s\n   %s%s)" (ptick flop) lets call
 
 let rec pfc env (c : kfcond) : string =
   match c with
@@ -444,7 +461,7 @@ let emit_fn st header body =
   (* hoists: skew and slot arrays are immutable fields, store records are
      fixed for the run; the clock accumulates locally (see [ptick]) *)
   add "  let sk = rt.C.r_skew in\n";
-  add "  let clk = ref rt.C.r_clock in\n";
+  add "  let clk = ref rt.C.r_clock.C.now in\n";
   add "  let ri = rt.C.r_int in\n";
   add "  let fv = rt.C.r_fval in\n";
   add "  let fvb = rt.C.r_fvalid in\n";

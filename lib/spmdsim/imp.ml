@@ -75,6 +75,24 @@ type access_plan = {
 (** Fallback of a scalar read whose slot is uninitialized (or absent). *)
 type ffall = FbSlot of int * string | FbConst of float | FbUnbound of string
 
+(** An intrinsic call, resolved by name and arity ({!Serial.intrinsic}'s
+    table). [Unknown] keeps a name/arity pair no intrinsic matches: Sema
+    accepts it, and evaluating it raises {!Serial.intrinsic}'s error, so
+    the failure stays a runtime one in every engine. *)
+type intrin =
+  | Abs
+  | Sqrt
+  | Exp
+  | Log
+  | Sin
+  | Cos
+  | Float
+  | Max
+  | Min
+  | Mod
+  | Sign
+  | Unknown of string * int
+
 type kfexpr =
   | KFConst of float
   | KFOfInt of iexpr
@@ -88,7 +106,7 @@ type kfexpr =
     }
   | KFNeg of kfexpr
   | KFBin of { op : Hpf.Ast.fbinop; a : kfexpr; b : kfexpr; flop : float }
-  | KFIntrin of { name : string; args : kfexpr list; flop : float }
+  | KFIntrin of { fn : intrin; args : kfexpr list; flop : float }
 
 type kfcond =
   | KFCmp of Hpf.Ast.cmpop * kfexpr * kfexpr
@@ -129,6 +147,7 @@ type kernel = {
   k_subs : (string * kstmt list) list;  (* declaration order, names unique *)
   k_nint : int;
   k_nfloat : int;
+  k_fregs : int;  (* float registers the deepest float expression needs *)
   k_m_slots : int array;  (* slot of m$k per processor dimension *)
   k_vm_slots : int array;  (* slot of vm$k per processor dimension *)
   k_islots : (string * int) list;  (* sorted by name *)
@@ -313,6 +332,21 @@ let laccess ctx arr (idx : Spmd.expr list) : access_plan =
 (* Float expressions                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let intrin name args =
+  match (name, args) with
+  | "abs", [ _ ] -> Abs
+  | "sqrt", [ _ ] -> Sqrt
+  | "exp", [ _ ] -> Exp
+  | "log", [ _ ] -> Log
+  | "sin", [ _ ] -> Sin
+  | "cos", [ _ ] -> Cos
+  | "float", [ _ ] -> Float
+  | "max", [ _; _ ] -> Max
+  | "min", [ _; _ ] -> Min
+  | "mod", [ _; _ ] -> Mod
+  | "sign", [ _; _ ] -> Sign
+  | _ -> Unknown (name, List.length args)
+
 let rec lfexpr ctx (e : Spmd.fexpr) : kfexpr =
   let m = ctx.l_machine in
   match e with
@@ -345,7 +379,7 @@ let rec lfexpr ctx (e : Spmd.fexpr) : kfexpr =
       KFBin { op; a = lfexpr ctx a; b = lfexpr ctx b; flop = m.Machine.flop_time }
   | Spmd.FIntrin (f, args) ->
       KFIntrin
-        { name = f; args = List.map (lfexpr ctx) args; flop = m.Machine.flop_time }
+        { fn = intrin f args; args = List.map (lfexpr ctx) args; flop = m.Machine.flop_time }
 
 let rec lfcond ctx (c : Spmd.fcond) : kfcond =
   match c with
@@ -438,6 +472,41 @@ let rec lstmt ctx (s : Spmd.stmt) : kstmt list =
       if Hashtbl.mem ctx.l_subs f then [ KCall f ] else [ KUnknownSub f ]
 
 and lstmts ctx body = List.concat_map (lstmt ctx) body
+
+(* ------------------------------------------------------------------ *)
+(* Float register depth                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Registers a float expression needs when evaluated into register 0: the
+   closure engine evaluates the node at depth [d] into register [d], a
+   binary node's right operand one register deeper than its left, and an
+   intrinsic's [i]-th argument [i] registers deeper than the call. A float
+   comparison evaluates its operands like a binary node. *)
+let rec fregs (e : kfexpr) : int =
+  match e with
+  | KFConst _ | KFOfInt _ | KFScalar _ | KFLoad _ -> 1
+  | KFNeg a -> fregs a
+  | KFBin { a; b; _ } -> max (fregs a) (1 + fregs b)
+  | KFIntrin { args; _ } ->
+      List.fold_left max 1 (List.mapi (fun i a -> i + fregs a) args)
+
+let rec fcond_regs (c : kfcond) : int =
+  match c with
+  | KFCmp (_, a, b) -> max (fregs a) (1 + fregs b)
+  | KFAnd (a, b) | KFOr (a, b) -> max (fcond_regs a) (fcond_regs b)
+  | KFNot a -> fcond_regs a
+
+let rec stmt_regs (s : kstmt) : int =
+  match s with
+  | KFor { body; _ } | KIf { body; _ } -> body_regs body
+  | KFIf { cond; then_; else_; _ } ->
+      max (fcond_regs cond) (max (body_regs then_) (body_regs else_))
+  | KSetScalar { value; _ } | KStore { value; _ } -> fregs value
+  | KPack _ | KSend _ | KRecv _ | KReduceArr _ | KReduceScalar _ | KCall _
+  | KUnknownSub _ ->
+      0
+
+and body_regs body = List.fold_left (fun n s -> max n (stmt_regs s)) 0 body
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program lowering                                              *)
@@ -534,6 +603,8 @@ let lower ?(machine = Machine.default) ~genv ~extents ~arrays ~ameta
     k_subs;
     k_nint = ctx.l_nint;
     k_nfloat = ctx.l_nfloat;
+    k_fregs =
+      List.fold_left (fun n (_, b) -> max n (body_regs b)) (body_regs k_main) k_subs;
     k_m_slots = m_slots;
     k_vm_slots = vm_slots;
     k_islots = sorted ctx.l_islots;

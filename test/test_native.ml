@@ -318,6 +318,108 @@ let test_sub_resolution () =
         ref_clocks clocks)
     engines
 
+(* Every intrinsic, at the inputs where implementations part ways:
+   negative arguments, both signed zeros under max/min/sign (y holds -0.0
+   past the middle and +0.0 before it), negative mod operands, and
+   intrinsics inside a float condition and a scalar update. Each result
+   lands in its own array so Diffcheck compares it bit for bit. *)
+let intrinsics_src =
+  {|
+program intrin
+  parameter n = 8
+  real x(n), y(n), z(n)
+  real r1(n), r2(n), r3(n), r4(n), r5(n), r6(n), r7(n), r8(n)
+  real r9(n), r10(n), r11(n), r12(n), r13(n), r14(n), r15(n), r16(n)
+  real s
+  processors p(2)
+  template t(n)
+  align x(i) with t(i)
+  align y(i) with t(i)
+  align z(i) with t(i)
+  align r1(i) with t(i)
+  align r2(i) with t(i)
+  align r3(i) with t(i)
+  align r4(i) with t(i)
+  align r5(i) with t(i)
+  align r6(i) with t(i)
+  align r7(i) with t(i)
+  align r8(i) with t(i)
+  align r9(i) with t(i)
+  align r10(i) with t(i)
+  align r11(i) with t(i)
+  align r12(i) with t(i)
+  align r13(i) with t(i)
+  align r14(i) with t(i)
+  align r15(i) with t(i)
+  align r16(i) with t(i)
+  distribute t(block) onto p
+
+  do i = 1, n
+    x(i) = i - 4.5
+    y(i) = (4 - i) * 0.0
+    z(i) = 3 - i
+  end do
+  s = 0.0
+  do i = 1, n
+    r1(i) = abs(x(i))
+    r2(i) = sqrt(abs(x(i)))
+    r3(i) = exp(x(i))
+    r4(i) = log(abs(x(i)))
+    r5(i) = sin(x(i))
+    r6(i) = cos(z(i))
+    r7(i) = float(i - 5)
+    r8(i) = max(y(i), 0.0)
+    r9(i) = max(0.0, -y(i))
+    r10(i) = min(y(i), 0.0)
+    r11(i) = min(-0.0, x(i))
+    r12(i) = mod(x(i), 2.0)
+    r13(i) = mod(z(i), -2.5)
+    r14(i) = sign(x(i), y(i))
+    r15(i) = sign(-1.5, -y(i))
+    if (max(s - 3.0, -0.0) > min(float(i) - 4.0, 0.0)) then
+      r16(i) = sign(z(i), x(i))
+    else
+      r16(i) = -sign(2.0, z(i))
+    end if
+    s = max(s, abs(x(i) - z(i)))
+  end do
+end program intrin
+|}
+
+let test_intrinsics () = three_way intrinsics_src
+
+(* [max] with three arguments passes Sema, and every engine builds it; it
+   fails only when executed, with the interpreter's error *)
+let test_unknown_intrinsic () =
+  let src =
+    {|
+program badmax
+  parameter n = 4
+  real x(n)
+  processors p(2)
+  template t(n)
+  align x(i) with t(i)
+  distribute t(block) onto p
+  do i = 1, n
+    x(i) = max(1.0, 2.0, float(i))
+  end do
+end program badmax
+|}
+  in
+  let p = (Gen.compile (Hpf.Sema.analyze_source src)).Gen.cprog in
+  List.iter
+    (fun engine ->
+      let sim = Spmdsim.Exec.make ~engine ~nprocs:2 p in
+      let got =
+        match Spmdsim.Exec.run sim with
+        | _ -> None
+        | exception Spmdsim.Serial.Error msg -> Some msg
+      in
+      Alcotest.(check (option string))
+        (Spmdsim.Exec.engine_to_string engine)
+        (Some "unknown intrinsic max/3") got)
+    engines
+
 (* Concurrent cold builds of one kernel: three processes make the same
    never-seen program over one empty cache directory at once. Each must
    succeed (no process may link against another's half-written objects)
@@ -394,4 +496,10 @@ let () =
       ("errors", List.map error_case error_cases);
       ( "calls",
         [ Alcotest.test_case "resolution rules" `Quick test_sub_resolution ] );
+      ( "intrinsics",
+        [
+          Alcotest.test_case "all engines agree" `Slow test_intrinsics;
+          Alcotest.test_case "unknown arity fails at run" `Quick
+            test_unknown_intrinsic;
+        ] );
     ]

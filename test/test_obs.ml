@@ -216,6 +216,31 @@ let test_rejections () =
       ("bad literal", "tru");
       ("bad literal null", "nul") ]
 
+(* nesting is capped: a document exactly [max_depth] deep (arrays and
+   objects mixed) parses, one level more is an error, not a deep
+   recursion *)
+let test_depth_cap () =
+  let nest depth =
+    let b = Buffer.create (8 * depth) in
+    for i = 1 to depth do
+      Buffer.add_string b (if i mod 2 = 0 then {|{"k":|} else "[")
+    done;
+    Buffer.add_string b "0";
+    for i = depth downto 1 do
+      Buffer.add_char b (if i mod 2 = 0 then '}' else ']')
+    done;
+    Buffer.contents b
+  in
+  let doc = nest J.max_depth in
+  Alcotest.(check string) "max_depth levels round-trip" doc
+    (J.to_string (J.of_string doc));
+  match J.of_string (nest (J.max_depth + 1)) with
+  | _ -> Alcotest.fail "a document one level deeper than max_depth parsed"
+  | exception J.Error msg ->
+      let want = Printf.sprintf "nesting deeper than %d" J.max_depth in
+      Alcotest.(check string) "error names the cap" want
+        (String.sub msg 0 (min (String.length msg) (String.length want)))
+
 (* ---- measurement-window reset (the CLI calls Iset.Stats.reset at every
    subcommand entry; windows over a warm cache must be reproducible, and
    reset must zero every counter) ---- *)
@@ -415,6 +440,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_no_control_bytes;
           Alcotest.test_case "number rule" `Quick test_number_rule;
           Alcotest.test_case "rejections" `Quick test_rejections;
+          Alcotest.test_case "nesting depth cap" `Quick test_depth_cap;
         ] );
       ( "windows",
         [ Alcotest.test_case "stats reset at subcommand entry" `Quick

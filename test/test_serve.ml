@@ -240,6 +240,25 @@ let test_protocol_errors () =
       | Some r -> check_error ~code:"protocol" r
       | None -> Alcotest.fail "server closed without a protocol error")
 
+(* a maximal frame of '[' is refused by the JSON depth cap at once, and
+   the worker that read it keeps serving *)
+let test_deep_frame () =
+  with_server ~workers:1 @@ fun socket ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let t0 = Unix.gettimeofday () in
+      Proto.write_frame fd (String.make Proto.max_frame '[');
+      (match Proto.read_json fd with
+      | Some r -> check_error ~code:"protocol" r
+      | None -> Alcotest.fail "server closed without a protocol error");
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt > 1.0 then Alcotest.failf "deep frame answered after %.2f s" dt);
+  let r = Client.request ~socket Proto.Ping in
+  Alcotest.(check string) "next request served" "ok" (status r)
+
 let test_stats () =
   with_server @@ fun socket ->
   ignore
@@ -881,6 +900,7 @@ let () =
           Alcotest.test_case "bad source text" `Quick test_bad_source_text;
           Alcotest.test_case "bad engine" `Quick test_bad_engine;
           Alcotest.test_case "protocol errors" `Quick test_protocol_errors;
+          Alcotest.test_case "deep frame" `Quick test_deep_frame;
           Alcotest.test_case "omega out of fuel" `Quick test_too_hard;
         ] );
       ( "lifecycle",
