@@ -13,8 +13,10 @@ type cursor = { buf : string; mutable pos : int }
 let cursor ?(pos = 0) buf = { buf; pos }
 let at_end c = c.pos >= String.length c.buf
 
+(* [n] against the bytes left, not [c.pos + n] against the length: a
+   corrupt length field near [max_int] would overflow the sum *)
 let take c n =
-  if n < 0 || c.pos + n > String.length c.buf then raise Malformed;
+  if n < 0 || n > String.length c.buf - c.pos then raise Malformed;
   let s = String.sub c.buf c.pos n in
   c.pos <- c.pos + n;
   s
@@ -32,8 +34,10 @@ let int b n =
   Buffer.add_char b ' '
 
 (* decimal, optional leading '-', at least one digit, terminated by one
-   space; anything else is malformed. Accumulates negated to represent
-   [min_int] without overflow. *)
+   space; anything else — a value outside [min_int, max_int] included —
+   is malformed. Accumulates negated to represent [min_int] without
+   overflow; [acc * 10 - d >= min_int] iff [acc >= (min_int + d) / 10],
+   as [/] truncates toward zero. *)
 let read_int c =
   let neg =
     if (not (at_end c)) && c.buf.[c.pos] = '-' then begin
@@ -44,7 +48,10 @@ let read_int c =
   in
   let rec digits acc n =
     match read_char c with
-    | '0' .. '9' as d -> digits ((acc * 10) - (Char.code d - Char.code '0')) (n + 1)
+    | '0' .. '9' as d ->
+        let d = Char.code d - Char.code '0' in
+        if acc < (min_int + d) / 10 then raise Malformed;
+        digits ((acc * 10) - d) (n + 1)
     | ' ' when n > 0 -> acc
     | _ -> raise Malformed
   in

@@ -260,10 +260,14 @@ let get v k =
 
 let get_str v k = match get v k with Some (Str s) -> Some s | _ -> None
 
-let get_int v k =
-  match get v k with
-  | Some (Num x) when Float.is_integer x -> Some (int_of_float x)
+(* integral and within the printer's exact range (see [add_num]): past
+   2^53 a double need not be the integer that was written, and
+   [int_of_float] is unspecified past [max_int] *)
+let to_int = function
+  | Num x when Float.is_integer x && Float.abs x <= 0x1p53 -> Some (int_of_float x)
   | _ -> None
+
+let get_int v k = Option.bind (get v k) to_int
 
 let get_bool v k = match get v k with Some (Bool b) -> Some b | _ -> None
 let get_num v k = match get v k with Some (Num x) -> Some x | _ -> None

@@ -44,7 +44,13 @@ val get : t -> string -> t option
 (** Field of an [Obj]; [None] on anything else or when absent. *)
 
 val get_str : t -> string -> string option
+val to_int : t -> int option
+(** An integral [Num] with magnitude at most 2{^53}, the range {!to_string}
+    prints exactly; [None] for anything else. *)
+
 val get_int : t -> string -> int option
+(** The field, by {!to_int}. *)
+
 val get_bool : t -> string -> bool option
 val get_num : t -> string -> float option
 val get_list : t -> string -> t list option

@@ -117,18 +117,28 @@ let params_to_json ps =
     (List.map (fun (n, v) -> Obs.Json.List [ Obs.Json.Str n; Obs.Json.int v ]) ps)
 
 let params_of_json v =
+  let bad = Error "params must be a list of [name, int] pairs" in
   match Obs.Json.get v "params" with
   | None -> Ok []
   | Some (Obs.Json.List xs) ->
       let rec go acc = function
         | [] -> Ok (List.rev acc)
-        | Obs.Json.List [ Obs.Json.Str n; Obs.Json.Num x ] :: rest
-          when Float.is_integer x ->
-            go ((n, int_of_float x) :: acc) rest
-        | _ -> Error "params must be a list of [name, int] pairs"
+        | Obs.Json.List [ Obs.Json.Str n; x ] :: rest -> (
+            match Obs.Json.to_int x with Some k -> go ((n, k) :: acc) rest | None -> bad)
+        | _ -> bad
       in
       go [] xs
-  | Some _ -> Error "params must be a list of [name, int] pairs"
+  | Some _ -> bad
+
+(* absent is the default of 4; present, it must be a positive integer *)
+let nprocs_of_json v =
+  match Obs.Json.get v "nprocs" with
+  | None -> Ok 4
+  | Some x -> (
+      match Obs.Json.to_int x with
+      | Some n when n >= 1 -> Ok n
+      | Some _ -> Error "nprocs must be positive"
+      | None -> Error "nprocs must be an integer")
 
 let src_fields label source =
   ("src", Obs.Json.Str label)
@@ -185,18 +195,13 @@ let request_of_json v =
           match op with
           | "compile" -> Ok (Compile { label; source; opts })
           | _ -> (
-              match params_of_json v with
-              | Error e -> Error e
-              | Ok params ->
-                  let nprocs =
-                    Option.value (Obs.Json.get_int v "nprocs") ~default:4
-                  in
+              match (params_of_json v, nprocs_of_json v) with
+              | Error e, _ | _, Error e -> Error e
+              | Ok params, Ok nprocs ->
                   let engine =
                     Option.value (Obs.Json.get_str v "engine") ~default:"closure"
                   in
-                  if nprocs < 1 then Error "nprocs must be positive"
-                  else Ok (Run { label; source; opts; nprocs; params; engine })
-              )))
+                  Ok (Run { label; source; opts; nprocs; params; engine }))))
   | Some op -> Error (Printf.sprintf "unknown op %S" op)
 
 (* -- responses ------------------------------------------------------ *)

@@ -104,6 +104,86 @@ let test_wire_malformed () =
   raises "truncated list" (fun () ->
       Wire.read_list Wire.read_int (Wire.cursor "3 1 2 "))
 
+(* Length and integer fields at and past the int range: a corrupt length
+   near [max_int] must not overflow the bounds check, and a decimal outside
+   [min_int, max_int] must not wrap *)
+let test_wire_overflow () =
+  let malformed s f =
+    match f () with
+    | _ -> Alcotest.failf "%s: decoded" s
+    | exception Wire.Malformed -> ()
+  in
+  malformed "max_int length" (fun () ->
+      Wire.read_string (Wire.cursor ~pos:1 "x4611686018427387903 abc"));
+  malformed "20-digit int" (fun () -> Wire.read_int (Wire.cursor "99999999999999999999 "));
+  malformed "2^64" (fun () -> Wire.read_int (Wire.cursor "18446744073709551616 "));
+  malformed "max_int + 1" (fun () -> Wire.read_int (Wire.cursor "4611686018427387904 "));
+  malformed "min_int - 1" (fun () -> Wire.read_int (Wire.cursor "-4611686018427387905 "));
+  Alcotest.(check int) "max_int" max_int
+    (Wire.read_int (Wire.cursor "4611686018427387903 "));
+  Alcotest.(check int) "min_int" min_int
+    (Wire.read_int (Wire.cursor "-4611686018427387904 "))
+
+(* Every decoder on hostile bytes: random strings, and truncations and
+   one-byte mutations of valid Lin and Conj encodings, decode to a value
+   or raise [Malformed] — nothing else escapes *)
+let decoders : (string * (Wire.cursor -> unit)) list =
+  [
+    ("int", fun c -> ignore (Wire.read_int c));
+    ("string", fun c -> ignore (Wire.read_string c));
+    ("int list", fun c -> ignore (Wire.read_list Wire.read_int c));
+    ("var", fun c -> ignore (Var.wire_read c));
+    ("lin", fun c -> ignore (Lin.wire_read c));
+    ("constr", fun c -> ignore (Constr.wire_read c));
+    ("conj", fun c -> ignore (Conj.wire_read c));
+  ]
+
+let valid_encodings =
+  let enc put x =
+    let b = Buffer.create 64 in
+    put b x;
+    Buffer.contents b
+  in
+  let lin = Lin.of_list [ (3, Var.In 0); (-2, Var.Param "n"); (7, Var.Ex 1) ] (-5) in
+  [
+    enc Lin.wire_put lin;
+    enc Lin.wire_put (Lin.of_list [ (max_int, Var.Out 4) ] min_int);
+    enc Conj.wire_put
+      (Conj.make ~n_ex:1
+         [ Constr.geq lin; Constr.geq (Lin.of_list [ (-1, Var.In 0) ] 9) ]);
+  ]
+
+let gen_hostile =
+  QCheck.Gen.(
+    let mutate s =
+      map2
+        (fun i ch ->
+          let b = Bytes.of_string s in
+          Bytes.set b (i mod String.length s) ch;
+          Bytes.to_string b)
+        nat char
+    in
+    let truncate s = map (fun n -> String.sub s 0 (n mod (String.length s + 1))) nat in
+    oneof
+      [
+        string_size ~gen:(oneofl [ '0'; '9'; '-'; ' '; 'i'; 'p'; '='; '>'; 'x' ]) (int_range 0 40);
+        string_size ~gen:char (int_range 0 40);
+        oneofl valid_encodings >>= truncate;
+        oneofl valid_encodings >>= mutate;
+      ])
+
+let prop_decoders_total =
+  QCheck.Test.make ~count:2000 ~name:"decoders yield a value or Malformed"
+    (QCheck.make ~print:String.escaped gen_hostile)
+    (fun s ->
+      List.for_all
+        (fun (name, dec) ->
+          match dec (Wire.cursor s) with
+          | () | (exception Wire.Malformed) -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "%s decoder raised %s" name (Printexc.to_string e))
+        decoders)
+
 let test_wire_canonical () =
   (* structurally equal conjuncts encode to equal bytes, whatever path
      built them — the property content-addressing rests on *)
@@ -205,6 +285,19 @@ let test_colliding_key_is_miss () =
   Alcotest.(check (option string))
     "mismatched embedded key is a miss" None
     (Diskcache.find ~kind:"t" "real key")
+
+(* the crash this guards against: a length field of [max_int] used to
+   overflow the reader's bounds check and escape as [Invalid_argument] *)
+let test_max_int_length_is_miss () =
+  with_cache @@ fun d ->
+  Diskcache.store ~kind:"t" "key" "value";
+  let f = entry_file d in
+  Out_channel.with_open_bin f (fun oc ->
+      Out_channel.output_string oc
+        (Printf.sprintf "DHPFDC1\n1 t%d key value" max_int));
+  Alcotest.(check (option string))
+    "max_int length field is a miss" None
+    (Diskcache.find ~kind:"t" "key")
 
 (* ------------------------------------------------------------------ *)
 (* Racing writers                                                      *)
@@ -362,6 +455,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "malformed" `Quick test_wire_malformed;
           Alcotest.test_case "canonical encoding" `Quick test_wire_canonical;
+          Alcotest.test_case "overflowing fields" `Quick test_wire_overflow;
+          QCheck_alcotest.to_alcotest prop_decoders_total;
         ] );
       ( "entries",
         [
@@ -372,6 +467,7 @@ let () =
           Alcotest.test_case "wrong version" `Quick test_wrong_version_is_miss;
           Alcotest.test_case "digest collision" `Quick
             test_colliding_key_is_miss;
+          Alcotest.test_case "max_int length" `Quick test_max_int_length_is_miss;
         ] );
       ( "concurrency",
         [

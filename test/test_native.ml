@@ -3,7 +3,8 @@
    element values, scalars, simulated clocks, message/byte counters and
    per-pair communication cells — on every built-in benchmark, under
    fault schedules, and on randomly generated programs. Also covers the
-   source-hash build cache (second make of the same program must hit). *)
+   source-hash build cache (second make of the same program must hit)
+   and the emitted unit: one loop per function, and what emitting costs. *)
 
 let three_way ?(seeds = [ 7; 21 ]) src =
   let chk = Hpf.Sema.analyze_source src in
@@ -420,6 +421,53 @@ end program badmax
         (Some "unknown intrinsic max/3") got)
     engines
 
+(* ---- the emitted unit: one function per loop, emitted cheaply ---- *)
+
+let kernel_of ~nprocs src =
+  let p = (Gen.compile (Hpf.Sema.analyze_source src)).Gen.cprog in
+  (Spmdsim.Compile.prepare ~nprocs p).Spmdsim.Compile.c_kernel
+
+(* the unit's functions, as (header, [while] count): each starts at a
+   line beginning [let rec] or [and] *)
+let functions unit_src =
+  let starts l = String.starts_with ~prefix:"let rec " l || String.starts_with ~prefix:"and " l in
+  List.fold_left
+    (fun acc l ->
+      match acc with
+      | _ when starts l -> (l, 0) :: acc
+      | (h, n) :: rest when String.starts_with ~prefix:"while " (String.trim l) ->
+          (h, n + 1) :: rest
+      | _ -> acc)
+    [] (String.split_on_char '\n' unit_src)
+
+let test_loop_per_function () =
+  List.iter
+    (fun (name, src) ->
+      let fns = functions (Spmdsim.Emit.emit (kernel_of ~nprocs:4 src)) in
+      if List.length fns < 2 then Alcotest.failf "%s: loops were not outlined" name;
+      List.iter
+        (fun (h, n) -> if n > 1 then Alcotest.failf "%s: %d loops in %s" name n h)
+        fns)
+    (Codes.all_small ())
+
+(* Emitting JACOBI-384 (945 loops, 1.3 MB of source) writes into one
+   buffer: 1.2 M words measured (minor plus major), bounded at twice
+   that; every native [Exec.make] pays it *)
+let emit_words_bound = 2.5e6
+
+let test_emit_cost () =
+  let k =
+    kernel_of ~nprocs:8 (Codes.jacobi ~n:384 ~iters:4 ~procs:(Codes.Symbolic2 2) ())
+  in
+  ignore (Spmdsim.Emit.emit k);
+  let mi0, _, ma0 = Gc.counters () in
+  ignore (Spmdsim.Emit.emit k);
+  let mi1, _, ma1 = Gc.counters () in
+  let words = mi1 -. mi0 +. (ma1 -. ma0) in
+  if words > emit_words_bound then
+    Alcotest.failf "emitting JACOBI-384 allocated %.0f words (bound %.0f)" words
+      emit_words_bound
+
 (* Concurrent cold builds of one kernel: three processes make the same
    never-seen program over one empty cache directory at once. Each must
    succeed (no process may link against another's half-written objects)
@@ -501,5 +549,10 @@ let () =
           Alcotest.test_case "all engines agree" `Slow test_intrinsics;
           Alcotest.test_case "unknown arity fails at run" `Quick
             test_unknown_intrinsic;
+        ] );
+      ( "emit",
+        [
+          Alcotest.test_case "one loop per function" `Quick test_loop_per_function;
+          Alcotest.test_case "JACOBI-384 emission allocation" `Quick test_emit_cost;
         ] );
     ]

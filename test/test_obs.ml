@@ -198,6 +198,18 @@ let test_number_rule () =
   Alcotest.(check string) "integers print without a fraction" "[0,7,-1]"
     (J.to_string (J.List [ J.int 0; J.int 7; J.int (-1) ]))
 
+(* [get_int] takes only integers the printer writes exactly: an integral
+   double past 2^53 is [None], not a wrapped or saturated int *)
+let test_get_int_range () =
+  List.iter
+    (fun (doc, want) ->
+      Alcotest.(check (option int)) doc want (J.get_int (J.of_string doc) "n"))
+    [ ({|{"n":1e19}|}, None); ({|{"n":4611686018427387904}|}, None);
+      ({|{"n":6e18}|}, None); ({|{"n":-1e300}|}, None); ({|{"n":2.5}|}, None);
+      ({|{"n":"8"}|}, None); ({|{"n":9007199254740992}|}, Some 9007199254740992);
+      ({|{"n":-9007199254740992}|}, Some (-9007199254740992)); ({|{"n":-0}|}, Some 0);
+      ({|{"n":42}|}, Some 42); ({|{}|}, None) ]
+
 let test_rejections () =
   List.iter
     (fun (what, input) ->
@@ -440,6 +452,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_no_control_bytes;
           Alcotest.test_case "number rule" `Quick test_number_rule;
           Alcotest.test_case "rejections" `Quick test_rejections;
+          Alcotest.test_case "get_int range" `Quick test_get_int_range;
           Alcotest.test_case "nesting depth cap" `Quick test_depth_cap;
         ] );
       ( "windows",

@@ -240,6 +240,35 @@ let test_protocol_errors () =
       | Some r -> check_error ~code:"protocol" r
       | None -> Alcotest.fail "server closed without a protocol error")
 
+(* numeric fields must be integers the JSON printer writes exactly: an
+   ill-typed or out-of-range nprocs or parameter value is a protocol
+   error, never a silent default or a wrapped int; an absent nprocs is
+   still 4 *)
+let test_numeric_fields () =
+  let run fields =
+    Obs.Json.of_string (Printf.sprintf {|{"op":"run","src":"figure2"%s}|} fields)
+  in
+  List.iter
+    (fun fields ->
+      match Proto.request_of_json (run fields) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %s" fields)
+    [ {|,"nprocs":"8"|}; {|,"nprocs":1e19|}; {|,"nprocs":6e18|}; {|,"nprocs":2.5|};
+      {|,"nprocs":0|}; {|,"params":[["n",1e19]]|}; {|,"params":[["n",4611686018427387904]]|};
+      {|,"params":[["n","3"]]|} ];
+  (match Proto.request_of_json (run {|,"params":[["n",-9007199254740992]]|}) with
+  | Ok (Proto.Run { nprocs; params; _ }) ->
+      Alcotest.(check int) "absent nprocs defaults" 4 nprocs;
+      Alcotest.(check (list (pair string int))) "2^53 bound is inclusive"
+        [ ("n", -9007199254740992) ] params
+  | _ -> Alcotest.fail "valid run request refused");
+  with_server @@ fun socket ->
+  check_error ~code:"protocol" (Client.request_json ~socket (run {|,"nprocs":"8"|}));
+  let r = Client.request_json ~socket (run "") in
+  Alcotest.(check string) "status" "ok" (status r);
+  Alcotest.(check (option int)) "ran at the default" (Some 4)
+    (Option.bind (Obs.Json.get r "run") (fun run -> Obs.Json.get_int run "nprocs"))
+
 (* a maximal frame of '[' is refused by the JSON depth cap at once, and
    the worker that read it keeps serving *)
 let test_deep_frame () =
@@ -901,6 +930,7 @@ let () =
           Alcotest.test_case "bad engine" `Quick test_bad_engine;
           Alcotest.test_case "protocol errors" `Quick test_protocol_errors;
           Alcotest.test_case "deep frame" `Quick test_deep_frame;
+          Alcotest.test_case "numeric fields" `Quick test_numeric_fields;
           Alcotest.test_case "omega out of fuel" `Quick test_too_hard;
         ] );
       ( "lifecycle",
