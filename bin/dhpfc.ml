@@ -507,22 +507,7 @@ let compile_cmd =
     trace_finish trace;
     metrics_compiler ();
     metrics_finish metrics;
-    if show_sets then
-      List.iter
-        (fun (e : Dhpf.Gen.event) ->
-          Fmt.pr "event %d: %s%s@." e.ev_id e.ev_desc
-            (if e.ev_inplace.Dhpf.Inplace.contiguous then " [in-place]"
-             else if e.ev_inplace.Dhpf.Inplace.rect_section then " [rect]"
-             else "");
-          Fmt.pr "  SendCommMap(m) = %a@." Iset.Rel.pp e.ev_maps.Dhpf.Comm.send_map;
-          Fmt.pr "  RecvCommMap(m) = %a@." Iset.Rel.pp e.ev_maps.Dhpf.Comm.recv_map;
-          match e.ev_active with
-          | Some a ->
-              Fmt.pr "  busyVPSet        = %a@." Iset.Rel.pp a.Dhpf.Vp.busy;
-              Fmt.pr "  activeSendVPSet  = %a@." Iset.Rel.pp a.Dhpf.Vp.active_send;
-              Fmt.pr "  activeRecvVPSet  = %a@." Iset.Rel.pp a.Dhpf.Vp.active_recv
-          | None -> ())
-        compiled.cevents;
+    if show_sets then Fmt.pr "%a" Dhpf.Gen.pp_sets compiled.cevents;
     if show_spmd then print_string (Dhpf.Spmd.program_to_string compiled.cprog);
     if report then begin
       let ph = Dhpf.Phase.global in

@@ -1466,3 +1466,22 @@ let compile ?(opts = default_options) ?(phase = Phase.global)
     cevents = all_events;
     cctx = ctx;
   }
+
+(** The communication sets of every event, as [dhpfc compile --show-sets]
+    prints them. *)
+let pp_sets fmt events =
+  List.iter
+    (fun (e : event) ->
+      Fmt.pf fmt "event %d: %s%s@." e.ev_id e.ev_desc
+        (if e.ev_inplace.Inplace.contiguous then " [in-place]"
+         else if e.ev_inplace.Inplace.rect_section then " [rect]"
+         else "");
+      Fmt.pf fmt "  SendCommMap(m) = %a@." Rel.pp e.ev_maps.Comm.send_map;
+      Fmt.pf fmt "  RecvCommMap(m) = %a@." Rel.pp e.ev_maps.Comm.recv_map;
+      match e.ev_active with
+      | Some a ->
+          Fmt.pf fmt "  busyVPSet        = %a@." Rel.pp a.Vp.busy;
+          Fmt.pf fmt "  activeSendVPSet  = %a@." Rel.pp a.Vp.active_send;
+          Fmt.pf fmt "  activeRecvVPSet  = %a@." Rel.pp a.Vp.active_recv
+      | None -> ())
+    events

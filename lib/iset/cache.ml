@@ -55,14 +55,15 @@ module Memo (K : Hashtbl.HashedType) = struct
     key : 'v T.t Domain.DLS.key;
     lookups : Stats.counter;
     hits : Stats.counter;
+    share : int;
   }
 
-  let create name ~lookups ~hits =
+  let create ?(share = 1) name ~lookups ~hits =
     let key = Domain.DLS.new_key (fun () -> T.create 256) in
     register_clear (fun () -> T.reset (Domain.DLS.get key));
     Stats.register_gauge (name ^ " cache size") (fun () ->
         T.length (Domain.DLS.get key));
-    { key; lookups; hits }
+    { key; lookups; hits; share }
 
   let length m = T.length (Domain.DLS.get m.key)
 
@@ -79,7 +80,7 @@ module Memo (K : Hashtbl.HashedType) = struct
           v
       | None ->
           let v = f () in
-          if T.length tbl >= capacity () then begin
+          if T.length tbl >= max 1 (capacity () / m.share) then begin
             T.reset tbl;
             Stats.bump Stats.evictions
           end;

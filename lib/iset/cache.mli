@@ -27,7 +27,11 @@ val clear_all : unit -> unit
 module Memo (K : Hashtbl.HashedType) : sig
   type 'v t
 
-  val create : string -> lookups:Stats.counter -> hits:Stats.counter -> 'v t
+  val create :
+    ?share:int -> string -> lookups:Stats.counter -> hits:Stats.counter -> 'v t
+  (** [share] (default 1): the table clears when it holds
+      [capacity () / share] entries (at least one). *)
+
   val length : 'v t -> int
 
   val find_or_add : 'v t -> K.t -> (unit -> 'v) -> 'v

@@ -57,27 +57,102 @@ let check_sig op a b =
          a.out_ar b.in_ar b.out_ar)
 
 (* ------------------------------------------------------------------ *)
+(* Relation-level memo                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The relation operations the compiler chains (diff, coalesce, compose,
+   domain, range, apply_point) are pure functions of their operands'
+   conjuncts, so they are memoized like the conjunct-level operations. A
+   key is a flat int array: an op code, then for each operand its arities,
+   its conjunct count and the interned id of every conjunct, then (for
+   [apply_point]) the interned id of every term. Names are cosmetic and
+   stay out of the key: the tables hold result conjuncts (or the subset
+   verdict), and each operation builds the result's names exactly as the
+   uncached path does. Ids are never reused (see {!Cache}), so a key can
+   never match an entry of a retired id. Exceptions are not cached:
+   [find_or_add] inserts only after the computation returns. *)
+module KeyMemo = Cache.Memo (struct
+  type t = int array
+
+  let equal (a : t) b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (Int.equal a.(i) b.(i) && go (i + 1)) in
+    go 0
+
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 0 a land max_int
+end)
+
+let op_diff = 0
+let op_coalesce = 1
+let op_compose = 2
+let op_domain = 3
+let op_range = 4
+let op_apply_point = 5
+let op_subset = 6
+
+let key ?(lins = []) op rels =
+  let len =
+    List.fold_left
+      (fun n r -> n + 3 + List.length r.conjs)
+      (1 + List.length lins) rels
+  in
+  let k = Array.make len op in
+  let pos = ref 1 in
+  let put x =
+    k.(!pos) <- x;
+    incr pos
+  in
+  List.iter
+    (fun r ->
+      put r.in_ar;
+      put r.out_ar;
+      put (List.length r.conjs);
+      List.iter (fun c -> put (Conj.id c)) r.conjs)
+    rels;
+  List.iter (fun l -> put (Lin.id l)) lins;
+  k
+
+(* A sixteenth of the shared capacity: an entry keeps its result
+   conjuncts alive after the intern and simplify tables have dropped
+   them, which makes it several times heavier than a conjunct-level
+   entry, and one entry stands for many conjunct-level lookups. A
+   Table-1 compile needs a few hundred entries; a daemon serving
+   unrelated programs would otherwise hold tens of thousands, mostly
+   dead. *)
+let rel_memo : Conj.t list KeyMemo.t =
+  KeyMemo.create ~share:16 "rel" ~lookups:Stats.rel_lookups ~hits:Stats.rel_hits
+
+(* [memo op rels f]: the result conjuncts [f ()] computes, answered from
+   the table when [op] met the same operands before. With caching off no
+   key is built (building one interns the operands). *)
+let memo ?lins op rels f =
+  if Cache.enabled () then KeyMemo.find_or_add rel_memo (key ?lins op rels) f
+  else f ()
+
+(* ------------------------------------------------------------------ *)
 (* Simplification                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (** Light simplification: per-conjunct normalization only. *)
 let simplify t = { t with conjs = List.filter_map Conj.simplify t.conjs }
 
-(** Heavier: additionally drop unsatisfiable conjuncts (Omega test) and
-    conjuncts subsumed by an earlier one. *)
-let coalesce t =
-  let conjs = List.filter_map Conj.simplify t.conjs in
+(* duplicates by [Conj.equal], which tries physical equality first:
+   simplification ends in [compact_ex], so [n_ex] follows from the
+   constraints and the comparison is the constraint-list one *)
+let coalesce_conjs conjs =
+  let conjs = List.filter_map Conj.simplify conjs in
   let conjs = List.filter Conj.sat conjs in
-  (* drop syntactic duplicates *)
-  let conjs =
-    List.fold_left
-      (fun acc c ->
-        if List.exists (fun c' -> Conj.constraints c' = Conj.constraints c) acc then acc
-        else c :: acc)
-      [] conjs
-    |> List.rev
-  in
-  { t with conjs }
+  List.fold_left
+    (fun acc c -> if List.exists (Conj.equal c) acc then acc else c :: acc)
+    [] conjs
+  |> List.rev
+
+(** Heavier: additionally drop unsatisfiable conjuncts (Omega test) and
+    duplicate conjuncts. *)
+let coalesce t =
+  { t with conjs = memo op_coalesce [ t ] (fun () -> coalesce_conjs t.conjs) }
 
 let is_empty t = not (List.exists Conj.sat t.conjs)
 
@@ -110,8 +185,11 @@ let diff a b =
       (fun ca -> List.filter_map (fun n -> Conj.simplify (Conj.meet ca n)) negs)
       acc
   in
-  let conjs = List.fold_left sub_one a.conjs b.conjs in
-  coalesce { a with conjs }
+  let conjs =
+    memo op_diff [ a; b ] (fun () ->
+        coalesce_conjs (List.fold_left sub_one a.conjs b.conjs))
+  in
+  { a with conjs }
 
 let complement t =
   diff (universe ~in_names:t.in_names ~out_names:t.out_names ~in_ar:t.in_ar ~out_ar:t.out_ar ()) t
@@ -123,36 +201,39 @@ let complement t =
 let map_tuple_vars f t =
   { t with conjs = List.map (Conj.map_lin (Lin.map_vars f)) t.conjs }
 
+(* Existentially quantify [n] tuple variables of every conjunct: [f base]
+   renames them to [Var.Ex (base + i)], [base] being the conjunct's own
+   existential count, and may rename the remaining tuple variables. *)
+let quantify ~n f conjs =
+  List.filter_map
+    (fun c ->
+      let base = Conj.n_ex c in
+      Conj.simplify
+        (Conj.make ~n_ex:(base + n)
+           (List.map (Constr.map_lin (Lin.map_vars (f base))) (Conj.constraints c))))
+    conjs
+
 (** Existentially quantify the output tuple: Domain. *)
 let domain t =
   let conjs =
-    List.map
-      (fun c ->
-        let base = Conj.n_ex c in
-        let f = function Var.Out i -> Var.Ex (base + i) | v -> v in
-        Conj.make ~n_ex:(base + t.out_ar)
-          (List.map (Constr.map_lin (Lin.map_vars f)) (Conj.constraints c)))
-      t.conjs
+    memo op_domain [ t ] (fun () ->
+        quantify ~n:t.out_ar
+          (fun base -> function Var.Out i -> Var.Ex (base + i) | v -> v)
+          t.conjs)
   in
-  simplify (make ~in_names:t.in_names ~in_ar:t.in_ar ~out_ar:0 conjs)
+  make ~in_names:t.in_names ~in_ar:t.in_ar ~out_ar:0 conjs
+
+let range_conjs ~in_ar =
+  quantify ~n:in_ar (fun base -> function
+    | Var.In i -> Var.Ex (base + i) | Var.Out i -> Var.In i | v -> v)
 
 (** Existentially quantify the input tuple and make outputs the set tuple:
     Range. *)
 let range t =
   let conjs =
-    List.map
-      (fun c ->
-        let base = Conj.n_ex c in
-        let f = function
-          | Var.In i -> Var.Ex (base + i)
-          | Var.Out i -> Var.In i
-          | v -> v
-        in
-        Conj.make ~n_ex:(base + t.in_ar)
-          (List.map (Constr.map_lin (Lin.map_vars f)) (Conj.constraints c)))
-      t.conjs
+    memo op_range [ t ] (fun () -> range_conjs ~in_ar:t.in_ar t.conjs)
   in
-  simplify (make ~in_names:t.out_names ~in_ar:t.out_ar ~out_ar:0 conjs)
+  make ~in_names:t.out_names ~in_ar:t.out_ar ~out_ar:0 conjs
 
 let inverse t =
   let f = function Var.In i -> Var.Out i | Var.Out i -> Var.In i | v -> v in
@@ -167,9 +248,10 @@ let compose r1 r2 =
       (Printf.sprintf "Rel.compose: mid arity mismatch (%d vs %d)" r1.out_ar r2.in_ar);
   let mid = r1.out_ar in
   let conjs =
+    memo op_compose [ r1; r2 ] @@ fun () ->
     List.concat_map
       (fun c1 ->
-        List.map
+        List.filter_map
           (fun c2 ->
             (* rename apart, then map r1's Out and r2's In to shared
                existentials *)
@@ -183,13 +265,12 @@ let compose r1 r2 =
             let cs2 =
               List.map (Constr.map_lin (Lin.map_vars f2)) (Conj.constraints c2)
             in
-            Conj.make ~n_ex:(base + mid) (cs1 @ cs2))
+            Conj.simplify (Conj.make ~n_ex:(base + mid) (cs1 @ cs2)))
           r2.conjs)
       r1.conjs
   in
-  simplify
-    (make ~in_names:r1.in_names ~out_names:r2.out_names ~in_ar:r1.in_ar
-       ~out_ar:r2.out_ar conjs)
+  make ~in_names:r1.in_names ~out_names:r2.out_names ~in_ar:r1.in_ar
+    ~out_ar:r2.out_ar conjs
 
 let restrict_domain r s =
   if not (is_set s) || s.in_ar <> r.in_ar then
@@ -248,33 +329,24 @@ let subst_param name lin t =
 let apply_point r lins =
   if List.length lins <> r.in_ar then invalid_arg "Rel.apply_point: arity";
   let conjs =
-    List.map
-      (fun c ->
-        List.fold_left
-          (fun (c, i) lin -> (Conj.subst (Var.In i) lin c, i + 1))
-          (c, 0) lins
-        |> fst)
-      r.conjs
+    memo ~lins op_apply_point [ r ] (fun () ->
+        range_conjs ~in_ar:r.in_ar
+          (List.map
+             (fun c ->
+               List.fold_left
+                 (fun (c, i) lin -> (Conj.subst (Var.In i) lin c, i + 1))
+                 (c, 0) lins
+               |> fst)
+             r.conjs))
   in
-  range { r with conjs }
+  make ~in_names:r.out_names ~in_ar:r.out_ar ~out_ar:0 conjs
 
 (* ------------------------------------------------------------------ *)
 (* Predicates                                                          *)
 (* ------------------------------------------------------------------ *)
 
-module SubsetMemo = Cache.Memo (struct
-  (* (in_ar, out_ar, conj ids of a, conj ids of b); names are cosmetic and
-     deliberately excluded — subset is a property of the point sets only *)
-  type t = int * int * int list * int list
-
-  let equal (a, b, xs, ys) (a', b', xs', ys') =
-    a = a' && b = b' && List.equal Int.equal xs xs' && List.equal Int.equal ys ys'
-
-  let hash = Hashtbl.hash
-end)
-
-let subset_memo : bool SubsetMemo.t =
-  SubsetMemo.create "subset" ~lookups:Stats.subset_lookups
+let subset_memo : bool KeyMemo.t =
+  KeyMemo.create "subset" ~lookups:Stats.subset_lookups
     ~hits:Stats.subset_hits
 
 let subset a b =
@@ -293,9 +365,7 @@ let subset a b =
   in
   if not (Cache.enabled ()) then slow ()
   else
-    SubsetMemo.find_or_add subset_memo
-      (a.in_ar, a.out_ar, List.map Conj.id a.conjs, List.map Conj.id b.conjs)
-      (fun () ->
+    KeyMemo.find_or_add subset_memo (key op_subset [ a; b ]) (fun () ->
         (* disk layer beneath the memo, content-keyed exactly like the
            in-memory key: arities plus both conjunct lists (names are
            cosmetic and excluded) *)

@@ -9,7 +9,12 @@
 
     Emptiness, subset and equality are exact (backed by the Omega test);
     {!diff} is exact on sets whose residual existentials are stride/window
-    shaped and raises {!Conj.Inexact_negation} otherwise. *)
+    shaped and raises {!Conj.Inexact_negation} otherwise.
+
+    {!diff}, {!coalesce}, {!compose}, {!domain}, {!range}, {!apply_point}
+    and {!subset} are memoized on their operands' arities and interned
+    conjunct (and term) ids, never on names (see {!Cache}): a repeat
+    returns the same conjuncts, under names built from its own operands. *)
 
 type t
 

@@ -39,6 +39,8 @@ let implies_lookups = counter "implies lookups"
 let implies_hits = counter "implies hits"
 let subset_lookups = counter "subset lookups"
 let subset_hits = counter "subset hits"
+let rel_lookups = counter "rel lookups"
+let rel_hits = counter "rel hits"
 let evictions = counter "cache evictions"
 let disk_lookups = counter "disk lookups"
 let disk_hits = counter "disk hits"

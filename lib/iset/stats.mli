@@ -26,6 +26,12 @@ val implies_lookups : counter
 val implies_hits : counter
 val subset_lookups : counter
 val subset_hits : counter
+
+(** The relation-level memo of {!Rel} (diff, coalesce, compose, domain,
+    range, apply_point); subset keeps its own pair above. *)
+
+val rel_lookups : counter
+val rel_hits : counter
 val evictions : counter
 
 (** On-disk analysis-cache traffic (see {!Diskcache}): lookups/hits count

@@ -1,9 +1,10 @@
 (* Correctness of the hash-consing / memoization layer of lib/iset:
 
    - differential QCheck properties asserting that memoized and
-     cache-disabled runs agree on sat / simplify / subset / equal / gist for
-     random sets (including the repeated-query path, where the second call
-     is served from the cache);
+     cache-disabled runs agree on sat / simplify / subset / equal / gist
+     and on the memoized relation operations (diff, coalesce, compose,
+     domain, range, apply_point) for random sets (including the
+     repeated-query path, where the second call is served from the cache);
    - soundness of the trivially_unsat pre-filter against the full Omega
      test;
    - shape independence of interning: terms, constraints and conjuncts
@@ -104,6 +105,47 @@ let prop_equal =
   QCheck.Test.make ~count:100 ~name:"memoized equal = cache-disabled equal"
     arb_rel2 (fun (a, b) ->
       agree ( = ) (three_ways (fun () -> Rel.equal a b)))
+
+(* relation results agree in arities, conjuncts and printed names *)
+let same_rel a b =
+  Rel.in_arity a = Rel.in_arity b
+  && Rel.out_arity a = Rel.out_arity b
+  && List.equal Conj.equal (Rel.conjuncts a) (Rel.conjuncts b)
+  && String.equal (Rel.to_string a) (Rel.to_string b)
+
+(* the generated sets read as 1 -> 1 relations, so compose, domain, range
+   and apply_point have a non-trivial output tuple to work on *)
+let as_rel s = Rel.unflatten ~in_ar:1 s
+
+let rel_ops =
+  [
+    ("diff", Rel.diff);
+    ("coalesce", fun a _ -> Rel.coalesce (Rel.union a a));
+    ("compose", fun a b -> Rel.compose (as_rel a) (as_rel b));
+    ("domain", fun a _ -> Rel.domain (as_rel a));
+    ("range", fun a _ -> Rel.range (as_rel a));
+    ("apply_point", fun a _ -> Rel.apply_point (as_rel a) [ Lin.var (Var.Param "m") ]);
+  ]
+
+let prop_rel (name, f) =
+  QCheck.Test.make ~count:100
+    ~name:(Printf.sprintf "memoized Rel.%s = cache-disabled Rel.%s" name name)
+    arb_rel2
+    (fun (a, b) -> agree same_rel (three_ways (fun () -> f a b)))
+
+(* every operation over the same operands in one table epoch, plus the
+   domain of the operand read as a set: a key that lost its op code, an
+   arity or a term would make two of them collide *)
+let prop_rel_shared =
+  QCheck.Test.make ~count:100 ~name:"memoized Rel operations share one table"
+    arb_rel2 (fun (a, b) ->
+      let all () =
+        List.map (fun (_, f) -> f a b) rel_ops
+        @ [ Rel.domain a; Rel.apply_point (as_rel a) [ Lin.const 3 ] ]
+      in
+      agree (List.equal same_rel) (three_ways all))
+
+let prop_rel_ops = List.map prop_rel rel_ops @ [ prop_rel_shared ]
 
 let prop_prefilter_sound =
   QCheck.Test.make ~count:500
@@ -209,6 +251,22 @@ let test_hits_recorded () =
   Alcotest.(check bool) "same answer" r1 r2;
   Alcotest.(check bool) "second query hits" true (Stats.count Stats.sat_hits >= 1)
 
+let test_rel_hits_recorded () =
+  Cache.set_enabled true;
+  Stats.reset ();
+  let a = Rel.set ~ar:1 [ mk_interval 1 10 ] and b = Rel.set ~ar:1 [ mk_interval 4 6 ] in
+  let d1 = Rel.diff a b in
+  Alcotest.(check int) "first diff misses" 0 (Stats.count Stats.rel_hits);
+  (* structurally equal operands under other names must hit *)
+  let d2 =
+    Rel.diff (Rel.with_names ~in_names:[| "x" |] a) (Rel.set ~ar:1 [ mk_interval 4 6 ])
+  in
+  Alcotest.(check bool) "repeated diff hits" true (Stats.count Stats.rel_hits >= 1);
+  Alcotest.(check bool) "same conjuncts" true
+    (List.equal Conj.equal (Rel.conjuncts d1) (Rel.conjuncts d2));
+  Alcotest.(check string) "names come from the operands, not the table"
+    "{[x] : x <= 10 && 7 <= x || x <= 3 && 1 <= x}" (Rel.to_string d2)
+
 let test_interned_ids_stable () =
   Cache.set_enabled true;
   let c = mk_interval 2 5 in
@@ -223,7 +281,8 @@ let test_eviction_bound () =
   Cache.set_capacity cap;
   (* far more distinct queries than the capacity *)
   for i = 1 to 40 * cap do
-    ignore (Conj.sat (mk_interval 1 i))
+    ignore (Conj.sat (mk_interval 1 i));
+    ignore (Rel.coalesce (Rel.set ~ar:1 [ mk_interval 1 i ]))
   done;
   List.iter
     (fun (name, v) ->
@@ -245,6 +304,9 @@ let test_eviction_bound () =
     (Stats.report ());
   Alcotest.(check bool) "clear-on-full evictions occurred" true
     (Stats.count Stats.evictions > 0);
+  (* the relation table holds a sixteenth of the capacity *)
+  Alcotest.(check bool) "rel cache within its share" true
+    (List.assoc "rel cache size" (Stats.report ()) <= cap / 16);
   (* ids keep growing across evictions: no reuse, so no stale hits *)
   let idA = Conj.id (mk_interval 1 1) in
   Cache.clear_all ();
@@ -274,13 +336,15 @@ let () =
             prop_subset;
             prop_equal;
             prop_prefilter_sound;
-          ] );
+          ]
+        @ List.map QCheck_alcotest.to_alcotest prop_rel_ops );
       ( "interning",
         List.map QCheck_alcotest.to_alcotest
           [ prop_lin_shape; prop_constr_shape; prop_conj_shape ] );
       ( "bounds",
         [
           Alcotest.test_case "hits recorded" `Quick test_hits_recorded;
+          Alcotest.test_case "rel hits recorded" `Quick test_rel_hits_recorded;
           Alcotest.test_case "interned ids stable" `Quick test_interned_ids_stable;
           Alcotest.test_case "eviction bound" `Quick test_eviction_bound;
           Alcotest.test_case "disabled mode transparent" `Quick

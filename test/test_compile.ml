@@ -197,6 +197,49 @@ subroutine f
 end
 |}
 
+(* Whole-compile memo equivalence: every built-in at its default size
+   and the three Table-1 programs at paper scale compile to byte-identical
+   SPMD text and --show-sets text with every cache off, over cold tables,
+   and again over the tables the cold compile warmed (where the relation-
+   and conjunct-level memos answer from their tables). *)
+let memo_programs =
+  [
+    ("jacobi", Codes.jacobi ());
+    ("tomcatv", Codes.tomcatv ());
+    ("erlebacher", Codes.erlebacher ());
+    ("gauss", Codes.gauss ());
+    ("figure2", Codes.figure2 ());
+    ("sp_like", Codes.sp_like ());
+    ("SP-4", Codes.sp_like ~n:24 ~nsub:30 ~procs:(Codes.Fixed (2, 2)) ());
+    ("SP-sym", Codes.sp_like ~n:24 ~nsub:30 ~procs:(Codes.Symbolic2 2) ());
+    ("T-sym", Codes.tomcatv ~n:257 ~iters:3 ~procs:(Codes.Symbolic2 1) ());
+  ]
+
+let test_memo_equivalence () =
+  let texts src =
+    let c = Dhpf.Gen.compile ~domains:1 (Hpf.Sema.analyze_source src) in
+    ( Dhpf.Spmd.program_to_string c.Dhpf.Gen.cprog,
+      Fmt.str "%a" Dhpf.Gen.pp_sets c.Dhpf.Gen.cevents )
+  in
+  List.iter
+    (fun (name, src) ->
+      Iset.Cache.set_enabled false;
+      let off =
+        Fun.protect ~finally:(fun () -> Iset.Cache.set_enabled true) (fun () -> texts src)
+      in
+      Iset.Cache.clear_all ();
+      let cold = texts src in
+      let hits = Iset.Stats.count Iset.Stats.rel_hits in
+      let warm = texts src in
+      Alcotest.(check bool) (name ^ ": warm compile hits the relation memo") true
+        (Iset.Stats.count Iset.Stats.rel_hits > hits);
+      List.iter
+        (fun (state, (spmd, sets)) ->
+          Alcotest.(check string) (name ^ ": SPMD text, " ^ state) (fst off) spmd;
+          Alcotest.(check string) (name ^ ": --show-sets text, " ^ state) (snd off) sets)
+        [ ("cold", cold); ("warm", warm) ])
+    memo_programs
+
 let () =
   Alcotest.run "compile"
     [
@@ -216,5 +259,6 @@ let () =
           Alcotest.test_case "SPMD structure" `Quick test_spmd_structure;
           Alcotest.test_case "phase report" `Quick test_phase_report;
           Alcotest.test_case "unsupported diagnostics" `Quick test_unsupported_diagnostics;
+          Alcotest.test_case "memo equivalence" `Slow test_memo_equivalence;
         ] );
     ]

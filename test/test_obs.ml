@@ -262,7 +262,8 @@ let window_counters =
     Iset.Stats.sat_prefilter_kills; Iset.Stats.simplify_lookups;
     Iset.Stats.simplify_hits; Iset.Stats.gist_lookups; Iset.Stats.gist_hits;
     Iset.Stats.implies_lookups; Iset.Stats.implies_hits;
-    Iset.Stats.subset_lookups; Iset.Stats.subset_hits; Iset.Stats.evictions ]
+    Iset.Stats.subset_lookups; Iset.Stats.subset_hits; Iset.Stats.rel_lookups;
+    Iset.Stats.rel_hits; Iset.Stats.evictions ]
 
 let test_stats_window_reset () =
   let src = Codes.jacobi ~n:12 ~iters:1 () in

@@ -288,6 +288,120 @@ let test_deep_frame () =
   let r = Client.request ~socket Proto.Ping in
   Alcotest.(check string) "next request served" "ok" (status r)
 
+(* -- whole-frame fuzzing ---------------------------------------------- *)
+
+(* Raw bytes are written to one end of a socketpair, whose sending side is
+   then shut down, and the daemon's reading path runs on the other end: [Proto.read_json],
+   then [Proto.request_of_json]. Whatever the bytes, the outcome is a
+   clean EOF, a [Proto_error], or a request or its [Error]; no other
+   exception escapes, and a receive timeout turns a hang into a failure. *)
+type frame_outcome = Eof | Bad_frame | Request | Refused
+
+let frame_outcome bytes =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close w;
+      Unix.close r)
+    (fun () ->
+      Unix.setsockopt_float r Unix.SO_RCVTIMEO 5.0;
+      let n = String.length bytes in
+      if Unix.write_substring w bytes 0 n <> n then Alcotest.fail "short write";
+      Unix.shutdown w Unix.SHUTDOWN_SEND;
+      match Proto.read_json r with
+      | None -> Eof
+      | Some j -> (
+          match Proto.request_of_json j with Ok _ -> Request | Error _ -> Refused)
+      | exception Proto.Proto_error _ -> Bad_frame)
+
+let framed payload =
+  let n = String.length payload in
+  String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF)) ^ payload
+
+let request_payloads =
+  List.map
+    (fun r -> Obs.Json.to_string (Proto.request_to_json r))
+    [
+      Proto.Ping;
+      Proto.Stats;
+      Proto.Dump;
+      Proto.Shutdown;
+      Proto.Compile { label = "figure2"; source = None; opts };
+      Proto.Compile
+        { label = "<inline>"; source = Some "program t\n  x = \"\\u00e9\"\nend\n"; opts };
+      Proto.Run
+        {
+          label = "jacobi";
+          source = None;
+          opts;
+          nprocs = 8;
+          params = [ ("n", 12); ("iters", -3) ];
+          engine = "native";
+        };
+    ]
+
+(* every valid payload reads back as its request *)
+let test_valid_frames () =
+  List.iter
+    (fun p ->
+      if frame_outcome (framed p) <> Request then Alcotest.failf "refused %s" p)
+    request_payloads
+
+(* bytes shaped like JSON requests, so mutations reach the parser and the
+   request decoder rather than stopping at the length header *)
+let json_bytes_gen =
+  QCheck.Gen.(
+    let alphabet = {|{}[]":,-+.0123456789eEtrufalsn\ ucopsr|} in
+    string_size ~gen:(oneofl (List.of_seq (String.to_seq alphabet))) (int_range 0 48))
+
+let mutate_gen s =
+  QCheck.Gen.(
+    if s = "" then return s
+    else
+      map2
+        (fun i c -> String.mapi (fun j x -> if j = i then c else x) s)
+        (int_range 0 (String.length s - 1))
+        char)
+
+let fuzz_frame_gen =
+  QCheck.Gen.(
+    oneofl request_payloads >>= fun p ->
+    let f = framed p in
+    frequency
+      [
+        (* random bytes, and random bytes behind a matching header *)
+        (2, string_size ~gen:char (int_range 0 64));
+        (2, map framed (string_size ~gen:char (int_range 0 64)));
+        (2, map framed json_bytes_gen);
+        (* truncations of a valid frame *)
+        (2, map (fun k -> String.sub f 0 k) (int_range 0 (String.length f - 1)));
+        (* one-byte mutations: anywhere in the frame, or in the payload
+           with the header fixed up *)
+        (3, mutate_gen f);
+        (3, map framed (mutate_gen p));
+      ])
+
+let prop_fuzz_frames =
+  QCheck.Test.make ~count:3000 ~name:"fuzzed frames: EOF, Proto_error or a decoded request"
+    (QCheck.make ~print:String.escaped fuzz_frame_gen)
+    (fun bytes ->
+      (* any outcome passes; an escaping exception fails the property *)
+      ignore (frame_outcome bytes : frame_outcome);
+      true)
+
+(* a truncated frame never decodes: EOF before the header, Proto_error
+   after it *)
+let test_truncated_frames () =
+  List.iter
+    (fun p ->
+      let f = framed p in
+      for k = 0 to String.length f - 1 do
+        let want = if k = 0 then Eof else Bad_frame in
+        if frame_outcome (String.sub f 0 k) <> want then
+          Alcotest.failf "truncation of %s at %d" p k
+      done)
+    request_payloads
+
 let test_stats () =
   with_server @@ fun socket ->
   ignore
@@ -931,6 +1045,9 @@ let () =
           Alcotest.test_case "protocol errors" `Quick test_protocol_errors;
           Alcotest.test_case "deep frame" `Quick test_deep_frame;
           Alcotest.test_case "numeric fields" `Quick test_numeric_fields;
+          Alcotest.test_case "valid frames" `Quick test_valid_frames;
+          Alcotest.test_case "truncated frames" `Quick test_truncated_frames;
+          QCheck_alcotest.to_alcotest prop_fuzz_frames;
           Alcotest.test_case "omega out of fuel" `Quick test_too_hard;
         ] );
       ( "lifecycle",
