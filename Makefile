@@ -7,23 +7,19 @@
 DUNE ?= dune
 DHPFC = $(DUNE) exec bin/dhpfc.exe --
 
-.PHONY: all check test loc resilience fuzz bench bench-smoke bench-run bench-run-smoke bench-par-smoke bench-native-smoke bench-native bench-serve bench-serve-smoke serve-obs-smoke metrics-smoke fmt fmt-check clean
+.PHONY: all check test loc resilience fuzz bench-smoke bench-run-smoke bench-par-smoke bench-native-smoke metrics-smoke fmt fmt-check clean
 
 all:
 	$(DUNE) build
 
 check:
-	$(DUNE) build && $(DUNE) runtest && $(MAKE) bench-smoke && $(MAKE) bench-run-smoke && $(MAKE) bench-par-smoke && $(MAKE) bench-native-smoke && $(MAKE) bench-serve-smoke && $(MAKE) serve-obs-smoke && $(MAKE) metrics-smoke
+	$(DUNE) build && $(DUNE) runtest && $(MAKE) bench-smoke && $(MAKE) bench-run-smoke && $(MAKE) bench-par-smoke && $(MAKE) bench-native-smoke && $(MAKE) metrics-smoke
 
-# Fast Table-1 subset with the bench's JSON emitter; fails if the
-# integer-set caches record zero hits (i.e. the memoization layer is
-# accidentally disabled or dead).
+# Fast Table-1 subset; fails if the integer-set caches record zero hits
+# (i.e. the memoization layer is accidentally disabled or dead) or a warm
+# repeat compile allocates more than half the minor words of a cold one.
 bench-smoke:
 	$(DUNE) exec bench/main.exe -- smoke
-
-# `bench` regenerates BENCH_compile.json (full Table 1, a few minutes).
-bench:
-	$(DUNE) exec bench/main.exe -- json > BENCH_compile.json
 
 # Fast Figure-7 runtime subset: runs each workload under both execution
 # engines, fails if their counters disagree or if the closure engine is
@@ -31,50 +27,19 @@ bench:
 bench-run-smoke:
 	$(DUNE) exec bench/main.exe -- run-smoke
 
-# `bench-run` regenerates BENCH_run.json.
-bench-run:
-	$(DUNE) exec bench/main.exe -- run-json > BENCH_run.json
-
 # Domain-parallel smoke: the sharded-lane scheduler must stay bit-identical
 # to the sequential one (always checked), and on hosts with >= 2 cores the
-# parallel compile and simulation must beat 1 domain by
-# DHPF_PAR_SMOKE_MIN_SPEEDUP (default 1.5x); single-core hosts skip the
-# speedup half with a message.
+# parallel compile and simulation must beat 1 domain by 1.5x; single-core
+# hosts skip the speedup half with a message.
 bench-par-smoke:
 	$(DUNE) exec bench/main.exe -- par-smoke
 
 # Native-engine smoke: the generated-OCaml kernel must stay bit-identical
 # to the closure engine and the interpreter (three-way differential, fault
 # schedules included), and its warm-cache run phase must beat the closure
-# engine by DHPF_NATIVE_SMOKE_MIN_SPEEDUP (default 3x) on JACOBI-384.
-# `bench-native` regenerates BENCH_native.json.
+# engine by 3x on JACOBI-384.
 bench-native-smoke:
 	$(DUNE) exec bench/main.exe -- native-smoke
-
-bench-native:
-	$(DUNE) exec bench/main.exe -- native-json > BENCH_native.json
-
-# Compilation-service smoke: fork a cold and a warm daemon over one
-# shared disk cache, drive both with concurrent mixed compile/run
-# clients, and fail unless every request succeeds, the warm daemon
-# serves nonzero disk-cache hits, and both daemons shut down cleanly on
-# SIGTERM. `bench-serve` regenerates BENCH_serve.json.
-bench-serve-smoke:
-	$(DHPFC) bench-serve --clients 8 --requests 3 --smoke
-
-bench-serve:
-	$(DHPFC) bench-serve --clients 8 --requests 4 --json BENCH_serve.json --smoke
-
-# Observability smoke: the same three daemons (cold, warm, eviction
-# pressure) with every telemetry sink routed to OBS_DIR — structured
-# JSONL logs, Prometheus files, flight-recorder dumps — and the smoke
-# checks extended to parse and validate each artifact, assert that
-# telemetry threads through every response, and that the squeezed
-# daemon records evictions and a degraded hit ratio.
-OBS_DIR ?= artifacts/obs
-serve-obs-smoke:
-	mkdir -p $(OBS_DIR)
-	$(DHPFC) bench-serve --clients 4 --requests 3 --obs $(OBS_DIR) --json $(OBS_DIR)/BENCH_serve.json --smoke
 
 # Predicted-vs-measured communication: the bench's symmetric-stencil
 # matrix assertions, then --check-comm (static integer-set prediction

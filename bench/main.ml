@@ -8,9 +8,12 @@
      Figure 7b — ERLEBACHER speedups, two problem sizes
      Figure 7c — JACOBI speedups
      (ablation) — optimization on/off deltas for the §3 optimizations
+     (resilience) — lost work vs. checkpoint interval under crashes
 
    Run with: dune exec bench/main.exe
-   Sections can be selected by name: dune exec bench/main.exe -- table1 fig7c *)
+   Sections can be selected by name: dune exec bench/main.exe -- table1 fig7c
+   The smoke gates (smoke, run-smoke, par-smoke, native-smoke,
+   metrics-smoke) run only when named. *)
 
 let section title =
   Fmt.pr "@.======================================================================@.";
@@ -32,15 +35,14 @@ let compile_timed src =
   let total = Unix.gettimeofday () -. t0 in
   (compiled, total, ph, Iset.Stats.report ())
 
-(* The domain counts every parallel sweep reports. Counts above the host
-   core count still run (the pool just oversubscribes) so the sweep shape
-   is stable across machines; [host_cores] in the JSON tells the reader
-   which rows could actually run concurrently. *)
+(* The domain counts run-smoke shards the simulator lanes over. Counts
+   above the host core count still run (the pool just oversubscribes), so
+   the check is the same on every machine. *)
 let domain_sweep = [ 1; 2; 4 ]
 
-(* Wall-clock of a parallel compile at a given domain count. The output
-   is byte-identical at every count (enforced by the test suite), so only
-   the time is interesting here. *)
+(* Wall-clock of a parallel compile at a given domain count (par-smoke).
+   The output is byte-identical at every count (enforced by the test
+   suite), so only the time is interesting here. *)
 let compile_par_timed ~domains chk =
   let ph = Dhpf.Phase.create () in
   let t0 = Unix.gettimeofday () in
@@ -75,6 +77,8 @@ let cache_keys =
     "implies hits";
     "subset lookups";
     "subset hits";
+    "rel lookups";
+    "rel hits";
     "cache evictions";
     "interned conjuncts";
     "interned constraints";
@@ -122,7 +126,7 @@ let table1 () =
   List.iter (fun (n, _, _, _) -> Fmt.pr "%10s" n) results;
   Fmt.pr "@.";
   Fmt.pr "%-50s" "total compilation wall-clock time";
-  List.iter (fun (_, t, _, _) -> Fmt.pr "%9.2fs" t) results;
+  List.iter (fun (_, t, _, _) -> Fmt.pr "%9.3fs" t) results;
   Fmt.pr "@.";
   List.iteri
     (fun i (label, _) ->
@@ -308,78 +312,55 @@ let set_micro () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable output: `-- json` (full Table 1) and `-- smoke`     *)
-(* (fast subset + cache-hit assertion, for `make bench-smoke`)          *)
+(* Checkpoint interval sweep (`-- resilience`)                         *)
 (* ------------------------------------------------------------------ *)
 
-module J = Obs.Json
+(* One workload under a FIXED crash schedule, swept over checkpoint
+   intervals. Crash points are keyed on (pid, op), so the same crashes
+   fire at every interval — the sweep isolates the checkpoint-frequency
+   trade-off: frequent snapshots cost write time but bound the work a
+   rollback discards; interval 0 means no snapshots (every recovery
+   restarts from scratch). Values are bit-identical to the fault-free run
+   at every point of the sweep (asserted by the resilience test suite);
+   only the clocks move. *)
 
-let num_fields kvs = List.map (fun (k, v) -> (k, J.Num v)) kvs
+let ckpt_workload =
+  ("JACOBI-384", Codes.jacobi ~n:384 ~iters:4 ~procs:(Codes.Symbolic2 2) (), 8)
 
-(* one document per line on stdout; `make bench`, `bench-run` and
-   `bench-native` redirect it to the committed baseline *)
-let print_doc doc = print_endline (J.to_string doc)
+let ckpt_intervals = [ 0; 5; 20; 80; 320 ]
+let ckpt_faults = (17, 0.04, 4) (* seed, crash_prob, crash_max *)
 
-(* Compile the Table-1 applications and emit one JSON document with per-app
-   wall-clock, per-phase seconds, and the cache counters — the format the
-   checked-in BENCH_compile.json baseline uses to track the perf
-   trajectory. *)
-let bench_json ~smoke () =
-  let apps = table1_apps ~smoke () in
-  let results =
-    List.map
-      (fun (name, src) ->
-        let _, total, ph, stats = compile_timed src in
-        let phases =
-          List.map (fun l -> (l, Dhpf.Phase.total ph l)) (Dhpf.Phase.labels ph)
-        in
-        (* domain sweep of the same compile: output is byte-identical at
-           every count, only wall-clock moves *)
-        let chk = Hpf.Sema.analyze_source src in
-        let par =
-          List.map (fun d -> (d, compile_par_timed ~domains:d chk)) domain_sweep
-        in
-        (name, total, phases, stats, par))
-      apps
-  in
-  let app_json (name, total, phases, stats, par) =
-    let t1 =
-      try List.assoc 1 par with Not_found -> List.assoc (List.hd domain_sweep) par
-    in
-    J.Obj
-      [
-        ("name", J.Str name);
-        ("total_s", J.Num total);
-        ( "compile_domains",
-          J.List
-            (List.map
-               (fun (d, s) ->
-                 J.Obj
-                   [
-                     ("domains", J.int d);
-                     ("wall_s", J.Num s);
-                     ("speedup", J.Num (t1 /. Float.max s 1e-9));
-                   ])
-               par) );
-        ("phases_s", J.Obj (num_fields phases));
-        ("cache", J.Obj (List.map (fun (k, v) -> (k, J.int v)) stats));
-      ]
-  in
-  print_doc
-    (J.Obj
-       [
-         ("schema", J.Str "dhpf-bench-compile/2");
-         ("mode", J.Str (if smoke then "smoke" else "full"));
-         ("host_cores", J.int (Par.recommended ()));
-         ("cache_enabled", J.Bool (Iset.Cache.enabled ()));
-         ("apps", J.List (List.map app_json results));
-       ]);
-  results
-
-let json () = ignore (bench_json ~smoke:false ())
+let resilience () =
+  section "Checkpoint interval sweep: lost work vs. checkpoint cost";
+  let name, src, nprocs = ckpt_workload in
+  let seed, crash_prob, crash_max = ckpt_faults in
+  Fmt.pr
+    "(%s on %d procs, crash schedule seed %d: p=%.2f per comm op, max %d \
+     crashes;@.\
+    \ the same crashes fire at every interval — only the rollback distance \
+     changes)@.@."
+    name nprocs seed crash_prob crash_max;
+  Fmt.pr "%10s %8s %12s %9s %14s %12s@." "interval" "ckpts" "ckpt KiB"
+    "crashes" "lost work ms" "time ms";
+  let compiled = Dhpf.Gen.compile (Hpf.Sema.analyze_source src) in
+  let faults = { Spmdsim.Fault.none with seed; crash_prob; crash_max } in
+  List.iter
+    (fun every ->
+      let st =
+        (Spmdsim.Checkpoint.run ~faults ~ckpt_every:every ~nprocs
+           compiled.Dhpf.Gen.cprog)
+          .Spmdsim.Checkpoint.rp_stats
+      in
+      Fmt.pr "%10s %8d %12d %9d %14.3f %12.2f@."
+        (if every = 0 then "none" else string_of_int every)
+        st.s_ckpts (st.s_ckpt_bytes / 1024) st.s_crashes
+        (st.s_lost_work *. 1e3) (st.s_time *. 1e3))
+    ckpt_intervals
 
 (* ------------------------------------------------------------------ *)
-(* Runtime benchmark: `-- run-json` / `-- run-smoke` (BENCH_run.json)   *)
+(* Smoke gates: `-- smoke`, `-- run-smoke`, `-- metrics-smoke`,        *)
+(* `-- par-smoke` and `-- native-smoke` (the `make bench-*-smoke`      *)
+(* targets). Each prints its findings on stderr and exits 1 on failure. *)
 (* ------------------------------------------------------------------ *)
 
 (* The Figure-7 workloads timed end to end (Exec.make + Exec.run, i.e.
@@ -387,34 +368,20 @@ let json () = ignore (bench_json ~smoke:false ())
    engines must agree exactly on the transport counters — a cheap standing
    differential check here; the bit-identical element comparison lives in
    the test suite's engine-differential property. *)
-let run_workloads ?(smoke = false) () =
-  if smoke then
-    [
-      ("JACOBI-96", Codes.jacobi ~n:96 ~iters:3 ~procs:(Codes.Symbolic2 2) (), 4);
-      ("TOMCATV-65", Codes.tomcatv ~n:65 ~iters:2 ~procs:(Codes.Symbolic2 1) (), 4);
-    ]
-  else
-    [
-      ("TOMCATV-129", Codes.tomcatv ~n:129 ~iters:3 ~procs:(Codes.Symbolic2 1) (), 8);
-      ("TOMCATV-257", Codes.tomcatv ~n:257 ~iters:3 ~procs:(Codes.Symbolic2 1) (), 8);
-      ("ERLEBACHER-40", Codes.erlebacher ~n:40 ~iters:2 ~procs:(Codes.Symbolic2 1) (), 4);
-      ("JACOBI-384", Codes.jacobi ~n:384 ~iters:4 ~procs:(Codes.Symbolic2 2) (), 8);
-    ]
+let run_workloads =
+  [
+    ("JACOBI-96", Codes.jacobi ~n:96 ~iters:3 ~procs:(Codes.Symbolic2 2) (), 4);
+    ("TOMCATV-65", Codes.tomcatv ~n:65 ~iters:2 ~procs:(Codes.Symbolic2 1) (), 4);
+  ]
 
 type run_row = {
   rr_name : string;
-  rr_nprocs : int;
-  rr_compile_s : float;
-  rr_phases : (string * float) list;  (* per-phase compile breakdown *)
   rr_interp_s : float;
   rr_closure_s : float;
-  rr_stats : Spmdsim.Exec.stats;
   rr_counters_equal : bool;
-  rr_domains : (int * float * bool) list;
-      (* sharded-lane sweep: domains, wall_s, counters bit-equal to 1-domain *)
-  rr_matrix : (int * int * int * int * int) list;
-      (* aggregated comm matrix: src, dst, msgs, elems, bytes *)
-  rr_metrics : (string * float) list;  (* selected scalar series *)
+  rr_domains_equal : bool;
+      (* every sharded-lane run of [domain_sweep] bit-equal to the
+         closure engine's *)
 }
 
 let time_engine engine prog nprocs =
@@ -443,260 +410,33 @@ let time_domains ~domains prog nprocs (ref_stats : Spmdsim.Exec.stats) =
   in
   (wall, eq)
 
-(* One extra metered (untimed) closure run per workload. The timed runs
-   stay unmetered so engine timings are not polluted by registry upkeep;
-   metering cannot perturb the results themselves (the registry only
-   reads simulated state). *)
-let metered_run ?engine:(engine = `Closure) prog nprocs =
-  Obs.Metrics.reset ();
-  Obs.Metrics.enable ();
-  let sim = Spmdsim.Exec.make ~engine ~nprocs prog in
-  ignore (Spmdsim.Exec.run sim);
-  let cells = Spmdsim.Exec.comm_cells sim in
-  let snap = Obs.Metrics.snapshot () in
-  Obs.Metrics.disable ();
-  Obs.Metrics.reset ();
-  (cells, snap)
-
-(* fold the per-event cells into the P x P matrix *)
-let comm_matrix cells =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (c : Spmdsim.Exec.comm_cell) ->
-      let key = (c.cm_src, c.cm_dst) in
-      let m, e, b = try Hashtbl.find tbl key with Not_found -> (0, 0, 0) in
-      Hashtbl.replace tbl key (m + c.cm_msgs, e + c.cm_elems, b + c.cm_bytes))
-    cells;
-  Hashtbl.fold (fun (s, d) (m, e, b) acc -> (s, d, m, e, b) :: acc) tbl []
-  |> List.sort compare
-
-let snap_scalar snap name =
-  let open Obs.Metrics in
-  match
-    List.find_opt (fun s -> s.m_name = name && s.m_labels = []) snap
-  with
-  | Some { m_value = VCounter v | VGauge v; _ } -> v
-  | _ -> 0.0
-
-(* the scalar series embedded per workload in dhpf-bench-run/3 *)
-let embedded_series =
-  [
-    "sim/msgs_total"; "sim/bytes_total"; "sim/elems_total"; "sim/coll_msgs";
-    "sim/coll_bytes"; "sim/local_copies"; "sim/retransmits"; "sim/max_mailbox";
-    "sim/compute_max_s"; "sim/compute_mean_s"; "sim/load_imbalance";
-    "sim/comm_to_compute";
-  ]
-
-(* ---- crash/checkpoint sweep: lost work vs. checkpoint interval ---- *)
-
-(* One workload under a FIXED crash schedule, swept over checkpoint
-   intervals. Crash points are keyed on (pid, op), so the same crashes
-   fire at every interval — the sweep isolates the checkpoint-frequency
-   trade-off: frequent snapshots cost write time but bound the work a
-   rollback discards; interval 0 means no snapshots (every recovery
-   restarts from scratch). Values are bit-identical to the fault-free run
-   at every point of the sweep (asserted by the resilience test suite);
-   only the clocks move. *)
-
-let ckpt_workload ~smoke =
-  if smoke then
-    ("JACOBI-96", Codes.jacobi ~n:96 ~iters:3 ~procs:(Codes.Symbolic2 2) (), 4)
-  else
-    ("JACOBI-384", Codes.jacobi ~n:384 ~iters:4 ~procs:(Codes.Symbolic2 2) (), 8)
-
-let ckpt_intervals ~smoke = if smoke then [ 0; 8; 32 ] else [ 0; 5; 20; 80; 320 ]
-let ckpt_faults = (17, 0.04, 4) (* seed, crash_prob, crash_max *)
-
-type ckpt_row = {
-  ck_every : int;
-  ck_ckpts : int;
-  ck_bytes : int;
-  ck_crashes : int;
-  ck_lost_s : float;
-  ck_time_s : float;
-}
-
-let ckpt_sweep ~smoke () =
-  let _, src, nprocs = ckpt_workload ~smoke in
-  let chk = Hpf.Sema.analyze_source src in
-  let compiled = Dhpf.Gen.compile chk in
-  let seed, crash_prob, crash_max = ckpt_faults in
-  let faults = { Spmdsim.Fault.none with seed; crash_prob; crash_max } in
-  List.map
-    (fun every ->
-      let rep =
-        Spmdsim.Checkpoint.run ~faults ~ckpt_every:every ~nprocs
-          compiled.Dhpf.Gen.cprog
-      in
-      {
-        ck_every = every;
-        ck_ckpts = rep.Spmdsim.Checkpoint.rp_stats.s_ckpts;
-        ck_bytes = rep.rp_stats.s_ckpt_bytes;
-        ck_crashes = rep.rp_stats.s_crashes;
-        ck_lost_s = rep.rp_stats.s_lost_work;
-        ck_time_s = rep.rp_stats.s_time;
-      })
-    (ckpt_intervals ~smoke)
-
-let resilience () =
-  section "Checkpoint interval sweep: lost work vs. checkpoint cost";
-  let name, _, nprocs = ckpt_workload ~smoke:false in
-  let seed, crash_prob, crash_max = ckpt_faults in
-  Fmt.pr
-    "(%s on %d procs, crash schedule seed %d: p=%.2f per comm op, max %d \
-     crashes;@.\
-    \ the same crashes fire at every interval — only the rollback distance \
-     changes)@.@."
-    name nprocs seed crash_prob crash_max;
-  Fmt.pr "%10s %8s %12s %9s %14s %12s@." "interval" "ckpts" "ckpt KiB"
-    "crashes" "lost work ms" "time ms";
-  List.iter
-    (fun r ->
-      Fmt.pr "%10s %8d %12d %9d %14.3f %12.2f@."
-        (if r.ck_every = 0 then "none" else string_of_int r.ck_every)
-        r.ck_ckpts (r.ck_bytes / 1024) r.ck_crashes (r.ck_lost_s *. 1e3)
-        (r.ck_time_s *. 1e3))
-    (ckpt_sweep ~smoke:false ())
-
-let bench_run_json ~smoke () =
-  let rows =
-    List.map
-      (fun (name, src, nprocs) ->
-        let chk = Hpf.Sema.analyze_source src in
-        (* fresh measurement window per workload: phase totals and cache
-           counters are process-global (see Iset.Stats) *)
-        let ph = Dhpf.Phase.global in
-        Dhpf.Phase.reset ph;
-        Iset.Stats.reset ();
-        let ct0 = Unix.gettimeofday () in
-        let compiled = Dhpf.Gen.compile chk in
-        let compile_s = Unix.gettimeofday () -. ct0 in
-        let phases =
-          List.map (fun l -> (l, Dhpf.Phase.total ph l)) (Dhpf.Phase.labels ph)
-        in
-        let ti, si = time_engine `Interp compiled.Dhpf.Gen.cprog nprocs in
-        let tc, sc = time_engine `Closure compiled.Dhpf.Gen.cprog nprocs in
-        let eq =
-          si.Spmdsim.Exec.s_msgs = sc.Spmdsim.Exec.s_msgs
-          && si.s_bytes = sc.s_bytes && si.s_elems = sc.s_elems
-          && si.s_retransmits = sc.s_retransmits
-          && si.s_time = sc.s_time
-        in
-        let dsweep =
-          List.map
-            (fun d ->
-              let w, deq = time_domains ~domains:d compiled.Dhpf.Gen.cprog nprocs sc in
-              (d, w, deq))
-            domain_sweep
-        in
-        let cells, snap = metered_run compiled.Dhpf.Gen.cprog nprocs in
-        {
-          rr_name = name;
-          rr_nprocs = nprocs;
-          rr_compile_s = compile_s;
-          rr_phases = phases;
-          rr_interp_s = ti;
-          rr_closure_s = tc;
-          rr_stats = sc;
-          rr_counters_equal = eq;
-          rr_domains = dsweep;
-          rr_matrix = comm_matrix cells;
-          rr_metrics = List.map (fun n -> (n, snap_scalar snap n)) embedded_series;
-        })
-      (run_workloads ~smoke ())
-  in
-  let row_json r =
-    let t1 = match r.rr_domains with (1, w, _) :: _ -> w | _ -> r.rr_closure_s in
-    let cell (s, d, m, e, b) =
-      J.Obj
-        [ ("src", J.int s); ("dst", J.int d); ("msgs", J.int m);
-          ("elems", J.int e); ("bytes", J.int b) ]
-    in
-    J.Obj
-      [
-        ("name", J.Str r.rr_name);
-        ("nprocs", J.int r.rr_nprocs);
-        ("compile_wall_s", J.Num r.rr_compile_s);
-        ("compile_phases_s", J.Obj (num_fields r.rr_phases));
-        ("interp_wall_s", J.Num r.rr_interp_s);
-        ("closure_wall_s", J.Num r.rr_closure_s);
-        ("speedup", J.Num (r.rr_interp_s /. r.rr_closure_s));
-        ("counters_equal", J.Bool r.rr_counters_equal);
-        ( "sim_domains",
-          J.List
-            (List.map
-               (fun (d, w, deq) ->
-                 J.Obj
-                   [
-                     ("domains", J.int d);
-                     ("wall_s", J.Num w);
-                     ("speedup", J.Num (t1 /. Float.max w 1e-9));
-                     ("bit_identical", J.Bool deq);
-                   ])
-               r.rr_domains) );
-        ( "sim",
-          J.Obj
-            [
-              ("time_s", J.Num r.rr_stats.Spmdsim.Exec.s_time);
-              ("msgs", J.int r.rr_stats.s_msgs);
-              ("bytes", J.int r.rr_stats.s_bytes);
-              ("elems", J.int r.rr_stats.s_elems);
-            ] );
-        ( "metrics",
-          J.Obj
-            (num_fields r.rr_metrics
-            @ [ ("comm_matrix", J.List (List.map cell r.rr_matrix)) ]) );
-      ]
-  in
-  let resilience_json =
-    let name, _, nprocs = ckpt_workload ~smoke in
-    let seed, crash_prob, crash_max = ckpt_faults in
-    let ckpt_json r =
-      J.Obj
-        [
-          ("checkpoint_every", J.int r.ck_every);
-          ("ckpts", J.int r.ck_ckpts);
-          ("ckpt_bytes", J.int r.ck_bytes);
-          ("crashes", J.int r.ck_crashes);
-          ("lost_work_s", J.Num r.ck_lost_s);
-          ("time_s", J.Num r.ck_time_s);
-        ]
-    in
-    J.Obj
-      [
-        ("workload", J.Str name);
-        ("nprocs", J.int nprocs);
-        ("crash_seed", J.int seed);
-        ("crash_prob", J.Num crash_prob);
-        ("crash_max", J.int crash_max);
-        ("sweep", J.List (List.map ckpt_json (ckpt_sweep ~smoke ())));
-      ]
-  in
-  print_doc
-    (J.Obj
-       [
-         ("schema", J.Str "dhpf-bench-run/5");
-         ("mode", J.Str (if smoke then "smoke" else "full"));
-         ("host_cores", J.int (Par.recommended ()));
-         ("workloads", J.List (List.map row_json rows));
-         ("resilience", resilience_json);
-       ]);
-  rows
-
-let run_json () = ignore (bench_run_json ~smoke:false ())
+let run_row (name, src, nprocs) =
+  let prog = (Dhpf.Gen.compile (Hpf.Sema.analyze_source src)).Dhpf.Gen.cprog in
+  let ti, si = time_engine `Interp prog nprocs in
+  let tc, sc = time_engine `Closure prog nprocs in
+  {
+    rr_name = name;
+    rr_interp_s = ti;
+    rr_closure_s = tc;
+    rr_counters_equal =
+      si.Spmdsim.Exec.s_msgs = sc.Spmdsim.Exec.s_msgs
+      && si.s_bytes = sc.s_bytes && si.s_elems = sc.s_elems
+      && si.s_retransmits = sc.s_retransmits
+      && si.s_time = sc.s_time;
+    rr_domains_equal =
+      List.for_all
+        (fun d -> snd (time_domains ~domains:d prog nprocs sc))
+        domain_sweep;
+  }
 
 (* Backs `make bench-run-smoke` in the tier-1 check flow: the closure
    engine must beat the interpreter on every smoke workload, with identical
    transport counters — otherwise the staged engine (or its cost-model
    parity) has regressed. *)
 let run_smoke () =
-  let rows = bench_run_json ~smoke:true () in
+  let rows = List.map run_row run_workloads in
   let bad_counters = List.filter (fun r -> not r.rr_counters_equal) rows in
-  let bad_domains =
-    List.filter
-      (fun r -> List.exists (fun (_, _, deq) -> not deq) r.rr_domains)
-      rows
-  in
+  let bad_domains = List.filter (fun r -> not r.rr_domains_equal) rows in
   let slow = List.filter (fun r -> r.rr_closure_s >= r.rr_interp_s) rows in
   List.iter
     (fun r ->
@@ -726,6 +466,31 @@ let run_smoke () =
         (r.rr_interp_s /. r.rr_closure_s))
     rows
 
+(* One metered closure or interpreter run: the per-event communication
+   cells it recorded. Metering cannot perturb the run itself (the registry
+   only reads simulated state). *)
+let metered_cells engine prog nprocs =
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  let sim = Spmdsim.Exec.make ~engine ~nprocs prog in
+  ignore (Spmdsim.Exec.run sim);
+  let cells = Spmdsim.Exec.comm_cells sim in
+  Obs.Metrics.disable ();
+  Obs.Metrics.reset ();
+  cells
+
+(* fold the per-event cells into the P x P matrix *)
+let comm_matrix cells =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (c : Spmdsim.Exec.comm_cell) ->
+      let key = (c.cm_src, c.cm_dst) in
+      let m, e, b = try Hashtbl.find tbl key with Not_found -> (0, 0, 0) in
+      Hashtbl.replace tbl key (m + c.cm_msgs, e + c.cm_elems, b + c.cm_bytes))
+    cells;
+  Hashtbl.fold (fun (s, d) (m, e, b) acc -> (s, d, m, e, b) :: acc) tbl []
+  |> List.sort compare
+
 (* Backs `make metrics-smoke`: on a symmetric stencil (JACOBI) over a
    square processor grid the measured communication matrix must be
    symmetric, the integer-set prediction must equal the measured table
@@ -735,11 +500,8 @@ let metrics_smoke () =
   let src = Codes.jacobi ~n:64 ~iters:2 ~procs:(Codes.Fixed (2, 2)) () in
   let chk = Hpf.Sema.analyze_source src in
   let compiled = Dhpf.Gen.compile chk in
-  let cells_of engine =
-    fst (metered_run ~engine compiled.Dhpf.Gen.cprog nprocs)
-  in
-  let cc = cells_of `Closure in
-  let ci = cells_of `Interp in
+  let cc = metered_cells `Closure compiled.Dhpf.Gen.cprog nprocs in
+  let ci = metered_cells `Interp compiled.Dhpf.Gen.cprog nprocs in
   let fail = ref false in
   if cc <> ci then begin
     Fmt.epr "metrics-smoke: engines disagree on the communication matrix@.";
@@ -791,9 +553,11 @@ let metrics_smoke () =
    bit-identical to the sequential scheduler, faults included); the
    speedup half is gated on the host actually having cores to scale on.
    On a multi-core host the 4-way (or as-wide-as-the-host) compile and
-   simulation must beat 1 domain by DHPF_PAR_SMOKE_MIN_SPEEDUP (default
-   1.5x); single-core hosts skip with a message, because oversubscribed
-   domains can only measure interleaving, not speed. *)
+   simulation must beat 1 domain by [par_min_speedup]; single-core hosts
+   skip with a message, because oversubscribed domains can only measure
+   interleaving, not speed. *)
+let par_min_speedup = 1.5
+
 let par_smoke () =
   let chk =
     Hpf.Sema.analyze_source
@@ -815,11 +579,6 @@ let par_smoke () =
        need >= 2 to measure parallel speedup@."
       cores
   else begin
-    let min_speedup =
-      match Sys.getenv_opt "DHPF_PAR_SMOKE_MIN_SPEEDUP" with
-      | Some s -> ( try float_of_string s with _ -> 1.5)
-      | None -> 1.5
-    in
     let d = min 4 cores in
     let fail = ref false in
     (* compile side: the many-unit SP application *)
@@ -833,9 +592,9 @@ let par_smoke () =
     let cs = c1 /. Float.max cd 1e-9 in
     Fmt.epr "bench par-smoke: compile %d-domain speedup %.2fx (%.3fs -> %.3fs)@."
       d cs c1 cd;
-    if cs < min_speedup then begin
+    if cs < par_min_speedup then begin
       Fmt.epr "bench par-smoke: compile speedup below %.2fx threshold@."
-        min_speedup;
+        par_min_speedup;
       fail := true
     end;
     (* simulator side: the large JACOBI closure-engine run *)
@@ -857,9 +616,9 @@ let par_smoke () =
       Fmt.epr "bench par-smoke: sharded run not bit-identical@.";
       fail := true
     end;
-    if ss < min_speedup then begin
+    if ss < par_min_speedup then begin
       Fmt.epr "bench par-smoke: simulator speedup below %.2fx threshold@."
-        min_speedup;
+        par_min_speedup;
       fail := true
     end;
     if !fail then begin
@@ -869,14 +628,12 @@ let par_smoke () =
   end;
   Fmt.epr "bench par-smoke: ok@."
 
-(* --------------------------------------------------------------------- *)
-(* Native-engine benchmark: `-- native-smoke` / `-- native-json`         *)
-(* (BENCH_native.json). Three-way bit-identity (closure / interpreter /  *)
-(* generated-OCaml kernel, fault schedules included) is always asserted; *)
-(* the speedup gate compares warm-cache kernel execution against the     *)
-(* closure engine's run phase on JACOBI-384. The out-of-process ocamlopt *)
-(* build is reported separately — it is a one-time cost the source-hash  *)
-(* cache amortizes across runs.                                          *)
+(* Native-engine smoke: three-way bit-identity (closure / interpreter /
+   generated-OCaml kernel, fault schedules included) is always asserted;
+   the speedup gate compares warm-cache kernel execution against the
+   closure engine's run phase on JACOBI-384. The out-of-process ocamlopt
+   build is reported separately — it is a one-time cost the source-hash
+   cache amortizes across runs. *)
 
 type native_row = {
   nv_diff_runs : int;  (* three-way differential runs that agreed *)
@@ -939,47 +696,23 @@ let native_measure () =
     nv_native_s = run_phase `Native;
   }
 
-let native_json_doc r =
-  J.Obj
-    [
-      ("schema", J.Str "dhpf-bench-native/1");
-      ("host_cores", J.int (Par.recommended ()));
-      ("workload", J.Str "JACOBI-384");
-      ("nprocs", J.int 8);
-      ( "three_way_identity",
-        J.Obj
-          [ ("workload", J.Str "JACOBI-96"); ("runs", J.int r.nv_diff_runs);
-            ("pass", J.Bool true) ] );
-      ("kernel_obtain_s", J.Num r.nv_obtain_s);
-      ("kernel_make_warm_s", J.Num r.nv_make_warm_s);
-      ("interp_run_s", J.Num r.nv_interp_s);
-      ("closure_run_s", J.Num r.nv_closure_s);
-      ("native_run_s", J.Num r.nv_native_s);
-      ("speedup_vs_closure", J.Num (r.nv_closure_s /. Float.max r.nv_native_s 1e-9));
-      ("speedup_vs_interp", J.Num (r.nv_interp_s /. Float.max r.nv_native_s 1e-9));
-    ]
+(* Backs `make bench-native-smoke`: identity always, and the run phase
+   must beat the closure engine by [native_min_speedup] (the comparison is
+   single-threaded, so unlike par-smoke it holds on one core too). *)
+let native_min_speedup = 3.0
 
-let native_json () = print_doc (native_json_doc (native_measure ()))
-
-(* Backs `make bench-native-smoke`: identity always, speedup gated by
-   DHPF_NATIVE_SMOKE_MIN_SPEEDUP (default 3x — the run-phase comparison
-   is single-threaded, so unlike par-smoke it holds on one core too). *)
 let native_smoke () =
   let r = native_measure () in
   let sp = r.nv_closure_s /. Float.max r.nv_native_s 1e-9 in
-  let min_speedup =
-    match Sys.getenv_opt "DHPF_NATIVE_SMOKE_MIN_SPEEDUP" with
-    | Some s -> ( try float_of_string s with _ -> 3.0)
-    | None -> 3.0
-  in
   Fmt.epr
     "bench native-smoke: three-way ok (%d run(s)); JACOBI-384 run phase \
      closure=%.3fs native=%.3fs interp=%.3fs (%.2fx over closure; warm make \
      %.3fs, first obtain %.3fs)@."
     r.nv_diff_runs r.nv_closure_s r.nv_native_s r.nv_interp_s sp
     r.nv_make_warm_s r.nv_obtain_s;
-  if sp < min_speedup then begin
-    Fmt.epr "bench native-smoke: speedup below %.2fx threshold@." min_speedup;
+  if sp < native_min_speedup then begin
+    Fmt.epr "bench native-smoke: speedup below %.2fx threshold@."
+      native_min_speedup;
     exit 1
   end;
   Fmt.epr "bench native-smoke: ok@."
@@ -1007,11 +740,17 @@ let warm_alloc_guard () =
     (table1_apps ~smoke:true ())
 
 (* Smoke mode backs `make bench-smoke` in the tier-1 check flow: a fast
-   Table-1 subset, JSON on stdout, and a hard failure if the memoization
-   layer shows no hits (i.e. the caches silently stopped working) or its
-   warm path allocates like a cold compile. *)
+   Table-1 subset, and a hard failure if the memoization layer shows no
+   hits (i.e. the caches silently stopped working) or its warm path
+   allocates like a cold compile. *)
 let smoke () =
-  let results = bench_json ~smoke:true () in
+  let stats =
+    List.map
+      (fun (_, src) ->
+        let _, _, _, stats = compile_timed src in
+        stats)
+      (table1_apps ~smoke:true ())
+  in
   if Iset.Cache.enabled () then begin
     (match warm_alloc_guard () with
     | [] -> ()
@@ -1021,13 +760,13 @@ let smoke () =
            cold one's minor words: %s@."
           (String.concat ", " bad);
         exit 1);
-    let hits_of (_, _, _, stats, _) =
+    let hits_of stats =
       List.fold_left
         (fun acc key -> acc + (try List.assoc key stats with Not_found -> 0))
         0
         [ "sat hits"; "simplify hits"; "gist hits"; "implies hits"; "subset hits" ]
     in
-    let total_hits = List.fold_left (fun acc r -> acc + hits_of r) 0 results in
+    let total_hits = List.fold_left (fun acc s -> acc + hits_of s) 0 stats in
     if total_hits = 0 then begin
       Fmt.epr "bench smoke: FAILED — zero cache hits across the smoke apps@.";
       exit 1
@@ -1048,17 +787,13 @@ let () =
       ("micro", set_micro);
     ]
   in
-  (* json/smoke are machine-readable modes, kept out of the default
-     every-section run so stdout stays a single JSON document *)
+  (* the smoke gates are kept out of the default every-section run *)
   let special =
     [
-      ("json", json);
       ("smoke", smoke);
-      ("run-json", run_json);
       ("run-smoke", run_smoke);
       ("par-smoke", par_smoke);
       ("native-smoke", native_smoke);
-      ("native-json", native_json);
       ("metrics-smoke", metrics_smoke);
     ]
   in

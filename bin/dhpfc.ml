@@ -5,11 +5,8 @@
                  node program, communication sets, or a phase-time report
      run         compile and execute on the simulated machine, with a serial
                  run for comparison
-     bench       print one of the built-in benchmark programs
+     source      print one of the built-in benchmark programs
      serve       persistent compilation daemon on a Unix-domain socket
-     bench-serve cold-vs-warm serve throughput benchmark, plus a
-                 disk-cache eviction-pressure phase and an
-                 observability smoke mode
      top         live-refreshing dashboard over a running daemon's
                  stats op *)
 
@@ -990,477 +987,6 @@ let serve_cmd =
       $ disk_cache_mb_t $ jobs_t $ quiet_t $ trace_t $ metrics_t $ log_t
       $ prom_t $ flight_dump_t $ recorder_slots_t)
 
-(* ---- bench-serve (cold vs. warm vs. eviction-pressure) ---- *)
-
-let bench_serve_cmd =
-  let clients_t =
-    Arg.(
-      value & opt int 8
-      & info [ "clients" ] ~docv:"N"
-          ~doc:"Concurrent closed-loop clients (the offered concurrency).")
-  in
-  let requests_t =
-    Arg.(
-      value & opt int 4
-      & info [ "requests" ] ~docv:"N"
-          ~doc:"Requests each client issues back-to-back.")
-  in
-  let bworkers_t =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Workers per daemon, one domain each.")
-  in
-  let json_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the results as dhpf-bench-serve/2 JSON to $(docv).")
-  in
-  let pressure_kb_t =
-    Arg.(
-      value & opt int 256
-      & info [ "pressure-kb" ] ~docv:"KB"
-          ~doc:
-            "Disk-cache budget (KiB, floor 64) for the eviction-pressure \
-             daemon: a third phase replays the warm workload against the \
-             same cache squeezed to $(docv) KiB, recording hit-ratio \
-             degradation and GC eviction counts. 0 skips the phase.")
-  in
-  let obs_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "obs" ] ~docv:"DIR"
-          ~doc:
-            "Route each daemon's observability output into $(docv) \
-             ($(i,tag).log.jsonl, $(i,tag).prom, $(i,tag).flight.json) \
-             and, under $(b,--smoke), assert it: every log line parses \
-             as dhpf-log/1, the Prometheus file has TYPE lines, the \
-             stats snapshot is sane and the $(b,dump) op returns a \
-             valid flight bundle.")
-  in
-  let smoke_t =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Assert the invariants (every request answered ok, warm \
-             phase hits the disk cache, every daemon exits cleanly on \
-             SIGTERM, dump ops return parseable flight bundles — plus \
-             the $(b,--obs) artifact checks when that is set) and fail \
-             with exit 1 otherwise.")
-  in
-  let run clients requests workers json pressure_kb obs smoke =
-    handle_errors @@ fun () ->
-    if clients < 1 || requests < 1 then begin
-      Fmt.epr "bench-serve: need positive --clients and --requests@.";
-      exit exit_parse
-    end;
-    let base =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dhpf-bench-serve-%d" (Unix.getpid ()))
-    in
-    (try Unix.mkdir base 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    (match obs with
-    | Some dir -> (
-        try Unix.mkdir dir 0o755
-        with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-    | None -> ());
-    let cache_dir = Filename.concat base "cache" in
-    let sock_of tag = Filename.concat base (tag ^ ".sock") in
-    let obs_file tag ext =
-      Option.map (fun dir -> Filename.concat dir (tag ^ ext)) obs
-    in
-    (* Fork every daemon before this process spawns any domain: the
-       load generator multicores the parent, and forking a runtime with
-       live domains is not supported. The warm daemon idles until the
-       cold phase has populated the shared disk cache; being a separate
-       process, its in-memory tables start empty, so every hit it gets
-       is a genuine cross-process disk hit. The pressure daemon gets the
-       same cache squeezed to a tiny byte budget, so its stores trigger
-       the oldest-first GC underneath its own lookups. *)
-    let fork_server ?cache_kb tag =
-      let socket = sock_of tag in
-      (try Unix.unlink socket with Unix.Unix_error _ -> ());
-      match Unix.fork () with
-      | 0 ->
-          let code =
-            try
-              (match cache_kb with
-              | Some kb -> Iset.Diskcache.set_max_bytes (kb * 1024)
-              | None -> ());
-              let cfg =
-                {
-                  Serve.Server.version;
-                  socket;
-                  workers = max 1 workers;
-                  max_queue = 1024;
-                  disk_cache = Some cache_dir;
-                  lookup = builtin;
-                  quiet = true;
-                  log = obs_file tag ".log.jsonl";
-                  prom = obs_file tag ".prom";
-                  flight_dump = obs_file tag ".flight.json";
-                  recorder_slots = 1024;
-                }
-              in
-              let srv_ref = ref None in
-              let stop _ =
-                match !srv_ref with
-                | Some srv -> Serve.Server.request_stop srv
-                | None -> Unix._exit 0
-              in
-              Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-              let srv = Serve.Server.launch cfg in
-              srv_ref := Some srv;
-              Serve.Server.wait srv;
-              0
-            with _ -> 1
-          in
-          Unix._exit code
-      | pid -> pid
-    in
-    let with_pressure = pressure_kb > 0 in
-    let pid_cold = fork_server "cold" in
-    let pid_warm = fork_server "warm" in
-    let pid_pressure =
-      if with_pressure then Some (fork_server ~cache_kb:pressure_kb "pressure")
-      else None
-    in
-    (* mixed workload: every built-in at smoke size as inline source,
-       with every fourth request a full simulated run *)
-    let progs = Array.of_list (Codes.all_small ()) in
-    let nprogs = Array.length progs in
-    let workload ~client ~seq =
-      let name, text = progs.((client + seq) mod nprogs) in
-      if (client + seq) mod 4 = 3 then
-        Serve.Proto.Run
-          {
-            label = name;
-            source = Some text;
-            opts = Dhpf.Gen.default_options;
-            nprocs = 4;
-            params = [];
-            engine = "closure";
-          }
-      else
-        Serve.Proto.Compile
-          { label = name; source = Some text; opts = Dhpf.Gen.default_options }
-    in
-    let run_phase ?prime name socket =
-      if not (Serve.Client.wait_ready ~socket ()) then begin
-        Fmt.epr "bench-serve: %s daemon did not come up on %s@." name socket;
-        exit exit_runtime
-      end;
-      (match prime with
-      | Some req -> (
-          try ignore (Serve.Client.request ~socket req)
-          with Serve.Client.Connect_error _ | Serve.Proto.Proto_error _ -> ())
-      | None -> ());
-      let r = Serve.Loadgen.run ~socket ~clients ~requests ~workload in
-      let ask req =
-        try Some (Serve.Client.request ~socket req)
-        with Serve.Client.Connect_error _ | Serve.Proto.Proto_error _ -> None
-      in
-      (r, ask Serve.Proto.Stats, ask Serve.Proto.Dump)
-    in
-    let cold, cold_stats, cold_dump = run_phase "cold" (sock_of "cold") in
-    let warm, warm_stats, warm_dump = run_phase "warm" (sock_of "warm") in
-    let pressure =
-      if with_pressure then
-        (* the replayed workload would hit 100% and never store, and the
-           disk GC only runs on store — one novel compile trips it under
-           the squeezed budget, after which the evicted entries turn the
-           replay into genuine miss/store/evict churn *)
-        let prime =
-          Serve.Proto.Compile
-            {
-              label = "pressure-prime";
-              source = Some (Codes.jacobi ~n:20 ~iters:1 ());
-              opts = Dhpf.Gen.default_options;
-            }
-        in
-        Some (run_phase ~prime "pressure" (sock_of "pressure"))
-      else None
-    in
-    let shutdown name pid =
-      Unix.kill pid Sys.sigterm;
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> true
-      | _, _ ->
-          Fmt.epr "bench-serve: %s daemon did not exit cleanly@." name;
-          false
-    in
-    let clean_cold = shutdown "cold" pid_cold in
-    let clean_warm = shutdown "warm" pid_warm in
-    let clean_pressure =
-      match pid_pressure with
-      | Some pid -> shutdown "pressure" pid
-      | None -> true
-    in
-    let clean = clean_cold && clean_warm && clean_pressure in
-    let disk_counter stats key =
-      match stats with
-      | None -> 0
-      | Some v -> (
-          match Obs.Json.get v "iset" with
-          | Some o -> Option.value (Obs.Json.get_int o key) ~default:0
-          | None -> 0)
-    in
-    let hit_ratio stats =
-      let l = disk_counter stats "disk lookups" in
-      if l = 0 then 0.0
-      else float_of_int (disk_counter stats "disk hits") /. float_of_int l
-    in
-    let rps (r : Serve.Loadgen.result) =
-      float_of_int r.lg_ok /. Float.max 1e-9 r.lg_wall_s
-    in
-    let pct q (r : Serve.Loadgen.result) =
-      Serve.Loadgen.percentile q r.lg_latencies
-    in
-    let line name (r : Serve.Loadgen.result) stats =
-      Fmt.pr
-        "%-8s %4d ok %3d err %4d overload-retries %8.3f s  %7.1f req/s  \
-         p50 %6.1f ms  p99 %6.1f ms  disk %d/%d  evict %d@."
-        name r.lg_ok r.lg_error r.lg_overloaded r.lg_wall_s (rps r)
-        (pct 0.5 r *. 1e3) (pct 0.99 r *. 1e3)
-        (disk_counter stats "disk hits")
-        (disk_counter stats "disk lookups")
-        (disk_counter stats "disk evictions")
-    in
-    Fmt.pr "bench-serve: %d clients x %d requests, %d workers per daemon@."
-      clients requests workers;
-    line "cold" cold cold_stats;
-    line "warm" warm warm_stats;
-    (match pressure with
-    | Some (r, stats, _) -> line "pressure" r stats
-    | None -> ());
-    if rps cold > 0. then
-      Fmt.pr "warm/cold throughput: %.2fx@." (rps warm /. rps cold);
-    (match pressure with
-    | Some (_, stats, _) when with_pressure ->
-        Fmt.pr
-          "eviction pressure (%d KiB budget): hit ratio %.1f%% (warm \
-           %.1f%%), %d evictions@."
-          pressure_kb
-          (hit_ratio stats *. 100.)
-          (hit_ratio warm_stats *. 100.)
-          (disk_counter stats "disk evictions")
-    | _ -> ());
-    (match json with
-    | None -> ()
-    | Some path ->
-        let op_json (op, lats) =
-          ( op,
-            Obs.Json.Obj
-              [
-                ("n", Obs.Json.int (Array.length lats));
-                ( "p50_s",
-                  Obs.Json.Num (Serve.Loadgen.percentile 0.5 lats) );
-                ( "p90_s",
-                  Obs.Json.Num (Serve.Loadgen.percentile 0.9 lats) );
-                ( "p99_s",
-                  Obs.Json.Num (Serve.Loadgen.percentile 0.99 lats) );
-              ] )
-        in
-        let phase_json name (r : Serve.Loadgen.result) stats =
-          Obs.Json.Obj
-            [
-              ("phase", Obs.Json.Str name);
-              ("ok", Obs.Json.int r.lg_ok);
-              ("error", Obs.Json.int r.lg_error);
-              ("overloaded_retries", Obs.Json.int r.lg_overloaded);
-              ("wall_s", Obs.Json.Num r.lg_wall_s);
-              ("throughput_rps", Obs.Json.Num (rps r));
-              ("p50_s", Obs.Json.Num (pct 0.5 r));
-              ("p90_s", Obs.Json.Num (pct 0.9 r));
-              ("p99_s", Obs.Json.Num (pct 0.99 r));
-              ( "queue_p50_s",
-                Obs.Json.Num
-                  (Serve.Loadgen.percentile 0.5 r.lg_queue_waits) );
-              ( "queue_p99_s",
-                Obs.Json.Num
-                  (Serve.Loadgen.percentile 0.99 r.lg_queue_waits) );
-              ( "service_p50_s",
-                Obs.Json.Num
-                  (Serve.Loadgen.percentile 0.5 r.lg_services) );
-              ( "service_p99_s",
-                Obs.Json.Num
-                  (Serve.Loadgen.percentile 0.99 r.lg_services) );
-              ("by_op", Obs.Json.Obj (List.map op_json r.lg_by_op));
-              ("disk_hits", Obs.Json.int (disk_counter stats "disk hits"));
-              ( "disk_lookups",
-                Obs.Json.int (disk_counter stats "disk lookups") );
-              ( "disk_evictions",
-                Obs.Json.int (disk_counter stats "disk evictions") );
-              ("disk_hit_ratio", Obs.Json.Num (hit_ratio stats));
-            ]
-        in
-        let doc =
-          Obs.Json.Obj
-            [
-              ("schema", Obs.Json.Str "dhpf-bench-serve/2");
-              ("version", Obs.Json.Str version);
-              ("clients", Obs.Json.int clients);
-              ("requests_per_client", Obs.Json.int requests);
-              ("workers", Obs.Json.int workers);
-              ("pressure_kb", Obs.Json.int pressure_kb);
-              ( "phases",
-                Obs.Json.List
-                  ([
-                     phase_json "cold" cold cold_stats;
-                     phase_json "warm" warm warm_stats;
-                   ]
-                  @
-                  match pressure with
-                  | Some (r, stats, _) ->
-                      [ phase_json "pressure" r stats ]
-                  | None -> []) );
-              ("clean_shutdown", Obs.Json.Bool clean);
-            ]
-        in
-        Obs.write_json path doc;
-        Fmt.epr "bench-serve: results -> %s@." path);
-    if smoke then begin
-      let failures = ref [] in
-      let check b msg = if not b then failures := msg :: !failures in
-      check (cold.lg_error = 0) "cold phase had failing requests";
-      check (warm.lg_error = 0) "warm phase had failing requests";
-      check
-        (disk_counter warm_stats "disk hits" > 0)
-        "warm daemon recorded no disk-cache hits";
-      check clean "daemons did not shut down cleanly on SIGTERM";
-      (* the telemetry section must thread back through the load
-         generator: every response carries queue-wait and service time *)
-      check
-        (Array.length warm.lg_services = warm.lg_ok + warm.lg_error)
-        "warm responses were missing telemetry sections";
-      (* dump must return a parseable flight bundle under load *)
-      let check_dump name dump =
-        match Option.bind dump (fun v -> Obs.Json.get v "flight") with
-        | Some flight ->
-            check
-              (Obs.Json.get_str flight "schema" = Some "dhpf-flight/1")
-              (name ^ " dump returned a bundle with the wrong schema");
-            check
-              (match Obs.Json.get_list flight "entries" with
-              | Some (_ :: _) -> true
-              | _ -> false)
-              (name ^ " dump returned an empty flight recorder")
-        | None -> check false (name ^ " dump op failed")
-      in
-      check_dump "cold" cold_dump;
-      check_dump "warm" warm_dump;
-      (* the squeezed daemon must actually churn: evictions recorded and
-         a hit ratio visibly below the warm daemon's *)
-      (match pressure with
-      | Some (r, stats, dump) ->
-          check (r.Serve.Loadgen.lg_error = 0)
-            "pressure phase had failing requests";
-          check
-            (disk_counter stats "disk evictions" > 0)
-            "pressure daemon recorded no evictions";
-          check
-            (hit_ratio stats < hit_ratio warm_stats)
-            "pressure hit ratio did not degrade below warm";
-          check_dump "pressure" dump
-      | None -> ());
-      (* stats v2 sanity: rolling-window gauges present and ordered *)
-      (let wnum stats k =
-         Option.bind stats (fun v ->
-             Option.bind (Obs.Json.get v "window") (fun w ->
-                 Obs.Json.get_num w k))
-       in
-       match (wnum warm_stats "service_p50_s", wnum warm_stats "service_p99_s")
-       with
-      | Some p50, Some p99 ->
-          check (p50 >= 0. && p99 >= p50) "warm stats window percentiles not ordered"
-      | _ -> check false "warm stats response lacks window gauges");
-      check
-        (match
-           Option.bind warm_stats (fun v ->
-               Obs.Json.get_str v "stats_schema")
-         with
-        | Some "dhpf-stats/2" -> true
-        | _ -> false)
-        "stats response is not dhpf-stats/2";
-      (* observability artifacts, when routed to a directory *)
-      (match obs with
-      | None -> ()
-      | Some _ ->
-          List.iter
-            (fun tag ->
-              (match obs_file tag ".log.jsonl" with
-              | Some path when Sys.file_exists path ->
-                  let lines =
-                    String.split_on_char '\n' (read_file path)
-                    |> List.filter (fun l -> String.trim l <> "")
-                  in
-                  check (lines <> []) (tag ^ " log is empty");
-                  List.iter
-                    (fun l ->
-                      match Obs.Json.of_string l with
-                      | v ->
-                          check
-                            (Obs.Json.get_str v "schema"
-                             = Some "dhpf-log/1"
-                            && Obs.Json.get_num v "ts" <> None
-                            && Obs.Json.get_str v "level" <> None
-                            && Obs.Json.get_str v "event" <> None)
-                            (tag ^ " log line missing dhpf-log/1 fields")
-                      | exception Obs.Json.Error _ ->
-                          check false (tag ^ " log line is not valid JSON"))
-                    lines
-              | _ -> check false (tag ^ " log file missing"));
-              (match obs_file tag ".prom" with
-              | Some path when Sys.file_exists path ->
-                  let body = read_file path in
-                  check
-                    (String.length body > 0
-                    && String.trim body <> ""
-                    &&
-                    let rec has_type i =
-                      match String.index_from_opt body i '#' with
-                      | None -> false
-                      | Some j ->
-                          (String.length body - j > 6
-                          && String.sub body j 7 = "# TYPE ")
-                          || has_type (j + 1)
-                    in
-                    has_type 0)
-                    (tag ^ " prometheus file has no TYPE lines")
-              | _ -> check false (tag ^ " prometheus file missing"));
-              match obs_file tag ".flight.json" with
-              | Some path when Sys.file_exists path -> (
-                  match Obs.Json.of_string (read_file path) with
-                  | v ->
-                      check
-                        (Obs.Json.get_str v "schema"
-                        = Some "dhpf-flight/1")
-                        (tag ^ " flight dump has the wrong schema")
-                  | exception Obs.Json.Error _ ->
-                      check false (tag ^ " flight dump is not valid JSON"))
-              | _ -> check false (tag ^ " flight dump missing"))
-            ([ "cold"; "warm" ] @ if with_pressure then [ "pressure" ] else []));
-      match List.rev !failures with
-      | [] -> Fmt.pr "bench-serve smoke: ok@."
-      | fs ->
-          List.iter (fun m -> Fmt.epr "bench-serve smoke FAILED: %s@." m) fs;
-          exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "Benchmark the serve daemon: cold vs. warm disk cache, plus \
-          eviction pressure and telemetry smoke checks")
-    Term.(
-      const run $ clients_t $ requests_t $ bworkers_t $ json_t
-      $ pressure_kb_t $ obs_t $ smoke_t)
-
 (* ---- top (live dashboard over the stats op) ---- *)
 
 let top_cmd =
@@ -1569,6 +1095,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            compile_cmd; run_cmd; bench_cmd; omega_cmd; serve_cmd;
-            bench_serve_cmd; top_cmd;
+            compile_cmd; run_cmd; bench_cmd; omega_cmd; serve_cmd; top_cmd;
           ]))

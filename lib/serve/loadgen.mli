@@ -1,40 +1,6 @@
-(** Closed-loop load generator for a running serve daemon: [clients]
-    concurrent loops each issue [requests] requests back-to-back, so the
-    offered concurrency is exactly [clients]. Used by
-    [dhpfc bench-serve] and the serve tests. *)
-
-type result = {
-  lg_total : int;  (** requests issued (clients x requests) *)
-  lg_ok : int;
-  lg_error : int;  (** final non-ok answers (protocol or error status) *)
-  lg_overloaded : int;
-      (** overloaded answers observed; each is retried with backoff and
-          counts again under its final status *)
-  lg_wall_s : float;
-  lg_latencies : float array;  (** per-request seconds, sorted ascending *)
-  lg_queue_waits : float array;
-      (** server-reported queue-wait seconds (from each response's
-          [telemetry] section), sorted ascending; empty against a server
-          that does not report telemetry *)
-  lg_services : float array;
-      (** server-reported service seconds, sorted ascending — so
-          client-observed latency splits into wait vs work *)
-  lg_by_op : (string * float array) list;
-      (** end-to-end latencies grouped by op kind ([compile], [run],
-          ...), each sorted ascending; ops in sorted order *)
-}
-
-val run :
-  socket:string ->
-  clients:int ->
-  requests:int ->
-  workload:(client:int -> seq:int -> Proto.request) ->
-  result
-(** [workload ~client ~seq] picks the request for client [client]'s
-    [seq]-th issue, so callers can mix operations deterministically.
-    Overloaded answers are retried (up to 200 times, linear backoff)
-    rather than counted as failures — the generator is closed-loop, so
-    retrying is what a well-behaved client would do. *)
+(** Nearest-rank percentiles over sorted samples: the serve daemon's
+    rolling-window gauges in the [stats] op, and the benchmark runner's
+    medians. *)
 
 val percentile : float -> float array -> float
 (** [percentile q sorted] by nearest-rank; [0.] on an empty array. *)

@@ -263,21 +263,20 @@ let handle_run st ~label ~source ~opts ~nprocs ~params ~engine =
 
 (* -- stats op (dhpf-stats/2) ----------------------------------------- *)
 
-(* nearest-rank percentile over a sorted array *)
-let pctl q a =
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else a.(min (n - 1) (max 0 (int_of_float (ceil (q *. float_of_int n)) - 1)))
+(* the memo hit ratio sums every in-memory memo table: the four
+   conjunct-level ones, subset, and the relation-level one *)
+let memo_counters =
+  List.map
+    (fun t -> (t ^ " lookups", t ^ " hits"))
+    [ "sat"; "simplify"; "gist"; "implies"; "subset"; "rel" ]
 
 let cache_ratios () =
   let r = Iset.Stats.report () in
   let g n = Option.value (List.assoc_opt n r) ~default:0 in
-  let memo_l =
-    g "sat lookups" + g "simplify lookups" + g "gist lookups"
-    + g "implies lookups" + g "subset lookups"
-  and memo_h =
-    g "sat hits" + g "simplify hits" + g "gist hits" + g "implies hits"
-    + g "subset hits"
+  let memo_l, memo_h =
+    List.fold_left
+      (fun (l, h) (kl, kh) -> (l + g kl, h + g kh))
+      (0, 0) memo_counters
   in
   let ratio h l = if l = 0 then 0.0 else float_of_int h /. float_of_int l in
   Obs.Json.Obj
@@ -316,12 +315,12 @@ let window_stats st =
       ("seconds", Obs.Json.Num window_seconds);
       ("samples", Obs.Json.int (List.length handled));
       ("rps", Obs.Json.Num (float_of_int (List.length handled) /. horizon));
-      ("service_p50_s", Obs.Json.Num (pctl 0.50 services));
-      ("service_p95_s", Obs.Json.Num (pctl 0.95 services));
-      ("service_p99_s", Obs.Json.Num (pctl 0.99 services));
-      ("queue_p50_s", Obs.Json.Num (pctl 0.50 queues));
-      ("queue_p95_s", Obs.Json.Num (pctl 0.95 queues));
-      ("queue_p99_s", Obs.Json.Num (pctl 0.99 queues));
+      ("service_p50_s", Obs.Json.Num (Loadgen.percentile 0.50 services));
+      ("service_p95_s", Obs.Json.Num (Loadgen.percentile 0.95 services));
+      ("service_p99_s", Obs.Json.Num (Loadgen.percentile 0.99 services));
+      ("queue_p50_s", Obs.Json.Num (Loadgen.percentile 0.50 queues));
+      ("queue_p95_s", Obs.Json.Num (Loadgen.percentile 0.95 queues));
+      ("queue_p99_s", Obs.Json.Num (Loadgen.percentile 0.99 queues));
       ("errors", Obs.Json.int errors);
       ("overloaded", Obs.Json.int (List.length rejected));
     ]

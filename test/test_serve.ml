@@ -668,6 +668,19 @@ let test_worker0_defers () =
 
 (* -- warm service over a shared disk cache --------------------------- *)
 
+let iset_counter stats key =
+  match Obs.Json.get stats "iset" with
+  | Some iset -> Option.value (Obs.Json.get_int iset key) ~default:0
+  | None -> 0
+
+let disk_hit_ratio stats =
+  match
+    Option.bind (Obs.Json.get stats "ratios") (fun r ->
+        Obs.Json.get_num r "disk_hit")
+  with
+  | Some d -> d
+  | None -> Alcotest.fail "stats response has no disk hit ratio"
+
 let test_warm_second_server () =
   let cache = fresh_dir () in
   let saved_dir = Iset.Diskcache.dir () in
@@ -688,20 +701,39 @@ let test_warm_second_server () =
          the disk cache stays *)
       Iset.Cache.clear_all ();
       Iset.Stats.reset ();
-      let warm, disk_hits =
+      let warm, warm_stats =
         with_server ~disk_cache:cache @@ fun socket ->
         let spmd = compile_via socket "jacobi" in
-        let stats = Client.request ~socket Proto.Stats in
-        let hits =
-          match Obs.Json.get stats "iset" with
-          | Some iset ->
-              Option.value (Obs.Json.get_int iset "disk hits") ~default:0
-          | None -> 0
-        in
-        (spmd, hits)
+        (spmd, Client.request ~socket Proto.Stats)
       in
       Alcotest.(check string) "warm spmd byte-identical" cold warm;
-      Alcotest.(check bool) "warm served from disk" true (disk_hits > 0);
+      Alcotest.(check bool)
+        "warm served from disk" true
+        (iset_counter warm_stats "disk hits" > 0);
+      (* a third generation over the same cache squeezed to the 64 KiB
+         floor: a novel compile's stores trip the disk GC, which evicts
+         the oldest entries, so the replayed compile misses where the warm
+         generation hit *)
+      Iset.Cache.clear_all ();
+      Iset.Stats.reset ();
+      let saved_max = Iset.Diskcache.max_bytes () in
+      Iset.Diskcache.set_max_bytes 1;
+      let squeezed, squeezed_stats =
+        Fun.protect
+          ~finally:(fun () -> Iset.Diskcache.set_max_bytes saved_max)
+          (fun () ->
+            with_server ~disk_cache:cache @@ fun socket ->
+            ignore (compile_via socket "tomcatv");
+            let spmd = compile_via socket "jacobi" in
+            (spmd, Client.request ~socket Proto.Stats))
+      in
+      Alcotest.(check string) "squeezed spmd byte-identical" cold squeezed;
+      Alcotest.(check bool)
+        "squeezed cache evicts" true
+        (iset_counter squeezed_stats "disk evictions" > 0);
+      Alcotest.(check bool)
+        "squeezed hit ratio below warm" true
+        (disk_hit_ratio squeezed_stats < disk_hit_ratio warm_stats);
       (* and both match a plain batch compile with every cache off. This
          compiles on the launching domain, which the daemon contract
          allows only while no daemon is serving: both are stopped here. *)
@@ -778,6 +810,95 @@ let test_cross_process_warm () =
         | None -> Alcotest.fail "report has no disk hits counter")
   end
 
+(* -- the dhpfc serve binary under load ------------------------------- *)
+
+(* concurrent clients, each request one of the small built-ins as inline
+   source, every other one a full simulated run *)
+let mixed_request ~client ~seq =
+  let name, text = List.nth small ((client + seq) mod List.length small) in
+  if (client + seq) mod 2 = 1 then
+    Proto.Run
+      {
+        label = name;
+        source = Some text;
+        opts;
+        nprocs = 4;
+        params = [];
+        engine = "closure";
+      }
+  else Proto.Compile { label = name; source = Some text; opts }
+
+(* The CLI daemon with every telemetry sink routed to a temp dir. SIGTERM
+   goes through dhpfc's own handler, which must drain and exit 0 leaving a
+   parseable log, Prometheus file and flight dump behind. *)
+let test_cli_daemon () =
+  if not (Sys.file_exists dhpfc) then Alcotest.skip ()
+  else begin
+    let dir = fresh_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let file n = Filename.concat dir n in
+    let socket = file "s.sock" and log = file "serve.log.jsonl" in
+    let prom = file "serve.prom" and flight = file "flight.json" in
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid =
+      Fun.protect
+        ~finally:(fun () -> Unix.close null)
+        (fun () ->
+          Unix.create_process dhpfc
+            [|
+              dhpfc; "serve"; "--socket"; socket; "--workers"; "2"; "--quiet";
+              "--log"; log; "--prom"; prom; "--flight-dump"; flight;
+            |]
+            null null null)
+    in
+    let exit_status = ref (Unix.WEXITED (-1)) in
+    let answers =
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.kill pid Sys.sigterm;
+          exit_status := snd (Unix.waitpid [] pid))
+        (fun () ->
+          Alcotest.(check bool)
+            "daemon ready" true
+            (Client.wait_ready ~socket ());
+          List.init 4 (fun client ->
+              Domain.spawn (fun () ->
+                  List.init 3 (fun seq ->
+                      Client.request ~socket (mixed_request ~client ~seq))))
+          |> List.concat_map Domain.join)
+    in
+    Alcotest.(check int) "answers" 12 (List.length answers);
+    List.iter
+      (fun r -> Alcotest.(check string) "status" "ok" (status r))
+      answers;
+    Alcotest.(check bool)
+      "SIGTERM exits 0" true
+      (!exit_status = Unix.WEXITED 0);
+    let lines =
+      String.split_on_char '\n' (read_file log)
+      |> List.filter (fun l -> String.trim l <> "")
+    in
+    Alcotest.(check bool) "log nonempty" true (lines <> []);
+    List.iter
+      (fun l ->
+        let v = Obs.Json.of_string l in
+        Alcotest.(check bool)
+          "dhpf-log/1 line with ts, level and event" true
+          (Obs.Json.get_str v "schema" = Some "dhpf-log/1"
+          && Obs.Json.get_num v "ts" <> None
+          && Obs.Json.get_str v "level" <> None
+          && Obs.Json.get_str v "event" <> None))
+      lines;
+    Alcotest.(check bool)
+      "prometheus file has TYPE lines" true
+      (List.exists
+         (fun l -> String.starts_with ~prefix:"# TYPE " l)
+         (String.split_on_char '\n' (read_file prom)));
+    Alcotest.(check (option string))
+      "flight dump schema" (Some "dhpf-flight/1")
+      (Obs.Json.get_str (Obs.Json.of_string (read_file flight)) "schema")
+  end
+
 (* -- telemetry: trace ids, stats v2, flight recorder ------------------ *)
 
 let test_telemetry_section () =
@@ -849,13 +970,31 @@ let test_stats_v2 () =
       Alcotest.(check bool) "rps positive" true (rps > 0.);
       Alcotest.(check bool) "window samples >= 2" true (n >= 2)
   | _ -> Alcotest.fail "missing rps/samples");
+  (* the memo ratio is hits over lookups summed over all six memo
+     tables, the relation-level one included *)
+  let sum suffix =
+    List.fold_left
+      (fun acc t -> acc + iset_counter r (t ^ suffix))
+      0
+      [ "sat"; "simplify"; "gist"; "implies"; "subset"; "rel" ]
+  in
+  if Iset.Cache.enabled () then
+    Alcotest.(check bool)
+      "relation memo consulted" true
+      (iset_counter r "rel lookups" > 0);
+  let lookups = sum " lookups" in
+  let expected =
+    if lookups = 0 then 0.
+    else float_of_int (sum " hits") /. float_of_int lookups
+  in
   match Obs.Json.get r "ratios" with
   | Some rt -> (
       match (Obs.Json.get_num rt "memo_hit", Obs.Json.get_num rt "disk_hit") with
       | Some m, Some d ->
           Alcotest.(check bool)
             "ratios in [0,1]" true
-            (m >= 0. && m <= 1. && d >= 0. && d <= 1.)
+            (m >= 0. && m <= 1. && d >= 0. && d <= 1.);
+          Alcotest.(check (float 1e-12)) "memo_hit over all tables" expected m
       | _ -> Alcotest.fail "missing hit ratios")
   | None -> Alcotest.fail "no ratios"
 
@@ -1061,6 +1200,8 @@ let () =
             test_backpressure_one_worker;
           Alcotest.test_case "worker 0 defers to idle domains" `Quick
             test_worker0_defers;
+          Alcotest.test_case "dhpfc serve under load, SIGTERM" `Slow
+            test_cli_daemon;
         ] );
       ( "telemetry",
         [
