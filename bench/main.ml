@@ -642,6 +642,9 @@ type native_row = {
   nv_interp_s : float;
   nv_closure_s : float;
   nv_native_s : float;
+  nv_unit_bytes : int;  (* JACOBI-384's emitted unit *)
+  nv_unit_loops : int;  (* its loop functions *)
+  nv_kfors : int;  (* its kernel's [KFor] nodes *)
 }
 
 let native_measure () =
@@ -662,6 +665,8 @@ let native_measure () =
       (Codes.jacobi ~n:384 ~iters:4 ~procs:(Codes.Symbolic2 2) ())
   in
   let prog = (Dhpf.Gen.compile jchk).Dhpf.Gen.cprog in
+  let kernel = (Spmdsim.Compile.prepare ~nprocs:8 prog).Spmdsim.Compile.c_kernel in
+  let unit_src = Spmdsim.Emit.emit kernel in
   let timed f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -694,6 +699,13 @@ let native_measure () =
     nv_interp_s = run_phase ~best:1 `Interp;
     nv_closure_s = run_phase `Closure;
     nv_native_s = run_phase `Native;
+    nv_unit_bytes = String.length unit_src;
+    nv_unit_loops =
+      List.length
+        (List.filter
+           (String.starts_with ~prefix:"and lp_")
+           (String.split_on_char '\n' unit_src));
+    nv_kfors = Spmdsim.Imp.loop_count kernel;
   }
 
 (* Backs `make bench-native-smoke`: identity always, and the run phase
@@ -710,6 +722,10 @@ let native_smoke () =
      %.3fs, first obtain %.3fs)@."
     r.nv_diff_runs r.nv_closure_s r.nv_native_s r.nv_interp_s sp
     r.nv_make_warm_s r.nv_obtain_s;
+  Fmt.epr
+    "bench native-smoke: JACOBI-384 unit %d bytes, %d loop functions for %d \
+     KFor nodes@."
+    r.nv_unit_bytes r.nv_unit_loops r.nv_kfors;
   if sp < native_min_speedup then begin
     Fmt.epr "bench native-smoke: speedup below %.2fx threshold@."
       native_min_speedup;

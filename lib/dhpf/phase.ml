@@ -71,12 +71,12 @@ let time t label f =
              otherwise interleave into this track *)
           if outermost then
             Obs.counter "iset/cache hits"
-              [ ("sat", float_of_int (Iset.Stats.count Iset.Stats.sat_hits));
-                ( "simplify",
-                  float_of_int (Iset.Stats.count Iset.Stats.simplify_hits) );
-                ("gist", float_of_int (Iset.Stats.count Iset.Stats.gist_hits));
-                ( "subset",
-                  float_of_int (Iset.Stats.count Iset.Stats.subset_hits) ) ]
+              (List.map
+                 (fun (n, c) -> (n, float_of_int (Iset.Stats.count c)))
+                 Iset.Stats.
+                   [ ("sat", sat_hits); ("simplify", simplify_hits);
+                     ("gist", gist_hits); ("implies", implies_hits);
+                     ("subset", subset_hits); ("rel", rel_hits) ])
         end)
       f
   end

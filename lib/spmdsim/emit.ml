@@ -26,8 +26,17 @@
    one [while]. ocamlopt's liveness, register allocation and spilling
    grow faster than a function's size, and the guarded node programs of
    loop splitting are large: one function per loop roughly halves the
-   build. The whole unit is printed into a single buffer; no printer
-   returns a string. *)
+   build.
+
+   Each distinct loop is printed once. Communication generation puts the
+   same pack nest into every leaf of a partner loop, so most [KFor]s of a
+   kernel repeat one another. A loop function is printed into a buffer of
+   its own, after the loops it calls, with names local to it: [i], [lo],
+   [hi] and [step] for its own loop, [vK] for the variable of the loop
+   over slot [K] (its own, and the enclosing ones its prologue rebinds),
+   and effect coordinates numbered within their effect. A text printed
+   before is that function again, so the call reuses its name and only
+   new text joins the unit. No printer returns a string. *)
 
 open Imp
 
@@ -86,30 +95,29 @@ let reload_clk = "clk := rt.C.r_clock.C.now;"
 (* ------------------------------------------------------------------ *)
 
 type est = {
-  b : Buffer.t;
-  mutable gen : int;
+  b : Buffer.t;  (* the function being printed *)
   sub_index : string -> int;
   looped : bool array;
       (* by slot: some [KFor] of the kernel writes it; every other slot
          ([m$k], parameters, an unlooped [vm$k]) is invariant over a run *)
-  pending : (unit -> unit) Queue.t;  (* outlined loops still to print *)
+  out : Buffer.t;  (* the finished loop functions and subroutines *)
+  seen : (string, int) Hashtbl.t;  (* a loop function's text -> its [lp_] number *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* Integer expressions                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [env]: slots bound to an OCaml variable — the function's own loop
-   variable and the enclosing ones its prologue rebinds; an invariant slot
-   reads the prologue's [cK]; any other slot reads the per-processor slot
-   array (always in bounds — slots are allocated below the array size by
-   construction) *)
+(* [env]: the slots bound to an OCaml variable [vK] — the function's own
+   loop variable and the enclosing ones its prologue rebinds; an invariant
+   slot reads the prologue's [cK]; any other slot reads the per-processor
+   slot array (always in bounds — slots are allocated below the array size
+   by construction) *)
 let pslot st env s =
   let b = st.b in
-  match List.assoc_opt s env with
-  | Some v -> str b v
-  | None when not st.looped.(s) -> chr b 'c'; int b s
-  | None -> str b "(Array.unsafe_get ri "; int b s; chr b ')'
+  if List.mem s env then (chr b 'v'; int b s)
+  else if not st.looped.(s) then (chr b 'c'; int b s)
+  else (str b "(Array.unsafe_get ri "; int b s; chr b ')')
 
 let rec pe st env (e : iexpr) : unit =
   let b = st.b in
@@ -422,10 +430,8 @@ let prologue st env u =
   if u.u_fv then str b "  let fv = rt.C.r_fval in\n  let fvb = rt.C.r_fvalid in\n";
   List.iter
     (fun (s, ()) ->
-      let bind v = str b "  let "; str b v; str b " = Array.unsafe_get ri "; int b s; str b " in\n" in
-      match List.assoc_opt s env with
-      | Some v -> bind v
-      | None -> if not st.looped.(s) then bind ("c" ^ string_of_int s))
+      let bind v = str b "  let "; chr b v; int b s; str b " = Array.unsafe_get ri "; int b s; str b " in\n" in
+      if List.mem s env then bind 'v' else if not st.looped.(s) then bind 'c')
     (sorted u.u_slots);
   List.iter
     (fun (a, nd) ->
@@ -466,14 +472,26 @@ let reduce_op = function
 let around_clk b f =
   chr b '('; str b flush_clk; chr b ' '; f (); chr b ' '; str b reload_clk; str b ");\n"
 
+(* A loop function's text names nothing outside itself but slots, arrays,
+   events, subroutines and the loop functions it calls, so equal text is
+   equal code: a repeat is the earlier function, and only new text joins
+   the unit. Returns the function's [lp_] number. *)
+let define st text =
+  match Hashtbl.find_opt st.seen text with
+  | Some n -> n
+  | None ->
+      let n = Hashtbl.length st.seen in
+      Hashtbl.add st.seen text n;
+      fn_header st.out "lp_" n;
+      str st.out text;
+      n
+
 let rec estmt st ind env (s : kstmt) : unit =
   let b = st.b in
   str b ind;
   match s with
   | KFor { slot; var; lo; hi; step; body; loopt } ->
-      let n = st.gen in
-      st.gen <- n + 1;
-      Queue.add (fun () -> emit_loop st n env slot var lo hi step body loopt) st.pending;
+      let n = emit_loop st env slot var lo hi step body loopt in
       around_clk b (fun () -> str b "lp_"; int b n; str b " ctx rt;")
   | KIf { cond; body; guard } ->
       ptick b guard; chr b '\n';
@@ -539,39 +557,36 @@ let rec estmt st ind env (s : kstmt) : unit =
 
 (* a send or receive: coordinates let-bound in order, then the call
    between a flush and a reload; [call vars] prints the call up to its
-   coordinate list, which [vars ()] closes *)
+   coordinate list, which [vars ()] closes. The coordinates are numbered
+   within the effect: its parentheses scope them away. *)
 and effect st ind env base es call =
   let b = st.b in
-  let first = st.gen in
-  st.gen <- first + List.length es;
   str b "(\n";
   List.iteri
     (fun i e ->
-      str b ind; str b " let "; str b base; int b (first + i); str b " = "; pe st env e;
+      str b ind; str b " let "; str b base; int b i; str b " = "; pe st env e;
       str b " in\n")
     es;
   str b ind; chr b ' '; str b flush_clk; chr b '\n';
   str b ind;
   call (fun () ->
       str b " [";
-      List.iteri (fun i _ -> if i > 0 then str b "; "; str b base; int b (first + i)) es;
+      List.iteri (fun i _ -> if i > 0 then str b "; "; str b base; int b i) es;
       str b "];\n");
   str b ind; chr b ' '; str b reload_clk; str b ");\n"
 
 and estmts st ind env body = List.iter (estmt st ind env) body
 
-(* One outlined loop, [lp_n]: its header is evaluated here, so evaluation
-   and charge order are the inline loop's; [env] binds the enclosing loop
-   variables, which the prologue reloads from [r_int] *)
-and emit_loop st n env slot var lo hi step body loopt =
+(* One outlined loop, printed into a buffer of its own and defined by
+   [define]: its header is evaluated here, so evaluation and charge order
+   are the inline loop's; [env] holds the enclosing loop slots, whose
+   variables the prologue reloads from [r_int]. Its nested loops are
+   defined first, while its body is printed. *)
+and emit_loop st env slot var lo hi step body loopt =
+  let st = { st with b = Buffer.create 1024 } in
   let b = st.b in
-  let name base = base ^ string_of_int n in
-  (* [l0z], not [l0]: access sites bind [l0] *)
-  let iv = name "i" and hv = name "h" and vv = name "v" in
-  let lv = name "l" ^ "z" and sv = name "s" ^ "z" in
   let let_ x e = str b "  let "; str b x; str b " = "; pe st env e; str b " in\n" in
   let runs = match step with IConst k -> k > 0 | _ -> true in
-  fn_header b "lp_" n;
   prologue st env
     (uses_of (fun u ->
          use_ie u lo;
@@ -586,33 +601,28 @@ and emit_loop st n env slot var lo hi step body loopt =
       let_ "_" hi;
       str b "  N.bad_step rt "; pquoted b var; str b ";\n"
   | IConst _ ->
-      let_ hv hi;
-      str b "  let "; str b iv; str b " = ref "; pe st env lo; str b " in\n"
+      let_ "hi" hi;
+      str b "  let i = ref "; pe st env lo; str b " in\n"
   | _ ->
-      let_ lv lo;
-      let_ hv hi;
-      let_ sv step;
-      str b "  (if "; str b sv; str b " <= 0 then N.bad_step rt "; pquoted b var;
-      str b ");\n  let "; str b iv; str b " = ref "; str b lv; str b " in\n");
+      let_ "lo" lo;
+      let_ "hi" hi;
+      let_ "step" step;
+      str b "  (if step <= 0 then N.bad_step rt "; pquoted b var;
+      str b ");\n  let i = ref lo in\n");
   if runs then begin
-    str b "  while !"; str b iv; str b " <= "; str b hv; str b " do\n";
-    str b "    let "; str b vv; str b " = !"; str b iv; str b " in\n";
-    str b "    Array.unsafe_set ri "; int b slot; chr b ' '; str b vv; str b ";\n    ";
+    str b "  while !i <= hi do\n";
+    str b "    let v"; int b slot; str b " = !i in\n";
+    str b "    Array.unsafe_set ri "; int b slot; str b " v"; int b slot; str b ";\n    ";
     ptick b loopt; chr b '\n';
-    estmts st "    " ((slot, vv) :: env) body;
+    estmts st "    " (slot :: env) body;
     (match step with
-    | IConst 1 -> str b "    incr "; str b iv
-    | _ ->
-        str b "    "; str b iv; str b " := !"; str b iv; str b " + ";
-        (match step with IConst k -> pint b k | _ -> str b sv));
+    | IConst 1 -> str b "    incr i"
+    | IConst k -> str b "    i := !i + "; pint b k
+    | _ -> str b "    i := !i + step");
     str b "\n  done;\n"
   end;
-  fn_end b
-
-let drain st =
-  while not (Queue.is_empty st.pending) do
-    Queue.pop st.pending ()
-  done
+  fn_end b;
+  define st (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-kernel emission                                               *)
@@ -641,10 +651,25 @@ let emit (k : kernel) : string =
   let looped = Array.make (max k.k_nint 1) false in
   List.iter (mark_looped looped) k.k_main;
   Array.iter (fun (_, body) -> List.iter (mark_looped looped) body) subs;
-  let st =
-    { b = Buffer.create 65536; gen = 0; sub_index; looped; pending = Queue.create () }
+  let out = Buffer.create 65536 and seen = Hashtbl.create 256 in
+  (* a top-level function's text; its loops join [out] first *)
+  let top body =
+    let st = { b = Buffer.create 4096; sub_index; looped; out; seen } in
+    prologue st [] (uses_of (fun u -> List.iter (use_stmt u) body));
+    estmts st "  " [] body;
+    fn_end st.b;
+    st.b
   in
-  let b = st.b in
+  let main = top k.k_main in
+  Array.iteri
+    (fun i (name, body) ->
+      let text = top body in
+      fn_header out "sub_" i;
+      str out "  (* subroutine "; str out name; str out " *)\n";
+      Buffer.add_buffer out text)
+    subs;
+  (* [k_main] heads the [let rec] chain; the loops and subroutines follow *)
+  let b = Buffer.create (Buffer.length out + Buffer.length main + 512) in
   str b "(* Kernel emitted by Spmdsim.Emit; compiled and dynlinked by\n";
   str b "   Spmdsim.Native. Generated code - do not edit. *)\n\n";
   str b "module C = Spmdsim.Compile\n";
@@ -654,18 +679,8 @@ let emit (k : kernel) : string =
   str b "module SP = Dhpf.Spmd\n\n";
   Printf.bprintf b "(* %d int slots, %d float slots; %d subscript dims proven in-bounds, %d checked *)\n"
     k.k_nint k.k_nfloat k.k_proven k.k_unproven;
-  let top header body =
-    str b header;
-    prologue st [] (uses_of (fun u -> List.iter (use_stmt u) body));
-    estmts st "  " [] body;
-    fn_end b;
-    drain st
-  in
-  top "let rec k_main (ctx : N.kctx) (rt : C.rt) : unit =\n" k.k_main;
-  Array.iteri
-    (fun i (name, body) ->
-      fn_header b "sub_" i;
-      top (Printf.sprintf "  (* subroutine %s *)\n" name) body)
-    subs;
+  str b "let rec k_main (ctx : N.kctx) (rt : C.rt) : unit =\n";
+  Buffer.add_buffer b main;
+  Buffer.add_buffer b out;
   str b "\nlet () = N.register k_main\n";
   Buffer.contents b

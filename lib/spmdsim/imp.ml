@@ -508,6 +508,22 @@ let rec stmt_regs (s : kstmt) : int =
 
 and body_regs body = List.fold_left (fun n s -> max n (stmt_regs s)) 0 body
 
+(* [KFor] nodes: the loop functions {!Emit} prints before it shares the
+   repeated ones *)
+let rec stmt_loops (s : kstmt) : int =
+  match s with
+  | KFor { body; _ } -> 1 + body_loops body
+  | KIf { body; _ } -> body_loops body
+  | KFIf { then_; else_; _ } -> body_loops then_ + body_loops else_
+  | KSetScalar _ | KStore _ | KPack _ | KSend _ | KRecv _ | KReduceArr _
+  | KReduceScalar _ | KCall _ | KUnknownSub _ ->
+      0
+
+and body_loops body = List.fold_left (fun n s -> n + stmt_loops s) 0 body
+
+let loop_count (k : kernel) =
+  List.fold_left (fun n (_, body) -> n + body_loops body) (body_loops k.k_main) k.k_subs
+
 (* ------------------------------------------------------------------ *)
 (* Whole-program lowering                                              *)
 (* ------------------------------------------------------------------ *)

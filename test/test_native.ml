@@ -4,7 +4,8 @@
    per-pair communication cells — on every built-in benchmark, under
    fault schedules, and on randomly generated programs. Also covers the
    source-hash build cache (second make of the same program must hit)
-   and the emitted unit: one loop per function, and what emitting costs. *)
+   and the emitted unit: one loop per function, each distinct loop once,
+   and what emitting costs. *)
 
 let three_way ?(seeds = [ 7; 21 ]) src =
   let chk = Hpf.Sema.analyze_source src in
@@ -427,18 +428,24 @@ let kernel_of ~nprocs src =
   let p = (Gen.compile (Hpf.Sema.analyze_source src)).Gen.cprog in
   (Spmdsim.Compile.prepare ~nprocs p).Spmdsim.Compile.c_kernel
 
-(* the unit's functions, as (header, [while] count): each starts at a
-   line beginning [let rec] or [and] *)
+(* the unit's functions, as (header, body): each starts at a line
+   beginning [let rec] or [and], and the chain ends at [let ()] *)
 let functions unit_src =
   let starts l = String.starts_with ~prefix:"let rec " l || String.starts_with ~prefix:"and " l in
-  List.fold_left
-    (fun acc l ->
-      match acc with
-      | _ when starts l -> (l, 0) :: acc
-      | (h, n) :: rest when String.starts_with ~prefix:"while " (String.trim l) ->
-          (h, n + 1) :: rest
-      | _ -> acc)
-    [] (String.split_on_char '\n' unit_src)
+  let fns, _ =
+    List.fold_left
+      (fun (acc, inside) l ->
+        match acc with
+        | _ when starts l -> ((l, []) :: acc, true)
+        | _ when String.starts_with ~prefix:"let () " l -> (acc, false)
+        | (h, ls) :: rest when inside -> ((h, l :: ls) :: rest, true)
+        | _ -> (acc, inside))
+      ([], false) (String.split_on_char '\n' unit_src)
+  in
+  List.rev_map (fun (h, ls) -> (h, List.rev ls)) fns
+
+let whiles lines =
+  List.length (List.filter (fun l -> String.starts_with ~prefix:"while " (String.trim l)) lines)
 
 let test_loop_per_function () =
   List.iter
@@ -446,19 +453,114 @@ let test_loop_per_function () =
       let fns = functions (Spmdsim.Emit.emit (kernel_of ~nprocs:4 src)) in
       if List.length fns < 2 then Alcotest.failf "%s: loops were not outlined" name;
       List.iter
-        (fun (h, n) -> if n > 1 then Alcotest.failf "%s: %d loops in %s" name n h)
+        (fun (h, body) ->
+          let n = whiles body in
+          if n > 1 then Alcotest.failf "%s: %d loops in %s" name n h)
         fns)
     (Codes.all_small ())
 
-(* Emitting JACOBI-384 (945 loops, 1.3 MB of source) writes into one
-   buffer: 1.2 M words measured (minor plus major), bounded at twice
-   that; every native [Exec.make] pays it *)
+let jacobi384 =
+  lazy (kernel_of ~nprocs:8 (Codes.jacobi ~n:384 ~iters:4 ~procs:(Codes.Symbolic2 2) ()))
+
+(* the unit's loop functions, failing if two share a body *)
+let loop_functions name k =
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (fun (h, body) ->
+      if not (String.starts_with ~prefix:"and lp_" h) then None
+      else begin
+        (match Hashtbl.find_opt seen body with
+        | Some h0 -> Alcotest.failf "%s: %s repeats the body of %s" name h h0
+        | None -> Hashtbl.add seen body h);
+        Some h
+      end)
+    (functions (Spmdsim.Emit.emit k))
+
+(* Each distinct loop is printed once. JACOBI-384 has 945 [KFor] nodes,
+   most of them the pack nests communication generation puts into every
+   leaf of a partner loop; 60 distinct loop functions measured, bounded
+   at twice that *)
+let jacobi384_max_loop_functions = 120
+
+let test_loop_printed_once () =
+  List.iter
+    (fun (name, src) -> ignore (loop_functions name (kernel_of ~nprocs:4 src)))
+    (Codes.all_small ());
+  let k = Lazy.force jacobi384 in
+  let n = List.length (loop_functions "JACOBI-384" k) in
+  if n > jacobi384_max_loop_functions then
+    Alcotest.failf "JACOBI-384: %d loop functions for %d loops (bound %d)" n
+      (Spmdsim.Imp.loop_count k) jacobi384_max_loop_functions
+
+(* One loop nest under different enclosing loops and guards: the [i]/[j]
+   nest reads the enclosing [k], runs under two [k] loops, in both arms
+   of a float guard and (with [k]'s last value) outside any loop. Its
+   function is shared, and each call must still see its own context. *)
+let repeated_nest_src =
+  {|
+program repeat
+  parameter n = 10
+  real a(n,n), b(n,n)
+  real s
+  processors p(2)
+  template t(n,n)
+  align a(i,j) with t(i,j)
+  align b(i,j) with t(i,j)
+  distribute t(block,*) onto p
+  do i = 1, n
+    do j = 1, n
+      a(i,j) = i + 2*j
+      b(i,j) = 0.0
+    end do
+  end do
+  do k = 1, 2
+    do i = 2, n-1
+      do j = 1, n
+        b(i,j) = b(i,j) + k*a(i-1,j)
+      end do
+    end do
+  end do
+  s = 0.0
+  do k = 3, 5
+    s = s + k
+    if (s < 8.0) then
+      do i = 2, n-1
+        do j = 1, n
+          b(i,j) = b(i,j) + k*a(i-1,j)
+        end do
+      end do
+    else
+      do i = 2, n-1
+        do j = 1, n
+          b(i,j) = b(i,j) + k*a(i-1,j)
+        end do
+      end do
+    end if
+  end do
+  do i = 2, n-1
+    do j = 1, n
+      a(i,j) = a(i,j) + 0.5*b(i+1,j)
+    end do
+  end do
+end program repeat
+|}
+
+let test_repeated_nest () =
+  let k = kernel_of ~nprocs:2 repeated_nest_src in
+  let shared = List.length (loop_functions "repeat" k) in
+  if shared >= Spmdsim.Imp.loop_count k then
+    Alcotest.failf "repeat: no loop function is shared (%d for %d loops)" shared
+      (Spmdsim.Imp.loop_count k);
+  three_way repeated_nest_src
+
+(* Emitting JACOBI-384 (945 loops, kept as 60 functions in 181 KB of
+   source) prints each loop into a buffer of its own: 1.1 M words
+   measured (minor plus major; 1.2 M when the unit kept every repeat),
+   bounded at about twice that; every native [Exec.make] pays it *)
 let emit_words_bound = 2.5e6
 
 let test_emit_cost () =
-  let k =
-    kernel_of ~nprocs:8 (Codes.jacobi ~n:384 ~iters:4 ~procs:(Codes.Symbolic2 2) ())
-  in
+  let k = Lazy.force jacobi384 in
   ignore (Spmdsim.Emit.emit k);
   let mi0, _, ma0 = Gc.counters () in
   ignore (Spmdsim.Emit.emit k);
@@ -553,6 +655,9 @@ let () =
       ( "emit",
         [
           Alcotest.test_case "one loop per function" `Quick test_loop_per_function;
+          Alcotest.test_case "each loop printed once" `Quick test_loop_printed_once;
+          Alcotest.test_case "shared loop under different contexts" `Slow
+            test_repeated_nest;
           Alcotest.test_case "JACOBI-384 emission allocation" `Quick test_emit_cost;
         ] );
     ]
