@@ -72,11 +72,9 @@ let time t label f =
           if outermost then
             Obs.counter "iset/cache hits"
               (List.map
-                 (fun (n, c) -> (n, float_of_int (Iset.Stats.count c)))
-                 Iset.Stats.
-                   [ ("sat", sat_hits); ("simplify", simplify_hits);
-                     ("gist", gist_hits); ("implies", implies_hits);
-                     ("subset", subset_hits); ("rel", rel_hits) ])
+                 (fun (n, _, hits) ->
+                   (n, float_of_int (Iset.Stats.count hits)))
+                 Iset.Stats.memos)
         end)
       f
   end

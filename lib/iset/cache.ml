@@ -43,6 +43,21 @@ let set_capacity n =
   Atomic.set capacity_ref (max 4 n);
   clear_all ()
 
+(** Flat int-array keys: the id-keyed tables of {!Rel} and {!Codegen}
+    spell out their operands as interned ids and arities. *)
+module Ints = struct
+  type t = int array
+
+  let equal (a : t) b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (Int.equal a.(i) b.(i) && go (i + 1)) in
+    go 0
+
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 0 a land max_int
+end
+
 (** Bounded memo table over an arbitrary key; registers its own clear hook
     and a size gauge. The table is domain-local: each domain memoizes into
     its own storage, so no synchronization is needed on the hot path. Clear

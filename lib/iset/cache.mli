@@ -23,6 +23,10 @@ val set_capacity : int -> unit
 val register_clear : (unit -> unit) -> unit
 val clear_all : unit -> unit
 
+(** Flat int-array keys (interned ids and arities), compared
+    element-wise. *)
+module Ints : Hashtbl.HashedType with type t = int array
+
 (** Bounded memo table; creation registers a clear hook and a size gauge. *)
 module Memo (K : Hashtbl.HashedType) : sig
   type 'v t

@@ -17,6 +17,11 @@
 
 exception Unsupported of string
 
+(* A loop level left without a lower or upper bound, by position: [gen]
+   names the variable, so the message carries the caller's name even when
+   the nest was generated over placeholder names. *)
+exception Unbounded of int
+
 (* ------------------------------------------------------------------ *)
 (* Expressions and conditions                                          *)
 (* ------------------------------------------------------------------ *)
@@ -467,8 +472,7 @@ let rec gen_single ~names ~context_conj ~k ~tags level (it : unit item) : 'a ast
     in
     let lbs = if lbs = [] then ctx_bounds `Lo else lbs in
     let ubs = if ubs = [] then ctx_bounds `Hi else ubs in
-    if lbs = [] || ubs = [] then
-      raise (Unsupported (Printf.sprintf "unbounded loop variable %s" names.(level)));
+    if lbs = [] || ubs = [] then raise (Unbounded level);
     (* steps from stride-like existentials on this level *)
     let step, lo, extra_guards =
       match strides_here with
@@ -573,34 +577,17 @@ let gen_multi ~names ~context_conj ~k (items : 'a item list) : 'a ast list =
         | bs -> bs
       in
       let lbs = pick `Lo and ubs = pick `Hi in
-      if lbs = [] || ubs = [] then
-        raise (Unsupported (Printf.sprintf "unbounded loop variable %s" names.(level)));
+      if lbs = [] || ubs = [] then raise (Unbounded level);
       [ AFor { var = names.(level); lo = emax lbs; hi = emin ubs; step = 1; body = build (level + 1) } ]
     end
   in
   match inv_conds with [] -> build 0 | cs -> [ AIf (cand cs, build 0) ]
 
-(** Generate loop nests that enumerate every statement's iteration set in
-    lexicographic order (statements in list order within an iteration).
-    All [dom]s must be sets of the same arity over the variables named by
-    [names]; [context] holds constraints already enforced by the enclosing
-    scope (the paper's [Known] argument).
-
-    Overlapping disjuncts of one statement are resolved by first-match
-    exclusion guards evaluated at run time (pass [~disjoint:false] to allow
-    re-enumeration instead, for idempotent statements such as packing). *)
-let gen ?context ?(disjoint = true) ?(order = `Lex) ~names (stmts : 'a stmt list) :
+(* The generator proper; [context_conj] is the context [gen] reduced to
+   one conjunct. *)
+let generate ~context_conj ~disjoint ~order ~names (stmts : 'a stmt list) :
     'a ast list =
   let k = Array.length names in
-  let context_conj =
-    match context with
-    | None -> Conj.true_
-    | Some ctx -> (
-        match Rel.conjuncts ctx with
-        | [ c ] -> c
-        | [] -> Conj.true_
-        | _ -> Conj.true_)
-  in
   let classify_dom dom =
     let dom = Rel.coalesce dom in
     List.map
@@ -655,6 +642,197 @@ let gen ?context ?(disjoint = true) ?(order = `Lex) ~names (stmts : 'a stmt list
           gen_piece ~names ~context_conj ~k ~tags:[ it.tag_ ]
             { tag_ = (); cls = it.cls; excl = it.excl }
       | items -> gen_multi ~names ~context_conj ~k items)
+
+(* Loop-nest memo. [generate] reads exactly: [order], [disjoint], the tuple
+   arity, the context conjunct and, per statement, its domain's arities
+   and conjuncts plus whether it shares the first statement's domain
+   physically (the piecewise test above). The key spells that out as a
+   flat int array of flags, arities and interned conjunct ids; for the
+   sharing test each statement records the first earlier statement whose
+   domain is physically its own (-1 if none). Names and tags stay out of
+   the key: the table holds the nest generated over placeholder names,
+   with each leaf tagged by its statement's position, and every call
+   renames and re-tags a copy (the renaming is kept for the next call
+   under the same names). A placeholder starts with a NUL byte, so it
+   cannot collide with a parameter name. [Unbounded] and [Unsupported] are
+   never cached ([find_or_add] inserts only after [generate] returns).
+
+   A 256th of the shared capacity (256 entries at the default): an entry
+   holds a whole nest and a Table-1 compile adds at most 56, while a
+   daemon serving programs that never repeat keeps only dead entries. At
+   capacity/64 such a daemon's peak RSS grew by about 6%. *)
+module Memo = Cache.Memo (Cache.Ints)
+
+type entry = {
+  nest : int ast list;  (* over placeholder names *)
+  mutable named : string array * int ast list;
+      (* the last caller's names and the nest renamed to them: repeats
+         mostly come back under the same names, and renaming is most of
+         the cost of a hit. Tables are domain-local, so is the slot. *)
+}
+
+let memo : entry Memo.t =
+  Memo.create ~share:256 "codegen" ~lookups:Stats.codegen_lookups
+    ~hits:Stats.codegen_hits
+
+let key ~order ~disjoint ~k ~context_id stmts =
+  let doms = Array.of_list (List.map (fun s -> s.dom) stmts) in
+  let len =
+    Array.fold_left (fun n d -> n + 4 + List.length (Rel.conjuncts d)) 5 doms
+  in
+  let key = Array.make len 0 in
+  let pos = ref 0 in
+  let put x =
+    key.(!pos) <- x;
+    incr pos
+  in
+  put (match order with `Lex -> 0 | `Any -> 1);
+  put (Bool.to_int disjoint);
+  put k;
+  put context_id;
+  put (Array.length doms);
+  Array.iteri
+    (fun i d ->
+      let rec first_sharer j =
+        if j = i then -1 else if doms.(j) == d then j else first_sharer (j + 1)
+      in
+      put (Rel.in_arity d);
+      put (Rel.out_arity d);
+      put (first_sharer 0);
+      put (List.length (Rel.conjuncts d));
+      List.iter (fun c -> put (Conj.id c)) (Rel.conjuncts d))
+    doms;
+  key
+
+let placeholder i = "\000" ^ string_of_int i
+
+(* the position a placeholder stands for, or -1 for any other name *)
+let placeholder_index s =
+  let n = String.length s in
+  if n < 2 || s.[0] <> '\000' then -1
+  else begin
+    let i = ref 0 in
+    for j = 1 to n - 1 do
+      i := (!i * 10) + Char.code s.[j] - Char.code '0'
+    done;
+    !i
+  end
+
+(* The nest over the caller's names: every placeholder variable renamed.
+   A subterm that names no loop variable is shared, not copied. *)
+let rename names nest =
+  let rec expr e =
+    match e with
+    | EInt _ -> e
+    | EVar s -> (
+        match placeholder_index s with -1 -> e | i -> EVar names.(i))
+    | EAdd (a, b) -> two e a b (fun a b -> EAdd (a, b))
+    | ESub (a, b) -> two e a b (fun a b -> ESub (a, b))
+    | EMul (c, x) -> one e x (fun x -> EMul (c, x))
+    | EFloorDiv (x, c) -> one e x (fun x -> EFloorDiv (x, c))
+    | ECeilDiv (x, c) -> one e x (fun x -> ECeilDiv (x, c))
+    | EMax es -> many e es (fun es -> EMax es)
+    | EMin es -> many e es (fun es -> EMin es)
+    | EAlignUp (x, t, m) ->
+        let x' = expr x and t' = expr t and m' = expr m in
+        if x' == x && t' == t && m' == m then e else EAlignUp (x', t', m')
+  and one e x k =
+    let x' = expr x in
+    if x' == x then e else k x'
+  and two e a b k =
+    let a' = expr a and b' = expr b in
+    if a' == a && b' == b then e else k a' b'
+  and many e es k =
+    let es' = List.map expr es in
+    if List.for_all2 ( == ) es es' then e else k es'
+  in
+  let rec cond c =
+    match c with
+    | CTrue -> c
+    | CGeq0 x -> atom c x (fun x -> CGeq0 x)
+    | CEq0 x -> atom c x (fun x -> CEq0 x)
+    | CDivides (m, x) -> atom c x (fun x -> CDivides (m, x))
+    | CAnd cs -> CAnd (List.map cond cs)
+    | COr cs -> COr (List.map cond cs)
+    | CNot c -> CNot (cond c)
+  and atom c x k =
+    let x' = expr x in
+    if x' == x then c else k x'
+  in
+  let name s = match placeholder_index s with -1 -> s | i -> names.(i) in
+  let rec ast = function
+    | AFor f ->
+        AFor
+          {
+            f with
+            var = name f.var;
+            lo = expr f.lo;
+            hi = expr f.hi;
+            body = List.map ast f.body;
+          }
+    | AIf (c, body) -> AIf (cond c, List.map ast body)
+    | ALeaf _ as l -> l
+  in
+  List.map ast nest
+
+(* The nest with each position replaced by its statement's tag; bounds
+   and guards are shared, only the loop, guard and leaf nodes are new. *)
+let retag tags nest =
+  let rec ast = function
+    | AFor f -> AFor { f with body = List.map ast f.body }
+    | AIf (c, body) -> AIf (c, List.map ast body)
+    | ALeaf i -> ALeaf tags.(i)
+  in
+  List.map ast nest
+
+(** Generate loop nests that enumerate every statement's iteration set in
+    lexicographic order (statements in list order within an iteration).
+    All [dom]s must be sets of the same arity over the variables named by
+    [names]; [context] holds constraints already enforced by the enclosing
+    scope (the paper's [Known] argument).
+
+    Overlapping disjuncts of one statement are resolved by first-match
+    exclusion guards evaluated at run time (pass [~disjoint:false] to allow
+    re-enumeration instead, for idempotent statements such as packing).
+    Repeats are answered from the loop-nest memo above. *)
+let gen ?context ?(disjoint = true) ?(order = `Lex) ~names (stmts : 'a stmt list) :
+    'a ast list =
+  let context =
+    match Option.map Rel.conjuncts context with
+    | Some [ c ] -> Some c
+    | _ -> None
+  in
+  let context_conj = Option.value context ~default:Conj.true_ in
+  try
+    if not (Cache.enabled ()) then
+      generate ~context_conj ~disjoint ~order ~names stmts
+    else
+      let k = Array.length names in
+      let context_id = Option.fold ~none:(-1) ~some:Conj.id context in
+      let e =
+        Memo.find_or_add memo
+          (key ~order ~disjoint ~k ~context_id stmts)
+          (fun () ->
+            let nest =
+              generate ~context_conj ~disjoint ~order
+                ~names:(Array.init k placeholder)
+                (List.mapi (fun i s -> { tag = i; dom = s.dom }) stmts)
+            in
+            (* under no names there is nothing to rename *)
+            { nest; named = ([||], nest) })
+      in
+      let named =
+        match e.named with
+        | last, named when last = names -> named
+        | _ ->
+            let named = rename names e.nest in
+            e.named <- (Array.copy names, named);
+            named
+      in
+      retag (Array.of_list (List.map (fun s -> s.tag) stmts)) named
+  with Unbounded level ->
+    raise
+      (Unsupported (Printf.sprintf "unbounded loop variable %s" names.(level)))
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

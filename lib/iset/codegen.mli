@@ -129,7 +129,14 @@ val gen :
     disjuncts and all statements share one domain — emits each disjunct as
     its own exact nest (tight bounds instead of hull-plus-guards).
 
-    @raise Unsupported on unbounded variables or non-window existentials. *)
+    Repeats are answered from a bounded memo table ([codegen lookups] /
+    [codegen hits] in {!Stats}) keyed on the flags, the arities and the
+    interned conjunct ids of the context and the domains, never on names
+    or tags: a hit returns the nest renamed to this call's [names] and
+    re-tagged with this call's tags, exactly as generation would.
+
+    @raise Unsupported on unbounded variables or non-window existentials
+    (never cached; the message names the caller's variable). *)
 
 val approx : Rel.t -> Rel.t
 (** Sound over-approximation: drop every constraint involving an existential

@@ -71,18 +71,7 @@ let check_sig op a b =
    uncached path does. Ids are never reused (see {!Cache}), so a key can
    never match an entry of a retired id. Exceptions are not cached:
    [find_or_add] inserts only after the computation returns. *)
-module KeyMemo = Cache.Memo (struct
-  type t = int array
-
-  let equal (a : t) b =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i = n || (Int.equal a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 0 a land max_int
-end)
+module KeyMemo = Cache.Memo (Cache.Ints)
 
 let op_diff = 0
 let op_coalesce = 1

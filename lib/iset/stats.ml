@@ -41,11 +41,26 @@ let subset_lookups = counter "subset lookups"
 let subset_hits = counter "subset hits"
 let rel_lookups = counter "rel lookups"
 let rel_hits = counter "rel hits"
+let codegen_lookups = counter "codegen lookups"
+let codegen_hits = counter "codegen hits"
 let evictions = counter "cache evictions"
 let disk_lookups = counter "disk lookups"
 let disk_hits = counter "disk hits"
 let disk_stores = counter "disk stores"
 let disk_evictions = counter "disk evictions"
+
+(* every in-memory memo table, in reporting order: the one list the trace
+   counter, the serve hit ratio and Table 1's cache rows derive from *)
+let memos =
+  [
+    ("sat", sat_lookups, sat_hits);
+    ("simplify", simplify_lookups, simplify_hits);
+    ("gist", gist_lookups, gist_hits);
+    ("implies", implies_lookups, implies_hits);
+    ("subset", subset_lookups, subset_hits);
+    ("rel", rel_lookups, rel_hits);
+    ("codegen", codegen_lookups, codegen_hits);
+  ]
 
 let reset () = List.iter (fun c -> Atomic.set c.c_count 0) !counters
 
@@ -60,6 +75,7 @@ let hit_rate ~lookups ~hits =
     /. float_of_int (Atomic.get lookups.c_count)
 
 let count c = Atomic.get c.c_count
+let name c = c.c_name
 
 let pp fmt () =
   List.iter (fun (n, v) -> Fmt.pf fmt "  %-28s %10d@." n v) (report ())

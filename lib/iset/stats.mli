@@ -9,6 +9,7 @@ val counter : string -> counter
 
 val bump : counter -> unit
 val count : counter -> int
+val name : counter -> string
 
 val register_gauge : string -> (unit -> int) -> unit
 (** Register a live-state gauge (interned-node count, cache size). *)
@@ -32,6 +33,11 @@ val subset_hits : counter
 
 val rel_lookups : counter
 val rel_hits : counter
+
+(** The loop-nest memo of {!Codegen.gen}. *)
+
+val codegen_lookups : counter
+val codegen_hits : counter
 val evictions : counter
 
 (** On-disk analysis-cache traffic (see {!Diskcache}): lookups/hits count
@@ -43,6 +49,14 @@ val disk_lookups : counter
 val disk_hits : counter
 val disk_stores : counter
 val disk_evictions : counter
+
+(** {1 The memo-table registry} *)
+
+val memos : (string * counter * counter) list
+(** Every in-memory memo table as (name, lookups, hits), in reporting
+    order. The [iset/cache hits] trace counter, the serve daemon's
+    [memo_hit] ratio and Table 1's cache rows are all derived from this
+    list, so a new table appears in each of them by construction. *)
 
 (** {1 Reporting} *)
 

@@ -263,26 +263,23 @@ let handle_run st ~label ~source ~opts ~nprocs ~params ~engine =
 
 (* -- stats op (dhpf-stats/2) ----------------------------------------- *)
 
-(* the memo hit ratio sums every in-memory memo table: the four
-   conjunct-level ones, subset, and the relation-level one *)
-let memo_counters =
-  List.map
-    (fun t -> (t ^ " lookups", t ^ " hits"))
-    [ "sat"; "simplify"; "gist"; "implies"; "subset"; "rel" ]
-
+(* the memo hit ratio sums every in-memory memo table *)
 let cache_ratios () =
-  let r = Iset.Stats.report () in
-  let g n = Option.value (List.assoc_opt n r) ~default:0 in
   let memo_l, memo_h =
     List.fold_left
-      (fun (l, h) (kl, kh) -> (l + g kl, h + g kh))
-      (0, 0) memo_counters
+      (fun (l, h) (_, lookups, hits) ->
+        (l + Iset.Stats.count lookups, h + Iset.Stats.count hits))
+      (0, 0) Iset.Stats.memos
   in
   let ratio h l = if l = 0 then 0.0 else float_of_int h /. float_of_int l in
   Obs.Json.Obj
     [
       ("memo_hit", Obs.Json.Num (ratio memo_h memo_l));
-      ("disk_hit", Obs.Json.Num (ratio (g "disk hits") (g "disk lookups")));
+      ( "disk_hit",
+        Obs.Json.Num
+          (ratio
+             (Iset.Stats.count Iset.Stats.disk_hits)
+             (Iset.Stats.count Iset.Stats.disk_lookups)) );
     ]
 
 let window_stats st =

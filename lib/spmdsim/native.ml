@@ -155,7 +155,9 @@ let read_file path =
     s
   with Sys_error _ -> ""
 
-let memo : (string, kernel_fn) Hashtbl.t = Hashtbl.create 8
+(* kernels this process has loaded, by a digest of the [Imp.kernel] itself:
+   a kernel met before needs neither emission nor the source hash *)
+let memo : (Digest.t, kernel_fn) Hashtbl.t = Hashtbl.create 8
 
 (* [pending], [memo] and Dynlink itself are all shared mutable state;
    one lock over the whole emit-or-reuse-then-load path makes [obtain]
@@ -197,21 +199,30 @@ let compile_plugin ~dirs ~src ~ml ~cmxs =
 (* Emit + build (or reuse) + dynlink one kernel, returning its entry
    point. The cmxs file name carries the cache key, so its module name is
    unique per kernel and repeated loads of distinct kernels cannot clash;
-   an in-process memo avoids re-dynlinking a kernel this process already
-   holds. *)
+   an in-process memo, consulted before emitting, avoids re-emitting and
+   re-dynlinking a kernel this process already holds. The kernel is plain
+   data, so structurally equal kernels marshal (without sharing) to equal
+   bytes and emit equal source. *)
 let obtain ~cache_dir (kernel : Imp.kernel) : kernel_fn =
-  let src = Emit.emit kernel in
-  let dirs = include_dirs () in
-  let key = cache_key ~dirs src in
+  let kdigest =
+    Digest.string (Marshal.to_string kernel [ Marshal.No_sharing ])
+  in
   Mutex.protect obtain_mu @@ fun () ->
-  match Hashtbl.find_opt memo key with
+  match Hashtbl.find_opt memo kdigest with
   | Some f ->
       if Obs.Metrics.enabled () then Obs.Metrics.incr (Lazy.force m_hits);
       if Obs.Log.enabled Obs.Log.Debug then
         Obs.Log.debug "native.cache_hit"
-          ~fields:(fun () -> [ ("key", Obs.Str key); ("where", Obs.Str "memo") ]);
+          ~fields:(fun () ->
+            [
+              ("kernel", Obs.Str (Digest.to_hex kdigest));
+              ("where", Obs.Str "memo");
+            ]);
       f
   | None ->
+      let src = Emit.emit kernel in
+      let dirs = include_dirs () in
+      let key = cache_key ~dirs src in
       mkdir_p cache_dir;
       let base = "dhpf_kernel_" ^ key in
       let ml = Filename.concat cache_dir (base ^ ".ml") in
@@ -249,7 +260,7 @@ let obtain ~cache_dir (kernel : Imp.kernel) : kernel_fn =
       (match !pending with
       | Some f ->
           pending := None;
-          Hashtbl.replace memo key f;
+          Hashtbl.replace memo kdigest f;
           f
       | None -> errf "native engine: kernel %s loaded but did not register" base)
 

@@ -14,6 +14,7 @@
      configured capacity, with monotone (never reused) interned ids. *)
 
 open Iset
+open Gsets
 
 (* ------------------------------------------------------------------ *)
 (* Generators: small random conjuncts and sets, cheap for the Omega     *)
@@ -230,16 +231,187 @@ let prop_conj_shape =
              Constr.intern c == c && Lin.intern (Constr.lin c) == Constr.lin c)
            (Conj.constraints rep))
 
-(* ------------------------------------------------------------------ *)
-(* Unit tests: hit accounting, eviction bound, id stability             *)
-(* ------------------------------------------------------------------ *)
-
 let mk_interval lo hi =
   Conj.make ~n_ex:0
     [
       Constr.geq (Lin.of_list [ (1, Var.In 0) ] (-lo));
       Constr.geq (Lin.of_list [ (-1, Var.In 0) ] hi);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* The loop-nest memo of Codegen.gen                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One call's observable outcome: the printed nest, or the message of
+   the Unsupported it raised. *)
+let nest_of ?context ?order ?disjoint ~names stmts =
+  match Codegen.gen ?context ?order ?disjoint ~names stmts with
+  | asts -> Ok (Codegen.ast_to_string Fmt.string asts)
+  | exception Codegen.Unsupported m -> Error m
+
+let nest_plain ?context ?order ?disjoint ~names stmts =
+  Cache.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Cache.set_enabled true)
+    (fun () -> nest_of ?context ?order ?disjoint ~names stmts)
+
+let show = function Ok s -> s | Error m -> "Unsupported: " ^ m
+
+(* every call of [calls], made in order over one table epoch, gives what
+   the same call gives with caches off *)
+let nests_agree calls =
+  let expected = List.map (fun call -> call nest_plain) calls in
+  Cache.clear_all ();
+  List.for_all2
+    (fun call want ->
+      let got = call nest_of in
+      got = want
+      || QCheck.Test.fail_reportf "memoized:@.%s@.cache-disabled:@.%s"
+           (show got) (show want))
+    calls expected
+
+let stmts_of tags doms =
+  List.map2 (fun tag dom -> { Codegen.tag; dom }) tags doms
+
+let gen_order = QCheck.Gen.oneofl [ `Lex; `Any ]
+
+let arb_nest_case =
+  QCheck.make
+    ~print:(fun (g1, g2, ctx, order, disjoint) ->
+      Printf.sprintf "%s | %s | context %s | %s | disjoint %b"
+        (Rel.to_string (set_of_gset g1))
+        (Rel.to_string (set_of_gset g2))
+        (Conj.to_string (conj_of_gcs ctx))
+        (match order with `Lex -> "Lex" | `Any -> "Any")
+        disjoint)
+    QCheck.Gen.(tup5 gen_gset gen_gset gen_gcs gen_order bool)
+
+(* Caches off, cold and hit agree, with and without a context, and a hit
+   under other names and tags prints its own. The calls share one epoch,
+   so a key that dropped the context, the order, the disjointness flag or
+   the sharing pattern would answer one call with another's nest: the
+   context-less call repeats the contextual one's conjuncts, the flipped
+   order and flag repeat them too, and [d; d] and [d; d'] (d' equal to d
+   but a distinct value) differ only in whether the piecewise path
+   applies. *)
+let prop_codegen_memo =
+  QCheck.Test.make ~count:150
+    ~name:"memoized Codegen.gen = cache-disabled Codegen.gen" arb_nest_case
+    (fun (g1, g2, ctx, order, disjoint) ->
+      let d = set_of_gset g1 and d' = set_of_gset g1 and e = set_of_gset g2 in
+      let context = Rel.set ~ar:2 [ conj_of_gcs ctx ] in
+      let xy = [| "x"; "y" |] and ij = [| "i"; "j" |] in
+      let other = match order with `Lex -> `Any | `Any -> `Lex in
+      let call ?context ?(order = order) ?(disjoint = disjoint) ~names tags
+          doms f =
+        f ?context ?order:(Some order) ?disjoint:(Some disjoint) ~names
+          (stmts_of tags doms)
+      in
+      nests_agree
+        [
+          call ~context ~names:xy [ "s" ] [ d ];
+          call ~names:xy [ "s" ] [ d ];
+          call ~order:other ~names:xy [ "s" ] [ d ];
+          call ~disjoint:(not disjoint) ~names:xy [ "s" ] [ d ];
+          call ~context ~names:ij [ "t" ] [ d' ];
+          call ~names:ij [ "a"; "b" ] [ d; d ];
+          call ~names:xy [ "a"; "b" ] [ d; d' ];
+          call ~names:ij [ "b"; "a" ] [ d; d ];
+          call ~context ~names:xy [ "a"; "b"; "c" ] [ d; e; d ];
+          call ~context ~names:ij [ "c"; "b"; "a" ] [ d'; e; d' ];
+        ])
+
+(* y bounded by the drawn constraints or the context only: a nest that
+   leaves it open raises Unsupported, on the first call and on the
+   repeat, naming the caller's variable; the contextual call between them
+   is generated and cached. *)
+let prop_codegen_unsupported =
+  QCheck.Test.make ~count:150 ~name:"Codegen.gen Unsupported is never cached"
+    (QCheck.make
+       ~print:(fun (g, ctx) ->
+         Rel.to_string (set_of_gset ~bound_y:false g)
+         ^ " | "
+         ^ Conj.to_string (conj_of_gcs ctx))
+       QCheck.Gen.(pair gen_gset gen_gcs))
+    (fun (g, ctx) ->
+      let d = set_of_gset ~bound_y:false g in
+      let context = Rel.set ~ar:2 [ conj_of_gcs ctx ] in
+      let call ?context names f =
+        f ?context ?order:None ?disjoint:None ~names
+          [ { Codegen.tag = "s"; dom = d } ]
+      in
+      nests_agree
+        [
+          call [| "x"; "y" |];
+          call [| "x"; "y" |];
+          call ~context [| "x"; "y" |];
+          call [| "i"; "j" |];
+          call ~context [| "i"; "j" |];
+        ])
+
+let test_codegen_unsupported_name () =
+  Cache.set_enabled true;
+  Cache.clear_all ();
+  let d = Rel.set ~ar:2 [ conj_of_gcs ~bound_y:false [] ] in
+  let msg names =
+    match nest_of ~names [ { Codegen.tag = "s"; dom = d } ] with
+    | Ok s -> Alcotest.failf "expected Unsupported, got@.%s" s
+    | Error m -> m
+  in
+  let check what want names = Alcotest.(check string) what want (msg names) in
+  check "first call" "unbounded loop variable y" [| "x"; "y" |];
+  check "repeat" "unbounded loop variable y" [| "x"; "y" |];
+  check "other names" "unbounded loop variable j" [| "i"; "j" |]
+
+(* Far more distinct nests than the table's share of the capacity: it
+   stays within its bound, clearing when full. *)
+let test_codegen_bound () =
+  let cap = 1024 in
+  Cache.set_capacity cap;
+  Stats.reset ();
+  let sizes =
+    List.init 40 (fun i ->
+        ignore
+          (Codegen.gen ~names:[| "i" |]
+             [
+               {
+                 Codegen.tag = ();
+                 dom = Rel.set ~ar:1 [ mk_interval 1 (i + 1) ];
+               };
+             ]);
+        List.assoc "codegen cache size" (Stats.report ()))
+  in
+  Cache.set_capacity 65536;
+  let bound = cap / 256 in
+  Alcotest.(check int) "every nest was a miss" 0
+    (Stats.count Stats.codegen_hits);
+  Alcotest.(check bool) "filled to its bound" true (List.mem bound sizes);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "size %d within %d" n bound)
+        true (n <= bound))
+    sizes
+
+let test_codegen_hits_recorded () =
+  Cache.set_enabled true;
+  Cache.clear_all ();
+  Stats.reset ();
+  let d = Rel.set ~ar:1 [ mk_interval 1 10 ] in
+  let nest names tag = nest_of ~names [ { Codegen.tag; dom = d } ] in
+  let first = nest [| "i" |] "a" in
+  Alcotest.(check int) "first call misses" 0 (Stats.count Stats.codegen_hits);
+  let again = nest [| "k" |] "b" in
+  Alcotest.(check int) "repeat under other names hits" 1
+    (Stats.count Stats.codegen_hits);
+  Alcotest.(check string) "first nest" "do i = 1, 10\n  a\nenddo\n"
+    (show first);
+  Alcotest.(check string) "names and tags come from the caller"
+    "do k = 1, 10\n  b\nenddo\n" (show again)
+
+(* ------------------------------------------------------------------ *)
+(* Unit tests: hit accounting, eviction bound, id stability             *)
+(* ------------------------------------------------------------------ *)
 
 let test_hits_recorded () =
   Cache.set_enabled true;
@@ -338,6 +510,15 @@ let () =
             prop_prefilter_sound;
           ]
         @ List.map QCheck_alcotest.to_alcotest prop_rel_ops );
+      ( "codegen",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_codegen_memo; prop_codegen_unsupported ]
+        @ [
+            Alcotest.test_case "hits recorded" `Quick test_codegen_hits_recorded;
+            Alcotest.test_case "table within its bound" `Quick test_codegen_bound;
+            Alcotest.test_case "Unsupported names the caller's variable" `Quick
+              test_codegen_unsupported_name;
+          ] );
       ( "interning",
         List.map QCheck_alcotest.to_alcotest
           [ prop_lin_shape; prop_constr_shape; prop_conj_shape ] );

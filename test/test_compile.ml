@@ -200,8 +200,8 @@ end
 (* Whole-compile memo equivalence: every built-in at its default size
    and the three Table-1 programs at paper scale compile to byte-identical
    SPMD text and --show-sets text with every cache off, over cold tables,
-   and again over the tables the cold compile warmed (where the relation-
-   and conjunct-level memos answer from their tables). *)
+   and again over the tables the cold compile warmed (where the loop-nest,
+   relation- and conjunct-level memos answer from their tables). *)
 let memo_programs =
   [
     ("jacobi", Codes.jacobi ());
@@ -230,9 +230,14 @@ let test_memo_equivalence () =
       Iset.Cache.clear_all ();
       let cold = texts src in
       let hits = Iset.Stats.count Iset.Stats.rel_hits in
+      let nest_hits = Iset.Stats.count Iset.Stats.codegen_hits in
       let warm = texts src in
       Alcotest.(check bool) (name ^ ": warm compile hits the relation memo") true
         (Iset.Stats.count Iset.Stats.rel_hits > hits);
+      Alcotest.(check bool)
+        (name ^ ": warm compile hits the loop-nest memo")
+        true
+        (Iset.Stats.count Iset.Stats.codegen_hits > nest_hits);
       List.iter
         (fun (state, (spmd, sets)) ->
           Alcotest.(check string) (name ^ ": SPMD text, " ^ state) (fst off) spmd;

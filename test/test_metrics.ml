@@ -346,13 +346,13 @@ let test_counter_namespacing () =
   in
   Alcotest.(check bool) "compile emits iset counter samples" true
     (List.mem "iset/cache hits" counters);
-  (* the series are the six memo tables Server.cache_ratios sums *)
+  (* the series are the seven memo tables Server.cache_ratios sums *)
   List.iter
     (fun e ->
       if e.Obs.e_ph = Obs.C && e.Obs.e_name = "iset/cache hits" then
         Alcotest.(check (list string))
           "iset/cache hits series"
-          [ "sat"; "simplify"; "gist"; "implies"; "subset"; "rel" ]
+          [ "sat"; "simplify"; "gist"; "implies"; "subset"; "rel"; "codegen" ]
           (List.map fst e.Obs.e_args))
     evs;
   List.iter

@@ -970,18 +970,22 @@ let test_stats_v2 () =
       Alcotest.(check bool) "rps positive" true (rps > 0.);
       Alcotest.(check bool) "window samples >= 2" true (n >= 2)
   | _ -> Alcotest.fail "missing rps/samples");
-  (* the memo ratio is hits over lookups summed over all six memo
-     tables, the relation-level one included *)
+  (* the memo ratio is hits over lookups summed over all seven memo
+     tables, the relation-level and loop-nest ones included *)
   let sum suffix =
     List.fold_left
       (fun acc t -> acc + iset_counter r (t ^ suffix))
       0
-      [ "sat"; "simplify"; "gist"; "implies"; "subset"; "rel" ]
+      [ "sat"; "simplify"; "gist"; "implies"; "subset"; "rel"; "codegen" ]
   in
-  if Iset.Cache.enabled () then
+  if Iset.Cache.enabled () then begin
     Alcotest.(check bool)
       "relation memo consulted" true
       (iset_counter r "rel lookups" > 0);
+    Alcotest.(check bool)
+      "loop-nest memo consulted" true
+      (iset_counter r "codegen lookups" > 0)
+  end;
   let lookups = sum " lookups" in
   let expected =
     if lookups = 0 then 0.
