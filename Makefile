@@ -82,8 +82,13 @@ fmt-check:
 	  echo "ocamlformat not installed; skipping fmt-check"; \
 	fi
 
+# every arm of `dhpfc run`'s one --diff* path: the serial oracle, the
+# engine and domain differentials, and crash recovery
 resilience:
 	$(DUNE) build @resilience
+	$(DHPFC) run jacobi -p 4 --diff 2
+	$(DHPFC) run jacobi -p 4 --diff-engines 2
+	$(DHPFC) run jacobi -p 4 --diff-domains 2
 	$(DHPFC) run jacobi --diff-crashes 3
 	$(DHPFC) run gauss --diff-crashes 3
 

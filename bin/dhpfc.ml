@@ -559,19 +559,11 @@ let check_comm_t =
            the prediction. Per-pair counters ignore retransmission, so the \
            check also holds under $(b,--faults).")
 
-let comm_slack_t =
-  Arg.(
-    value & opt float 0.0
-    & info [ "comm-slack" ] ~docv:"F"
-        ~doc:
-          "Relative tolerance for $(b,--check-comm): a cell passes when \
-           |measured - predicted| <= F * predicted. Default 0 (exact).")
-
 let run_cmd =
   let run src nprocs params engine native_cache disk_cache disk_cache_mb
       no_split no_vect no_coal no_inplace jobs faults_seed drop dup delay
       skew crash_procs crash_prob ckpt_every max_events diff diff_engines
-      diff_domains diff_crashes trace metrics check_comm comm_slack =
+      diff_domains diff_crashes trace metrics check_comm =
     handle_errors @@ fun () ->
     let engine = resolve_engine engine in
     Option.iter (Unix.putenv "DHPF_NATIVE_CACHE") native_cache;
@@ -588,6 +580,52 @@ let run_cmd =
         ("--max-events", max_events);
       ];
     let opts = opts_of ~no_split ~no_vect ~no_coal ~no_inplace in
+    let spec_of_seed seed =
+      validated
+        (spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs:0)
+    in
+    let module D = Spmdsim.Diffcheck in
+    (* the differential sweeps, each against its own reference: at most one
+       per run, over the fault-free schedule plus N seeded ones *)
+    let sweep =
+      match
+        List.filter
+          (fun (_, n, _, _) -> n > 0)
+          [
+            ( "--diff",
+              diff,
+              "the serial oracle",
+              fun seeds chk ->
+                D.run ~engine ~nprocs ~params ~opts ~spec_of_seed ~seeds chk );
+            ( "--diff-engines",
+              diff_engines,
+              "the interpreter",
+              fun seeds chk ->
+                D.engines ~nprocs ~params ~opts ~spec_of_seed ~seeds chk );
+            ( "--diff-domains",
+              diff_domains,
+              "the 1-domain run",
+              fun seeds chk ->
+                D.domains ~engine ~nprocs ~params ~opts ~spec_of_seed ~seeds
+                  chk );
+            (* pure-crash schedules, checkpointing every 8 ops unless set *)
+            ( "--diff-crashes",
+              diff_crashes,
+              "the fault-free closure run",
+              fun seeds chk ->
+                D.crashes ~nprocs ~params ~opts
+                  ?ckpt_every:(if ckpt_every > 0 then Some ckpt_every else None)
+                  ~seeds chk );
+          ]
+      with
+      | (a, _, _, _) :: (b, _, _, _) :: _ ->
+          Fmt.epr "dhpfc: %s and %s cannot be combined; run one sweep at a time@."
+            a b;
+          exit exit_parse
+      | [ (_, n, reference, check) ] ->
+          Some (List.init n (fun i -> i + 1), reference, check)
+      | [] -> None
+    in
     fresh_window ();
     trace_begin trace;
     metrics_begin metrics;
@@ -597,72 +635,12 @@ let run_cmd =
       Dhpf.Phase.time Dhpf.Phase.global "parse and semantic analysis"
         (fun () -> Hpf.Sema.analyze_source (load src))
     in
-    if diff > 0 then begin
-      (* differential resilience sweep: serial oracle vs. N fault seeds *)
-      let spec_of_seed seed =
-        validated
-          (spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs:0)
-      in
-      let seeds = List.init diff (fun i -> i + 1) in
-      let out =
-        Spmdsim.Diffcheck.run ~engine ~nprocs ~params ~opts ~spec_of_seed
-          ~seeds chk
-      in
-      Fmt.pr "%a@." Spmdsim.Diffcheck.pp_outcome out;
-      match out with
-      | Spmdsim.Diffcheck.Pass _ -> ()
-      | _ -> exit exit_runtime
-    end
-    else if diff_engines > 0 then begin
-      (* engine-differential sweep: closure vs. interpreter vs. native *)
-      let spec_of_seed seed =
-        validated
-          (spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs:0)
-      in
-      let seeds = List.init diff_engines (fun i -> i + 1) in
-      let out =
-        Spmdsim.Diffcheck.engines ~nprocs ~params ~opts ~spec_of_seed ~seeds
-          chk
-      in
-      Fmt.pr "%a@." Spmdsim.Diffcheck.pp_outcome out;
-      match out with
-      | Spmdsim.Diffcheck.Pass _ -> ()
-      | _ -> exit exit_runtime
-    end
-    else if diff_domains > 0 then begin
-      (* domain-differential sweep: sequential scheduler vs. an
-         oversubscribed domain pool *)
-      let spec_of_seed seed =
-        validated
-          (spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs:0)
-      in
-      let seeds = List.init diff_domains (fun i -> i + 1) in
-      let out =
-        Spmdsim.Diffcheck.domains ~engine ~nprocs ~params ~opts ~spec_of_seed
-          ~seeds chk
-      in
-      Fmt.pr "%a@." Spmdsim.Diffcheck.pp_outcome out;
-      match out with
-      | Spmdsim.Diffcheck.Pass _ -> ()
-      | _ -> exit exit_runtime
-    end
-    else if diff_crashes > 0 then begin
-      (* crash-differential sweep: checkpoint/restart recovery on both
-         engines vs. the fault-free oracle *)
-      let seeds = List.init diff_crashes (fun i -> i + 1) in
-      let out =
-        match ckpt_every with
-        | 0 -> Spmdsim.Diffcheck.crashes ~nprocs ~params ~opts ~seeds chk
-        | n ->
-            Spmdsim.Diffcheck.crashes ~nprocs ~params ~opts ~ckpt_every:n
-              ~seeds chk
-      in
-      Fmt.pr "%a@." Spmdsim.Diffcheck.pp_outcome out;
-      match out with
-      | Spmdsim.Diffcheck.Pass _ -> ()
-      | _ -> exit exit_runtime
-    end
-    else begin
+    (match sweep with
+    | Some (seeds, reference, check) ->
+        let out = check seeds chk in
+        Fmt.pr "%a@." (D.pp_against reference) out;
+        (match out with D.Pass _ -> () | _ -> exit exit_runtime)
+    | None ->
       let compiled = Dhpf.Gen.compile ~opts chk in
       let serial = Spmdsim.Serial.run ~params chk in
       let faults =
@@ -753,7 +731,7 @@ let run_cmd =
         let measured = Spmdsim.Exec.comm_cells sim in
         let pmsgs = List.fold_left (fun a c -> a + c.Spmdsim.Predict.p_msgs) 0 predicted
         and pelems = List.fold_left (fun a c -> a + c.Spmdsim.Predict.p_elems) 0 predicted in
-        let mismatches = Spmdsim.Predict.check ~slack:comm_slack predicted measured in
+        let mismatches = Spmdsim.Predict.check predicted measured in
         if mismatches = [] then
           Fmt.pr "comm check      : ok — %d pair cells, %d msgs, %d elems \
                   (predicted = measured)@."
@@ -772,8 +750,7 @@ let run_cmd =
             mismatches;
           exit 1
         end
-      end
-    end;
+      end);
     trace_finish trace;
     metrics_compiler ();
     metrics_finish metrics
@@ -786,8 +763,7 @@ let run_cmd =
       $ no_coal_t $ no_inplace_t $ jobs_t $ faults_t $ fault_drop_t
       $ fault_dup_t $ fault_delay_t $ fault_skew_t $ crash_procs_t
       $ crash_prob_t $ ckpt_every_t $ max_events_t $ diff_t $ diff_engines_t
-      $ diff_domains_t $ diff_crashes_t $ trace_t $ metrics_t $ check_comm_t
-      $ comm_slack_t)
+      $ diff_domains_t $ diff_crashes_t $ trace_t $ metrics_t $ check_comm_t)
 
 (* ---- bench (print a built-in source) ---- *)
 

@@ -21,8 +21,6 @@ type options = {
   opt_inplace : bool;  (** §3.3 contiguity recognition *)
 }
 
-let split_debug = ref false
-
 let default_options =
   { opt_vectorize = true; opt_coalesce = true; opt_split = true; opt_inplace = true }
 
@@ -1269,10 +1267,6 @@ and try_split g ~outer loop_node ~sends ~recvs : Spmd.stmt list option =
             bind_prefix_params outern (Cp.iter_space g.ctx nest)
           in
           let emit_sec what set =
-            if !split_debug then
-              Printf.eprintf "[split] %s: empty=%s set=%s\n%!" what
-                (try string_of_bool (Rel.is_empty set) with e -> Printexc.to_string e)
-                (Rel.to_string set);
             if (try Rel.is_empty set with _ -> false) then []
             else begin
               let _, access_of =

@@ -108,212 +108,47 @@ let image_equal (a : Runtime.image) (b : Runtime.image) =
   && counters_equal a.Runtime.im_counters b.Runtime.im_counters
 
 (* ------------------------------------------------------------------ *)
-(* Binary encoding                                                      *)
+(* Snapshot size                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Self-contained little-endian format (see DESIGN.md §12): fixed magic,
-   then nested length-prefixed sections. Every integer is 8 bytes LE,
-   floats are their IEEE-754 bits, strings are length-prefixed UTF-8.
-   The encoder is what prices a checkpoint (its output length times
-   [Machine.ckpt_beta]); the decoder exists for the round-trip tests and
-   for offline inspection of dumped snapshots. *)
+(* The byte count that prices a checkpoint write (times
+   [Machine.ckpt_beta]) and its read-back: a 9-byte tag, then every
+   integer and float as 8 bytes, strings and arrays each behind an 8-byte
+   length (see DESIGN.md §12). Computed from the image; nothing is
+   serialized. *)
 
-let magic = "DHPFCKPT1"
+let str_size s = 8 + String.length s
+let arr_size f a = Array.fold_left (fun n x -> n + f x) 8 a
+let ilist_size l = 8 + (8 * List.length l)
 
-let w_int b (v : int) = Buffer.add_int64_le b (Int64.of_int v)
-let w_float b (v : float) = Buffer.add_int64_le b (Int64.bits_of_float v)
+let key_size (k : Runtime.key) =
+  8 + ilist_size k.Runtime.k_src + ilist_size k.Runtime.k_dst
 
-let w_str b (s : string) =
-  w_int b (String.length s);
-  Buffer.add_string b s
+let payload_size (pl : Runtime.payload) =
+  str_size pl.Runtime.pl_arr
+  + (8 + (8 * Array.length pl.Runtime.pl_idx))
+  + (8 + (8 * Array.length pl.Runtime.pl_val))
 
-let w_arr b f a =
-  w_int b (Array.length a);
-  Array.iter (f b) a
+(* sequence number, arrival time, payload, contiguity flag *)
+let msg_size (m : Runtime.msg) = 24 + payload_size m.Runtime.m_payload
 
-let w_ilist b (l : int list) =
-  w_int b (List.length l);
-  List.iter (w_int b) l
+let proc_size (p : Runtime.proc_image) =
+  8
+  + arr_size (fun (n, _) -> str_size n + 8) p.Runtime.pi_ints
+  + arr_size (fun (n, _) -> str_size n + 8) p.Runtime.pi_floats
+  + arr_size
+      (fun (n, es) -> str_size n + 8 + (16 * Array.length es))
+      p.Runtime.pi_elems
+  + arr_size (fun (_, pl) -> 8 + payload_size pl) p.Runtime.pi_staged
 
-let w_key b (k : Runtime.key) =
-  w_int b k.Runtime.k_event;
-  w_ilist b k.Runtime.k_src;
-  w_ilist b k.Runtime.k_dst
-
-let w_payload b (pl : Runtime.payload) =
-  w_str b pl.Runtime.pl_arr;
-  w_arr b w_int pl.Runtime.pl_idx;
-  w_arr b w_float pl.Runtime.pl_val
-
-let w_msg b (m : Runtime.msg) =
-  w_int b m.Runtime.m_seq;
-  w_float b m.Runtime.m_arrival;
-  w_payload b m.Runtime.m_payload;
-  w_int b (if m.Runtime.m_contig then 1 else 0)
-
-let w_proc b (p : Runtime.proc_image) =
-  w_float b p.Runtime.pi_clock;
-  w_arr b
-    (fun b (n, v) ->
-      w_str b n;
-      w_int b v)
-    p.Runtime.pi_ints;
-  w_arr b
-    (fun b (n, v) ->
-      w_str b n;
-      w_float b v)
-    p.Runtime.pi_floats;
-  w_arr b
-    (fun b (n, es) ->
-      w_str b n;
-      w_arr b
-        (fun b (i, v) ->
-          w_int b i;
-          w_float b v)
-        es)
-    p.Runtime.pi_elems;
-  w_arr b
-    (fun b (e, pl) ->
-      w_int b e;
-      w_payload b pl)
-    p.Runtime.pi_staged
-
-let encode (im : Runtime.image) : bytes =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  w_int b im.Runtime.im_ops;
-  w_arr b w_proc im.Runtime.im_procs;
-  w_arr b
-    (fun b (k, s, r) ->
-      w_key b k;
-      w_int b s;
-      w_int b r)
-    im.Runtime.im_chans;
-  w_arr b
-    (fun b (k, ms) ->
-      w_key b k;
-      w_arr b w_msg ms)
-    im.Runtime.im_inflight;
-  let c = im.Runtime.im_counters in
-  w_int b c.Runtime.n_msgs;
-  w_int b c.Runtime.n_bytes;
-  w_int b c.Runtime.n_elems;
-  w_int b c.Runtime.n_retransmits;
-  w_int b c.Runtime.n_timeouts;
-  w_int b c.Runtime.n_dups;
-  w_int b c.Runtime.n_max_mbox;
-  Buffer.to_bytes b
-
-type reader = { rd : bytes; mutable pos : int }
-
-let r_int r =
-  let v = Bytes.get_int64_le r.rd r.pos in
-  r.pos <- r.pos + 8;
-  Int64.to_int v
-
-let r_float r =
-  let v = Bytes.get_int64_le r.rd r.pos in
-  r.pos <- r.pos + 8;
-  Int64.float_of_bits v
-
-let r_str r =
-  let n = r_int r in
-  let s = Bytes.sub_string r.rd r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let r_arr r f = Array.init (r_int r) (fun _ -> f r)
-let r_ilist r = List.init (r_int r) (fun _ -> r_int r)
-
-let r_key r =
-  let k_event = r_int r in
-  let k_src = r_ilist r in
-  let k_dst = r_ilist r in
-  { Runtime.k_event; k_src; k_dst }
-
-let r_payload r =
-  let pl_arr = r_str r in
-  let pl_idx = r_arr r r_int in
-  let pl_val = r_arr r r_float in
-  { Runtime.pl_arr; pl_idx; pl_val }
-
-let r_msg r =
-  let m_seq = r_int r in
-  let m_arrival = r_float r in
-  let m_payload = r_payload r in
-  let m_contig = r_int r <> 0 in
-  { Runtime.m_seq; m_arrival; m_payload; m_contig }
-
-let r_proc r =
-  let pi_clock = r_float r in
-  let pi_ints =
-    r_arr r (fun r ->
-        let n = r_str r in
-        let v = r_int r in
-        (n, v))
-  in
-  let pi_floats =
-    r_arr r (fun r ->
-        let n = r_str r in
-        let v = r_float r in
-        (n, v))
-  in
-  let pi_elems =
-    r_arr r (fun r ->
-        let n = r_str r in
-        let es =
-          r_arr r (fun r ->
-              let i = r_int r in
-              let v = r_float r in
-              (i, v))
-        in
-        (n, es))
-  in
-  let pi_staged =
-    r_arr r (fun r ->
-        let e = r_int r in
-        let pl = r_payload r in
-        (e, pl))
-  in
-  { Runtime.pi_clock; pi_ints; pi_floats; pi_elems; pi_staged }
-
-let decode (buf : bytes) : Runtime.image =
-  if
-    Bytes.length buf < String.length magic
-    || not (String.equal (Bytes.sub_string buf 0 (String.length magic)) magic)
-  then errf "checkpoint decode: bad magic (not a %s image)" magic;
-  let r = { rd = buf; pos = String.length magic } in
-  let im_ops = r_int r in
-  let im_procs = r_arr r r_proc in
-  let im_chans =
-    r_arr r (fun r ->
-        let k = r_key r in
-        let s = r_int r in
-        let rv = r_int r in
-        (k, s, rv))
-  in
-  let im_inflight =
-    r_arr r (fun r ->
-        let k = r_key r in
-        let ms = r_arr r r_msg in
-        (k, ms))
-  in
-  let n_msgs = r_int r in
-  let n_bytes = r_int r in
-  let n_elems = r_int r in
-  let n_retransmits = r_int r in
-  let n_timeouts = r_int r in
-  let n_dups = r_int r in
-  let n_max_mbox = r_int r in
-  {
-    Runtime.im_ops;
-    im_procs;
-    im_chans;
-    im_inflight;
-    im_counters =
-      { Runtime.n_msgs; n_bytes; n_elems; n_retransmits; n_timeouts; n_dups;
-        n_max_mbox };
-  }
+let encoded_size (im : Runtime.image) =
+  9 + 8
+  + arr_size proc_size im.Runtime.im_procs
+  + arr_size (fun (k, _, _) -> key_size k + 16) im.Runtime.im_chans
+  + arr_size (fun (k, ms) -> key_size k + arr_size msg_size ms)
+      im.Runtime.im_inflight
+  (* the seven transport counters *)
+  + (7 * 8)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery controller                                                  *)
@@ -442,7 +277,7 @@ let run ?engine ?(machine = Machine.default) ?faults ?(plan = [])
              clocks, which is what a replay re-derives), then charge every
              processor for the write *)
           let i = capture () in
-          let bytes = Bytes.length (encode i) in
+          let bytes = encoded_size i in
           let cost =
             machine.Machine.ckpt_alpha
             +. (float_of_int bytes *. machine.Machine.ckpt_beta)

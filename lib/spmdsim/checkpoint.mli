@@ -34,14 +34,10 @@ val image_equal : Runtime.image -> Runtime.image -> bool
     equals itself, [0.] differs from [-0.]) — "the replay reproduced the
     exact state", which [Stdlib.(=)] on floats does not express. *)
 
-val encode : Runtime.image -> bytes
-(** Serialize to the self-contained little-endian ["DHPFCKPT1"] format:
-    8-byte LE integers, floats as their bits, length-prefixed strings and
-    arrays. The output length is what prices the checkpoint. *)
-
-val decode : bytes -> Runtime.image
-(** Inverse of {!encode}; [decode (encode im)] is {!image_equal} to [im].
-    @raise Runtime.Error on a bad magic. *)
+val encoded_size : Runtime.image -> int
+(** The image's size in bytes, as a flat serialization would store it: a
+    9-byte tag, 8 bytes per integer and float, strings and arrays behind
+    an 8-byte length. It prices the checkpoint write and read-back. *)
 
 (** {1 Recovery controller} *)
 

@@ -1,5 +1,6 @@
-(* Differential resilience harness: serial oracle vs. SPMD execution under
-   seeded fault schedules. See diffcheck.mli. *)
+(* Differential harness: each sweep runs a reference and its candidates
+   under the same schedules and reports the first difference. See
+   diffcheck.mli. *)
 
 type divergence = {
   dv_seed : int option;
@@ -14,487 +15,239 @@ type outcome =
   | Diverged of divergence
   | Crashed of { seed : int option; error : string }
 
+(* a value difference; the driver fills in [dv_seed] *)
 exception Found of divergence
+
+(* a counter, clock or comm-cell difference, reported as [Crashed] *)
+exception Differs of string
+
+let differs fmt = Printf.ksprintf (fun s -> raise (Differs s)) fmt
 
 (* relative tolerance, same as the end-to-end suite: floating summation
    order in reductions is deterministic but may differ from the serial
    interpreter's association *)
 let close want got = abs_float (want -. got) <= 1e-6 *. (abs_float want +. 1.0)
 
-let compare_run ~seed (chk : Hpf.Sema.checked) (sref : Serial.result) sim =
-  try
-    Hashtbl.iter
-      (fun aname (ai : Hpf.Sema.array_info) ->
-        let bounds =
-          List.map
-            (fun (lo, hi) ->
-              ( Serial.eval_iexpr sref.Serial.r_state lo,
-                Serial.eval_iexpr sref.Serial.r_state hi ))
-            ai.Hpf.Sema.adims
-        in
-        let rec go idx = function
-          | [] ->
-              let idx = List.rev idx in
-              let want = Serial.get_elem sref aname idx in
-              let got = Exec.get_elem sim aname idx in
-              if not (close want got) then
-                raise
-                  (Found
-                     {
-                       dv_seed = seed;
-                       dv_array = aname;
-                       dv_index = idx;
-                       dv_expected = want;
-                       dv_got = got;
-                     })
-          | (lo, hi) :: rest ->
-              for x = lo to hi do
-                go (x :: idx) rest
-              done
-        in
-        go [] bounds)
-      chk.Hpf.Sema.env.Hpf.Sema.arrays;
-    None
-  with Found d -> Some d
-
-let run ?engine ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
-    ?(spec_of_seed = fun seed -> Fault.default ~seed) ~seeds
-    (chk : Hpf.Sema.checked) : outcome =
-  let compiled =
-    match opts with
-    | Some opts -> Dhpf.Gen.compile ~opts chk
-    | None -> Dhpf.Gen.compile chk
-  in
-  let sref = Serial.run ?machine ~params chk in
-  let one ?faults seed =
-    match
-      let sim =
-        Exec.make ?engine ?machine ?faults ?domains ~nprocs ~params
-          compiled.Dhpf.Gen.cprog
-      in
-      let _ = Exec.run sim in
-      compare_run ~seed chk sref sim
-    with
-    | None -> Ok ()
-    | Some d -> Error (Diverged d)
-    | exception Exec.Deadlock d ->
-        Error (Crashed { seed; error = Exec.diagnostic_to_string d })
-    | exception Exec.Error msg -> Error (Crashed { seed; error = msg })
-  in
-  let rec go runs = function
-    | [] -> Pass { runs }
-    | (seed, faults) :: rest -> (
-        match one ?faults seed with
-        | Ok () -> go (runs + 1) rest
-        | Error bad -> bad)
-  in
-  go 0
-    ((None, None)
-    :: List.map (fun s -> (Some s, Some (spec_of_seed s))) seeds)
-
-(* ------------------------------------------------------------------ *)
-(* Engine-differential mode: closure engine vs. tree-walking           *)
-(* interpreter on the same program, seed and fault schedule.           *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike the serial comparison above — which tolerates reassociated
-   floating summation — the two engines share the transport and charge
-   clock time in the same order, so the contract here is exact:
-   bit-identical element values and scalars, bit-identical simulated
-   clocks, and identical message/byte/element/retransmit counters. *)
+(* Simulation against simulation the contract is exact: the engines, the
+   domain counts and crash recovery share the transport and charge clock
+   time in the same order, so values, clocks and counters must agree bit
+   for bit. *)
 let bit_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* every Runtime.stats field as a (name, a, b) triple, compared bitwise by
-   the engine- and domain-differential modes below *)
+(* ------------------------------------------------------------------ *)
+(* Shared pieces: prepare, the schedule driver, the comparator         *)
+(* ------------------------------------------------------------------ *)
+
+type prepared = {
+  cprog : Dhpf.Spmd.program;
+  nprocs : int;
+  params : (string * int) list;
+  bounds : (string * (int * int) list) list;
+      (** array extents, evaluated over the startup parameter environment *)
+}
+
+let prepare ?opts ~nprocs ~params chk =
+  let cprog = (Dhpf.Gen.compile ?opts chk).Dhpf.Gen.cprog in
+  let geval =
+    Runtime.eval_genv (Runtime.setup ~nprocs ~params cprog).Runtime.su_genv
+  in
+  let bounds =
+    List.map
+      (fun (ad : Dhpf.Spmd.array_decl) ->
+        ( ad.Dhpf.Spmd.ad_name,
+          List.map (fun (lo, hi) -> (geval lo, geval hi)) ad.ad_bounds ))
+      cprog.Dhpf.Spmd.arrays
+  in
+  { cprog; nprocs; params; bounds }
+
+(* The fault-free schedule first, then one per seed. [one faults] checks
+   one schedule and returns how many runs it compared. Per-pair
+   communication cells are recorded only while [Obs.Metrics] is on, so
+   the sweep switches it on for its own runs. *)
+let sweep ~spec_of_seed ~seeds one =
+  let was_on = Obs.Metrics.enabled () in
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was_on then Obs.Metrics.disable ())
+  @@ fun () ->
+  let rec go runs = function
+    | [] -> Pass { runs }
+    | seed :: rest -> (
+        match one (Option.map spec_of_seed seed) with
+        | n -> go (runs + n) rest
+        | exception Found d -> Diverged { d with dv_seed = seed }
+        | exception Differs error -> Crashed { seed; error }
+        | exception Exec.Deadlock d ->
+            Crashed { seed; error = Exec.diagnostic_to_string d }
+        | exception Exec.Error error -> Crashed { seed; error })
+  in
+  go 0 (None :: List.map Option.some seeds)
+
+let check ~eq name idx want got =
+  if not (eq want got) then
+    raise
+      (Found
+         {
+           dv_seed = None;
+           dv_array = name;
+           dv_index = idx;
+           dv_expected = want;
+           dv_got = got;
+         })
+
+(* The element walker: every element of every array, in declaration and
+   index order, [want] against [got] under [eq]. *)
+let walk ~eq p want got =
+  List.iter
+    (fun (aname, dims) ->
+      let rec go idx = function
+        | [] ->
+            let idx = List.rev idx in
+            check ~eq aname idx (want aname idx) (got aname idx)
+        | (lo, hi) :: rest ->
+            for x = lo to hi do
+              go (x :: idx) rest
+            done
+      in
+      go [] dims)
+    p.bounds
+
+type run = { label : string; sim : Exec.sim; stats : Exec.stats }
+
+let exec ?faults ?domains p engine label =
+  let sim =
+    Exec.make ~engine ?faults ?domains ~nprocs:p.nprocs ~params:p.params
+      p.cprog
+  in
+  { label; sim; stats = Exec.run sim }
+
+(* every Runtime.stats field as a (name, a, b) triple *)
 let stat_fields (a : Exec.stats) (b : Exec.stats) =
+  let i = float_of_int in
   [
     ("time", a.Exec.s_time, b.Exec.s_time);
-    ("msgs", float_of_int a.s_msgs, float_of_int b.s_msgs);
-    ("bytes", float_of_int a.s_bytes, float_of_int b.s_bytes);
-    ("elems", float_of_int a.s_elems, float_of_int b.s_elems);
-    ( "retransmits",
-      float_of_int a.s_retransmits,
-      float_of_int b.s_retransmits );
-    ("timeouts", float_of_int a.s_timeouts, float_of_int b.s_timeouts);
-    ( "dups_delivered",
-      float_of_int a.s_dups_delivered,
-      float_of_int b.s_dups_delivered );
-    ( "max_mailbox",
-      float_of_int a.s_max_mailbox,
-      float_of_int b.s_max_mailbox );
-    ("crashes", float_of_int a.s_crashes, float_of_int b.s_crashes);
-    ("recoveries", float_of_int a.s_recoveries, float_of_int b.s_recoveries);
-    ("ckpts", float_of_int a.s_ckpts, float_of_int b.s_ckpts);
-    ("ckpt_bytes", float_of_int a.s_ckpt_bytes, float_of_int b.s_ckpt_bytes);
+    ("msgs", i a.s_msgs, i b.s_msgs);
+    ("bytes", i a.s_bytes, i b.s_bytes);
+    ("elems", i a.s_elems, i b.s_elems);
+    ("retransmits", i a.s_retransmits, i b.s_retransmits);
+    ("timeouts", i a.s_timeouts, i b.s_timeouts);
+    ("dups_delivered", i a.s_dups_delivered, i b.s_dups_delivered);
+    ("max_mailbox", i a.s_max_mailbox, i b.s_max_mailbox);
+    ("crashes", i a.s_crashes, i b.s_crashes);
+    ("recoveries", i a.s_recoveries, i b.s_recoveries);
+    ("ckpts", i a.s_ckpts, i b.s_ckpts);
+    ("ckpt_bytes", i a.s_ckpt_bytes, i b.s_ckpt_bytes);
     ("lost_work", a.s_lost_work, b.s_lost_work);
   ]
 
-let compare_engines ~seed bounds scalars si sc =
-  try
-    List.iter
-      (fun (aname, dims) ->
-        let rec go idx = function
-          | [] ->
-              let idx = List.rev idx in
-              let want = Exec.get_elem si aname idx in
-              let got = Exec.get_elem sc aname idx in
-              if not (bit_equal want got) then
-                raise
-                  (Found
-                     {
-                       dv_seed = seed;
-                       dv_array = aname;
-                       dv_index = idx;
-                       dv_expected = want;
-                       dv_got = got;
-                     })
-          | (lo, hi) :: rest ->
-              for x = lo to hi do
-                go (x :: idx) rest
-              done
-        in
-        go [] dims)
-      bounds;
-    List.iter
-      (fun name ->
-        match (Exec.get_scalar si name, Exec.get_scalar sc name) with
-        | want, got ->
-            if not (bit_equal want got) then
-              raise
-                (Found
-                   {
-                     dv_seed = seed;
-                     dv_array = name;
-                     dv_index = [];
-                     dv_expected = want;
-                     dv_got = got;
-                   })
-        (* a scalar the program declares but never assigns is absent from
-           both engines' environments *)
-        | exception Exec.Error _ -> ())
-      scalars;
-    None
-  with Found d -> Some d
+(* the tail of [identical]: per-pair communication cells, then every
+   element and scalar bit for bit ([dv_expected] is [r]'s value) *)
+let same_cells_and_values ~kind p r c =
+  if Exec.comm_cells r.sim <> Exec.comm_cells c.sim then
+    differs "%s comm-cell mismatch: %s vs %s" kind r.label c.label;
+  walk ~eq:bit_equal p (Exec.get_elem r.sim) (Exec.get_elem c.sim);
+  List.iter
+    (fun name ->
+      (* a scalar the program declares but never assigns is absent from
+         both runs' environments *)
+      match (Exec.get_scalar r.sim name, Exec.get_scalar c.sim name) with
+      | want, got -> check ~eq:bit_equal name [] want got
+      | exception Exec.Error _ -> ())
+    p.cprog.Dhpf.Spmd.scalars
 
-let engines ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
-    ?(spec_of_seed = fun seed -> Fault.default ~seed) ~seeds
+(* Bit-identity of [c] to [r]: stats fields, then per-processor clocks,
+   then comm cells, then values. The first mismatch raises. *)
+let identical ~kind p r c =
+  List.iter
+    (fun (field, a, b) ->
+      if not (bit_equal a b) then
+        differs "%s counter mismatch: %s %s=%.17g %s=%.17g" kind field r.label
+          a c.label b)
+    (stat_fields r.stats c.stats);
+  Array.iteri
+    (fun proc a ->
+      let b = c.stats.Exec.s_proc_times.(proc) in
+      if not (bit_equal a b) then
+        differs "%s clock mismatch: proc %d %s=%.17g %s=%.17g" kind proc
+          r.label a c.label b)
+    r.stats.Exec.s_proc_times;
+  same_cells_and_values ~kind p r c
+
+let default_spec seed = Fault.default ~seed
+
+(* ------------------------------------------------------------------ *)
+(* The sweeps                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let run ?(engine = `Closure) ?(nprocs = 4) ?(params = []) ?opts
+    ?(spec_of_seed = default_spec) ~seeds (chk : Hpf.Sema.checked) : outcome =
+  let p = prepare ?opts ~nprocs ~params chk in
+  let sref = Serial.run ~params chk in
+  sweep ~spec_of_seed ~seeds (fun faults ->
+      let c = exec ?faults p engine "spmd" in
+      walk ~eq:close p (Serial.get_elem sref) (Exec.get_elem c.sim);
+      1)
+
+let engines ?(nprocs = 4) ?(params = []) ?opts ?(spec_of_seed = default_spec)
+    ~seeds (chk : Hpf.Sema.checked) : outcome =
+  let p = prepare ?opts ~nprocs ~params chk in
+  sweep ~spec_of_seed ~seeds (fun faults ->
+      let r = exec ?faults p `Interp "interp" in
+      List.iter
+        (fun engine ->
+          identical ~kind:"engine" p r
+            (exec ?faults p engine (Exec.engine_to_string engine)))
+        [ `Closure; `Native ];
+      1)
+
+let domains ?(engine = `Closure) ?(nprocs = 4) ?(params = []) ?opts
+    ?(domain_counts = [ 2; 4 ]) ?(spec_of_seed = default_spec) ~seeds
     (chk : Hpf.Sema.checked) : outcome =
-  let compiled =
-    match opts with
-    | Some opts -> Dhpf.Gen.compile ~opts chk
-    | None -> Dhpf.Gen.compile chk
-  in
-  let cprog = compiled.Dhpf.Gen.cprog in
-  (* array extents, evaluated over the startup parameter environment *)
-  let su = Runtime.setup ~nprocs ~params cprog in
-  let geval = Runtime.eval_genv su.Runtime.su_genv in
-  let bounds =
-    List.map
-      (fun (ad : Dhpf.Spmd.array_decl) ->
-        ( ad.Dhpf.Spmd.ad_name,
-          List.map (fun (lo, hi) -> (geval lo, geval hi)) ad.ad_bounds ))
-      cprog.Dhpf.Spmd.arrays
-  in
-  let one ?faults seed =
-    match
-      let si =
-        Exec.make ~engine:`Interp ?machine ?faults ?domains ~nprocs ~params
-          cprog
-      in
-      let sti = Exec.run si in
-      (* each engine under test runs on its own transport but sees the
-         identical fault schedule, and must match the interpreter exactly:
-         counters, per-processor clocks, per-pair communication cells,
-         then every element and scalar bit for bit *)
-      let against engine =
-        let label = Exec.engine_to_string engine in
-        let sc =
-          Exec.make ~engine ?machine ?faults ?domains ~nprocs ~params cprog
-        in
-        let stc = Exec.run sc in
-        match
-          List.find_opt
-            (fun (_, a, b) -> not (bit_equal a b))
-            (stat_fields sti stc)
-        with
-        | Some (field, a, b) ->
-            Some
-              (Crashed
-                 {
-                   seed;
-                   error =
-                     Printf.sprintf
-                       "engine counter mismatch: %s interp=%.17g %s=%.17g"
-                       field a label b;
-                 })
-        | None -> (
-            let clock_bad = ref None in
-            Array.iteri
-              (fun p t ->
-                if
-                  !clock_bad = None
-                  && not (bit_equal t stc.Exec.s_proc_times.(p))
-                then clock_bad := Some p)
-              sti.Exec.s_proc_times;
-            match !clock_bad with
-            | Some p ->
-                Some
-                  (Crashed
-                     {
-                       seed;
-                       error =
-                         Printf.sprintf
-                           "engine clock mismatch: proc %d interp=%.17g %s=%.17g"
-                           p
-                           sti.Exec.s_proc_times.(p)
-                           label stc.Exec.s_proc_times.(p);
-                     })
-            | None ->
-                if Exec.comm_cells si <> Exec.comm_cells sc then
-                  Some
-                    (Crashed
-                       {
-                         seed;
-                         error =
-                           Printf.sprintf
-                             "engine comm-cell mismatch: interp vs %s" label;
-                       })
-                else (
-                  match
-                    compare_engines ~seed bounds cprog.Dhpf.Spmd.scalars si sc
-                  with
-                  | Some d -> Some (Diverged d)
-                  | None -> None))
-      in
-      (match against `Closure with
-      | Some bad -> Some bad
-      | None -> against `Native)
-    with
-    | None -> Ok ()
-    | Some bad -> Error bad
-    | exception Exec.Deadlock d ->
-        Error (Crashed { seed; error = Exec.diagnostic_to_string d })
-    | exception Exec.Error msg -> Error (Crashed { seed; error = msg })
-  in
-  let rec go runs = function
-    | [] -> Pass { runs }
-    | (seed, faults) :: rest -> (
-        match one ?faults seed with
-        | Ok () -> go (runs + 1) rest
-        | Error bad -> bad)
-  in
-  go 0
-    ((None, None)
-    :: List.map (fun s -> (Some s, Some (spec_of_seed s))) seeds)
+  let p = prepare ?opts ~nprocs ~params chk in
+  sweep ~spec_of_seed ~seeds (fun faults ->
+      let r = exec ?faults ~domains:1 p engine "1-domain" in
+      List.iter
+        (fun d ->
+          identical ~kind:"domain" p r
+            (exec ?faults ~domains:d p engine (Printf.sprintf "%d-domain" d)))
+        domain_counts;
+      List.length domain_counts)
 
-(* ------------------------------------------------------------------ *)
-(* Domain-differential mode: the parallel scheduler at every domain    *)
-(* count vs. the single-domain (sequential) run of the same engine.    *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel scheduler's contract is determinism, not approximation:
-   sharding processor lanes across an OCaml domain pool must leave every
-   array element, scalar, per-processor clock, counter and per-pair
-   communication-table row bit-identical to the sequential schedule —
-   fault-free and under every seeded fault schedule alike. *)
-let domains ?(engine = `Closure) ?machine ?(nprocs = 4) ?(params = []) ?opts
-    ?(domain_counts = [ 2; 4 ])
-    ?(spec_of_seed = fun seed -> Fault.default ~seed) ~seeds
-    (chk : Hpf.Sema.checked) : outcome =
-  let compiled =
-    match opts with
-    | Some opts -> Dhpf.Gen.compile ~opts chk
-    | None -> Dhpf.Gen.compile chk
-  in
-  let cprog = compiled.Dhpf.Gen.cprog in
-  let su = Runtime.setup ~nprocs ~params cprog in
-  let geval = Runtime.eval_genv su.Runtime.su_genv in
-  let bounds =
-    List.map
-      (fun (ad : Dhpf.Spmd.array_decl) ->
-        ( ad.Dhpf.Spmd.ad_name,
-          List.map (fun (lo, hi) -> (geval lo, geval hi)) ad.ad_bounds ))
-      cprog.Dhpf.Spmd.arrays
-  in
-  (* one fault schedule: run the single-domain reference once, then every
-     requested domain count against it *)
-  let one ?faults seed =
-    match
-      let s1 =
-        Exec.make ~engine ?machine ?faults ~domains:1 ~nprocs ~params cprog
-      in
-      let st1 = Exec.run s1 in
-      let cells1 = Exec.comm_cells s1 in
-      let check d =
-        let sd =
-          Exec.make ~engine ?machine ?faults ~domains:d ~nprocs ~params cprog
-        in
-        let std = Exec.run sd in
-        match
-          List.find_opt
-            (fun (_, a, b) -> not (bit_equal a b))
-            (stat_fields st1 std)
-        with
-        | Some (field, a, b) ->
-            Some
-              (Crashed
-                 {
-                   seed;
-                   error =
-                     Printf.sprintf
-                       "domain counter mismatch: %s 1-domain=%.17g \
-                        %d-domain=%.17g"
-                       field a d b;
-                 })
-        | None -> (
-            let clock_bad = ref None in
-            Array.iteri
-              (fun p t1 ->
-                if
-                  !clock_bad = None
-                  && not (bit_equal t1 std.Exec.s_proc_times.(p))
-                then clock_bad := Some (p, t1, std.Exec.s_proc_times.(p)))
-              st1.Exec.s_proc_times;
-            match !clock_bad with
-            | Some (p, t1, td) ->
-                Some
-                  (Crashed
-                     {
-                       seed;
-                       error =
-                         Printf.sprintf
-                           "domain clock mismatch on processor %d: \
-                            1-domain=%.17g %d-domain=%.17g"
-                           p t1 d td;
-                     })
-            | None ->
-                if Exec.comm_cells sd <> cells1 then
-                  Some
-                    (Crashed
-                       {
-                         seed;
-                         error =
-                           Printf.sprintf
-                             "per-pair communication table differs at %d \
-                              domain(s)"
-                             d;
-                       })
-                else
-                  (* dv_expected is the 1-domain value, dv_got the
-                     d-domain value *)
-                  match
-                    compare_engines ~seed bounds cprog.Dhpf.Spmd.scalars s1
-                      sd
-                  with
-                  | Some dv -> Some (Diverged dv)
-                  | None -> None)
-      in
-      let rec go = function
-        | [] -> None
-        | d :: rest -> (
-            match check d with None -> go rest | Some bad -> Some bad)
-      in
-      go domain_counts
-    with
-    | None -> Ok (List.length domain_counts)
-    | Some bad -> Error bad
-    | exception Exec.Deadlock d ->
-        Error (Crashed { seed; error = Exec.diagnostic_to_string d })
-    | exception Exec.Error msg -> Error (Crashed { seed; error = msg })
-  in
-  let rec go runs = function
-    | [] -> Pass { runs }
-    | (seed, faults) :: rest -> (
-        match one ?faults seed with
-        | Ok n -> go (runs + n) rest
-        | Error bad -> bad)
-  in
-  go 0
-    ((None, None) :: List.map (fun s -> (Some s, Some (spec_of_seed s))) seeds)
-
-(* ------------------------------------------------------------------ *)
-(* Crash-differential mode: checkpoint/restart recovery vs. the        *)
-(* fault-free closure run of the same program.                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The recovery contract is the strongest of the three: crashes plus
-   coordinated checkpoint/restart must leave every element and scalar
-   bit-identical to the fault-free run on BOTH engines, and the
-   first-transmission-only per-pair communication table must be exactly
-   fault-invariant (what keeps `--check-comm` exact under crashes). *)
-let crashes ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
-    ?(ckpt_every = 8)
+let crashes ?(nprocs = 4) ?(params = []) ?opts ?(ckpt_every = 8)
     ?(spec_of_seed =
       fun seed -> { Fault.none with seed; crash_prob = 0.02; crash_max = 3 })
     ~seeds (chk : Hpf.Sema.checked) : outcome =
-  let compiled =
-    match opts with
-    | Some opts -> Dhpf.Gen.compile ~opts chk
-    | None -> Dhpf.Gen.compile chk
-  in
-  let cprog = compiled.Dhpf.Gen.cprog in
-  let su = Runtime.setup ~nprocs ~params cprog in
-  let geval = Runtime.eval_genv su.Runtime.su_genv in
-  let bounds =
-    List.map
-      (fun (ad : Dhpf.Spmd.array_decl) ->
-        ( ad.Dhpf.Spmd.ad_name,
-          List.map (fun (lo, hi) -> (geval lo, geval hi)) ad.ad_bounds ))
-      cprog.Dhpf.Spmd.arrays
-  in
-  match
-    let sref =
-      Exec.make ~engine:`Closure ?machine ?domains ~nprocs ~params cprog
-    in
-    let _ = Exec.run sref in
-    let cells_ref = Exec.comm_cells sref in
-    let one ~engine seed =
-      let rep =
-        Checkpoint.run ~engine ?machine ~faults:(spec_of_seed seed)
-          ~ckpt_every ~nprocs ~params cprog
-      in
-      match
-        compare_engines ~seed:(Some seed) bounds cprog.Dhpf.Spmd.scalars sref
-          rep.Checkpoint.rp_sim
-      with
-      | Some d -> Error (Diverged d)
+  let p = prepare ?opts ~nprocs ~params chk in
+  (* the reference is the fault-free schedule's run; recovery moves clocks
+     by design, so only cells and values are compared *)
+  let r = lazy (exec p `Closure "fault-free closure") in
+  sweep ~spec_of_seed ~seeds (function
       | None ->
-          if Exec.comm_cells rep.Checkpoint.rp_sim <> cells_ref then
-            Error
-              (Crashed
-                 {
-                   seed = Some seed;
-                   error =
-                     Printf.sprintf
-                       "per-pair communication table not fault-invariant \
-                        under crash recovery (%s engine, %d crash(es))"
-                       (Exec.engine_to_string engine)
-                       rep.Checkpoint.rp_stats.Runtime.s_crashes;
-                 })
-          else Ok ()
-    in
-    let rec go runs = function
-      | [] -> Pass { runs }
-      | (engine, seed) :: rest -> (
-          match one ~engine seed with
-          | Ok () -> go (runs + 1) rest
-          | Error bad -> bad)
-    in
-    go 0
-      (List.concat_map
-         (fun s -> [ (`Interp, s); (`Closure, s) ])
-         seeds)
-  with
-  | outcome -> outcome
-  | exception Exec.Deadlock d ->
-      Crashed { seed = None; error = Exec.diagnostic_to_string d }
-  | exception Exec.Error msg -> Crashed { seed = None; error = msg }
+          ignore (Lazy.force r);
+          0
+      | Some faults ->
+          List.iter
+            (fun engine ->
+              let rep =
+                Checkpoint.run ~engine ~faults ~ckpt_every ~nprocs ~params
+                  p.cprog
+              in
+              same_cells_and_values ~kind:"crash" p (Lazy.force r)
+                {
+                  label =
+                    Printf.sprintf "%s engine, %d crash(es)"
+                      (Exec.engine_to_string engine)
+                      rep.Checkpoint.rp_stats.Runtime.s_crashes;
+                  sim = rep.Checkpoint.rp_sim;
+                  stats = rep.Checkpoint.rp_stats;
+                })
+            [ `Interp; `Closure ];
+          2)
 
-let pp_outcome fmt = function
-  | Pass { runs } -> Fmt.pf fmt "diffcheck: %d run(s) matched the serial oracle" runs
+let pp_against reference fmt = function
+  | Pass { runs } ->
+      Fmt.pf fmt "diffcheck: %d run(s) matched %s" runs reference
   | Diverged d ->
-      Fmt.pf fmt
-        "diffcheck: DIVERGENCE %s(%s): expected %.9g, got %.9g (%s)"
+      Fmt.pf fmt "diffcheck: DIVERGENCE %s(%s): expected %.9g, got %.9g (%s)"
         d.dv_array
         (String.concat "," (List.map string_of_int d.dv_index))
         d.dv_expected d.dv_got
@@ -507,3 +260,5 @@ let pp_outcome fmt = function
         | None -> "fault-free run"
         | Some s -> Printf.sprintf "fault seed %d" s)
         error
+
+let pp_outcome = pp_against "the reference"

@@ -1,39 +1,49 @@
-(** Differential resilience harness.
+(** Differential harness.
 
-    Compiles a checked mini-HPF program, runs the serial oracle
-    ({!Serial}), then executes the SPMD program on the simulated machine —
-    first fault-free, then once per seeded fault schedule — and compares
-    every array element (and declared scalar) against the oracle. The first
-    divergence is reported as a structured result naming the array, the
-    index, both values and the schedule seed that exposed it; a crash or
-    deadlock under a schedule is reported with its seed and diagnostic.
+    Every sweep compiles a checked mini-HPF program once, then runs a
+    reference and its candidate runs under the same schedules — first
+    fault-free, then once per seeded fault schedule — and reports the
+    first difference as a structured result naming the seed that exposed
+    it. The sweeps differ only in their reference and candidates:
 
-    This is the adversarial extension of the test suite's serial-oracle
-    differential testing: a compiler (or runtime-protocol) bug that only
-    manifests under message drop, duplication, reordering or stragglers is
-    pinned to a reproducible seed. *)
+    - {!run}: the serial oracle ({!Serial}) against the SPMD execution,
+      element by element within a relative tolerance;
+    - {!engines}: the interpreter against the closure and native engines;
+    - {!domains}: the 1-domain run against sharded domain pools;
+    - {!crashes}: the fault-free closure run against crash-recovered runs.
+
+    Simulation against simulation is exact: counters, then per-processor
+    clocks (except under crash recovery, which moves clocks by design),
+    then the per-pair communication cells, then every element and
+    declared scalar bit for bit. Each sweep enables [Obs.Metrics] for its
+    own runs, so the cells are always live, and restores the previous
+    state afterwards.
+
+    A compiler or runtime-protocol bug that only manifests under message
+    drop, duplication, reordering, stragglers or crashes is pinned to a
+    reproducible seed. *)
 
 type divergence = {
   dv_seed : int option;  (** [None]: the fault-free run already diverged *)
   dv_array : string;
   dv_index : int list;
-  dv_expected : float;  (** serial-oracle value *)
-  dv_got : float;  (** simulated SPMD value *)
+  dv_expected : float;  (** the reference's value *)
+  dv_got : float;  (** the candidate's value *)
 }
 
 type outcome =
-  | Pass of { runs : int }  (** every run matched the oracle *)
-  | Diverged of divergence
+  | Pass of { runs : int }  (** every candidate run matched the reference *)
+  | Diverged of divergence  (** an element or scalar differs *)
   | Crashed of { seed : int option; error : string }
-      (** a run raised (deadlock diagnostics are pretty-printed) *)
+      (** a run raised (deadlock diagnostics are pretty-printed), or a
+          counter, clock or comm cell differs; [error] names the field and
+          both values *)
 
 val run :
   ?engine:Exec.engine ->
-  ?machine:Machine.t ->
   ?nprocs:int ->
   ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
-  ?domains:int ->
   ?spec_of_seed:(int -> Fault.spec) ->
   seeds:int list ->
   Hpf.Sema.checked ->
@@ -41,34 +51,33 @@ val run :
 (** [run ~seeds chk] compiles [chk], validates the fault-free execution
     against the serial oracle, then replays under one fault schedule per
     seed ([spec_of_seed] defaults to {!Fault.default}). [nprocs] defaults
-    to 4; [engine] selects the SPMD executor (default [`Closure]);
-    [domains] shards the simulator's processor lanes across an OCaml
-    domain pool (default [Par.domains ()]). *)
+    to 4; [engine] selects the SPMD executor (default [`Closure]). Every
+    array element of every run must match the oracle within a relative
+    tolerance of 1e-6, since reductions may associate differently; one
+    run counts per schedule. *)
 
 val engines :
-  ?machine:Machine.t ->
   ?nprocs:int ->
   ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
-  ?domains:int ->
   ?spec_of_seed:(int -> Fault.spec) ->
   seeds:int list ->
   Hpf.Sema.checked ->
   outcome
-(** Engine-differential mode: run the closure engine and the tree-walking
-    interpreter on the same program — fault-free first, then under one
-    fault schedule per seed, both engines seeing the identical schedule —
-    and require them to agree {e exactly}: bit-identical array elements
-    and scalars, bit-identical simulated clocks, and identical
-    message/byte/element/retransmit/duplicate counters. Any counter
+(** Engine-differential mode: run the tree-walking interpreter, then the
+    closure engine and the native engine, on the same program —
+    fault-free first, then under one fault schedule per seed, every
+    engine seeing the identical schedule — and require both to match the
+    interpreter {e exactly}: identical counters, bit-identical
+    per-processor clocks, identical per-pair communication cells, and
+    bit-identical array elements and scalars. A counter, clock or cell
     mismatch is reported as [Crashed] naming the field and both values; a
     value mismatch as [Diverged] ([dv_expected] is the interpreter's
-    value, [dv_got] the closure engine's). This is the executable form of
+    value). One run counts per schedule. This is the executable form of
     the engines' equivalence contract (see {!Exec.make}). *)
 
 val domains :
   ?engine:Exec.engine ->
-  ?machine:Machine.t ->
   ?nprocs:int ->
   ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
@@ -84,18 +93,16 @@ val domains :
     domains, and require every parallel run to match the sequential one
     {e exactly}: bit-identical array elements, scalars and per-processor
     clocks, identical counters, and an identical per-pair communication
-    table (live only when [Obs.Metrics] is enabled). This is the
+    table. One run counts per domain count and schedule. This is the
     executable form of the parallel scheduler's determinism contract
     ({!Runtime.sched_run_par}); oversubscription is deliberate — domain
     counts above the physical core count must still be bit-identical.
     [engine] defaults to [`Closure]. *)
 
 val crashes :
-  ?machine:Machine.t ->
   ?nprocs:int ->
   ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
-  ?domains:int ->
   ?ckpt_every:int ->
   ?spec_of_seed:(int -> Fault.spec) ->
   seeds:int list ->
@@ -109,10 +116,15 @@ val crashes :
     match the oracle {e exactly}: bit-identical elements and scalars, and
     an identical per-pair communication table (first transmissions only,
     so crashes and replays must not perturb it — the property behind
-    [--check-comm] staying exact under crash injection). The comm-table
-    comparison is live only when [Obs.Metrics] is enabled; otherwise both
-    tables are empty and only values are compared. [domains] applies to
-    the fault-free reference run (recovery runs schedule crashes, which
-    always take the sequential path). *)
+    [--check-comm] staying exact under crash injection). Clocks are not
+    compared: recovery charges lost work and restart latency to them.
+    Two runs count per seed; the reference is not counted. *)
+
+val pp_against : string -> Format.formatter -> outcome -> unit
+(** [pp_against reference] prints an outcome; [Pass] names [reference],
+    the run every candidate was compared with ("the serial oracle" for
+    {!run}, "the interpreter" for {!engines}, "the 1-domain run" for
+    {!domains}, "the fault-free closure run" for {!crashes}). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
+(** [pp_against "the reference"]. *)

@@ -190,7 +190,7 @@ val capture : sim -> Runtime.image
     transport state (sequence counters, in-flight messages, counters).
     Keys are sorted, so within one engine two captures of the same
     deterministic execution point are structurally equal — the property
-    the snapshot round-trip and rollback-verification checks rely on.
+    the capture-determinism and rollback-verification checks rely on.
     (The two engines represent residency differently, so images are only
     compared within an engine, never across engines.) *)
 

@@ -163,8 +163,11 @@ let memo : (Digest.t, kernel_fn) Hashtbl.t = Hashtbl.create 8
    one lock over the whole emit-or-reuse-then-load path makes [obtain]
    safe to call from concurrent domains (the serve daemon's workers) *)
 let obtain_mu = Mutex.create ()
-let m_build = lazy (Obs.Metrics.histogram "native/build_s")
-let m_hits = lazy (Obs.Metrics.counter "native/cache_hit")
+
+(* resolved at each use, not cached: [Obs.Metrics.reset] detaches every
+   handle taken before it *)
+let m_build () = Obs.Metrics.histogram "native/build_s"
+let m_hits () = Obs.Metrics.counter "native/cache_hit"
 
 (* ocamlopt writes .cmi/.cmx/.o beside its source, so processes building
    one kernel side by side in the shared cache directory would overwrite
@@ -210,7 +213,7 @@ let obtain ~cache_dir (kernel : Imp.kernel) : kernel_fn =
   Mutex.protect obtain_mu @@ fun () ->
   match Hashtbl.find_opt memo kdigest with
   | Some f ->
-      if Obs.Metrics.enabled () then Obs.Metrics.incr (Lazy.force m_hits);
+      if Obs.Metrics.enabled () then Obs.Metrics.incr (m_hits ());
       if Obs.Log.enabled Obs.Log.Debug then
         Obs.Log.debug "native.cache_hit"
           ~fields:(fun () ->
@@ -228,7 +231,7 @@ let obtain ~cache_dir (kernel : Imp.kernel) : kernel_fn =
       let ml = Filename.concat cache_dir (base ^ ".ml") in
       let cmxs = Filename.concat cache_dir (base ^ ".cmxs") in
       if Sys.file_exists cmxs then begin
-        if Obs.Metrics.enabled () then Obs.Metrics.incr (Lazy.force m_hits);
+        if Obs.Metrics.enabled () then Obs.Metrics.incr (m_hits ());
         if Obs.Log.enabled Obs.Log.Debug then
           Obs.Log.debug "native.cache_hit"
             ~fields:(fun () -> [ ("key", Obs.Str key); ("where", Obs.Str "disk") ])
@@ -242,7 +245,7 @@ let obtain ~cache_dir (kernel : Imp.kernel) : kernel_fn =
             compile_plugin ~dirs ~src ~ml ~cmxs;
             let dt = Unix.gettimeofday () -. t0 in
             if Obs.Metrics.enabled () then
-              Obs.Metrics.observe (Lazy.force m_build) dt;
+              Obs.Metrics.observe (m_build ()) dt;
             if Obs.Log.enabled Obs.Log.Info then
               Obs.Log.info "native.build_done"
                 ~fields:(fun () ->

@@ -165,11 +165,9 @@ type mismatch = {
 }
 
 (** Full outer join of a prediction against a measured table: rows whose
-    message or element counts differ by more than [slack] (a fraction of
-    the predicted value; [0.] demands exact equality). Rows present on
-    only one side always mismatch. *)
-let check ?(slack = 0.0) (pred : cell list) (meas : Runtime.comm_cell list) :
-    mismatch list =
+    message or element counts differ. Rows present on only one side always
+    mismatch. *)
+let check (pred : cell list) (meas : Runtime.comm_cell list) : mismatch list =
   let tbl : (int * int * int, (int * int) * (int * int)) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -187,13 +185,9 @@ let check ?(slack = 0.0) (pred : cell list) (meas : Runtime.comm_cell list) :
       in
       Hashtbl.replace tbl key (p, (c.cm_msgs, c.cm_elems)))
     meas;
-  let ok p m =
-    let tol = slack *. float_of_int p in
-    Float.abs (float_of_int (m - p)) <= tol
-  in
   Hashtbl.fold
     (fun (event, src, dst) ((pm, pe), (mm, me)) acc ->
-      if ok pm mm && ok pe me then acc
+      if pm = mm && pe = me then acc
       else
         { mm_event = event; mm_src = src; mm_dst = dst; mm_pred_msgs = pm;
           mm_meas_msgs = mm; mm_pred_elems = pe; mm_meas_elems = me }

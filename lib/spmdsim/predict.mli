@@ -47,8 +47,7 @@ type mismatch = {
   mm_meas_elems : int;
 }
 
-val check :
-  ?slack:float -> cell list -> Runtime.comm_cell list -> mismatch list
+val check : cell list -> Runtime.comm_cell list -> mismatch list
 (** Full outer join of predicted vs. measured rows: those whose message
-    or element counts differ by more than [slack * predicted] (default
-    [0.] — exact equality). Empty result means the prediction held. *)
+    or element counts differ. Empty result means the prediction held
+    exactly. *)

@@ -447,8 +447,7 @@ let test_predicted_measured () =
   check_app "tomcatv" (Codes.tomcatv ~n:33 ~iters:1 ()) 4;
   check_app "gauss (cyclic, local copies)" (Codes.gauss ~n:12 ()) 4
 
-(* the join must flag divergence in either direction, and slack must
-   widen the acceptance band *)
+(* the join must flag divergence in either direction *)
 let test_check_detects_mismatch () =
   let pred =
     [ { Spmdsim.Predict.p_event = 0; p_src = 0; p_dst = 1; p_msgs = 2; p_elems = 10 } ]
@@ -472,10 +471,7 @@ let test_check_detects_mismatch () =
   Alcotest.(check int) "missing measured cell flagged" 1
     (List.length (Spmdsim.Predict.check pred []));
   Alcotest.(check int) "unpredicted measured cell flagged" 1
-    (List.length (Spmdsim.Predict.check [] (meas ~msgs:2 ~elems:10)));
-  Alcotest.(check int) "slack admits the divergence" 0
-    (List.length
-       (Spmdsim.Predict.check ~slack:0.2 pred (meas ~msgs:2 ~elems:11)))
+    (List.length (Spmdsim.Predict.check [] (meas ~msgs:2 ~elems:10)))
 
 let () =
   Alcotest.run "metrics"

@@ -810,6 +810,51 @@ let test_cross_process_warm () =
         | None -> Alcotest.fail "report has no disk hits counter")
   end
 
+(* -- dhpfc run: one differential sweep per invocation ----------------- *)
+
+(* every pair of --diff* flags is a usage error (exit 2) naming both
+   flags, refused before the program is even parsed *)
+let test_one_diff_sweep () =
+  if not (Sys.file_exists dhpfc) then Alcotest.skip ()
+  else begin
+    let dir = fresh_dir () in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let err = Filename.concat dir "stderr.txt" in
+        let flags =
+          [ "--diff"; "--diff-engines"; "--diff-domains"; "--diff-crashes" ]
+        in
+        List.iteri
+          (fun i a ->
+            List.iteri
+              (fun j b ->
+                if i < j then begin
+                  let rc =
+                    Sys.command
+                      (Printf.sprintf
+                         "%s run figure2 %s 1 %s 1 >/dev/null 2>%s" dhpfc a b
+                         err)
+                  in
+                  Alcotest.(check int) (a ^ " with " ^ b ^ " exits 2") 2 rc;
+                  let msg = read_file err in
+                  let has needle =
+                    let n = String.length needle in
+                    let rec go k =
+                      k + n <= String.length msg
+                      && (String.sub msg k n = needle || go (k + 1))
+                    in
+                    go 0
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "message names %s and %s" a b)
+                    true
+                    (has (a ^ " and " ^ b))
+                end)
+              flags)
+          flags)
+  end
+
 (* -- the dhpfc serve binary under load ------------------------------- *)
 
 (* concurrent clients, each request one of the small built-ins as inline
@@ -1226,5 +1271,10 @@ let () =
             test_warm_second_server;
           Alcotest.test_case "cross-process warm compile" `Slow
             test_cross_process_warm;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "one --diff* sweep per run" `Quick
+            test_one_diff_sweep;
         ] );
     ]
