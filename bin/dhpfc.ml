@@ -97,12 +97,43 @@ let handle_errors f =
       Fmt.epr "connect error: %s@." msg;
       exit exit_protocol
 
-(* ---- tracing ---- *)
+(* ---- session: domain pool, disk cache, trace and metrics sinks ---- *)
 
-(* --trace FILE (or DHPF_TRACE=FILE in the environment, handled by
-   Obs.init_env in main): record a Chrome trace-event timeline of the
-   compile and/or the simulated run, plus a plain-text span summary on
-   stderr. *)
+let jobs_t =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Size of the OCaml domain pool used by the parallel compiler \
+           phases and the simulator's lane scheduler (default: \
+           $(b,DHPF_DOMAINS), else 1). Clamped to the machine's recommended \
+           domain count. Any value produces bit-identical compiler output \
+           and simulation results — the pool only changes wall-clock time.")
+
+let disk_cache_t =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "disk-cache" ] ~docv:"DIR"
+        ~doc:
+          "Persistent analysis-cache directory. Memoized integer-set \
+           analyses — simplify, satisfiability, implication, gist, subset — \
+           are stored content-addressed under $(docv) and shared by every \
+           process pointed at the same directory; a warm cache turns \
+           recompiles into disk lookups. Corrupt or truncated entries are \
+           treated as misses, never errors.")
+
+let disk_cache_mb_t =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "disk-cache-mb" ] ~docv:"MB"
+        ~doc:
+          "Size budget for $(b,--disk-cache) in MiB (default 256, floor \
+           1). When the cache overflows, the oldest entries are evicted \
+           down to 3/4 of the budget.")
+
 let trace_t =
   Arg.(
     value
@@ -115,35 +146,6 @@ let trace_t =
            processor with compute/comm spans and send$(b,->)recv flow \
            arrows. A span summary table is printed to stderr.")
 
-let trace_begin = function
-  | None -> ()
-  | Some _ ->
-      Obs.enable ();
-      Obs.set_process_name ~pid:0 "dhpf compiler";
-      Obs.set_thread_name ~pid:0 ~tid:0 "main"
-
-let trace_finish = function
-  | None -> ()
-  | Some path ->
-      Obs.write path;
-      Fmt.epr "%s" (Obs.summary ());
-      Fmt.epr "trace: %d events -> %s@." (Obs.events_count ()) path
-
-(* every subcommand entry starts a fresh measurement window: phase totals
-   and integer-set cache counters are process-global and would otherwise
-   leak across multiple compiles in one process (cache *contents* survive
-   deliberately — only the counters are windowed) *)
-let fresh_window () =
-  Dhpf.Phase.reset Dhpf.Phase.global;
-  Iset.Stats.reset ()
-
-(* ---- metrics ---- *)
-
-(* --metrics FILE (or DHPF_METRICS=FILE in the environment, handled by
-   Obs.Metrics.init_env in main): record the aggregate metrics registry —
-   compiler phase times and integer-set engine counters, and for `run` the
-   simulator's communication matrix, per-processor time split and fault
-   breakdown — as dhpf-metrics/1 JSON. *)
 let metrics_t =
   Arg.(
     value
@@ -157,33 +159,78 @@ let metrics_t =
            message-size and halo-occupancy histograms, retransmit \
            breakdowns and derived load-imbalance gauges.")
 
-let metrics_begin = function None -> () | Some _ -> Obs.Metrics.enable ()
+(* the options every compiling subcommand (compile, run, serve) shares *)
+type session = {
+  jobs : int option;
+  disk_cache : string option;
+  disk_cache_mb : int option;
+  trace : string option;
+  metrics : string option;
+}
 
-(* publish the compiler-side series; the simulator publishes its own at
-   the end of each metered run *)
-let metrics_compiler () =
-  if Obs.Metrics.enabled () then begin
-    let module M = Obs.Metrics in
-    let ph = Dhpf.Phase.global in
-    List.iter
-      (fun l ->
-        M.set
-          (M.gauge ~labels:[ ("phase", l) ] "compiler/phase_s")
-          (Dhpf.Phase.total ph l))
-      (Dhpf.Phase.labels ph);
-    List.iter
-      (fun (n, v) -> M.set (M.gauge ("iset/" ^ n)) (float_of_int v))
-      (Iset.Stats.report ());
-    M.set (M.gauge "compiler/domains") (float_of_int (Par.domains ()))
-  end
+let session_t =
+  let make jobs disk_cache disk_cache_mb trace metrics =
+    { jobs; disk_cache; disk_cache_mb; trace; metrics }
+  in
+  Term.(
+    const make $ jobs_t $ disk_cache_t $ disk_cache_mb_t $ trace_t $ metrics_t)
 
-let metrics_finish = function
-  | None -> ()
-  | Some path ->
+(* [with_session s f] runs [f domains] inside one measurement window and
+   writes the sinks afterwards.
+   - The window: phase totals and integer-set cache counters are
+     process-global and would otherwise leak across compiles in one
+     process (cache *contents* survive deliberately).
+   - The domain pool: -j wins over DHPF_DOMAINS; both are clamped to the
+     physical core count here and only here (the libraries never clamp,
+     so the differential suites can oversubscribe deliberately).
+   - The sinks: --trace records a Chrome timeline plus a span summary on
+     stderr; --metrics writes the registry, whose compiler phase and
+     integer-set series are read live from Phase.global and Iset.Stats. *)
+let with_session s f =
+  let positive flag need = function
+    | Some n when n < 1 ->
+        Fmt.epr "invalid %s %d: need a positive %s@." flag n need;
+        exit exit_parse
+    | _ -> ()
+  in
+  positive "--disk-cache-mb" "MiB budget" s.disk_cache_mb;
+  positive "--jobs" "domain count" s.jobs;
+  Dhpf.Phase.reset Dhpf.Phase.global;
+  Iset.Stats.reset ();
+  if s.trace <> None then begin
+    Obs.enable ();
+    Obs.set_process_name ~pid:0 "dhpf compiler";
+    Obs.set_thread_name ~pid:0 ~tid:0 "main"
+  end;
+  if s.metrics <> None then Obs.Metrics.enable ();
+  Option.iter (fun d -> Iset.Diskcache.set_dir (Some d)) s.disk_cache;
+  Option.iter
+    (fun m -> Iset.Diskcache.set_max_bytes (m * 1024 * 1024))
+    s.disk_cache_mb;
+  Par.set_domains (Par.clamp (Option.value s.jobs ~default:(Par.domains ())));
+  let domains = Par.domains () in
+  if Obs.enabled () then
+    Obs.instant ~cat:"meta" ~args:[ ("domains", Obs.Int domains) ]
+      "domain pool";
+  if Obs.Metrics.enabled () then
+    Obs.Metrics.set
+      (Obs.Metrics.gauge "compiler/domains")
+      (float_of_int domains);
+  let r = f domains in
+  Option.iter
+    (fun path ->
+      Obs.write path;
+      Fmt.epr "%s" (Obs.summary ());
+      Fmt.epr "trace: %d events -> %s@." (Obs.events_count ()) path)
+    s.trace;
+  Option.iter
+    (fun path ->
       Obs.Metrics.write path;
       Fmt.epr "metrics: %d series -> %s@."
         (List.length (Obs.Metrics.snapshot ()))
-        path
+        path)
+    s.metrics;
+  r
 
 (* ---- arguments ---- *)
 
@@ -217,43 +264,6 @@ let report_json_t =
            state. The same document is embedded in $(b,serve) compile \
            responses.")
 
-(* ---- persistent disk cache ---- *)
-
-let disk_cache_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "disk-cache" ] ~docv:"DIR"
-        ~doc:
-          "Persistent analysis-cache directory (also settable via \
-           $(b,DHPF_DISK_CACHE)). Memoized integer-set analyses — \
-           simplify, satisfiability, implication, gist, subset — are \
-           stored content-addressed under $(docv) and shared by every \
-           process pointed at the same directory; a warm cache turns \
-           recompiles into disk lookups. Corrupt or truncated entries \
-           are treated as misses, never errors.")
-
-let disk_cache_mb_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "disk-cache-mb" ] ~docv:"MB"
-        ~doc:
-          "Size budget for $(b,--disk-cache) in MiB (default 256, floor \
-           1; also $(b,DHPF_DISK_CACHE_MB)). When the cache overflows, \
-           the oldest entries are evicted down to 3/4 of the budget.")
-
-let apply_disk_cache dir mb =
-  (match dir with
-  | Some d -> Iset.Diskcache.set_dir (Some d)
-  | None -> ());
-  match mb with
-  | Some m when m < 1 ->
-      Fmt.epr "invalid --disk-cache-mb %d: need a positive MiB budget@." m;
-      exit exit_parse
-  | Some m -> Iset.Diskcache.set_max_bytes (m * 1024 * 1024)
-  | None -> ()
-
 let no_opt names doc = Arg.(value & flag & info names ~doc)
 let no_split_t = no_opt [ "no-split" ] "Disable loop splitting (Figure 4)."
 let no_vect_t = no_opt [ "no-vectorize" ] "Disable message vectorization."
@@ -270,35 +280,6 @@ let opts_of ~no_split ~no_vect ~no_coal ~no_inplace =
 
 let nprocs_t =
   Arg.(value & opt int 4 & info [ "p"; "nprocs" ] ~docv:"P" ~doc:"Number of simulated processors.")
-
-let jobs_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Size of the OCaml domain pool used by the parallel compiler \
-           phases and the simulator's lane scheduler (default: \
-           $(b,DHPF_DOMAINS), else 1). Clamped to the machine's recommended \
-           domain count. Any value produces bit-identical compiler output \
-           and simulation results — the pool only changes wall-clock time.")
-
-(* resolve the session domain pool: -j wins over DHPF_DOMAINS; both are
-   clamped to the physical core count here and only here (the libraries
-   never clamp, so the differential suites can oversubscribe
-   deliberately). Returns the resolved count and stamps it into the trace
-   timeline when one is being recorded. *)
-let apply_jobs jobs =
-  (match jobs with
-  | Some n when n < 1 ->
-      Fmt.epr "invalid --jobs %d: need a positive domain count@." n;
-      exit exit_parse
-  | Some n -> Par.set_domains (Par.clamp n)
-  | None -> Par.set_domains (Par.clamp (Par.domains ())));
-  let d = Par.domains () in
-  if Obs.enabled () then
-    Obs.instant ~cat:"meta" ~args:[ ("domains", Obs.Int d) ] "domain pool";
-  d
 
 let param_t =
   Arg.(
@@ -487,23 +468,16 @@ let validated sp =
 
 let compile_cmd =
   let run src show_sets show_spmd report report_json no_split no_vect no_coal
-      no_inplace jobs disk_cache disk_cache_mb trace metrics =
+      no_inplace session =
     handle_errors @@ fun () ->
     let opts = opts_of ~no_split ~no_vect ~no_coal ~no_inplace in
-    fresh_window ();
-    trace_begin trace;
-    metrics_begin metrics;
-    apply_disk_cache disk_cache disk_cache_mb;
-    let domains = apply_jobs jobs in
+    with_session session @@ fun domains ->
     let ph = Dhpf.Phase.global in
     let chk =
       Dhpf.Phase.time ph "parse and semantic analysis" (fun () ->
           Hpf.Sema.analyze_source (load src))
     in
     let compiled = Dhpf.Gen.compile ~opts chk in
-    trace_finish trace;
-    metrics_compiler ();
-    metrics_finish metrics;
     if show_sets then Fmt.pr "%a" Dhpf.Gen.pp_sets compiled.cevents;
     if show_spmd then print_string (Dhpf.Spmd.program_to_string compiled.cprog);
     if report then begin
@@ -542,7 +516,7 @@ let compile_cmd =
     Term.(
       const run $ src_t $ show_sets_t $ show_spmd_t $ report_t
       $ report_json_t $ no_split_t $ no_vect_t $ no_coal_t $ no_inplace_t
-      $ jobs_t $ disk_cache_t $ disk_cache_mb_t $ trace_t $ metrics_t)
+      $ session_t)
 
 (* ---- run ---- *)
 
@@ -560,14 +534,13 @@ let check_comm_t =
            check also holds under $(b,--faults).")
 
 let run_cmd =
-  let run src nprocs params engine native_cache disk_cache disk_cache_mb
-      no_split no_vect no_coal no_inplace jobs faults_seed drop dup delay
-      skew crash_procs crash_prob ckpt_every max_events diff diff_engines
-      diff_domains diff_crashes trace metrics check_comm =
+  let run src nprocs params engine native_cache no_split no_vect no_coal
+      no_inplace faults_seed drop dup delay skew crash_procs crash_prob
+      ckpt_every max_events diff diff_engines diff_domains diff_crashes
+      check_comm session =
     handle_errors @@ fun () ->
     let engine = resolve_engine engine in
     Option.iter (Unix.putenv "DHPF_NATIVE_CACHE") native_cache;
-    apply_disk_cache disk_cache disk_cache_mb;
     List.iter
       (fun (name, v) ->
         if v < 0 then begin
@@ -626,11 +599,8 @@ let run_cmd =
           Some (List.init n (fun i -> i + 1), reference, check)
       | [] -> None
     in
-    fresh_window ();
-    trace_begin trace;
-    metrics_begin metrics;
+    with_session session @@ fun domains ->
     if check_comm then Obs.Metrics.enable ();
-    let domains = apply_jobs jobs in
     let chk =
       Dhpf.Phase.time Dhpf.Phase.global "parse and semantic analysis"
         (fun () -> Hpf.Sema.analyze_source (load src))
@@ -750,20 +720,17 @@ let run_cmd =
             mismatches;
           exit 1
         end
-      end);
-    trace_finish trace;
-    metrics_compiler ();
-    metrics_finish metrics
+      end)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute on the simulated machine")
     Term.(
       const run $ src_t $ nprocs_t $ param_t $ engine_t $ native_cache_t
-      $ disk_cache_t $ disk_cache_mb_t $ no_split_t $ no_vect_t
-      $ no_coal_t $ no_inplace_t $ jobs_t $ faults_t $ fault_drop_t
-      $ fault_dup_t $ fault_delay_t $ fault_skew_t $ crash_procs_t
-      $ crash_prob_t $ ckpt_every_t $ max_events_t $ diff_t $ diff_engines_t
-      $ diff_domains_t $ diff_crashes_t $ trace_t $ metrics_t $ check_comm_t)
+      $ no_split_t $ no_vect_t $ no_coal_t $ no_inplace_t $ faults_t
+      $ fault_drop_t $ fault_dup_t $ fault_delay_t $ fault_skew_t
+      $ crash_procs_t $ crash_prob_t $ ckpt_every_t $ max_events_t $ diff_t
+      $ diff_engines_t $ diff_domains_t $ diff_crashes_t $ check_comm_t
+      $ session_t)
 
 (* ---- bench (print a built-in source) ---- *)
 
@@ -910,18 +877,14 @@ let serve_man =
   ]
 
 let serve_cmd =
-  let run socket workers max_queue disk_cache disk_cache_mb jobs quiet trace
-      metrics log prom flight_dump recorder_slots =
+  let run socket workers max_queue quiet log prom flight_dump recorder_slots
+      session =
     handle_errors @@ fun () ->
     if max_queue < 0 then begin
       Fmt.epr "invalid --max-queue %d: need a non-negative bound@." max_queue;
       exit exit_parse
     end;
-    fresh_window ();
-    trace_begin trace;
-    metrics_begin metrics;
-    apply_disk_cache disk_cache disk_cache_mb;
-    let domains = apply_jobs jobs in
+    with_session session @@ fun domains ->
     let workers = if workers <= 0 then domains else workers in
     let cfg =
       {
@@ -950,18 +913,14 @@ let serve_cmd =
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     let srv = Serve.Server.launch cfg in
     srv_ref := Some srv;
-    Serve.Server.wait srv;
-    trace_finish trace;
-    metrics_compiler ();
-    metrics_finish metrics
+    Serve.Server.wait srv
   in
   Cmd.v
     (Cmd.info "serve" ~man:serve_man
        ~doc:"Persistent compilation service on a Unix-domain socket")
     Term.(
-      const run $ socket_t $ workers_t $ max_queue_t $ disk_cache_t
-      $ disk_cache_mb_t $ jobs_t $ quiet_t $ trace_t $ metrics_t $ log_t
-      $ prom_t $ flight_dump_t $ recorder_slots_t)
+      const run $ socket_t $ workers_t $ max_queue_t $ quiet_t $ log_t
+      $ prom_t $ flight_dump_t $ recorder_slots_t $ session_t)
 
 (* ---- top (live dashboard over the stats op) ---- *)
 
@@ -1059,10 +1018,7 @@ let top_cmd =
     Term.(const run $ socket_t $ interval_t $ iterations_t $ plain_t)
 
 let () =
-  Obs.init_env ();
-  Obs.Metrics.init_env ();
   Obs.Log.init_env ();
-  Iset.Diskcache.init_env ();
   let info =
     Cmd.info "dhpfc" ~version
       ~doc:"dHPF-reproduction data-parallel compiler"

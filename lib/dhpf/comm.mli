@@ -12,11 +12,6 @@ open Iset
 val add_constraints : Rel.t -> Constr.t list -> Rel.t
 (** Add constraints to every disjunct. *)
 
-val fix_outer_iters : string list -> Rel.t -> Rel.t
-(** CPMap^v of Figure 3 step 1: pin the first [v] iteration coordinates to
-    the enclosing loop variables; deeper coordinates stay free (that is the
-    vectorization). *)
-
 type maps = {
   data_accessed : Rel.t;  (** vp -> data: all data accessed by each processor *)
   nl_data : Rel.t;  (** set over data: off-processor data accessed by myid *)

@@ -90,5 +90,17 @@ let labels t =
       Hashtbl.fold (fun l _ acc -> l :: acc) t.totals [])
   |> List.sort compare
 
-(** The global profiler used by the compiler driver. *)
+(** The global profiler used by the compiler driver. Its totals are an
+    {!Obs.Metrics} source: one [compiler/phase_s{phase}] gauge per label. *)
 let global = create ()
+
+let () =
+  Obs.Metrics.register_source (fun () ->
+      List.map
+        (fun l ->
+          {
+            Obs.Metrics.m_name = "compiler/phase_s";
+            m_labels = [ ("phase", l) ];
+            m_value = Obs.Metrics.VGauge (total global l);
+          })
+        (labels global))

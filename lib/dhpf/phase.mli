@@ -18,4 +18,5 @@ val elapsed : t -> float
 val labels : t -> string list
 
 val global : t
-(** The profiler used by {!Gen.compile} by default. *)
+(** The profiler used by {!Gen.compile} by default. Its totals reach every
+    metrics export as [compiler/phase_s{phase}] gauges, read live. *)

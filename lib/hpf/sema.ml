@@ -47,11 +47,9 @@ type env = {
 }
 
 let find_array env name = Hashtbl.find_opt env.arrays name
-let find_scalar env name = Hashtbl.find_opt env.scalars name
 let is_param env name = Hashtbl.mem env.params name
 let param_value env name = try Hashtbl.find env.params name with Not_found -> None
 let align_of env array = Hashtbl.find_opt env.aligns array
-let dist_of env template = Hashtbl.find_opt env.dists template
 let proc_of env name = try Hashtbl.find env.procs name with Not_found -> errf "unknown processor array %s" name
 let template_of env name =
   try Hashtbl.find env.templates name with Not_found -> errf "unknown template %s" name

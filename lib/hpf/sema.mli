@@ -43,12 +43,9 @@ type env = {
 }
 
 val find_array : env -> string -> array_info option
-val find_scalar : env -> string -> elt_type option
 val is_param : env -> string -> bool
 val param_value : env -> string -> int option
 val align_of : env -> string -> align_info option
-val dist_of : env -> string -> dist_info option
-val proc_of : env -> string -> proc_info
 val template_of : env -> string -> template_info
 
 val the_proc_array : env -> proc_info
@@ -62,9 +59,6 @@ exception Nonaffine of iexpr
 val affine : lookup:(string -> Iset.Var.t) -> iexpr -> Iset.Lin.t
 (** Convert to a linear term; [lookup] maps names to variables.
     @raise Nonaffine on division, intrinsic calls, variable products. *)
-
-val const_only : iexpr -> int
-(** Evaluate a compile-time-constant expression. @raise Nonaffine. *)
 
 val eval_iexpr : bind:(string -> int) -> iexpr -> int
 (** Runtime evaluation (processor extents, parameter binding); supports

@@ -48,7 +48,6 @@ val eadd : expr -> expr -> expr
 val esub : expr -> expr -> expr
 val emul : int -> expr -> expr
 val efloordiv : expr -> int -> expr
-val eceildiv : expr -> int -> expr
 val emax : expr list -> expr
 val emin : expr list -> expr
 val cand : cond list -> cond
@@ -91,11 +90,6 @@ type interval = { ilo : int option; ihi : int option }
 val itv_top : interval
 val itv_const : int -> interval
 val itv : ?lo:int -> ?hi:int -> unit -> interval
-val itv_add : interval -> interval -> interval
-val itv_sub : interval -> interval -> interval
-val itv_scale : int -> interval -> interval
-val itv_max : interval -> interval -> interval
-val itv_min : interval -> interval -> interval
 
 val interval_of_expr : (string -> interval) -> expr -> interval
 (** Interval of an expression under an environment that must return
@@ -170,6 +164,4 @@ val cond_of_window : name_of:(int -> string) -> window -> cond
 
 val pp_expr : Format.formatter -> expr -> unit
 val pp_cond : Format.formatter -> cond -> unit
-val pp_ast :
-  (Format.formatter -> 'a -> unit) -> Format.formatter -> ?indent:int -> 'a ast -> unit
 val ast_to_string : (Format.formatter -> 'a -> unit) -> 'a ast list -> string

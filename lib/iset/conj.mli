@@ -29,12 +29,10 @@ val n_ex : t -> int
 (** Number of existential variables; their ids are [0 .. n_ex-1]. *)
 
 val add : t -> Constr.t list -> t
-val fresh_ex : t -> t * Var.t
 val map_lin : (Lin.t -> Lin.t) -> t -> t
 val subst : Var.t -> Lin.t -> t -> t
 
 val vars : t -> Var.Set.t
-val mem_var : Var.t -> t -> bool
 val constr_has_ex : Constr.t -> bool
 
 val equal : t -> t -> bool

@@ -7,6 +7,9 @@
    treat any malformation as a miss, and the footprint is bounded by
    oldest-first whole-entry eviction. *)
 
+(* bumped whenever the Wire codec of any cached structure changes; part
+   of every entry path, so entries from another format are unreachable
+   rather than misread *)
 let format_version = 1
 let magic = "DHPFDC1\n"
 
@@ -28,28 +31,16 @@ let enabled () = Atomic.get dir_ref <> None
 let max_bytes () = Atomic.get max_bytes_ref
 let set_max_bytes n = Atomic.set max_bytes_ref (max (64 * 1024) n)
 
-let init_env () =
-  (match Sys.getenv_opt "DHPF_DISK_CACHE" with
-  | Some d when d <> "" -> set_dir (Some d)
-  | _ -> ());
-  match Sys.getenv_opt "DHPF_DISK_CACHE_MB" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some mb when mb > 0 -> set_max_bytes (mb * 1024 * 1024)
-      | _ -> ())
-  | None -> ()
-
 (* -- metrics -------------------------------------------------------- *)
 
-let m_hits = lazy (Obs.Metrics.counter "diskcache/hits")
-let m_misses = lazy (Obs.Metrics.counter "diskcache/misses")
-let m_evictions = lazy (Obs.Metrics.counter "diskcache/evictions")
-let m_bytes = lazy (Obs.Metrics.gauge "diskcache/bytes")
-
+(* lookups, hits, stores and evictions are counted once, in [Stats.disk_*]
+   (the registry reads them as [iset/disk ...]); the footprint gauge is
+   resolved at each use, so [Obs.Metrics.reset] cannot detach it *)
 let note_bytes () =
   if Obs.Metrics.enabled () then
     let b = Atomic.get bytes_ref in
-    if b >= 0 then Obs.Metrics.set (Lazy.force m_bytes) (float_of_int b)
+    if b >= 0 then
+      Obs.Metrics.set (Obs.Metrics.gauge "diskcache/bytes") (float_of_int b)
 
 (* -- filesystem helpers --------------------------------------------- *)
 
@@ -229,9 +220,7 @@ let gc () =
                     Sys.remove p;
                     remaining := !remaining - sz;
                     incr removed;
-                    Stats.bump Stats.disk_evictions;
-                    if Obs.Metrics.enabled () then
-                      Obs.Metrics.incr (Lazy.force m_evictions)
+                    Stats.bump Stats.disk_evictions
                   with Sys_error _ -> ()))
               files;
             Atomic.set bytes_ref !remaining;
@@ -296,22 +285,15 @@ let find ~kind key =
       Stats.bump Stats.disk_lookups;
       let path = entry_path root ~kind key in
       match read_file path with
-      | None ->
-          if Obs.Metrics.enabled () then
-            Obs.Metrics.incr (Lazy.force m_misses);
-          None
+      | None -> None
       | Some bytes -> (
           match decode_entry ~kind key bytes with
           | Some v ->
               Stats.bump Stats.disk_hits;
-              if Obs.Metrics.enabled () then
-                Obs.Metrics.incr (Lazy.force m_hits);
               (* refresh the entry's age so eviction approximates LRU *)
               (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
               Some v
           | None ->
-              if Obs.Metrics.enabled () then
-                Obs.Metrics.incr (Lazy.force m_misses);
               (* a readable file that fails to decode is a cache fault
                  (corruption or digest collision), not a routine miss *)
               if Obs.Log.enabled Obs.Log.Warn then

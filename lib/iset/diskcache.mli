@@ -19,17 +19,15 @@
       budget, whole entries are evicted oldest-first (reads refresh an
       entry's timestamp, approximating LRU).
 
-    The layer is disabled until a directory is configured ({!set_dir},
-    [--disk-cache], or [DHPF_DISK_CACHE] via {!init_env}); when disabled,
-    {!memo} is a transparent pass-through. It sits strictly beneath the
-    in-memory memo tables: a disk lookup happens only on an in-memory
-    miss, and disabling {!Cache} disables this layer too. All operations
-    are domain-safe. *)
+    The layer is disabled until a directory is configured ({!set_dir} or
+    [--disk-cache]); when disabled, {!memo} is a transparent pass-through.
+    It sits strictly beneath the in-memory memo tables: a disk lookup
+    happens only on an in-memory miss, and disabling {!Cache} disables
+    this layer too. All operations are domain-safe.
 
-val format_version : int
-(** Bumped whenever the {!Wire} codec of any cached structure changes;
-    part of every entry path, so entries from another format are
-    unreachable rather than misread. *)
+    Traffic is counted once, in the [Stats.disk_*] counters (exported as
+    the [iset/disk ...] metric series); the footprint is the
+    [diskcache/bytes] gauge. *)
 
 val set_dir : string option -> unit
 (** Enable the cache rooted at a directory (created on demand), or
@@ -39,16 +37,12 @@ val dir : unit -> string option
 
 val enabled : unit -> bool
 
-val init_env : unit -> unit
-(** [DHPF_DISK_CACHE=dir] enables the cache at startup;
-    [DHPF_DISK_CACHE_MB=n] sets the size budget (default 256 MiB).
-    Called once by the CLI driver. *)
-
 val max_bytes : unit -> int
 val set_max_bytes : int -> unit
-(** Set the eviction budget in bytes (clamped to at least 64 KiB — low
-    enough that an eviction-pressure benchmark can squeeze a real
-    workload, high enough that a single entry always fits). *)
+(** Set the eviction budget in bytes (default 256 MiB; clamped to at
+    least 64 KiB — low enough that an eviction-pressure benchmark can
+    squeeze a real workload, high enough that a single entry always
+    fits). *)
 
 val bytes_used : unit -> int
 (** Tracked footprint of the enabled cache directory (0 when disabled);

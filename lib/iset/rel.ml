@@ -308,10 +308,6 @@ let unflatten ~in_ar set =
     ~in_ar ~out_ar:m
     (List.map (fun c -> Conj.map_lin (Lin.map_vars f) c) set.conjs)
 
-(** Substitute a parameter by a linear term everywhere. *)
-let subst_param name lin t =
-  { t with conjs = List.map (Conj.subst (Var.Param name) lin) t.conjs }
-
 (** [apply_point r lins]: the set {j : r(p, j)} where the input tuple is fixed
     to the given linear terms (typically parameters such as the processor id
     [m], or constants). *)

@@ -31,9 +31,6 @@ val make :
 val empty :
   ?in_names:string array -> ?out_names:string array -> in_ar:int -> out_ar:int -> unit -> t
 
-val universe :
-  ?in_names:string array -> ?out_names:string array -> in_ar:int -> out_ar:int -> unit -> t
-
 val set : ?names:string array -> ar:int -> Conj.t list -> t
 
 (** {1 Accessors} *)
@@ -96,8 +93,6 @@ val flatten : t -> t
 (** A relation [k -> m] as a set over the concatenated [k + m] tuple. *)
 
 val unflatten : in_ar:int -> t -> t
-
-val subst_param : string -> Lin.t -> t -> t
 
 val map_tuple_vars : (Var.t -> Var.t) -> t -> t
 

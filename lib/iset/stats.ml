@@ -68,14 +68,21 @@ let report () =
   List.rev_map (fun c -> (c.c_name, Atomic.get c.c_count)) !counters
   @ List.rev_map (fun (n, f) -> (n, f ())) !gauges
 
-let hit_rate ~lookups ~hits =
-  if Atomic.get lookups.c_count = 0 then 0.0
-  else
-    float_of_int (Atomic.get hits.c_count)
-    /. float_of_int (Atomic.get lookups.c_count)
-
 let count c = Atomic.get c.c_count
 let name c = c.c_name
+
+(* the metrics registry reads the counts here, where they live: counters
+   as [iset/<name>] counters, gauges as [iset/<name>] gauges *)
+let () =
+  let module M = Obs.Metrics in
+  let series n v = { M.m_name = "iset/" ^ n; m_labels = []; m_value = v } in
+  M.register_source (fun () ->
+      List.map
+        (fun c -> series c.c_name (M.VCounter (float_of_int (count c))))
+        !counters
+      @ List.map
+          (fun (n, f) -> series n (M.VGauge (float_of_int (f ()))))
+          !gauges)
 
 let pp fmt () =
   List.iter (fun (n, v) -> Fmt.pf fmt "  %-28s %10d@." n v) (report ())

@@ -1,6 +1,12 @@
 (** Counters and gauges for the hash-consing / memoization layer of the
     integer-set engine, surfaced by [dhpfc compile --report] and the
-    benchmark harness (Table-1 rows show both time and cache behaviour). *)
+    benchmark harness (Table-1 rows show both time and cache behaviour).
+
+    This module is the one home of these counts: it registers itself as an
+    {!Obs.Metrics} source, so every metrics export (the [--metrics] file,
+    the serve daemon's [stats]/[dump] ops and [--prom] file) carries each
+    counter as an [iset/<name>] counter series and each gauge as an
+    [iset/<name>] gauge series, read live — no copy step. *)
 
 type counter
 
@@ -65,7 +71,5 @@ val reset : unit -> unit
 
 val report : unit -> (string * int) list
 (** All counters (in registration order) followed by all gauges. *)
-
-val hit_rate : lookups:counter -> hits:counter -> float
 
 val pp : Format.formatter -> unit -> unit

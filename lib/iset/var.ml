@@ -29,7 +29,6 @@ let hash = function
 
 let is_ex = function Ex _ -> true | _ -> false
 let is_param = function Param _ -> true | _ -> false
-let is_tuple = function In _ | Out _ -> true | _ -> false
 
 (* canonical byte codec (see {!Wire}): one tag character plus payload *)
 let wire_put b = function

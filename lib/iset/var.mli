@@ -15,7 +15,6 @@ val hash : t -> int
 
 val is_ex : t -> bool
 val is_param : t -> bool
-val is_tuple : t -> bool
 
 val wire_put : Buffer.t -> t -> unit
 (** Canonical byte codec (see {!Wire}); structurally equal variables

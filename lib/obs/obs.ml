@@ -56,7 +56,6 @@ let reset () =
   epoch := (if Atomic.get on then Unix.gettimeofday () else 0.0)
 
 let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6
-let epoch_wall () = !epoch
 
 let push e =
   Mutex.protect buf_mu (fun () ->
@@ -102,12 +101,6 @@ let complete ~pid ~tid ~ts ~dur ?cat ?args name =
 
 let instant_at ~pid ~tid ~ts ?cat ?args name =
   if Atomic.get on then ev ?cat ?args ~ph:I ~pid ~tid ~ts name
-
-let counter_at ~pid ~tid ~ts name series =
-  if Atomic.get on then
-    ev ~ph:C ~pid ~tid ~ts
-      ~args:(List.map (fun (s, v) -> (s, Float v)) series)
-      name
 
 let next_flow_id () = Atomic.fetch_and_add flow_ctr 1 + 1
 
@@ -245,13 +238,6 @@ let summary () =
     rows;
   Buffer.contents b
 
-let init_env () =
-  match Sys.getenv_opt "DHPF_TRACE" with
-  | Some path when path <> "" ->
-      enable ();
-      at_exit (fun () -> try write path with Sys_error _ -> ())
-  | _ -> ()
-
 (* a log line or flight entry: [head] fields, then the optional request
    id, the event name and the optional caller fields *)
 let record_json head ~rid ~event ~fields =
@@ -388,13 +374,6 @@ module Log = struct
   let threshold = Atomic.make (rank Info)
 
   let set_level l = Atomic.set threshold (rank l)
-
-  let level () =
-    match Atomic.get threshold with
-    | 0 -> Debug
-    | 1 -> Info
-    | 2 -> Warn
-    | _ -> Error
 
   let close_locked () =
     match !out with
@@ -625,12 +604,20 @@ module Metrics = struct
     | 0 -> compare a.m_labels b.m_labels
     | o -> o
 
+  (* series whose counts live in their owning subsystem (the integer-set
+     engine's counters, the phase profiler's totals): read at snapshot
+     time, so no copy step can go stale and [reset] cannot detach them *)
+  let sources : (unit -> sample list) list ref = ref []
+
+  let register_source f =
+    Mutex.protect reg_mu (fun () -> sources := f :: !sources)
+
   let snapshot () : sample list =
-    (* copy the cell list under the registry lock, then read each cell
-       outside it (histogram reads take their own per-cell lock) *)
-    let cells =
+    (* copy the cell and source lists under the registry lock, then read
+       each outside it (histogram reads take their own per-cell lock) *)
+    let cells, srcs =
       Mutex.protect reg_mu (fun () ->
-          Hashtbl.fold (fun k c acc -> (k, c) :: acc) registry [])
+          (Hashtbl.fold (fun k c acc -> (k, c) :: acc) registry [], !sources))
     in
     List.map
       (fun ((name, labels), cell) ->
@@ -642,6 +629,7 @@ module Metrics = struct
         in
         { m_name = name; m_labels = labels; m_value = v })
       cells
+    @ (if Atomic.get m_on then List.concat_map (fun f -> f ()) srcs else [])
     |> List.sort sample_order
 
   (* merge two snapshots (e.g. from per-run registries of a sweep):
@@ -877,11 +865,4 @@ module Metrics = struct
     Buffer.contents b
 
   let write_prometheus path = write_atomic path (to_prometheus (snapshot ()))
-
-  let init_env () =
-    match Sys.getenv_opt "DHPF_METRICS" with
-    | Some path when path <> "" ->
-        enable ();
-        at_exit (fun () -> try write path with Sys_error _ -> ())
-    | _ -> ()
 end

@@ -7,8 +7,8 @@
     - {e real time}: {!span}, {!instant} and {!counter} stamp events with
       wall-clock microseconds relative to the trace epoch (the first
       {!enable}); the compiler pipeline uses these.
-    - {e simulated time}: {!complete}, {!instant_at}, {!counter_at},
-      {!flow_start} and {!flow_end} take explicit timestamps, which the
+    - {e simulated time}: {!complete}, {!instant_at}, {!flow_start} and
+      {!flow_end} take explicit timestamps, which the
       SPMD simulator supplies from its virtual clocks. Tracing only ever
       {e reads} those clocks, so a traced run is bit-identical (values,
       clocks, counters) to an untraced one.
@@ -82,18 +82,8 @@ val reset : unit -> unit
 (** Drop all buffered events and flow/lane bookkeeping; a subsequent
     {!enable} starts a fresh epoch. *)
 
-val init_env : unit -> unit
-(** [DHPF_TRACE=out.json] support: when the variable is set and non-empty,
-    enable tracing now and write the Chrome trace there at process exit.
-    Called once by the CLI driver. *)
-
 val now_us : unit -> float
 (** Wall-clock microseconds since the trace epoch. *)
-
-val epoch_wall : unit -> float
-(** Absolute [Unix.gettimeofday] of the trace epoch (0. before the first
-    {!enable}); recorded in the export so real-time spans can be mapped
-    back to wall-clock times. *)
 
 (** {1 Real-time events (compiler side)} *)
 
@@ -115,9 +105,6 @@ val complete :
 val instant_at :
   pid:int -> tid:int -> ts:float -> ?cat:string ->
   ?args:(string * arg) list -> string -> unit
-
-val counter_at :
-  pid:int -> tid:int -> ts:float -> string -> (string * float) list -> unit
 
 val next_flow_id : unit -> int
 (** Fresh identifier linking one {!flow_start} to one {!flow_end}. *)
@@ -222,20 +209,11 @@ module Log : sig
 
   type level = Debug | Info | Warn | Error
 
-  val level_to_string : level -> string
-  val level_of_string : string -> level option
-
   val set_out : string option -> unit
   (** [Some path] opens (append, create) the sink; [Some "-"] logs to
       stderr; [None] closes the current sink. *)
 
   val close : unit -> unit
-
-  val set_level : level -> unit
-  (** Minimum level written to the sink (default [Info]). The recorder
-      tee ignores the threshold. *)
-
-  val level : unit -> level
 
   val enabled : level -> bool
   (** True when an [emit] at this level would reach the sink or the
@@ -260,7 +238,8 @@ module Log : sig
 
   val init_env : unit -> unit
   (** [DHPF_LOG=path] opens the sink ([-] for stderr); [DHPF_LOG_LEVEL]
-      sets the threshold. Called once by the CLI driver. *)
+      sets the minimum level written to it (default [info]; the recorder
+      tee ignores the threshold). Called once by the CLI driver. *)
 end
 
 (** {1 Metrics}
@@ -291,12 +270,8 @@ module Metrics : sig
 
   val reset : unit -> unit
   (** Drop every registered series. Existing handles become detached: they
-      can still be written through, but no longer appear in snapshots. *)
-
-  val init_env : unit -> unit
-  (** [DHPF_METRICS=out.json] support: when set and non-empty, enable
-      metrics now and write the JSON export at process exit. Called once
-      by the CLI driver. *)
+      can still be written through, but no longer appear in snapshots.
+      Sources ({!register_source}) stay registered. *)
 
   (** {2 Series handles} *)
 
@@ -340,9 +315,17 @@ module Metrics : sig
     m_value : value;
   }
 
+  val register_source : (unit -> sample list) -> unit
+  (** Register series that live in their owning subsystem rather than in
+      registry cells: the integer-set engine's counters ([iset/<name>]) and
+      the global phase profiler's totals ([compiler/phase_s{phase}]). Each
+      source is read by every {!snapshot} taken while metrics are enabled
+      (a disabled registry exports none of them); its labels must be sorted
+      by key and its series distinct from every cell's. *)
+
   val snapshot : unit -> sample list
-  (** Every registered series, sorted by (name, labels) — the stable order
-      used by every export. *)
+  (** Every registered series, then every source's (while enabled), sorted
+      by (name, labels) — the stable order used by every export. *)
 
   val merge : sample list -> sample list -> sample list
   (** Pointwise merge of two snapshots: counters and histogram cells add

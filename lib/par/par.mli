@@ -13,9 +13,6 @@ val recommended : unit -> int
 val clamp : int -> int
 (** Clamp to [1 .. recommended ()]. *)
 
-val env_domains : unit -> int option
-(** Parse [DHPF_DOMAINS] (positive integer), if set and well-formed. *)
-
 val domains : unit -> int
 (** Session default domain count: [DHPF_DOMAINS] at startup, else 1. *)
 

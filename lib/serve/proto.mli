@@ -31,14 +31,13 @@ exception Proto_error of string
 
 val write_frame : Unix.file_descr -> string -> unit
 
-val read_frame : Unix.file_descr -> string option
-(** [None] on a clean EOF before the first length byte.
-    @raise Proto_error on a short or oversized frame. *)
-
 val write_json : Unix.file_descr -> Obs.Json.t -> unit
 
 val read_json : Unix.file_descr -> Obs.Json.t option
-(** @raise Proto_error when the payload is not valid JSON. *)
+(** One frame's JSON payload; [None] on a clean EOF before the first
+    length byte.
+    @raise Proto_error on a short or oversized frame, or when the payload
+    is not valid JSON. *)
 
 (** {1 Requests} *)
 

@@ -379,7 +379,7 @@ let dispatch st = function
 (* the per-request counter attribution: the iset engine's counters are
    process-global, so under concurrent workers a delta can include a
    neighbour's activity — exact at workers=1, approximate above. The
-   per-series truth is in Obs.Metrics. *)
+   process totals are the iset/<name> series of every metrics export. *)
 let iset_delta before =
   let d =
     List.filter_map
@@ -732,7 +732,6 @@ let launch cfg =
   in
   { st; threads; domains; failed; joined = Atomic.make false }
 
-let socket_path t = t.st.cfg.socket
 let queue_depth t = Atomic.get t.st.depth
 let request_stop t = begin_stop t.st
 

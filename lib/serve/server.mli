@@ -49,8 +49,10 @@
     concurrency — the counters are process-global). The [stats] op
     answers [dhpf-stats/2]: lifetime totals plus rolling-window gauges
     (RPS, p50/p95/p99 service and queue-wait latency, errors, overload
-    rejections) and memo/disk hit ratios; [dump] returns the
-    flight-recorder bundle and a metrics snapshot. All instrumentation
+    rejections), memo/disk hit ratios and a metrics snapshot; [dump]
+    returns the flight-recorder bundle and a metrics snapshot. Each
+    snapshot carries the engine's [iset/<name>] series, read from
+    {!Iset.Stats} as it answers. All instrumentation
     only reads compiler/simulator state, so responses are byte-identical
     with telemetry on or off. *)
 
@@ -102,7 +104,6 @@ val launch : config -> t
     as threads on the calling domain and the other workers as domains.
     @raise Bind_error when the socket cannot be claimed. *)
 
-val socket_path : t -> string
 val queue_depth : t -> int
 
 val request_stop : t -> unit

@@ -45,12 +45,6 @@ type store = {
 val st_sparse : store -> bool
 (** The array keeps the sparse (side-table only) representation. *)
 
-val slot_of_enc : store -> int -> int
-(** Dense slot of a global linear index, or -1 if not owned/dense. *)
-
-val put_enc : store -> int -> float -> unit
-val get_enc : store -> int -> float
-
 val owns_enc : store -> int -> bool
 (** Ownership test by decoded coordinates (sparse-array slow path). *)
 
@@ -99,7 +93,6 @@ val bad_step : rt -> string -> 'a
 val unbound_int : rt -> string -> 'a
 val unknown_sub : rt -> string -> 'a
 val bounds_fail : Runtime.ameta -> int -> int -> 'a
-val idx_string : Runtime.ameta -> int -> string
 
 val load_miss : rt -> int -> aname:string -> int -> float
 (** [load_miss rt aid ~aname enc]: value of a load whose dense slot was -1 —

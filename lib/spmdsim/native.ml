@@ -123,17 +123,11 @@ let cache_key ~dirs src =
     (Digest.string
        (String.concat "\x00" (src :: Sys.ocaml_version :: lib_cmi_digests dirs)))
 
-(* Size bound for the kernel cache (DHPF_NATIVE_CACHE_MB, default 512
-   MiB). A kernel is a group of files sharing one basename prefix (its .ml
-   and .cmxs) that live and die together; eviction is whole-group
-   oldest-first (group age = newest member). *)
-let cache_budget () =
-  let mb =
-    match Sys.getenv_opt "DHPF_NATIVE_CACHE_MB" with
-    | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 512)
-    | None -> 512
-  in
-  mb * 1024 * 1024
+(* Size bound for the kernel cache: 512 MiB. A kernel is a group of files
+   sharing one basename prefix (its .ml and .cmxs) that live and die
+   together; eviction is whole-group oldest-first (group age = newest
+   member). *)
+let cache_budget = 512 * 1024 * 1024
 
 let kernel_group name =
   match String.index_opt name '.' with
@@ -142,8 +136,7 @@ let kernel_group name =
 
 let prune_cache dir =
   ignore
-    (Iset.Diskcache.prune_dir ~group:kernel_group ~max_bytes:(cache_budget ())
-       dir
+    (Iset.Diskcache.prune_dir ~group:kernel_group ~max_bytes:cache_budget dir
       : int)
 
 let read_file path =

@@ -63,18 +63,9 @@ val do_reduce_scalar : Compile.rt -> int -> Dhpf.Spmd.reduce_op -> unit
 
 (** {1 Engine construction} *)
 
-val default_cache_dir : unit -> string
-(** [$DHPF_NATIVE_CACHE] when set, else [<tmpdir>/dhpf-native-cache]. *)
-
 val kernel_group : string -> string
 (** The eviction group of a cache file name: its basename up to the first
     dot, so one kernel's [.ml] and [.cmxs] live and die together. *)
-
-val prune_cache : string -> unit
-(** Bound the kernel cache directory to [DHPF_NATIVE_CACHE_MB] (default
-    512 MiB) by whole-kernel oldest-first eviction
-    ({!Iset.Diskcache.prune_dir}); runs automatically after every
-    out-of-process build. *)
 
 val make :
   ?machine:Machine.t ->
@@ -87,7 +78,10 @@ val make :
   Compile.csim
 (** Build the sim with the generated kernel installed as its main.
     Parameters are as in {!Exec.make}; [cache_dir] overrides
-    {!default_cache_dir}.
+    the default cache directory: [$DHPF_NATIVE_CACHE] when set, else
+    [<tmpdir>/dhpf-native-cache]. After every out-of-process build the
+    directory is bounded to 512 MiB by whole-kernel oldest-first eviction
+    ({!Iset.Diskcache.prune_dir}).
     @raise Runtime.Error when the kernel fails to compile or load (the
     compiler log is included), or when the build tree cannot be located
     (see [DHPF_NATIVE_INCLUDES]). *)

@@ -451,9 +451,6 @@ let trace_slice tw ~tid ~t0 ~t1 ~cat ?args name =
     ?args name;
   Hashtbl.replace tw.tw_last tid t1
 
-(** Chrome pid of this simulation's trace lane group, when traced. *)
-let trace_pid tr = Option.map (fun tw -> tw.tw_pid) tr.tr_trace
-
 (** Emit an instant marker on a processor's lane ([ts] in simulated
     seconds); no-op when untraced. The recovery controller uses this for
     crash / restore events. *)

@@ -219,18 +219,11 @@ val send :
 (** Complete a send: contiguity decision (§3.3), packing/send CPU charges
     via [tick], fault plan application (drops priced as retransmissions,
     delay, duplication, reordering) and enqueue. Both engines call this, so
-    counter and timing semantics cannot diverge. Ends with an {!op_point},
-    so a send is one communication operation. *)
-
-val op_point : transport -> pid:int -> clock:float -> unit
-(** One communication operation completed on [pid]: advance the operation
-    indices, feed the watchdog, evaluate the crash schedule (possibly
-    raising {!Crash}), and fire the checkpoint trigger on interval
-    boundaries. Called by {!send} and the scheduler; engines never call it
-    directly. *)
-
-val trace_pid : transport -> int option
-(** Chrome pid of this simulation's trace lane group, when traced. *)
+    counter and timing semantics cannot diverge. A send is one
+    communication operation: it ends by advancing the operation indices,
+    feeding the watchdog, evaluating the crash schedule (possibly raising
+    {!Crash}) and firing the checkpoint trigger on interval boundaries, as
+    the scheduler does for every receive and collective. *)
 
 val trace_instant :
   transport ->
@@ -276,8 +269,6 @@ val capture_transport :
   transport -> (key * int * int) array * (key * msg array) array * counters
 (** Transport half of an image: sorted per-channel sequence counters,
     sorted in-flight queues, and a copy of the counters. *)
-
-val counters_copy : counters -> counters
 
 (** {1 Effects} *)
 
@@ -335,7 +326,6 @@ exception Deadlock of diagnostic
 
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 val diagnostic_to_string : diagnostic -> string
-val find_cycle : (int -> int list) -> int list -> int list
 
 (** {1 Scheduler} *)
 
@@ -351,20 +341,17 @@ type hooks = {
   h_phys_of_vp : int list -> int;
 }
 
-val sched_run : hooks -> unit
+val sched_run_par : ?domains:int -> hooks -> unit
 (** Drive every processor fiber to completion: deliver sequence-matched
     messages, execute collectives, and raise {!Deadlock} with a structured
-    diagnosis when no progress is possible. *)
-
-val sched_run_par : ?domains:int -> hooks -> unit
-(** {!sched_run} with processor lanes sharded across [domains] OCaml
-    domains. Bit-identical to the sequential scheduler in element values,
-    clocks, transport counters, metrics and traces: lanes advance in
-    parallel between communication points against a (channel, sequence)-
-    keyed concurrent mailbox while logging every transport mutation, and a
-    sequential replay pass then commits those mutations — mailbox
-    evolution, duplicate discards, operation points, trace slices — in
-    exactly the sequential interleaving. [domains <= 1], a single
-    processor, or an installed crash schedule / checkpoint trigger /
-    watchdog bound falls back to {!sched_run} unchanged.
-    @raise Deadlock as {!sched_run}, with the identical diagnosis. *)
+    diagnosis when no progress is possible. Processor lanes are sharded
+    across [domains] OCaml domains, bit-identically to the sequential
+    scheduler in element values, clocks, transport counters, metrics and
+    traces: lanes advance in parallel between communication points
+    against a (channel, sequence)-keyed concurrent mailbox while logging
+    every transport mutation, and a sequential replay pass then commits
+    those mutations — mailbox evolution, duplicate discards, operation
+    points, trace slices — in exactly the sequential interleaving.
+    [domains <= 1], a single processor, or an installed crash schedule /
+    checkpoint trigger / watchdog bound falls back to the sequential
+    scheduler unchanged, with the identical diagnosis on deadlock. *)

@@ -3,7 +3,8 @@
 
    - Wire roundtrips (ints incl. min_int, strings with embedded NULs,
      nested lists) and Malformed on garbage;
-   - store/find roundtrip with hit/miss accounting;
+   - store/find roundtrip with hit/miss accounting, read by the metrics
+     registry from the Stats counters even after a registry reset;
    - corruption tolerance: truncated entries, corrupted magic (the
      format-version tag) and digest collisions with a different key are
      all misses, never errors;
@@ -299,6 +300,30 @@ let test_max_int_length_is_miss () =
     "max_int length field is a miss" None
     (Diskcache.find ~kind:"t" "key")
 
+(* disk traffic reaches the metrics registry from the [Stats.disk_*]
+   counters, where it is counted, so a registry reset cannot detach it *)
+let test_metrics_survive_reset () =
+  with_cache @@ fun _d ->
+  let module M = Obs.Metrics in
+  M.enable ();
+  Fun.protect ~finally:(fun () ->
+      M.disable ();
+      M.reset ())
+  @@ fun () ->
+  M.reset ();
+  Alcotest.(check (option string))
+    "absent entry is a miss" None
+    (Diskcache.find ~kind:"t" "absent key");
+  match
+    List.find_opt
+      (fun (s : M.sample) -> s.m_name = "iset/disk lookups")
+      (M.snapshot ())
+  with
+  | Some { m_value = M.VCounter v; _ } ->
+      Alcotest.(check bool) "iset/disk lookups >= 1" true (v >= 1.0)
+  | Some _ -> Alcotest.fail "iset/disk lookups is not a counter"
+  | None -> Alcotest.fail "iset/disk lookups missing after a reset"
+
 (* ------------------------------------------------------------------ *)
 (* Racing writers                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -468,6 +493,8 @@ let () =
           Alcotest.test_case "digest collision" `Quick
             test_colliding_key_is_miss;
           Alcotest.test_case "max_int length" `Quick test_max_int_length_is_miss;
+          Alcotest.test_case "metrics survive reset" `Quick
+            test_metrics_survive_reset;
         ] );
       ( "concurrency",
         [

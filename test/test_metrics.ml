@@ -257,8 +257,8 @@ let snap_of vals =
          List.iter (M.observe h) vals))
 
 let histo_of snap =
-  match (List.hd snap : M.sample).m_value with
-  | M.VHisto h -> h
+  match List.find_opt (fun (s : M.sample) -> s.m_name = "q/h") snap with
+  | Some { m_value = M.VHisto h; _ } -> h
   | _ -> assert false
 
 let pos_floats = QCheck.(list_of_size (Gen.int_range 1 40) (pos_float))

@@ -855,6 +855,66 @@ let test_one_diff_sweep () =
           flags)
   end
 
+(* -- dhpfc compile: one count, every export ------------------------- *)
+
+(* the --metrics file and the dhpf-report/2 document of one compile read
+   the same counters and phase totals: every iset/<n> series equals the
+   report's cache.counters.<n>, and the compiler/phase_s labels are the
+   report's phase list *)
+let test_metrics_match_report () =
+  if not (Sys.file_exists dhpfc) then Alcotest.skip ()
+  else begin
+    let dir = fresh_dir () in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let m = Filename.concat dir "metrics.json"
+        and rp = Filename.concat dir "report.json" in
+        Alcotest.(check int)
+          "compile exits 0" 0
+          (Sys.command
+             (Printf.sprintf
+                "%s compile jacobi --metrics %s --report-json %s 2>/dev/null"
+                dhpfc m rp));
+        let module J = Obs.Json in
+        let list v k = Option.value (J.get_list v k) ~default:[] in
+        let series = list (J.of_string (read_file m)) "metrics" in
+        let report = J.of_string (read_file rp) in
+        let counters =
+          Option.bind (J.get report "cache") (fun c -> J.get c "counters")
+          |> Option.value ~default:J.Null
+        in
+        let isets =
+          List.filter_map
+            (fun s ->
+              match J.get_str s "name" with
+              | Some n when String.starts_with ~prefix:"iset/" n ->
+                  Some (String.sub n 5 (String.length n - 5), s)
+              | _ -> None)
+            series
+        in
+        Alcotest.(check bool) "iset series exported" true (isets <> []);
+        List.iter
+          (fun (n, s) ->
+            Alcotest.(check (option int))
+              ("iset/" ^ n)
+              (J.get_int counters n)
+              (Option.map int_of_float (J.get_num s "value")))
+          isets;
+        let labels =
+          List.filter_map
+            (fun s ->
+              if J.get_str s "name" = Some "compiler/phase_s" then
+                Option.bind (J.get s "labels") (fun l -> J.get_str l "phase")
+              else None)
+            series
+        in
+        Alcotest.(check (list string))
+          "compiler/phase_s labels = report phases"
+          (List.filter_map (fun p -> J.get_str p "phase") (list report "phases"))
+          labels)
+  end
+
 (* -- the dhpfc serve binary under load ------------------------------- *)
 
 (* concurrent clients, each request one of the small built-ins as inline
@@ -1031,6 +1091,24 @@ let test_stats_v2 () =
       "loop-nest memo consulted" true
       (iset_counter r "codegen lookups" > 0)
   end;
+  (* the metrics export reads the engine counters where they live, so the
+     same response's iset object and metrics series agree *)
+  let series name =
+    Option.bind (Obs.Json.get r "metrics") (fun m ->
+        List.find_opt
+          (fun s -> Obs.Json.get_str s "name" = Some name)
+          (Option.value (Obs.Json.get_list m "metrics") ~default:[]))
+  in
+  (match
+     Option.bind (series "iset/sat lookups") (fun s ->
+         Obs.Json.get_num s "value")
+   with
+  | Some v ->
+      Alcotest.(check (float 0.0))
+        "metrics iset/sat lookups = iset sat lookups"
+        (float_of_int (iset_counter r "sat lookups"))
+        v
+  | None -> Alcotest.fail "metrics export has no iset/sat lookups series");
   let lookups = sum " lookups" in
   let expected =
     if lookups = 0 then 0.
@@ -1276,5 +1354,7 @@ let () =
         [
           Alcotest.test_case "one --diff* sweep per run" `Quick
             test_one_diff_sweep;
+          Alcotest.test_case "metrics match the report" `Quick
+            test_metrics_match_report;
         ] );
     ]
