@@ -11,9 +11,9 @@
 type t = {
   totals : (string, float) Hashtbl.t;
   mu : Mutex.t;
-  stack : (string * float) list ref Domain.DLS.key;
-      (** per-domain nesting stack: re-entrancy and outermost-ness are
-          properties of one domain's call chain *)
+  stack : string list ref Domain.DLS.key;
+      (** per-domain stack of open labels: re-entrancy and outermost-ness
+          are properties of one domain's call chain *)
   mutable t0 : float;
 }
 
@@ -22,68 +22,56 @@ let create () =
     totals = Hashtbl.create 32;
     mu = Mutex.create ();
     stack = Domain.DLS.new_key (fun () -> ref []);
-    t0 = Unix.gettimeofday ();
+    t0 = Obs.clock ();
   }
 
 let reset t =
   Mutex.protect t.mu (fun () -> Hashtbl.reset t.totals);
   Domain.DLS.get t.stack := [];
-  t.t0 <- Unix.gettimeofday ()
+  t.t0 <- Obs.clock ()
 
 let add t label dt =
   Mutex.protect t.mu (fun () ->
       let cur = try Hashtbl.find t.totals label with Not_found -> 0.0 in
       Hashtbl.replace t.totals label (cur +. dt))
 
-(** Time [f], attributing the elapsed time to [label]. Re-entrant: nested
-    timings of the same label are not double counted (and re-entry emits no
-    trace span either, matching the accounting). Outermost phases attach a
-    snapshot of the integer-set cache counters to their span, so a Chrome
-    trace of a compile carries the cache behaviour of each top-level pass.
-    Spans carry the domain id as their trace [tid], so parallel compiles
-    render one track per domain. *)
+let stats_args () =
+  List.map (fun (n, v) -> (n, Obs.Int v)) (Iset.Stats.report ())
+
+(** Time [f] as an {!Obs.span} of category ["phase"], adding the span's
+    duration to [label]'s total: the totals and the trace are one
+    measurement. Re-entrant: nested timings of the same label are not
+    double counted and emit no span. Outermost phases attach a snapshot of
+    the integer-set cache counters to their span, so a Chrome trace of a
+    compile carries the cache behaviour of each top-level pass. *)
 let time t label f =
   let stack = Domain.DLS.get t.stack in
-  if List.exists (fun (l, _) -> l = label) !stack then f ()
+  if List.mem label !stack then f ()
   else begin
-    let start = Unix.gettimeofday () in
     let outermost = !stack = [] in
-    stack := (label, start) :: !stack;
-    let traced = Obs.enabled () in
-    let ts = if traced then Obs.now_us () else 0.0 in
-    Fun.protect
-      ~finally:(fun () ->
+    stack := label :: !stack;
+    Obs.span ~cat:"phase"
+      ?args:(if outermost then Some stats_args else None)
+      ~on_end:(fun dt ->
         stack := List.tl !stack;
-        add t label (Unix.gettimeofday () -. start);
-        if traced then begin
-          let dur = Obs.now_us () -. ts in
-          let args =
-            if outermost then
-              List.map (fun (n, v) -> (n, Obs.Int v)) (Iset.Stats.report ())
-            else []
-          in
-          Obs.complete ~pid:0
-            ~tid:(Domain.self () :> int)
-            ~ts ~dur ~cat:"phase" ~args label;
-          (* counter series are keyed by name alone in the Chrome trace, so
-             the name carries a subsystem prefix: a samely-named series
-             emitted by another subsystem (e.g. the simulator) would
-             otherwise interleave into this track *)
-          if outermost then
-            Obs.counter "iset/cache hits"
-              (List.map
-                 (fun (n, _, hits) ->
-                   (n, float_of_int (Iset.Stats.count hits)))
-                 Iset.Stats.memos)
-        end)
-      f
+        add t label dt;
+        (* counter series are keyed by name alone in the Chrome trace, so
+           the name carries a subsystem prefix: a samely-named series
+           emitted by another subsystem (e.g. the simulator) would
+           otherwise interleave into this track *)
+        if outermost && Obs.enabled () then
+          Obs.counter "iset/cache hits"
+            (List.map
+               (fun (n, _, hits) -> (n, float_of_int (Iset.Stats.count hits)))
+               Iset.Stats.memos))
+      label f
   end
 
 let total t label =
   Mutex.protect t.mu (fun () ->
       try Hashtbl.find t.totals label with Not_found -> 0.0)
 
-let elapsed t = Unix.gettimeofday () -. t.t0
+let elapsed t = Obs.clock () -. t.t0
 
 let labels t =
   Mutex.protect t.mu (fun () ->

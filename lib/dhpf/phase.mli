@@ -11,10 +11,14 @@ val create : unit -> t
 val reset : t -> unit
 
 val time : t -> string -> (unit -> 'a) -> 'a
-(** Attribute the elapsed time of the thunk to the label. *)
+(** Run the thunk as an {!Obs.span} of category ["phase"] and add the
+    span's duration to the label's total, so a total is the sum of its
+    trace slices. *)
 
 val total : t -> string -> float
 val elapsed : t -> float
+(** Wall-clock seconds since {!create} or the last {!reset}. *)
+
 val labels : t -> string list
 
 val global : t

@@ -39,6 +39,8 @@ type fcond =
 
 type reduce_op = RSum | RMax | RMin
 
+let reduce_op_name = function RSum -> "sum" | RMax -> "max" | RMin -> "min"
+
 type stmt =
   | For of { var : string; lo : expr; hi : expr; step : expr; body : stmt list }
   | If of cond * stmt list
@@ -256,8 +258,7 @@ let rec pp_stmt ?(indent = 0) fmt s =
   | Recv { event; src } ->
       Fmt.pf fmt "%scall recv_%d(vp=(%a))@." pad event Fmt.(list ~sep:comma pp_expr) src
   | Reduce { scalar; op } ->
-      let s = match op with RSum -> "sum" | RMax -> "max" | RMin -> "min" in
-      Fmt.pf fmt "%scall allreduce_%s(%s)@." pad s scalar
+      Fmt.pf fmt "%scall allreduce_%s(%s)@." pad (reduce_op_name op) scalar
   | Call f -> Fmt.pf fmt "%scall %s@." pad f
   | Comment c -> Fmt.pf fmt "%s! %s@." pad c
 

@@ -278,10 +278,14 @@ let decode_entry ~kind key bytes =
     | Some _ | None -> None
     | exception Wire.Malformed -> None
 
+(* Reads and writes get their own [diskcache] spans, apart from the
+   [iset] slow-path spans, so a trace shows what the persistent layer
+   costs. *)
 let find ~kind key =
   match dir () with
   | None -> None
-  | Some root -> (
+  | Some root ->
+      Obs.span ~cat:"diskcache" "diskcache find" @@ fun () ->
       Stats.bump Stats.disk_lookups;
       let path = entry_path root ~kind key in
       match read_file path with
@@ -304,12 +308,13 @@ let find ~kind key =
                       ("path", Obs.Str path);
                       ("bytes", Obs.Int (String.length bytes));
                     ]);
-              None))
+              None)
 
 let store ~kind key value =
   match dir () with
   | None -> ()
   | Some root -> (
+      Obs.span ~cat:"diskcache" "diskcache store" @@ fun () ->
       let path = entry_path root ~kind key in
       mkdir_p (Filename.dirname path);
       let bytes = encode_entry ~kind key value in

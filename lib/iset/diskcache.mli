@@ -27,7 +27,9 @@
 
     Traffic is counted once, in the [Stats.disk_*] counters (exported as
     the [iset/disk ...] metric series); the footprint is the
-    [diskcache/bytes] gauge. *)
+    [diskcache/bytes] gauge. {!find} and {!store} run inside
+    ["diskcache find"] / ["diskcache store"] trace spans (category
+    [diskcache]). *)
 
 val set_dir : string option -> unit
 (** Enable the cache rooted at a directory (created on demand), or

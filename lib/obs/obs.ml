@@ -55,6 +55,7 @@ let reset () =
   Atomic.set flow_ctr 0;
   epoch := (if Atomic.get on then Unix.gettimeofday () else 0.0)
 
+let clock () = Unix.gettimeofday ()
 let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6
 
 let push e =
@@ -68,23 +69,39 @@ let ev ?(cat = "") ?(args = []) ~ph ~pid ~tid ~ts ?(dur = 0.0) ?(id = 0) name =
       e_ts = ts; e_dur = dur; e_id = id; e_args = args }
 
 (* ------------------------------------------------------------------ *)
-(* Real-time events (compiler side): pid 0, tid 0                      *)
+(* Real-time events (compiler side): pid 0, one tid per domain         *)
 (* ------------------------------------------------------------------ *)
 
-let span ?cat ?args name f =
-  if not (Atomic.get on) then f ()
+let domain_tid () = (Domain.self () :> int)
+
+(* one clock read at close serves both the event and [on_end] *)
+let close_span ?cat ?args ?on_end ~traced ~t0 name =
+  let t1 = Unix.gettimeofday () in
+  if traced then begin
+    let args = match args with None -> [] | Some g -> g () in
+    ev ?cat ~args ~ph:X ~pid:0 ~tid:(domain_tid ()) ~ts:((t0 -. !epoch) *. 1e6)
+      ~dur:((t1 -. t0) *. 1e6) name
+  end;
+  match on_end with Some k -> k (t1 -. t0) | None -> ()
+
+let span ?cat ?args ?on_end name f =
+  let traced = Atomic.get on in
+  if (not traced) && Option.is_none on_end then f ()
   else begin
-    let t0 = now_us () in
-    Fun.protect
-      ~finally:(fun () ->
-        let t1 = now_us () in
-        let args = match args with None -> [] | Some g -> g () in
-        ev ?cat ~args ~ph:X ~pid:0 ~tid:0 ~ts:t0 ~dur:(t1 -. t0) name)
-      f
+    let t0 = Unix.gettimeofday () in
+    match f () with
+    | r ->
+        close_span ?cat ?args ?on_end ~traced ~t0 name;
+        r
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        close_span ?cat ?args ?on_end ~traced ~t0 name;
+        Printexc.raise_with_backtrace e bt
   end
 
 let instant ?cat ?args name =
-  if Atomic.get on then ev ?cat ?args ~ph:I ~pid:0 ~tid:0 ~ts:(now_us ()) name
+  if Atomic.get on then
+    ev ?cat ?args ~ph:I ~pid:0 ~tid:(domain_tid ()) ~ts:(now_us ()) name
 
 let counter name series =
   if Atomic.get on then
@@ -137,8 +154,12 @@ let json_of_arg = function
 let args_json args = Json.Obj (List.map (fun (k, v) -> (k, json_of_arg v)) args)
 
 (* trace timestamps are microseconds; rounding to three decimals keeps
-   their nanosecond resolution without a second number format *)
-let us x = Json.Num (Float.round (x *. 1e3) /. 1e3)
+   their nanosecond resolution without a second number format. A slice's
+   duration is its rounded end minus its rounded start, so nested slices
+   stay nested in the file. *)
+let ns x = Float.round (x *. 1e3)
+let us x = Json.Num (ns x /. 1e3)
+let us_dur ts dur = Json.Num ((ns (ts +. dur) -. ns ts) /. 1e3)
 
 let event_json e =
   let ph =
@@ -156,7 +177,7 @@ let event_json e =
     @ (if e.e_cat <> "" then [ ("cat", Json.Str e.e_cat) ] else [])
     @ [ ("pid", Json.int e.e_pid); ("tid", Json.int e.e_tid); ("ts", us e.e_ts) ]
     @ (match e.e_ph with
-      | X -> [ ("dur", us e.e_dur) ]
+      | X -> [ ("dur", us_dur e.e_ts e.e_dur) ]
       | I -> [ ("s", Json.Str "t") ]
       | FlowStart -> [ ("id", Json.int e.e_id) ]
       | FlowEnd -> [ ("id", Json.int e.e_id); ("bp", Json.Str "e") ]

@@ -6,7 +6,8 @@
 
     - {e real time}: {!span}, {!instant} and {!counter} stamp events with
       wall-clock microseconds relative to the trace epoch (the first
-      {!enable}); the compiler pipeline uses these.
+      {!enable}); the compiler pipeline uses these, and {!span} is the
+      one way to time a wall-clock region.
     - {e simulated time}: {!complete}, {!instant_at}, {!flow_start} and
       {!flow_end} take explicit timestamps, which the
       SPMD simulator supplies from its virtual clocks. Tracing only ever
@@ -16,8 +17,8 @@
     The disabled path is a single [bool] read: guard hot call sites with
     [if Obs.enabled () then ...] and nothing is allocated when tracing is
     off. Lanes in the exported trace are (pid, tid) pairs: the compiler
-    reports on pid 0, each simulation instance claims a fresh pid with one
-    tid per simulated processor.
+    reports on pid 0 with one tid per domain, each simulation instance
+    claims a fresh pid with one tid per simulated processor.
 
     Every export is a {!Json.t} value printed by the one codec, {!Json}:
     the Chrome trace, the flight-recorder dump, each JSONL log line and
@@ -82,16 +83,22 @@ val reset : unit -> unit
 (** Drop all buffered events and flow/lane bookkeeping; a subsequent
     {!enable} starts a fresh epoch. *)
 
-val now_us : unit -> float
-(** Wall-clock microseconds since the trace epoch. *)
+val clock : unit -> float
+(** Wall-clock Unix seconds, the clock {!span} reads; for readings that
+    time no one region (a profiler's time since its reset). *)
 
 (** {1 Real-time events (compiler side)} *)
 
-val span : ?cat:string -> ?args:(unit -> (string * arg) list) -> string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f] inside a complete event. Spans nest by timestamp
-    containment (no explicit parent links). [args] is evaluated once, at
-    span close, and only when tracing is on. When tracing is off this is
-    exactly [f ()]. *)
+val span :
+  ?cat:string -> ?args:(unit -> (string * arg) list) ->
+  ?on_end:(float -> unit) -> string -> (unit -> 'a) -> 'a
+(** [span name f] runs [f] inside a complete event on pid 0 and the
+    calling domain's track ([tid = Domain.self ()]); spans nest by
+    timestamp containment. The clock is read once at each end, and
+    [on_end] gets the seconds between the reads, after the event is
+    recorded, also when [f] raises. [args] is evaluated once, at span
+    close, and only when tracing is on. With tracing off and no [on_end]
+    this is exactly [f ()]. *)
 
 val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
 val counter : string -> (string * float) list -> unit
@@ -125,8 +132,9 @@ val events_count : unit -> int
 val to_chrome_json : unit -> Json.t
 (** The buffer as a Chrome trace-event JSON object ({e JSON Object
     Format}: [{"traceEvents": [...], ...}]), loadable in Perfetto and
-    chrome://tracing. Timestamps and durations are microseconds rounded
-    to three decimals (nanosecond resolution). *)
+    chrome://tracing. Timestamps are microseconds rounded to three
+    decimals (nanosecond resolution); a slice's duration is its rounded
+    end minus its rounded start. *)
 
 val write : string -> unit
 (** Write {!to_chrome_json} to a file ({!write_json}). *)

@@ -924,44 +924,15 @@ let make ?machine ?faults ?domains ~nprocs ?params prog : csim =
   List.iter (fun (name, _) -> ignore (Lazy.force (Hashtbl.find subs name) : cstmt)) k_subs;
   { cs with c_main = main }
 
-(* element-wise array reduction over the (sparse) side tables: combine the
-   values present on some processor, in pid order, and write the result
-   back everywhere — the same algorithm, element set and combination order
-   as the interpreter's collective *)
+(* element-wise array reduction over the (sparse) side tables *)
 let reduce_arr cs name (op : Spmd.reduce_op) : int =
   let aid =
     match Hashtbl.find_opt cs.c_arrays name with
     | Some a -> a
     | None -> errf "unknown array %s" name
   in
-  let tables = Array.map (fun rt -> rt.r_stores.(aid).st_side) cs.c_rts in
-  let keys = Hashtbl.create 256 in
-  Array.iter
-    (fun tbl -> Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tbl)
-    tables;
-  let combined = Hashtbl.create (Hashtbl.length keys) in
-  Hashtbl.iter
-    (fun k () ->
-      let acc = ref None in
-      Array.iter
-        (fun tbl ->
-          match Hashtbl.find_opt tbl k with
-          | None -> ()
-          | Some v ->
-              acc :=
-                Some
-                  (match (!acc, op) with
-                  | None, _ -> v
-                  | Some a, Spmd.RSum -> a +. v
-                  | Some a, Spmd.RMax -> Float.max a v
-                  | Some a, Spmd.RMin -> Float.min a v))
-        tables;
-      match !acc with Some v -> Hashtbl.replace combined k v | None -> ())
-    keys;
-  Array.iter
-    (fun tbl -> Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) combined)
-    tables;
-  Hashtbl.length combined
+  Runtime.reduce_tables op
+    (Array.map (fun rt -> rt.r_stores.(aid).st_side) cs.c_rts)
 
 let run (cs : csim) : Runtime.stats =
   if cs.c_ran then

@@ -390,36 +390,8 @@ let rec exec_stmt sim p (s : Spmd.stmt) : unit =
 (* Interpreter collectives and scheduling                              *)
 (* ------------------------------------------------------------------ *)
 
-(* element-wise combination of every processor's partial values *)
 let reduce_arr_interp sim name (op : Spmd.reduce_op) : int =
-  let tables = (meta_of sim name).mt_tables in
-  let keys = Hashtbl.create 256 in
-  Array.iter
-    (fun tbl -> Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tbl)
-    tables;
-  let combined = Hashtbl.create (Hashtbl.length keys) in
-  Hashtbl.iter
-    (fun k () ->
-      let acc = ref None in
-      Array.iter
-        (fun tbl ->
-          match Hashtbl.find_opt tbl k with
-          | None -> ()
-          | Some v ->
-              acc :=
-                Some
-                  (match (!acc, op) with
-                  | None, _ -> v
-                  | Some a, Spmd.RSum -> a +. v
-                  | Some a, Spmd.RMax -> Float.max a v
-                  | Some a, Spmd.RMin -> Float.min a v))
-        tables;
-      match !acc with Some v -> Hashtbl.replace combined k v | None -> ())
-    keys;
-  Array.iter
-    (fun tbl -> Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) combined)
-    tables;
-  Hashtbl.length combined
+  Runtime.reduce_tables op (meta_of sim name).mt_tables
 
 let run_interp (sim : isim) : Runtime.stats =
   if sim.iran then

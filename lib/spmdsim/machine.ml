@@ -69,12 +69,16 @@ let default = sp2
 (** Cost of an n-element message on the wire. *)
 let msg_time t n = t.alpha +. (float_of_int (n * t.elem_bytes) *. t.beta)
 
-(** Cost of a P-way all-reduce of one scalar (binary-tree up and down). *)
-let allreduce_time t p =
-  if p <= 1 then 0.0
-  else
-    let stages = int_of_float (ceil (log (float_of_int p) /. log 2.0)) in
-    2.0 *. float_of_int stages *. msg_time t 1
+(** Tree depth of a P-way collective: ⌈log₂ P⌉, 0 for one processor. *)
+let stages p =
+  if p <= 1 then 0 else int_of_float (ceil (log (float_of_int p) /. log 2.0))
+
+(** Cost of a P-way all-reduce of an n-element payload (binary-tree up and
+    down). *)
+let allreduce_cost t p n = 2.0 *. float_of_int (stages p) *. msg_time t n
+
+(** Cost of a P-way all-reduce of one scalar. *)
+let allreduce_time t p = allreduce_cost t p 1
 
 (** Total sender-side wait for [k] consecutive dropped transmissions of one
     message: the timeout fires after each drop, with exponential backoff. *)

@@ -233,16 +233,21 @@ let obtain ~cache_dir (kernel : Imp.kernel) : kernel_fn =
         if Obs.Log.enabled Obs.Log.Info then
           Obs.Log.info "native.build_start"
             ~fields:(fun () -> [ ("key", Obs.Str key) ]);
-        Obs.span ~cat:"native" "native build" (fun () ->
-            let t0 = Unix.gettimeofday () in
+        (* a failed build records no sample and logs no build_done *)
+        let built = ref false in
+        Obs.span ~cat:"native" "native build"
+          ~on_end:(fun dt ->
+            if !built then begin
+              if Obs.Metrics.enabled () then
+                Obs.Metrics.observe (m_build ()) dt;
+              if Obs.Log.enabled Obs.Log.Info then
+                Obs.Log.info "native.build_done"
+                  ~fields:(fun () ->
+                    [ ("key", Obs.Str key); ("build_s", Obs.Float dt) ])
+            end)
+          (fun () ->
             compile_plugin ~dirs ~src ~ml ~cmxs;
-            let dt = Unix.gettimeofday () -. t0 in
-            if Obs.Metrics.enabled () then
-              Obs.Metrics.observe (m_build ()) dt;
-            if Obs.Log.enabled Obs.Log.Info then
-              Obs.Log.info "native.build_done"
-                ~fields:(fun () ->
-                  [ ("key", Obs.Str key); ("build_s", Obs.Float dt) ]));
+            built := true);
         (* a build added bytes: re-bound the cache (freshly built groups
            are the newest, so they survive) *)
         prune_cache cache_dir

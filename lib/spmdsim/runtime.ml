@@ -929,6 +929,55 @@ type waiting =
   | WReduceArr of string * Spmd.reduce_op * (unit, unit) Effect.Deep.continuation
   | WDone
 
+(* Collectives, shared by [sched_run], [sched_run_par] and both engines: a
+   collective starts at the latest processor clock; a scalar all-reduce
+   folds the operands in processor order from the operator's identity; an
+   array all-reduce combines, per element, the values present on some
+   processor in pid order and writes the result back everywhere. *)
+let max_clock (h : hooks) =
+  let t = ref 0.0 in
+  for p = 0 to h.h_nprocs - 1 do
+    t := Float.max !t (h.h_clock p)
+  done;
+  !t
+
+let combine op a v =
+  match op with
+  | Spmd.RSum -> a +. v
+  | Spmd.RMax -> Float.max a v
+  | Spmd.RMin -> Float.min a v
+
+let reduce_scalar op vals =
+  List.fold_left (combine op)
+    (match op with
+    | Spmd.RSum -> 0.0
+    | Spmd.RMax -> Float.neg_infinity
+    | Spmd.RMin -> Float.infinity)
+    vals
+
+let reduce_tables op tables =
+  let keys = Hashtbl.create 256 in
+  Array.iter
+    (fun tbl -> Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tbl)
+    tables;
+  let combined = Hashtbl.create (Hashtbl.length keys) in
+  Hashtbl.iter
+    (fun k () ->
+      let acc = ref None in
+      Array.iter
+        (fun tbl ->
+          match (Hashtbl.find_opt tbl k, !acc) with
+          | None, _ -> ()
+          | Some v, None -> acc := Some v
+          | Some v, Some a -> acc := Some (combine op a v))
+        tables;
+      match !acc with Some v -> Hashtbl.replace combined k v | None -> ())
+    keys;
+  Array.iter
+    (fun tbl -> Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) combined)
+    tables;
+  Hashtbl.length combined
+
 let sched_run (h : hooks) : unit =
   let tr = h.h_tr in
   let machine = tr.tr_machine in
@@ -965,13 +1014,6 @@ let sched_run (h : hooks) : unit =
   done;
   let is_done = function WDone -> true | _ -> false in
   let all_done () = Array.for_all is_done status in
-  let max_clock () =
-    let t = ref 0.0 in
-    for p = 0 to nprocs - 1 do
-      t := Float.max !t (h.h_clock p)
-    done;
-    !t
-  in
   let progressed = ref true in
   while (not (all_done ())) && !progressed do
     progressed := false;
@@ -1033,12 +1075,10 @@ let sched_run (h : hooks) : unit =
           | _ -> assert false
         in
         let nelems = h.h_reduce_arr name op in
-        let stages =
-          if nprocs <= 1 then 0
-          else int_of_float (ceil (log (float_of_int nprocs) /. log 2.0))
+        let stages = Machine.stages nprocs in
+        let t_done =
+          max_clock h +. Machine.allreduce_cost machine nprocs nelems
         in
-        let cost = 2.0 *. float_of_int stages *. Machine.msg_time machine nelems in
-        let t_done = max_clock () +. cost in
         tr.tr_c.n_msgs <- tr.tr_c.n_msgs + (2 * stages * nprocs);
         tr.tr_c.n_bytes <-
           tr.tr_c.n_bytes + (2 * stages * nelems * machine.Machine.elem_bytes);
@@ -1091,20 +1131,8 @@ let sched_run (h : hooks) : unit =
                | _ -> None)
         in
         let op = fst (List.hd vals) in
-        let combined =
-          List.fold_left
-            (fun acc (_, v) ->
-              match op with
-              | Spmd.RSum -> acc +. v
-              | Spmd.RMax -> Float.max acc v
-              | Spmd.RMin -> Float.min acc v)
-            (match op with
-            | Spmd.RSum -> 0.0
-            | Spmd.RMax -> Float.neg_infinity
-            | Spmd.RMin -> Float.infinity)
-            vals
-        in
-        let t_done = max_clock () +. Machine.allreduce_time machine nprocs in
+        let combined = reduce_scalar op (List.map snd vals) in
+        let t_done = max_clock h +. Machine.allreduce_time machine nprocs in
         (match tr.tr_metrics with
         | None -> ()
         | Some sm ->
@@ -1118,19 +1146,13 @@ let sched_run (h : hooks) : unit =
               status);
         (match tr.tr_trace with
         | Some tw ->
-            let opname =
-              match op with
-              | Spmd.RSum -> "sum"
-              | Spmd.RMax -> "max"
-              | Spmd.RMin -> "min"
-            in
             Array.iteri
               (fun p s ->
                 match s with
                 | WReduce _ ->
                     trace_slice tw ~tid:p ~t0:(h.h_clock p) ~t1:t_done
                       ~cat:"coll"
-                      (Printf.sprintf "allreduce %s" opname)
+                      ("allreduce " ^ Spmd.reduce_op_name op)
                 | _ -> ())
               status
         | None -> ());
@@ -1310,26 +1332,14 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
        an array collective likewise needs every lane. *)
     let try_fire (s : coll_slot) =
       if not s.sl_fired then begin
-        let max_clock () =
-          let t = ref 0.0 in
-          for p = 0 to nprocs - 1 do
-            t := Float.max !t (h.h_clock p)
-          done;
-          !t
-        in
         if List.length s.sl_ar = nprocs then begin
           let _, name, op =
             List.find (fun (p, _, _) -> p = 0) s.sl_ar
           in
           let nelems = h.h_reduce_arr name op in
           Queue.push nelems arr_nelems;
-          let stages =
-            if nprocs <= 1 then 0
-            else int_of_float (ceil (log (float_of_int nprocs) /. log 2.0))
-          in
           s.sl_tdone <-
-            max_clock ()
-            +. (2.0 *. float_of_int stages *. Machine.msg_time machine nelems);
+            max_clock h +. Machine.allreduce_cost machine nprocs nelems;
           s.sl_fired <- true;
           incr seqno;
           Condition.broadcast cond
@@ -1339,19 +1349,8 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
             List.sort (fun (a, _, _) (b, _, _) -> compare a b) s.sl_sc
           in
           let op = match vals with (_, op, _) :: _ -> op | [] -> assert false in
-          s.sl_scalar <-
-            List.fold_left
-              (fun acc (_, _, v) ->
-                match op with
-                | Spmd.RSum -> acc +. v
-                | Spmd.RMax -> Float.max acc v
-                | Spmd.RMin -> Float.min acc v)
-              (match op with
-              | Spmd.RSum -> 0.0
-              | Spmd.RMax -> Float.neg_infinity
-              | Spmd.RMin -> Float.infinity)
-              vals;
-          s.sl_tdone <- max_clock () +. Machine.allreduce_time machine nprocs;
+          s.sl_scalar <- reduce_scalar op (List.map (fun (_, _, v) -> v) vals);
+          s.sl_tdone <- max_clock h +. Machine.allreduce_time machine nprocs;
           s.sl_fired <- true;
           incr seqno;
           Condition.broadcast cond

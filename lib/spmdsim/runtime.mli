@@ -341,6 +341,11 @@ type hooks = {
   h_phys_of_vp : int list -> int;
 }
 
+val reduce_tables : Spmd.reduce_op -> ('k, float) Hashtbl.t array -> int
+(** An [h_reduce_arr] over per-processor tables of present elements:
+    combine each element's values in pid order, write the result to every
+    table, return the element count. *)
+
 val sched_run_par : ?domains:int -> hooks -> unit
 (** Drive every processor fiber to completion: deliver sequence-matched
     messages, execute collectives, and raise {!Deadlock} with a structured

@@ -4,7 +4,8 @@
    - Wire roundtrips (ints incl. min_int, strings with embedded NULs,
      nested lists) and Malformed on garbage;
    - store/find roundtrip with hit/miss accounting, read by the metrics
-     registry from the Stats counters even after a registry reset;
+     registry from the Stats counters even after a registry reset, and
+     one [diskcache] trace span per call;
    - corruption tolerance: truncated entries, corrupted magic (the
      format-version tag) and digest collisions with a different key are
      all misses, never errors;
@@ -230,6 +231,29 @@ let test_roundtrip_and_counters () =
   Alcotest.(check int) "three lookups" 3 (Stats.count Stats.disk_lookups);
   Alcotest.(check int) "one hit" 1 (Stats.count Stats.disk_hits);
   Alcotest.(check bool) "bytes tracked" true (Diskcache.bytes_used () > 0)
+
+(* each find and store runs inside one [diskcache] span *)
+let test_disk_spans () =
+  with_cache @@ fun _d ->
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      Diskcache.store ~kind:"t" "k" "v";
+      ignore (Diskcache.find ~kind:"t" "k" : string option);
+      ignore (Diskcache.find ~kind:"t" "absent" : string option));
+  let spans =
+    List.filter_map
+      (fun e ->
+        if e.Obs.e_ph = Obs.X && e.Obs.e_cat = "diskcache" then
+          Some e.Obs.e_name
+        else None)
+      (Obs.events ())
+  in
+  Obs.reset ();
+  Alcotest.(check (list string))
+    "one span per call"
+    [ "diskcache store"; "diskcache find"; "diskcache find" ]
+    spans
 
 let entry_file d =
   match files_under d with
@@ -495,6 +519,7 @@ let () =
           Alcotest.test_case "max_int length" `Quick test_max_int_length_is_miss;
           Alcotest.test_case "metrics survive reset" `Quick
             test_metrics_survive_reset;
+          Alcotest.test_case "trace spans" `Quick test_disk_spans;
         ] );
       ( "concurrency",
         [

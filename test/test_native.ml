@@ -141,6 +141,42 @@ let test_cache_hit () =
   Obs.Metrics.disable ();
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
+(* a build that fails (here: no library interfaces to compile against)
+   raises, and records no [native/build_s] sample *)
+let test_failed_build () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dhpf-native-fail-%d" (Unix.getpid ()))
+  in
+  Obs.Metrics.enable ();
+  Obs.Metrics.reset ();
+  let chk = Hpf.Sema.analyze_source (Codes.figure2 ~nval:37 ()) in
+  let cprog = (Dhpf.Gen.compile chk).Dhpf.Gen.cprog in
+  Unix.putenv "DHPF_NATIVE_INCLUDES" (Filename.concat dir "no-such-dir");
+  let built =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "DHPF_NATIVE_INCLUDES" "")
+      (fun () ->
+        match Spmdsim.Native.make ~cache_dir:dir ~nprocs:2 cprog with
+        | _ -> true
+        | exception _ -> false)
+  in
+  Alcotest.(check bool) "the build failed" false built;
+  let samples =
+    List.filter_map
+      (fun s ->
+        match s with
+        | { Obs.Metrics.m_name = "native/build_s"; m_value = VHisto h; _ } ->
+            Some h.hs_count
+        | _ -> None)
+      (Obs.Metrics.snapshot ())
+  in
+  Alcotest.(check (list int))
+    "no build_s sample" []
+    (List.filter (( <> ) 0) samples);
+  Obs.Metrics.disable ();
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+
 (* ---- hand-built programs: runtime error paths, subroutine resolution ---- *)
 
 open Dhpf
@@ -642,7 +678,11 @@ let () =
       ( "random",
         List.map QCheck_alcotest.to_alcotest [ prop_three_way_random ] );
       ( "cache",
-        [ Alcotest.test_case "source-hash cache hit" `Slow test_cache_hit ] );
+        [
+          Alcotest.test_case "source-hash cache hit" `Slow test_cache_hit;
+          Alcotest.test_case "failed build records no sample" `Quick
+            test_failed_build;
+        ] );
       ("errors", List.map error_case error_cases);
       ( "calls",
         [ Alcotest.test_case "resolution rules" `Quick test_sub_resolution ] );

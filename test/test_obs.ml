@@ -55,6 +55,81 @@ let test_span_exception () =
   Alcotest.(check bool) "span recorded despite exception" true
     (List.exists (fun e -> e.Obs.e_name = "raises") evs)
 
+let test_span_on_end () =
+  Obs.reset ();
+  Obs.disable ();
+  let dt = ref (-1.0) in
+  let r = Obs.span ~on_end:(fun s -> dt := s) "untraced" (fun () -> 5) in
+  Alcotest.(check int) "thunk result" 5 r;
+  Alcotest.(check bool) "on_end got a duration >= 0" true (!dt >= 0.0);
+  Alcotest.(check int) "no events recorded" 0 (Obs.events_count ());
+  let ended = ref false in
+  (match
+     Obs.span ~on_end:(fun _ -> ended := true) "raises" (fun () ->
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure m ->
+      Alcotest.(check string) "exception propagates" "boom" m);
+  Alcotest.(check bool) "on_end ran on the exception" true !ended
+
+(* A traced two-domain compile: each phase total is the sum of that
+   label's phase spans, and on every pid-0 track (one per domain) the
+   spans nest — a span that starts inside another ends inside it too. *)
+let test_phase_spans () =
+  Iset.Cache.clear_all ();
+  let chk = Hpf.Sema.analyze_source (Codes.sp_like ~n:12 ~nsub:6 ()) in
+  let ph = Dhpf.Phase.create () in
+  let (), evs =
+    with_trace (fun () -> ignore (Dhpf.Gen.compile ~domains:2 ~phase:ph chk))
+  in
+  let spans =
+    List.filter (fun e -> e.Obs.e_ph = Obs.X && e.Obs.e_pid = 0) evs
+  in
+  let labels = Dhpf.Phase.labels ph in
+  Alcotest.(check bool) "phases timed" true (labels <> []);
+  List.iter
+    (fun l ->
+      let traced =
+        List.fold_left
+          (fun acc e ->
+            if e.Obs.e_cat = "phase" && e.Obs.e_name = l then
+              acc +. (e.Obs.e_dur /. 1e6)
+            else acc)
+          0.0 spans
+      in
+      let total = Dhpf.Phase.total ph l in
+      if Float.abs (total -. traced) > 1e-9 then
+        Alcotest.failf "%s: total %.9f s, spans %.9f s" l total traced)
+    labels;
+  (* timestamps are microseconds; allow float rounding only *)
+  let eps = 1e-6 in
+  let tids = List.sort_uniq compare (List.map (fun e -> e.Obs.e_tid) spans) in
+  List.iter
+    (fun tid ->
+      let track =
+        List.filter (fun e -> e.Obs.e_tid = tid) spans
+        |> List.sort (fun a b ->
+               compare (a.Obs.e_ts, -.a.Obs.e_dur) (b.Obs.e_ts, -.b.Obs.e_dur))
+      in
+      ignore
+        (List.fold_left
+           (fun open_ e ->
+             let t0 = e.Obs.e_ts and t1 = e.Obs.e_ts +. e.Obs.e_dur in
+             let rec close = function
+               | (_, pend) :: rest when pend <= t0 +. eps -> close rest
+               | st -> st
+             in
+             let open_ = close open_ in
+             (match open_ with
+             | (pname, pend) :: _ when t1 > pend +. eps ->
+                 Alcotest.failf "tid %d: %s partially overlaps %s" tid
+                   e.Obs.e_name pname
+             | _ -> ());
+             (e.Obs.e_name, t1) :: open_)
+           [] track))
+    tids
+
 (* ---- JSON export ---- *)
 
 module J = Obs.Json
@@ -440,6 +515,9 @@ let () =
           Alcotest.test_case "disabled path" `Quick test_disabled_path;
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_exception;
+          Alcotest.test_case "on_end" `Quick test_span_on_end;
+          Alcotest.test_case "phase totals are span durations" `Quick
+            test_phase_spans;
         ] );
       ( "export",
         [
