@@ -176,7 +176,7 @@ let session_t =
     const make $ jobs_t $ disk_cache_t $ disk_cache_mb_t $ trace_t $ metrics_t)
 
 (* [with_session s f] runs [f domains] inside one measurement window and
-   writes the sinks afterwards.
+   writes the sinks afterwards, also when [f] fails.
    - The window: phase totals and integer-set cache counters are
      process-global and would otherwise leak across compiles in one
      process (cache *contents* survive deliberately).
@@ -216,21 +216,36 @@ let with_session s f =
     Obs.Metrics.set
       (Obs.Metrics.gauge "compiler/domains")
       (float_of_int domains);
-  let r = f domains in
-  Option.iter
-    (fun path ->
-      Obs.write path;
-      Fmt.epr "%s" (Obs.summary ());
-      Fmt.epr "trace: %d events -> %s@." (Obs.events_count ()) path)
-    s.trace;
-  Option.iter
-    (fun path ->
-      Obs.Metrics.write path;
-      Fmt.epr "metrics: %d series -> %s@."
-        (List.length (Obs.Metrics.snapshot ()))
-        path)
-    s.metrics;
-  r
+  let written = ref false in
+  let write_sinks () =
+    if not !written then begin
+      written := true;
+      Option.iter
+        (fun path ->
+          Obs.write path;
+          Fmt.epr "%s" (Obs.summary ());
+          Fmt.epr "trace: %d events -> %s@." (Obs.events_count ()) path)
+        s.trace;
+      Option.iter
+        (fun path ->
+          Obs.Metrics.write path;
+          Fmt.epr "metrics: %d series -> %s@."
+            (List.length (Obs.Metrics.snapshot ()))
+            path)
+        s.metrics
+    end
+  in
+  (* a failed run's sinks are the ones that show where it failed: write
+     them whether [f] returns, raises, or calls [exit] itself *)
+  at_exit (fun () -> try write_sinks () with Sys_error _ -> ());
+  match f domains with
+  | r ->
+      write_sinks ();
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try write_sinks () with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 (* ---- arguments ---- *)
 

@@ -30,7 +30,7 @@ let () =
   section "2. Code generation from a set";
   let tri = Parse.set "{[i,j] : 1 <= i <= 6 && i <= j <= 6 && exists(a : j = 2a)}" in
   let asts = Codegen.gen ~names:(Rel.in_names tri) [ { Codegen.tag = "S1"; dom = tri } ] in
-  print_string (Codegen.ast_to_string (fun fmt s -> Fmt.string fmt s) asts);
+  print_string (Codegen.ast_to_string asts);
 
   (* ---- 3. a small HPF program ---- *)
   section "3. Compile a mini-HPF program";

@@ -196,89 +196,150 @@ let assigned_scalars (p : program) : string list =
 (* Pretty-printing (Fortran-like, for the examples and the CLI)        *)
 (* ------------------------------------------------------------------ *)
 
-let pp_expr = Iset.Codegen.pp_expr
-let pp_cond = Iset.Codegen.pp_cond
+module B = Iset.Linebuf
 
-let rec pp_fexpr fmt = function
-  | FConst x -> Fmt.float fmt x
+let add_expr = Iset.Codegen.add_expr
+let add_cond = Iset.Codegen.add_cond
+
+let rec add_fexpr b = function
+  | FConst x -> B.add_string b (Printf.sprintf "%g" x)
   | FLoad { arr; idx; access } ->
-      let marker =
-        match access with Local | Global -> "" | Checked -> "@" | Overlay -> "~"
-      in
-      Fmt.pf fmt "%s%s(%a)" marker arr Fmt.(list ~sep:comma pp_expr) idx
-  | FScalar s -> Fmt.string fmt s
-  | FBin (op, a, b) ->
-      let s = match op with Hpf.Ast.Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" in
-      Fmt.pf fmt "(%a %s %a)" pp_fexpr a s pp_fexpr b
-  | FNeg a -> Fmt.pf fmt "(-%a)" pp_fexpr a
-  | FIntrin (f, args) -> Fmt.pf fmt "%s(%a)" f Fmt.(list ~sep:comma pp_fexpr) args
-  | FOfInt e -> pp_expr fmt e
+      (match access with
+      | Local | Global -> ()
+      | Checked -> B.add_char b '@'
+      | Overlay -> B.add_char b '~');
+      add_ref b arr idx
+  | FScalar s -> B.add_string b s
+  | FBin (op, x, y) ->
+      B.add_char b '(';
+      add_fexpr b x;
+      B.add_string b
+        (match op with
+        | Hpf.Ast.Add -> " + "
+        | Sub -> " - "
+        | Mul -> " * "
+        | Div -> " / ");
+      add_fexpr b y;
+      B.add_char b ')'
+  | FNeg x -> B.add_string b "(-"; add_fexpr b x; B.add_char b ')'
+  | FIntrin (f, args) ->
+      B.add_string b f;
+      B.add_char b '(';
+      B.list add_fexpr b args;
+      B.add_char b ')'
+  | FOfInt e -> add_expr b e
 
-let rec pp_fcond fmt = function
-  | FCmp (a, op, b) ->
-      Fmt.pf fmt "%a %s %a" pp_fexpr a (Hpf.Ast.string_of_cmpop op) pp_fexpr b
-  | FAnd (a, b) -> Fmt.pf fmt "(%a .and. %a)" pp_fcond a pp_fcond b
-  | FOr (a, b) -> Fmt.pf fmt "(%a .or. %a)" pp_fcond a pp_fcond b
-  | FNot a -> Fmt.pf fmt "(.not. %a)" pp_fcond a
+(* [arr(i, j)], the commas break hints *)
+and add_ref b arr idx =
+  B.add_string b arr;
+  B.add_char b '(';
+  B.list add_expr b idx;
+  B.add_char b ')'
 
-let rec pp_stmt ?(indent = 0) fmt s =
-  let pad = String.make indent ' ' in
-  let body b = List.iter (pp_stmt ~indent:(indent + 2) fmt) b in
+let rec add_fcond b = function
+  | FCmp (x, op, y) ->
+      add_fexpr b x;
+      B.add_char b ' ';
+      B.add_string b (Hpf.Ast.string_of_cmpop op);
+      B.add_char b ' ';
+      add_fexpr b y
+  | FAnd (x, y) -> add_fbin b x " .and. " y
+  | FOr (x, y) -> add_fbin b x " .or. " y
+  | FNot x -> B.add_string b "(.not. "; add_fcond b x; B.add_char b ')'
+
+and add_fbin b x op y =
+  B.add_char b '(';
+  add_fcond b x;
+  B.add_string b op;
+  add_fcond b y;
+  B.add_char b ')'
+
+let line b indent f =
+  B.add_spaces b indent;
+  f ();
+  B.newline b
+
+let rec add_stmt b indent s =
+  let body = List.iter (add_stmt b (indent + 2)) in
+  let str = B.add_string b in
+  let call name event =
+    str "call ";
+    str name;
+    B.add_int b event
+  in
+  let vp name event coords =
+    call name event;
+    str "(vp=(";
+    B.list add_expr b coords;
+    str "))"
+  in
   match s with
-  | For { var; lo; hi; step; body = b } ->
-      (match step with
-      | Iset.Codegen.EInt 1 ->
-          Fmt.pf fmt "%sdo %s = %a, %a@." pad var pp_expr lo pp_expr hi
-      | _ ->
-          Fmt.pf fmt "%sdo %s = %a, %a, %a@." pad var pp_expr lo pp_expr hi pp_expr step);
-      body b;
-      Fmt.pf fmt "%senddo@." pad
-  | If (c, b) ->
-      Fmt.pf fmt "%sif (%a) then@." pad pp_cond c;
-      body b;
-      Fmt.pf fmt "%sendif@." pad
+  | For { var; lo; hi; step; body = bd } ->
+      line b indent (fun () ->
+          str "do ";
+          str var;
+          str " = ";
+          add_expr b lo;
+          str ", ";
+          add_expr b hi;
+          match step with
+          | Iset.Codegen.EInt 1 -> ()
+          | _ ->
+              str ", ";
+              add_expr b step);
+      body bd;
+      line b indent (fun () -> str "enddo")
+  | If (c, bd) ->
+      line b indent (fun () -> str "if ("; add_cond b c; str ") then");
+      body bd;
+      line b indent (fun () -> str "endif")
   | FIf (c, t, e) ->
-      Fmt.pf fmt "%sif (%a) then@." pad pp_fcond c;
+      line b indent (fun () -> str "if ("; add_fcond b c; str ") then");
       body t;
       if e <> [] then begin
-        Fmt.pf fmt "%selse@." pad;
+        line b indent (fun () -> str "else");
         body e
       end;
-      Fmt.pf fmt "%sendif@." pad
+      line b indent (fun () -> str "endif")
   | Store { arr; idx; value; access } ->
-      let marker = match access with Checked -> "@" | _ -> "" in
-      Fmt.pf fmt "%s%s%s(%a) = %a@." pad marker arr
-        Fmt.(list ~sep:comma pp_expr) idx pp_fexpr value
-  | SetScalar (s, v) -> Fmt.pf fmt "%s%s = %a@." pad s pp_fexpr v
+      line b indent (fun () ->
+          if access = Checked then B.add_char b '@';
+          add_ref b arr idx;
+          str " = ";
+          add_fexpr b value)
+  | SetScalar (name, v) ->
+      line b indent (fun () -> str name; str " = "; add_fexpr b v)
   | Pack { event; arr; idx } ->
-      Fmt.pf fmt "%scall pack_%d(%s(%a))@." pad event arr
-        Fmt.(list ~sep:comma pp_expr) idx
-  | Send { event; dest } ->
-      Fmt.pf fmt "%scall send_%d(vp=(%a))@." pad event Fmt.(list ~sep:comma pp_expr) dest
-  | Recv { event; src } ->
-      Fmt.pf fmt "%scall recv_%d(vp=(%a))@." pad event Fmt.(list ~sep:comma pp_expr) src
+      line b indent (fun () ->
+          call "pack_" event;
+          B.add_char b '(';
+          add_ref b arr idx;
+          B.add_char b ')')
+  | Send { event; dest } -> line b indent (fun () -> vp "send_" event dest)
+  | Recv { event; src } -> line b indent (fun () -> vp "recv_" event src)
   | Reduce { scalar; op } ->
-      Fmt.pf fmt "%scall allreduce_%s(%s)@." pad (reduce_op_name op) scalar
-  | Call f -> Fmt.pf fmt "%scall %s@." pad f
-  | Comment c -> Fmt.pf fmt "%s! %s@." pad c
+      line b indent (fun () ->
+          str "call allreduce_";
+          str (reduce_op_name op);
+          B.add_char b '(';
+          str scalar;
+          B.add_char b ')')
+  | Call f -> line b indent (fun () -> str "call "; str f)
+  | Comment c -> line b indent (fun () -> str "! "; str c)
 
-let pp_stmts fmt body = List.iter (pp_stmt ~indent:0 fmt) body
-
+(** The node program as Fortran-like text, for the examples, the CLI and
+    the daemon's compile answer. *)
 let program_to_string (p : program) =
-  let buf = Buffer.create 4096 in
-  let fmt = Format.formatter_of_buffer buf in
-  Format.pp_set_margin fmt 400;
-  (fun fmt () ->
-      Fmt.pf fmt "! SPMD node program@.";
-      List.iter
-        (fun (name, body) ->
-          Fmt.pf fmt "subroutine %s@." name;
-          List.iter (pp_stmt ~indent:2 fmt) body;
-          Fmt.pf fmt "end subroutine@.@.")
-        p.subs;
-      Fmt.pf fmt "program main@.";
-      List.iter (pp_stmt ~indent:2 fmt) p.main;
-      Fmt.pf fmt "end program@.")
-    fmt ();
-  Format.pp_print_flush fmt ();
-  Buffer.contents buf
+  let b = B.create 4096 in
+  let lines ss = List.iter (fun s -> B.add_string b s; B.newline b) ss in
+  lines [ "! SPMD node program" ];
+  List.iter
+    (fun (name, body) ->
+      lines [ "subroutine " ^ name ];
+      List.iter (add_stmt b 2) body;
+      lines [ "end subroutine"; "" ])
+    p.subs;
+  lines [ "program main" ];
+  List.iter (add_stmt b 2) p.main;
+  lines [ "end program" ];
+  B.contents b

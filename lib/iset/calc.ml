@@ -199,7 +199,7 @@ and eval_line_exn env line =
         let asts =
           Codegen.gen ~names:(Rel.in_names e) [ { Codegen.tag = "S"; dom = e } ]
         in
-        (env, String.trim (Codegen.ast_to_string (fun fmt s -> Fmt.string fmt s) asts))
+        (env, String.trim (Codegen.ast_to_string asts))
     | _ -> (
         let st = { toks; env } in
         let v = parse_expr st in

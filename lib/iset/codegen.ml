@@ -838,58 +838,98 @@ let gen ?context ?(disjoint = true) ?(order = `Lex) ~names (stmts : 'a stmt list
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec pp_expr fmt = function
-  | EInt k -> Fmt.int fmt k
-  | EVar s -> Fmt.string fmt s
-  | EAdd (a, b) -> Fmt.pf fmt "%a + %a" pp_expr a pp_expr b
-  | ESub (a, b) -> Fmt.pf fmt "%a - %a" pp_expr a pp_paren b
-  | EMul (k, e) -> Fmt.pf fmt "%d*%a" k pp_paren e
-  | EFloorDiv (e, k) -> Fmt.pf fmt "floor(%a, %d)" pp_expr e k
-  | ECeilDiv (e, k) -> Fmt.pf fmt "ceil(%a, %d)" pp_expr e k
-  | EMax es -> Fmt.pf fmt "max(%a)" Fmt.(list ~sep:comma pp_expr) es
-  | EMin es -> Fmt.pf fmt "min(%a)" Fmt.(list ~sep:comma pp_expr) es
-  | EAlignUp (e, t, k) -> Fmt.pf fmt "alignup(%a, %a, %a)" pp_expr e pp_expr t pp_expr k
+module B = Linebuf
 
-and pp_paren fmt e =
+let rec add_expr b = function
+  | EInt k -> B.add_int b k
+  | EVar s -> B.add_string b s
+  | EAdd (x, y) -> add_expr b x; B.add_string b " + "; add_expr b y
+  | ESub (x, y) -> add_expr b x; B.add_string b " - "; add_paren b y
+  | EMul (k, e) -> B.add_int b k; B.add_char b '*'; add_paren b e
+  | EFloorDiv (e, k) -> call2 b "floor(" e k
+  | ECeilDiv (e, k) -> call2 b "ceil(" e k
+  | EMax es -> B.add_string b "max("; B.list add_expr b es; B.add_char b ')'
+  | EMin es -> B.add_string b "min("; B.list add_expr b es; B.add_char b ')'
+  | EAlignUp (e, t, k) ->
+      B.add_string b "alignup(";
+      add_expr b e;
+      B.add_string b ", ";
+      add_expr b t;
+      B.add_string b ", ";
+      add_expr b k;
+      B.add_char b ')'
+
+and add_paren b e =
   match e with
-  | EAdd _ | ESub _ -> Fmt.pf fmt "(%a)" pp_expr e
-  | _ -> pp_expr fmt e
+  | EAdd _ | ESub _ -> B.add_char b '('; add_expr b e; B.add_char b ')'
+  | _ -> add_expr b e
 
-let rec pp_cond fmt = function
-  | CTrue -> Fmt.string fmt ".true."
-  | CGeq0 e -> Fmt.pf fmt "%a >= 0" pp_expr e
-  | CEq0 e -> Fmt.pf fmt "%a == 0" pp_expr e
-  | CDivides (k, e) -> Fmt.pf fmt "mod(%a, %d) == 0" pp_expr e k
-  | CAnd cs -> Fmt.(list ~sep:(any " .and. ") pp_cond_paren) fmt cs
-  | COr cs -> Fmt.(list ~sep:(any " .or. ") pp_cond_paren) fmt cs
-  | CNot c -> Fmt.pf fmt ".not. %a" pp_cond_paren c
+(* [f(e, k)]: the ", " here is text, not a break hint *)
+and call2 b f e k =
+  B.add_string b f;
+  add_expr b e;
+  B.add_string b ", ";
+  B.add_int b k;
+  B.add_char b ')'
 
-and pp_cond_paren fmt c =
+let rec add_cond b = function
+  | CTrue -> B.add_string b ".true."
+  | CGeq0 e -> add_expr b e; B.add_string b " >= 0"
+  | CEq0 e -> add_expr b e; B.add_string b " == 0"
+  | CDivides (k, e) -> call2 b "mod(" e k; B.add_string b " == 0"
+  | CAnd cs -> add_conds b " .and. " cs
+  | COr cs -> add_conds b " .or. " cs
+  | CNot c -> B.add_string b ".not. "; add_cond_paren b c
+
+and add_conds b sep cs =
+  List.iteri
+    (fun i c ->
+      if i > 0 then B.add_string b sep;
+      add_cond_paren b c)
+    cs
+
+and add_cond_paren b c =
   match c with
-  | CAnd _ | COr _ | CNot _ -> Fmt.pf fmt "(%a)" pp_cond c
-  | _ -> pp_cond fmt c
+  | CAnd _ | COr _ | CNot _ -> B.add_char b '('; add_cond b c; B.add_char b ')'
+  | _ -> add_cond b c
 
-let rec pp_ast pp_tag fmt ?(indent = 0) ast =
-  let pad = String.make indent ' ' in
-  match ast with
+let rec add_ast b indent = function
   | AFor { var; lo; hi; step; body } ->
-      if step = 1 then Fmt.pf fmt "%sdo %s = %a, %a@." pad var pp_expr lo pp_expr hi
-      else Fmt.pf fmt "%sdo %s = %a, %a, %d@." pad var pp_expr lo pp_expr hi step;
-      List.iter (pp_ast pp_tag fmt ~indent:(indent + 2)) body;
-      Fmt.pf fmt "%senddo@." pad
+      B.add_spaces b indent;
+      B.add_string b "do ";
+      B.add_string b var;
+      B.add_string b " = ";
+      add_expr b lo;
+      B.add_string b ", ";
+      add_expr b hi;
+      if step <> 1 then begin
+        B.add_string b ", ";
+        B.add_int b step
+      end;
+      B.newline b;
+      List.iter (add_ast b (indent + 2)) body;
+      B.add_spaces b indent;
+      B.add_string b "enddo";
+      B.newline b
   | AIf (c, body) ->
-      Fmt.pf fmt "%sif (%a) then@." pad pp_cond c;
-      List.iter (pp_ast pp_tag fmt ~indent:(indent + 2)) body;
-      Fmt.pf fmt "%sendif@." pad
-  | ALeaf tag -> Fmt.pf fmt "%s%a@." pad pp_tag tag
+      B.add_spaces b indent;
+      B.add_string b "if (";
+      add_cond b c;
+      B.add_string b ") then";
+      B.newline b;
+      List.iter (add_ast b (indent + 2)) body;
+      B.add_spaces b indent;
+      B.add_string b "endif";
+      B.newline b
+  | ALeaf tag ->
+      B.add_spaces b indent;
+      B.add_string b tag;
+      B.newline b
 
-let ast_to_string pp_tag asts =
-  let buf = Buffer.create 1024 in
-  let fmt = Format.formatter_of_buffer buf in
-  Format.pp_set_margin fmt 400;
-  List.iter (pp_ast pp_tag fmt ~indent:0) asts;
-  Format.pp_print_flush fmt ();
-  Buffer.contents buf
+let ast_to_string asts =
+  let b = B.create 1024 in
+  List.iter (add_ast b 0) asts;
+  B.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Sound over-approximation                                            *)

@@ -162,6 +162,11 @@ val cond_of_window : name_of:(int -> string) -> window -> cond
 
 (** {1 Printing} *)
 
-val pp_expr : Format.formatter -> expr -> unit
-val pp_cond : Format.formatter -> cond -> unit
-val ast_to_string : (Format.formatter -> 'a -> unit) -> 'a ast list -> string
+val add_expr : Linebuf.t -> expr -> unit
+val add_cond : Linebuf.t -> cond -> unit
+(** Fortran-like text; the comma between [max]/[min] arguments is a
+    {!Linebuf.comma} hint, every other comma is plain text. *)
+
+val ast_to_string : string ast list -> string
+(** The nest as [do]/[if] lines indented by two per level, one line per
+    leaf tag, through one {!Linebuf}. *)

@@ -14,10 +14,17 @@ let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 (* -- printing ------------------------------------------------------- *)
 
+(* plain runs are copied whole; only quotes, backslashes and control
+   characters are written one at a time *)
 let escape b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring b s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
@@ -26,10 +33,13 @@ let escape b s =
       | '\t' -> Buffer.add_string b "\\t"
       | '\b' -> Buffer.add_string b "\\b"
       | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b "0123456789abcdef".[Char.code c lsr 4];
+          Buffer.add_char b "0123456789abcdef".[Char.code c land 15]
+    end
+  done;
+  Buffer.add_substring b s !run (n - !run);
   Buffer.add_char b '"'
 
 let add_num b x =
@@ -134,43 +144,61 @@ let add_utf8 b cp =
     Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
   end
 
+(* the first offset at or after [i] holding a quote, a backslash or a
+   control character; [String.length s] if none *)
+let rec plain_end s i =
+  if i < String.length s then
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> plain_end s (i + 1)
+  else i
+
 let parse_string c =
   expect c '"';
-  let b = Buffer.create 16 in
-  let rec go () =
-    match next c with
-    | '"' -> Buffer.contents b
-    | '\\' ->
-        (match next c with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'u' ->
-            let cp = hex4 c in
-            if cp >= 0xD800 && cp <= 0xDBFF then begin
-              (* high surrogate: a low surrogate must follow *)
-              expect c '\\';
-              expect c 'u';
-              let lo = hex4 c in
-              if lo < 0xDC00 || lo > 0xDFFF then err "unpaired surrogate";
-              add_utf8 b
-                (0x10000 + (((cp - 0xD800) lsl 10) lor (lo - 0xDC00)))
-            end
-            else if cp >= 0xDC00 && cp <= 0xDFFF then err "unpaired surrogate"
-            else add_utf8 b cp
-        | ch -> err "bad escape \\%C" ch);
-        go ()
-    | ch when Char.code ch < 0x20 -> err "raw control character in string"
-    | ch ->
-        Buffer.add_char b ch;
-        go ()
-  in
-  go ()
+  let s = c.s in
+  let stop = plain_end s c.pos in
+  if stop < String.length s && s.[stop] = '"' then begin
+    (* no escapes: one copy of the run *)
+    let r = String.sub s c.pos (stop - c.pos) in
+    c.pos <- stop + 1;
+    r
+  end
+  else begin
+    let b = Buffer.create (stop - c.pos + 16) in
+    let rec go stop =
+      Buffer.add_substring b s c.pos (stop - c.pos);
+      c.pos <- stop;
+      match next c with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+          (match next c with
+          | '"' -> Buffer.add_char b '"'
+          | '\\' -> Buffer.add_char b '\\'
+          | '/' -> Buffer.add_char b '/'
+          | 'n' -> Buffer.add_char b '\n'
+          | 'r' -> Buffer.add_char b '\r'
+          | 't' -> Buffer.add_char b '\t'
+          | 'b' -> Buffer.add_char b '\b'
+          | 'f' -> Buffer.add_char b '\012'
+          | 'u' ->
+              let cp = hex4 c in
+              if cp >= 0xD800 && cp <= 0xDBFF then begin
+                (* high surrogate: a low surrogate must follow *)
+                expect c '\\';
+                expect c 'u';
+                let lo = hex4 c in
+                if lo < 0xDC00 || lo > 0xDFFF then err "unpaired surrogate";
+                add_utf8 b
+                  (0x10000 + (((cp - 0xD800) lsl 10) lor (lo - 0xDC00)))
+              end
+              else if cp >= 0xDC00 && cp <= 0xDFFF then err "unpaired surrogate"
+              else add_utf8 b cp
+          | ch -> err "bad escape \\%C" ch);
+          go (plain_end s c.pos)
+      | _ -> err "raw control character in string"
+    in
+    go stop
+  end
 
 let parse_number c =
   let start = c.pos in

@@ -184,7 +184,30 @@ let event_json e =
       | C | Meta _ -> [])
     @ if e.e_args <> [] then [ ("args", args_json e.e_args) ] else [])
 
+(* every pid-0 track that carries an event gets a [thread_name] record:
+   a track named with [set_thread_name] keeps its name, any other is
+   "domain N" *)
+let domain_names evs =
+  let named = Hashtbl.create 8 and used = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      if e.e_pid = 0 then
+        match e.e_ph with
+        | Meta "thread_name" -> Hashtbl.replace named e.e_tid ()
+        | Meta _ -> ()
+        | _ -> Hashtbl.replace used e.e_tid ())
+    evs;
+  Hashtbl.fold
+    (fun tid () acc -> if Hashtbl.mem named tid then acc else tid :: acc)
+    used []
+  |> List.sort compare
+  |> List.map (fun tid ->
+         { e_ph = Meta "thread_name"; e_name = "thread_name"; e_cat = "";
+           e_pid = 0; e_tid = tid; e_ts = 0.0; e_dur = 0.0; e_id = 0;
+           e_args = [ ("name", Str (Printf.sprintf "domain %d" tid)) ] })
+
 let to_chrome_json () =
+  let evs = events () in
   Json.Obj
     [
       ("displayTimeUnit", Json.Str "ms");
@@ -194,7 +217,7 @@ let to_chrome_json () =
             ("generator", Json.Str "dhpf obs");
             ("trace_epoch_unix_s", Json.Str (Printf.sprintf "%.6f" !epoch));
           ] );
-      ("traceEvents", Json.List (List.map event_json (events ())));
+      ("traceEvents", Json.List (List.map event_json (domain_names evs @ evs)));
     ]
 
 (* unique temp name per process and call, so concurrent writers of one

@@ -134,7 +134,8 @@ val to_chrome_json : unit -> Json.t
     Format}: [{"traceEvents": [...], ...}]), loadable in Perfetto and
     chrome://tracing. Timestamps are microseconds rounded to three
     decimals (nanosecond resolution); a slice's duration is its rounded
-    end minus its rounded start. *)
+    end minus its rounded start. Every pid-0 track that carries an event
+    and has no {!set_thread_name} record is named ["domain N"] here. *)
 
 val write : string -> unit
 (** Write {!to_chrome_json} to a file ({!write_json}). *)

@@ -174,7 +174,7 @@ let classify = function
       ("parse", Printf.sprintf "parse error, line %d: %s" line msg)
   | Hpf.Lexer.Error (msg, line) ->
       ("parse", Printf.sprintf "lexical error, line %d: %s" line msg)
-  | Iset.Parse.Error msg | Iset.Calc.Error msg -> ("parse", msg)
+  | Iset.Parse.Error msg -> ("parse", msg)
   | Hpf.Sema.Error msg -> ("semantic", msg)
   | Dhpf.Gen.Unsupported msg
   | Dhpf.Layout.Unsupported msg
@@ -221,12 +221,11 @@ let handle_compile st ~label ~source ~opts =
   (* the compiled node program rides along: it is the artifact a
      compilation service exists to produce, and returning it lets
      clients assert warm answers are byte-identical to cold ones *)
-  Proto.ok
-    [
-      ("report", report);
-      ( "spmd",
-        Obs.Json.Str (Dhpf.Spmd.program_to_string compiled.Dhpf.Gen.cprog) );
-    ]
+  let spmd =
+    Obs.span ~cat:"serve" "serve/print spmd" (fun () ->
+        Dhpf.Spmd.program_to_string compiled.Dhpf.Gen.cprog)
+  in
+  Proto.ok [ ("report", report); ("spmd", Obs.Json.Str spmd) ]
 
 let handle_run st ~label ~source ~opts ~nprocs ~params ~engine =
   match Spmdsim.Exec.engine_of_string engine with
@@ -507,7 +506,8 @@ let handle st fd ~admitted =
             ]
           "serve.request";
       Atomic.incr st.served;
-      (try Proto.write_json fd r with _ -> ());
+      Obs.span ~cat:"serve" "serve/write response" (fun () ->
+          try Proto.write_json fd r with _ -> ());
       if Obs.Log.enabled Obs.Log.Info then
         Obs.Log.info ~rid
           ~fields:(fun () ->

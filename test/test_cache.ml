@@ -246,7 +246,7 @@ let mk_interval lo hi =
    the Unsupported it raised. *)
 let nest_of ?context ?order ?disjoint ~names stmts =
   match Codegen.gen ?context ?order ?disjoint ~names stmts with
-  | asts -> Ok (Codegen.ast_to_string Fmt.string asts)
+  | asts -> Ok (Codegen.ast_to_string asts)
   | exception Codegen.Unsupported m -> Error m
 
 let nest_plain ?context ?order ?disjoint ~names stmts =

@@ -179,9 +179,189 @@ let contains hay needle =
 let test_pretty () =
   let s = Parse.set "{[i,j] : 1 <= i <= n && exists(a : j = 2a) && i <= j <= n}" in
   let asts = Codegen.gen ~names:(Rel.in_names s) [ { Codegen.tag = "S1"; dom = s } ] in
-  let str = Codegen.ast_to_string (fun fmt s -> Fmt.string fmt s) asts in
+  let str = Codegen.ast_to_string asts in
   Alcotest.(check bool) "mentions do i" true (contains str "do i");
   Alcotest.(check bool) "has stride 2" true (contains str ", 2")
+
+(* -- printing: Linebuf against the Format reference (test/printref.ml) -- *)
+
+open Codegen
+module S = Dhpf.Spmd
+
+(* identifiers of every length class: short ones keep lines short, long
+   ones push hints past column 400 and whole lines past 1,000 *)
+let gen_name =
+  let open QCheck.Gen in
+  let len = frequency [ (6, int_range 1 6); (3, int_range 7 40); (1, int_range 41 260) ] in
+  map2 (fun n c -> String.make n c) len (oneofl [ 'i'; 'v'; 'x'; 'b' ])
+
+let gen_expr =
+  let open QCheck.Gen in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof [ map (fun k -> EInt k) (int_range (-300) 100000); map (fun v -> EVar v) gen_name ]
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           let args = list_size (int_range 1 12) sub in
+           frequency
+             [ (3, leaf);
+               (1, map2 (fun a b -> EAdd (a, b)) sub sub);
+               (1, map2 (fun a b -> ESub (a, b)) sub sub);
+               (1, map2 (fun k e -> EMul (k, e)) (int_range (-9) 9) sub);
+               (1, map2 (fun e k -> EFloorDiv (e, k)) sub (int_range 2 64));
+               (1, map2 (fun e k -> ECeilDiv (e, k)) sub (int_range 2 64));
+               (2, map (fun es -> EMax es) args);
+               (2, map (fun es -> EMin es) args);
+               (1, map3 (fun e t k -> EAlignUp (e, t, k)) sub sub sub) ])
+
+let gen_cond =
+  let open QCheck.Gen in
+  sized_size (int_range 0 2)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [ return CTrue; map (fun e -> CGeq0 e) gen_expr; map (fun e -> CEq0 e) gen_expr;
+               map2 (fun k e -> CDivides (k, e)) (int_range 2 16) gen_expr ]
+         in
+         if n = 0 then leaf
+         else
+           let subs = list_size (int_range 0 4) (self (n - 1)) in
+           frequency
+             [ (3, leaf); (1, map (fun cs -> CAnd cs) subs); (1, map (fun cs -> COr cs) subs);
+               (1, map (fun c -> CNot c) (self (n - 1))) ])
+
+let gen_ast =
+  let open QCheck.Gen in
+  sized_size (int_range 0 3)
+  @@ fix (fun self n ->
+         let leaf = map (fun t -> ALeaf t) gen_name in
+         if n = 0 then leaf
+         else
+           let body = list_size (int_range 0 3) (self (n - 1)) in
+           frequency
+             [ (1, leaf);
+               ( 2,
+                 map3
+                   (fun (var, step) (lo, hi) body -> AFor { var; lo; hi; step; body })
+                   (pair gen_name (oneofl [ 1; 1; 2; 7 ]))
+                   (pair gen_expr gen_expr) body );
+               (1, map2 (fun c body -> AIf (c, body)) gen_cond body) ])
+
+let gen_fexpr =
+  let open QCheck.Gen in
+  let idx = list_size (int_range 1 12) gen_expr in
+  let access = oneofl [ S.Local; S.Overlay; S.Checked; S.Global ] in
+  sized_size (int_range 0 3)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [ map (fun x -> S.FConst x) (oneof [ float; float_range (-10.) 10. ]);
+               map (fun s -> S.FScalar s) gen_name;
+               map3 (fun arr idx access -> S.FLoad { arr; idx; access }) gen_name idx access;
+               map (fun e -> S.FOfInt e) gen_expr ]
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [ (3, leaf);
+               ( 2,
+                 map3 (fun op a b -> S.FBin (op, a, b))
+                   (oneofl Hpf.Ast.[ Add; Sub; Mul; Div ]) sub sub );
+               (1, map (fun a -> S.FNeg a) sub);
+               ( 1,
+                 map2 (fun f args -> S.FIntrin (f, args)) (oneofl [ "sqrt"; "max"; "f" ])
+                   (list_size (int_range 1 5) sub) ) ])
+
+let gen_fcond =
+  let open QCheck.Gen in
+  sized_size (int_range 0 2)
+  @@ fix (fun self n ->
+         let leaf =
+           map3 (fun a op b -> S.FCmp (a, op, b)) gen_fexpr
+             (oneofl Hpf.Ast.[ Lt; Le; Gt; Ge; Eq; Ne ])
+             gen_fexpr
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [ (2, leaf); (1, map2 (fun a b -> S.FAnd (a, b)) sub sub);
+               (1, map2 (fun a b -> S.FOr (a, b)) sub sub); (1, map (fun a -> S.FNot a) sub) ])
+
+let gen_stmt =
+  let open QCheck.Gen in
+  let exprs = list_size (int_range 1 12) gen_expr in
+  let ev = int_range 0 120 in
+  sized_size (int_range 0 2)
+  @@ fix (fun self n ->
+         let body = if n = 0 then return [] else list_size (int_range 0 2) (self (n - 1)) in
+         oneof
+           [ map3
+               (fun (var, step) (lo, hi) body -> S.For { var; lo; hi; step; body })
+               (pair gen_name (oneof [ return (EInt 1); gen_expr ]))
+               (pair gen_expr gen_expr) body;
+             map2 (fun c b -> S.If (c, b)) gen_cond body;
+             map3 (fun c t e -> S.FIf (c, t, e)) gen_fcond body body;
+             map2
+               (fun (arr, idx) (value, access) -> S.Store { arr; idx; value; access })
+               (pair gen_name exprs)
+               (pair gen_fexpr (oneofl [ S.Local; S.Overlay; S.Checked; S.Global ]));
+             map2 (fun s v -> S.SetScalar (s, v)) gen_name gen_fexpr;
+             map3 (fun event arr idx -> S.Pack { event; arr; idx }) ev gen_name exprs;
+             map2 (fun event dest -> S.Send { event; dest }) ev exprs;
+             map2 (fun event src -> S.Recv { event; src }) ev exprs;
+             map2 (fun scalar op -> S.Reduce { scalar; op }) gen_name
+               (oneofl [ S.RSum; S.RMax; S.RMin ]);
+             map (fun f -> S.Call f) gen_name;
+             map (fun c -> S.Comment c) gen_name ])
+
+let program ?(subs = []) main =
+  { S.proc_dims = []; proc_extents = []; params = []; arrays = []; scalars = [];
+    events = []; main; subs }
+
+let same_text ~print ref_text new_text =
+  if ref_text = new_text then true
+  else QCheck.Test.fail_reportf "Format:\n%s\nLinebuf:\n%s" (print ref_text) (print new_text)
+
+let prop_ast_text =
+  QCheck.Test.make ~count:300 ~name:"loop nests print as Format did"
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 3) gen_ast))
+    (fun asts ->
+      same_text ~print:Fun.id (Printref.ast_to_string asts) (Codegen.ast_to_string asts))
+
+let prop_stmt_text =
+  QCheck.Test.make ~count:300 ~name:"SPMD statements print as Format did"
+    (QCheck.make
+       QCheck.Gen.(pair (list_size (int_range 1 4) gen_stmt) (list_size (int_range 0 2) gen_stmt)))
+    (fun (main, sub) ->
+      let p = program ~subs:(if sub = [] then [] else [ ("sub1", sub) ]) main in
+      same_text ~print:Fun.id (Printref.program_to_string p) (S.program_to_string p))
+
+(* The boundary of the break rule, swept: in "  a(x.., y.., z) = 0" the
+   first hint sits in column l + 5 and its segment ", y..," is m + 2
+   bytes, so m = 393 - l puts it exactly at [>= 400 - column]. A rule
+   with [>] in place of [>=] prints those lines differently. *)
+let test_break_boundary () =
+  let crossings = ref 0 in
+  for l = 330 to 420 do
+    for m = 1 to 80 do
+      if m + 2 = 400 - (l + 5) then incr crossings;
+      let idx = [ EVar (String.make l 'x'); EVar (String.make m 'y'); EVar "z" ] in
+      let p =
+        program
+          [ S.Store { arr = "a"; idx; value = S.FConst 0.; access = S.Local };
+            S.For { var = "i"; lo = EMax idx; hi = EMin (List.rev idx); step = EInt 1; body = [] } ]
+      in
+      let want = Printref.program_to_string p in
+      if S.program_to_string p <> want then
+        Alcotest.failf "l = %d, m = %d: text differs from Format's:\n%s" l m want
+    done
+  done;
+  Alcotest.(check bool) "the sweep hits the boundary" true (!crossings > 0)
 
 let () =
   Alcotest.run "codegen"
@@ -204,6 +384,12 @@ let () =
           Alcotest.test_case "two stmts" `Quick test_multi_stmt;
           Alcotest.test_case "context" `Quick test_context;
           Alcotest.test_case "pretty" `Quick test_pretty;
+        ] );
+      ( "printing",
+        [
+          QCheck_alcotest.to_alcotest prop_ast_text;
+          QCheck_alcotest.to_alcotest prop_stmt_text;
+          Alcotest.test_case "break boundary" `Quick test_break_boundary;
         ] );
       ( "eval",
         [

@@ -264,6 +264,79 @@ let prop_no_control_bytes =
   QCheck.Test.make ~count:500 ~name:"output has no byte below 0x20" arb_json
     (fun v -> String.for_all (fun c -> Char.code c >= 0x20) (J.to_string v))
 
+(* the per-character encoder the codec had before it copied plain runs;
+   the run-copying printer must match it byte for byte *)
+let escape_ref s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\b' -> Buffer.add_string b "\\b"
+      | '\012' -> Buffer.add_string b "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* strings made of plain runs, some thousands of bytes long, between
+   quotes, backslashes, control characters and non-ASCII bytes *)
+let codec_string_gen =
+  let open QCheck.Gen in
+  let special =
+    oneof
+      [ map Char.chr (int_range 0 31);
+        oneofl [ '"'; '\\'; '/'; '\127'; '\xc3'; '\xa9'; '\xff' ] ]
+  in
+  let run =
+    string_size ~gen:(char_range ' ' '~')
+      (frequency [ (4, int_range 0 8); (1, int_range 100 3000) ])
+  in
+  map (String.concat "")
+    (list_size (int_range 0 12) (oneof [ run; map (String.make 1) special ]))
+
+let prop_string_codec =
+  QCheck.Test.make ~count:500 ~name:"strings: per-character bytes, round trip"
+    (QCheck.make ~print:(Printf.sprintf "%S") codec_string_gen)
+    (fun s ->
+      let enc = J.to_string (J.Str s) in
+      enc = escape_ref s && J.of_string enc = J.Str s)
+
+let test_string_edges () =
+  let run = String.init 1500 (fun i -> Char.chr (32 + ((i * 7) mod 95))) in
+  let run = String.map (function '"' | '\\' -> 'q' | c -> c) run in
+  let decodes doc want =
+    Alcotest.(check string) doc want
+      (match J.of_string doc with J.Str s -> s | _ -> "<not a string>")
+  in
+  let rejects what doc =
+    match J.of_string doc with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception J.Error _ -> ()
+  in
+  for code = 0 to 31 do
+    let s = run ^ String.make 1 (Char.chr code) ^ run in
+    let enc = J.to_string (J.Str s) in
+    Alcotest.(check string) (Printf.sprintf "\\x%02x encoded" code) (escape_ref s) enc;
+    decodes enc s;
+    rejects (Printf.sprintf "raw \\x%02x" code) ("\"" ^ s ^ "\"")
+  done;
+  let q a b = "\"" ^ run ^ a ^ run ^ b ^ "\"" in
+  decodes (q {|\/|} {|\u0041\u00e9|}) (run ^ "/" ^ run ^ "A\xc3\xa9");
+  decodes (q {|\ud83d\ude00|} "") (run ^ "\xf0\x9f\x98\x80" ^ run);
+  rejects "unpaired high surrogate" (q {|\ud800|} "");
+  rejects "unpaired low surrogate" (q {|\udc00|} "");
+  rejects "high surrogate without low" (q {|\ud800\u0041|} "");
+  rejects "unterminated after a run" ("\"" ^ run);
+  rejects "bad escape after a run" (q {|\q|} "")
+
 let test_number_rule () =
   List.iter
     (fun (x, want) -> Alcotest.(check string) want want (J.to_string (J.Num x)))
@@ -529,6 +602,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_round_trip;
           QCheck_alcotest.to_alcotest prop_no_control_bytes;
+          QCheck_alcotest.to_alcotest prop_string_codec;
+          Alcotest.test_case "string edges" `Quick test_string_edges;
           Alcotest.test_case "number rule" `Quick test_number_rule;
           Alcotest.test_case "rejections" `Quick test_rejections;
           Alcotest.test_case "get_int range" `Quick test_get_int_range;

@@ -855,6 +855,81 @@ let test_one_diff_sweep () =
           flags)
   end
 
+(* -- dhpfc: the sinks of a failed run, and named tracks --------------- *)
+
+(* the run that fails is the one whose trace matters: a native build
+   that cannot find its includes exits 5 and still writes both files *)
+let test_failed_run_sinks () =
+  if not (Sys.file_exists dhpfc) then Alcotest.skip ()
+  else begin
+    let dir = fresh_dir () in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let t = Filename.concat dir "trace.json"
+        and m = Filename.concat dir "metrics.json" in
+        Alcotest.(check int)
+          "native run without includes exits 5" 5
+          (Sys.command
+             (Printf.sprintf
+                "DHPF_NATIVE_INCLUDES=/nonexistent %s run jacobi -p 4 --engine \
+                 native --trace %s --metrics %s >/dev/null 2>&1"
+                dhpfc t m));
+        List.iter
+          (fun (what, path, key) ->
+            Alcotest.(check bool) (what ^ " written") true (Sys.file_exists path);
+            match Obs.Json.get (Obs.Json.of_string (read_file path)) key with
+            | Some _ -> ()
+            | None -> Alcotest.failf "%s has no %S" what key)
+          [ ("trace", t, "traceEvents"); ("metrics", m, "metrics") ])
+  end
+
+(* every pid-0 track with a slice has a thread_name record *)
+let test_tracks_named () =
+  if not (Sys.file_exists dhpfc) then Alcotest.skip ()
+  else begin
+    let dir = fresh_dir () in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let t = Filename.concat dir "trace.json" in
+        Alcotest.(check int)
+          "compile exits 0" 0
+          (Sys.command
+             (Printf.sprintf "%s compile sp_like -j 2 --trace %s >/dev/null 2>&1"
+                dhpfc t));
+        let module J = Obs.Json in
+        let evs =
+          Option.value (J.get_list (J.of_string (read_file t)) "traceEvents") ~default:[]
+        in
+        let pid0 ph =
+          List.filter_map
+            (fun e ->
+              if J.get_int e "pid" = Some 0 && J.get_str e "ph" = Some ph then
+                J.get_int e "tid"
+              else None)
+            evs
+          |> List.sort_uniq compare
+        in
+        let named =
+          List.filter_map
+            (fun e ->
+              if J.get_str e "ph" = Some "M" && J.get_str e "name" = Some "thread_name"
+                 && J.get_int e "pid" = Some 0
+              then J.get_int e "tid"
+              else None)
+            evs
+        in
+        let sliced = pid0 "X" in
+        Alcotest.(check bool) "slices recorded" true (sliced <> []);
+        List.iter
+          (fun tid ->
+            Alcotest.(check bool)
+              (Printf.sprintf "tid %d named" tid)
+              true (List.mem tid named))
+          sliced)
+  end
+
 (* -- dhpfc compile: one count, every export ------------------------- *)
 
 (* the --metrics file and the dhpf-report/2 document of one compile read
@@ -1238,11 +1313,14 @@ let test_log_lines () =
            parsed))
 
 (* the acceptance invariant: telemetry must be inert — the same compile
-   answers byte-identically with every sink lit up *)
+   answers byte-identically with every sink lit up, the trace included,
+   which then shows printing and response encoding as their own slices *)
 let test_telemetry_inert () =
   let plain =
     with_server @@ fun socket -> compile_via socket "jacobi"
   in
+  Obs.reset ();
+  Obs.enable ();
   let dir = fresh_dir () in
   let socket = Filename.concat dir "s.sock" in
   let srv =
@@ -1264,7 +1342,14 @@ let test_telemetry_inert () =
           (Client.wait_ready ~socket ());
         compile_via socket "jacobi")
   in
-  Alcotest.(check string) "spmd identical with telemetry on" plain lit
+  let spans = List.map (fun e -> e.Obs.e_name) (Obs.events ()) in
+  Obs.disable ();
+  Obs.reset ();
+  Alcotest.(check string) "spmd identical with telemetry on" plain lit;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " traced") true (List.mem name spans))
+    [ "serve/compile"; "serve/print spmd"; "serve/write response" ]
 
 let test_flight_wraparound () =
   Obs.Recorder.start ~capacity:16 ();
@@ -1356,5 +1441,9 @@ let () =
             test_one_diff_sweep;
           Alcotest.test_case "metrics match the report" `Quick
             test_metrics_match_report;
+          Alcotest.test_case "failed run still writes its sinks" `Quick
+            test_failed_run_sinks;
+          Alcotest.test_case "every traced track is named" `Quick
+            test_tracks_named;
         ] );
     ]
