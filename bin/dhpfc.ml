@@ -46,6 +46,9 @@ let exit_runtime = 5
 let exit_bind = 6
 let exit_protocol = 7
 
+(* what [Conj.Too_hard] reports, after "unsupported: " *)
+let too_hard = "integer-set query too hard: the Omega test ran out of fuel"
+
 let handle_errors f =
   try f () with
   | Sys_error msg ->
@@ -83,9 +86,7 @@ let handle_errors f =
       Fmt.epr "unsupported: communication volume not predictable: %s@." msg;
       exit exit_unsupported
   | Iset.Conj.Too_hard ->
-      Fmt.epr
-        "unsupported: integer-set query too hard: the Omega test ran out of \
-         fuel@.";
+      Fmt.epr "unsupported: %s@." too_hard;
       exit exit_unsupported
   | Serve.Server.Bind_error msg ->
       Fmt.epr "bind error: %s@." msg;
@@ -782,6 +783,10 @@ let omega_cmd =
                  if out <> "" then print_endline out
              | exception Iset.Calc.Error msg -> Fmt.pr "error: %s@." msg
              | exception Iset.Parse.Error msg -> Fmt.pr "parse error: %s@." msg
+             | exception Iset.Codegen.Unsupported msg ->
+                 Fmt.pr "unsupported: %s@." msg
+             | exception Iset.Conj.Too_hard ->
+                 Fmt.pr "unsupported: %s@." too_hard
            done
          with End_of_file -> ())
   in

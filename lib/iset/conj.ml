@@ -30,10 +30,23 @@ let subst v rhs t = map_lin (Lin.subst v rhs) t
 (** All variables occurring in the conjunct. *)
 let vars t =
   List.fold_left
-    (fun acc c -> Var.Set.union acc (Lin.vars (Constr.lin c)))
+    (fun acc c ->
+      Lin.fold (fun v _ acc -> Var.Set.add v acc) (Constr.lin c) acc)
     Var.Set.empty t.cs
 
-let mem_var v t = List.exists (Constr.mem v) t.cs
+(* the existential ids occurring in the conjunct, ascending *)
+let ex_ids t =
+  List.fold_left
+    (fun acc c ->
+      Lin.fold
+        (fun v _ acc -> match v with Var.Ex i -> i :: acc | _ -> acc)
+        (Constr.lin c) acc)
+    [] t.cs
+  |> List.sort_uniq Int.compare
+
+(* the number of existentials a constraint names *)
+let count_ex c =
+  Lin.fold (fun v _ n -> if Var.is_ex v then n + 1 else n) (Constr.lin c) 0
 
 (** Shift every existential id by [offset]. *)
 let shift_ex offset t =
@@ -49,18 +62,18 @@ let meet a b =
 
 (** Renumber existentials densely and drop unused ids. *)
 let compact_ex t =
-  let used =
-    Var.Set.filter Var.is_ex (vars t) |> Var.Set.elements
-    |> List.map (function Var.Ex i -> i | _ -> assert false)
-    |> List.sort Int.compare
+  let used = ex_ids t in
+  let n = List.length used in
+  let rec dense i = function
+    | [] -> true
+    | id :: rest -> id = i && dense (i + 1) rest
   in
-  let tbl = Hashtbl.create 8 in
-  List.iteri (fun fresh old -> Hashtbl.replace tbl old fresh) used;
-  let f = function
-    | Var.Ex i -> Var.Ex (Hashtbl.find tbl i)
-    | v -> v
-  in
-  { n_ex = List.length used; cs = List.map (Constr.map_lin (Lin.map_vars f)) t.cs }
+  if dense 0 used then { t with n_ex = n }
+  else
+    let tbl = Hashtbl.create 8 in
+    List.iteri (fun fresh old -> Hashtbl.replace tbl old fresh) used;
+    let f = function Var.Ex i -> Var.Ex (Hashtbl.find tbl i) | v -> v in
+    { n_ex = n; cs = List.map (Constr.map_lin (Lin.map_vars f)) t.cs }
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing                                                        *)
@@ -143,68 +156,84 @@ let dec_opt_conj c =
 
 exception Unsat
 
+(* [normalize_list] sorts by [Constr.compare], each comparison decided
+   where it can be by the kinds and the first bindings of the coefficient
+   maps, taken once per constraint: maps compare by their bindings in
+   order, so only ties walk both maps. *)
+type keyed = { constr : Constr.t; v0 : Var.t; a0 : int }
+
+let compare_keyed x y =
+  match (Constr.kind x.constr, Constr.kind y.constr) with
+  | Constr.Eq, Constr.Geq -> -1
+  | Constr.Geq, Constr.Eq -> 1
+  | _ ->
+      let r = Var.compare x.v0 y.v0 in
+      if r <> 0 then r
+      else
+        let r = Int.compare x.a0 y.a0 in
+        if r <> 0 then r else Constr.compare x.constr y.constr
+
 let normalize_list cs =
-  let keep =
-    List.filter_map
-      (fun c ->
-        match Constr.normalize c with
-        | Constr.Tauto -> None
-        | Constr.Contra -> raise Unsat
-        | Constr.Ok c -> Some c)
-      cs
-  in
-  List.sort_uniq Constr.compare keep
-
-(* Group inequalities by their coefficient vector; for identical coefficient
-   vectors keep the tightest constant; detect opposite pairs that contradict
-   or force an equality. *)
-module LinKey = Map.Make (struct
-  type t = int Var.Map.t
-  let compare = Var.Map.compare Int.compare
-end)
-
-let tighten cs =
-  let eqs, geqs = List.partition (fun c -> Constr.kind c = Constr.Eq) cs in
-  (* tightest constant per coefficient vector *)
-  let best =
+  let keyed =
     List.fold_left
-      (fun m c ->
-        let lin = Constr.lin c in
-        let key = lin.Lin.coeffs in
-        let k = Lin.constant lin in
-        LinKey.update key
-          (function None -> Some k | Some k' -> Some (min k k'))
-          m)
-      LinKey.empty geqs
+      (fun acc c ->
+        match Constr.normalize c with
+        | Constr.Tauto -> acc
+        | Constr.Contra -> raise Unsat
+        | Constr.Ok c ->
+            let v0, a0 = Var.Map.min_binding (Constr.lin c).Lin.coeffs in
+            { constr = c; v0; a0 } :: acc)
+      [] cs
   in
-  (* opposite pairs *)
-  let extra_eqs = ref [] in
-  let dropped = Hashtbl.create 8 in
-  LinKey.iter
-    (fun key k ->
-      let nkey = Var.Map.map (fun c -> -c) key in
-      match LinKey.find_opt nkey best with
-      | Some k' when not (Var.Map.is_empty key) ->
-          (* key·x + k >= 0 and -key·x + k' >= 0, i.e. -k <= key·x <= k' *)
-          if -k > k' then raise Unsat
-          else if -k = k' then begin
-            if not (Hashtbl.mem dropped nkey) then begin
-              Hashtbl.replace dropped key ();
-              extra_eqs :=
-                Constr.eq (Lin.of_coeffs key k) :: !extra_eqs
-            end
-          end
-      | _ -> ())
-    best;
-  let geqs =
-    LinKey.fold
-      (fun key k acc ->
-        if Hashtbl.mem dropped key || Hashtbl.mem dropped (Var.Map.map (fun c -> -c) key)
-        then acc
-        else Constr.geq (Lin.of_coeffs key k) :: acc)
-      best []
+  List.map (fun k -> k.constr) (List.sort_uniq compare_keyed keyed)
+
+(* Keep the tightest inequality per coefficient vector, and resolve
+   opposite pairs: [v·x + k >= 0] with [-v·x + k' >= 0] bounds [v·x] to
+   [\[-k, k'\]], a contradiction when empty and an equality, replacing
+   both, when one point. [cs] is [normalize_list]'s output: the
+   equalities, then the inequalities sorted by vector and, within one
+   vector, by constant, so equal vectors are adjacent and the first of a
+   run is the tightest. The result is the equalities, the new equalities
+   and the kept inequalities, the last two each in descending vector
+   order (the order [propagate_equalities] and [pick_eq] see). *)
+let tighten cs =
+  let rec split eqs = function
+    | c :: rest when Constr.kind c = Constr.Eq -> split (c :: eqs) rest
+    | geqs -> (eqs, Array.of_list geqs)
   in
-  eqs @ !extra_eqs @ geqs
+  let eqs_rev, a = split [] cs in
+  let n = Array.length a in
+  let lin i = Constr.lin a.(i) in
+  (* [out.(i)]: not the first of its run, or the second of a one-point
+     pair *)
+  let out =
+    Array.init n (fun i -> i > 0 && Lin.equal_coeffs (lin (i - 1)) (lin i))
+  in
+  let eqs = ref [] and kept = ref [] in
+  for i = 0 to n - 1 do
+    if not out.(i) then begin
+      (* the opposite vector, if any: the first of its run is the first
+         found *)
+      let j = ref (i + 1) in
+      while !j < n && not (Lin.opposite_coeffs (lin i) (lin !j)) do
+        incr j
+      done;
+      let k = Lin.constant (lin i) in
+      let tight =
+        !j < n
+        &&
+        let k' = Lin.constant (lin !j) in
+        if -k > k' then raise Unsat;
+        -k = k'
+      in
+      if tight then begin
+        out.(!j) <- true;
+        eqs := Constr.eq (lin i) :: !eqs
+      end
+      else kept := a.(i) :: !kept
+    end
+  done;
+  List.rev_append eqs_rev (!eqs @ !kept)
 
 (* ------------------------------------------------------------------ *)
 (* Equality-based elimination (Pugh)                                   *)
@@ -271,23 +300,52 @@ type bounds = {
 }
 
 let bounds_of v t =
-  List.fold_left
-    (fun acc c ->
-      let a = Constr.coeff c v in
-      if a = 0 then { acc with others = c :: acc.others }
-      else
-        match Constr.kind c with
-        | Constr.Eq -> { acc with eqs_with_v = c :: acc.eqs_with_v }
-        | Constr.Geq ->
-            let rest = Lin.drop v (Constr.lin c) in
-            if a > 0 then
-              (* a·v + rest >= 0  =>  a·v >= -rest *)
-              { acc with lowers = (a, Lin.neg rest) :: acc.lowers }
-            else
-              (* a·v + rest >= 0 with a < 0  =>  |a|·v <= rest *)
-              { acc with uppers = (-a, rest) :: acc.uppers })
-    { lowers = []; uppers = []; others = []; eqs_with_v = [] }
-    t.cs
+  let rec go lowers uppers others eqs = function
+    | [] -> { lowers; uppers; others; eqs_with_v = eqs }
+    | c :: rest -> (
+        let a = Constr.coeff c v in
+        if a = 0 then go lowers uppers (c :: others) eqs rest
+        else
+          match Constr.kind c with
+          | Constr.Eq -> go lowers uppers others (c :: eqs) rest
+          | Constr.Geq ->
+              let r = Lin.drop v (Constr.lin c) in
+              if a > 0 then
+                (* a·v + r >= 0  =>  a·v >= -r *)
+                go ((a, Lin.neg r) :: lowers) uppers others eqs rest
+              else
+                (* a·v + r >= 0 with a < 0  =>  |a|·v <= r *)
+                go lowers ((-a, r) :: uppers) others eqs rest)
+  in
+  go [] [] [] [] t.cs
+
+(* How [v] occurs in [cs], found without building its bounds: its
+   equalities, the last first (as [bounds_of] lists them), the number of
+   its lower and upper bounds, and whether Fourier-Motzkin elimination of
+   [v] is exact (no lower and upper bound both with a coefficient above
+   1). *)
+type occurrences = {
+  eqs : Constr.t list;
+  n_lower : int;
+  n_upper : int;
+  fme_exact : bool;
+}
+
+let occurrences v cs =
+  let rec go eqs nl nu big_l big_u = function
+    | [] ->
+        { eqs; n_lower = nl; n_upper = nu; fme_exact = not (big_l && big_u) }
+    | c :: rest -> (
+        let a = Constr.coeff c v in
+        if a = 0 then go eqs nl nu big_l big_u rest
+        else
+          match Constr.kind c with
+          | Constr.Eq -> go (c :: eqs) nl nu big_l big_u rest
+          | Constr.Geq ->
+              if a > 0 then go eqs (nl + 1) nu (big_l || a > 1) big_u rest
+              else go eqs nl (nu + 1) big_l (big_u || a < -1) rest)
+  in
+  go [] 0 0 false false cs
 
 (* Real-shadow constraint for pair (a·v >= L, b·v <= U): a·U − b·L >= 0. *)
 let real_shadow_pair (a, l) (b, u) = Constr.geq (Lin.sub (Lin.scale a u) (Lin.scale b l))
@@ -315,7 +373,10 @@ let fme v t =
     let combine pairf =
       List.concat_map (fun lo -> List.map (fun up -> pairf lo up) b.uppers) b.lowers
     in
-    if exact then Exact { t with cs = combine real_shadow_pair @ b.others }
+    if exact then begin
+      Stats.bump Stats.fme_exact;
+      Exact { t with cs = combine real_shadow_pair @ b.others }
+    end
     else
       let real = { t with cs = combine real_shadow_pair @ b.others } in
       let dark = { t with cs = combine dark_shadow_pair @ b.others } in
@@ -357,72 +418,82 @@ let scale_subst t c v =
    conjunct and whether progress was made. *)
 let eliminate_existentials t =
   let progress = ref false in
-  (* [confined] prevents ping-ponging: two existentials coupled by one
-     equality would otherwise take turns rewriting each other's bounds
-     forever. Each variable is confined (scale_subst'ed) at most once per
-     pass; the outer simplification fixpoint handles the rest. *)
-  let rec go confined t =
-    let exs = Var.Set.filter Var.is_ex (vars t) |> Var.Set.elements in
-    (* prefer a defining equality with as few existentials as possible, so
-       bounds get rewritten towards tuple variables and parameters *)
-    let pick_eq eqs =
-      let n_ex_of c =
-        Var.Set.cardinal (Var.Set.filter Var.is_ex (Lin.vars (Constr.lin c)))
-      in
-      List.fold_left
-        (fun best c -> if n_ex_of c < n_ex_of best then c else best)
-        (List.hd eqs) (List.tl eqs)
-    in
-    let try_var t v =
-      let b = bounds_of v t in
-      match b.eqs_with_v with
-      | c :: _ when abs (Constr.coeff c v) = 1 ->
-          (* substitute v away; the defining equality disappears *)
-          let rhs = solve_unit_eq c v in
-          let cs = List.filter (fun c' -> not (c' == c)) t.cs in
+  (* Each step keeps only variables [t] had, so the candidates are [t]'s
+     existentials, the ones no longer present skipped. [confined] prevents
+     ping-ponging: two existentials coupled by one equality would otherwise
+     take turns rewriting each other's bounds forever. Each variable is
+     confined (scale_subst'ed) at most once per pass; the outer
+     simplification fixpoint handles the rest. *)
+  let exs = List.map (fun i -> Var.Ex i) (ex_ids t) in
+  (* prefer a defining equality with as few existentials as possible, so
+     bounds get rewritten towards tuple variables and parameters *)
+  let pick_eq eqs =
+    List.fold_left
+      (fun best c -> if count_ex c < count_ex best then c else best)
+      (List.hd eqs) (List.tl eqs)
+  in
+  let try_var confined t v =
+    match occurrences v t.cs with
+    | { eqs = []; n_lower = 0; n_upper = 0; _ } -> None
+    | { eqs = c :: _; _ } when abs (Constr.coeff c v) = 1 ->
+        (* substitute v away; the defining equality disappears *)
+        let rhs = solve_unit_eq c v in
+        let cs = List.filter (fun c' -> not (c' == c)) t.cs in
+        progress := true;
+        Some (`Elim { t with cs = List.map (Constr.subst v rhs) cs })
+    | { eqs = _ :: rest as eqs; n_lower; n_upper; _ } ->
+        let occurs_elsewhere = n_lower > 0 || n_upper > 0 || rest <> [] in
+        if occurs_elsewhere && not (Var.Set.mem v confined) then begin
+          (* confine v to its defining equality; it becomes stride-like *)
           progress := true;
-          Some (`Elim { t with cs = List.map (Constr.subst v rhs) cs })
-      | _ :: _ as eqs ->
-          let occurs_elsewhere =
-            b.lowers <> [] || b.uppers <> [] || List.length eqs > 1
+          let t' = scale_subst t (pick_eq eqs) v in
+          let t' = { t' with cs = normalize_list t'.cs } in
+          Some (`Confined t')
+        end
+        else
+          (* v occurs only in this equality: a stride (divisibility)
+             constraint on the remaining variables; keep it *)
+          None
+    | { eqs = []; n_lower; n_upper; fme_exact } ->
+        if n_lower = 0 || n_upper = 0 then begin
+          progress := true;
+          let others =
+            List.fold_left
+              (fun acc c -> if Constr.mem v c then acc else c :: acc)
+              [] t.cs
           in
-          if occurs_elsewhere && not (Var.Set.mem v confined) then begin
-            (* confine v to its defining equality; it becomes stride-like *)
-            progress := true;
-            let t' = scale_subst t (pick_eq eqs) v in
-            let t' = { t' with cs = normalize_list t'.cs } in
-            Some (`Confined (v, t'))
-          end
-          else
-            (* v occurs only in this equality: a stride (divisibility)
-               constraint on the remaining variables; keep it *)
-            None
-      | [] -> (
-          if b.lowers = [] || b.uppers = [] then begin
-            progress := true;
-            Some (`Elim { t with cs = b.others })
-          end
-          else
-            match fme v t with
-            | Exact t' ->
-                progress := true;
-                Some (`Elim t')
-            | Inexact _ -> None)
-    in
+          Some (`Elim { t with cs = others })
+        end
+        else if not fme_exact then None
+        else (
+          match fme v t with
+          | Exact t' ->
+              progress := true;
+              Some (`Elim t')
+          | Inexact _ -> None)
+  in
+  let rec go confined t =
     let rec loop t = function
       | [] -> t
       | v :: rest -> (
-          if not (mem_var v t) then loop t rest
-          else
-            match try_var t v with
-            | Some (`Elim t') -> go confined t'
-            | Some (`Confined (v, t')) -> go (Var.Set.add v confined) t'
-            | None -> loop t rest)
+          match try_var confined t v with
+          | Some (`Elim t') -> go confined t'
+          | Some (`Confined t') -> go (Var.Set.add v confined) t'
+          | None -> loop t rest)
     in
     loop t exs
   in
   let t = go Var.Set.empty t in
   (t, !progress)
+
+(* [List.map f l], sharing the longest tail [f] leaves physically
+   unchanged *)
+let rec map_shared f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let y = f x and rest' = map_shared f rest in
+      if y == x && rest' == rest then l else y :: rest'
 
 (* Substitute unit-coefficient equalities through the other constraints so
    that tuple-variable relationships propagate (the equality itself is
@@ -431,22 +502,19 @@ let propagate_equalities t =
   let rec go processed = function
     | [] -> { t with cs = List.rev processed }
     | c :: rest when Constr.kind c = Constr.Eq -> (
-        (* find a variable with unit coefficient, preferring existentials *)
-        let lin = Constr.lin c in
-        let candidates =
-          Lin.fold (fun v a acc -> if abs a = 1 then v :: acc else acc) lin []
-        in
+        (* a variable with unit coefficient, preferring existentials: the
+           last in variable order, where the existentials are *)
         let pickv =
-          match List.find_opt Var.is_ex candidates with
-          | Some v -> Some v
-          | None -> ( match candidates with v :: _ -> Some v | [] -> None)
+          Lin.fold
+            (fun v a acc -> if abs a = 1 then Some v else acc)
+            (Constr.lin c) None
         in
         match pickv with
         | None -> go (c :: processed) rest
         | Some v ->
             let rhs = solve_unit_eq c v in
-            let processed = List.map (Constr.subst v rhs) processed in
-            let rest = List.map (Constr.subst v rhs) rest in
+            let processed = map_shared (Constr.subst v rhs) processed in
+            let rest = map_shared (Constr.subst v rhs) rest in
             (* existential definitions disappear; tuple/parameter definitions
                are kept so the relation still relates its tuple variables *)
             let processed = if Var.is_ex v then processed else c :: processed in
@@ -455,42 +523,57 @@ let propagate_equalities t =
   in
   go [] t.cs
 
+(* the number of constraints of [t] mentioning [v] *)
+let occurrences_in t v =
+  List.fold_left (fun n c -> if Constr.mem v c then n + 1 else n) 0 t.cs
+
 (* Merge several existentials that occur only in one equality into a single
    one: c1·α1 + c2·α2 + ... (each αi nowhere else) spans exactly the
    multiples of gcd(c1,c2,...), so the group is replaced by g·β. This is
    what turns the composition of two cyclic layouts into a single stride. *)
 let merge_eq_existentials t =
-  let progress = ref false in
-  let occurrences v = List.length (List.filter (Constr.mem v) t.cs) in
-  let t =
-    List.fold_left
-      (fun t c ->
-        if Constr.kind c <> Constr.Eq || not (List.memq c t.cs) then t
-        else
-          let lin = Constr.lin c in
-          let exclusive =
-            Lin.fold
-              (fun v coef acc ->
-                if Var.is_ex v && occurrences v = 1 then (v, coef) :: acc else acc)
-              lin []
-          in
-          if List.length exclusive < 2 then t
-          else begin
-            progress := true;
-            let g = List.fold_left (fun g (_, c) -> Lin.gcd g c) 0 exclusive in
-            let t', beta = fresh_ex t in
-            let lin' =
-              List.fold_left (fun l (v, _) -> Lin.drop v l) lin exclusive
+  (* only an equality with two existentials or more can merge any *)
+  if
+    not
+      (List.exists (fun c -> Constr.kind c = Constr.Eq && count_ex c >= 2) t.cs)
+  then (t, false)
+  else
+    let progress = ref false in
+    let occurrences = occurrences_in t in
+    let t =
+      List.fold_left
+        (fun t c ->
+          if Constr.kind c <> Constr.Eq || not (List.memq c t.cs) then t
+          else
+            let lin = Constr.lin c in
+            let exclusive =
+              Lin.fold
+                (fun v coef acc ->
+                  if Var.is_ex v && occurrences v = 1 then (v, coef) :: acc
+                  else acc)
+                lin []
             in
-            let lin' = Lin.add lin' (Lin.var ~coef:g beta) in
-            let cs =
-              List.map (fun c' -> if c' == c then Constr.eq lin' else c') t'.cs
-            in
-            { t' with cs }
-          end)
-      t t.cs
-  in
-  (t, !progress)
+            if List.length exclusive < 2 then t
+            else begin
+              progress := true;
+              let g =
+                List.fold_left (fun g (_, c) -> Lin.gcd g c) 0 exclusive
+              in
+              let t', beta = fresh_ex t in
+              let lin' =
+                List.fold_left (fun l (v, _) -> Lin.drop v l) lin exclusive
+              in
+              let lin' = Lin.add lin' (Lin.var ~coef:g beta) in
+              let cs =
+                List.map
+                  (fun c' -> if c' == c then Constr.eq lin' else c')
+                  t'.cs
+              in
+              { t' with cs }
+            end)
+        t t.cs
+    in
+    (t, !progress)
 
 (* An equality c·α + rest = 0 with α occurring nowhere else is just the
    congruence rest ≡ 0 (mod |c|), so every coefficient of [rest] (and its
@@ -499,63 +582,64 @@ let merge_eq_existentials t =
    stride constraints produced by composing cyclic layouts. *)
 let reduce_stride_coeffs t =
   let progress = ref false in
-  let occurrences v = List.length (List.filter (Constr.mem v) t.cs) in
-  let cs =
-    List.map
-      (fun c ->
-        if Constr.kind c <> Constr.Eq then c
-        else
-          let lin = Constr.lin c in
-          match
-            Lin.fold
-              (fun v coef acc ->
-                if acc = None && Var.is_ex v && occurrences v = 1 then Some (v, coef)
-                else acc)
-              lin None
-          with
-          | None -> c
-          | Some (alpha, coef) ->
-              let m = abs coef in
-              if m <= 1 then c
-              else
-                let lin' =
-                  Lin.fold
-                    (fun v r acc ->
-                      if Var.equal v alpha then Lin.add acc (Lin.var ~coef:r v)
-                      else begin
-                        let r' = Lin.smod r m in
-                        if r' <> r then progress := true;
-                        Lin.add acc (Lin.var ~coef:r' v)
-                      end)
-                    lin
-                    (let k = Lin.constant lin in
-                     let k' = Lin.smod k m in
-                     if k' <> k then progress := true;
-                     Lin.const k')
-                in
-                Constr.eq lin')
-      t.cs
+  let occurrences = occurrences_in t in
+  let reduce c =
+    if Constr.kind c <> Constr.Eq then c
+    else
+      let lin = Constr.lin c in
+      match
+        Lin.fold
+          (fun v coef acc ->
+            if acc = None && Var.is_ex v && occurrences v = 1 then
+              Some (v, coef)
+            else acc)
+          lin None
+      with
+      | None -> c
+      | Some (alpha, coef) ->
+          let m = abs coef in
+          let k = Lin.constant lin in
+          let changes v r = (not (Var.equal v alpha)) && Lin.smod r m <> r in
+          if
+            m <= 1
+            || (Lin.smod k m = k && not (Var.Map.exists changes lin.Lin.coeffs))
+          then c
+          else begin
+            progress := true;
+            let coeffs =
+              Var.Map.filter_map
+                (fun v r ->
+                  let r' = if Var.equal v alpha then r else Lin.smod r m in
+                  if r' = 0 then None else Some r')
+                lin.Lin.coeffs
+            in
+            Constr.eq (Lin.of_coeffs coeffs (Lin.smod k m))
+          end
   in
-  ({ t with cs }, !progress)
+  if
+    not
+      (List.exists (fun c -> Constr.kind c = Constr.Eq && count_ex c > 0) t.cs)
+  then (t, false)
+  else
+    let cs = List.map reduce t.cs in
+    ({ t with cs }, !progress)
 
+(* Every pass ends in [normalize_list], which is idempotent, so only the
+   input is normalized before the first. *)
 let simplify_raw t =
   try
     let rec fix t n =
       if n > 12 then Some t
       else
-        let cs = normalize_list t.cs in
-        let cs = tighten cs in
-        let t = { t with cs } in
-        let t = propagate_equalities t in
+        let t = propagate_equalities { t with cs = tighten t.cs } in
         let t, progress = eliminate_existentials t in
         let t, progress2 = merge_eq_existentials t in
         let t, progress3 = reduce_stride_coeffs t in
-        let cs' = normalize_list t.cs in
-        let t = { t with cs = cs' } in
+        let t = { t with cs = normalize_list t.cs } in
         if progress || progress2 || progress3 then fix t (n + 1)
         else Some (compact_ex t)
     in
-    fix t 0
+    fix { t with cs = normalize_list t.cs } 0
   with Unsat -> None
 
 module IntMemo = Cache.Memo (struct
@@ -662,14 +746,9 @@ let rec omega_sat ~fuel t =
           | None ->
               (* choose the variable with the cheapest elimination *)
               let cost v =
-                let b = bounds_of v t in
-                let nl = List.length b.lowers and nu = List.length b.uppers in
-                let exact =
-                  List.for_all
-                    (fun (a, _) -> List.for_all (fun (bb, _) -> a = 1 || bb = 1) b.uppers)
-                    b.lowers
-                in
-                ((if exact then 0 else 1000000), (nl * nu) - nl - nu)
+                let o = occurrences v t.cs in
+                let nl = o.n_lower and nu = o.n_upper in
+                ((if o.fme_exact then 0 else 1000000), (nl * nu) - nl - nu)
               in
               let v =
                 List.fold_left
@@ -684,8 +763,10 @@ let rec omega_sat ~fuel t =
               | Exact t' -> omega_sat ~fuel:(fuel - 1) t'
               | Inexact { real; dark; lowers; max_upper_coef = m } ->
                   if not (omega_sat ~fuel:(fuel - 1) real) then false
-                  else if omega_sat ~fuel:(fuel - 1) dark then true
-                  else
+                  else begin
+                    Stats.bump Stats.dark_shadows;
+                    omega_sat ~fuel:(fuel - 1) dark
+                    ||
                     (* splinters: for each lower bound a·v >= L, test
                        a·v = L + i for i in 0 .. (a·m − a − m)/m *)
                     List.exists
@@ -698,11 +779,13 @@ let rec omega_sat ~fuel t =
                               Constr.eq
                                 (Lin.sub (Lin.var ~coef:a v) (Lin.add_const i l))
                             in
+                            Stats.bump Stats.splinters;
                             omega_sat ~fuel:(fuel - 1) { t with cs = eqc :: t.cs }
                             || try_i (i + 1)
                         in
                         try_i 0)
-                      lowers)))
+                      lowers
+                  end)))
 
 let sat_raw t = omega_sat ~fuel:300 (all_existential t)
 

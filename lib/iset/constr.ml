@@ -66,45 +66,39 @@ type norm = Tauto | Contra | Ok of t
 (** Canonicalize: divide by the gcd of variable coefficients; for [Geq] the
     constant is floored (integer tightening), for [Eq] non-divisibility means
     the constraint (hence the conjunct) is unsatisfiable. Equalities are
-    sign-normalized so the leading coefficient is positive. *)
+    sign-normalized so the leading coefficient is positive. A constraint
+    that is canonical already is returned as it is. *)
 let normalize c =
-  if Lin.is_const c.lin then
-    let k = Lin.constant c.lin in
+  (* the coefficients divided by [g], which divides them all; constant [k] *)
+  let divide g k lin =
+    Lin.of_coeffs (Var.Map.map (fun a -> a / g) lin.Lin.coeffs) k
+  in
+  let lin = c.lin in
+  if Lin.is_const lin then
+    let k = Lin.constant lin in
     match c.kind with
     | Eq -> if k = 0 then Tauto else Contra
     | Geq -> if k >= 0 then Tauto else Contra
   else
-    let g = Lin.coeff_gcd c.lin in
-    let lin =
-      if g <= 1 then c.lin
-      else
-        match c.kind with
-        | Geq ->
-            let scaled =
-              Lin.fold (fun v cf acc -> Lin.add acc (Lin.var ~coef:(cf / g) v)) c.lin Lin.zero
-            in
-            Lin.add_const (Lin.fdiv (Lin.constant c.lin) g) scaled
-        | Eq ->
-            if Lin.constant c.lin mod g <> 0 then Lin.const 1 (* marker: unsat *)
-            else
-              let scaled =
-                Lin.fold (fun v cf acc -> Lin.add acc (Lin.var ~coef:(cf / g) v)) c.lin Lin.zero
-              in
-              Lin.add_const (Lin.constant c.lin / g) scaled
-    in
-    if c.kind = Eq && Lin.is_const lin then Contra
-    else
-      let lin =
-        if c.kind = Eq then
-          (* make the smallest variable's coefficient positive for canonical form *)
-          match Var.Map.min_binding_opt lin.Lin.coeffs with
-          | Some (_, cf) when cf < 0 -> Lin.neg lin
-          | _ -> lin
-        else lin
-      in
-      Ok { c with lin }
+    let g = Lin.coeff_gcd lin in
+    let k = Lin.constant lin in
+    match c.kind with
+    | Geq ->
+        if g = 1 then Ok c
+        else Ok (geq (divide g (Lin.fdiv k g) lin))
+    | Eq ->
+        if k mod g <> 0 then Contra
+        else
+          let lin = if g = 1 then lin else divide g (k / g) lin in
+          (* make the smallest variable's coefficient positive *)
+          let _, c0 = Var.Map.min_binding lin.Lin.coeffs in
+          if c0 < 0 then Ok (eq (Lin.neg lin))
+          else if g = 1 then Ok c
+          else Ok (eq lin)
 
-let subst v rhs c = { c with lin = Lin.subst v rhs c.lin }
+let subst v rhs c =
+  let lin = Lin.subst v rhs c.lin in
+  if lin == c.lin then c else { c with lin }
 
 let map_lin f c = { c with lin = f c.lin }
 

@@ -112,6 +112,17 @@ let equal a b =
 
 let hash t = t.hash land max_int
 
+(* the constant's share taken out of the linear hash, unmasked so that
+   negating the coefficients negates it *)
+let coeffs_hash t = t.hash - (t.const * const_weight)
+
+let equal_coeffs a b =
+  coeffs_hash a = coeffs_hash b && Var.Map.equal Int.equal a.coeffs b.coeffs
+
+let opposite_coeffs a b =
+  coeffs_hash a = -coeffs_hash b
+  && Var.Map.equal (fun x y -> x = -y) a.coeffs b.coeffs
+
 module Tbl = Hcons.Make (struct
   type nonrec t = t
   let equal = equal

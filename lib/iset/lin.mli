@@ -60,6 +60,14 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** The stored hash, O(1); never written to {!Wire}. *)
 
+val equal_coeffs : t -> t -> bool
+(** Same variable part (the constants may differ); rejects in O(1) on the
+    stored hashes less the constants' shares. *)
+
+val opposite_coeffs : t -> t -> bool
+(** [opposite_coeffs a b]: [a]'s variable part is the negation of [b]'s;
+    rejects in O(1) as {!equal_coeffs} does. *)
+
 val intern : t -> t
 (** Canonical physically-shared representative (see {!Hcons}). *)
 

@@ -33,6 +33,9 @@ let sat_hits = counter "sat hits"
 let sat_prefilter_kills = counter "sat pre-filter kills"
 let simplify_lookups = counter "simplify lookups"
 let simplify_hits = counter "simplify hits"
+let fme_exact = counter "omega exact eliminations"
+let dark_shadows = counter "omega dark shadows"
+let splinters = counter "omega splinters"
 let gist_lookups = counter "gist lookups"
 let gist_hits = counter "gist hits"
 let implies_lookups = counter "implies lookups"

@@ -27,6 +27,16 @@ val sat_hits : counter
 val sat_prefilter_kills : counter
 val simplify_lookups : counter
 val simplify_hits : counter
+
+(** Omega elimination steps done on memo misses: Fourier-Motzkin
+    eliminations that were exact (in simplification and in the
+    satisfiability test), dark shadows tested after a satisfiable real
+    shadow, and splinters tested after an empty dark shadow. *)
+
+val fme_exact : counter
+val dark_shadows : counter
+val splinters : counter
+
 val gist_lookups : counter
 val gist_hits : counter
 val implies_lookups : counter

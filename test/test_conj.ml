@@ -46,7 +46,28 @@ let test_omega_hard () =
   check_sat "coupled" true
     "{[i] : exists(a,b : 3a + 2b = 5 && 0 <= a <= 1 && 0 <= b <= 1) && i = 0}";
   check_sat "coupled unsat" false
-    "{[i] : exists(a,b : 3a + 2b = 4 && 0 <= a <= 1 && 0 <= b <= 1 && a <= b) && i = 0}"
+    "{[i] : exists(a,b : 3a + 2b = 4 && 0 <= a <= 1 && 0 <= b <= 1 && a <= b) && i = 0}";
+  (* Pugh's example: a real shadow and no integer point; one step wider,
+     the point (2, 1) *)
+  check_sat "27 <= 11x + 13y <= 45, -10 <= 7x - 9y <= 4" false
+    "{[x,y] : 27 <= 11x + 13y <= 45 && -10 <= 7x - 9y <= 4}";
+  check_sat "27 <= 11x + 13y <= 45, -10 <= 7x - 9y <= 5" true
+    "{[x,y] : 27 <= 11x + 13y <= 45 && -10 <= 7x - 9y <= 5}"
+
+(* the Omega elimination counters: over the omega-hard cases (Pugh's
+   among them) dark shadows and splinters are tested, a box needs
+   neither *)
+let test_omega_steps () =
+  let steps () = Stats.(count dark_shadows, count splinters) in
+  (* answered afresh, not from the memo tables *)
+  Cache.clear_all ();
+  let d0, s0 = steps () in
+  test_omega_hard ();
+  let d1, s1 = steps () in
+  Alcotest.(check bool) "dark shadows counted" true (d1 > d0);
+  Alcotest.(check bool) "splinters counted" true (s1 > s0);
+  check_sat "box" true "{[i,j] : 3 <= i <= 17 && -4 <= j <= 9}";
+  Alcotest.(check (pair int int)) "a box adds neither" (d1, s1) (steps ())
 
 let test_equality_reduction () =
   (* all-coefficients-greater-than-1 equalities exercise the modulus trick *)
@@ -91,6 +112,114 @@ let test_negate_strides () =
   Alcotest.(check bool) "3 is odd" true (Rel.mem_set odds [ 3 ]);
   Alcotest.(check bool) "4 is not" false (Rel.mem_set odds [ 4 ])
 
+(* structurally equal conjuncts simplify alike however their terms were
+   built: here an opposite pair whose coefficient maps have different
+   tree shapes, one from each insertion order *)
+let test_simplify_structural () =
+  let in0 = Var.In 0 and in1 = Var.In 1 in
+  let n = Var.Param "n" and a0 = Var.Ex 0 in
+  let box =
+    [
+      Constr.geq (Lin.of_list [ (1, in1) ] (-2));
+      Constr.geq (Lin.of_list [ (-1, in1) ] 8);
+      Constr.geq (Lin.of_list [ (1, in0) ] (-2));
+      Constr.geq (Lin.of_list [ (-1, in0) ] 8);
+    ]
+  in
+  let orders =
+    [
+      [ (1, in1); (1, n); (2, a0) ];
+      [ (2, a0); (1, n); (1, in1) ];
+      [ (1, n); (1, in1); (2, a0) ];
+    ]
+  in
+  let simplify p q =
+    let c1 = Constr.geq (Lin.of_list p 1) in
+    let neg = List.map (fun (a, v) -> (-a, v)) q in
+    let c2 = Constr.geq (Lin.of_list neg (-1)) in
+    Conj.simplify (Conj.make ~n_ex:1 (box @ [ c1; c2 ]))
+  in
+  (* the memo would answer every order from the first one's entry *)
+  let was = Cache.enabled () in
+  Cache.set_enabled false;
+  Fun.protect ~finally:(fun () -> Cache.set_enabled was) @@ fun () ->
+  let first = simplify (List.hd orders) (List.hd orders) in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun q ->
+          Alcotest.(check bool)
+            "same simplified conjunct" true
+            (Option.equal Conj.equal first (simplify p q)))
+        orders)
+    orders
+
+(* Random conjuncts over In 0 .. In 3, the parameter n and up to two
+   existentials, drawn in the shapes the simplifier treats specially:
+   strides, existentials with coefficients above 1, opposite inequality
+   pairs (tight, contradictory or loose), repeated coefficient vectors and
+   coefficients with a common divisor. *)
+let gen_conj =
+  let open QCheck.Gen in
+  let* nv = int_range 3 4 in
+  let* n_ex = int_range 0 2 in
+  let var =
+    frequency
+      ([ (4, map (fun i -> Var.In i) (int_bound (nv - 1))); (1, return (Var.Param "n")) ]
+      @ if n_ex > 0 then [ (2, map (fun i -> Var.Ex i) (int_bound (n_ex - 1))) ] else [])
+  in
+  let term =
+    let* v = var in
+    let+ c =
+      match v with
+      | Var.Ex _ -> oneofl [ -3; -2; 2; 3 ]
+      | _ -> oneofl [ -3; -2; -1; 1; 1; 2; 3 ]
+    in
+    (c, v)
+  in
+  let lin =
+    let* ts = list_size (int_range 1 3) term in
+    let+ k = int_range (-9) 9 in
+    Lin.of_list ts k
+  in
+  let group =
+    frequency
+      ([
+         (4, map (fun l -> [ Constr.geq l ]) lin);
+         (1, map (fun l -> [ Constr.eq l ]) lin);
+         ( 2,
+           let* l = lin in
+           let+ d = oneofl [ -1; 0; 0; 1; 3 ] in
+           [ Constr.geq l; Constr.geq (Lin.add_const d (Lin.neg l)) ] );
+         ( 2,
+           let* l = lin in
+           let+ d = int_range (-3) 3 in
+           [ Constr.geq l; Constr.geq (Lin.add_const d l) ] );
+         ( 1,
+           let* l = lin in
+           let* g = int_range 2 3 in
+           let+ eq = bool in
+           [ (if eq then Constr.eq else Constr.geq) (Lin.scale g l) ] );
+       ]
+      @
+      if n_ex = 0 then []
+      else
+        [
+          ( 2,
+            let* l = lin in
+            let* e = int_bound (n_ex - 1) in
+            let+ k = int_range 2 4 in
+            [ Constr.eq (Lin.add l (Lin.var ~coef:k (Var.Ex e))) ] );
+        ])
+  in
+  let+ groups = list_size (int_range 2 6) group in
+  Conj.make ~n_ex (List.concat groups)
+
+let prop_simplify_reference =
+  QCheck.Test.make ~count:2000 ~name:"simplify matches the reference"
+    (QCheck.make ~print:Conj.to_string gen_conj) (fun c ->
+      Option.equal Conj.equal (Conj.simplify c) (Simplifyref.simplify c))
+
 let () =
   Alcotest.run "conj"
     [
@@ -100,11 +229,18 @@ let () =
           Alcotest.test_case "strides" `Quick test_stride_sat;
           Alcotest.test_case "omega-hard" `Quick test_omega_hard;
           Alcotest.test_case "equality reduction" `Quick test_equality_reduction;
+          Alcotest.test_case "omega step counters" `Quick test_omega_steps;
         ] );
       ( "logic",
         [
           Alcotest.test_case "implies" `Quick test_implies;
           Alcotest.test_case "gist" `Quick test_gist;
           Alcotest.test_case "negate strides" `Quick test_negate_strides;
+        ] );
+      ( "simplify",
+        [
+          Alcotest.test_case "simplify is a function of structure" `Quick
+            test_simplify_structural;
+          QCheck_alcotest.to_alcotest prop_simplify_reference;
         ] );
     ]

@@ -130,6 +130,68 @@ let prop_codegen_order =
       in
       sorted l)
 
+(* Simplification against direct evaluation: a conjunct of ground
+   constraints with at least one stride, simplified, holds at exactly the
+   points where the ground constraints hold inside the box. The simplified
+   conjunct is evaluated on its own: at each point its existentials are
+   searched over a window wide enough for the box (the strides' own
+   witnesses stay below 25 in absolute value). *)
+let ex_window = 64
+
+let holds_at c (x, y) =
+  let at = function Var.In 0 -> x | Var.In 1 -> y | v -> failwith (Var.to_string v) in
+  let cs =
+    List.map
+      (fun k ->
+        let lin = Constr.lin k in
+        let const, exs =
+          Lin.fold
+            (fun v a (const, exs) ->
+              match v with Var.Ex i -> (const, (i, a) :: exs) | _ -> (const + (a * at v), exs))
+            lin (Lin.constant lin, [])
+        in
+        (Constr.kind k, const, exs))
+      (Conj.constraints c)
+  in
+  let n = Conj.n_ex c in
+  let env = Array.make n 0 in
+  (* a constraint is checked once the highest existential it names is set *)
+  let ready i (_, _, exs) = List.fold_left (fun m (j, _) -> max m j) (-1) exs = i in
+  let holds (kind, const, exs) =
+    let v = List.fold_left (fun acc (j, a) -> acc + (a * env.(j))) const exs in
+    match kind with Constr.Eq -> v = 0 | Constr.Geq -> v >= 0
+  in
+  let rec search i =
+    List.for_all holds (List.filter (ready (i - 1)) cs)
+    && (i = n
+       ||
+       let rec try_v v =
+         v <= ex_window
+         && ((env.(i) <- v;
+              search (i + 1))
+            || try_v (v + 1))
+       in
+       try_v (-ex_window))
+  in
+  search 0
+
+let gen_strided =
+  QCheck.Gen.(
+    let coef = int_range (-3) 3 and cst = int_range (-8) 8 in
+    let stride = map3 (fun a b (c, k) -> Stride (a, b, c, k)) coef coef (pair cst (int_range 2 4)) in
+    map2 (fun s gcs -> s :: gcs) stride (list_size (int_range 1 4) gen_gc))
+
+let prop_simplify =
+  QCheck.Test.make ~count:200 ~name:"simplify preserves the set"
+    (QCheck.make ~print:(fun gcs -> Conj.to_string (conj_of_gcs gcs)) gen_strided)
+    (fun gcs ->
+      let want pt = in_box pt && List.for_all (eval_gc pt) gcs in
+      let wide = List.init (box_hi - box_lo + 5) (fun i -> box_lo - 2 + i) in
+      let pts = List.concat_map (fun x -> List.map (fun y -> (x, y)) wide) wide in
+      match Conj.simplify (conj_of_gcs gcs) with
+      | None -> not (List.exists want pts)
+      | Some s -> List.for_all (fun pt -> holds_at s pt = want pt) pts)
+
 let () =
   Alcotest.run "props"
     [
@@ -144,6 +206,7 @@ let () =
             prop_empty;
             prop_compose;
             prop_domain_range;
+            prop_simplify;
           ] );
       ( "codegen",
         List.map QCheck_alcotest.to_alcotest [ prop_codegen; prop_codegen_order ] );

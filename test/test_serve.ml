@@ -884,6 +884,40 @@ let test_failed_run_sinks () =
           [ ("trace", t, "traceEvents"); ("metrics", m, "metrics") ])
   end
 
+(* an unsupported query in the interactive calculator is reported and
+   the session goes on: the lines after it are still evaluated *)
+let test_omega_continues () =
+  if not (Sys.file_exists dhpfc) then Alcotest.skip ()
+  else begin
+    let dir = fresh_dir () in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let out = Filename.concat dir "out.txt" in
+        Alcotest.(check int)
+          "session exits 0" 0
+          (Sys.command
+             (Printf.sprintf
+                "printf 'codegen {[p] : 1 <= p}\\nA := {[i] : 1 <= i <= 3}\\nA\\n' \
+                 | %s omega > %s 2>&1"
+                dhpfc out));
+        let text = read_file out in
+        let has needle =
+          let n = String.length needle in
+          let rec go k =
+            k + n <= String.length text
+            && (String.sub text k n = needle || go (k + 1))
+          in
+          go 0
+        in
+        Alcotest.(check bool)
+          "unsupported query reported" true
+          (has "unsupported: unbounded loop variable p");
+        Alcotest.(check bool)
+          "later lines evaluated" true
+          (has "{[i] : i <= 3 && 1 <= i}"))
+  end
+
 (* every pid-0 track with a slice has a thread_name record *)
 let test_tracks_named () =
   if not (Sys.file_exists dhpfc) then Alcotest.skip ()
@@ -1445,5 +1479,7 @@ let () =
             test_failed_run_sinks;
           Alcotest.test_case "every traced track is named" `Quick
             test_tracks_named;
+          Alcotest.test_case "omega session survives an unsupported query"
+            `Quick test_omega_continues;
         ] );
     ]
