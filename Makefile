@@ -89,6 +89,8 @@ resilience:
 	$(DHPFC) run jacobi -p 4 --diff 2
 	$(DHPFC) run jacobi -p 4 --diff-engines 2
 	$(DHPFC) run jacobi -p 4 --diff-domains 2
+	$(DHPFC) run erlebacher -p 4 --diff-engines 2
+	$(DHPFC) run erlebacher -p 4 --diff-domains 2
 	$(DHPFC) run jacobi --diff-crashes 3
 	$(DHPFC) run gauss --diff-crashes 3
 

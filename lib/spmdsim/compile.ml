@@ -228,11 +228,12 @@ let recv link (rt : rt) ~event ~recv_o ~unpack src_vp =
   end;
   Runtime.trace_recv link.l_tr ~tid:rt.r_pid ~t0 ~t1:c.now k msg
 
-let reduce_arr_effect name op = Effect.perform (Runtime.EReduceArr (name, op))
+let reduce_arr_effect name op =
+  ignore (Effect.perform (Runtime.ECollective (Elementwise (name, op))) : float)
 
 let reduce_scalar (rt : rt) slot op =
   let mine = if rt.r_fvalid.(slot) then rt.r_fval.(slot) else 0.0 in
-  let combined = Effect.perform (Runtime.EReduce (op, mine)) in
+  let combined = Effect.perform (Runtime.ECollective (Scalar (op, mine))) in
   rt.r_fval.(slot) <- combined;
   rt.r_fvalid.(slot) <- true
 

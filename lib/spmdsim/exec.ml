@@ -370,12 +370,15 @@ let rec exec_stmt sim p (s : Spmd.stmt) : unit =
       if Hashtbl.mem sim.meta scalar then
         (* array reduction: every processor holds partial values; the
            collective combines them element-wise *)
-        Effect.perform (Runtime.EReduceArr (scalar, op))
+        let coll = Runtime.Elementwise (scalar, op) in
+        ignore (Effect.perform (Runtime.ECollective coll) : float)
       else begin
         let mine =
           match Hashtbl.find_opt p.fenv scalar with Some v -> v | None -> 0.0
         in
-        let combined = Effect.perform (Runtime.EReduce (op, mine)) in
+        let combined =
+          Effect.perform (Runtime.ECollective (Scalar (op, mine)))
+        in
         Hashtbl.replace p.fenv scalar combined
       end
   | Spmd.Call f -> (

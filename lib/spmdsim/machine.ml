@@ -77,9 +77,6 @@ let stages p =
     down). *)
 let allreduce_cost t p n = 2.0 *. float_of_int (stages p) *. msg_time t n
 
-(** Cost of a P-way all-reduce of one scalar. *)
-let allreduce_time t p = allreduce_cost t p 1
-
 (** Total sender-side wait for [k] consecutive dropped transmissions of one
     message: the timeout fires after each drop, with exponential backoff. *)
 let retransmit_wait t k =

@@ -1,11 +1,12 @@
-(* Shared runtime substrate for the two SPMD execution engines (the
-   tree-walking interpreter in {!Exec} and the closure-compiled engine in
-   {!Compile}): startup parameter binding, array metadata, the packed
-   message transport with per-channel sequence matching and fault
-   injection, the effect-based scheduler with its collectives, and the
-   structured deadlock diagnostics.
+(* Shared runtime substrate for the three SPMD execution engines (the
+   tree-walking interpreter in {!Exec}, and the closure-compiled and
+   native engines, the two back ends of {!Compile}'s lowering): startup
+   parameter binding, array metadata, the packed message transport with
+   per-channel sequence matching and fault injection, the effect-based
+   schedulers with their one collective mechanism, and the structured
+   deadlock diagnostics.
 
-   Keeping the transport and scheduler here — used verbatim by both
+   Keeping the transport and scheduler here — used verbatim by all three
    engines — is what makes the engine-differential guarantee structural:
    message counters, retransmit accounting and delivery order cannot
    diverge between engines, because there is only one implementation. *)
@@ -197,7 +198,7 @@ type payload = {
   pl_val : float array;
 }
 (** Flat packed payload: parallel (index, value) arrays for one array, the
-    wire format of both engines (the interpreter's former
+    wire format of all three engines (the interpreter's former
     [(string * int * float) list] representation allocated three words of
     boxing per element and forced a per-element string compare on unpack). *)
 
@@ -462,7 +463,7 @@ let trace_instant tr ~tid ~ts ?(cat = "fault") ?args name =
 (* One communication operation completed on [pid]: bump the per-processor
    and global operation indices, feed the scheduler watchdog, evaluate the
    crash schedule, and fire the checkpoint trigger on interval boundaries.
-   Both engines route every send, receive completion and collective
+   All three engines route every send, receive completion and collective
    completion through here (via {!send} and the scheduler), so operation
    indices — and with them crash points and checkpoint boundaries — are
    identical across engines and across deterministic replays. *)
@@ -518,11 +519,24 @@ exception Cancelled
 (* unwinds lanes parked forever when the parallel pass detects a stall;
    the replay pass then reproduces the sequential {!Deadlock} diagnosis *)
 
+(* A collective operation, as one processor enters it: an all-reduce of
+   its scalar operand, or an element-wise all-reduce of the partial values
+   it holds of the named array. *)
+type coll =
+  | Scalar of Spmd.reduce_op * float
+  | Elementwise of string * Spmd.reduce_op
+
+(* the two blocking operations of a processor fiber; a collective resumes
+   with the combined scalar, or 0.0 for an element-wise collective, whose
+   result is written into every processor's array *)
+type _ Effect.t +=
+  | ERecv : key -> msg Effect.t
+  | ECollective : coll -> float Effect.t
+
 type lane_op =
   | OSend of (unit -> unit)  (* captured transport commit *)
   | ORecv of { rk : key; rseq : int; rt0 : float; rt1 : float }
-  | OReduce of { zop : Spmd.reduce_op; zmine : float; zt0 : float }
-  | OReduceArr of { aname : string; aop : Spmd.reduce_op; at0 : float }
+  | OColl of { oc : coll; ot0 : float }  (* entered at clock [ot0] *)
   | OPendRecv of { pk : key; pt0 : float }  (* parked at stall time *)
 
 type lane = {
@@ -693,7 +707,7 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
 (** Trace a completed receive: [t0] is the receiver's clock when it
     blocked, [t1] its clock after arrival synchronization and unpack
     charges. Emits the recv slice (blocking wait included) and closes the
-    send's flow arrow. Both engines call this from their [Recv]
+    send's flow arrow. All three engines call this from their [Recv]
     implementations; a no-op when the transport is untraced. *)
 let trace_recv tr ~tid ~t0 ~t1 (k : key) (msg : msg) : unit =
   match Domain.DLS.get lane_key with
@@ -757,7 +771,7 @@ let counters_copy (c : counters) : counters =
 
 (** Transport half of a checkpoint image: per-channel sequence counters,
     in-flight messages, and a copy of the counters. Engine-independent —
-    both engines' [capture] build on this. *)
+    every engine's [capture] builds on this. *)
 let capture_transport tr =
   let chans = Hashtbl.create 64 in
   Hashtbl.iter
@@ -780,11 +794,6 @@ let capture_transport tr =
     |> Array.of_list
   in
   (im_chans, im_inflight, counters_copy tr.tr_c)
-
-type _ Effect.t +=
-  | ERecv : key -> msg Effect.t
-  | EReduce : (Spmd.reduce_op * float) -> float Effect.t
-  | EReduceArr : (string * Spmd.reduce_op) -> unit Effect.t
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                           *)
@@ -922,24 +931,39 @@ type hooks = {
   h_phys_of_vp : int list -> int;
 }
 
-type waiting =
-  | WRun  (** not yet started *)
-  | WRecv of key * (msg, unit) Effect.Deep.continuation
-  | WReduce of Spmd.reduce_op * float * (float, unit) Effect.Deep.continuation
-  | WReduceArr of string * Spmd.reduce_op * (unit, unit) Effect.Deep.continuation
-  | WDone
+(* A processor fiber as a scheduler sees it. ['w] is what a fiber blocked
+   in a collective waits on: the collective it entered in [sched_run], the
+   shared rendezvous slot in [sched_run_par]'s parallel pass. *)
+type 'w fiber =
+  | FReady  (** not yet started *)
+  | FRecv of key * (msg, unit) Effect.Deep.continuation
+  | FColl of 'w * (float, unit) Effect.Deep.continuation
+  | FDone
 
-(* Collectives, shared by [sched_run], [sched_run_par] and both engines: a
-   collective starts at the latest processor clock; a scalar all-reduce
-   folds the operands in processor order from the operator's identity; an
-   array all-reduce combines, per element, the values present on some
-   processor in pid order and writes the result back everywhere. *)
-let max_clock (h : hooks) =
-  let t = ref 0.0 in
-  for p = 0 to h.h_nprocs - 1 do
-    t := Float.max !t (h.h_clock p)
-  done;
-  !t
+let is_done = function FDone -> true | _ -> false
+
+(* Run processor [p]'s node program as a fiber, in either scheduler: each
+   blocking effect parks it through [park] with its continuation ([block]
+   turns the collective it entered into what it waits on), and returning
+   parks it [FDone]. *)
+let start (h : hooks) p ~park ~block =
+  let open Effect.Deep in
+  match_with h.h_body p
+    {
+      retc = (fun () -> park FDone);
+      exnc = raise;
+      effc =
+        (fun (type c) (eff : c Effect.t) ->
+          match eff with
+          | ERecv k ->
+              Some
+                (fun (cont : (c, unit) continuation) -> park (FRecv (k, cont)))
+          | ECollective c ->
+              Some
+                (fun (cont : (c, unit) continuation) ->
+                  park (FColl (block c, cont)))
+          | _ -> None);
+    }
 
 let combine op a v =
   match op with
@@ -947,13 +971,96 @@ let combine op a v =
   | Spmd.RMax -> Float.max a v
   | Spmd.RMin -> Float.min a v
 
-let reduce_scalar op vals =
-  List.fold_left (combine op)
-    (match op with
-    | Spmd.RSum -> 0.0
-    | Spmd.RMax -> Float.neg_infinity
-    | Spmd.RMin -> Float.infinity)
-    vals
+type fired = {
+  f_coll : coll;  (* processor 0's: the operator and array name in force *)
+  f_value : float;  (* what every processor resumes with *)
+  f_nelems : int;  (* elements combined: 1 for a scalar *)
+  f_tdone : float;  (* completion time, on every processor's clock *)
+}
+
+(* The one firing rule of both schedulers. [at.(p)] is the collective
+   processor [p] is blocked in, [None] if it is running, receiving or done.
+   A collective fires only when every processor is blocked in one of the
+   same kind; the operator, and an array collective's name, are processor
+   0's. A scalar all-reduce folds the operands in pid order from the
+   operator's identity; an element-wise one combines through
+   [h_reduce_arr]. Either starts at the latest processor clock and costs a
+   P-way all-reduce of its element count. *)
+let fire (h : hooks) (at : coll option array) : fired option =
+  let same_kind a b =
+    match (a, b) with
+    | Some (Scalar _), Some (Scalar _)
+    | Some (Elementwise _), Some (Elementwise _) -> true
+    | _ -> false
+  in
+  if not (Array.for_all (same_kind at.(0)) at) then None
+  else begin
+    let c = Option.get at.(0) in
+    let value, nelems =
+      match c with
+      | Scalar (op, _) ->
+          let identity =
+            match op with
+            | Spmd.RSum -> 0.0
+            | Spmd.RMax -> Float.neg_infinity
+            | Spmd.RMin -> Float.infinity
+          in
+          let fold a = function
+            | Some (Scalar (_, v)) -> combine op a v
+            | _ -> a
+          in
+          (Array.fold_left fold identity at, 1)
+      | Elementwise (name, op) -> (0.0, h.h_reduce_arr name op)
+    in
+    let t = ref 0.0 in
+    for p = 0 to h.h_nprocs - 1 do
+      t := Float.max !t (h.h_clock p)
+    done;
+    Some
+      { f_coll = c; f_value = value; f_nelems = nelems;
+        f_tdone =
+          !t +. Machine.allreduce_cost h.h_tr.tr_machine h.h_nprocs nelems }
+  end
+
+(* Commit a fired collective to the transport (in [sched_run], and so in
+   [sched_run_par]'s replay): an element-wise collective adds its
+   2·stages·P tree messages to the counters, a scalar one adds none; every
+   processor's wait up to completion is metered and traced. *)
+let account tr (h : hooks) (f : fired) =
+  let nprocs = h.h_nprocs in
+  let stages = Machine.stages nprocs in
+  let msgs, bytes =
+    match f.f_coll with
+    | Scalar _ -> (0, 0)
+    | Elementwise _ ->
+        ( 2 * stages * nprocs,
+          2 * stages * f.f_nelems * tr.tr_machine.Machine.elem_bytes )
+  in
+  tr.tr_c.n_msgs <- tr.tr_c.n_msgs + msgs;
+  tr.tr_c.n_bytes <- tr.tr_c.n_bytes + bytes;
+  (match tr.tr_metrics with
+  | None -> ()
+  | Some sm ->
+      sm.sm_coll_msgs <- sm.sm_coll_msgs + msgs;
+      sm.sm_coll_bytes <- sm.sm_coll_bytes + bytes;
+      for p = 0 to nprocs - 1 do
+        sm.sm_coll_t.(p) <- sm.sm_coll_t.(p) +. (f.f_tdone -. h.h_clock p)
+      done);
+  match tr.tr_trace with
+  | None -> ()
+  | Some tw ->
+      let name, args =
+        match f.f_coll with
+        | Scalar (op, _) -> ("allreduce " ^ Spmd.reduce_op_name op, None)
+        | Elementwise (a, _) ->
+            ( "allreduce_arr " ^ a,
+              Some
+                [ ("elems", Obs.Int f.f_nelems); ("stages", Obs.Int stages) ] )
+      in
+      for p = 0 to nprocs - 1 do
+        trace_slice tw ~tid:p ~t0:(h.h_clock p) ~t1:f.f_tdone ~cat:"coll" ?args
+          name
+      done
 
 let reduce_tables op tables =
   let keys = Hashtbl.create 256 in
@@ -980,39 +1087,11 @@ let reduce_tables op tables =
 
 let sched_run (h : hooks) : unit =
   let tr = h.h_tr in
-  let machine = tr.tr_machine in
   let nprocs = h.h_nprocs in
-  let status = Array.make nprocs WRun in
-  let start p =
-    let open Effect.Deep in
-    match_with
-      (fun () -> h.h_body p)
-      ()
-      {
-        retc = (fun () -> status.(p) <- WDone);
-        exnc = (fun e -> raise e);
-        effc =
-          (fun (type c) (eff : c Effect.t) ->
-            match eff with
-            | ERecv k ->
-                Some
-                  (fun (cont : (c, unit) continuation) ->
-                    status.(p) <- WRecv (k, cont))
-            | EReduce (op, v) ->
-                Some
-                  (fun (cont : (c, unit) continuation) ->
-                    status.(p) <- WReduce (op, v, cont))
-            | EReduceArr (name, op) ->
-                Some
-                  (fun (cont : (c, unit) continuation) ->
-                    status.(p) <- WReduceArr (name, op, cont))
-            | _ -> None);
-      }
-  in
+  let status = Array.make nprocs FReady in
   for p = 0 to nprocs - 1 do
-    start p
+    start h p ~park:(fun f -> status.(p) <- f) ~block:Fun.id
   done;
-  let is_done = function WDone -> true | _ -> false in
   let all_done () = Array.for_all is_done status in
   let progressed = ref true in
   while (not (all_done ())) && !progressed do
@@ -1023,7 +1102,7 @@ let sched_run (h : hooks) : unit =
        and counted, out-of-order messages wait in flight *)
     for p = 0 to nprocs - 1 do
       match status.(p) with
-      | WRecv (k, cont) -> (
+      | FRecv (k, cont) -> (
           match Hashtbl.find_opt tr.tr_mailbox k with
           | Some q when !q <> [] -> (
               let expected =
@@ -1054,7 +1133,7 @@ let sched_run (h : hooks) : unit =
                   q := rest;
                   Hashtbl.replace tr.tr_recv_seq k (expected + 1);
                   progressed := true;
-                  status.(p) <- WDone;
+                  status.(p) <- FDone;
                   (* placeholder; handler overwrites on next block *)
                   op_point tr ~pid:p ~clock:(h.h_clock p);
                   Effect.Deep.continue cont msg
@@ -1062,117 +1141,25 @@ let sched_run (h : hooks) : unit =
           | _ -> ())
       | _ -> ()
     done;
-    (* collectives *)
-    if not !progressed then begin
-      let at_arr_reduce =
-        Array.for_all (function WReduceArr _ -> true | _ -> false) status
-        && Array.length status > 0
-      in
-      if at_arr_reduce then begin
-        let name, op, _ =
-          match status.(0) with
-          | WReduceArr (n, o, c) -> (n, o, c)
-          | _ -> assert false
-        in
-        let nelems = h.h_reduce_arr name op in
-        let stages = Machine.stages nprocs in
-        let t_done =
-          max_clock h +. Machine.allreduce_cost machine nprocs nelems
-        in
-        tr.tr_c.n_msgs <- tr.tr_c.n_msgs + (2 * stages * nprocs);
-        tr.tr_c.n_bytes <-
-          tr.tr_c.n_bytes + (2 * stages * nelems * machine.Machine.elem_bytes);
-        (match tr.tr_metrics with
-        | None -> ()
-        | Some sm ->
-            sm.sm_coll_msgs <- sm.sm_coll_msgs + (2 * stages * nprocs);
-            sm.sm_coll_bytes <-
-              sm.sm_coll_bytes
-              + (2 * stages * nelems * machine.Machine.elem_bytes);
-            for p = 0 to nprocs - 1 do
-              sm.sm_coll_t.(p) <- sm.sm_coll_t.(p) +. (t_done -. h.h_clock p)
-            done);
-        (match tr.tr_trace with
-        | Some tw ->
-            for p = 0 to nprocs - 1 do
-              trace_slice tw ~tid:p ~t0:(h.h_clock p) ~t1:t_done ~cat:"coll"
-                ~args:[ ("elems", Obs.Int nelems); ("stages", Obs.Int stages) ]
-                (Printf.sprintf "allreduce_arr %s" name)
-            done
-        | None -> ());
-        let conts =
-          Array.mapi
-            (fun pidx st ->
-              match st with WReduceArr (_, _, c) -> Some (pidx, c) | _ -> None)
-            status
-        in
-        Array.iter
-          (function
-            | Some (pidx, cont) ->
-                h.h_set_clock pidx t_done;
-                status.(pidx) <- WDone;
-                progressed := true;
-                op_point tr ~pid:pidx ~clock:t_done;
-                Effect.Deep.continue cont ()
-            | None -> ())
-          conts
-      end;
-      let at_reduce =
-        Array.for_all
-          (function WReduce _ -> true | WDone -> false | _ -> false)
-          status
-        && Array.exists (function WReduce _ -> true | _ -> false) status
-      in
-      if at_reduce then begin
-        let vals =
-          Array.to_list status
-          |> List.filter_map (function
-               | WReduce (op, v, _) -> Some (op, v)
-               | _ -> None)
-        in
-        let op = fst (List.hd vals) in
-        let combined = reduce_scalar op (List.map snd vals) in
-        let t_done = max_clock h +. Machine.allreduce_time machine nprocs in
-        (match tr.tr_metrics with
-        | None -> ()
-        | Some sm ->
-            Array.iteri
-              (fun p s ->
-                match s with
-                | WReduce _ ->
-                    sm.sm_coll_t.(p) <-
-                      sm.sm_coll_t.(p) +. (t_done -. h.h_clock p)
-                | _ -> ())
-              status);
-        (match tr.tr_trace with
-        | Some tw ->
-            Array.iteri
-              (fun p s ->
-                match s with
-                | WReduce _ ->
-                    trace_slice tw ~tid:p ~t0:(h.h_clock p) ~t1:t_done
-                      ~cat:"coll"
-                      ("allreduce " ^ Spmd.reduce_op_name op)
-                | _ -> ())
-              status
-        | None -> ());
-        let conts =
-          Array.mapi
-            (fun p s -> match s with WReduce (_, _, c) -> Some (p, c) | _ -> None)
-            status
-        in
-        Array.iter
-          (function
-            | Some (p, cont) ->
-                h.h_set_clock p t_done;
-                status.(p) <- WDone;
-                progressed := true;
-                op_point tr ~pid:p ~clock:t_done;
-                Effect.Deep.continue cont combined
-            | None -> ())
-          conts
-      end
-    end
+    (* collectives: completed in pid order, each processor's clock set
+       before its operation point and its resumption *)
+    if not !progressed then
+      let at = Array.map (function FColl (c, _) -> Some c | _ -> None) status in
+      match fire h at with
+      | None -> ()
+      | Some f ->
+          account tr h f;
+          progressed := true;
+          Array.iteri
+            (fun p fb ->
+              match fb with
+              | FColl (_, cont) ->
+                  h.h_set_clock p f.f_tdone;
+                  status.(p) <- FDone;
+                  op_point tr ~pid:p ~clock:f.f_tdone;
+                  Effect.Deep.continue cont f.f_value
+              | _ -> assert false)
+            (Array.copy status)
   done;
   if not (all_done ()) then begin
     (* structured diagnosis: who waits on whom, with event ids, sequence
@@ -1185,7 +1172,7 @@ let sched_run (h : hooks) : unit =
                Some { w_pid = p; w_clock = h.h_clock p; w_reason = reason }
              in
              match s with
-             | WRecv (k, _) ->
+             | FRecv (k, _) ->
                  let queued =
                    match Hashtbl.find_opt tr.tr_mailbox k with
                    | Some q -> List.length !q
@@ -1203,9 +1190,9 @@ let sched_run (h : hooks) : unit =
                             ~default:0;
                         wr_queued = queued;
                       })
-             | WReduce _ -> w WaitReduce
-             | WReduceArr (name, _, _) -> w (WaitReduceArr name)
-             | WRun | WDone -> None)
+             | FColl (Scalar _, _) -> w WaitReduce
+             | FColl (Elementwise (name, _), _) -> w (WaitReduceArr name)
+             | FReady | FDone -> None)
       |> List.filter_map Fun.id
     in
     let stuck = List.map (fun w -> w.w_pid) waiting in
@@ -1252,19 +1239,9 @@ let sched_run (h : hooks) : unit =
    current-slot reference suffices; lanes keep their own reference, which
    stays valid after the slot fires and a new one opens *)
 type coll_slot = {
-  mutable sl_sc : (int * Spmd.reduce_op * float) list;  (* scalar arrivals *)
-  mutable sl_ar : (int * string * Spmd.reduce_op) list;  (* array arrivals *)
-  mutable sl_fired : bool;
-  mutable sl_scalar : float;  (* combined value, scalar collectives *)
-  mutable sl_tdone : float;
+  sl_at : coll option array;  (* arrivals, by pid *)
+  mutable sl_fired : fired option;  (* set once, when {!fire} says so *)
 }
-
-type lane_state =
-  | LStart
-  | LRecv of key * (msg, unit) Effect.Deep.continuation
-  | LReduce of coll_slot * (float, unit) Effect.Deep.continuation
-  | LReduceArr of coll_slot * (unit, unit) Effect.Deep.continuation
-  | LDone
 
 let sched_run_par ?(domains = 1) (h : hooks) : unit =
   let tr = h.h_tr in
@@ -1280,7 +1257,6 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
        schedules are inherently sequential *)
     sched_run h
   else begin
-    let machine = tr.tr_machine in
     let nd = min domains nprocs in
     let mu = Mutex.create () in
     let cond = Condition.create () in
@@ -1290,7 +1266,17 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
     let seqno = ref 0 in
     let mail : (key * int, msg) Hashtbl.t = Hashtbl.create 256 in
     let coll : coll_slot option ref = ref None in
+    (* element counts of the element-wise collectives in firing order:
+       pass 1 combines the arrays, the replay re-prices from these *)
     let arr_nelems : int Queue.t = Queue.create () in
+    let h1 =
+      { h with
+        h_reduce_arr =
+          (fun name op ->
+            let n = h.h_reduce_arr name op in
+            Queue.push n arr_nelems;
+            n) }
+    in
     let n_done = ref 0 in
     let n_idle = ref 0 in
     let n_exited = ref 0 in
@@ -1326,55 +1312,24 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
           incr seqno;
           Condition.broadcast cond)
     in
-    (* fire the open collective if complete; caller holds [mu]. Mirrors the
-       sequential conditions exactly: a scalar collective needs all lanes
-       in it (one terminated lane blocks it forever, as in [sched_run]);
-       an array collective likewise needs every lane. *)
-    let try_fire (s : coll_slot) =
-      if not s.sl_fired then begin
-        if List.length s.sl_ar = nprocs then begin
-          let _, name, op =
-            List.find (fun (p, _, _) -> p = 0) s.sl_ar
-          in
-          let nelems = h.h_reduce_arr name op in
-          Queue.push nelems arr_nelems;
-          s.sl_tdone <-
-            max_clock h +. Machine.allreduce_cost machine nprocs nelems;
-          s.sl_fired <- true;
-          incr seqno;
-          Condition.broadcast cond
-        end
-        else if List.length s.sl_sc = nprocs then begin
-          let vals =
-            List.sort (fun (a, _, _) (b, _, _) -> compare a b) s.sl_sc
-          in
-          let op = match vals with (_, op, _) :: _ -> op | [] -> assert false in
-          s.sl_scalar <- reduce_scalar op (List.map (fun (_, _, v) -> v) vals);
-          s.sl_tdone <- max_clock h +. Machine.allreduce_time machine nprocs;
-          s.sl_fired <- true;
-          incr seqno;
-          Condition.broadcast cond
-        end
-      end
-    in
-    (* register an arrival at the current collective; caller holds [mu] *)
-    let arrive p (kind : [ `Sc of Spmd.reduce_op * float | `Ar of string * Spmd.reduce_op ])
-        : coll_slot =
+    (* register an arrival at the open collective and fire it by
+       [sched_run]'s rule; caller holds [mu] *)
+    let arrive p c : coll_slot =
       let s =
         match !coll with
-        | Some s when not s.sl_fired -> s
+        | Some s when Option.is_none s.sl_fired -> s
         | _ ->
-            let s =
-              { sl_sc = []; sl_ar = []; sl_fired = false; sl_scalar = 0.0;
-                sl_tdone = 0.0 }
-            in
+            let s = { sl_at = Array.make nprocs None; sl_fired = None } in
             coll := Some s;
             s
       in
-      (match kind with
-      | `Sc (op, v) -> s.sl_sc <- (p, op, v) :: s.sl_sc
-      | `Ar (name, op) -> s.sl_ar <- (p, name, op) :: s.sl_ar);
-      try_fire s;
+      s.sl_at.(p) <- Some c;
+      (match fire h1 s.sl_at with
+      | Some f ->
+          s.sl_fired <- Some f;
+          incr seqno;
+          Condition.broadcast cond
+      | None -> ());
       s
     in
     let domain_loop d =
@@ -1384,7 +1339,7 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
              (fun p -> p mod nd = d)
              (List.init nprocs (fun p -> p)))
       in
-      let st = Array.map (fun _ -> LStart) my in
+      let st = Array.map (fun _ -> FReady) my in
       let set_state i v = st.(i) <- v in
       (* run a lane step (start, resume or cancel) with its DLS marker
          installed; lane exceptions abort the whole run — Cancelled is the
@@ -1393,52 +1348,19 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
         Domain.DLS.set lane_key (Some lanes.(p));
         Fun.protect ~finally:(fun () -> Domain.DLS.set lane_key None) f
       in
-      let start i p =
-        let open Effect.Deep in
-        match_with
-          (fun () -> h.h_body p)
-          ()
-          {
-            retc =
-              (fun () ->
-                set_state i LDone;
-                Mutex.protect mu (fun () -> incr n_done));
-            exnc = (fun e -> raise e);
-            effc =
-              (fun (type c) (eff : c Effect.t) ->
-                match eff with
-                | ERecv k ->
-                    Some
-                      (fun (cont : (c, unit) continuation) ->
-                        set_state i (LRecv (k, cont)))
-                | EReduce (op, v) ->
-                    Some
-                      (fun (cont : (c, unit) continuation) ->
-                        let s =
-                          Mutex.protect mu (fun () ->
-                              lanes.(p).l_log <-
-                                OReduce
-                                  { zop = op; zmine = v; zt0 = h.h_clock p }
-                                :: lanes.(p).l_log;
-                              arrive p (`Sc (op, v)))
-                        in
-                        set_state i (LReduce (s, cont)))
-                | EReduceArr (name, op) ->
-                    Some
-                      (fun (cont : (c, unit) continuation) ->
-                        let s =
-                          Mutex.protect mu (fun () ->
-                              lanes.(p).l_log <-
-                                OReduceArr
-                                  { aname = name; aop = op; at0 = h.h_clock p }
-                                :: lanes.(p).l_log;
-                              arrive p (`Ar (name, op)))
-                        in
-                        set_state i (LReduceArr (s, cont)))
-                | _ -> None);
-          }
+      let park i f =
+        set_state i f;
+        match f with
+        | FDone -> Mutex.protect mu (fun () -> incr n_done)
+        | _ -> ()
       in
-      let all_done () = Array.for_all (function LDone -> true | _ -> false) st in
+      let block p c =
+        Mutex.protect mu (fun () ->
+            lanes.(p).l_log <-
+              OColl { oc = c; ot0 = h.h_clock p } :: lanes.(p).l_log;
+            arrive p c)
+      in
+      let all_done () = Array.for_all is_done st in
       (try
          while (not (all_done ())) && not !abort do
            (* the epoch is read before the sweep: a publication landing
@@ -1450,10 +1372,11 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
              (fun i p ->
                if not !abort then
                  match st.(i) with
-                 | LStart ->
+                 | FReady ->
                      progressed := true;
-                     lane_step p (fun () -> start i p)
-                 | LRecv (k, cont) -> (
+                     lane_step p (fun () ->
+                         start h p ~park:(park i) ~block:(block p))
+                 | FRecv (k, cont) -> (
                      let expected =
                        Option.value
                          (Hashtbl.find_opt lanes.(p).l_rseq k)
@@ -1471,26 +1394,20 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
                      | Some m ->
                          Hashtbl.replace lanes.(p).l_rseq k (expected + 1);
                          progressed := true;
-                         set_state i LDone;
+                         set_state i FDone;
                          (* placeholder; handler overwrites on next block *)
                          lane_step p (fun () -> Effect.Deep.continue cont m)
                      | None -> ())
-                 | LReduce (s, cont) ->
-                     if s.sl_fired then begin
-                       progressed := true;
-                       h.h_set_clock p s.sl_tdone;
-                       set_state i LDone;
-                       lane_step p (fun () ->
-                           Effect.Deep.continue cont s.sl_scalar)
-                     end
-                 | LReduceArr (s, cont) ->
-                     if s.sl_fired then begin
-                       progressed := true;
-                       h.h_set_clock p s.sl_tdone;
-                       set_state i LDone;
-                       lane_step p (fun () -> Effect.Deep.continue cont ())
-                     end
-                 | LDone -> ())
+                 | FColl (s, cont) -> (
+                     match s.sl_fired with
+                     | Some f ->
+                         progressed := true;
+                         h.h_set_clock p f.f_tdone;
+                         set_state i FDone;
+                         lane_step p (fun () ->
+                             Effect.Deep.continue cont f.f_value)
+                     | None -> ())
+                 | FDone -> ())
              my;
            if (not !progressed) && not (all_done ()) then
              Mutex.protect mu (fun () ->
@@ -1537,18 +1454,15 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
                   record_error p e bt
             in
             match st.(i) with
-            | LRecv (k, cont) ->
+            | FRecv (k, cont) ->
                 lanes.(p).l_log <-
                   OPendRecv { pk = k; pt0 = h.h_clock p } :: lanes.(p).l_log;
-                set_state i LDone;
+                set_state i FDone;
                 cancel cont
-            | LReduce (_, cont) ->
-                set_state i LDone;
+            | FColl (_, cont) ->
+                set_state i FDone;
                 cancel cont
-            | LReduceArr (_, cont) ->
-                set_state i LDone;
-                cancel cont
-            | LStart | LDone -> ())
+            | FReady | FDone -> ())
           my;
       Mutex.protect mu (fun () ->
           idle_seen.(d) <- -2;
@@ -1590,12 +1504,9 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
                   p rk.k_event m.m_seq rseq;
               shadow.(p) <- rt1;
               trace_recv tr ~tid:p ~t0:rt0 ~t1:rt1 rk m
-          | OReduce { zop; zmine; zt0 } ->
-              shadow.(p) <- zt0;
-              ignore (Effect.perform (EReduce (zop, zmine)) : float)
-          | OReduceArr { aname; aop; at0 } ->
-              shadow.(p) <- at0;
-              Effect.perform (EReduceArr (aname, aop))
+          | OColl { oc; ot0 } ->
+              shadow.(p) <- ot0;
+              ignore (Effect.perform (ECollective oc) : float)
           | OPendRecv { pk; pt0 } ->
               shadow.(p) <- pt0;
               ignore (Effect.perform (ERecv pk) : msg);

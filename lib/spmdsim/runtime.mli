@@ -1,13 +1,15 @@
-(** Shared runtime substrate for the two SPMD execution engines: the
-    tree-walking interpreter ({!Exec} with [`Interp]) and the
-    closure-compiling engine ({!Compile}, the default [`Closure]).
+(** Shared runtime substrate for the three SPMD execution engines: the
+    tree-walking interpreter ({!Exec} with [`Interp]), the
+    closure-compiling engine ({!Compile}, the default [`Closure]) and the
+    native engine ({!Native}).
 
     The transport (packed payloads, per-channel sequence numbers, fault
     plans, message/byte/retransmit counters) and the scheduler (message
-    delivery, scalar and array collectives, deadlock diagnosis) live here
-    and are used verbatim by both engines, so the engine-differential
-    guarantee — identical counters, identical delivery order — is
-    structural rather than re-implemented twice. *)
+    delivery, one collective mechanism for scalar and element-wise
+    all-reduces, deadlock diagnosis) live here and are used verbatim by
+    all three engines, so the engine-differential guarantee — identical
+    counters, identical delivery order — is structural rather than
+    re-implemented per engine. *)
 
 open Dhpf
 
@@ -201,7 +203,7 @@ val trace_recv :
 (** Trace a completed receive ([t0] = clock at block, [t1] = clock after
     arrival sync and unpack charges, both in simulated seconds): emits the
     recv slice and closes the matching send's flow arrow. No-op when the
-    transport is untraced — both engines call it unconditionally. *)
+    transport is untraced — every engine calls it unconditionally. *)
 
 val send :
   transport ->
@@ -218,7 +220,7 @@ val send :
   unit
 (** Complete a send: contiguity decision (§3.3), packing/send CPU charges
     via [tick], fault plan application (drops priced as retransmissions,
-    delay, duplication, reordering) and enqueue. Both engines call this, so
+    delay, duplication, reordering) and enqueue. Every engine calls this, so
     counter and timing semantics cannot diverge. A send is one
     communication operation: it ends by advancing the operation indices,
     feeding the watchdog, evaluating the crash schedule (possibly raising
@@ -272,10 +274,19 @@ val capture_transport :
 
 (** {1 Effects} *)
 
+(** A collective as one processor enters it: an all-reduce of its scalar
+    operand, or an element-wise all-reduce of the partial values it holds
+    of the named array. *)
+type coll =
+  | Scalar of Spmd.reduce_op * float
+  | Elementwise of string * Spmd.reduce_op
+
+(** The two blocking operations of a processor fiber. A collective resumes
+    with the combined scalar, or [0.0] for an element-wise collective,
+    whose result is written into every processor's array. *)
 type _ Effect.t +=
   | ERecv : key -> msg Effect.t
-  | EReduce : (Spmd.reduce_op * float) -> float Effect.t
-  | EReduceArr : (string * Spmd.reduce_op) -> unit Effect.t
+  | ECollective : coll -> float Effect.t
 
 (** {1 Statistics} *)
 
@@ -349,14 +360,22 @@ val reduce_tables : Spmd.reduce_op -> ('k, float) Hashtbl.t array -> int
 val sched_run_par : ?domains:int -> hooks -> unit
 (** Drive every processor fiber to completion: deliver sequence-matched
     messages, execute collectives, and raise {!Deadlock} with a structured
-    diagnosis when no progress is possible. Processor lanes are sharded
-    across [domains] OCaml domains, bit-identically to the sequential
-    scheduler in element values, clocks, transport counters, metrics and
-    traces: lanes advance in parallel between communication points
-    against a (channel, sequence)-keyed concurrent mailbox while logging
-    every transport mutation, and a sequential replay pass then commits
-    those mutations — mailbox evolution, duplicate discards, operation
-    points, trace slices — in exactly the sequential interleaving.
+    diagnosis when no progress is possible. A collective ({!ECollective})
+    fires only when every processor is blocked in one of the same kind,
+    with processor 0's operator (and array name); it completes at the
+    latest processor clock plus a P-way all-reduce of its element count
+    (1 for a scalar), and an element-wise one also adds its tree messages
+    to the counters. A finished processor, one blocked on a receive, or a
+    kind mismatch leaves it unfired, which ends in {!Deadlock}. Processor
+    lanes are sharded across [domains] OCaml domains, bit-identically to
+    the sequential scheduler in element values, clocks, transport
+    counters, metrics and traces: lanes advance in parallel between
+    communication points against a (channel, sequence)-keyed concurrent
+    mailbox and a collective rendezvous fired by the same rule, while
+    logging every transport mutation, and a sequential replay pass then
+    commits those mutations — mailbox evolution, duplicate discards,
+    collective pricing, operation points, trace slices — in exactly the
+    sequential interleaving.
     [domains <= 1], a single processor, or an installed crash schedule /
     checkpoint trigger / watchdog bound falls back to the sequential
     scheduler unchanged, with the identical diagnosis on deadlock. *)

@@ -241,6 +241,54 @@ let test_mixed_stall () =
       Alcotest.(check bool) "one proc at the collective, one at a recv" true
         (List.mem `Recv reasons && List.mem `Reduce reasons)
 
+(* a collective kind mismatch: proc 0 enters a scalar all-reduce while
+   proc 1 enters an element-wise one at the same point, so neither fires;
+   the sequential and the parallel scheduler diagnose the same stall *)
+let mixed_coll_prog : Spmd.program =
+  let open Iset.Codegen in
+  {
+    proc_dims =
+      [ { Spmd.pd_mode = Spmd.VpIsPhys; pd_extent = EInt 2; pd_tlo = EInt 0;
+          pd_bsize = None } ];
+    proc_extents = [ EInt 2 ];
+    params = [];
+    arrays = [ { Spmd.ad_name = "v"; ad_bounds = [ (EInt 1, EInt 4) ]; ad_layout = None } ];
+    scalars = [ "s" ];
+    events = [];
+    main =
+      [
+        Spmd.If (CEq0 (EVar "m$1"), [ Spmd.Reduce { scalar = "s"; op = Spmd.RSum } ]);
+        Spmd.If
+          ( CEq0 (ESub (EVar "m$1", EInt 1)),
+            [ Spmd.Reduce { scalar = "v"; op = Spmd.RMax } ] );
+      ];
+    subs = [];
+  }
+
+let test_mixed_collectives () =
+  List.iter
+    (fun (engine, domains) ->
+      let what =
+        Printf.sprintf "%s, %d domain(s)" (Spmdsim.Exec.engine_to_string engine) domains
+      in
+      let sim = Spmdsim.Exec.make ~engine ~domains ~nprocs:2 mixed_coll_prog in
+      match Spmdsim.Exec.run sim with
+      | _ -> Alcotest.failf "%s: expected a deadlock" what
+      | exception Spmdsim.Exec.Deadlock d ->
+          let reasons =
+            List.map
+              (fun (w : Spmdsim.Exec.proc_wait) ->
+                match w.w_reason with
+                | Spmdsim.Exec.WaitRecv _ -> (w.w_pid, "recv")
+                | Spmdsim.Exec.WaitReduce -> (w.w_pid, "scalar")
+                | Spmdsim.Exec.WaitReduceArr a -> (w.w_pid, "array " ^ a))
+              d.dg_waiting
+          in
+          Alcotest.(check (list (pair int string)))
+            (what ^ ": each proc blocked in its own kind")
+            [ (0, "scalar"); (1, "array v") ] reasons)
+    [ (`Interp, 1); (`Interp, 2); (`Closure, 1); (`Closure, 2) ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -267,5 +315,7 @@ let () =
         [
           Alcotest.test_case "wait-for cycle extraction" `Quick test_deadlock_cycle;
           Alcotest.test_case "mixed recv/collective stall" `Quick test_mixed_stall;
+          Alcotest.test_case "scalar/array collective stall" `Quick
+            test_mixed_collectives;
         ] );
     ]

@@ -133,10 +133,14 @@ let test_sim_domains () =
     benchmarks
 
 let test_sim_domains_interp () =
-  let chk = Hpf.Sema.analyze_source (Codes.jacobi ~n:14 ~iters:2 ()) in
-  outcome_ok "jacobi/interp"
-    (Spmdsim.Diffcheck.domains ~engine:`Interp ~nprocs:4
-       ~domain_counts:[ 3 ] ~seeds:[ 9 ] chk)
+  (* jacobi's collectives are scalar, erlebacher's element-wise *)
+  List.iter
+    (fun (name, src) ->
+      let chk = Hpf.Sema.analyze_source src in
+      outcome_ok (name ^ "/interp")
+        (Spmdsim.Diffcheck.domains ~engine:`Interp ~nprocs:4
+           ~domain_counts:[ 3 ] ~seeds:[ 9 ] chk))
+    [ ("jacobi", Codes.jacobi ~n:14 ~iters:2 ()); ("erlebacher", Codes.erlebacher ~n:10 ()) ]
 
 (* metrics instrumentation must not perturb the parallel scheduler, and
    the per-pair communication table must be identical at every count *)

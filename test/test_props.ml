@@ -192,6 +192,75 @@ let prop_simplify =
       | None -> not (List.exists want pts)
       | Some s -> List.for_all (fun pt -> holds_at s pt = want pt) pts)
 
+(* Pugh-shaped two-variable bands, l1 <= a·x + b·y <= l1 + w1 and
+   l2 <= c·x − d·y <= l2 + w2, with every coefficient above 1: eliminating
+   either variable pairs non-unit bounds, so the Omega test is inexact and
+   thin bands with no integer point in them reach the dark shadow and the
+   splinters. The bands meet in a parallelogram: with every coefficient
+   at least 2 and both band ends within ±band_reach, every solution has
+   |x|, |y| <= band_reach / 2, so enumerating that box is an exact
+   oracle. *)
+type band = { a : int; b : int; c : int; d : int; l1 : int; w1 : int; l2 : int; w2 : int }
+
+let band_reach = 40
+
+let band_box =
+  let r = band_reach / 2 in
+  List.concat_map
+    (fun x -> List.init ((2 * r) + 1) (fun j -> (x, j - r)))
+    (List.init ((2 * r) + 1) (fun i -> i - r))
+
+let band_set bd =
+  let lin a b k = Lin.of_list [ (a, Var.In 0); (b, Var.In 1) ] k in
+  Rel.set ~ar:2
+    [
+      Conj.make ~n_ex:0
+        [
+          Constr.geq (lin bd.a bd.b (-bd.l1));
+          Constr.geq (lin (-bd.a) (-bd.b) (bd.l1 + bd.w1));
+          Constr.geq (lin bd.c (-bd.d) (-bd.l2));
+          Constr.geq (lin (-bd.c) bd.d (bd.l2 + bd.w2));
+        ];
+    ]
+
+let in_band bd (x, y) =
+  let s = (bd.a * x) + (bd.b * y) and t = (bd.c * x) - (bd.d * y) in
+  bd.l1 <= s && s <= bd.l1 + bd.w1 && bd.l2 <= t && t <= bd.l2 + bd.w2
+
+let gen_band =
+  QCheck.Gen.(
+    let coef = int_range 2 13 in
+    let side = int_range 0 20 >>= fun w ->
+      map (fun l -> (l, w)) (int_range (-band_reach) (band_reach - w))
+    in
+    map3
+      (fun (a, b) (c, d) ((l1, w1), (l2, w2)) -> { a; b; c; d; l1; w1; l2; w2 })
+      (pair coef coef) (pair coef coef) (pair side side))
+
+let check_band bd =
+  let s = band_set bd in
+  Rel.is_empty s = not (List.exists (in_band bd) band_box)
+  && List.for_all (fun (x, y) -> Rel.mem_set s [ x; y ] = in_band bd (x, y)) band_box
+
+let prop_bands =
+  QCheck.Test.make ~count:200 ~name:"bands: is_empty and mem agree with enumeration"
+    (QCheck.make ~print:(fun bd -> Rel.to_string (band_set bd)) gen_band)
+    check_band
+
+(* the same oracle over a fixed corpus, which must reach omega_sat's
+   splinter loop: a random seed alone does not promise that it does *)
+let test_band_splinters () =
+  (* answered afresh, not from the memo tables *)
+  Cache.clear_all ();
+  let s0 = Stats.count Stats.splinters in
+  let rand = Random.State.make [| 1998 |] in
+  List.iter
+    (fun bd ->
+      if not (check_band bd) then
+        Alcotest.failf "disagrees with enumeration: %s" (Rel.to_string (band_set bd)))
+    (QCheck.Gen.generate ~rand ~n:200 gen_band);
+  Alcotest.(check bool) "splinters tested" true (Stats.count Stats.splinters > s0)
+
 let () =
   Alcotest.run "props"
     [
@@ -210,4 +279,9 @@ let () =
           ] );
       ( "codegen",
         List.map QCheck_alcotest.to_alcotest [ prop_codegen; prop_codegen_order ] );
+      ( "omega",
+        [
+          QCheck_alcotest.to_alcotest prop_bands;
+          Alcotest.test_case "bands reach the splinters" `Quick test_band_splinters;
+        ] );
     ]

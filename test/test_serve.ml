@@ -884,6 +884,48 @@ let test_failed_run_sinks () =
           [ ("trace", t, "traceEvents"); ("metrics", m, "metrics") ])
   end
 
+(* [dhpfc top] is the daemon's only CLI client: one plain refresh against
+   a live daemon prints the served, window and ratios lines, and a socket
+   nobody listens on is reported as unreachable *)
+let test_top () =
+  if not (Sys.file_exists dhpfc) then Alcotest.skip ()
+  else
+    with_server @@ fun socket ->
+    ignore (compile_via socket "figure2");
+    let dir = fresh_dir () in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let out = Filename.concat dir "top.txt" in
+        let top sock =
+          let rc =
+            Sys.command
+              (Printf.sprintf "%s top --socket %s --plain --iterations 1 > %s 2>&1"
+                 dhpfc (Filename.quote sock) out)
+          in
+          (rc, read_file out)
+        in
+        let has text needle =
+          let n = String.length needle in
+          let rec go k =
+            k + n <= String.length text
+            && (String.sub text k n = needle || go (k + 1))
+          in
+          go 0
+        in
+        let rc, text = top socket in
+        Alcotest.(check int) "live: exits 0" 0 rc;
+        List.iter
+          (fun line ->
+            Alcotest.(check bool) ("live: prints " ^ line) true (has text line))
+          [ "served "; "window "; "ratios: memo " ];
+        Alcotest.(check bool)
+          "live: counts the requests served" false (has text "served 0 ");
+        let _, text = top (Filename.concat dir "nobody.sock") in
+        Alcotest.(check bool)
+          "unreachable: reported" true
+          (has text "server unreachable"))
+
 (* an unsupported query in the interactive calculator is reported and
    the session goes on: the lines after it are still evaluated *)
 let test_omega_continues () =
@@ -1481,5 +1523,7 @@ let () =
             test_tracks_named;
           Alcotest.test_case "omega session survives an unsupported query"
             `Quick test_omega_continues;
+          Alcotest.test_case "top against a live and a dead daemon" `Quick
+            test_top;
         ] );
     ]
