@@ -68,7 +68,7 @@ let table1_apps ?(smoke = false) () =
    intern tables. *)
 let cache_keys =
   List.concat_map
-    (fun (_, lookups, hits) -> Iset.Stats.[ name lookups; name hits ])
+    (fun (m : Iset.Stats.memo) -> Iset.Stats.[ name m.lookups; name m.hits ])
     Iset.Stats.memos
   @ [
       "sat pre-filter kills";
@@ -743,9 +743,9 @@ let warm_guard () =
       let chk = Hpf.Sema.analyze_source src in
       Iset.Cache.clear_all ();
       let cold = compile_minor_words chk in
-      let hits = Iset.Stats.(count codegen_hits) in
+      let hits = Iset.Stats.(count codegen.hits) in
       let warm = compile_minor_words chk in
-      let warm_hits = Iset.Stats.(count codegen_hits) - hits in
+      let warm_hits = Iset.Stats.(count codegen.hits) - hits in
       Fmt.epr
         "bench smoke: %s minor words cold %.1fM, warm %.1fM; warm codegen \
          hits %d@."

@@ -38,7 +38,8 @@ let load src_arg =
 (* distinct exit codes so scripts can triage failures:
    2 = parse/lexical, 3 = semantic, 4 = unsupported construct,
    5 = runtime (simulator error or deadlock), 6 = serve daemon could not
-   bind its socket, 7 = serve wire-protocol error *)
+   bind its socket, 7 = serve wire-protocol error or unreachable daemon
+   (also [top] whose last poll failed) *)
 let exit_parse = 2
 let exit_semantic = 3
 let exit_unsupported = 4
@@ -954,7 +955,10 @@ let top_cmd =
     Arg.(
       value & opt int 0
       & info [ "iterations" ] ~docv:"N"
-          ~doc:"Stop after $(docv) refreshes (0 = run until interrupted).")
+          ~doc:
+            "Stop after $(docv) refreshes (0 = run until interrupted). The \
+             exit status is 7 (protocol) when the last poll failed, so \
+             $(b,--iterations 1) is a health check.")
   in
   let plain_t =
     Arg.(
@@ -1003,17 +1007,16 @@ let top_cmd =
       | None -> ());
       Buffer.contents buf
     in
-    let rec loop i =
-      if iterations = 0 || i < iterations then begin
+    (* [loop i ok]: [ok] tells whether the last poll succeeded *)
+    let rec loop i ok =
+      if iterations <> 0 && i >= iterations then ok
+      else begin
+        let stats =
+          try Some (Serve.Client.request ~socket Serve.Proto.Stats)
+          with Serve.Client.Connect_error _ | Serve.Proto.Proto_error _ -> None
+        in
         let body =
-          match
-            (try Some (Serve.Client.request ~socket Serve.Proto.Stats)
-             with
-            | Serve.Client.Connect_error msg -> (
-                ignore msg;
-                None)
-            | Serve.Proto.Proto_error _ -> None)
-          with
+          match stats with
           | Some v -> render v
           | None -> Printf.sprintf "dhpfc top — %s: server unreachable\n" socket
         in
@@ -1024,10 +1027,10 @@ let top_cmd =
         end;
         flush stdout;
         if iterations = 0 || i + 1 < iterations then Unix.sleepf interval;
-        loop (i + 1)
+        loop (i + 1) (Option.is_some stats)
       end
     in
-    loop 0
+    if not (loop 0 true) then exit exit_protocol
   in
   Cmd.v
     (Cmd.info "top"

@@ -62,7 +62,8 @@ let time t label f =
         if outermost && Obs.enabled () then
           Obs.counter "iset/cache hits"
             (List.map
-               (fun (n, _, hits) -> (n, float_of_int (Iset.Stats.count hits)))
+               (fun (m : Iset.Stats.memo) ->
+                 (m.name, float_of_int (Iset.Stats.count m.hits)))
                Iset.Stats.memos))
       label f
   end

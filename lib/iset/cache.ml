@@ -43,9 +43,14 @@ let set_capacity n =
   Atomic.set capacity_ref (max 4 n);
   clear_all ()
 
-(** Flat int-array keys: the id-keyed tables of {!Rel} and {!Codegen}
-    spell out their operands as interned ids and arities. *)
-module Ints = struct
+module Id_key = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x
+end
+
+module Ids_key = struct
   type t = int array
 
   let equal (a : t) b =
@@ -58,43 +63,59 @@ module Ints = struct
   let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 0 a land max_int
 end
 
-(** Bounded memo table over an arbitrary key; registers its own clear hook
-    and a size gauge. The table is domain-local: each domain memoizes into
-    its own storage, so no synchronization is needed on the hot path. Clear
-    hooks and the size gauge act on the calling domain's table — in
-    practice the main domain's, the only long-lived one. *)
+(* A bounded memo table, declared once: its {!Stats.memo} (name and
+   counters), its computation, its capacity share and, for a disk-backed
+   table, its disk codec. Creation registers a clear hook and a size gauge.
+   The table is domain-local: each domain memoizes into its own storage,
+   so no synchronization is needed on the hot path. Clear hooks and the
+   size gauge act on the calling domain's table — in practice the main
+   domain's, the only long-lived one. *)
 module Memo (K : Hashtbl.HashedType) = struct
   module T = Hashtbl.Make (K)
 
-  type 'v t = {
-    key : 'v T.t Domain.DLS.key;
-    lookups : Stats.counter;
-    hits : Stats.counter;
+  type ('x, 'v) t = {
+    tbl : 'v T.t Domain.DLS.key;
+    stats : Stats.memo;
+    compute : 'x -> 'v;
+    disk : ('x, 'v) Diskcache.codec option;
     share : int;
   }
 
-  let create ?(share = 1) name ~lookups ~hits =
-    let key = Domain.DLS.new_key (fun () -> T.create 256) in
-    register_clear (fun () -> T.reset (Domain.DLS.get key));
-    Stats.register_gauge (name ^ " cache size") (fun () ->
-        T.length (Domain.DLS.get key));
-    { key; lookups; hits; share }
+  let create ?(share = 1) ?disk (stats : Stats.memo) compute =
+    let tbl = Domain.DLS.new_key (fun () -> T.create 256) in
+    register_clear (fun () -> T.reset (Domain.DLS.get tbl));
+    Stats.register_gauge (stats.name ^ " cache size") (fun () ->
+        T.length (Domain.DLS.get tbl));
+    { tbl; stats; compute; disk; share }
 
-  let length m = T.length (Domain.DLS.get m.key)
+  (* Tracing policy: a slice covers exactly the work of one miss — the
+     memoized hit path stays span-free, so traces show where set-operation
+     time is really spent. Each slice snapshots its table's counters. *)
+  let computed m x =
+    if Obs.enabled () then
+      Obs.span ~cat:"iset"
+        ~args:(fun () ->
+          [ ("lookups", Obs.Int (Stats.count m.stats.lookups));
+            ("hits", Obs.Int (Stats.count m.stats.hits)) ])
+        m.stats.name
+        (fun () -> m.compute x)
+    else m.compute x
 
-  (** [find_or_add m k f]: memoized [f ()]. With caching disabled this is
-      just [f ()] — no lookup, no insertion, no counter traffic. *)
-  let find_or_add m k f =
-    if not (enabled ()) then f ()
+  let find_or_add m k x =
+    if not (enabled ()) then m.compute x
     else begin
-      Stats.bump m.lookups;
-      let tbl = Domain.DLS.get m.key in
-      match T.find_opt tbl k with
-      | Some v ->
-          Stats.bump m.hits;
+      Stats.bump m.stats.lookups;
+      let tbl = Domain.DLS.get m.tbl in
+      match T.find tbl k with
+      | v ->
+          Stats.bump m.stats.hits;
           v
-      | None ->
-          let v = f () in
+      | exception Not_found ->
+          let v =
+            match m.disk with
+            | None -> computed m x
+            | Some c -> Diskcache.memo ~kind:m.stats.name c (computed m) x
+          in
           if T.length tbl >= max 1 (capacity () / m.share) then begin
             T.reset tbl;
             Stats.bump Stats.evictions
@@ -103,3 +124,6 @@ module Memo (K : Hashtbl.HashedType) = struct
           v
     end
 end
+
+module Id = Memo (Id_key)
+module Ids = Memo (Ids_key)

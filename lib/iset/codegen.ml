@@ -661,7 +661,6 @@ let generate ~context_conj ~disjoint ~order ~names (stmts : 'a stmt list) :
    holds a whole nest and a Table-1 compile adds at most 56, while a
    daemon serving programs that never repeat keeps only dead entries. At
    capacity/64 such a daemon's peak RSS grew by about 6%. *)
-module Memo = Cache.Memo (Cache.Ints)
 
 type entry = {
   nest : int ast list;  (* over placeholder names *)
@@ -671,12 +670,7 @@ type entry = {
          the cost of a hit. Tables are domain-local, so is the slot. *)
 }
 
-let memo : entry Memo.t =
-  Memo.create ~share:256 "codegen" ~lookups:Stats.codegen_lookups
-    ~hits:Stats.codegen_hits
-
-let key ~order ~disjoint ~k ~context_id stmts =
-  let doms = Array.of_list (List.map (fun s -> s.dom) stmts) in
+let key ~order ~disjoint ~k ~context_id doms =
   let len =
     Array.fold_left (fun n d -> n + 4 + List.length (Rel.conjuncts d)) 5 doms
   in
@@ -705,6 +699,20 @@ let key ~order ~disjoint ~k ~context_id stmts =
   key
 
 let placeholder i = "\000" ^ string_of_int i
+
+(* the operand is what [generate] reads besides the names: the nest is
+   generated over placeholders, one statement per domain, tagged by its
+   position *)
+let memo =
+  Cache.Ids.create ~share:256 Stats.codegen
+    (fun (context_conj, disjoint, order, k, doms) ->
+      let nest =
+        generate ~context_conj ~disjoint ~order
+          ~names:(Array.init k placeholder)
+          (List.mapi (fun i dom -> { tag = i; dom }) (Array.to_list doms))
+      in
+      (* under no names there is nothing to rename *)
+      { nest; named = ([||], nest) })
 
 (* the position a placeholder stands for, or -1 for any other name *)
 let placeholder_index s =
@@ -809,17 +817,11 @@ let gen ?context ?(disjoint = true) ?(order = `Lex) ~names (stmts : 'a stmt list
     else
       let k = Array.length names in
       let context_id = Option.fold ~none:(-1) ~some:Conj.id context in
+      let doms = Array.of_list (List.map (fun s -> s.dom) stmts) in
       let e =
-        Memo.find_or_add memo
-          (key ~order ~disjoint ~k ~context_id stmts)
-          (fun () ->
-            let nest =
-              generate ~context_conj ~disjoint ~order
-                ~names:(Array.init k placeholder)
-                (List.mapi (fun i s -> { tag = i; dom = s.dom }) stmts)
-            in
-            (* under no names there is nothing to rename *)
-            { nest; named = ([||], nest) })
+        Cache.Ids.find_or_add memo
+          (key ~order ~disjoint ~k ~context_id doms)
+          (context_conj, disjoint, order, k, doms)
       in
       let named =
         match e.named with

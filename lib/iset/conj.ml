@@ -123,18 +123,11 @@ let wire_of_conj t =
   wire_put b t;
   Buffer.contents b
 
-let wire_of_pair t u =
+let wire_of_pair (t, u) =
   let b = Buffer.create 256 in
   wire_put b t;
   wire_put b u;
   Buffer.contents b
-
-let enc_bool r =
-  let b = Buffer.create 1 in
-  Wire.bool b r;
-  Buffer.contents b
-
-let enc_conj t = wire_of_conj t
 
 (* decoded structures are interned so a disk hit hands back the same
    canonical representative recomputation would *)
@@ -642,53 +635,20 @@ let simplify_raw t =
     fix { t with cs = normalize_list t.cs } 0
   with Unsat -> None
 
-module IntMemo = Cache.Memo (struct
-  type t = int
-  let equal = Int.equal
-  let hash x = x
-end)
-
-module PairMemo = Cache.Memo (struct
-  type t = int * int
-  let equal (a, b) (a', b') = a = a' && b = b'
-  let hash = Hashtbl.hash
-end)
-
-let simplify_memo : t option IntMemo.t =
-  IntMemo.create "simplify" ~lookups:Stats.simplify_lookups
-    ~hits:Stats.simplify_hits
-
-(* Tracing policy: spans are emitted only around the raw slow paths — the
-   actual Omega-test / simplification work on a cache miss — so the
-   memoized hit path stays span-free and traces show where set-operation
-   time is really spent. Each span snapshots its operation's lookup/hit
-   counters as arguments. *)
-let traced name ~lookups ~hits f =
-  if Obs.enabled () then
-    Obs.span ~cat:"iset"
-      ~args:(fun () ->
-        [ ("lookups", Obs.Int (Stats.count lookups));
-          ("hits", Obs.Int (Stats.count hits)) ])
-      name f
-  else f ()
-
 (* Simplification is a pure function of the structure, so memoizing on the
    interned id returns exactly what recomputation would. The cached result
    is interned too: every caller of a repeated conjunct gets the same
    physically-shared simplified form. *)
+let simplify_memo =
+  Cache.Id.create Stats.simplify
+    ~disk:{ key = wire_of_conj; encode = enc_opt_conj; decode = dec_opt_conj }
+    (fun rep -> Option.map intern (simplify_raw rep))
+
 let simplify t =
-  let slow t =
-    traced "simplify" ~lookups:Stats.simplify_lookups
-      ~hits:Stats.simplify_hits (fun () -> simplify_raw t)
-  in
-  if not (Cache.enabled ()) then slow t
+  if not (Cache.enabled ()) then simplify_raw t
   else
     let rep, key = intern_pair t in
-    IntMemo.find_or_add simplify_memo key (fun () ->
-        Diskcache.memo ~kind:"simplify"
-          ~key:(fun () -> wire_of_conj rep)
-          ~encode:enc_opt_conj ~decode:dec_opt_conj
-          (fun () -> Option.map intern (slow rep)))
+    Cache.Id.find_or_add simplify_memo key rep
 
 (* ------------------------------------------------------------------ *)
 (* Omega satisfiability test                                           *)
@@ -842,26 +802,18 @@ let trivially_unsat t =
     false
   with Kill -> true
 
-let sat_memo : bool IntMemo.t =
-  IntMemo.create "sat" ~lookups:Stats.sat_lookups ~hits:Stats.sat_hits
+let sat_memo =
+  Cache.Id.create Stats.sat ~disk:(Diskcache.bool_codec wire_of_conj) sat_raw
 
 let sat t =
-  let slow t =
-    traced "sat" ~lookups:Stats.sat_lookups ~hits:Stats.sat_hits (fun () ->
-        sat_raw t)
-  in
   if trivially_unsat t then begin
     Stats.bump Stats.sat_prefilter_kills;
     false
   end
-  else if not (Cache.enabled ()) then slow t
+  else if not (Cache.enabled ()) then sat_raw t
   else
     let rep, key = intern_pair t in
-    IntMemo.find_or_add sat_memo key (fun () ->
-        Diskcache.memo ~kind:"sat"
-          ~key:(fun () -> wire_of_conj rep)
-          ~encode:enc_bool ~decode:Wire.read_bool
-          (fun () -> slow rep))
+    Cache.Id.find_or_add sat_memo key rep
 
 let is_empty t = not (sat t)
 
@@ -937,22 +889,19 @@ let negate t =
 let implies_raw t c =
   List.for_all (fun nc -> is_empty (meet t nc)) (negate (make ~n_ex:0 [ c ]))
 
-let implies_memo : bool PairMemo.t =
-  PairMemo.create "implies" ~lookups:Stats.implies_lookups
-    ~hits:Stats.implies_hits
+let implies_memo =
+  Cache.Ids.create Stats.implies
+    ~disk:
+      (Diskcache.bool_codec (fun (t, c) ->
+           let b = Buffer.create 192 in
+           wire_put b t;
+           Constr.wire_put b c;
+           Buffer.contents b))
+    (fun (t, c) -> implies_raw t c)
 
 let implies t c =
   if not (Cache.enabled ()) then implies_raw t c
-  else
-    PairMemo.find_or_add implies_memo (id t, Constr.id c) (fun () ->
-        Diskcache.memo ~kind:"implies"
-          ~key:(fun () ->
-            let b = Buffer.create 192 in
-            wire_put b t;
-            Constr.wire_put b c;
-            Buffer.contents b)
-          ~encode:enc_bool ~decode:Wire.read_bool
-          (fun () -> implies_raw t c))
+  else Cache.Ids.find_or_add implies_memo [| id t; Constr.id c |] (t, c)
 
 let constr_has_ex c = Lin.exists_var Var.is_ex (Constr.lin c)
 
@@ -970,20 +919,14 @@ let gist_raw t ~given =
   in
   go [] t.cs
 
-let gist_memo : t PairMemo.t =
-  PairMemo.create "gist" ~lookups:Stats.gist_lookups ~hits:Stats.gist_hits
+let gist_memo =
+  Cache.Ids.create Stats.gist
+    ~disk:{ key = wire_of_pair; encode = wire_of_conj; decode = dec_conj }
+    (fun (t, given) -> gist_raw t ~given)
 
 let gist t ~given =
-  let slow () =
-    traced "gist" ~lookups:Stats.gist_lookups ~hits:Stats.gist_hits (fun () ->
-        gist_raw t ~given)
-  in
-  if not (Cache.enabled ()) then slow ()
-  else
-    PairMemo.find_or_add gist_memo (id t, id given) (fun () ->
-        Diskcache.memo ~kind:"gist"
-          ~key:(fun () -> wire_of_pair t given)
-          ~encode:enc_conj ~decode:dec_conj slow)
+  if not (Cache.enabled ()) then gist_raw t ~given
+  else Cache.Ids.find_or_add gist_memo [| id t; id given |] (t, given)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -326,21 +326,35 @@ let store ~kind key value =
           if Atomic.get bytes_ref > max_bytes () then ignore (gc () : int)
       | exception Sys_error _ -> ())
 
-let memo ~kind ~key ~encode ~decode f =
-  if not (enabled ()) then f ()
+type ('x, 'v) codec = {
+  key : 'x -> string;
+  encode : 'v -> string;
+  decode : Wire.cursor -> 'v;
+}
+
+let bool_codec key =
+  let encode v =
+    let b = Buffer.create 1 in
+    Wire.bool b v;
+    Buffer.contents b
+  in
+  { key; encode; decode = Wire.read_bool }
+
+let memo ~kind c f x =
+  if not (enabled ()) then f x
   else
-    let key = key () in
+    let key = c.key x in
     let decoded =
       match find ~kind key with
       | None -> None
       | Some v -> (
-          match decode (Wire.cursor v) with
+          match c.decode (Wire.cursor v) with
           | r -> Some r
           | exception Wire.Malformed -> None)
     in
     match decoded with
     | Some r -> r
     | None ->
-        let r = f () in
-        store ~kind key (encode r);
+        let r = f x in
+        store ~kind key (c.encode r);
         r

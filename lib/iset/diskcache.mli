@@ -63,17 +63,23 @@ val store : kind:string -> string -> string -> unit
     disk full) are swallowed: the cache degrades to a miss, it never
     fails a compile. *)
 
-val memo :
-  kind:string ->
-  key:(unit -> string) ->
-  encode:('a -> string) ->
-  decode:(Wire.cursor -> 'a) ->
-  (unit -> 'a) ->
-  'a
-(** [memo ~kind ~key ~encode ~decode f]: [f ()] when disabled; otherwise
-    look the key up, decode on a hit ({!Wire.Malformed} demotes to a
-    miss), and on a miss compute, store and return. [key] is only forced
-    when the layer is enabled. *)
+type ('x, 'v) codec = {
+  key : 'x -> string;  (** the operand's content-key bytes *)
+  encode : 'v -> string;
+  decode : Wire.cursor -> 'v;
+}
+(** How a memo table's entries go to disk: a {!Cache.Memo} table takes one
+    per disk-backed table, and the table's name is the entry kind. *)
+
+val bool_codec : ('x -> string) -> ('x, bool) codec
+(** The codec of a predicate's verdict ({!Wire.bool}) under the given
+    content key. *)
+
+val memo : kind:string -> ('x, 'v) codec -> ('x -> 'v) -> 'x -> 'v
+(** [memo ~kind c f x]: [f x] when disabled; otherwise look up [c.key x],
+    decode on a hit ({!Wire.Malformed} demotes to a miss), and on a miss
+    compute, store and return. [c.key] is only called when the layer is
+    enabled. *)
 
 (** {1 Maintenance} *)
 

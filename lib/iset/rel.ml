@@ -71,7 +71,6 @@ let check_sig op a b =
    uncached path does. Ids are never reused (see {!Cache}), so a key can
    never match an entry of a retired id. Exceptions are not cached:
    [find_or_add] inserts only after the computation returns. *)
-module KeyMemo = Cache.Memo (Cache.Ints)
 
 let op_diff = 0
 let op_coalesce = 1
@@ -110,14 +109,13 @@ let key ?(lins = []) op rels =
    Table-1 compile needs a few hundred entries; a daemon serving
    unrelated programs would otherwise hold tens of thousands, mostly
    dead. *)
-let rel_memo : Conj.t list KeyMemo.t =
-  KeyMemo.create ~share:16 "rel" ~lookups:Stats.rel_lookups ~hits:Stats.rel_hits
+let rel_memo = Cache.Ids.create ~share:16 Stats.rel (fun f -> f ())
 
 (* [memo op rels f]: the result conjuncts [f ()] computes, answered from
    the table when [op] met the same operands before. With caching off no
    key is built (building one interns the operands). *)
 let memo ?lins op rels f =
-  if Cache.enabled () then KeyMemo.find_or_add rel_memo (key ?lins op rels) f
+  if Cache.enabled () then Cache.Ids.find_or_add rel_memo (key ?lins op rels) f
   else f ()
 
 (* ------------------------------------------------------------------ *)
@@ -330,43 +328,24 @@ let apply_point r lins =
 (* Predicates                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let subset_memo : bool KeyMemo.t =
-  KeyMemo.create "subset" ~lookups:Stats.subset_lookups
-    ~hits:Stats.subset_hits
+(* content-keyed on disk exactly like the in-memory key: arities plus
+   both conjunct lists (names are cosmetic and excluded) *)
+let subset_memo =
+  Cache.Ids.create Stats.subset
+    ~disk:
+      (Diskcache.bool_codec (fun (a, b) ->
+           let buf = Buffer.create 256 in
+           Wire.int buf a.in_ar;
+           Wire.int buf a.out_ar;
+           Wire.list Conj.wire_put buf a.conjs;
+           Wire.list Conj.wire_put buf b.conjs;
+           Buffer.contents buf))
+    (fun (a, b) -> is_empty (diff a b))
 
 let subset a b =
   check_sig "subset" a b;
-  (* miss-only span, mirroring the Conj operations: the memoized hit path
-     stays span-free (see the tracing-policy note in conj.ml) *)
-  let slow () =
-    if Obs.enabled () then
-      Obs.span ~cat:"iset"
-        ~args:(fun () ->
-          [ ("lookups", Obs.Int (Stats.count Stats.subset_lookups));
-            ("hits", Obs.Int (Stats.count Stats.subset_hits)) ])
-        "subset"
-        (fun () -> is_empty (diff a b))
-    else is_empty (diff a b)
-  in
-  if not (Cache.enabled ()) then slow ()
-  else
-    KeyMemo.find_or_add subset_memo (key op_subset [ a; b ]) (fun () ->
-        (* disk layer beneath the memo, content-keyed exactly like the
-           in-memory key: arities plus both conjunct lists (names are
-           cosmetic and excluded) *)
-        Diskcache.memo ~kind:"subset"
-          ~key:(fun () ->
-            let buf = Buffer.create 256 in
-            Wire.int buf a.in_ar;
-            Wire.int buf a.out_ar;
-            Wire.list Conj.wire_put buf a.conjs;
-            Wire.list Conj.wire_put buf b.conjs;
-            Buffer.contents buf)
-          ~encode:(fun r ->
-            let buf = Buffer.create 1 in
-            Wire.bool buf r;
-            Buffer.contents buf)
-          ~decode:Wire.read_bool slow)
+  if not (Cache.enabled ()) then is_empty (diff a b)
+  else Cache.Ids.find_or_add subset_memo (key op_subset [ a; b ]) (a, b)
 
 let equal a b = subset a b && subset b a
 

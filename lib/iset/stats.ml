@@ -26,44 +26,39 @@ let gauges : (string * (unit -> int)) list ref = ref []
 let register_gauge name f =
   Mutex.protect registry_mu (fun () -> gauges := (name, f) :: !gauges)
 
+(* every in-memory memo table: its name and its lookup and hit counters,
+   registered by [memo] in reporting order. [memos] is the one list the
+   trace counter, the serve hit ratio and Table 1's cache rows derive
+   from. *)
+type memo = { name : string; lookups : counter; hits : counter }
+
+let memo_list = ref []
+
+let memo name =
+  let lookups = counter (name ^ " lookups") in
+  let m = { name; lookups; hits = counter (name ^ " hits") } in
+  memo_list := m :: !memo_list;
+  m
+
 (* -- the counters of the iset engine, in reporting order -- *)
 
-let sat_lookups = counter "sat lookups"
-let sat_hits = counter "sat hits"
+let sat = memo "sat"
 let sat_prefilter_kills = counter "sat pre-filter kills"
-let simplify_lookups = counter "simplify lookups"
-let simplify_hits = counter "simplify hits"
+let simplify = memo "simplify"
 let fme_exact = counter "omega exact eliminations"
 let dark_shadows = counter "omega dark shadows"
 let splinters = counter "omega splinters"
-let gist_lookups = counter "gist lookups"
-let gist_hits = counter "gist hits"
-let implies_lookups = counter "implies lookups"
-let implies_hits = counter "implies hits"
-let subset_lookups = counter "subset lookups"
-let subset_hits = counter "subset hits"
-let rel_lookups = counter "rel lookups"
-let rel_hits = counter "rel hits"
-let codegen_lookups = counter "codegen lookups"
-let codegen_hits = counter "codegen hits"
+let gist = memo "gist"
+let implies = memo "implies"
+let subset = memo "subset"
+let rel = memo "rel"
+let codegen = memo "codegen"
 let evictions = counter "cache evictions"
 let disk_lookups = counter "disk lookups"
 let disk_hits = counter "disk hits"
 let disk_stores = counter "disk stores"
 let disk_evictions = counter "disk evictions"
-
-(* every in-memory memo table, in reporting order: the one list the trace
-   counter, the serve hit ratio and Table 1's cache rows derive from *)
-let memos =
-  [
-    ("sat", sat_lookups, sat_hits);
-    ("simplify", simplify_lookups, simplify_hits);
-    ("gist", gist_lookups, gist_hits);
-    ("implies", implies_lookups, implies_hits);
-    ("subset", subset_lookups, subset_hits);
-    ("rel", rel_lookups, rel_hits);
-    ("codegen", codegen_lookups, codegen_hits);
-  ]
+let memos = List.rev !memo_list
 
 let reset () = List.iter (fun c -> Atomic.set c.c_count 0) !counters
 

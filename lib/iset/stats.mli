@@ -20,13 +20,38 @@ val name : counter -> string
 val register_gauge : string -> (unit -> int) -> unit
 (** Register a live-state gauge (interned-node count, cache size). *)
 
-(** {1 The engine's counters} *)
+(** {1 The memo tables}
 
-val sat_lookups : counter
-val sat_hits : counter
+    One value per in-memory memo table. Each declaration creates the
+    table's [<name> lookups] and [<name> hits] counters (placed among the
+    other counters in {!report}'s order) and adds the table to {!memos}.
+    A {!Cache.Id} or {!Cache.Ids} table is created from it, and its miss
+    slices are named after it. *)
+
+type memo = { name : string; lookups : counter; hits : counter }
+
+val sat : memo
+val simplify : memo
+val gist : memo
+val implies : memo
+val subset : memo
+
+val rel : memo
+(** The relation-level memo of {!Rel} (diff, coalesce, compose, domain,
+    range, apply_point); subset has its own table above. *)
+
+val codegen : memo
+(** The loop-nest memo of {!Codegen.gen}. *)
+
+val memos : memo list
+(** Every memo table above, in declaration (= reporting) order. The
+    [iset/cache hits] trace counter, the serve daemon's [memo_hit] ratio
+    and Table 1's cache rows are all derived from this list, so a new
+    table appears in each of them by construction. *)
+
+(** {1 The engine's other counters} *)
+
 val sat_prefilter_kills : counter
-val simplify_lookups : counter
-val simplify_hits : counter
 
 (** Omega elimination steps done on memo misses: Fourier-Motzkin
     eliminations that were exact (in simplification and in the
@@ -37,23 +62,6 @@ val fme_exact : counter
 val dark_shadows : counter
 val splinters : counter
 
-val gist_lookups : counter
-val gist_hits : counter
-val implies_lookups : counter
-val implies_hits : counter
-val subset_lookups : counter
-val subset_hits : counter
-
-(** The relation-level memo of {!Rel} (diff, coalesce, compose, domain,
-    range, apply_point); subset keeps its own pair above. *)
-
-val rel_lookups : counter
-val rel_hits : counter
-
-(** The loop-nest memo of {!Codegen.gen}. *)
-
-val codegen_lookups : counter
-val codegen_hits : counter
 val evictions : counter
 
 (** On-disk analysis-cache traffic (see {!Diskcache}): lookups/hits count
@@ -65,14 +73,6 @@ val disk_lookups : counter
 val disk_hits : counter
 val disk_stores : counter
 val disk_evictions : counter
-
-(** {1 The memo-table registry} *)
-
-val memos : (string * counter * counter) list
-(** Every in-memory memo table as (name, lookups, hits), in reporting
-    order. The [iset/cache hits] trace counter, the serve daemon's
-    [memo_hit] ratio and Table 1's cache rows are all derived from this
-    list, so a new table appears in each of them by construction. *)
 
 (** {1 Reporting} *)
 

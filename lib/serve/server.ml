@@ -266,8 +266,8 @@ let handle_run st ~label ~source ~opts ~nprocs ~params ~engine =
 let cache_ratios () =
   let memo_l, memo_h =
     List.fold_left
-      (fun (l, h) (_, lookups, hits) ->
-        (l + Iset.Stats.count lookups, h + Iset.Stats.count hits))
+      (fun (l, h) (m : Iset.Stats.memo) ->
+        (l + Iset.Stats.count m.lookups, h + Iset.Stats.count m.hits))
       (0, 0) Iset.Stats.memos
   in
   let ratio h l = if l = 0 then 0.0 else float_of_int h /. float_of_int l in

@@ -384,7 +384,7 @@ let test_codegen_bound () =
   Cache.set_capacity 65536;
   let bound = cap / 256 in
   Alcotest.(check int) "every nest was a miss" 0
-    (Stats.count Stats.codegen_hits);
+    (Stats.count Stats.codegen.hits);
   Alcotest.(check bool) "filled to its bound" true (List.mem bound sizes);
   List.iter
     (fun n ->
@@ -400,10 +400,10 @@ let test_codegen_hits_recorded () =
   let d = Rel.set ~ar:1 [ mk_interval 1 10 ] in
   let nest names tag = nest_of ~names [ { Codegen.tag; dom = d } ] in
   let first = nest [| "i" |] "a" in
-  Alcotest.(check int) "first call misses" 0 (Stats.count Stats.codegen_hits);
+  Alcotest.(check int) "first call misses" 0 (Stats.count Stats.codegen.hits);
   let again = nest [| "k" |] "b" in
   Alcotest.(check int) "repeat under other names hits" 1
-    (Stats.count Stats.codegen_hits);
+    (Stats.count Stats.codegen.hits);
   Alcotest.(check string) "first nest" "do i = 1, 10\n  a\nenddo\n"
     (show first);
   Alcotest.(check string) "names and tags come from the caller"
@@ -421,19 +421,21 @@ let test_hits_recorded () =
   (* a structurally equal but physically distinct conjunct must hit *)
   let r2 = Conj.sat (mk_interval 1 10) in
   Alcotest.(check bool) "same answer" r1 r2;
-  Alcotest.(check bool) "second query hits" true (Stats.count Stats.sat_hits >= 1)
+  Alcotest.(check bool) "second query hits" true
+    (Stats.count Stats.sat.hits >= 1)
 
 let test_rel_hits_recorded () =
   Cache.set_enabled true;
   Stats.reset ();
   let a = Rel.set ~ar:1 [ mk_interval 1 10 ] and b = Rel.set ~ar:1 [ mk_interval 4 6 ] in
   let d1 = Rel.diff a b in
-  Alcotest.(check int) "first diff misses" 0 (Stats.count Stats.rel_hits);
+  Alcotest.(check int) "first diff misses" 0 (Stats.count Stats.rel.hits);
   (* structurally equal operands under other names must hit *)
   let d2 =
     Rel.diff (Rel.with_names ~in_names:[| "x" |] a) (Rel.set ~ar:1 [ mk_interval 4 6 ])
   in
-  Alcotest.(check bool) "repeated diff hits" true (Stats.count Stats.rel_hits >= 1);
+  Alcotest.(check bool) "repeated diff hits" true
+    (Stats.count Stats.rel.hits >= 1);
   Alcotest.(check bool) "same conjuncts" true
     (List.equal Conj.equal (Rel.conjuncts d1) (Rel.conjuncts d2));
   Alcotest.(check string) "names come from the operands, not the table"
@@ -486,15 +488,58 @@ let test_eviction_bound () =
   Alcotest.(check bool) "ids are never reused after a clear" true (idB > idA);
   Cache.set_capacity 65536
 
+(* one call of every memoized operation: each of the seven tables is
+   looked up at least once when caching is on *)
+let drive_every_table () =
+  let c = mk_interval 1 4 and given = mk_interval 0 10 in
+  let s = Rel.set ~ar:1 [ c ] and t = Rel.set ~ar:1 [ given ] in
+  ignore (Conj.sat c);
+  ignore (Conj.simplify c);
+  ignore (Conj.gist c ~given);
+  ignore (Conj.implies c (Constr.geq (Lin.of_list [ (1, Var.In 0) ] (-1))));
+  ignore (Rel.subset s t);
+  ignore (Rel.diff t s);
+  ignore (Codegen.gen ~names:[| "i" |] [ { Codegen.tag = (); dom = s } ])
+
+(* With caching off every table is bypassed: no table counts a lookup or
+   holds an entry, and nothing reaches the disk layer, configured here so
+   that a leak would show. *)
 let test_disabled_is_transparent () =
-  Cache.set_enabled false;
+  let lookups (m : Stats.memo) = Stats.count m.lookups in
+  Cache.set_enabled true;
   Stats.reset ();
-  let c = mk_interval 1 4 in
-  ignore (Conj.sat c);
-  ignore (Conj.sat c);
-  Alcotest.(check int) "no lookups recorded when disabled" 0
-    (Stats.count Stats.sat_lookups);
-  Cache.set_enabled true
+  drive_every_table ();
+  List.iter
+    (fun (m : Stats.memo) ->
+      Alcotest.(check bool)
+        (m.name ^ ": driven when enabled")
+        true (lookups m > 0))
+    Stats.memos;
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dhpf-test-cache-off-%d" (Unix.getpid ()))
+  in
+  Diskcache.set_dir (Some dir);
+  Cache.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      Diskcache.set_dir None;
+      Cache.set_enabled true)
+    (fun () ->
+      Stats.reset ();
+      drive_every_table ();
+      drive_every_table ();
+      List.iter
+        (fun (m : Stats.memo) ->
+          Alcotest.(check int)
+            (m.name ^ ": no lookups when disabled")
+            0 (lookups m);
+          Alcotest.(check int) (m.name ^ ": no entries when disabled") 0
+            (List.assoc (m.name ^ " cache size") (Stats.report ())))
+        Stats.memos;
+      Alcotest.(check int) "no disk lookups" 0 (Stats.count Stats.disk_lookups);
+      Alcotest.(check bool)
+        "nothing written to disk" false (Sys.file_exists dir))
 
 let () =
   Alcotest.run "cache"

@@ -229,15 +229,15 @@ let test_memo_equivalence () =
       in
       Iset.Cache.clear_all ();
       let cold = texts src in
-      let hits = Iset.Stats.count Iset.Stats.rel_hits in
-      let nest_hits = Iset.Stats.count Iset.Stats.codegen_hits in
+      let hits = Iset.Stats.count Iset.Stats.rel.hits in
+      let nest_hits = Iset.Stats.count Iset.Stats.codegen.hits in
       let warm = texts src in
       Alcotest.(check bool) (name ^ ": warm compile hits the relation memo") true
-        (Iset.Stats.count Iset.Stats.rel_hits > hits);
+        (Iset.Stats.count Iset.Stats.rel.hits > hits);
       Alcotest.(check bool)
         (name ^ ": warm compile hits the loop-nest memo")
         true
-        (Iset.Stats.count Iset.Stats.codegen_hits > nest_hits);
+        (Iset.Stats.count Iset.Stats.codegen.hits > nest_hits);
       List.iter
         (fun (state, (spmd, sets)) ->
           Alcotest.(check string) (name ^ ": SPMD text, " ^ state) (fst off) spmd;

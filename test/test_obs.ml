@@ -406,12 +406,10 @@ let test_depth_cap () =
    reset must zero every counter) ---- *)
 
 let window_counters =
-  [ Iset.Stats.sat_lookups; Iset.Stats.sat_hits;
-    Iset.Stats.sat_prefilter_kills; Iset.Stats.simplify_lookups;
-    Iset.Stats.simplify_hits; Iset.Stats.gist_lookups; Iset.Stats.gist_hits;
-    Iset.Stats.implies_lookups; Iset.Stats.implies_hits;
-    Iset.Stats.subset_lookups; Iset.Stats.subset_hits; Iset.Stats.rel_lookups;
-    Iset.Stats.rel_hits; Iset.Stats.evictions ]
+  List.concat_map
+    (fun (m : Iset.Stats.memo) -> [ m.lookups; m.hits ])
+    Iset.Stats.memos
+  @ [ Iset.Stats.sat_prefilter_kills; Iset.Stats.evictions ]
 
 let test_stats_window_reset () =
   let src = Codes.jacobi ~n:12 ~iters:1 () in
@@ -425,8 +423,8 @@ let test_stats_window_reset () =
   compile ();
   let w1 = List.map Iset.Stats.count window_counters in
   Alcotest.(check bool) "window sees activity" true
-    (Iset.Stats.count Iset.Stats.sat_lookups > 0
-    || Iset.Stats.count Iset.Stats.simplify_lookups > 0);
+    (Iset.Stats.count Iset.Stats.sat.lookups > 0
+    || Iset.Stats.count Iset.Stats.simplify.lookups > 0);
   (* without a reset, a second compile leaks into the same window *)
   compile ();
   let leaked = List.map Iset.Stats.count window_counters in

@@ -54,11 +54,11 @@ let test_counters_no_loss () =
       for i = 1 to per_domain do
         Obs.Metrics.inc c 1.0;
         Obs.Metrics.observe h (float_of_int (i land 7));
-        Iset.Stats.bump Iset.Stats.sat_lookups
+        Iset.Stats.bump Iset.Stats.sat.lookups
       done);
   Alcotest.(check int)
     "Iset.Stats counter exact under 4 domains" (4 * per_domain)
-    (Iset.Stats.count Iset.Stats.sat_lookups);
+    (Iset.Stats.count Iset.Stats.sat.lookups);
   let find name =
     List.find
       (fun s -> s.Obs.Metrics.m_name = name)

@@ -192,6 +192,36 @@ let prop_simplify =
       | None -> not (List.exists want pts)
       | Some s -> List.for_all (fun pt -> holds_at s pt = want pt) pts)
 
+(* Gist by its definition: under [given] the gist describes exactly what
+   [a] does, so at every box point [gist a ~given ∧ given] holds exactly
+   when [a ∧ given] does. The gist keeps [a]'s constraints as they are, so
+   it is evaluated with [holds_at]; [a] and [given] by their ground
+   constraints. Checked with the caches on and off. *)
+let prop_gist =
+  let print (ga, gg) =
+    Conj.to_string (conj_of_gcs ga)
+    ^ "  given  "
+    ^ Conj.to_string (conj_of_gcs gg)
+  in
+  QCheck.Test.make ~count:100 ~name:"gist keeps the set under its context"
+    (QCheck.make ~print QCheck.Gen.(pair gen_gcs gen_gcs))
+    (fun (ga, gg) ->
+      let a = conj_of_gcs ga and given = conj_of_gcs gg in
+      let by_definition () =
+        let g = Conj.gist a ~given in
+        List.for_all
+          (fun pt ->
+            (not (List.for_all (eval_gc pt) gg))
+            || holds_at g pt = List.for_all (eval_gc pt) ga)
+          all_points
+      in
+      let on = by_definition () in
+      Cache.set_enabled false;
+      let off =
+        Fun.protect ~finally:(fun () -> Cache.set_enabled true) by_definition
+      in
+      on && off)
+
 (* Pugh-shaped two-variable bands, l1 <= a·x + b·y <= l1 + w1 and
    l2 <= c·x − d·y <= l2 + w2, with every coefficient above 1: eliminating
    either variable pairs non-unit bounds, so the Omega test is inexact and
@@ -276,6 +306,7 @@ let () =
             prop_compose;
             prop_domain_range;
             prop_simplify;
+            prop_gist;
           ] );
       ( "codegen",
         List.map QCheck_alcotest.to_alcotest [ prop_codegen; prop_codegen_order ] );

@@ -767,6 +767,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let contains text needle =
+  let n = String.length needle in
+  let rec go k =
+    k + n <= String.length text && (String.sub text k n = needle || go (k + 1))
+  in
+  go 0
+
 let test_cross_process_warm () =
   if not (Sys.file_exists dhpfc) then
     Alcotest.skip ()
@@ -905,26 +912,59 @@ let test_top () =
           in
           (rc, read_file out)
         in
-        let has text needle =
-          let n = String.length needle in
-          let rec go k =
-            k + n <= String.length text
-            && (String.sub text k n = needle || go (k + 1))
-          in
-          go 0
-        in
         let rc, text = top socket in
         Alcotest.(check int) "live: exits 0" 0 rc;
         List.iter
           (fun line ->
-            Alcotest.(check bool) ("live: prints " ^ line) true (has text line))
+            Alcotest.(check bool)
+              ("live: prints " ^ line)
+              true (contains text line))
           [ "served "; "window "; "ratios: memo " ];
         Alcotest.(check bool)
-          "live: counts the requests served" false (has text "served 0 ");
-        let _, text = top (Filename.concat dir "nobody.sock") in
+          "live: counts the requests served" false (contains text "served 0 ");
+        let rc, text = top (Filename.concat dir "nobody.sock") in
+        Alcotest.(check int) "unreachable: exits 7 (protocol)" 7 rc;
         Alcotest.(check bool)
           "unreachable: reported" true
-          (has text "server unreachable"))
+          (contains text "server unreachable"))
+
+(* the memo layer is transparent at the CLI: every built-in's sets and
+   SPMD text are byte-identical with DHPF_ISET_CACHE=off, and each off
+   spelling of the knob does turn the caches off *)
+let test_memo_off_cli () =
+  if not (Sys.file_exists dhpfc) then Alcotest.skip ()
+  else
+    let dir = fresh_dir () in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let out = Filename.concat dir "out.txt" in
+        let compile knob args =
+          let rc =
+            Sys.command
+              (Printf.sprintf "DHPF_ISET_CACHE=%s %s compile %s > %s 2>&1" knob
+                 dhpfc args out)
+          in
+          Alcotest.(check int) (knob ^ ": " ^ args ^ " exits 0") 0 rc;
+          read_file out
+        in
+        List.iter
+          (fun app ->
+            let args = app ^ " --show-sets --show-spmd" in
+            Alcotest.(check string)
+              (app ^ ": same sets and SPMD with caches off")
+              (compile "on" args) (compile "off" args))
+          [ "jacobi"; "tomcatv"; "erlebacher"; "gauss"; "figure2"; "sp_like" ];
+        List.iter
+          (fun (knob, state) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "DHPF_ISET_CACHE=%s: caches %s" knob state)
+              true
+              (contains
+                 (compile knob "figure2 --report")
+                 (Printf.sprintf "engine caches (%s)" state)))
+          [ ("on", "enabled"); ("0", "disabled"); ("off", "disabled");
+            ("false", "disabled"); ("no", "disabled") ])
 
 (* an unsupported query in the interactive calculator is reported and
    the session goes on: the lines after it are still evaluated *)
@@ -1525,5 +1565,7 @@ let () =
             `Quick test_omega_continues;
           Alcotest.test_case "top against a live and a dead daemon" `Quick
             test_top;
+          Alcotest.test_case "compile output with caches off" `Quick
+            test_memo_off_cli;
         ] );
     ]
