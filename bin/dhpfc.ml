@@ -348,7 +348,7 @@ let faults_t =
     & info [ "faults" ] ~docv:"SEED"
         ~doc:
           "Enable deterministic fault injection with the given schedule \
-           seed: message delay, reordering, duplicate delivery, \
+           seed: message delay, duplicate delivery, \
            drop-with-retransmit and straggler clock skew. Results are \
            unchanged; timing and resilience statistics reflect the faults.")
 

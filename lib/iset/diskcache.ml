@@ -138,57 +138,50 @@ let add_bytes root delta =
 
 (* -- eviction ------------------------------------------------------- *)
 
-(* oldest-first until within [max_bytes]; group age is the newest member
-   so freshly completed multi-file entries are evicted last *)
+(* the one oldest-first evictor: remove whole groups of (path, size)
+   files, oldest first by their newest member's mtime, while more than
+   [target] bytes remain; returns the files removed and the bytes left. A
+   file that cannot be removed keeps its bytes. *)
+let evict ~target ~total (groups : (float * (string * int) list) list) =
+  let removed = ref 0 and remaining = ref total in
+  List.iter
+    (fun (_, files) ->
+      if !remaining > target then
+        List.iter
+          (fun (p, sz) ->
+            try
+              Sys.remove p;
+              remaining := !remaining - sz;
+              incr removed
+            with Sys_error _ -> ())
+          files)
+    (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) groups);
+  (!removed, !remaining)
+
+(* group age is the newest member, so freshly completed multi-file entries
+   are evicted last *)
 let prune_dir ?(group = fun name -> name) ~max_bytes d =
-  let files =
-    match Sys.readdir d with
-    | names ->
-        Array.to_list names
-        |> List.filter_map (fun name ->
-               if is_tmp name then None
-               else
-                 let p = Filename.concat d name in
-                 match Unix.stat p with
-               | { Unix.st_kind = Unix.S_REG; st_mtime; st_size; _ } ->
-                   Some (name, p, st_mtime, st_size)
-               | _ -> None
-               | exception Unix.Unix_error _ -> None)
-    | exception Sys_error _ -> []
-  in
-  let total = List.fold_left (fun a (_, _, _, sz) -> a + sz) 0 files in
-  if total <= max_bytes then 0
-  else begin
-    let tbl = Hashtbl.create 32 in
-    List.iter
-      (fun (name, p, mt, sz) ->
-        let g = group name in
-        let mt', sz', ps =
-          Option.value (Hashtbl.find_opt tbl g) ~default:(neg_infinity, 0, [])
-        in
-        Hashtbl.replace tbl g (Float.max mt mt', sz + sz', p :: ps))
-      files;
-    let groups =
-      Hashtbl.fold (fun _ g acc -> g :: acc) tbl []
-      |> List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
-    in
-    let removed = ref 0 in
-    let remaining = ref total in
-    List.iter
-      (fun (_, sz, ps) ->
-        if !remaining > max_bytes then begin
-          List.iter
-            (fun p ->
-              try
-                Sys.remove p;
-                incr removed
-              with Sys_error _ -> ())
-            ps;
-          remaining := !remaining - sz
-        end)
-      groups;
-    !removed
-  end
+  let tbl = Hashtbl.create 32 and total = ref 0 in
+  (match Sys.readdir d with
+  | names ->
+      Array.iter
+        (fun name ->
+          if not (is_tmp name) then
+            let p = Filename.concat d name in
+            match Unix.stat p with
+            | { Unix.st_kind = Unix.S_REG; st_mtime; st_size; _ } ->
+                let g = group name in
+                let mt, fs =
+                  Option.value (Hashtbl.find_opt tbl g) ~default:(neg_infinity, [])
+                in
+                Hashtbl.replace tbl g (Float.max st_mtime mt, (p, st_size) :: fs);
+                total := !total + st_size
+            | _ -> ()
+            | exception Unix.Unix_error _ -> ())
+        names
+  | exception Sys_error _ -> ());
+  let groups = Hashtbl.fold (fun _ g acc -> g :: acc) tbl [] in
+  fst (evict ~target:max_bytes ~total:!total groups)
 
 (* whole-store GC: rescan (cheap relative to eviction, and immune to
    counter drift), evict oldest entries down to 3/4 of the budget so one
@@ -207,36 +200,25 @@ let gc () =
             0
           end
           else begin
-            let files =
-              List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b) files
+            let removed, remaining =
+              evict ~target:(budget * 3 / 4) ~total
+                (List.map (fun (p, mt, sz) -> (mt, [ (p, sz) ])) files)
             in
-            let target = budget * 3 / 4 in
-            let removed = ref 0 in
-            let remaining = ref total in
-            List.iter
-              (fun (p, _, sz) ->
-                if !remaining > target then (
-                  try
-                    Sys.remove p;
-                    remaining := !remaining - sz;
-                    incr removed;
-                    Stats.bump Stats.disk_evictions
-                  with Sys_error _ -> ()))
-              files;
-            Atomic.set bytes_ref !remaining;
+            for _ = 1 to removed do
+              Stats.bump Stats.disk_evictions
+            done;
+            Atomic.set bytes_ref remaining;
             note_bytes ();
-            if Obs.Log.enabled Obs.Log.Info then begin
-              let before = total and after = !remaining in
+            if Obs.Log.enabled Obs.Log.Info then
               Obs.Log.info "diskcache.gc"
                 ~fields:(fun () ->
                   [
-                    ("evicted", Obs.Int !removed);
-                    ("bytes_before", Obs.Int before);
-                    ("bytes_after", Obs.Int after);
+                    ("evicted", Obs.Int removed);
+                    ("bytes_before", Obs.Int total);
+                    ("bytes_after", Obs.Int remaining);
                     ("budget", Obs.Int budget);
-                  ])
-            end;
-            !removed
+                  ]);
+            removed
           end)
 
 let clear () =

@@ -46,66 +46,16 @@ let errf = Runtime.errf
 (* Bit-exact image equality                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* bit comparison: NaNs compare equal to themselves, 0.0 <> -0.0 — the
-   right notion for "deterministic replay reproduced the exact state" *)
-let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let arr_equal eq a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i x -> if not (eq x b.(i)) then ok := false) a;
-  !ok
-
-let farr_equal = arr_equal feq
-
-let payload_equal (a : Runtime.payload) (b : Runtime.payload) =
-  String.equal a.Runtime.pl_arr b.Runtime.pl_arr
-  && arr_equal Int.equal a.Runtime.pl_idx b.Runtime.pl_idx
-  && farr_equal a.Runtime.pl_val b.Runtime.pl_val
-
-let msg_equal (a : Runtime.msg) (b : Runtime.msg) =
-  a.Runtime.m_seq = b.Runtime.m_seq
-  && feq a.Runtime.m_arrival b.Runtime.m_arrival
-  && payload_equal a.Runtime.m_payload b.Runtime.m_payload
-  && a.Runtime.m_contig = b.Runtime.m_contig
-
-let counters_equal (a : Runtime.counters) (b : Runtime.counters) =
-  a.Runtime.n_msgs = b.Runtime.n_msgs
-  && a.Runtime.n_bytes = b.Runtime.n_bytes
-  && a.Runtime.n_elems = b.Runtime.n_elems
-  && a.Runtime.n_retransmits = b.Runtime.n_retransmits
-  && a.Runtime.n_timeouts = b.Runtime.n_timeouts
-  && a.Runtime.n_dups = b.Runtime.n_dups
-  && a.Runtime.n_max_mbox = b.Runtime.n_max_mbox
-
-let proc_equal (a : Runtime.proc_image) (b : Runtime.proc_image) =
-  feq a.Runtime.pi_clock b.Runtime.pi_clock
-  && arr_equal
-       (fun (n, v) (n', v') -> String.equal n n' && v = v')
-       a.Runtime.pi_ints b.Runtime.pi_ints
-  && arr_equal
-       (fun (n, v) (n', v') -> String.equal n n' && feq v v')
-       a.Runtime.pi_floats b.Runtime.pi_floats
-  && arr_equal
-       (fun (n, es) (n', es') ->
-         String.equal n n'
-         && arr_equal (fun (i, v) (i', v') -> i = i' && feq v v') es es')
-       a.Runtime.pi_elems b.Runtime.pi_elems
-  && arr_equal
-       (fun (e, pl) (e', pl') -> e = e' && payload_equal pl pl')
-       a.Runtime.pi_staged b.Runtime.pi_staged
-
+(* one structural comparison of the marshalled bytes: floats marshal as
+   their 8 IEEE-754 bytes, so NaN equals itself and 0.0 <> -0.0 — the
+   right notion for "deterministic replay reproduced the exact state" —
+   and a field added to the image is compared without further code. The
+   image holds only records, arrays, lists, strings and numbers, so
+   [No_sharing] makes the bytes a function of its structure alone. *)
 let image_equal (a : Runtime.image) (b : Runtime.image) =
-  a.Runtime.im_ops = b.Runtime.im_ops
-  && arr_equal proc_equal a.Runtime.im_procs b.Runtime.im_procs
-  && arr_equal
-       (fun (k, s, r) (k', s', r') -> k = k' && s = s' && r = r')
-       a.Runtime.im_chans b.Runtime.im_chans
-  && arr_equal
-       (fun (k, ms) (k', ms') -> k = k' && arr_equal msg_equal ms ms')
-       a.Runtime.im_inflight b.Runtime.im_inflight
-  && counters_equal a.Runtime.im_counters b.Runtime.im_counters
+  String.equal
+    (Marshal.to_string a [ Marshal.No_sharing ])
+    (Marshal.to_string b [ Marshal.No_sharing ])
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot size                                                        *)

@@ -32,7 +32,9 @@
 val image_equal : Runtime.image -> Runtime.image -> bool
 (** Structural equality with floats compared by their IEEE-754 bits (NaN
     equals itself, [0.] differs from [-0.]) — "the replay reproduced the
-    exact state", which [Stdlib.(=)] on floats does not express. *)
+    exact state", which [Stdlib.(=)] on floats does not express. It
+    compares the two images' [Marshal] bytes (no sharing), so every field
+    of the image takes part. *)
 
 val encoded_size : Runtime.image -> int
 (** The image's size in bytes, as a flat serialization would store it: a

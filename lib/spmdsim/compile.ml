@@ -956,38 +956,18 @@ let run (cs : csim) : Runtime.stats =
 (* Result inspection                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* the linear pid of the owner (replicated dims resolve to coordinate 0) *)
-let owner_pid cs name (idx : int list) : int =
+(** Value of an array element after execution, read from its owner. *)
+let get_elem cs name idx =
   let aid =
     match Hashtbl.find_opt cs.c_arrays name with
     | Some a -> a
     | None -> errf "unknown array %s" name
   in
-  let geval = Runtime.eval_genv cs.c_su.Runtime.su_genv in
-  match cs.c_layouts.(aid) with
-  | None -> 0
-  | Some la ->
-      let idxa = Array.of_list idx in
-      let coords =
-        List.map
-          (fun dl ->
-            match Runtime.owner_coord ~eval:geval dl idxa with
-            | None -> 0
-            | Some o -> o)
-          la.Spmd.la_dims
-      in
-      let pid = ref 0 and stride = ref 1 in
-      List.iteri
-        (fun k c ->
-          pid := !pid + (c * !stride);
-          stride := !stride * cs.c_su.Runtime.su_extents.(k))
-        coords;
-      !pid
-
-(** Value of an array element after execution, read from its owner. *)
-let get_elem cs name idx =
-  let pid = owner_pid cs name idx in
-  let aid = Hashtbl.find cs.c_arrays name in
+  let pid =
+    Runtime.owner_pid
+      ~eval:(Runtime.eval_genv cs.c_su.Runtime.su_genv)
+      cs.c_layouts.(aid) ~extents:cs.c_su.Runtime.su_extents idx
+  in
   let enc = Runtime.encode cs.c_ameta.(aid) idx in
   get_enc cs.c_rts.(pid).r_stores.(aid) enc
 

@@ -20,7 +20,7 @@
     state afterwards.
 
     A compiler or runtime-protocol bug that only manifests under message
-    drop, duplication, reordering, stragglers or crashes is pinned to a
+    drop, duplication, delay, stragglers or crashes is pinned to a
     reproducible seed. *)
 
 type divergence = {

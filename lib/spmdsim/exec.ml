@@ -156,28 +156,6 @@ let owns sim (p : pstate) (mt : meta) (idx : int list) : bool =
         la.Spmd.la_dims
         (Array.to_list p.coords)
 
-(* the linear pid of the owner (replicated dims resolve to coordinate 0) *)
-let owner_pid sim (mt : meta) (idx : int list) : int =
-  match mt.mt_layout with
-  | None -> 0
-  | Some la ->
-      let idxa = Array.of_list idx in
-      let coords =
-        List.map
-          (fun dl ->
-            match Runtime.owner_coord ~eval:(eval_global sim) dl idxa with
-            | None -> 0
-            | Some o -> o)
-          la.Spmd.la_dims
-      in
-      let pid = ref 0 and stride = ref 1 in
-      List.iteri
-        (fun k c ->
-          pid := !pid + (c * !stride);
-          stride := !stride * sim.extents.(k))
-        coords;
-      !pid
-
 (* VP coordinates -> linear physical pid *)
 let phys_of_vp_i sim (vp : int list) : int =
   Runtime.phys_of_vp ~eval:(eval_global sim) sim.prog ~extents:sim.extents vp
@@ -420,7 +398,10 @@ let run_interp (sim : isim) : Runtime.stats =
 
 let get_elem_interp sim name idx =
   let mt = meta_of sim name in
-  let pid = owner_pid sim mt idx in
+  let pid =
+    Runtime.owner_pid ~eval:(eval_global sim) mt.mt_layout ~extents:sim.extents
+      idx
+  in
   let enc = Runtime.encode mt.ma idx in
   match Hashtbl.find_opt mt.mt_tables.(pid) enc with
   | Some v -> v

@@ -61,9 +61,9 @@ val make :
     {!Native} for the build cache and its environment knobs).
 
     [faults] injects a deterministic adversarial transport (see {!Fault}):
-    message delay, in-flight reordering, duplicate delivery, bounded
-    drop-with-retransmit (priced by the {!Machine.t} timeout/retry/backoff
-    fields) and per-processor straggler clock skew. Delivery matches
+    message delay, duplicate delivery, bounded drop-with-retransmit
+    (priced by the {!Machine.t} timeout/retry/backoff fields) and
+    per-processor straggler clock skew. Delivery matches
     per-channel sequence numbers, so computed values are identical to the
     fault-free run — only timing, retransmission and duplicate statistics
     change.

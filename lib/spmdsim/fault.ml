@@ -10,7 +10,6 @@ type spec = {
   dup_prob : float;
   delay_prob : float;
   delay_factor : float;
-  reorder_prob : float;
   skew_max : float;
   crash_prob : float;
   crash_max : int;
@@ -24,7 +23,6 @@ let none =
     dup_prob = 0.0;
     delay_prob = 0.0;
     delay_factor = 0.0;
-    reorder_prob = 0.0;
     skew_max = 1.0;
     crash_prob = 0.0;
     crash_max = 0;
@@ -41,7 +39,6 @@ let default ~seed =
     dup_prob = 0.10;
     delay_prob = 0.30;
     delay_factor = 4.0;
-    reorder_prob = 0.25;
     skew_max = 1.5;
     crash_prob = 0.0;
     crash_max = 0;
@@ -67,7 +64,6 @@ let validate spec : (unit, string) result =
         prob "drop" spec.drop_prob;
         prob "dup" spec.dup_prob;
         prob "delay" spec.delay_prob;
-        prob "reorder" spec.reorder_prob;
         prob "crash" spec.crash_prob;
         (if spec.max_retries < 0 then
            Some (Printf.sprintf "max_retries %d is negative" spec.max_retries)
@@ -113,11 +109,11 @@ let hash_keys spec (keys : int list) : int64 =
 let u01 (h : int64) : float =
   Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
 
-(* decision-kind salts keep draws for one message independent *)
+(* decision-kind salts keep draws for one message independent; a salt is
+   part of every draw's hash, so none is renumbered (4 is unused) *)
 let salt_drop = 1
 let salt_dup = 2
 let salt_delay = 3
-let salt_reorder = 4
 let salt_skew = 5
 let salt_crash = 6
 
@@ -131,10 +127,9 @@ type msg_plan = {
   mp_drops : int;
   mp_dup : bool;
   mp_delay : float;
-  mp_reorder : bool;
 }
 
-let no_faults = { mp_drops = 0; mp_dup = false; mp_delay = 0.0; mp_reorder = false }
+let no_faults = { mp_drops = 0; mp_dup = false; mp_delay = 0.0 }
 
 let plan spec ~event ~src ~dst ~seq =
   let keys = [ event; src; dst; seq ] in
@@ -159,8 +154,7 @@ let plan spec ~event ~src ~dst ~seq =
       spec.delay_factor *. draw spec ~salt:salt_delay (0 :: keys)
     else 0.0
   in
-  let reorder = draw spec ~salt:salt_reorder keys < spec.reorder_prob in
-  { mp_drops = drops; mp_dup = dup; mp_delay = delay; mp_reorder = reorder }
+  { mp_drops = drops; mp_dup = dup; mp_delay = delay }
 
 let skew spec ~pid =
   if spec.skew_max <= 1.0 then 1.0
@@ -176,8 +170,7 @@ let crash spec ~pid ~op =
 
 let describe spec =
   Printf.sprintf
-    "seed=%d drop=%.2f(max %d retries) dup=%.2f delay=%.2fx%.1f reorder=%.2f \
+    "seed=%d drop=%.2f(max %d retries) dup=%.2f delay=%.2fx%.1f \
      skew<=%.2f crash=%.3f(max %d)"
     spec.seed spec.drop_prob spec.max_retries spec.dup_prob spec.delay_prob
-    spec.delay_factor spec.reorder_prob spec.skew_max spec.crash_prob
-    spec.crash_max
+    spec.delay_factor spec.skew_max spec.crash_prob spec.crash_max

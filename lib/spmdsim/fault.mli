@@ -1,10 +1,12 @@
 (** Deterministic, seed-driven fault schedules for the SPMD simulator.
 
     A {!spec} describes an adversarial transport and machine: messages may
-    be delayed, reordered in flight, delivered twice, or dropped (and
-    retransmitted after a timeout, priced by the {!Machine.t} retry
-    fields), and each processor computes under a fixed straggler clock-skew
-    multiplier. Every decision is a pure hash of the seed and the message's
+    be delayed, delivered twice, or dropped (and retransmitted after a
+    timeout, priced by the {!Machine.t} retry fields), and each processor
+    computes under a fixed straggler clock-skew multiplier. There is no
+    reordering fault: receivers match per-channel sequence numbers, never
+    queue position, so the order of in-flight messages is unobservable.
+    Every decision is a pure hash of the seed and the message's
     stable identity (event id, sender, receiver, per-channel sequence
     number) — not of a mutable PRNG stream — so a schedule is reproducible
     from its seed regardless of scheduler interleaving, and two runs with
@@ -19,9 +21,6 @@ type spec = {
   delay_factor : float;
       (** maximum extra in-flight latency, as a multiple of the message's
           wire time *)
-  reorder_prob : float;
-      (** probability a message jumps ahead of earlier undelivered traffic
-          on the same channel *)
   skew_max : float;
       (** straggler model: each processor's compute-time multiplier is
           drawn from [1, skew_max]; 1.0 disables skew *)
@@ -38,8 +37,8 @@ val none : spec
 (** All probabilities zero, no skew: the idealized machine. *)
 
 val default : seed:int -> spec
-(** A moderately hostile schedule (drops, duplicates, delays, reordering
-    and stragglers all enabled, crashes off) keyed to [seed]. *)
+(** A moderately hostile schedule (drops, duplicates, delays and
+    stragglers all enabled, crashes off) keyed to [seed]. *)
 
 val validate : spec -> (unit, string) result
 (** Reject malformed schedules before they produce nonsense plans:
@@ -52,7 +51,6 @@ type msg_plan = {
   mp_drops : int;  (** transmissions dropped before the one that arrives *)
   mp_dup : bool;  (** a second copy of the message is delivered *)
   mp_delay : float;  (** extra wire-time multiplier in [0, delay_factor) *)
-  mp_reorder : bool;  (** message jumps the channel queue *)
 }
 
 val no_faults : msg_plan

@@ -266,47 +266,6 @@ let obtain ~cache_dir (kernel : Imp.kernel) : kernel_fn =
       | None -> errf "native engine: kernel %s loaded but did not register" base)
 
 (* ------------------------------------------------------------------ *)
-(* Pack-buffer pre-sizing                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Size each (processor, event) staging buffer to the largest message the
-   static communication prediction says that processor will pack for the
-   event, killing the grow-and-copy reallocations mid-loop. Capacity never
-   affects behavior (flush truncates to the packed length), so programs
-   Predict cannot analyze simply keep the default buffers. *)
-let presize_packbufs (cs : Compile.csim) ?params ~nprocs prog =
-  let cells =
-    try Some (Predict.comm ?params ~nprocs prog) with
-    | Predict.Unpredictable _ | Runtime.Error _ | Not_found | Failure _
-    | Invalid_argument _ ->
-        None
-  in
-  match cells with
-  | None -> ()
-  | Some cells ->
-      let caps = Hashtbl.create 32 in
-      List.iter
-        (fun (c : Predict.cell) ->
-          let per =
-            if c.Predict.p_msgs <= 0 then 0
-            else (c.Predict.p_elems + c.Predict.p_msgs - 1) / c.Predict.p_msgs
-          in
-          let key = (c.Predict.p_event, c.Predict.p_src) in
-          let cur = Option.value (Hashtbl.find_opt caps key) ~default:0 in
-          if per > cur then Hashtbl.replace caps key per)
-        cells;
-      Array.iter
-        (fun (rt : Compile.rt) ->
-          Array.iteri
-            (fun ev _ ->
-              match Hashtbl.find_opt caps (ev, rt.Compile.r_pid) with
-              | Some cap when cap > 0 ->
-                  rt.Compile.r_packbufs.(ev) <- Runtime.packbuf_create ~cap ()
-              | _ -> ())
-            rt.Compile.r_packbufs)
-        cs.Compile.c_rts
-
-(* ------------------------------------------------------------------ *)
 (* Engine construction                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -318,5 +277,4 @@ let make ?machine ?faults ?domains ?cache_dir ~nprocs ?params
   in
   let fn = obtain ~cache_dir cs.Compile.c_kernel in
   let kctx = Compile.link cs in
-  presize_packbufs cs ?params ~nprocs prog;
   { cs with Compile.c_main = (fun rt -> fn kctx rt) }

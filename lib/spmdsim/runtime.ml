@@ -168,6 +168,23 @@ let owner_coord ~eval (dl : Spmd.dim_layout) (idx : int array) : int option =
       | Spmd.RCyclic -> Some (Iset.Lin.pmod (t - tlo) p)
       | Spmd.RBlockCyclic k -> Some (Iset.Lin.pmod (Iset.Lin.fdiv (t - tlo) k) p))
 
+(* the linear pid of an element's owner (replicated dims resolve to
+   coordinate 0; an undistributed array lives on pid 0) *)
+let owner_pid ~eval (layout : Spmd.array_layout option) ~extents
+    (idx : int list) : int =
+  match layout with
+  | None -> 0
+  | Some la ->
+      let idxa = Array.of_list idx in
+      let pid = ref 0 and stride = ref 1 in
+      List.iteri
+        (fun k dl ->
+          let c = Option.value (owner_coord ~eval dl idxa) ~default:0 in
+          pid := !pid + (c * !stride);
+          stride := !stride * extents.(k))
+        la.Spmd.la_dims;
+      !pid
+
 (* VP coordinates -> linear physical pid *)
 let phys_of_vp ~eval (prog : Spmd.program) ~extents (vp : int list) : int =
   let pid = ref 0 and stride = ref 1 in
@@ -213,9 +230,8 @@ type packbuf = {
 (** Growable send-side staging buffer, reused across messages of one
     (processor, event) channel so steady-state packing does not allocate. *)
 
-let packbuf_create ?(cap = 16) () =
-  let cap = max cap 16 in
-  { pb_arr = ""; pb_idx = Array.make cap 0; pb_val = Array.make cap 0.0; pb_len = 0 }
+let packbuf_create () =
+  { pb_arr = ""; pb_idx = Array.make 16 0; pb_val = Array.make 16 0.0; pb_len = 0 }
 
 let packbuf_push (b : packbuf) ~arr enc v =
   if b.pb_len = 0 then b.pb_arr <- arr
@@ -290,8 +306,8 @@ type key = { k_event : int; k_src : int list; k_dst : int list }
 type msg = {
   m_seq : int;
       (* per-channel sequence number: delivery matches the receiver's next
-         expected seq, so in-flight reordering, duplicates and retransmitted
-         drops cannot change which message a Recv consumes *)
+         expected seq, so duplicates and retransmitted drops cannot change
+         which message a Recv consumes, and queue position is unobservable *)
   m_arrival : float;
   m_payload : payload;
   m_contig : bool;
@@ -330,10 +346,10 @@ type comm_cell = {
 
 type simmetrics = {
   sm_nprocs : int;
-  sm_mx_msgs : int array;  (** P*P dense matrices, indexed [src*P + dst] *)
-  sm_mx_elems : int array;
   sm_cells : (int * int * int, int ref * int ref) Hashtbl.t;
-      (** (event, src, dst) -> (msgs, elems); diagonal = local copies *)
+      (** (event, src, dst) -> (msgs, elems); diagonal = local copies. The
+          one communication tally: the published per-pair matrix and the
+          local-copy totals are sums of it *)
   sm_send_t : float array;  (** per-proc seconds inside sends (incl. packing) *)
   sm_recv_t : float array;  (** per-proc seconds blocked + unpacking in recvs *)
   sm_coll_t : float array;  (** per-proc seconds inside collectives *)
@@ -342,16 +358,14 @@ type simmetrics = {
   sm_msg_bytes : Obs.Metrics.histogram;  (** wire size of network messages *)
   mutable sm_coll_msgs : int;  (** messages attributed to collectives *)
   mutable sm_coll_bytes : int;
-  mutable sm_local_msgs : int;  (** co-located VP copies (never on the wire) *)
-  mutable sm_local_elems : int;
 }
 
 type transport = {
   tr_machine : Machine.t;
   tr_faults : Fault.spec option;
   tr_mailbox : (key, msg list ref) Hashtbl.t;
-      (** in-flight messages per channel, in transport (possibly reordered)
-          order; delivery matches sequence numbers, not list position *)
+      (** in-flight messages per channel, in send order with each duplicate
+          right after its original; delivery matches sequence numbers *)
   tr_send_seq : (key, int) Hashtbl.t;
   tr_recv_seq : (key, int) Hashtbl.t;
   tr_c : counters;
@@ -405,8 +419,6 @@ let transport_make ~machine ~faults ~nprocs =
          Some
            {
              sm_nprocs = nprocs;
-             sm_mx_msgs = Array.make (nprocs * nprocs) 0;
-             sm_mx_elems = Array.make (nprocs * nprocs) 0;
              sm_cells = Hashtbl.create 64;
              sm_send_t = Array.make nprocs 0.0;
              sm_recv_t = Array.make nprocs 0.0;
@@ -416,8 +428,6 @@ let transport_make ~machine ~faults ~nprocs =
              sm_msg_bytes = Obs.Metrics.histogram "sim/msg_bytes";
              sm_coll_msgs = 0;
              sm_coll_bytes = 0;
-             sm_local_msgs = 0;
-             sm_local_elems = 0;
            }
        else None);
     tr_pid_ops = Array.make nprocs 0;
@@ -556,7 +566,7 @@ let lane_key : lane option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 (** Complete a send: decide contiguity (§3.3 compile-time proof or runtime
     check), charge packing / send CPU, apply the deterministic fault plan
-    (drops with retransmit pricing, delay, duplication, reordering), and
+    (drops with retransmit pricing, delay, duplication), and
     enqueue on the channel. [tick] charges CPU time to the sending
     processor; [get_clock] reads its clock after those charges.
 
@@ -646,9 +656,7 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
           Hashtbl.replace tr.tr_mailbox k q;
           q
     in
-    (* transport order: a reordered message jumps ahead of traffic already
-       in flight on its channel; delivery still matches sequence numbers *)
-    if plan.Fault.mp_reorder then q := msg :: !q else q := !q @ [ msg ];
+    q := !q @ [ msg ];
     if plan.Fault.mp_dup then
       q := !q @ [ { msg with m_arrival = arrival +. wire } ];
     let depth = List.length !q in
@@ -661,15 +669,8 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
         let msgs, elems = metrics_cell sm ~event ~src:pid ~dst:dst_pid in
         Stdlib.incr msgs;
         elems := !elems + n;
-        let cell = (pid * sm.sm_nprocs) + dst_pid in
-        sm.sm_mx_msgs.(cell) <- sm.sm_mx_msgs.(cell) + 1;
-        sm.sm_mx_elems.(cell) <- sm.sm_mx_elems.(cell) + n;
         sm.sm_retrans.(pid) <- sm.sm_retrans.(pid) + plan.Fault.mp_drops;
-        if local then begin
-          sm.sm_local_msgs <- sm.sm_local_msgs + 1;
-          sm.sm_local_elems <- sm.sm_local_elems + n
-        end
-        else
+        if not local then
           Obs.Metrics.observe sm.sm_msg_bytes
             (float_of_int (n * m.Machine.elem_bytes)));
     (match tr.tr_trace with
@@ -698,8 +699,8 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
   match lane with
   | None -> commit ()
   | Some l ->
-      (* the original (never the duplicate, never reordered — delivery is
-         keyed by sequence number) becomes visible to the receiving lane;
+      (* the original (never the duplicate — delivery is keyed by
+         sequence number) becomes visible to the receiving lane;
          all bookkeeping waits for the replay pass *)
       l.l_post k msg;
       l.l_log <- OSend commit :: l.l_log
@@ -1096,10 +1097,10 @@ let sched_run (h : hooks) : unit =
   let progressed = ref true in
   while (not (all_done ())) && !progressed do
     progressed := false;
-    (* deliver available messages: the transport may hold duplicates and
-       reordered traffic, so delivery matches the next expected sequence
-       number per channel — stale (already-delivered) copies are discarded
-       and counted, out-of-order messages wait in flight *)
+    (* deliver available messages: the transport may hold duplicates, so
+       delivery matches the next expected sequence number per channel —
+       stale (already-delivered) copies are discarded and counted, later
+       messages wait in flight *)
     for p = 0 to nprocs - 1 do
       match status.(p) with
       | FRecv (k, cont) -> (
@@ -1486,7 +1487,7 @@ let sched_run_par ?(domains = 1) (h : hooks) : unit =
     let stalled = !abort in
     (* pass 2: replay the lane logs through the sequential scheduler so
        every transport mutation — counters, mailbox evolution (duplicates,
-       reordering, stale discards), sequence cursors, op points, metrics
+       stale discards), sequence cursors, op points, metrics
        and traces — happens in exactly the sequential interleaving, against
        shadow clocks restored from the logged park/completion times *)
     let shadow = Array.copy init_clocks in
@@ -1565,18 +1566,29 @@ let metrics_publish tr sm ~proc_times =
   let label_pair src dst =
     [ ("src", string_of_int src); ("dst", string_of_int dst) ]
   in
+  (* the P*P matrix sums the per-event cells; its diagonal is the
+     co-located VP copies, which never go on the wire *)
+  let mx_msgs = Array.make (p * p) 0 and mx_elems = Array.make (p * p) 0 in
+  Hashtbl.iter
+    (fun (_, src, dst) (msgs, elems) ->
+      let c = (src * p) + dst in
+      mx_msgs.(c) <- mx_msgs.(c) + !msgs;
+      mx_elems.(c) <- mx_elems.(c) + !elems)
+    sm.sm_cells;
+  let local_msgs = ref 0 and local_elems = ref 0 in
   for src = 0 to p - 1 do
     for dst = 0 to p - 1 do
       let c = (src * p) + dst in
-      if sm.sm_mx_msgs.(c) > 0 then begin
+      if src = dst then begin
+        local_msgs := !local_msgs + mx_msgs.(c);
+        local_elems := !local_elems + mx_elems.(c)
+      end;
+      if mx_msgs.(c) > 0 then begin
         let labels = label_pair src dst in
-        M.inc (M.counter ~labels "sim/comm_msgs")
-          (float_of_int sm.sm_mx_msgs.(c));
-        M.inc (M.counter ~labels "sim/comm_elems")
-          (float_of_int sm.sm_mx_elems.(c));
+        M.inc (M.counter ~labels "sim/comm_msgs") (float_of_int mx_msgs.(c));
+        M.inc (M.counter ~labels "sim/comm_elems") (float_of_int mx_elems.(c));
         M.inc (M.counter ~labels "sim/comm_bytes")
-          (float_of_int
-             (sm.sm_mx_elems.(c) * tr.tr_machine.Machine.elem_bytes))
+          (float_of_int (mx_elems.(c) * tr.tr_machine.Machine.elem_bytes))
       end
     done
   done;
@@ -1607,8 +1619,8 @@ let metrics_publish tr sm ~proc_times =
   inc_tot "sim/elems_total" tr.tr_c.n_elems;
   inc_tot "sim/coll_msgs" sm.sm_coll_msgs;
   inc_tot "sim/coll_bytes" sm.sm_coll_bytes;
-  inc_tot "sim/local_copies" sm.sm_local_msgs;
-  inc_tot "sim/local_copy_elems" sm.sm_local_elems;
+  inc_tot "sim/local_copies" !local_msgs;
+  inc_tot "sim/local_copy_elems" !local_elems;
   inc_tot "sim/retransmits" tr.tr_c.n_retransmits;
   inc_tot "sim/timeouts" tr.tr_c.n_timeouts;
   inc_tot "sim/dups_discarded" tr.tr_c.n_dups;

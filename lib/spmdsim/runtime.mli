@@ -51,6 +51,15 @@ val owner_coord :
 (** Physical owner coordinate of an element along one processor dimension,
     or [None] when the element is replicated along it. *)
 
+val owner_pid :
+  eval:(Spmd.expr -> int) ->
+  Spmd.array_layout option ->
+  extents:int array ->
+  int list ->
+  int
+(** Linear physical pid owning an element: replicated dimensions resolve to
+    coordinate 0, and an array without a layout lives on pid 0. *)
+
 val phys_of_vp :
   eval:(Spmd.expr -> int) -> Spmd.program -> extents:int array -> int list -> int
 (** Linear physical pid owning a virtual-processor coordinate tuple. *)
@@ -82,11 +91,10 @@ val empty_payload : payload
 
 type packbuf
 
-val packbuf_create : ?cap:int -> unit -> packbuf
-(** [?cap] preallocates capacity for that many elements (floored at 16), so
-    engines that know a channel's message cardinality up front — the native
-    engine sizes per-(event, processor) buffers from [Predict]'s comm-set
-    counts — never pay the doubling reallocations during packing. *)
+val packbuf_create : unit -> packbuf
+(** An empty buffer with room for 16 elements that doubles as it fills.
+    Capacity never affects behaviour, because a flush truncates to the
+    packed length. *)
 
 val packbuf_push : packbuf -> arr:string -> int -> float -> unit
 val packbuf_flush : packbuf -> payload
@@ -220,7 +228,7 @@ val send :
   unit
 (** Complete a send: contiguity decision (§3.3), packing/send CPU charges
     via [tick], fault plan application (drops priced as retransmissions,
-    delay, duplication, reordering) and enqueue. Every engine calls this, so
+    delay, duplication) and enqueue. Every engine calls this, so
     counter and timing semantics cannot diverge. A send is one
     communication operation: it ends by advancing the operation indices,
     feeding the watchdog, evaluating the crash schedule (possibly raising

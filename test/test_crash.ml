@@ -86,6 +86,47 @@ let test_crash_schedule_determinism () =
    the same writes *)
 let pinned_sizes = [ (`Interp, (9485, 47166)); (`Closure, (10997, 57802)) ]
 
+(* image equality is bit-exact on every field: a signed zero and a changed
+   staged payload are differences, a NaN is equal to itself *)
+let check_image_bits (img : Spmdsim.Runtime.image) =
+  let eq = Spmdsim.Checkpoint.image_equal in
+  let with_proc0 f =
+    let procs = Array.copy img.im_procs in
+    procs.(0) <- f procs.(0);
+    { img with im_procs = procs }
+  in
+  let with_elem v =
+    with_proc0 (fun pi ->
+        let i =
+          match
+            List.find_opt
+              (fun i -> Array.length (snd pi.pi_elems.(i)) > 0)
+              (List.init (Array.length pi.pi_elems) Fun.id)
+          with
+          | Some i -> i
+          | None -> Alcotest.fail "processor 0 holds no element"
+        in
+        let elems = Array.copy pi.pi_elems in
+        let name, es = elems.(i) in
+        let es = Array.copy es in
+        es.(0) <- (fst es.(0), v);
+        elems.(i) <- (name, es);
+        { pi with pi_elems = elems })
+  in
+  let with_staged v =
+    with_proc0 (fun pi ->
+        let pl =
+          { Spmdsim.Runtime.pl_arr = "a"; pl_idx = [| 3 |]; pl_val = [| v |] }
+        in
+        { pi with pi_staged = Array.append pi.pi_staged [| (0, pl) |] })
+  in
+  Alcotest.(check bool) "an element flipped from 0.0 to -0.0 differs" false
+    (eq (with_elem 0.0) (with_elem (-0.0)));
+  Alcotest.(check bool) "a changed staged payload differs" false
+    (eq (with_staged 1.0) (with_staged 2.0));
+  Alcotest.(check bool) "an image holding a NaN equals itself" true
+    (eq (with_elem Float.nan) (with_elem Float.nan))
+
 let test_snapshot_size () =
   let _, cprog = compile (jacobi ()) in
   List.iter
@@ -98,6 +139,7 @@ let test_snapshot_size () =
       (* two captures of the same state are structurally equal *)
       Alcotest.(check bool) "capture is deterministic" true
         (Spmdsim.Checkpoint.image_equal img (Spmdsim.Exec.capture sim));
+      check_image_bits img;
       let rep =
         Spmdsim.Checkpoint.run ~engine ~ckpt_every:8 ~nprocs:4 cprog
       in

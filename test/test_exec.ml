@@ -308,7 +308,7 @@ end
    must produce bit-identical element values and scalars, bit-identical
    simulated clocks, and identical message/byte/retransmit counters —
    fault-free and under two seeded fault schedules (drop+retransmit,
-   duplication, reordering, stragglers). *)
+   duplication, delay, stragglers). *)
 
 type ed_spec = {
   ed_dist : int;  (* index into ed_dists *)

@@ -1,6 +1,6 @@
 (* Resilience suite for the fault-injection layer: schedules are
    reproducible from their seed, adversarial transports (drop+retransmit,
-   duplicate delivery, reordering, stragglers) leave computed values
+   duplicate delivery, delay, stragglers) leave computed values
    bit-identical to the fault-free run and matching the serial oracle, and
    deadlocks surface as structured wait-for-cycle diagnostics. *)
 
@@ -91,12 +91,11 @@ let check_identical name src faults =
 let drop_spec =
   { (Spmdsim.Fault.default ~seed:11) with
     drop_prob = 0.5; max_retries = 4; dup_prob = 0.0; delay_prob = 0.0;
-    reorder_prob = 0.0; skew_max = 1.0 }
+    skew_max = 1.0 }
 
 let dup_spec =
   { (Spmdsim.Fault.default ~seed:12) with
-    drop_prob = 0.0; dup_prob = 0.9; delay_prob = 0.0; reorder_prob = 0.0;
-    skew_max = 1.0 }
+    drop_prob = 0.0; dup_prob = 0.9; delay_prob = 0.0; skew_max = 1.0 }
 
 let chaos_spec = Spmdsim.Fault.default ~seed:13
 

@@ -447,6 +447,88 @@ let test_predicted_measured () =
   check_app "tomcatv" (Codes.tomcatv ~n:33 ~iters:1 ()) 4;
   check_app "gauss (cyclic, local copies)" (Codes.gauss ~n:12 ()) 4
 
+(* ---- the published matrix is the measured table, summed ---- *)
+
+(* [sim/comm_*] (labelled by src and dst) and [sim/local_copies*] must be
+   the per-pair and diagonal sums of [Exec.comm_cells], the one table the
+   simulator keeps *)
+let check_published name src ?faults ~local nprocs =
+  let compiled = Dhpf.Gen.compile (Hpf.Sema.analyze_source src) in
+  List.iter
+    (fun engine ->
+      let cells, snap =
+        with_metrics (fun () ->
+            let sim =
+              Spmdsim.Exec.make ~engine ?faults ~nprocs compiled.Dhpf.Gen.cprog
+            in
+            ignore (Spmdsim.Exec.run sim);
+            Spmdsim.Exec.comm_cells sim)
+      in
+      let counters series =
+        List.filter_map
+          (fun (s : M.sample) ->
+            match s.m_value with
+            | M.VCounter v when s.m_name = series -> Some (s.m_labels, v)
+            | _ -> None)
+          snap
+        |> List.sort compare
+      in
+      let pair_sums field =
+        let tbl = Hashtbl.create 16 in
+        List.iter
+          (fun (c : Spmdsim.Exec.comm_cell) ->
+            let k = (c.cm_src, c.cm_dst) in
+            let v = Option.value (Hashtbl.find_opt tbl k) ~default:0 in
+            Hashtbl.replace tbl k (v + field c))
+          cells;
+        Hashtbl.fold
+          (fun (src, dst) v acc ->
+            ( [ ("dst", string_of_int dst); ("src", string_of_int src) ],
+              float_of_int v )
+            :: acc)
+          tbl []
+        |> List.sort compare
+      in
+      let diag field =
+        List.fold_left
+          (fun a (c : Spmdsim.Exec.comm_cell) ->
+            if c.cm_src = c.cm_dst then a + field c else a)
+          0 cells
+      in
+      let series = Alcotest.(list (pair (list (pair string string)) (float 0.0))) in
+      let what s = Printf.sprintf "%s: %s" name s in
+      Alcotest.(check bool) (what "some traffic measured") true (cells <> []);
+      Alcotest.(check bool) (what "co-located VP copies") local
+        (diag (fun c -> c.cm_msgs) > 0);
+      Alcotest.check series (what "sim/comm_msgs")
+        (pair_sums (fun c -> c.cm_msgs)) (counters "sim/comm_msgs");
+      Alcotest.check series (what "sim/comm_elems")
+        (pair_sums (fun c -> c.cm_elems)) (counters "sim/comm_elems");
+      Alcotest.check series (what "sim/comm_bytes")
+        (pair_sums (fun c -> c.cm_bytes)) (counters "sim/comm_bytes");
+      Alcotest.check series (what "sim/local_copies")
+        [ ([], float_of_int (diag (fun c -> c.cm_msgs))) ]
+        (counters "sim/local_copies");
+      Alcotest.check series (what "sim/local_copy_elems")
+        [ ([], float_of_int (diag (fun c -> c.cm_elems))) ]
+        (counters "sim/local_copy_elems"))
+    [ `Closure; `Interp ]
+
+let test_published_sums () =
+  check_published "gauss (cyclic)" (Codes.gauss ~n:12 ()) ~local:false 4;
+  (* with both grid extents symbolic, the pivot row's template-cell VP
+     sends to VPs on its own processor, so the local-copy sums are
+     exercised *)
+  check_published "gauss (cyclic, symbolic grid)"
+    (Codes.gauss ~n:12 ~procs:Codes.SymbolicBoth ())
+    ~local:true 4;
+  (* tomcatv's neighbour pairs carry several events each, so the per-pair
+     cells are sums of more than one cell *)
+  check_published "tomcatv" (Codes.tomcatv ~n:33 ~iters:1 ()) ~local:false 4;
+  check_published "jacobi (faults)"
+    (Codes.jacobi ~n:24 ~iters:2 ~procs:(Codes.Fixed (2, 2)) ())
+    ~faults:(Spmdsim.Fault.default ~seed:11) ~local:false 4
+
 (* the join must flag divergence in either direction *)
 let test_check_detects_mismatch () =
   let pred =
@@ -509,5 +591,7 @@ let () =
             `Quick test_predicted_measured;
           Alcotest.test_case "check flags divergence" `Quick
             test_check_detects_mismatch;
+          Alcotest.test_case "published matrix sums the comm cells" `Quick
+            test_published_sums;
         ] );
     ]

@@ -164,7 +164,7 @@ let prop_differential_ablated =
       | exception Hpf.Sema.Error _ -> QCheck.assume_fail ())
 
 (* the same random programs must also survive adversarial fault schedules:
-   drop+retransmit, duplicates, reordering and stragglers, three seeds each,
+   drop+retransmit, duplicates, delays and stragglers, three seeds each,
    all matching the serial oracle through the differential harness *)
 let prop_differential_faulted =
   QCheck.Test.make ~count:15

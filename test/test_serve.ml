@@ -966,6 +966,52 @@ let test_memo_off_cli () =
           [ ("on", "enabled"); ("0", "disabled"); ("off", "disabled");
             ("false", "disabled"); ("no", "disabled") ])
 
+(* the four fault knobs reach the schedule: with drop, duplication and
+   delay at 0 and skew at 1, a --faults run is the fault-free run (same
+   clocks, nothing retransmitted, timed out or discarded), while the
+   default knobs of the same seed change the clocks *)
+let test_fault_knobs () =
+  if not (Sys.file_exists dhpfc) then Alcotest.skip ()
+  else
+    let dir = fresh_dir () in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let out = Filename.concat dir "out.txt" in
+        let run args =
+          let rc =
+            Sys.command
+              (Printf.sprintf "%s run jacobi -p 4 %s > %s 2>&1" dhpfc args out)
+          in
+          Alcotest.(check int) (args ^ " exits 0") 0 rc;
+          read_file out
+        in
+        let line prefix text =
+          match
+            List.find_opt
+              (fun l -> String.starts_with ~prefix l)
+              (String.split_on_char '\n' text)
+          with
+          | Some l -> l
+          | None -> Alcotest.failf "no %S line in:\n%s" prefix text
+        in
+        let clean = run "" in
+        let knobs_off =
+          run
+            "--faults 1 --fault-drop 0 --fault-dup 0 --fault-delay 0 \
+             --fault-skew 1"
+        in
+        let faulty = run "--faults 1" in
+        Alcotest.(check bool)
+          "knobs off: 0 retransmits, 0 timeouts, 0 duplicates" true
+          (contains
+             (line "resilience" knobs_off)
+             "0 retransmits, 0 timeouts, 0 duplicates discarded");
+        Alcotest.(check string) "knobs off: spmd line of the fault-free run"
+          (line "spmd on" clean) (line "spmd on" knobs_off);
+        Alcotest.(check bool) "default knobs: spmd line differs" true
+          (line "spmd on" clean <> line "spmd on" faulty))
+
 (* an unsupported query in the interactive calculator is reported and
    the session goes on: the lines after it are still evaluated *)
 let test_omega_continues () =
@@ -1567,5 +1613,7 @@ let () =
             test_top;
           Alcotest.test_case "compile output with caches off" `Quick
             test_memo_off_cli;
+          Alcotest.test_case "fault knobs reach the schedule" `Quick
+            test_fault_knobs;
         ] );
     ]
