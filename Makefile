@@ -83,10 +83,12 @@ fmt-check:
 	fi
 
 # every arm of `dhpfc run`'s one --diff* path: the serial oracle, the
-# engine and domain differentials, and crash recovery
+# engine and domain differentials, and crash recovery; the -D run checks
+# that a bound parameter reaches the oracle and the SPMD run alike
 resilience:
 	$(DUNE) build @resilience
 	$(DHPFC) run jacobi -p 4 --diff 2
+	$(DHPFC) run jacobi -p 4 -D n=64 --diff 1
 	$(DHPFC) run jacobi -p 4 --diff-engines 2
 	$(DHPFC) run jacobi -p 4 --diff-domains 2
 	$(DHPFC) run erlebacher -p 4 --diff-engines 2

@@ -35,69 +35,24 @@ let load src_arg =
   | Some src -> src
   | None -> read_file src_arg
 
-(* distinct exit codes so scripts can triage failures:
-   2 = parse/lexical, 3 = semantic, 4 = unsupported construct,
-   5 = runtime (simulator error or deadlock), 6 = serve daemon could not
-   bind its socket, 7 = serve wire-protocol error or unreachable daemon
-   (also [top] whose last poll failed) *)
-let exit_parse = 2
-let exit_semantic = 3
-let exit_unsupported = 4
-let exit_runtime = 5
-let exit_bind = 6
-let exit_protocol = 7
+(* Exit codes come from the failure table (Serve.Server.classify), one per
+   kind, so scripts can triage failures as a daemon client does. *)
+let exit_with kind = exit (Serve.Server.exit_code kind)
 
-(* what [Conj.Too_hard] reports, after "unsupported: " *)
-let too_hard = "integer-set query too hard: the Omega test ran out of fuel"
+(* a usage error outside the failure table: its line on stderr, exit 2 *)
+let usage fmt =
+  Fmt.kstr
+    (fun s ->
+      Fmt.epr "%s@." s;
+      exit_with Parse)
+    fmt
 
 let handle_errors f =
-  try f () with
-  | Sys_error msg ->
-      Fmt.epr "error: %s (not a file or built-in benchmark)@." msg;
-      exit exit_parse
-  | Hpf.Parser.Error (msg, line) ->
-      Fmt.epr "parse error, line %d: %s@." line msg;
-      exit exit_parse
-  | Hpf.Lexer.Error (msg, line) ->
-      Fmt.epr "lexical error, line %d: %s@." line msg;
-      exit exit_parse
-  | Iset.Parse.Error msg ->
-      Fmt.epr "set-expression parse error: %s@." msg;
-      exit exit_parse
-  | Iset.Calc.Error msg ->
-      Fmt.epr "calculator error: %s@." msg;
-      exit exit_parse
-  | Hpf.Sema.Error msg ->
-      Fmt.epr "semantic error: %s@." msg;
-      exit exit_semantic
-  | Dhpf.Gen.Unsupported msg | Dhpf.Layout.Unsupported msg
-  | Iset.Codegen.Unsupported msg ->
-      Fmt.epr "unsupported: %s@." msg;
-      exit exit_unsupported
-  | Spmdsim.Exec.Error msg ->
-      Fmt.epr "runtime error: %s@." msg;
-      exit exit_runtime
-  | Spmdsim.Serial.Error msg ->
-      Fmt.epr "serial interpreter error: %s@." msg;
-      exit exit_runtime
-  | Spmdsim.Exec.Deadlock d ->
-      Fmt.epr "%a" Spmdsim.Exec.pp_diagnostic d;
-      exit exit_runtime
-  | Spmdsim.Predict.Unpredictable msg ->
-      Fmt.epr "unsupported: communication volume not predictable: %s@." msg;
-      exit exit_unsupported
-  | Iset.Conj.Too_hard ->
-      Fmt.epr "unsupported: %s@." too_hard;
-      exit exit_unsupported
-  | Serve.Server.Bind_error msg ->
-      Fmt.epr "bind error: %s@." msg;
-      exit exit_bind
-  | Serve.Proto.Proto_error msg ->
-      Fmt.epr "protocol error: %s@." msg;
-      exit exit_protocol
-  | Serve.Client.Connect_error msg ->
-      Fmt.epr "connect error: %s@." msg;
-      exit exit_protocol
+  try f ()
+  with e ->
+    let kind, msg = Serve.Server.classify e in
+    Fmt.epr "%s@." (Serve.Server.failure_line kind msg);
+    exit_with kind
 
 (* ---- session: domain pool, disk cache, trace and metrics sinks ---- *)
 
@@ -190,9 +145,7 @@ let session_t =
      integer-set series are read live from Phase.global and Iset.Stats. *)
 let with_session s f =
   let positive flag need = function
-    | Some n when n < 1 ->
-        Fmt.epr "invalid %s %d: need a positive %s@." flag n need;
-        exit exit_parse
+    | Some n when n < 1 -> usage "invalid %s %d: need a positive %s" flag n need
     | _ -> ()
   in
   positive "--disk-cache-mb" "MiB budget" s.disk_cache_mb;
@@ -302,7 +255,14 @@ let param_t =
   Arg.(
     value
     & opt_all (pair ~sep:'=' string int) []
-    & info [ "D"; "param" ] ~docv:"NAME=VALUE" ~doc:"Bind a symbolic program parameter.")
+    & info [ "D"; "param" ] ~docv:"NAME=VALUE"
+        ~doc:
+          "Bind a program parameter before compilation: $(docv) overrides a \
+           declared $(b,parameter NAME = k) or gives a valueless \
+           $(b,parameter NAME) its value, and the sets, the SPMD program \
+           and the serial run all see it. A name the program does not \
+           declare as a parameter, or a name given twice, is a semantic \
+           error (exit 3).")
 
 (* parsed as a plain string and resolved through Exec.engine_of_string so
    an unknown name exits with the parse-error code (2) and a message that
@@ -324,9 +284,8 @@ let resolve_engine name =
   match Spmdsim.Exec.engine_of_string name with
   | Some e -> e
   | None ->
-      Fmt.epr "dhpfc: unknown engine %S; valid engines: %s@." name
-        (String.concat ", " Spmdsim.Exec.engine_names);
-      exit exit_parse
+      usage "dhpfc: unknown engine %S; valid engines: %s" name
+        (String.concat ", " Spmdsim.Exec.engine_names)
 
 let native_cache_t =
   Arg.(
@@ -477,9 +436,7 @@ let spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs =
 let validated sp =
   match Spmdsim.Fault.validate sp with
   | Ok () -> sp
-  | Error msg ->
-      Fmt.epr "invalid fault specification: %s@." msg;
-      exit exit_parse
+  | Error msg -> usage "invalid fault specification: %s" msg
 
 (* ---- compile ---- *)
 
@@ -560,10 +517,8 @@ let run_cmd =
     Option.iter (Unix.putenv "DHPF_NATIVE_CACHE") native_cache;
     List.iter
       (fun (name, v) ->
-        if v < 0 then begin
-          Fmt.epr "invalid fault specification: %s %d is negative@." name v;
-          exit exit_parse
-        end)
+        if v < 0 then
+          usage "invalid fault specification: %s %d is negative" name v)
       [
         ("--crash-procs", crash_procs);
         ("--checkpoint-every", ckpt_every);
@@ -586,32 +541,30 @@ let run_cmd =
               diff,
               "the serial oracle",
               fun seeds chk ->
-                D.run ~engine ~nprocs ~params ~opts ~spec_of_seed ~seeds chk );
+                D.run ~engine ~nprocs ~opts ~spec_of_seed ~seeds chk );
             ( "--diff-engines",
               diff_engines,
               "the interpreter",
               fun seeds chk ->
-                D.engines ~nprocs ~params ~opts ~spec_of_seed ~seeds chk );
+                D.engines ~nprocs ~opts ~spec_of_seed ~seeds chk );
             ( "--diff-domains",
               diff_domains,
               "the 1-domain run",
               fun seeds chk ->
-                D.domains ~engine ~nprocs ~params ~opts ~spec_of_seed ~seeds
-                  chk );
+                D.domains ~engine ~nprocs ~opts ~spec_of_seed ~seeds chk );
             (* pure-crash schedules, checkpointing every 8 ops unless set *)
             ( "--diff-crashes",
               diff_crashes,
               "the fault-free closure run",
               fun seeds chk ->
-                D.crashes ~nprocs ~params ~opts
+                D.crashes ~nprocs ~opts
                   ?ckpt_every:(if ckpt_every > 0 then Some ckpt_every else None)
                   ~seeds chk );
           ]
       with
       | (a, _, _, _) :: (b, _, _, _) :: _ ->
-          Fmt.epr "dhpfc: %s and %s cannot be combined; run one sweep at a time@."
-            a b;
-          exit exit_parse
+          usage "dhpfc: %s and %s cannot be combined; run one sweep at a time"
+            a b
       | [ (_, n, reference, check) ] ->
           Some (List.init n (fun i -> i + 1), reference, check)
       | [] -> None
@@ -620,16 +573,16 @@ let run_cmd =
     if check_comm then Obs.Metrics.enable ();
     let chk =
       Dhpf.Phase.time Dhpf.Phase.global "parse and semantic analysis"
-        (fun () -> Hpf.Sema.analyze_source (load src))
+        (fun () -> Hpf.Sema.analyze_source ~params (load src))
     in
     (match sweep with
     | Some (seeds, reference, check) ->
         let out = check seeds chk in
         Fmt.pr "%a@." (D.pp_against reference) out;
-        (match out with D.Pass _ -> () | _ -> exit exit_runtime)
+        (match out with D.Pass _ -> () | _ -> exit_with Runtime)
     | None ->
       let compiled = Dhpf.Gen.compile ~opts chk in
-      let serial = Spmdsim.Serial.run ~params chk in
+      let serial = Spmdsim.Serial.run chk in
       let faults =
         match faults_seed with
         | Some seed ->
@@ -653,14 +606,12 @@ let run_cmd =
         if crash_procs > 0 || ckpt_every > 0 then begin
           let rep =
             Spmdsim.Checkpoint.run ~engine ?faults ~ckpt_every ~max_events
-              ~nprocs ~params compiled.cprog
+              ~nprocs compiled.cprog
           in
           (rep.rp_sim, rep.rp_stats, Some rep)
         end
         else begin
-          let sim =
-            Spmdsim.Exec.make ~engine ?faults ~nprocs ~params compiled.cprog
-          in
+          let sim = Spmdsim.Exec.make ~engine ?faults ~nprocs compiled.cprog in
           if max_events > 0 then
             (Spmdsim.Exec.transport sim).tr_max_events <- max_events;
           (sim, Spmdsim.Exec.run sim, None)
@@ -712,8 +663,7 @@ let run_cmd =
           end);
       if check_comm then begin
         let predicted =
-          Spmdsim.Predict.comm ~params ~nprocs:(Spmdsim.Exec.nprocs sim)
-            compiled.cprog
+          Spmdsim.Predict.comm ~nprocs:(Spmdsim.Exec.nprocs sim) compiled.cprog
         in
         let measured = Spmdsim.Exec.comm_cells sim in
         let pmsgs = List.fold_left (fun a c -> a + c.Spmdsim.Predict.p_msgs) 0 predicted
@@ -782,12 +732,9 @@ let omega_cmd =
              | env', out ->
                  env := env';
                  if out <> "" then print_endline out
-             | exception Iset.Calc.Error msg -> Fmt.pr "error: %s@." msg
-             | exception Iset.Parse.Error msg -> Fmt.pr "parse error: %s@." msg
-             | exception Iset.Codegen.Unsupported msg ->
-                 Fmt.pr "unsupported: %s@." msg
-             | exception Iset.Conj.Too_hard ->
-                 Fmt.pr "unsupported: %s@." too_hard
+             | exception e ->
+                 let kind, msg = Serve.Server.classify e in
+                 Fmt.pr "%s@." (Serve.Server.failure_line kind msg)
            done
          with End_of_file -> ())
   in
@@ -901,10 +848,8 @@ let serve_cmd =
   let run socket workers max_queue quiet log prom flight_dump recorder_slots
       session =
     handle_errors @@ fun () ->
-    if max_queue < 0 then begin
-      Fmt.epr "invalid --max-queue %d: need a non-negative bound@." max_queue;
-      exit exit_parse
-    end;
+    if max_queue < 0 then
+      usage "invalid --max-queue %d: need a non-negative bound" max_queue;
     with_session session @@ fun domains ->
     let workers = if workers <= 0 then domains else workers in
     let cfg =
@@ -1030,7 +975,7 @@ let top_cmd =
         loop (i + 1) (Option.is_some stats)
       end
     in
-    if not (loop 0 true) then exit exit_protocol
+    if not (loop 0 true) then exit_with Protocol
   in
   Cmd.v
     (Cmd.info "top"

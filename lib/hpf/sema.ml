@@ -295,10 +295,23 @@ let check_directives env =
 
 type checked = { prog : program; env : env }
 
+(* the one place a caller's values enter: layout, code generation, the
+   serial oracle and the SPMD startup bindings all read [env.params] *)
+let bind_params env params =
+  List.iter
+    (fun (name, v) ->
+      if not (Hashtbl.mem env.params name) then
+        errf "cannot bind %s: not a declared parameter of the program" name;
+      if List.length (List.filter (fun (n, _) -> n = name) params) > 1 then
+        errf "parameter %s bound twice" name;
+      Hashtbl.replace env.params name (Some v))
+    params
+
 (** Analyze a parsed program: returns the checked program with FCall/FRef
     resolution applied, or raises {!Error}. *)
-let analyze (p : program) : checked =
+let analyze ?(params = []) (p : program) : checked =
   let env = build_env p in
+  bind_params env params;
   check_directives env;
   let units =
     List.map
@@ -312,7 +325,7 @@ let analyze (p : program) : checked =
   { prog = { units }; env }
 
 (** Convenience: parse and analyze source text. *)
-let analyze_source src = analyze (Parser.program src)
+let analyze_source ?params src = analyze ?params (Parser.program src)
 
 (** Substitute compile-time-known parameter values into a linear term.
     Keeping known constants symbolic only manufactures spurious case splits

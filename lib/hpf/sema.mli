@@ -72,9 +72,12 @@ val subst_known_params : env -> Iset.Lin.t -> Iset.Lin.t
 
 type checked = { prog : program; env : env }
 
-val analyze : program -> checked
+val analyze : ?params:(string * int) list -> program -> checked
 (** Build symbol tables, check directives, and normalize every unit body
-    (call/array-reference resolution, arity checks). @raise Error. *)
+    (call/array-reference resolution, arity checks). [params] binds
+    parameters for every later stage: each pair overrides a declared
+    value or gives a valueless [parameter] one. @raise Error, also on a
+    [params] name that is not a declared parameter or is bound twice. *)
 
-val analyze_source : string -> checked
+val analyze_source : ?params:(string * int) list -> string -> checked
 (** {!Parser.program} followed by {!analyze}. *)

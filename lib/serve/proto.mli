@@ -10,9 +10,9 @@
 
     - ["ok"] — the operation succeeded; payload fields depend on the op
       (e.g. ["report"] for compiles, ["run"] for runs).
-    - ["error"] — the operation failed; ["code"] is one of ["protocol"],
-      ["parse"], ["semantic"], ["unsupported"], ["runtime"] (mirroring
-      the CLI exit codes), and ["message"] is human-readable.
+    - ["error"] — the operation failed; ["code"] is a kind of
+      {!Server.classify}'s failure table (one CLI exit code each), and
+      ["message"] is human-readable.
     - ["overloaded"] — admission control rejected the request because the
       server's queue was at [--max-queue]; retry later. *)
 

@@ -160,34 +160,66 @@ let flight_flush st =
       try Obs.Recorder.write path with Sys_error _ -> ())
   | _ -> ()
 
-(* -- request handling ----------------------------------------------- *)
+(* -- the failure table (server.mli) ---------------------------------- *)
 
-(* mirror the CLI's handle_errors triage so a serve client can script
-   against the same failure classes as a batch caller *)
+type failure = Parse | Semantic | Unsupported | Runtime | Bind | Protocol
+
+let failure_code = function
+  | Parse -> "parse"
+  | Semantic -> "semantic"
+  | Unsupported -> "unsupported"
+  | Runtime -> "runtime"
+  | Bind -> "bind"
+  | Protocol -> "protocol"
+
+let exit_code = function
+  | Parse -> 2
+  | Semantic -> 3
+  | Unsupported -> 4
+  | Runtime -> 5
+  | Bind -> 6
+  | Protocol -> 7
+
 let classify = function
   | Unknown_source l ->
-      ("parse",
-       Printf.sprintf
-         "unknown program %S (not a built-in; pass inline \"source\")" l)
-  | Sys_error msg -> ("parse", msg)
+      ( Parse,
+        Printf.sprintf
+          "unknown program %S (not a built-in; pass inline \"source\")" l )
+  | Sys_error msg ->
+      (Parse, Printf.sprintf "error: %s (not a file or built-in benchmark)" msg)
   | Hpf.Parser.Error (msg, line) ->
-      ("parse", Printf.sprintf "parse error, line %d: %s" line msg)
+      (Parse, Printf.sprintf "parse error, line %d: %s" line msg)
   | Hpf.Lexer.Error (msg, line) ->
-      ("parse", Printf.sprintf "lexical error, line %d: %s" line msg)
-  | Iset.Parse.Error msg -> ("parse", msg)
-  | Hpf.Sema.Error msg -> ("semantic", msg)
+      (Parse, Printf.sprintf "lexical error, line %d: %s" line msg)
+  | Iset.Parse.Error msg -> (Parse, "set-expression parse error: " ^ msg)
+  | Iset.Calc.Error msg -> (Parse, "calculator error: " ^ msg)
+  | Hpf.Sema.Error msg -> (Semantic, msg)
   | Dhpf.Gen.Unsupported msg
   | Dhpf.Layout.Unsupported msg
   | Iset.Codegen.Unsupported msg ->
-      ("unsupported", msg)
-  | Spmdsim.Exec.Error msg | Spmdsim.Serial.Error msg -> ("runtime", msg)
-  | Spmdsim.Exec.Deadlock d ->
-      ("runtime", Format.asprintf "%a" Spmdsim.Exec.pp_diagnostic d)
-  | Spmdsim.Predict.Unpredictable msg -> ("unsupported", msg)
+      (Unsupported, msg)
+  | Spmdsim.Predict.Unpredictable msg ->
+      (Unsupported, "communication volume not predictable: " ^ msg)
   | Iset.Conj.Too_hard ->
-      ( "unsupported",
+      ( Unsupported,
         "integer-set query too hard: the Omega test ran out of fuel" )
-  | e -> ("runtime", Printexc.to_string e)
+  | Spmdsim.Exec.Error msg -> (Runtime, "runtime error: " ^ msg)
+  | Spmdsim.Serial.Error msg -> (Runtime, "serial interpreter error: " ^ msg)
+  | Spmdsim.Exec.Deadlock d ->
+      (* the diagnostic's lines, without the last newline *)
+      (Runtime, String.trim (Spmdsim.Exec.diagnostic_to_string d))
+  | Bind_error msg -> (Bind, "bind error: " ^ msg)
+  | Proto.Proto_error msg -> (Protocol, "protocol error: " ^ msg)
+  | Client.Connect_error msg -> (Protocol, "connect error: " ^ msg)
+  | e -> (Runtime, Printexc.to_string e)
+
+let failure_line kind msg =
+  match kind with
+  | Semantic -> "semantic error: " ^ msg
+  | Unsupported -> "unsupported: " ^ msg
+  | Parse | Runtime | Bind | Protocol -> msg
+
+(* -- request handling ----------------------------------------------- *)
 
 let source_text st ~label ~source =
   match source with
@@ -199,12 +231,12 @@ let source_text st ~label ~source =
 
 (* compile with a per-request profiler: Phase.global would interleave
    concurrent requests' timings *)
-let do_compile st ~label ~source ~opts =
+let do_compile ?params st ~label ~source ~opts =
   let text = source_text st ~label ~source in
   let phase = Dhpf.Phase.create () in
   let chk =
     Dhpf.Phase.time phase "parse and semantic analysis" (fun () ->
-        Hpf.Sema.analyze_source text)
+        Hpf.Sema.analyze_source ?params text)
   in
   let compiled = Dhpf.Gen.compile ~opts ~phase chk in
   let report =
@@ -234,11 +266,9 @@ let handle_run st ~label ~source ~opts ~nprocs ~params ~engine =
         (Printf.sprintf "unknown engine %S; valid engines: %s" engine
            (String.concat ", " Spmdsim.Exec.engine_names))
   | Some engine ->
-      let chk, compiled, report = do_compile st ~label ~source ~opts in
-      let serial = Spmdsim.Serial.run ~params chk in
-      let sim =
-        Spmdsim.Exec.make ~engine ~nprocs ~params compiled.Dhpf.Gen.cprog
-      in
+      let chk, compiled, report = do_compile ~params st ~label ~source ~opts in
+      let serial = Spmdsim.Serial.run chk in
+      let sim = Spmdsim.Exec.make ~engine ~nprocs compiled.Dhpf.Gen.cprog in
       let stats = Spmdsim.Exec.run sim in
       Proto.ok
         [
@@ -449,7 +479,8 @@ let handle st fd ~admitted =
                 Obs.span ~cat:"serve" ("serve/" ^ !op) (fun () ->
                     try dispatch st req
                     with e ->
-                      let code, msg = classify e in
+                      let kind, msg = classify e in
+                      let code = failure_code kind in
                       Obs.Log.error ~rid
                         ~fields:(fun () ->
                           [

@@ -92,8 +92,26 @@ type config = {
 
 exception Bind_error of string
 (** The socket could not be claimed: the path is a live server's socket,
-    an existing non-socket file, or bind/listen failed. The CLI maps
-    this to its own exit code. *)
+    an existing non-socket file, or bind/listen failed. *)
+
+(** {1 The failure table}, shared by the daemon, [dhpfc] and [omega] *)
+
+type failure = Parse | Semantic | Unsupported | Runtime | Bind | Protocol
+
+val failure_code : failure -> string
+(** The daemon's [code]: the constructor's name in lower case. *)
+
+val exit_code : failure -> int
+(** The CLI's exit status: 2 to 7 in the order of {!failure}. *)
+
+val classify : exn -> failure * string
+(** Kind and message; an exception outside the table is [Runtime] with
+    its printed form. *)
+
+val failure_line : failure -> string -> string
+(** The terminal line. [semantic error: ] or [unsupported: ] heads those
+    kinds' messages; each other kind gathers several sources, so its
+    messages name their own ([lexical error, line 3: ...]). *)
 
 type t
 

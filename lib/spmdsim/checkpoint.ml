@@ -136,7 +136,7 @@ type report = {
 }
 
 let run ?engine ?(machine = Machine.default) ?faults ?(plan = [])
-    ?(ckpt_every = 0) ?(max_events = 0) ~nprocs ?params prog : report =
+    ?(ckpt_every = 0) ?(max_events = 0) ~nprocs prog : report =
   let budget =
     List.length plan
     + (match faults with
@@ -150,7 +150,7 @@ let run ?engine ?(machine = Machine.default) ?faults ?(plan = [])
   let attempts = ref 0 in
   let rec attempt () =
     incr attempts;
-    let sim = Exec.make ?engine ~machine ?faults ~nprocs ?params prog in
+    let sim = Exec.make ?engine ~machine ?faults ~nprocs prog in
     let tr = Exec.transport sim in
     tr.Runtime.tr_crash <- Some cc;
     tr.Runtime.tr_ckpt_every <- ckpt_every;

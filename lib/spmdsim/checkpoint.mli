@@ -77,7 +77,6 @@ val run :
   ?ckpt_every:int ->
   ?max_events:int ->
   nprocs:int ->
-  ?params:(string * int) list ->
   Dhpf.Spmd.program ->
   report
 (** Run [prog] under crash injection with checkpoint/restart recovery.

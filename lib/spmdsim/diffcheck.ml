@@ -41,15 +41,14 @@ let bit_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 type prepared = {
   cprog : Dhpf.Spmd.program;
   nprocs : int;
-  params : (string * int) list;
   bounds : (string * (int * int) list) list;
       (** array extents, evaluated over the startup parameter environment *)
 }
 
-let prepare ?opts ~nprocs ~params chk =
+let prepare ?opts ~nprocs chk =
   let cprog = (Dhpf.Gen.compile ?opts chk).Dhpf.Gen.cprog in
   let geval =
-    Runtime.eval_genv (Runtime.setup ~nprocs ~params cprog).Runtime.su_genv
+    Runtime.eval_genv (Runtime.setup ~nprocs ~params:[] cprog).Runtime.su_genv
   in
   let bounds =
     List.map
@@ -58,7 +57,7 @@ let prepare ?opts ~nprocs ~params chk =
           List.map (fun (lo, hi) -> (geval lo, geval hi)) ad.ad_bounds ))
       cprog.Dhpf.Spmd.arrays
   in
-  { cprog; nprocs; params; bounds }
+  { cprog; nprocs; bounds }
 
 (* The fault-free schedule first, then one per seed. [one faults] checks
    one schedule and returns how many runs it compared. Per-pair
@@ -114,10 +113,7 @@ let walk ~eq p want got =
 type run = { label : string; sim : Exec.sim; stats : Exec.stats }
 
 let exec ?faults ?domains p engine label =
-  let sim =
-    Exec.make ~engine ?faults ?domains ~nprocs:p.nprocs ~params:p.params
-      p.cprog
-  in
+  let sim = Exec.make ~engine ?faults ?domains ~nprocs:p.nprocs p.cprog in
   { label; sim; stats = Exec.run sim }
 
 (* every Runtime.stats field as a (name, a, b) triple *)
@@ -178,18 +174,18 @@ let default_spec seed = Fault.default ~seed
 (* The sweeps                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(engine = `Closure) ?(nprocs = 4) ?(params = []) ?opts
-    ?(spec_of_seed = default_spec) ~seeds (chk : Hpf.Sema.checked) : outcome =
-  let p = prepare ?opts ~nprocs ~params chk in
-  let sref = Serial.run ~params chk in
+let run ?(engine = `Closure) ?(nprocs = 4) ?opts ?(spec_of_seed = default_spec)
+    ~seeds (chk : Hpf.Sema.checked) : outcome =
+  let p = prepare ?opts ~nprocs chk in
+  let sref = Serial.run chk in
   sweep ~spec_of_seed ~seeds (fun faults ->
       let c = exec ?faults p engine "spmd" in
       walk ~eq:close p (Serial.get_elem sref) (Exec.get_elem c.sim);
       1)
 
-let engines ?(nprocs = 4) ?(params = []) ?opts ?(spec_of_seed = default_spec)
-    ~seeds (chk : Hpf.Sema.checked) : outcome =
-  let p = prepare ?opts ~nprocs ~params chk in
+let engines ?(nprocs = 4) ?opts ?(spec_of_seed = default_spec) ~seeds
+    (chk : Hpf.Sema.checked) : outcome =
+  let p = prepare ?opts ~nprocs chk in
   sweep ~spec_of_seed ~seeds (fun faults ->
       let r = exec ?faults p `Interp "interp" in
       List.iter
@@ -199,10 +195,9 @@ let engines ?(nprocs = 4) ?(params = []) ?opts ?(spec_of_seed = default_spec)
         [ `Closure; `Native ];
       1)
 
-let domains ?(engine = `Closure) ?(nprocs = 4) ?(params = []) ?opts
-    ?(domain_counts = [ 2; 4 ]) ?(spec_of_seed = default_spec) ~seeds
-    (chk : Hpf.Sema.checked) : outcome =
-  let p = prepare ?opts ~nprocs ~params chk in
+let domains ?(engine = `Closure) ?(nprocs = 4) ?opts ?(domain_counts = [ 2; 4 ])
+    ?(spec_of_seed = default_spec) ~seeds (chk : Hpf.Sema.checked) : outcome =
+  let p = prepare ?opts ~nprocs chk in
   sweep ~spec_of_seed ~seeds (fun faults ->
       let r = exec ?faults ~domains:1 p engine "1-domain" in
       List.iter
@@ -212,11 +207,11 @@ let domains ?(engine = `Closure) ?(nprocs = 4) ?(params = []) ?opts
         domain_counts;
       List.length domain_counts)
 
-let crashes ?(nprocs = 4) ?(params = []) ?opts ?(ckpt_every = 8)
+let crashes ?(nprocs = 4) ?opts ?(ckpt_every = 8)
     ?(spec_of_seed =
       fun seed -> { Fault.none with seed; crash_prob = 0.02; crash_max = 3 })
     ~seeds (chk : Hpf.Sema.checked) : outcome =
-  let p = prepare ?opts ~nprocs ~params chk in
+  let p = prepare ?opts ~nprocs chk in
   (* the reference is the fault-free schedule's run; recovery moves clocks
      by design, so only cells and values are compared *)
   let r = lazy (exec p `Closure "fault-free closure") in
@@ -228,8 +223,7 @@ let crashes ?(nprocs = 4) ?(params = []) ?opts ?(ckpt_every = 8)
           List.iter
             (fun engine ->
               let rep =
-                Checkpoint.run ~engine ~faults ~ckpt_every ~nprocs ~params
-                  p.cprog
+                Checkpoint.run ~engine ~faults ~ckpt_every ~nprocs p.cprog
               in
               same_cells_and_values ~kind:"crash" p (Lazy.force r)
                 {

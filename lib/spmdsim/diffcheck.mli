@@ -42,7 +42,6 @@ type outcome =
 val run :
   ?engine:Exec.engine ->
   ?nprocs:int ->
-  ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
   ?spec_of_seed:(int -> Fault.spec) ->
   seeds:int list ->
@@ -58,7 +57,6 @@ val run :
 
 val engines :
   ?nprocs:int ->
-  ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
   ?spec_of_seed:(int -> Fault.spec) ->
   seeds:int list ->
@@ -79,7 +77,6 @@ val engines :
 val domains :
   ?engine:Exec.engine ->
   ?nprocs:int ->
-  ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
   ?domain_counts:int list ->
   ?spec_of_seed:(int -> Fault.spec) ->
@@ -101,7 +98,6 @@ val domains :
 
 val crashes :
   ?nprocs:int ->
-  ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
   ?ckpt_every:int ->
   ?spec_of_seed:(int -> Fault.spec) ->

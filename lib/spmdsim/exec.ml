@@ -545,7 +545,6 @@ type diagnostic = Runtime.diagnostic = {
 
 exception Deadlock = Runtime.Deadlock
 
-let pp_diagnostic = Runtime.pp_diagnostic
 let diagnostic_to_string = Runtime.diagnostic_to_string
 
 let run = function

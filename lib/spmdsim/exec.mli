@@ -55,7 +55,8 @@ val make :
 (** Instantiate the machine: evaluate startup parameter bindings (with
     [number_of_processors() = nprocs]), size the processor grid, compute
     each processor's [m$k] / [vm$k] coordinates, and allocate storage.
-    [params] binds symbolic program parameters. [engine] selects the
+    [params] binds the program's [`FromEnv] parameters and raises
+    {!Error} on any other name. [engine] selects the
     executor (default [`Closure]; [`Interp] is the oracle; [`Native]
     emits, compiles and dynlinks a standalone OCaml kernel — see
     {!Native} for the build cache and its environment knobs).
@@ -135,7 +136,6 @@ type diagnostic = Runtime.diagnostic = {
 
 exception Deadlock of diagnostic
 
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
 val diagnostic_to_string : diagnostic -> string
 
 val run : sim -> stats

@@ -52,8 +52,8 @@ let rec has_comm (prog : Spmd.program) (s : Spmd.stmt) : bool =
       | None -> false)
   | Spmd.Store _ | Spmd.SetScalar _ | Spmd.Reduce _ | Spmd.Comment _ -> false
 
-let comm ?(params = []) ~nprocs (prog : Spmd.program) : cell list =
-  let su = Runtime.setup ~nprocs ~params prog in
+let comm ~nprocs (prog : Spmd.program) : cell list =
+  let su = Runtime.setup ~nprocs ~params:[] prog in
   let geval = Runtime.eval_genv su.Runtime.su_genv in
   let phys =
     Runtime.phys_of_vp ~eval:geval prog ~extents:su.Runtime.su_extents

@@ -29,11 +29,10 @@ type cell = {
   p_elems : int;
 }
 
-val comm :
-  ?params:(string * int) list -> nprocs:int -> Dhpf.Spmd.program -> cell list
+val comm : nprocs:int -> Dhpf.Spmd.program -> cell list
 (** Predicted point-to-point communication table, sorted by (event, src,
     dst); one row per pair the program sends to (empty messages still
-    count one [p_msgs]). [params] and [nprocs] as in {!Exec.make}.
+    count one [p_msgs]). [nprocs] as in {!Exec.make}.
     @raise Unpredictable on data-dependent communication.
     @raise Runtime.Error on startup binding failures. *)
 

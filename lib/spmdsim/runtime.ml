@@ -43,7 +43,14 @@ let eval_genv genv e =
 let setup ?faults ~nprocs ~params (prog : Spmd.program) : setup =
   let genv = Hashtbl.create 32 in
   Hashtbl.replace genv "number_of_processors" nprocs;
-  List.iter (fun (n, v) -> Hashtbl.replace genv n v) params;
+  (* a supplied value binds only a parameter the compiler left symbolic *)
+  List.iter
+    (fun (n, v) ->
+      if not (List.mem { Spmd.pb_name = n; pb_value = `FromEnv } prog.params)
+      then errf "parameter %s is not a symbolic parameter of the program" n;
+      if Hashtbl.mem genv n then errf "parameter %s supplied twice" n;
+      Hashtbl.replace genv n v)
+    params;
   let bind s =
     match Hashtbl.find_opt genv s with
     | Some v -> v

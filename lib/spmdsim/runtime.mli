@@ -39,7 +39,8 @@ val setup :
   setup
 (** Evaluate startup parameter bindings (with
     [number_of_processors() = nprocs]), size the processor grid and compute
-    each processor's coordinates and clock skew. *)
+    each processor's coordinates and clock skew. [params] binds the
+    program's [`FromEnv] parameters; any other name raises {!Error}. *)
 
 val eval_genv : (string, int) Hashtbl.t -> Spmd.expr -> int
 (** Evaluate an expression over global parameters only. *)
@@ -343,7 +344,6 @@ type diagnostic = {
 
 exception Deadlock of diagnostic
 
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
 val diagnostic_to_string : diagnostic -> string
 
 (** {1 Scheduler} *)

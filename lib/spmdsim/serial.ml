@@ -20,8 +20,7 @@ type arr = {
 }
 
 type state = {
-  env : Sema.env;
-  params : (string, int) Hashtbl.t;
+  env : Sema.env;  (** parameter values, arrays, scalars, subroutines *)
   arrays : (string, arr) Hashtbl.t;
   scalars : (string, float) Hashtbl.t;
   ivars : (string, int) Hashtbl.t;  (** loop variables *)
@@ -34,7 +33,7 @@ let lookup_int st s =
   match Hashtbl.find_opt st.ivars s with
   | Some v -> v
   | None -> (
-      match Hashtbl.find_opt st.params s with
+      match Sema.param_value st.env s with
       | Some v -> v
       | None -> errf "unbound integer name %s" s)
 
@@ -175,13 +174,12 @@ type result = {
   r_state : state;
 }
 
-(** Execute a checked program serially. [params] binds symbolic program
-    parameters. *)
-let run ?(machine = Machine.default) ?(params = []) (chk : Sema.checked) : result =
+(** Execute a checked program serially, with the parameter values
+    {!Sema.analyze} bound. *)
+let run ?(machine = Machine.default) (chk : Sema.checked) : result =
   let st =
     {
       env = chk.env;
-      params = Hashtbl.create 16;
       arrays = Hashtbl.create 16;
       scalars = Hashtbl.create 16;
       ivars = Hashtbl.create 16;
@@ -190,10 +188,6 @@ let run ?(machine = Machine.default) ?(params = []) (chk : Sema.checked) : resul
       flops = 0;
     }
   in
-  Hashtbl.iter
-    (fun name v -> match v with Some k -> Hashtbl.replace st.params name k | None -> ())
-    chk.env.Sema.params;
-  List.iter (fun (n, v) -> Hashtbl.replace st.params n v) params;
   Hashtbl.iter
     (fun name ai -> Hashtbl.replace st.arrays name (alloc_array st ai))
     chk.env.Sema.arrays;

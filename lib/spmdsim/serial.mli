@@ -19,9 +19,9 @@ type result = {
   r_state : state;
 }
 
-val run :
-  ?machine:Machine.t -> ?params:(string * int) list -> Hpf.Sema.checked -> result
-(** Execute a checked program; [params] binds symbolic program parameters. *)
+val run : ?machine:Machine.t -> Hpf.Sema.checked -> result
+(** Execute a checked program with the parameter values {!Hpf.Sema.analyze}
+    bound; a parameter left valueless there is an unbound name here. *)
 
 val get_elem : result -> string -> int list -> float
 val get_scalar : result -> string -> float

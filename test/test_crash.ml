@@ -287,7 +287,9 @@ let test_diffcheck_crashes () =
           Alcotest.(check int) (name ^ ": every seed on both engines compared") 6 runs
       | out ->
           Alcotest.fail (Fmt.str "%s: %a" name Spmdsim.Diffcheck.pp_outcome out))
-    [ ("jacobi", jacobi ()); ("gauss", gauss ()) ]
+    [ ("jacobi", jacobi ()); ("gauss", gauss ());
+      ("gauss (symbolic grid)", Colocated.src) ];
+  Colocated.check_copies ~nprocs:4
 
 let () =
   Alcotest.run "crash"

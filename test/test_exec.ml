@@ -152,9 +152,10 @@ let test_deadlock_detected () =
         (String.length msg >= 8 && String.sub msg 0 8 = "deadlock")
   | _ -> Alcotest.fail "expected deadlock"
 
-let test_param_binding () =
-  let src =
-    {|
+(* [n] is declared without a value: the program is compiled once and
+   bound at startup *)
+let symbolic_n =
+  {|
 program t
   parameter n
   real a(100)
@@ -167,8 +168,9 @@ program t
   end do
 end
 |}
-  in
-  let c = compile src in
+
+let test_param_binding () =
+  let c = compile symbolic_n in
   (* n is symbolic: must be supplied *)
   (match Spmdsim.Exec.make ~nprocs:2 c.cprog with
   | exception Spmdsim.Exec.Error _ -> ()
@@ -180,6 +182,24 @@ end
   let _ = Spmdsim.Exec.run sim in
   Alcotest.(check (float 0.0)) "a(7) written" 7.0 (Spmdsim.Exec.get_elem sim "a" [ 7 ]);
   Alcotest.(check (float 0.0)) "a(8) untouched" 0.0 (Spmdsim.Exec.get_elem sim "a" [ 8 ])
+
+(* [Exec.make ~params] binds the names the compiler left symbolic and
+   nothing else: a declared constant, the processor count, a derived
+   binding or a repeated name is an error, not silently ignored *)
+let test_param_names () =
+  let rejects what params prog =
+    match Spmdsim.Exec.make ~nprocs:4 ~params prog with
+    | exception Spmdsim.Exec.Error _ -> ()
+    | _ -> Alcotest.failf "%s: expected Exec.Error" what
+  in
+  let gauss = (compile (Codes.gauss ())).cprog in
+  rejects "declared constant n" [ ("n", 8) ] gauss;
+  rejects "number_of_processors" [ ("number_of_processors", 8) ] gauss;
+  rejects "undeclared name" [ ("bogus", 3) ] gauss;
+  rejects "layout-derived grid extent" [ ("p$2", 2) ] gauss;
+  rejects "symbolic n supplied twice"
+    [ ("n", 7); ("n", 8) ]
+    (compile symbolic_n).cprog
 
 (* Regression: the gauss builtin uses a (cyclic,cyclic) distribution whose
    split compute sections reference the vm$k virtual-processor coordinates;
@@ -234,10 +254,14 @@ let test_ownership_interp_engine () =
    subroutine calls; the engines must agree bit-for-bit, fault-free and
    under a seeded fault schedule. *)
 let test_engines_agree_gauss () =
-  let chk = Hpf.Sema.analyze_source (Codes.gauss ()) in
-  match Spmdsim.Diffcheck.engines ~nprocs:4 ~seeds:[ 7 ] chk with
-  | Spmdsim.Diffcheck.Pass { runs } -> Alcotest.(check int) "runs" 2 runs
-  | out -> Alcotest.failf "%a" Spmdsim.Diffcheck.pp_outcome out
+  List.iter
+    (fun src ->
+      let chk = Hpf.Sema.analyze_source src in
+      match Spmdsim.Diffcheck.engines ~nprocs:4 ~seeds:[ 7 ] chk with
+      | Spmdsim.Diffcheck.Pass { runs } -> Alcotest.(check int) "runs" 2 runs
+      | out -> Alcotest.failf "%a" Spmdsim.Diffcheck.pp_outcome out)
+    [ Codes.gauss (); Colocated.src ];
+  Colocated.check_copies ~nprocs:4
 
 (* The run phase of both kernel engines allocates (almost) nothing on
    the hot path: float expressions evaluate into a register file, the
@@ -408,6 +432,7 @@ let () =
           Alcotest.test_case "allreduce cost" `Quick test_allreduce_cost;
           Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
           Alcotest.test_case "parameter binding" `Quick test_param_binding;
+          Alcotest.test_case "parameter names" `Quick test_param_names;
           Alcotest.test_case "gauss cyclic split sections" `Quick
             test_gauss_cyclic_split_sections;
         ] );

@@ -121,6 +121,36 @@ let test_known_params () =
   Alcotest.(check bool) "n inlined" true
     (Iset.Lin.is_const lin && Iset.Lin.constant lin = 10)
 
+(* [params] is the one place a caller binds parameters: it overrides a
+   declared value or binds a valueless one, and rejects any other name *)
+let test_param_bindings () =
+  let symbolic =
+    "program t\n  parameter n = 10\n  parameter m\n  real s\nend\n"
+  in
+  let chk = Hpf.Sema.analyze_source ~params:[ ("n", 64); ("m", 3) ] symbolic in
+  Alcotest.(check (option int)) "declared n overridden" (Some 64)
+    (Hpf.Sema.param_value chk.env "n");
+  Alcotest.(check (option int)) "valueless m bound" (Some 3)
+    (Hpf.Sema.param_value chk.env "m");
+  Alcotest.(check (option int)) "m symbolic without params" None
+    (Hpf.Sema.param_value (Hpf.Sema.analyze_source symbolic).env "m");
+  let rejects src params msg =
+    match Hpf.Sema.analyze_source ~params src with
+    | exception Hpf.Sema.Error m -> Alcotest.(check string) "message" msg m
+    | _ -> Alcotest.failf "expected: %s" msg
+  in
+  rejects symbolic [ ("bogus", 3) ]
+    "cannot bind bogus: not a declared parameter of the program";
+  rejects symbolic [ ("number_of_processors", 8) ]
+    "cannot bind number_of_processors: not a declared parameter of the program";
+  rejects symbolic [ ("n", 1); ("n", 2) ] "parameter n bound twice";
+  (* names the compiler derives from the layout are not parameters: the
+     symbolic grid extent and a block size *)
+  rejects (Codes.jacobi ()) [ ("p$2", 2) ]
+    "cannot bind p$2: not a declared parameter of the program";
+  rejects (Codes.jacobi ()) [ ("b$t$1", 2) ]
+    "cannot bind b$t$1: not a declared parameter of the program"
+
 let () =
   Alcotest.run "hpf"
     [
@@ -137,5 +167,6 @@ let () =
           Alcotest.test_case "sema errors" `Quick test_sema_errors;
           Alcotest.test_case "directive errors" `Quick test_sema_directive_errors;
           Alcotest.test_case "known params" `Quick test_known_params;
+          Alcotest.test_case "parameter bindings" `Quick test_param_bindings;
         ] );
     ]

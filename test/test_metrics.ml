@@ -519,9 +519,7 @@ let test_published_sums () =
   (* with both grid extents symbolic, the pivot row's template-cell VP
      sends to VPs on its own processor, so the local-copy sums are
      exercised *)
-  check_published "gauss (cyclic, symbolic grid)"
-    (Codes.gauss ~n:12 ~procs:Codes.SymbolicBoth ())
-    ~local:true 4;
+  check_published "gauss (cyclic, symbolic grid)" Colocated.src ~local:true 4;
   (* tomcatv's neighbour pairs carry several events each, so the per-pair
      cells are sums of more than one cell *)
   check_published "tomcatv" (Codes.tomcatv ~n:33 ~iters:1 ()) ~local:false 4;

@@ -130,7 +130,8 @@ let test_sim_domains () =
       outcome_ok name
         (Spmdsim.Diffcheck.domains ~nprocs ~domain_counts:[ 2; 4 ]
            ~seeds:[ 5 ] chk))
-    benchmarks
+    (benchmarks @ [ ("gauss (symbolic grid)", Colocated.src) ]);
+  Colocated.check_copies ~nprocs:4
 
 let test_sim_domains_interp () =
   (* jacobi's collectives are scalar, erlebacher's element-wise *)

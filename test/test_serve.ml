@@ -76,6 +76,23 @@ let check_error ~code:expect r =
   Alcotest.(check string) "status" "error" (status r);
   Alcotest.(check string) "code" expect (code r)
 
+let contains text needle =
+  let n = String.length needle in
+  let rec go k =
+    k + n <= String.length text && (String.sub text k n = needle || go (k + 1))
+  in
+  go 0
+
+(* the first line of [text] that starts with [prefix] *)
+let line prefix text =
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' text)
+  with
+  | Some l -> l
+  | None -> Alcotest.failf "no %S line in:\n%s" prefix text
+
 (* -- basic round trips ---------------------------------------------- *)
 
 let compile_via socket label =
@@ -172,7 +189,144 @@ let test_run () =
   | Some s -> Alcotest.(check bool) "speedup finite" true (Float.is_finite s)
   | None -> Alcotest.fail "no speedup"
 
+(* the run op binds [params] once, in Sema: the serial oracle and the
+   SPMD run both see the bound value, exactly as if the source declared
+   it; a name that is not a declared parameter, or one given twice, is a
+   [semantic] error naming it *)
+let test_run_params () =
+  with_server @@ fun socket ->
+  let run ?source params =
+    Client.request ~socket
+      (Proto.Run
+         {
+           label = "jacobi";
+           source;
+           opts;
+           nprocs = 4;
+           params;
+           engine = "closure";
+         })
+  in
+  let section r =
+    Alcotest.(check string) "status" "ok" (status r);
+    match Obs.Json.get r "run" with
+    | Some run ->
+        List.map
+          (fun k -> (k, Obs.Json.get_num run k))
+          [ "serial_s"; "flops"; "spmd_s"; "msgs"; "bytes" ]
+    | None -> Alcotest.fail "run response has no run section"
+  in
+  (* the built-in jacobi of the lookup table declares n = 16 *)
+  Alcotest.(check (list (pair string (option (float 0.0)))))
+    "params n=24 runs the program that declares n = 24"
+    (section
+       (run
+          ~source:(Codes.jacobi ~n:24 ~iters:2 ~procs:(Codes.Fixed (2, 2)) ())
+          []))
+    (section (run [ ("n", 24) ]));
+  List.iter
+    (fun (params, name) ->
+      let r = run params in
+      check_error ~code:"semantic" r;
+      Alcotest.(check bool)
+        (Printf.sprintf "message names %s" name)
+        true
+        (contains
+           (Option.value (Obs.Json.get_str r "message") ~default:"")
+           name))
+    [
+      ([ ("bogus", 3) ], "bogus");
+      ([ ("number_of_processors", 8) ], "number_of_processors");
+      ([ ("n", 1); ("n", 2) ], "parameter n ");
+    ]
+
 (* -- error triage ---------------------------------------------------- *)
+
+(* One failure table: every exception it classifies, its daemon code, the
+   CLI's exit code and the line the CLI prints on stderr (as it printed
+   it before the table was shared). Each exception is also raised inside
+   a live daemon, whose answer must carry the same code and message. *)
+let test_failure_table () =
+  let deadlock =
+    {
+      Spmdsim.Runtime.dg_waiting =
+        [ { w_pid = 1; w_clock = 0.0; w_reason = Spmdsim.Runtime.WaitReduce } ];
+      dg_cycle = [];
+      dg_undelivered = [];
+      dg_max_mailbox = 0;
+    }
+  in
+  let table =
+    [
+      (Sys_error "x.hpf: No such file or directory", "parse", 2,
+       "error: x.hpf: No such file or directory (not a file or built-in \
+        benchmark)");
+      (Hpf.Parser.Error ("expected )", 3), "parse", 2,
+       "parse error, line 3: expected )");
+      (Hpf.Lexer.Error ("bad character", 4), "parse", 2,
+       "lexical error, line 4: bad character");
+      (Iset.Parse.Error "m", "parse", 2, "set-expression parse error: m");
+      (Iset.Calc.Error "m", "parse", 2, "calculator error: m");
+      (Hpf.Sema.Error "m", "semantic", 3, "semantic error: m");
+      (Dhpf.Gen.Unsupported "m", "unsupported", 4, "unsupported: m");
+      (Dhpf.Layout.Unsupported "m", "unsupported", 4, "unsupported: m");
+      (Iset.Codegen.Unsupported "m", "unsupported", 4, "unsupported: m");
+      (Spmdsim.Predict.Unpredictable "m", "unsupported", 4,
+       "unsupported: communication volume not predictable: m");
+      (Iset.Conj.Too_hard, "unsupported", 4,
+       "unsupported: integer-set query too hard: the Omega test ran out of \
+        fuel");
+      (Spmdsim.Exec.Error "m", "runtime", 5, "runtime error: m");
+      (Spmdsim.Serial.Error "m", "runtime", 5, "serial interpreter error: m");
+      (Spmdsim.Exec.Deadlock deadlock, "runtime", 5,
+       String.trim (Spmdsim.Exec.diagnostic_to_string deadlock));
+      (Server.Bind_error "m", "bind", 6, "bind error: m");
+      (Proto.Proto_error "m", "protocol", 7, "protocol error: m");
+      (Client.Connect_error "m", "protocol", 7, "connect error: m");
+    ]
+  in
+  List.iter
+    (fun (e, code, exit, line) ->
+      let what = Printexc.to_string e in
+      let kind, msg = Server.classify e in
+      Alcotest.(check string)
+        (what ^ ": daemon code") code (Server.failure_code kind);
+      Alcotest.(check int)
+        (what ^ ": CLI exit code") exit (Server.exit_code kind);
+      Alcotest.(check string)
+        (what ^ ": CLI line") line
+        (Server.failure_line kind msg))
+    table;
+  Alcotest.(check bool) "an exception outside the table is a runtime error"
+    true
+    (Server.classify Not_found = (Server.Runtime, "Not_found"));
+  (* one exit code per kind, one kind per exit code *)
+  let pairs =
+    List.sort_uniq compare
+      (List.map (fun (_, code, exit, _) -> (code, exit)) table)
+  in
+  Alcotest.(check int) "six kinds" 6 (List.length pairs);
+  Alcotest.(check int) "six exit codes" 6
+    (List.length (List.sort_uniq compare (List.map snd pairs)));
+  (* the daemon answers each with the table's code and message *)
+  let raising =
+    List.mapi (fun i (e, _, _, _) -> (Printf.sprintf "raise-%d" i, e)) table
+  in
+  let lookup l =
+    match List.assoc_opt l raising with Some e -> raise e | None -> lookup l
+  in
+  with_server ~workers:1 ~lookup @@ fun socket ->
+  List.iter
+    (fun (label, e) ->
+      let kind, msg = Server.classify e in
+      let r =
+        Client.request ~socket (Proto.Compile { label; source = None; opts })
+      in
+      check_error ~code:(Server.failure_code kind) r;
+      Alcotest.(check (option string))
+        (Printexc.to_string e ^ ": daemon message") (Some msg)
+        (Obs.Json.get_str r "message"))
+    raising
 
 let test_unknown_source () =
   with_server @@ fun socket ->
@@ -767,13 +921,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let contains text needle =
-  let n = String.length needle in
-  let rec go k =
-    k + n <= String.length text && (String.sub text k n = needle || go (k + 1))
-  in
-  go 0
-
 let test_cross_process_warm () =
   if not (Sys.file_exists dhpfc) then
     Alcotest.skip ()
@@ -860,6 +1007,55 @@ let test_one_diff_sweep () =
                 end)
               flags)
           flags)
+  end
+
+(* -- dhpfc run -D: one parameter environment -------------------------- *)
+
+(* -D binds once, in Sema: [run jacobi -D n=64] prints the serial and SPMD
+   lines of a source that declares n = 64; a name that is not a declared
+   parameter, or one given twice, exits 3 naming it *)
+let test_param_cli () =
+  if not (Sys.file_exists dhpfc) then Alcotest.skip ()
+  else begin
+    let dir = fresh_dir () in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let out = Filename.concat dir "out.txt"
+        and err = Filename.concat dir "err.txt"
+        and src = Filename.concat dir "jacobi64.hpf" in
+        Out_channel.with_open_bin src (fun oc ->
+            output_string oc (Codes.jacobi ~n:64 ()));
+        let run args =
+          let rc =
+            Sys.command
+              (Printf.sprintf "%s run %s -p 4 > %s 2> %s" dhpfc args out err)
+          in
+          (rc, read_file out, read_file err)
+        in
+        let rc, bound, _ = run "jacobi -D n=64" in
+        Alcotest.(check int) "-D n=64 exits 0" 0 rc;
+        let rc, declared, _ = run src in
+        Alcotest.(check int) "n = 64 source exits 0" 0 rc;
+        List.iter
+          (fun prefix ->
+            Alcotest.(check string)
+              (prefix ^ " line as declared")
+              (line prefix declared) (line prefix bound))
+          [ "serial"; "spmd on" ];
+        List.iter
+          (fun (flags, name) ->
+            let rc, _, e = run ("jacobi " ^ flags) in
+            Alcotest.(check int) (flags ^ " exits 3") 3 rc;
+            Alcotest.(check bool)
+              (flags ^ ": semantic error naming " ^ name)
+              true
+              (contains e "semantic error" && contains e name))
+          [
+            ("-D bogus=3", "bogus");
+            ("-D number_of_processors=8", "number_of_processors");
+            ("-D n=1 -D n=2", "parameter n ");
+          ])
   end
 
 (* -- dhpfc: the sinks of a failed run, and named tracks --------------- *)
@@ -985,15 +1181,6 @@ let test_fault_knobs () =
           in
           Alcotest.(check int) (args ^ " exits 0") 0 rc;
           read_file out
-        in
-        let line prefix text =
-          match
-            List.find_opt
-              (fun l -> String.starts_with ~prefix l)
-              (String.split_on_char '\n' text)
-          with
-          | Some l -> l
-          | None -> Alcotest.failf "no %S line in:\n%s" prefix text
         in
         let clean = run "" in
         let knobs_off =
@@ -1548,6 +1735,7 @@ let () =
           Alcotest.test_case "compile builtin" `Quick test_compile_builtin;
           Alcotest.test_case "compile inline" `Quick test_compile_inline;
           Alcotest.test_case "run" `Quick test_run;
+          Alcotest.test_case "run binds params once" `Quick test_run_params;
           Alcotest.test_case "stats" `Quick test_stats;
         ] );
       ( "errors",
@@ -1562,6 +1750,7 @@ let () =
           Alcotest.test_case "truncated frames" `Quick test_truncated_frames;
           QCheck_alcotest.to_alcotest prop_fuzz_frames;
           Alcotest.test_case "omega out of fuel" `Quick test_too_hard;
+          Alcotest.test_case "one failure table" `Quick test_failure_table;
         ] );
       ( "lifecycle",
         [
@@ -1615,5 +1804,6 @@ let () =
             test_memo_off_cli;
           Alcotest.test_case "fault knobs reach the schedule" `Quick
             test_fault_knobs;
+          Alcotest.test_case "-D binds once" `Quick test_param_cli;
         ] );
     ]
