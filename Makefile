@@ -27,8 +27,8 @@ bench-smoke:
 bench-run-smoke:
 	$(DUNE) exec bench/main.exe -- run-smoke
 
-# Domain-parallel smoke: the sharded-lane scheduler must stay bit-identical
-# to the sequential one (always checked), and on hosts with >= 2 cores the
+# Domain-parallel smoke: a sharded simulation must stay bit-identical to
+# its 1-domain run (always checked), and on hosts with >= 2 cores the
 # parallel compile and simulation must beat 1 domain by 1.5x; single-core
 # hosts skip the speedup half with a message.
 bench-par-smoke:
@@ -84,7 +84,10 @@ fmt-check:
 
 # every arm of `dhpfc run`'s one --diff* path: the serial oracle, the
 # engine and domain differentials, and crash recovery; the -D run checks
-# that a bound parameter reaches the oracle and the SPMD run alike
+# that a bound parameter reaches the oracle and the SPMD run alike; the
+# domain sweeps cover scalar and element-wise collectives (jacobi,
+# erlebacher), eight processors with many partners (tomcatv) and cyclic
+# virtual processors (gauss)
 resilience:
 	$(DUNE) build @resilience
 	$(DHPFC) run jacobi -p 4 --diff 2
@@ -93,6 +96,8 @@ resilience:
 	$(DHPFC) run jacobi -p 4 --diff-domains 2
 	$(DHPFC) run erlebacher -p 4 --diff-engines 2
 	$(DHPFC) run erlebacher -p 4 --diff-domains 2
+	$(DHPFC) run tomcatv -p 8 --diff-domains 2
+	$(DHPFC) run gauss -p 4 --diff-domains 2
 	$(DHPFC) run jacobi --diff-crashes 3
 	$(DHPFC) run gauss --diff-crashes 3
 

@@ -542,8 +542,8 @@ let metrics_smoke () =
     (List.length mat)
 
 (* Backs `make bench-par-smoke`: the correctness half always runs (the
-   domain-differential axis on a mid-size workload — sharded lanes must be
-   bit-identical to the sequential scheduler, faults included); the
+   domain-differential axis on a mid-size workload — a sharded run must be
+   bit-identical to the 1-domain run, faults included); the
    speedup half is gated on the host actually having cores to scale on.
    On a multi-core host the 4-way (or as-wide-as-the-host) compile and
    simulation must beat 1 domain by [par_min_speedup]; single-core hosts

@@ -631,10 +631,8 @@ let run_cmd =
       | None -> ()
       | Some sp ->
           Fmt.pr "fault schedule  : %s@." (Spmdsim.Fault.describe sp);
-          Fmt.pr "resilience      : %d retransmits, %d timeouts, %d duplicates \
-                  discarded, peak mailbox %d@."
-            stats.s_retransmits stats.s_timeouts stats.s_dups_delivered
-            stats.s_max_mailbox);
+          Fmt.pr "resilience      : %d retransmits, %d duplicates discarded@."
+            stats.s_retransmits stats.s_dups_delivered);
       (match report with
       | None -> ()
       | Some rep ->
@@ -645,9 +643,9 @@ let run_cmd =
               ckpt_every;
           if stats.s_crashes > 0 then begin
             Fmt.pr
-              "crashes         : %d crash(es), %d recoveries in %d attempts, \
-               lost work %.3f ms@."
-              stats.s_crashes stats.s_recoveries rep.rp_attempts
+              "crashes         : %d crash(es) recovered in %d attempts, lost \
+               work %.3f ms@."
+              stats.s_crashes rep.rp_attempts
               (stats.s_lost_work *. 1e3);
             List.iter
               (fun (c : Spmdsim.Checkpoint.crash_record) ->

@@ -97,8 +97,8 @@ let encoded_size (im : Runtime.image) =
   + arr_size (fun (k, _, _) -> key_size k + 16) im.Runtime.im_chans
   + arr_size (fun (k, ms) -> key_size k + arr_size msg_size ms)
       im.Runtime.im_inflight
-  (* the seven transport counters *)
-  + (7 * 8)
+  (* the five transport counters *)
+  + (5 * 8)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery controller                                                  *)
@@ -284,7 +284,6 @@ let run ?engine ?(machine = Machine.default) ?faults ?(plan = [])
     let module M = Obs.Metrics in
     let inc n v = M.inc (M.counter n) v in
     inc "sim/crashes" (float_of_int n_crashes);
-    inc "sim/recoveries" (float_of_int n_crashes);
     inc "sim/ckpt_count" (float_of_int n_writes);
     inc "sim/ckpt_bytes" (float_of_int n_wbytes);
     inc "sim/lost_work_s" lost
@@ -295,7 +294,6 @@ let run ?engine ?(machine = Machine.default) ?faults ?(plan = [])
       {
         raw with
         Runtime.s_crashes = n_crashes;
-        s_recoveries = n_crashes;
         s_ckpts = n_writes;
         s_ckpt_bytes = n_wbytes;
         s_lost_work = lost;

@@ -939,7 +939,7 @@ let run (cs : csim) : Runtime.stats =
   if cs.c_ran then
     errf "simulation already executed: Exec.run consumed this sim (build a fresh one with Exec.make)";
   cs.c_ran <- true;
-  Runtime.sched_run_par ~domains:cs.c_domains
+  Runtime.sched_run ~domains:cs.c_domains
     {
       Runtime.h_nprocs = Array.length cs.c_rts;
       h_tr = cs.c_tr;

@@ -125,11 +125,8 @@ let stat_fields (a : Exec.stats) (b : Exec.stats) =
     ("bytes", i a.s_bytes, i b.s_bytes);
     ("elems", i a.s_elems, i b.s_elems);
     ("retransmits", i a.s_retransmits, i b.s_retransmits);
-    ("timeouts", i a.s_timeouts, i b.s_timeouts);
     ("dups_delivered", i a.s_dups_delivered, i b.s_dups_delivered);
-    ("max_mailbox", i a.s_max_mailbox, i b.s_max_mailbox);
     ("crashes", i a.s_crashes, i b.s_crashes);
-    ("recoveries", i a.s_recoveries, i b.s_recoveries);
     ("ckpts", i a.s_ckpts, i b.s_ckpts);
     ("ckpt_bytes", i a.s_ckpt_bytes, i b.s_ckpt_bytes);
     ("lost_work", a.s_lost_work, b.s_lost_work);

@@ -84,15 +84,15 @@ val domains :
   Hpf.Sema.checked ->
   outcome
 (** Domain-differential mode: for each fault schedule (fault-free first,
-    then one per seed) run the program once on a single domain — the
-    sequential scheduler — and once per entry of [domain_counts] (default
-    [\[2; 4\]]) with processor lanes sharded across that many OCaml
-    domains, and require every parallel run to match the sequential one
-    {e exactly}: bit-identical array elements, scalars and per-processor
-    clocks, identical counters, and an identical per-pair communication
-    table. One run counts per domain count and schedule. This is the
-    executable form of the parallel scheduler's determinism contract
-    ({!Runtime.sched_run_par}); oversubscription is deliberate — domain
+    then one per seed) run the program once on a single domain and once
+    per entry of [domain_counts] (default [\[2; 4\]]) with the
+    processors sharded across that many OCaml domains, and require every
+    multi-domain run to match the 1-domain one {e exactly}: bit-identical
+    array elements, scalars and per-processor clocks, identical counters,
+    and an identical per-pair communication table. One run counts per
+    domain count and schedule. This is the executable form of the
+    scheduler's determinism contract ({!Runtime.sched_run});
+    oversubscription is deliberate — domain
     counts above the physical core count must still be bit-identical.
     [engine] defaults to [`Closure]. *)
 

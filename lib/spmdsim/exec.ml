@@ -65,7 +65,7 @@ type isim = {
   tr : Runtime.transport;
   outbufs : (int, Runtime.packbuf) Hashtbl.t array;
       (** per pid: event -> elements packed so far (per-processor so
-          parallel lanes never contend on one table) *)
+          processors on different domains never contend on one table) *)
   inplace_events : (int, unit) Hashtbl.t;
   rect_events : (int, unit) Hashtbl.t;
   mutable iran : bool;
@@ -378,7 +378,7 @@ let run_interp (sim : isim) : Runtime.stats =
   if sim.iran then
     errf "simulation already executed: Exec.run consumed this sim (build a fresh one with Exec.make)";
   sim.iran <- true;
-  Runtime.sched_run_par ~domains:sim.i_domains
+  Runtime.sched_run ~domains:sim.i_domains
     {
       Runtime.h_nprocs = sim.inprocs;
       h_tr = sim.tr;
@@ -482,24 +482,25 @@ let engine_to_string = function
   | `Interp -> "interp"
   | `Native -> "native"
 
-(* The native engine returns a Compile.csim with the generated kernel
-   swapped in as its main, so its whole dispatch surface is Compile's. *)
-type sim = SClosure of Compile.csim | SInterp of isim | SNative of Compile.csim
+(* The closure and native engines both run a Compile.csim (the native one
+   with the generated kernel swapped in as its main), so their whole
+   dispatch surface is Compile's. *)
+type sim = SCompiled of Compile.csim | SInterp of isim
 
 let make ?(engine = `Closure) ?machine ?faults ?domains ~nprocs ?params
     (prog : Spmd.program) : sim =
   match engine with
   | `Closure ->
-      SClosure (Compile.make ?machine ?faults ?domains ~nprocs ?params prog)
+      SCompiled (Compile.make ?machine ?faults ?domains ~nprocs ?params prog)
   | `Interp -> SInterp (make_interp ?machine ?faults ?domains ~nprocs ?params prog)
-  | `Native -> SNative (Native.make ?machine ?faults ?domains ~nprocs ?params prog)
+  | `Native -> SCompiled (Native.make ?machine ?faults ?domains ~nprocs ?params prog)
 
 let nprocs = function
-  | SClosure cs | SNative cs -> Compile.nprocs cs
+  | SCompiled cs -> Compile.nprocs cs
   | SInterp s -> s.inprocs
 
 let phys_of_vp = function
-  | SClosure cs | SNative cs -> Compile.phys_of_vp cs
+  | SCompiled cs -> Compile.phys_of_vp cs
   | SInterp s -> phys_of_vp_i s
 
 type stats = Runtime.stats = {
@@ -509,11 +510,8 @@ type stats = Runtime.stats = {
   s_elems : int;
   s_proc_times : float array;
   s_retransmits : int;
-  s_timeouts : int;
   s_dups_delivered : int;
-  s_max_mailbox : int;
   s_crashes : int;
-  s_recoveries : int;
   s_ckpts : int;
   s_ckpt_bytes : int;
   s_lost_work : float;
@@ -540,7 +538,6 @@ type diagnostic = Runtime.diagnostic = {
   dg_waiting : proc_wait list;
   dg_cycle : int list;
   dg_undelivered : (int * int list * int list * int) list;
-  dg_max_mailbox : int;
 }
 
 exception Deadlock = Runtime.Deadlock
@@ -548,7 +545,7 @@ exception Deadlock = Runtime.Deadlock
 let diagnostic_to_string = Runtime.diagnostic_to_string
 
 let run = function
-  | SClosure cs | SNative cs -> Compile.run cs
+  | SCompiled cs -> Compile.run cs
   | SInterp s -> run_interp s
 
 type comm_cell = Runtime.comm_cell = {
@@ -561,37 +558,37 @@ type comm_cell = Runtime.comm_cell = {
 }
 
 let comm_cells = function
-  | SClosure cs | SNative cs -> Compile.comm_cells cs
+  | SCompiled cs -> Compile.comm_cells cs
   | SInterp s -> Runtime.comm_cells s.tr
 
 let get_elem = function
-  | SClosure cs | SNative cs -> Compile.get_elem cs
+  | SCompiled cs -> Compile.get_elem cs
   | SInterp s -> get_elem_interp s
 
 let get_scalar = function
-  | SClosure cs | SNative cs -> Compile.get_scalar cs
+  | SCompiled cs -> Compile.get_scalar cs
   | SInterp s -> get_scalar_interp s
 
 exception Crash = Runtime.Crash
 
 let transport = function
-  | SClosure cs | SNative cs -> Compile.transport cs
+  | SCompiled cs -> Compile.transport cs
   | SInterp s -> s.tr
 
 let capture = function
-  | SClosure cs | SNative cs -> Compile.capture cs
+  | SCompiled cs -> Compile.capture cs
   | SInterp s -> capture_interp s
 
 let clocks = function
-  | SClosure cs | SNative cs -> Compile.clocks cs
+  | SCompiled cs -> Compile.clocks cs
   | SInterp s -> Array.map (fun (p : pstate) -> p.clock) s.procs
 
 let set_clocks sim t =
   match sim with
-  | SClosure cs | SNative cs -> Compile.set_clocks cs t
+  | SCompiled cs -> Compile.set_clocks cs t
   | SInterp s -> Array.iter (fun (p : pstate) -> p.clock <- t) s.procs
 
 let charge sim dt =
   match sim with
-  | SClosure cs | SNative cs -> Compile.charge cs dt
+  | SCompiled cs -> Compile.charge cs dt
   | SInterp s -> Array.iter (fun (p : pstate) -> p.clock <- p.clock +. dt) s.procs

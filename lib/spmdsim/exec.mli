@@ -70,9 +70,9 @@ val make :
     change.
 
     [domains] (default [Par.domains ()], i.e. [DHPF_DOMAINS] or 1) shards
-    the processor lanes across an OCaml domain pool
-    ({!Runtime.sched_run_par}); any count produces bit-identical values,
-    clocks and counters. *)
+    the processors across that many OCaml domains ({!Runtime.sched_run});
+    any count produces bit-identical values, clocks, counters and stall
+    diagnoses. *)
 
 val nprocs : sim -> int
 (** Actual processor count (the product of the grid extents). *)
@@ -88,12 +88,12 @@ type stats = Runtime.stats = {
   s_bytes : int;
   s_elems : int;  (** total elements communicated *)
   s_proc_times : float array;
-  s_retransmits : int;  (** dropped transmissions re-sent after a timeout *)
-  s_timeouts : int;  (** retransmission timers fired *)
+  s_retransmits : int;
+      (** dropped transmissions, each re-sent after its retransmission
+          timer fired *)
   s_dups_delivered : int;  (** duplicate copies detected and discarded *)
-  s_max_mailbox : int;  (** peak in-flight depth of any one channel *)
-  s_crashes : int;  (** fail-stop crashes suffered (checkpoint runs only) *)
-  s_recoveries : int;  (** successful restarts from a snapshot or scratch *)
+  s_crashes : int;
+      (** fail-stop crashes suffered, each recovered (checkpoint runs only) *)
   s_ckpts : int;  (** coordinated checkpoints taken on the final attempt *)
   s_ckpt_bytes : int;  (** encoded size of those checkpoints *)
   s_lost_work : float;
@@ -131,7 +131,6 @@ type diagnostic = Runtime.diagnostic = {
   dg_waiting : proc_wait list;
   dg_cycle : int list;
   dg_undelivered : (int * int list * int list * int) list;
-  dg_max_mailbox : int;
 }
 
 exception Deadlock of diagnostic

@@ -508,10 +508,10 @@ let ed_gen =
          (pair (int_range 0 2) (int_range 0 2))
          (list_size (int_range 1 2) stmt)))
 
-let flows_matched ?faults prog =
+let flows_matched ?faults ?domains prog =
   let (stats : Spmdsim.Exec.stats), evs =
     with_trace (fun () ->
-        let sim = Spmdsim.Exec.make ?faults ~nprocs:4 prog in
+        let sim = Spmdsim.Exec.make ?faults ?domains ~nprocs:4 prog in
         Spmdsim.Exec.run sim)
   in
   let ids ph =
@@ -540,10 +540,16 @@ let prop_flows_matched =
           | exception Dhpf.Gen.Unsupported _ -> QCheck.assume_fail ()
           | exception Dhpf.Layout.Unsupported _ -> QCheck.assume_fail ()
           | compiled ->
-              flows_matched compiled.Dhpf.Gen.cprog
-              && flows_matched
-                   ~faults:(Spmdsim.Fault.default ~seed:3)
-                   compiled.Dhpf.Gen.cprog))
+              (* the session default, then sharded: at more than one
+                 domain the flow ids and the event order may change, the
+                 pairs may not *)
+              List.for_all
+                (fun domains ->
+                  flows_matched ?domains compiled.Dhpf.Gen.cprog
+                  && flows_matched ?domains
+                       ~faults:(Spmdsim.Fault.default ~seed:3)
+                       compiled.Dhpf.Gen.cprog)
+                [ None; Some 2; Some 4 ]))
 
 (* ---- tracing must not perturb the simulation: values, clocks and
    counters of a traced run are bit-identical to an untraced one ---- *)

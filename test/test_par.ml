@@ -143,7 +143,7 @@ let test_sim_domains_interp () =
            ~domain_counts:[ 3 ] ~seeds:[ 9 ] chk))
     [ ("jacobi", Codes.jacobi ~n:14 ~iters:2 ()); ("erlebacher", Codes.erlebacher ~n:10 ()) ]
 
-(* metrics instrumentation must not perturb the parallel scheduler, and
+(* metrics instrumentation must not perturb a sharded run, and
    the per-pair communication table must be identical at every count *)
 let test_sim_domains_metered () =
   Obs.Metrics.enable ();
