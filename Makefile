@@ -92,6 +92,7 @@ resilience:
 	$(DUNE) build @resilience
 	$(DHPFC) run jacobi -p 4 --diff 2
 	$(DHPFC) run jacobi -p 4 -D n=64 --diff 1
+	$(DHPFC) run sp_like -p 4 --diff 1
 	$(DHPFC) run jacobi -p 4 --diff-engines 2
 	$(DHPFC) run jacobi -p 4 --diff-domains 2
 	$(DHPFC) run erlebacher -p 4 --diff-engines 2

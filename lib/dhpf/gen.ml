@@ -179,6 +179,8 @@ type gctx = {
       (** pre-placement non-local-read classification, per unit (placement
           consumes [ai_nl_reads]; emission needs the original) *)
   comm_write : (int, unit) Hashtbl.t;  (** likewise for non-local writes *)
+  mutable splits : Split.sections list;
+      (** the sections of every nest split so far, latest first *)
 }
 
 let is_distributed g name = Layout.distributed g.ctx name
@@ -990,8 +992,7 @@ let loop_ctx_set g ~outer (l : Cp.loop) : Rel.t =
    reordering". Lexicographic formulation: some first level l with equal
    prefix and differing coordinate relates two iterations touching one
    element. *)
-let carried_dependence g ~from_level ~depth rmw rma =
-  ignore g;
+let carried_dependence ~from_level ~depth rmw rma =
   let d = Rel.compose rmw (Rel.inverse rma) in
   let rec try_level l =
     if l >= depth then false
@@ -1017,8 +1018,9 @@ let carried_dependence g ~from_level ~depth rmw rma =
    all assignments sharing one cpIterSet, with at least one communicated
    reference and no loop-carried dependences within the reordered loops.
    [outer_depth] is the number of enclosing loops already generated (they
-   remain sequential). Returns the assigns (in order) and the common
-   nest. *)
+   remain sequential). Returns the common nest, the assigns (in order) and
+   the RefMaps restricted to the nest's iteration space, each built once
+   and shared by the dependence test and the sections. *)
 let split_candidate g ~outer_depth node =
   if not g.opts.opt_split then None
   else
@@ -1038,12 +1040,22 @@ let split_candidate g ~outer_depth node =
           List.filter (is_comm_read g ai)
             (List.sort_uniq compare (Cp.refs_of_fexpr ai.ai_rhs))
         in
+        let nest = a0.ai_nest in
+        let iter = lazy (Cp.iter_space g.ctx nest) in
+        let refmaps = ref [] in
+        let rm r =
+          match List.assoc_opt r !refmaps with
+          | Some m -> m
+          | None ->
+              let m =
+                Rel.restrict_domain (Cp.refmap g.ctx nest r) (Lazy.force iter)
+              in
+              refmaps := (r, m) :: !refmaps;
+              m
+        in
         let no_carried_deps () =
           Phase.time g.phase "loop splitting" @@ fun () ->
-          let nest = a0.ai_nest in
           let depth = List.length nest in
-          let iter = Cp.iter_space g.ctx nest in
-          let rm r = Rel.restrict_domain (Cp.refmap g.ctx nest r) iter in
           let writes =
             List.filter_map
               (fun a -> if snd a.ai_lhs <> [] then Some (fst a.ai_lhs, rm a.ai_lhs) else None)
@@ -1061,7 +1073,7 @@ let split_candidate g ~outer_depth node =
               List.for_all
                 (fun (an, arm) ->
                   wn <> an
-                  || not (carried_dependence g ~from_level:outer_depth ~depth wrm arm))
+                  || not (carried_dependence ~from_level:outer_depth ~depth wrm arm))
                 accesses)
             writes
         in
@@ -1079,19 +1091,19 @@ let split_candidate g ~outer_depth node =
                (fun a -> comm_reads a <> [] || is_comm_write g a)
                assigns
           && no_carried_deps ()
-        then Some (a0.ai_nest, assigns)
+        then Some (nest, assigns, rm)
         else None
 
 
-(* Access modes per (reference, kind) for one section, computed once (the
-   underlying subset tests are Omega queries). *)
-let section_access_table (sections : Split.sections) sec :
-    (Hpf.Ast.ref_ * [ `Read | `Write ]) list * (Hpf.Ast.ref_ -> Spmd.access) =
+(* The access of each reference in one section, its modes computed once
+   (those the section does not fix are Omega queries); a reference both
+   read and written takes its read's mode. *)
+let section_access (sections : Split.sections) sec : Hpf.Ast.ref_ -> Spmd.access =
   let table =
     List.map
       (fun c ->
         let mode =
-          match Split.access_in sec c with
+          match Split.mode sections sec c with
           | Split.AllLocal -> Spmd.Local
           | Split.AllNonLocal -> Spmd.Overlay
           | Split.Mixed -> Spmd.Checked
@@ -1099,13 +1111,11 @@ let section_access_table (sections : Split.sections) sec :
         ((c.Split.rc_ref, c.Split.rc_kind), mode))
       sections.Split.ref_classes
   in
-  let lookup r =
+  fun r ->
     match List.assoc_opt (r, `Read) table with
     | Some m -> m
     | None -> (
         match List.assoc_opt (r, `Write) table with Some m -> m | None -> Spmd.Local)
-  in
-  (List.map fst table, lookup)
 
 (* ---- main emission recursion ---- *)
 
@@ -1133,17 +1143,24 @@ let rec emit_children g ~outer (nodes : node list) : Spmd.stmt list =
         | rest -> (List.rev sends, List.rev recvs, rest)
       in
       let sends, recvs, rest = take_comm [] [] nodes in
-      (match rest with
-      | (NLoop _ as loop) :: tail
-        when split_candidate g ~outer_depth:(List.length outer) loop <> None -> (
-          match try_split g ~outer loop ~sends ~recvs with
+      let candidate =
+        match rest with
+        | (NLoop _ as loop) :: tail -> (
+            match split_candidate g ~outer_depth:(List.length outer) loop with
+            | Some c -> Some (loop, c, tail)
+            | None -> None)
+        | _ -> None
+      in
+      (match candidate with
+      | Some (loop, c, tail) -> (
+          match try_split g ~outer loop c ~sends ~recvs with
           | Some stmts -> stmts @ emit_children g ~outer tail
           | None ->
               List.concat_map (fun e -> emit_comm_send g e) sends
               @ List.concat_map (fun e -> emit_comm_recv g e) recvs
               @ emit_node g ~outer loop
               @ emit_children g ~outer tail)
-      | _ ->
+      | None ->
           (* no split: emit the comms (if any) and then continue node by
              node *)
           let comm_stmts =
@@ -1218,91 +1235,82 @@ and emit_loop g ~outer (l : Cp.loop) children : Spmd.stmt list =
     ~leaf:(fun i -> emit_children g ~outer:(outer @ [ l.Cp.lvar ]) (snd garr.(i)))
     ~for_hook:no_hook asts
 
-and try_split g ~outer loop_node ~sends ~recvs : Spmd.stmt list option =
-  match split_candidate g ~outer_depth:(List.length outer) loop_node with
-  | None -> None
-  | Some (nest, assigns) -> (
-      try
-        let a0 = List.hd assigns in
-        let refs =
-          let reads =
-            List.concat_map
-              (fun ai ->
-                List.filter_map
-                  (fun r ->
-                    if is_comm_read g ai r then
-                      let iter = Cp.iter_space g.ctx nest in
-                      let rm =
-                        Rel.restrict_domain (Cp.refmap g.ctx nest r) iter
-                      in
-                      Some (r, `Read, rm)
-                    else None)
-                  (List.sort_uniq compare (Cp.refs_of_fexpr ai.ai_rhs)))
-              assigns
-          in
-          let writes =
+and try_split g ~outer loop_node (nest, assigns, rm) ~sends ~recvs :
+    Spmd.stmt list option =
+  try
+    let a0 = List.hd assigns in
+    let refs =
+      let reads =
+        List.concat_map
+          (fun ai ->
             List.filter_map
-              (fun ai ->
-                if is_comm_write g ai then
-                  let iter = Cp.iter_space g.ctx nest in
-                  let rm =
-                    Rel.restrict_domain (Cp.refmap g.ctx nest ai.ai_lhs) iter
-                  in
-                  Some (ai.ai_lhs, `Write, rm)
-                else None)
-              assigns
-          in
-          (* one class per distinct reference *)
-          List.sort_uniq (fun (r1, k1, _) (r2, k2, _) -> compare (r1, k1) (r2, k2))
-            (reads @ writes)
-        in
-        let sections =
-          Phase.time g.phase "loop splitting" @@ fun () ->
-          Split.compute g.ctx ~cp_iter:a0.ai_cpiter ~refs
-        in
-        if not (Split.worthwhile sections) then None
+              (fun r ->
+                if is_comm_read g ai r then Some (r, `Read, rm r) else None)
+              (List.sort_uniq compare (Cp.refs_of_fexpr ai.ai_rhs)))
+          assigns
+      in
+      let writes =
+        List.filter_map
+          (fun ai ->
+            if is_comm_write g ai then Some (ai.ai_lhs, `Write, rm ai.ai_lhs)
+            else None)
+          assigns
+      in
+      (* one class per distinct reference *)
+      List.sort_uniq (fun (r1, k1, _) (r2, k2, _) -> compare (r1, k1) (r2, k2))
+        (reads @ writes)
+    in
+    let sections =
+      Phase.time g.phase "loop splitting" @@ fun () ->
+      Split.compute g.ctx ~cp_iter:a0.ai_cpiter ~refs
+    in
+    if not (Split.worthwhile sections) then None
+    else begin
+      let outern = Array.of_list outer in
+      let context =
+        bind_prefix_params outern (Cp.iter_space g.ctx nest)
+      in
+      let emit_sec sec =
+        let set = Split.section_set sections sec in
+        if (try Rel.is_empty set with _ -> false) then []
         else begin
-          let outern = Array.of_list outer in
-          let context =
-            bind_prefix_params outern (Cp.iter_space g.ctx nest)
+          let access_of =
+            Phase.time g.phase "loop splitting" @@ fun () ->
+            section_access sections sec
           in
-          let emit_sec what set =
-            if (try Rel.is_empty set with _ -> false) then []
-            else begin
-              let _, access_of =
-                Phase.time g.phase "loop splitting" @@ fun () ->
-                section_access_table sections set
-              in
-              let bound = bind_prefix_params outern set in
-              let items = List.map (fun ai -> { Codegen.tag = ai; dom = bound }) assigns in
-              let asts =
-                Phase.time g.phase "loop bounds reduction" @@ fun () ->
-                Codegen.gen ~order:`Any ~context ~names:(Rel.in_names bound) items
-              in
-              let stmts =
-                Spmd.Comment (Printf.sprintf "%s section" what)
-                :: ast_to_stmts
-                     ~leaf:(fun ai -> emit_assign g ~access_of ai)
-                     ~for_hook:no_hook asts
-              in
-              (* cyclic (template-cell) dims bind vm$k only through generated
-                 VP loops; at top level each section needs its own wrapping,
-                 exactly like the unsplit nest in emit_node (the comm
-                 sends/recvs between sections wrap themselves) *)
-              if outer = [] && has_cyclic_vps g then
-                wrap_vp g ~active:(busy_of g loop_node) stmts
-              else stmts
-            end
+          let bound = bind_prefix_params outern set in
+          let items = List.map (fun ai -> { Codegen.tag = ai; dom = bound }) assigns in
+          let asts =
+            Phase.time g.phase "loop bounds reduction" @@ fun () ->
+            Codegen.gen ~order:`Any ~context ~names:(Rel.in_names bound) items
           in
-          Some
-            (List.concat_map (emit_comm_send g) sends
-            @ emit_sec "non-local write-only" sections.Split.nl_wo_iters
-            @ emit_sec "local" sections.Split.local_iters
-            @ List.concat_map (emit_comm_recv g) recvs
-            @ emit_sec "non-local read-only" sections.Split.nl_ro_iters
-            @ emit_sec "non-local read-write" sections.Split.nl_rw_iters)
+          let stmts =
+            Spmd.Comment (Printf.sprintf "%s section" (Split.section_name sec))
+            :: ast_to_stmts
+                 ~leaf:(fun ai -> emit_assign g ~access_of ai)
+                 ~for_hook:no_hook asts
+          in
+          (* cyclic (template-cell) dims bind vm$k only through generated
+             VP loops; at top level each section needs its own wrapping,
+             exactly like the unsplit nest in emit_node (the comm
+             sends/recvs between sections wrap themselves) *)
+          if outer = [] && has_cyclic_vps g then
+            wrap_vp g ~active:(busy_of g loop_node) stmts
+          else stmts
         end
-      with Unsupported _ | Conj.Inexact_negation | Codegen.Unsupported _ -> None)
+      in
+      let stmts =
+        List.concat_map (emit_comm_send g) sends
+        @ emit_sec Split.Nl_wo
+        @ emit_sec Split.Local
+        @ List.concat_map (emit_comm_recv g) recvs
+        @ emit_sec Split.Nl_ro
+        @ emit_sec Split.Nl_rw
+      in
+      g.splits <- sections :: g.splits;
+      Some stmts
+    end
+  with Unsupported _ | Conj.Inexact_negation | Codegen.Unsupported _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -1312,6 +1320,9 @@ type compiled = {
   cprog : Spmd.program;
   cevents : event list;
   cctx : Layout.ctx;
+  csplits : Split.sections list;
+      (** the sections of every nest loop splitting transformed, in unit
+          and emission order *)
 }
 
 let compile ?(opts = default_options) ?(phase = Phase.global)
@@ -1369,6 +1380,7 @@ let compile ?(opts = default_options) ?(phase = Phase.global)
         phase;
         comm_reads = Hashtbl.create 64;
         comm_write = Hashtbl.create 64;
+        splits = [];
       }
     in
     let nodes = List.map (analyze_stmt g []) u.body in
@@ -1459,6 +1471,8 @@ let compile ?(opts = default_options) ?(phase = Phase.global)
       };
     cevents = all_events;
     cctx = ctx;
+    csplits =
+      List.concat_map (fun (g, _) -> List.rev g.splits) (Array.to_list analyzed);
   }
 
 (** The communication sets of every event, as [dhpfc compile --show-sets]

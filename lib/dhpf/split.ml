@@ -31,6 +31,34 @@ let access_in (sec : Rel.t) (rc : ref_class) : access_mode =
   else if Rel.is_empty (Rel.inter sec rc.rc_local_iters) then AllNonLocal
   else Mixed
 
+type section = Local | Nl_ro | Nl_wo | Nl_rw
+
+let section_set s = function
+  | Local -> s.local_iters
+  | Nl_ro -> s.nl_ro_iters
+  | Nl_wo -> s.nl_wo_iters
+  | Nl_rw -> s.nl_rw_iters
+
+let section_name = function
+  | Local -> "local"
+  | Nl_ro -> "non-local read-only"
+  | Nl_wo -> "non-local write-only"
+  | Nl_rw -> "non-local read-write"
+
+(* The equations below fix three modes by construction: localIters lies
+   inside every reference's local iterations, nlROIters (outside
+   nl_write) inside every write's, nlWOIters (outside nl_read) inside
+   every read's. *)
+let fixed_mode sec rc =
+  match (sec, rc.rc_kind) with
+  | Local, _ | Nl_ro, `Write | Nl_wo, `Read -> Some AllLocal
+  | (Nl_ro | Nl_wo | Nl_rw), _ -> None
+
+let mode s sec rc =
+  match fixed_mode sec rc with
+  | Some m -> m
+  | None -> access_in (section_set s sec) rc
+
 (** Compute the split sections for a statement group.
 
     [cp_iter]: the group's cpIterSet(m) over the nest variables.

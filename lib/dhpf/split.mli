@@ -25,6 +25,24 @@ type access_mode = AllLocal | AllNonLocal | Mixed
     access, direct overlay access, or a runtime ownership check. *)
 
 val access_in : Rel.t -> ref_class -> access_mode
+(** The mode decided by Omega queries: subset of, or disjoint from, the
+    reference's local iterations. *)
+
+type section = Local | Nl_ro | Nl_wo | Nl_rw
+(** localIters, nlROIters, nlWOIters, nlRWIters. *)
+
+val section_set : sections -> section -> Rel.t
+
+val section_name : section -> string
+(** ["local"], ["non-local read-only"], ... *)
+
+val fixed_mode : section -> ref_class -> access_mode option
+(** The mode the equations fix by construction, without a query: every
+    reference is local in localIters, writes are local in nlROIters and
+    reads in nlWOIters. [None] elsewhere. *)
+
+val mode : sections -> section -> ref_class -> access_mode
+(** {!fixed_mode} where it is defined, else {!access_in} on the section. *)
 
 val compute :
   Layout.ctx ->

@@ -10,20 +10,26 @@
 
 exception Inexact_negation
 
-type t = { n_ex : int; cs : Constr.t list }
+(* [hc] and [cid] are caches, -1 until filled: the hash, computed on
+   first demand, and, in an interned representative only, its id. Every
+   record is built by [make], so no copy carries another record's
+   caches. Domains that race to fill one write the same value. *)
+type t = { n_ex : int; cs : Constr.t list; mutable hc : int; mutable cid : int }
 
-let true_ = { n_ex = 0; cs = [] }
+let make ~n_ex cs = { n_ex; cs; hc = -1; cid = -1 }
 
-let make ~n_ex cs = { n_ex; cs }
+let true_ = make ~n_ex:0 []
+
+let with_cs t cs = make ~n_ex:t.n_ex cs
 
 let constraints t = t.cs
 let n_ex t = t.n_ex
 
-let add t cs = { t with cs = cs @ t.cs }
+let add t cs = with_cs t (cs @ t.cs)
 
-let fresh_ex t = ({ t with n_ex = t.n_ex + 1 }, Var.Ex t.n_ex)
+let fresh_ex t = (make ~n_ex:(t.n_ex + 1) t.cs, Var.Ex t.n_ex)
 
-let map_lin f t = { t with cs = List.map (Constr.map_lin f) t.cs }
+let map_lin f t = with_cs t (List.map (Constr.map_lin f) t.cs)
 
 let subst v rhs t = map_lin (Lin.subst v rhs) t
 
@@ -53,12 +59,12 @@ let shift_ex offset t =
   if offset = 0 then t
   else
     let f = function Var.Ex i -> Var.Ex (i + offset) | v -> v in
-    { n_ex = t.n_ex + offset; cs = List.map (Constr.map_lin (Lin.map_vars f)) t.cs }
+    make ~n_ex:(t.n_ex + offset) (List.map (Constr.map_lin (Lin.map_vars f)) t.cs)
 
 (** Conjunction of two conjuncts (renaming [b]'s existentials apart). *)
 let meet a b =
   let b = shift_ex a.n_ex b in
-  { n_ex = b.n_ex; cs = a.cs @ b.cs }
+  make ~n_ex:b.n_ex (a.cs @ b.cs)
 
 (** Renumber existentials densely and drop unused ids. *)
 let compact_ex t =
@@ -68,12 +74,12 @@ let compact_ex t =
     | [] -> true
     | id :: rest -> id = i && dense (i + 1) rest
   in
-  if dense 0 used then { t with n_ex = n }
+  if dense 0 used then make ~n_ex:n t.cs
   else
     let tbl = Hashtbl.create 8 in
     List.iteri (fun fresh old -> Hashtbl.replace tbl old fresh) used;
     let f = function Var.Ex i -> Var.Ex (Hashtbl.find tbl i) | v -> v in
-    { n_ex = n; cs = List.map (Constr.map_lin (Lin.map_vars f)) t.cs }
+    make ~n_ex:n (List.map (Constr.map_lin (Lin.map_vars f)) t.cs)
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing                                                        *)
@@ -82,8 +88,15 @@ let compact_ex t =
 let equal a b = a == b || (a.n_ex = b.n_ex && List.equal Constr.equal a.cs b.cs)
 
 let hash t =
-  List.fold_left (fun acc c -> (acc * 31) + Constr.hash c) (t.n_ex + 1) t.cs
-  land max_int
+  if t.hc >= 0 then t.hc
+  else begin
+    let h =
+      List.fold_left (fun acc c -> (acc * 31) + Constr.hash c) (t.n_ex + 1) t.cs
+      land max_int
+    in
+    t.hc <- h;
+    h
+  end
 
 module Tbl = Hcons.Make (struct
   type nonrec t = t
@@ -97,11 +110,21 @@ let () = Tbl.register_gauge "interned conjuncts"
    so equal conjuncts share the whole subtree and the physical-equality fast
    paths in [Constr.equal] / [Lin.compare] fire on every later comparison.
    A lookup that hits interns nothing else: the representative's children
-   are canonical already. *)
-let intern_pair t =
-  Tbl.intern_with t (fun t -> { t with cs = List.map Constr.intern t.cs })
-let intern t = fst (intern_pair t)
-let id t = snd (intern_pair t)
+   are canonical already. A representative keeps its id, and skips the
+   table while no clear has made that id stale (see {!Hcons}). *)
+let intern_table t =
+  let ((rep, id) as r) =
+    Tbl.intern_with t (fun t ->
+        let rep = with_cs t (List.map Constr.intern t.cs) in
+        rep.hc <- t.hc;
+        rep)
+  in
+  if rep.cid <> id then rep.cid <- id;
+  r
+
+let intern_pair t = if Tbl.trusted t.cid then (t, t.cid) else intern_table t
+let intern t = if Tbl.trusted t.cid then t else fst (intern_table t)
+let id t = if Tbl.trusted t.cid then t.cid else snd (intern_table t)
 
 (* canonical byte codec: the existential count, then the constraints in
    list order (the order is part of structural identity, exactly as in
@@ -113,7 +136,7 @@ let wire_put b t =
 let wire_read c =
   let n_ex = Wire.read_int c in
   if n_ex < 0 then raise Wire.Malformed;
-  { n_ex; cs = Wire.read_list Constr.wire_read c }
+  make ~n_ex (Wire.read_list Constr.wire_read c)
 
 (* disk-layer codec plumbing: content keys for the persistent cache
    beneath the memo tables (see {!Diskcache}); interned ids never appear
@@ -279,7 +302,7 @@ let reduce_equality t c =
      it. *)
   let defc = Constr.eq (Lin.sub (Lin.var xk) xk_rhs) in
   let cs = if Var.is_ex xk then cs else defc :: cs in
-  { t with cs }
+  with_cs t cs
 
 (* ------------------------------------------------------------------ *)
 (* Fourier-Motzkin elimination                                         *)
@@ -356,7 +379,7 @@ type elim_result =
 let fme v t =
   let b = bounds_of v t in
   assert (b.eqs_with_v = []);
-  if b.lowers = [] || b.uppers = [] then Exact { t with cs = b.others }
+  if b.lowers = [] || b.uppers = [] then Exact (with_cs t b.others)
   else
     let exact =
       List.for_all
@@ -368,11 +391,11 @@ let fme v t =
     in
     if exact then begin
       Stats.bump Stats.fme_exact;
-      Exact { t with cs = combine real_shadow_pair @ b.others }
+      Exact (with_cs t (combine real_shadow_pair @ b.others))
     end
     else
-      let real = { t with cs = combine real_shadow_pair @ b.others } in
-      let dark = { t with cs = combine dark_shadow_pair @ b.others } in
+      let real = with_cs t (combine real_shadow_pair @ b.others) in
+      let dark = with_cs t (combine dark_shadow_pair @ b.others) in
       let max_upper_coef = List.fold_left (fun m (bb, _) -> max m bb) 1 b.uppers in
       Inexact { real; dark; lowers = b.lowers; max_upper_coef }
 
@@ -405,7 +428,7 @@ let scale_subst t c v =
             | Constr.Geq -> Constr.geq lin)
       t.cs
   in
-  { t with cs }
+  with_cs t cs
 
 (* Try to remove existential variables exactly. One pass; returns the
    conjunct and whether progress was made. *)
@@ -433,14 +456,14 @@ let eliminate_existentials t =
         let rhs = solve_unit_eq c v in
         let cs = List.filter (fun c' -> not (c' == c)) t.cs in
         progress := true;
-        Some (`Elim { t with cs = List.map (Constr.subst v rhs) cs })
+        Some (`Elim (with_cs t (List.map (Constr.subst v rhs) cs)))
     | { eqs = _ :: rest as eqs; n_lower; n_upper; _ } ->
         let occurs_elsewhere = n_lower > 0 || n_upper > 0 || rest <> [] in
         if occurs_elsewhere && not (Var.Set.mem v confined) then begin
           (* confine v to its defining equality; it becomes stride-like *)
           progress := true;
           let t' = scale_subst t (pick_eq eqs) v in
-          let t' = { t' with cs = normalize_list t'.cs } in
+          let t' = with_cs t' (normalize_list t'.cs) in
           Some (`Confined t')
         end
         else
@@ -455,7 +478,7 @@ let eliminate_existentials t =
               (fun acc c -> if Constr.mem v c then acc else c :: acc)
               [] t.cs
           in
-          Some (`Elim { t with cs = others })
+          Some (`Elim (with_cs t others))
         end
         else if not fme_exact then None
         else (
@@ -493,7 +516,7 @@ let rec map_shared f l =
    kept when it defines a tuple or parameter variable). *)
 let propagate_equalities t =
   let rec go processed = function
-    | [] -> { t with cs = List.rev processed }
+    | [] -> with_cs t (List.rev processed)
     | c :: rest when Constr.kind c = Constr.Eq -> (
         (* a variable with unit coefficient, preferring existentials: the
            last in variable order, where the existentials are *)
@@ -562,7 +585,7 @@ let merge_eq_existentials t =
                   (fun c' -> if c' == c then Constr.eq lin' else c')
                   t'.cs
               in
-              { t' with cs }
+              with_cs t' cs
             end)
         t t.cs
     in
@@ -615,7 +638,7 @@ let reduce_stride_coeffs t =
   then (t, false)
   else
     let cs = List.map reduce t.cs in
-    ({ t with cs }, !progress)
+    (with_cs t cs, !progress)
 
 (* Every pass ends in [normalize_list], which is idempotent, so only the
    input is normalized before the first. *)
@@ -624,15 +647,15 @@ let simplify_raw t =
     let rec fix t n =
       if n > 12 then Some t
       else
-        let t = propagate_equalities { t with cs = tighten t.cs } in
+        let t = propagate_equalities (with_cs t (tighten t.cs)) in
         let t, progress = eliminate_existentials t in
         let t, progress2 = merge_eq_existentials t in
         let t, progress3 = reduce_stride_coeffs t in
-        let t = { t with cs = normalize_list t.cs } in
+        let t = with_cs t (normalize_list t.cs) in
         if progress || progress2 || progress3 then fix t (n + 1)
         else Some (compact_ex t)
     in
-    fix { t with cs = normalize_list t.cs } 0
+    fix (with_cs t (normalize_list t.cs)) 0
   with Unsat -> None
 
 (* Simplification is a pure function of the structure, so memoizing on the
@@ -673,7 +696,7 @@ let all_existential t =
     end
   in
   let cs = List.map (Constr.map_lin (Lin.map_vars f)) t.cs in
-  { n_ex = !next; cs }
+  make ~n_ex:!next cs
 
 let rec omega_sat ~fuel t =
   if fuel <= 0 then raise Too_hard;
@@ -701,7 +724,7 @@ let rec omega_sat ~fuel t =
                   let rhs = solve_unit_eq c v in
                   let cs = List.filter (fun c' -> not (c' == c)) t.cs in
                   omega_sat ~fuel:(fuel - 1)
-                    { t with cs = List.map (Constr.subst v rhs) cs }
+                    (with_cs t (List.map (Constr.subst v rhs) cs))
               | None -> omega_sat ~fuel:(fuel - 1) (reduce_equality t c))
           | None ->
               (* choose the variable with the cheapest elimination *)
@@ -740,7 +763,7 @@ let rec omega_sat ~fuel t =
                                 (Lin.sub (Lin.var ~coef:a v) (Lin.add_const i l))
                             in
                             Stats.bump Stats.splinters;
-                            omega_sat ~fuel:(fuel - 1) { t with cs = eqc :: t.cs }
+                            omega_sat ~fuel:(fuel - 1) (with_cs t (eqc :: t.cs))
                             || try_i (i + 1)
                         in
                         try_i 0)
@@ -910,11 +933,11 @@ let constr_has_ex c = Lin.exists_var Var.is_ex (Constr.lin c)
     are always kept (dropping them safely would require scoped negation). *)
 let gist_raw t ~given =
   let rec go kept = function
-    | [] -> { t with cs = List.rev kept }
+    | [] -> with_cs t (List.rev kept)
     | c :: rest ->
         if constr_has_ex c then go (c :: kept) rest
         else
-          let ctx = { t with cs = List.rev_append kept rest } in
+          let ctx = with_cs t (List.rev_append kept rest) in
           if implies (meet ctx given) c then go kept rest else go (c :: kept) rest
   in
   go [] t.cs

@@ -19,7 +19,14 @@
     [stripe_bits] bits of the mix pick the stripe and the bits above them
     pick the bucket inside it, so every stripe spreads its keys over all
     its buckets. Each entry keeps those bucket bits, which a chain walk
-    compares before calling [H.equal] and a resize reuses. *)
+    compares before calling [H.equal] and a resize reuses.
+
+    Cached ids: a caller may keep a representative's id beside it and skip
+    [intern] while {!trusted} holds for that id. Every clear, wholesale or
+    on full, raises the table's watermark to the next id to be issued, so
+    an id issued before the latest clear is no longer trusted: its entry
+    may be gone, and re-interning would issue a fresh id. One watermark
+    per table is enough because ids are monotone. *)
 
 module Make (H : Hashtbl.HashedType) () = struct
   let stripe_bits = 4
@@ -42,13 +49,23 @@ module Make (H : Hashtbl.HashedType) () = struct
 
   let next_id = Atomic.make 0
 
+  (* ids below it were issued before the latest clear *)
+  let watermark = Atomic.make 0
+
+  let rec raise_watermark () =
+    let w = Atomic.get watermark and n = Atomic.get next_id in
+    if n > w && not (Atomic.compare_and_set watermark w n) then raise_watermark ()
+
+  let trusted id = id >= Atomic.get watermark
+
   let reset s =
     s.buckets <- Array.make initial_buckets Nil;
     s.count <- 0
 
   let () =
     Cache.register_clear (fun () ->
-        Array.iter (fun s -> Mutex.protect s.mu (fun () -> reset s)) stripes)
+        Array.iter (fun s -> Mutex.protect s.mu (fun () -> reset s)) stripes;
+        raise_watermark ())
 
   let size () = Array.fold_left (fun acc s -> acc + s.count) 0 stripes
 
@@ -76,12 +93,13 @@ module Make (H : Hashtbl.HashedType) () = struct
     Array.iter move old
 
   let insert s bits x =
-    let id = Atomic.fetch_and_add next_id 1 in
     if s.count >= max 1 (Cache.capacity () / n_stripes) then begin
       reset s;
+      raise_watermark ();
       Stats.bump Stats.evictions
     end
     else if s.count >= 2 * Array.length s.buckets then grow s;
+    let id = Atomic.fetch_and_add next_id 1 in
     let i = slot s bits in
     s.buckets.(i) <- Cons { bits; rep = x; id; next = s.buckets.(i) };
     s.count <- s.count + 1;

@@ -21,6 +21,12 @@ module Make (H : Hashtbl.HashedType) () : sig
 
   val id : H.t -> int
 
+  val trusted : int -> bool
+  (** [trusted id]: no clear has hit this table since [id] was issued, so
+      re-interning the value [id] was issued for would return [id] again.
+      A caller that keeps an id beside its representative may skip
+      {!intern} while this holds. *)
+
   val size : unit -> int
   val register_gauge : string -> unit
   (** Publish the live node count under the given name in {!Stats}. *)

@@ -89,8 +89,23 @@ let fold f t acc = Var.Map.fold f t.coeffs acc
 
 let exists_var p t = Var.Map.exists (fun v _ -> p v) t.coeffs
 
+(* renamed variables that meet add their coefficients, and a zero sum
+   drops the variable; the hash is linear, so it sums per binding *)
 let map_vars f t =
-  Var.Map.fold (fun v c acc -> add acc (var ~coef:c (f v))) t.coeffs (const t.const)
+  let hash = ref (t.const * const_weight) in
+  let coeffs =
+    Var.Map.fold
+      (fun v c m ->
+        let v = f v in
+        hash := !hash + (c * weight v);
+        Var.Map.update v
+          (function
+            | None -> Some c
+            | Some c0 -> if c0 + c = 0 then None else Some (c0 + c))
+          m)
+      t.coeffs Var.Map.empty
+  in
+  { coeffs; const = t.const; hash = !hash }
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 

@@ -523,7 +523,6 @@ type wait_reason = Runtime.wait_reason =
       wr_src_vp : int list;
       wr_src_pid : int;
       wr_expected_seq : int;
-      wr_queued : int;
     }
   | WaitReduce
   | WaitReduceArr of string

@@ -106,9 +106,9 @@ type stats = Runtime.stats = {
     When the scheduler can make no progress, {!run} raises {!Deadlock} with
     a structured diagnosis instead of a flat string: every stuck processor
     with its simulated clock and what it waits on (event id, source VP and
-    physical pid, next expected sequence number, undeliverable channel
-    depth), the extracted wait-for cycle when one exists, and the channels
-    still holding undelivered messages. *)
+    physical pid, next expected sequence number), the extracted wait-for
+    cycle when one exists, and the channels still holding undelivered
+    messages. *)
 
 type wait_reason = Runtime.wait_reason =
   | WaitRecv of {
@@ -116,7 +116,6 @@ type wait_reason = Runtime.wait_reason =
       wr_src_vp : int list;
       wr_src_pid : int;
       wr_expected_seq : int;
-      wr_queued : int;
     }
   | WaitReduce
   | WaitReduceArr of string

@@ -789,7 +789,6 @@ type wait_reason =
       wr_src_vp : int list;
       wr_src_pid : int;  (** physical processor the wait is on *)
       wr_expected_seq : int;
-      wr_queued : int;  (** undeliverable messages sitting on the channel *)
     }
   | WaitReduce  (** blocked in a replicated-scalar collective *)
   | WaitReduceArr of string  (** blocked in an array-reduction collective *)
@@ -818,9 +817,9 @@ let pp_diagnostic fmt (d : diagnostic) =
       | WaitRecv r ->
           Fmt.pf fmt
             "  proc %d [t=%.3e]: recv event %d from vp%a (pid %d), expecting \
-             seq %d, %d undeliverable queued@."
+             seq %d@."
             w.w_pid w.w_clock r.wr_event pp_vp r.wr_src_vp r.wr_src_pid
-            r.wr_expected_seq r.wr_queued
+            r.wr_expected_seq
       | WaitReduce ->
           Fmt.pf fmt "  proc %d [t=%.3e]: blocked in scalar reduction@."
             w.w_pid w.w_clock
@@ -1126,8 +1125,6 @@ let diagnose tr (h : hooks) (status : fiber array) : diagnostic =
                         Option.value
                           (Hashtbl.find_opt tr.tr_recv_seq.(p) k)
                           ~default:0;
-                      wr_queued =
-                        Option.value (Hashtbl.find_opt counts k) ~default:0;
                     })
            | FColl (s, _) -> (
                match s.sl_at.(p) with

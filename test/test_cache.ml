@@ -450,6 +450,36 @@ let test_interned_ids_stable () =
   Alcotest.(check bool) "representative is shared physically" true
     (Conj.intern c == Conj.intern (mk_interval 2 5))
 
+(* A representative keeps its id and skips the intern table; after a
+   clear, wholesale or on full, it must answer what a fresh copy does. *)
+let test_cached_ids_follow_clears () =
+  Cache.set_enabled true;
+  let rep = Conj.intern (mk_interval 3 9) in
+  let id0 = Conj.id rep in
+  Alcotest.(check int) "a copy finds the representative's id" id0
+    (Conj.id (mk_interval 3 9));
+  Cache.clear_all ();
+  let after = Conj.id rep in
+  let fresh = Conj.id (mk_interval 3 9) in
+  Alcotest.(check bool) "clear_all retired the id" true (fresh <> id0);
+  Alcotest.(check int) "after clear_all" fresh after;
+  (* at capacity 4 every stripe holds one conjunct, so the flood below
+     empties the representative's stripe *)
+  Cache.set_capacity 4;
+  let rep = Conj.intern (mk_interval 3 9) in
+  let id1 = Conj.id rep in
+  let evictions = Stats.count Stats.evictions in
+  for i = 1 to 64 do
+    ignore (Conj.id (mk_interval 1 i))
+  done;
+  Alcotest.(check bool) "clear-on-full evictions occurred" true
+    (Stats.count Stats.evictions > evictions);
+  let after = Conj.id rep in
+  let fresh = Conj.id (mk_interval 3 9) in
+  Alcotest.(check bool) "clear-on-full retired the id" true (fresh <> id1);
+  Alcotest.(check int) "after a clear-on-full" fresh after;
+  Cache.set_capacity 65536
+
 let test_eviction_bound () =
   let cap = 32 in
   Cache.set_capacity cap;
@@ -572,6 +602,8 @@ let () =
           Alcotest.test_case "hits recorded" `Quick test_hits_recorded;
           Alcotest.test_case "rel hits recorded" `Quick test_rel_hits_recorded;
           Alcotest.test_case "interned ids stable" `Quick test_interned_ids_stable;
+          Alcotest.test_case "cached ids follow clears" `Quick
+            test_cached_ids_follow_clears;
           Alcotest.test_case "eviction bound" `Quick test_eviction_bound;
           Alcotest.test_case "disabled mode transparent" `Quick
             test_disabled_is_transparent;

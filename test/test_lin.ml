@@ -95,6 +95,46 @@ let test_negate () =
   | [ _; _ ] -> ()
   | _ -> Alcotest.fail "expected two disjuncts"
 
+(* [map_vars] against the fold of [add] it replaced, on random terms and
+   renamings into a smaller set of variables, so that renamed variables
+   meet and their coefficients merge or cancel *)
+let prop_map_vars =
+  let vars = [| i; j; Var.In 2; n; Var.Param "m"; Var.Ex 0 |] in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 6) (pair (int_range (-2) 2) (int_bound 5)))
+        (int_range (-5) 5)
+        (array_repeat 6 (int_bound 2)))
+  in
+  let print (pairs, k, target) =
+    Printf.sprintf "%s under %s"
+      (Lin.to_string (Lin.of_list (List.map (fun (c, v) -> (c, vars.(v))) pairs) k))
+      (String.concat ", "
+         (Array.to_list
+            (Array.mapi
+               (fun v t -> Var.to_string vars.(v) ^ "->" ^ Var.to_string vars.(t))
+               target)))
+  in
+  QCheck.Test.make ~count:500 ~name:"map_vars equals the fold of add"
+    (QCheck.make ~print gen)
+    (fun (pairs, k, target) ->
+      let t = Lin.of_list (List.map (fun (c, v) -> (c, vars.(v))) pairs) k in
+      let f v =
+        let rec index x = if Var.equal vars.(x) v then x else index (x + 1) in
+        vars.(target.(index 0))
+      in
+      let got = Lin.map_vars f t in
+      let want =
+        Lin.fold
+          (fun v c acc -> Lin.add acc (Lin.var ~coef:c (f v)))
+          t (Lin.const k)
+      in
+      Var.Map.equal Int.equal got.coeffs want.coeffs
+      && Lin.constant got = Lin.constant want
+      && Lin.hash got = Lin.hash want
+      && Lin.hash got = Lin.hash (Lin.of_coeffs got.coeffs k))
+
 let () =
   Alcotest.run "lin"
     [
@@ -105,6 +145,7 @@ let () =
           Alcotest.test_case "subst" `Quick test_subst;
           Alcotest.test_case "division" `Quick test_division;
           Alcotest.test_case "eval" `Quick test_eval;
+          QCheck_alcotest.to_alcotest prop_map_vars;
         ] );
       ( "constr",
         [

@@ -202,6 +202,21 @@ let prop_crash_recovery =
           | exception Dhpf.Layout.Unsupported _ -> QCheck.assume_fail ())
       | exception Hpf.Sema.Error _ -> QCheck.assume_fail ())
 
+(* the access modes loop splitting fixes without a query equal the
+   queries' answers on every section of every split nest *)
+let prop_fixed_modes =
+  QCheck.Test.make ~count:30
+    ~name:"split access modes fixed by construction equal the queries"
+    arb_spec
+    (fun spec ->
+      match Dhpf.Gen.compile (Hpf.Sema.analyze_source (src_of_spec spec)) with
+      | c -> (
+          match Fixedmodes.check c with
+          | _, [] -> true
+          | _, bad -> QCheck.Test.fail_reportf "%s" (String.concat "\n" bad))
+      | exception Dhpf.Gen.Unsupported _ -> QCheck.assume_fail ()
+      | exception Dhpf.Layout.Unsupported _ -> QCheck.assume_fail ())
+
 let () =
   Alcotest.run "random"
     [
@@ -213,4 +228,5 @@ let () =
             prop_differential_faulted;
             prop_crash_recovery;
           ] );
+      ("split", [ QCheck_alcotest.to_alcotest prop_fixed_modes ]);
     ]

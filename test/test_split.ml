@@ -130,6 +130,34 @@ end
   Alcotest.(check bool) "i=3 is local for p0" true (mem ~vm:0 s.Split.local_iters 3);
   Alcotest.(check bool) "nlRO empty" true (Rel.is_empty s.Split.nl_ro_iters)
 
+(* Every mode [Split.fixed_mode] fixes equals the query it replaces, over
+   the split nests of the six built-ins and the Table 1 programs. *)
+let test_fixed_modes () =
+  let programs =
+    [
+      ("jacobi", Codes.jacobi ());
+      ("tomcatv", Codes.tomcatv ());
+      ("erlebacher", Codes.erlebacher ());
+      ("gauss", Codes.gauss ());
+      ("figure2", Codes.figure2 ());
+      ("sp_like", Codes.sp_like ());
+      ("SP-4", Codes.sp_like ~n:24 ~nsub:30 ~procs:(Codes.Fixed (2, 2)) ());
+      ("SP-sym", Codes.sp_like ~n:24 ~nsub:30 ~procs:(Codes.Symbolic2 2) ());
+      ("T-sym", Codes.tomcatv ~n:257 ~iters:3 ~procs:(Codes.Symbolic2 1) ());
+    ]
+  in
+  let total =
+    List.fold_left
+      (fun total (name, src) ->
+        let n, bad = Fixedmodes.check (Gen.compile (Hpf.Sema.analyze_source src)) in
+        Alcotest.(check (list string))
+          (name ^ ": fixed modes equal the queries")
+          [] bad;
+        total + n)
+      0 programs
+  in
+  Alcotest.(check bool) "some split nest has fixed modes" true (total > 0)
+
 let () =
   Alcotest.run "split"
     [
@@ -139,5 +167,7 @@ let () =
           Alcotest.test_case "section shapes" `Quick test_sections_shape;
           Alcotest.test_case "access modes" `Quick test_access_modes;
           Alcotest.test_case "non-local writes" `Quick test_nl_write_sections;
+          Alcotest.test_case "fixed modes equal the queries" `Quick
+            test_fixed_modes;
         ] );
     ]
