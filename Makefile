@@ -44,13 +44,16 @@ bench-native-smoke:
 # Predicted-vs-measured communication: the bench's symmetric-stencil
 # matrix assertions, then --check-comm (static integer-set prediction
 # joined against the simulated matrix, exact match required) on the
-# Figure-7 applications under both a fault-free and a faulty schedule.
+# Figure-7 applications under both a fault-free and a faulty schedule,
+# on gauss's cyclic-VP cells and on sp_like's split nests.
 metrics-smoke:
 	$(DUNE) exec bench/main.exe -- metrics-smoke
 	$(DHPFC) run jacobi -p 4 --check-comm > /dev/null
 	$(DHPFC) run tomcatv -p 4 --check-comm > /dev/null
 	$(DHPFC) run erlebacher -p 4 --check-comm > /dev/null
 	$(DHPFC) run jacobi -p 4 --check-comm --faults 1 > /dev/null
+	$(DHPFC) run gauss -p 4 --check-comm --faults 1 > /dev/null
+	$(DHPFC) run sp_like -p 4 --check-comm > /dev/null
 
 test: check
 

@@ -459,18 +459,12 @@ let run_smoke () =
         (r.rr_interp_s /. r.rr_closure_s))
     rows
 
-(* One metered closure or interpreter run: the per-event communication
-   cells it recorded. Metering cannot perturb the run itself (the registry
-   only reads simulated state). *)
-let metered_cells engine prog nprocs =
-  Obs.Metrics.reset ();
-  Obs.Metrics.enable ();
+(* One closure or interpreter run: the per-event communication cells its
+   transport tallied. *)
+let run_cells engine prog nprocs =
   let sim = Spmdsim.Exec.make ~engine ~nprocs prog in
   ignore (Spmdsim.Exec.run sim);
-  let cells = Spmdsim.Exec.comm_cells sim in
-  Obs.Metrics.disable ();
-  Obs.Metrics.reset ();
-  cells
+  Spmdsim.Exec.comm_cells sim
 
 (* fold the per-event cells into the P x P matrix *)
 let comm_matrix cells =
@@ -487,14 +481,14 @@ let comm_matrix cells =
 (* Backs `make metrics-smoke`: on a symmetric stencil (JACOBI) over a
    square processor grid the measured communication matrix must be
    symmetric, the integer-set prediction must equal the measured table
-   cell for cell, and both engines must meter identically. *)
+   cell for cell, and both engines must tally identically. *)
 let metrics_smoke () =
   let nprocs = 4 in
   let src = Codes.jacobi ~n:64 ~iters:2 ~procs:(Codes.Fixed (2, 2)) () in
   let chk = Hpf.Sema.analyze_source src in
   let compiled = Dhpf.Gen.compile chk in
-  let cc = metered_cells `Closure compiled.Dhpf.Gen.cprog nprocs in
-  let ci = metered_cells `Interp compiled.Dhpf.Gen.cprog nprocs in
+  let cc = run_cells `Closure compiled.Dhpf.Gen.cprog nprocs in
+  let ci = run_cells `Interp compiled.Dhpf.Gen.cprog nprocs in
   let fail = ref false in
   if cc <> ci then begin
     Fmt.epr "metrics-smoke: engines disagree on the communication matrix@.";
@@ -502,7 +496,7 @@ let metrics_smoke () =
   end;
   let mat = comm_matrix cc in
   if mat = [] then begin
-    Fmt.epr "metrics-smoke: empty communication matrix (metering broken?)@.";
+    Fmt.epr "metrics-smoke: empty communication matrix (tally broken?)@.";
     fail := true
   end;
   List.iter

@@ -307,21 +307,15 @@ let faults_t =
     & info [ "faults" ] ~docv:"SEED"
         ~doc:
           "Enable deterministic fault injection with the given schedule \
-           seed: message delay, duplicate delivery, \
-           drop-with-retransmit and straggler clock skew. Results are \
-           unchanged; timing and resilience statistics reflect the faults.")
+           seed: message delay, drop-with-retransmit and straggler clock \
+           skew. Results are unchanged; timing and resilience statistics \
+           reflect the faults.")
 
 let fault_drop_t =
   Arg.(
     value & opt float 0.15
     & info [ "fault-drop" ] ~docv:"P"
         ~doc:"Per-transmission drop probability under --faults/--diff.")
-
-let fault_dup_t =
-  Arg.(
-    value & opt float 0.10
-    & info [ "fault-dup" ] ~docv:"P"
-        ~doc:"Duplicate-delivery probability under --faults/--diff.")
 
 let fault_delay_t =
   Arg.(
@@ -421,11 +415,10 @@ let diff_crashes_t =
            first deviation from the fault-free oracle — bit-identical \
            values and an identical per-pair communication table.")
 
-let spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs =
+let spec_of ~seed ~drop ~delay ~skew ~crash_prob ~crash_procs =
   {
     (Spmdsim.Fault.default ~seed) with
     drop_prob = drop;
-    dup_prob = dup;
     delay_prob = delay;
     skew_max = skew;
     crash_prob = (if crash_procs > 0 then crash_prob else 0.0);
@@ -509,7 +502,7 @@ let check_comm_t =
 
 let run_cmd =
   let run src nprocs params engine native_cache no_split no_vect no_coal
-      no_inplace faults_seed drop dup delay skew crash_procs crash_prob
+      no_inplace faults_seed drop delay skew crash_procs crash_prob
       ckpt_every max_events diff diff_engines diff_domains diff_crashes
       check_comm session =
     handle_errors @@ fun () ->
@@ -527,7 +520,7 @@ let run_cmd =
     let opts = opts_of ~no_split ~no_vect ~no_coal ~no_inplace in
     let spec_of_seed seed =
       validated
-        (spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs:0)
+        (spec_of ~seed ~drop ~delay ~skew ~crash_prob ~crash_procs:0)
     in
     let module D = Spmdsim.Diffcheck in
     (* the differential sweeps, each against its own reference: at most one
@@ -570,7 +563,6 @@ let run_cmd =
       | [] -> None
     in
     with_session session @@ fun domains ->
-    if check_comm then Obs.Metrics.enable ();
     let chk =
       Dhpf.Phase.time Dhpf.Phase.global "parse and semantic analysis"
         (fun () -> Hpf.Sema.analyze_source ~params (load src))
@@ -588,7 +580,7 @@ let run_cmd =
         | Some seed ->
             Some
               (validated
-                 (spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob
+                 (spec_of ~seed ~drop ~delay ~skew ~crash_prob
                     ~crash_procs))
         | None when crash_procs > 0 ->
             (* crash injection without message faults: a pure-crash spec *)
@@ -631,8 +623,7 @@ let run_cmd =
       | None -> ()
       | Some sp ->
           Fmt.pr "fault schedule  : %s@." (Spmdsim.Fault.describe sp);
-          Fmt.pr "resilience      : %d retransmits, %d duplicates discarded@."
-            stats.s_retransmits stats.s_dups_delivered);
+          Fmt.pr "resilience      : %d retransmits@." stats.s_retransmits);
       (match report with
       | None -> ()
       | Some rep ->
@@ -692,7 +683,7 @@ let run_cmd =
     Term.(
       const run $ src_t $ nprocs_t $ param_t $ engine_t $ native_cache_t
       $ no_split_t $ no_vect_t $ no_coal_t $ no_inplace_t $ faults_t
-      $ fault_drop_t $ fault_dup_t $ fault_delay_t $ fault_skew_t
+      $ fault_drop_t $ fault_delay_t $ fault_skew_t
       $ crash_procs_t $ crash_prob_t $ ckpt_every_t $ max_events_t $ diff_t
       $ diff_engines_t $ diff_domains_t $ diff_crashes_t $ check_comm_t
       $ session_t)

@@ -29,9 +29,6 @@ let make ?in_names ?out_names ~in_ar ~out_ar conjs =
 let empty ?in_names ?out_names ~in_ar ~out_ar () =
   make ?in_names ?out_names ~in_ar ~out_ar []
 
-let universe ?in_names ?out_names ~in_ar ~out_ar () =
-  make ?in_names ?out_names ~in_ar ~out_ar [ Conj.true_ ]
-
 let set ?names ~ar conjs = make ?in_names:names ~in_ar:ar ~out_ar:0 conjs
 
 let in_arity t = t.in_ar
@@ -177,9 +174,6 @@ let diff a b =
         coalesce_conjs (List.fold_left sub_one a.conjs b.conjs))
   in
   { a with conjs }
-
-let complement t =
-  diff (universe ~in_names:t.in_names ~out_names:t.out_names ~in_ar:t.in_ar ~out_ar:t.out_ar ()) t
 
 (* ------------------------------------------------------------------ *)
 (* Variable plumbing                                                   *)

@@ -67,8 +67,6 @@ val diff : t -> t -> t
     @raise Conj.Inexact_negation if a subtrahend conjunct cannot be negated
     within the stride/window class. *)
 
-val complement : t -> t
-
 (** {1 Relational operations} *)
 
 val domain : t -> t

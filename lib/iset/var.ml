@@ -28,7 +28,6 @@ let hash = function
   | Ex i -> (i * 4) + 3
 
 let is_ex = function Ex _ -> true | _ -> false
-let is_param = function Param _ -> true | _ -> false
 
 (* canonical byte codec (see {!Wire}): one tag character plus payload *)
 let wire_put b = function

@@ -14,7 +14,6 @@ val equal : t -> t -> bool
 val hash : t -> int
 
 val is_ex : t -> bool
-val is_param : t -> bool
 
 val wire_put : Buffer.t -> t -> unit
 (** Canonical byte codec (see {!Wire}); structurally equal variables

@@ -676,51 +676,6 @@ module Metrics = struct
     @ (if Atomic.get m_on then List.concat_map (fun f -> f ()) srcs else [])
     |> List.sort sample_order
 
-  (* merge two snapshots (e.g. from per-run registries of a sweep):
-     counters and histogram cells add, gauges take the right operand —
-     all three rules are associative, which the property tests assert *)
-  let merge_histo a b =
-    let rec add xs ys =
-      match (xs, ys) with
-      | [], r | r, [] -> r
-      | (bx, cx) :: tx, (by, cy) :: ty ->
-          if bx < by then (bx, cx) :: add tx ys
-          else if by < bx then (by, cy) :: add xs ty
-          else (bx, cx + cy) :: add tx ty
-    in
-    if a.hs_count = 0 then b
-    else if b.hs_count = 0 then a
-    else
-      {
-        hs_count = a.hs_count + b.hs_count;
-        hs_sum = a.hs_sum +. b.hs_sum;
-        hs_min = Float.min a.hs_min b.hs_min;
-        hs_max = Float.max a.hs_max b.hs_max;
-        hs_buckets = add a.hs_buckets b.hs_buckets;
-      }
-
-  let merge (a : sample list) (b : sample list) : sample list =
-    let rec go xs ys =
-      match (xs, ys) with
-      | [], r | r, [] -> r
-      | x :: tx, y :: ty -> (
-          match sample_order x y with
-          | c when c < 0 -> x :: go tx ys
-          | c when c > 0 -> y :: go xs ty
-          | _ ->
-              let v =
-                match (x.m_value, y.m_value) with
-                | VCounter u, VCounter v -> VCounter (u +. v)
-                | VGauge _, VGauge v -> VGauge v
-                | VHisto u, VHisto v -> VHisto (merge_histo u v)
-                | _ ->
-                    invalid_arg
-                      ("metric " ^ x.m_name ^ ": merging mismatched types")
-              in
-              { x with m_value = v } :: go tx ty)
-    in
-    go (List.sort sample_order a) (List.sort sample_order b)
-
   (* percentile estimate from the bucket histogram: the value at rank
      ceil(q*count) is somewhere in its bucket; report the bucket's upper
      edge clamped into [min, max], so the estimate is never below the true
@@ -743,41 +698,6 @@ module Metrics = struct
       let est = find 0 h.hs_buckets in
       Float.min h.hs_max (Float.max h.hs_min est)
     end
-
-  (* -------------------- reporting -------------------- *)
-
-  let label_string labels =
-    match labels with
-    | [] -> ""
-    | _ ->
-        "{"
-        ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-        ^ "}"
-
-  let report () =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b
-      (Printf.sprintf "%-52s %-10s %s\n" "metric" "type" "value");
-    List.iter
-      (fun s ->
-        let name = s.m_name ^ label_string s.m_labels in
-        match s.m_value with
-        | VCounter v ->
-            Buffer.add_string b
-              (Printf.sprintf "%-52s %-10s %.6g\n" name "counter" v)
-        | VGauge v ->
-            Buffer.add_string b
-              (Printf.sprintf "%-52s %-10s %.6g\n" name "gauge" v)
-        | VHisto h ->
-            Buffer.add_string b
-              (Printf.sprintf
-                 "%-52s %-10s count=%d sum=%.6g min=%.6g p50=%.6g p90=%.6g \
-                  p99=%.6g max=%.6g\n"
-                 name "histogram" h.hs_count h.hs_sum h.hs_min
-                 (percentile 0.50 h) (percentile 0.90 h) (percentile 0.99 h)
-                 h.hs_max))
-      (snapshot ());
-    Buffer.contents b
 
   (* machine-readable export: schema dhpf-metrics/1, stable ordering *)
   let sample_json s =

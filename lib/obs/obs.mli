@@ -336,13 +336,6 @@ module Metrics : sig
   (** Every registered series, then every source's (while enabled), sorted
       by (name, labels) — the stable order used by every export. *)
 
-  val merge : sample list -> sample list -> sample list
-  (** Pointwise merge of two snapshots: counters and histogram cells add
-      (bucket-wise), gauges take the right operand. All three rules are
-      associative — asserted by the property tests — so sweep results can
-      be folded in any grouping.
-      @raise Invalid_argument when one series name carries two types. *)
-
   val percentile : float -> histo -> float
   (** [percentile q h] estimates the [q]-quantile from the buckets: the
       upper edge of the bucket holding rank [ceil (q * count)], clamped
@@ -350,10 +343,6 @@ module Metrics : sig
       at most one power of two in between. [0.] on an empty histogram. *)
 
   (** {2 Export} *)
-
-  val report : unit -> string
-  (** Plain-text table of every series (histograms with count/sum/min/
-      p50/p90/p99/max). *)
 
   val to_json : unit -> Json.t
   (** The snapshot as stable machine-readable JSON, schema
@@ -363,7 +352,7 @@ module Metrics : sig
       (the {!Json} number rule). *)
 
   val samples_to_json : sample list -> Json.t
-  (** {!to_json} over an explicit (e.g. merged) snapshot. *)
+  (** {!to_json} over an explicit snapshot. *)
 
   val write : string -> unit
   (** Write {!to_json} to a file ({!write_json}). *)

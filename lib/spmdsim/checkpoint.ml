@@ -97,8 +97,8 @@ let encoded_size (im : Runtime.image) =
   + arr_size (fun (k, _, _) -> key_size k + 16) im.Runtime.im_chans
   + arr_size (fun (k, ms) -> key_size k + arr_size msg_size ms)
       im.Runtime.im_inflight
-  (* the five transport counters *)
-  + (5 * 8)
+  (* the four transport totals *)
+  + (4 * 8)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery controller                                                  *)

@@ -971,10 +971,6 @@ let get_elem cs name idx =
   let enc = Runtime.encode cs.c_ameta.(aid) idx in
   get_enc cs.c_rts.(pid).r_stores.(aid) enc
 
-(** Measured per-pair communication table (empty unless metrics were
-    enabled when the sim was built). *)
-let comm_cells cs = Runtime.comm_cells cs.c_tr
-
 (** Scalar value (replicated; read from processor 0). *)
 let get_scalar cs name =
   match List.assoc_opt name cs.c_kernel.Imp.k_fslots with
@@ -1063,11 +1059,11 @@ let capture (cs : csim) : Runtime.image =
         })
       cs.c_rts
   in
-  let chans, inflight, ctrs = Runtime.capture_transport cs.c_tr in
+  let chans, inflight, totals = Runtime.capture_transport cs.c_tr in
   {
     Runtime.im_ops = cs.c_tr.Runtime.tr_gops;
     im_procs = procs;
     im_chans = chans;
     im_inflight = inflight;
-    im_counters = ctrs;
+    im_totals = totals;
   }

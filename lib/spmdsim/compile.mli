@@ -180,9 +180,6 @@ val run : csim -> Runtime.stats
 val get_elem : csim -> string -> int list -> float
 val get_scalar : csim -> string -> float
 
-val comm_cells : csim -> Runtime.comm_cell list
-(** Measured per-pair communication table; see {!Runtime.comm_cells}. *)
-
 (** {1 Checkpoint support} *)
 
 val transport : csim -> Runtime.transport

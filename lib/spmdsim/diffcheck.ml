@@ -60,14 +60,8 @@ let prepare ?opts ~nprocs chk =
   { cprog; nprocs; bounds }
 
 (* The fault-free schedule first, then one per seed. [one faults] checks
-   one schedule and returns how many runs it compared. Per-pair
-   communication cells are recorded only while [Obs.Metrics] is on, so
-   the sweep switches it on for its own runs. *)
+   one schedule and returns how many runs it compared. *)
 let sweep ~spec_of_seed ~seeds one =
-  let was_on = Obs.Metrics.enabled () in
-  Obs.Metrics.enable ();
-  Fun.protect ~finally:(fun () -> if not was_on then Obs.Metrics.disable ())
-  @@ fun () ->
   let rec go runs = function
     | [] -> Pass { runs }
     | seed :: rest -> (
@@ -125,7 +119,6 @@ let stat_fields (a : Exec.stats) (b : Exec.stats) =
     ("bytes", i a.s_bytes, i b.s_bytes);
     ("elems", i a.s_elems, i b.s_elems);
     ("retransmits", i a.s_retransmits, i b.s_retransmits);
-    ("dups_delivered", i a.s_dups_delivered, i b.s_dups_delivered);
     ("crashes", i a.s_crashes, i b.s_crashes);
     ("ckpts", i a.s_ckpts, i b.s_ckpts);
     ("ckpt_bytes", i a.s_ckpt_bytes, i b.s_ckpt_bytes);

@@ -12,16 +12,14 @@
     - {!domains}: the 1-domain run against sharded domain pools;
     - {!crashes}: the fault-free closure run against crash-recovered runs.
 
-    Simulation against simulation is exact: counters, then per-processor
-    clocks (except under crash recovery, which moves clocks by design),
-    then the per-pair communication cells, then every element and
-    declared scalar bit for bit. Each sweep enables [Obs.Metrics] for its
-    own runs, so the cells are always live, and restores the previous
-    state afterwards.
+    Simulation against simulation is exact: the statistics' totals, then
+    per-processor clocks (except under crash recovery, which moves clocks
+    by design), then the per-pair communication cells, which every run
+    tallies, then every element and declared scalar bit for bit.
 
     A compiler or runtime-protocol bug that only manifests under message
-    drop, duplication, delay, stragglers or crashes is pinned to a
-    reproducible seed. *)
+    drop, delay, stragglers or crashes is pinned to a reproducible
+    seed. *)
 
 type divergence = {
   dv_seed : int option;  (** [None]: the fault-free run already diverged *)

@@ -454,13 +454,13 @@ let capture_interp (sim : isim) : Runtime.image =
         })
       sim.procs
   in
-  let chans, inflight, ctrs = Runtime.capture_transport sim.tr in
+  let chans, inflight, totals = Runtime.capture_transport sim.tr in
   {
     Runtime.im_ops = sim.tr.Runtime.tr_gops;
     im_procs = procs;
     im_chans = chans;
     im_inflight = inflight;
-    im_counters = ctrs;
+    im_totals = totals;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -510,7 +510,6 @@ type stats = Runtime.stats = {
   s_elems : int;
   s_proc_times : float array;
   s_retransmits : int;
-  s_dups_delivered : int;
   s_crashes : int;
   s_ckpts : int;
   s_ckpt_bytes : int;
@@ -556,10 +555,6 @@ type comm_cell = Runtime.comm_cell = {
   cm_bytes : int;
 }
 
-let comm_cells = function
-  | SCompiled cs -> Compile.comm_cells cs
-  | SInterp s -> Runtime.comm_cells s.tr
-
 let get_elem = function
   | SCompiled cs -> Compile.get_elem cs
   | SInterp s -> get_elem_interp s
@@ -573,6 +568,8 @@ exception Crash = Runtime.Crash
 let transport = function
   | SCompiled cs -> Compile.transport cs
   | SInterp s -> s.tr
+
+let comm_cells sim = Runtime.comm_cells (transport sim)
 
 let capture = function
   | SCompiled cs -> Compile.capture cs

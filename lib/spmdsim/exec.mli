@@ -13,7 +13,7 @@
 
     All engines share {!Runtime}'s transport and scheduler and charge
     clock time in the same order: runs are bit-identical in element values
-    and identical in message/byte/retransmit counters (the
+    and identical in the communication tally and its totals (the
     engine-differential property in the test suite asserts this, including
     under fault injection).
 
@@ -62,16 +62,15 @@ val make :
     {!Native} for the build cache and its environment knobs).
 
     [faults] injects a deterministic adversarial transport (see {!Fault}):
-    message delay, duplicate delivery, bounded drop-with-retransmit
-    (priced by the {!Machine.t} timeout/retry/backoff fields) and
-    per-processor straggler clock skew. Delivery matches
-    per-channel sequence numbers, so computed values are identical to the
-    fault-free run — only timing, retransmission and duplicate statistics
-    change.
+    message delay, bounded drop-with-retransmit (priced by the
+    {!Machine.t} timeout/retry/backoff fields) and per-processor
+    straggler clock skew. Delivery matches per-channel sequence numbers,
+    so computed values are identical to the fault-free run — only timing
+    and retransmission statistics change.
 
     [domains] (default [Par.domains ()], i.e. [DHPF_DOMAINS] or 1) shards
     the processors across that many OCaml domains ({!Runtime.sched_run});
-    any count produces bit-identical values, clocks, counters and stall
+    any count produces bit-identical values, clocks, tallies and stall
     diagnoses. *)
 
 val nprocs : sim -> int
@@ -91,7 +90,6 @@ type stats = Runtime.stats = {
   s_retransmits : int;
       (** dropped transmissions, each re-sent after its retransmission
           timer fired *)
-  s_dups_delivered : int;  (** duplicate copies detected and discarded *)
   s_crashes : int;
       (** fail-stop crashes suffered, each recovered (checkpoint runs only) *)
   s_ckpts : int;  (** coordinated checkpoints taken on the final attempt *)
@@ -162,11 +160,11 @@ type comm_cell = Runtime.comm_cell = {
 
 val comm_cells : sim -> comm_cell list
 (** Measured point-to-point communication table after {!run}, sorted by
-    (event, src, dst) — one row per pair that carried traffic. Requires
-    [Obs.Metrics] to have been enabled when the sim was built (empty
-    otherwise). Per-pair counts never re-increment on retransmission or
-    duplicate delivery, so the table is invariant under fault injection;
-    joined against {!Predict.comm} by [dhpfc run --check-comm]. *)
+    (event, src, dst) — one row per pair that carried traffic, read from
+    the transport's one tally, which every run keeps. Per-pair counts
+    never re-increment on retransmission, so the table is invariant under
+    fault injection; joined against {!Predict.comm} by
+    [dhpfc run --check-comm]. *)
 
 (** {1 Crash / checkpoint support}
 
@@ -185,7 +183,7 @@ val transport : sim -> Runtime.transport
 val capture : sim -> Runtime.image
 (** Deep value snapshot of the simulation: per-processor clocks, live
     bindings, all resident array elements, staged pack buffers, and the
-    transport state (sequence counters, in-flight messages, counters).
+    transport state (sequence counters, in-flight messages, totals).
     Keys are sorted, so within one engine two captures of the same
     deterministic execution point are structurally equal — the property
     the capture-determinism and rollback-verification checks rely on.

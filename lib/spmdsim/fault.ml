@@ -7,7 +7,6 @@ type spec = {
   seed : int;
   drop_prob : float;
   max_retries : int;
-  dup_prob : float;
   delay_prob : float;
   delay_factor : float;
   skew_max : float;
@@ -20,7 +19,6 @@ let none =
     seed = 0;
     drop_prob = 0.0;
     max_retries = 0;
-    dup_prob = 0.0;
     delay_prob = 0.0;
     delay_factor = 0.0;
     skew_max = 1.0;
@@ -36,7 +34,6 @@ let default ~seed =
     seed;
     drop_prob = 0.15;
     max_retries = 4;
-    dup_prob = 0.10;
     delay_prob = 0.30;
     delay_factor = 4.0;
     skew_max = 1.5;
@@ -62,7 +59,6 @@ let validate spec : (unit, string) result =
            Some (Printf.sprintf "seed %d is negative" spec.seed)
          else None);
         prob "drop" spec.drop_prob;
-        prob "dup" spec.dup_prob;
         prob "delay" spec.delay_prob;
         prob "crash" spec.crash_prob;
         (if spec.max_retries < 0 then
@@ -110,9 +106,8 @@ let u01 (h : int64) : float =
   Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
 
 (* decision-kind salts keep draws for one message independent; a salt is
-   part of every draw's hash, so none is renumbered (4 is unused) *)
+   part of every draw's hash, so none is renumbered (2 and 4 are unused) *)
 let salt_drop = 1
-let salt_dup = 2
 let salt_delay = 3
 let salt_skew = 5
 let salt_crash = 6
@@ -123,13 +118,9 @@ let draw spec ~salt keys = u01 (hash_keys spec (salt :: keys))
 (* Plans                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type msg_plan = {
-  mp_drops : int;
-  mp_dup : bool;
-  mp_delay : float;
-}
+type msg_plan = { mp_drops : int; mp_delay : float }
 
-let no_faults = { mp_drops = 0; mp_dup = false; mp_delay = 0.0 }
+let no_faults = { mp_drops = 0; mp_delay = 0.0 }
 
 let plan spec ~event ~src ~dst ~seq =
   let keys = [ event; src; dst; seq ] in
@@ -148,13 +139,12 @@ let plan spec ~event ~src ~dst ~seq =
       !k
     end
   in
-  let dup = draw spec ~salt:salt_dup keys < spec.dup_prob in
   let delay =
     if draw spec ~salt:salt_delay keys < spec.delay_prob then
       spec.delay_factor *. draw spec ~salt:salt_delay (0 :: keys)
     else 0.0
   in
-  { mp_drops = drops; mp_dup = dup; mp_delay = delay }
+  { mp_drops = drops; mp_delay = delay }
 
 let skew spec ~pid =
   if spec.skew_max <= 1.0 then 1.0
@@ -170,7 +160,7 @@ let crash spec ~pid ~op =
 
 let describe spec =
   Printf.sprintf
-    "seed=%d drop=%.2f(max %d retries) dup=%.2f delay=%.2fx%.1f \
-     skew<=%.2f crash=%.3f(max %d)"
-    spec.seed spec.drop_prob spec.max_retries spec.dup_prob spec.delay_prob
+    "seed=%d drop=%.2f(max %d retries) delay=%.2fx%.1f skew<=%.2f \
+     crash=%.3f(max %d)"
+    spec.seed spec.drop_prob spec.max_retries spec.delay_prob
     spec.delay_factor spec.skew_max spec.crash_prob spec.crash_max

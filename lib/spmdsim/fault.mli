@@ -1,11 +1,12 @@
 (** Deterministic, seed-driven fault schedules for the SPMD simulator.
 
     A {!spec} describes an adversarial transport and machine: messages may
-    be delayed, delivered twice, or dropped (and retransmitted after a
-    timeout, priced by the {!Machine.t} retry fields), and each processor
-    computes under a fixed straggler clock-skew multiplier. There is no
-    reordering fault: receivers match per-channel sequence numbers, never
-    queue position, so the order of in-flight messages is unobservable.
+    be delayed or dropped (and retransmitted after a timeout, priced by
+    the {!Machine.t} retry fields), and each processor computes under a
+    fixed straggler clock-skew multiplier. There is no reordering or
+    duplicate fault: receivers match per-channel sequence numbers, never
+    queue position, so the order of in-flight messages is unobservable,
+    and a second copy would only ever be discarded.
     Every decision is a pure hash of the seed and the message's
     stable identity (event id, sender, receiver, per-channel sequence
     number) — not of a mutable PRNG stream — so a schedule is reproducible
@@ -16,7 +17,6 @@ type spec = {
   seed : int;
   drop_prob : float;  (** probability a transmission attempt is dropped *)
   max_retries : int;  (** bound on consecutive drops of one message *)
-  dup_prob : float;  (** probability a message is delivered twice *)
   delay_prob : float;  (** probability a message is delayed in flight *)
   delay_factor : float;
       (** maximum extra in-flight latency, as a multiple of the message's
@@ -37,8 +37,8 @@ val none : spec
 (** All probabilities zero, no skew: the idealized machine. *)
 
 val default : seed:int -> spec
-(** A moderately hostile schedule (drops, duplicates, delays and
-    stragglers all enabled, crashes off) keyed to [seed]. *)
+(** A moderately hostile schedule (drops, delays and stragglers all
+    enabled, crashes off) keyed to [seed]. *)
 
 val validate : spec -> (unit, string) result
 (** Reject malformed schedules before they produce nonsense plans:
@@ -49,7 +49,6 @@ val validate : spec -> (unit, string) result
 
 type msg_plan = {
   mp_drops : int;  (** transmissions dropped before the one that arrives *)
-  mp_dup : bool;  (** a second copy of the message is delivered *)
   mp_delay : float;  (** extra wire-time multiplier in [0, delay_factor) *)
 }
 

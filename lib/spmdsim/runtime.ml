@@ -8,8 +8,9 @@
 
    Keeping the transport and scheduler here — used verbatim by all three
    engines — is what makes the engine-differential guarantee structural:
-   message counters, retransmit accounting and delivery order cannot
-   diverge between engines, because there is only one implementation. *)
+   the communication tally, retransmit accounting and delivery order
+   cannot diverge between engines, because there is only one
+   implementation. *)
 
 open Dhpf
 
@@ -305,7 +306,7 @@ let crashctl_make ?(plan = []) ?spec ~max () =
     cc_fired = Hashtbl.create 4 }
 
 (* ------------------------------------------------------------------ *)
-(* Transport: channels, sequence numbers, fault plans, counters         *)
+(* Transport: channels, sequence numbers, fault plans, the tally        *)
 (* ------------------------------------------------------------------ *)
 
 type key = { k_event : int; k_src : int list; k_dst : int list }
@@ -313,22 +314,14 @@ type key = { k_event : int; k_src : int list; k_dst : int list }
 type msg = {
   m_seq : int;
       (* per-channel sequence number: delivery matches the receiver's next
-         expected seq, so duplicates and retransmitted drops cannot change
-         which message a Recv consumes, and queue position is unobservable *)
+         expected seq, so retransmitted drops cannot change which message a
+         Recv consumes, and queue position is unobservable *)
   m_arrival : float;
   m_payload : payload;
   m_contig : bool;
   m_flow : int;
       (* trace flow id linking the send slice to the recv slice that
          consumes the message; 0 when untraced and for a local copy *)
-}
-
-type counters = {
-  mutable n_msgs : int;
-  mutable n_bytes : int;
-  mutable n_elems : int;
-  mutable n_retransmits : int;
-  mutable n_dups : int;
 }
 
 type trace = {
@@ -343,7 +336,7 @@ type trace = {
 }
 
 type comm_cell = {
-  cm_event : int;  (** communication event id, or [-1] for a collective *)
+  cm_event : int;  (** communication event id *)
   cm_src : int;
   cm_dst : int;  (** [cm_src = cm_dst]: local copy between co-located VPs *)
   cm_msgs : int;
@@ -352,24 +345,16 @@ type comm_cell = {
 }
 
 type simmetrics = {
-  sm_nprocs : int;
-  sm_cells : (int * int * int, int ref * int ref) Hashtbl.t;
-      (** (event, src, dst) -> (msgs, elems); diagonal = local copies. The
-          one communication tally: the published per-pair matrix and the
-          local-copy totals are sums of it *)
   sm_send_t : float array;  (** per-proc seconds inside sends (incl. packing) *)
   sm_recv_t : float array;  (** per-proc seconds blocked + unpacking in recvs *)
   sm_coll_t : float array;  (** per-proc seconds inside collectives *)
   sm_recv_elems : int array;  (** per-proc halo elements received *)
-  sm_retrans : int array;  (** retransmissions by sending processor *)
   sm_msg_bytes : Obs.Metrics.histogram;  (** wire size of network messages *)
-  mutable sm_coll_msgs : int;  (** messages attributed to collectives *)
-  mutable sm_coll_bytes : int;
 }
 
 (* Present while a run shards its processors across several domains: one
-   mutex guards every shared transport write (the mailbox, the counters,
-   the metric cells, the global operation count), and the epoch and
+   mutex guards every shared transport write (the mailbox, the tally,
+   the metering, the global operation count), and the epoch and
    condition wake domains that sleep for want of a message or a firing. *)
 type sync = {
   sy_mu : Mutex.t;
@@ -382,16 +367,21 @@ type sync = {
 type transport = {
   tr_machine : Machine.t;
   tr_faults : Fault.spec option;
-  tr_mail : (key * int * bool, msg) Hashtbl.t;
-      (** in-flight messages by (channel, sequence number, duplicate?): a
-          duplicate is its own entry, queued in the same commit as its
-          original *)
+  tr_mail : (key * int, msg) Hashtbl.t;
+      (** in-flight messages by (channel, sequence number) *)
   tr_send_seq : (key, int) Hashtbl.t array;
       (** per sending processor: the next sequence number of each of its
           channels (a channel has one sending and one receiving processor) *)
   tr_recv_seq : (key, int) Hashtbl.t array;
       (** per receiving processor: the next expected sequence number *)
-  tr_c : counters;
+  tr_cells : (int * int * int, int ref * int ref) Hashtbl.t;
+      (** (event, src, dst) -> (msgs, elems), first transmissions only;
+          the diagonal is local copies. With [tr_retrans] and the
+          collective totals, the transport's one tally: every message
+          total is a sum of it *)
+  tr_retrans : int array;  (** retransmissions by sending processor *)
+  mutable tr_coll_msgs : int;  (** tree messages of element-wise collectives *)
+  mutable tr_coll_bytes : int;
   tr_trace : trace option;
       (** present iff tracing was enabled when the transport was built;
           tracing only reads the virtual clocks, never advances them, so a
@@ -428,8 +418,10 @@ let transport_make ~machine ~faults ~nprocs =
     tr_mail = Hashtbl.create 64;
     tr_send_seq = Array.init nprocs (fun _ -> Hashtbl.create 16);
     tr_recv_seq = Array.init nprocs (fun _ -> Hashtbl.create 16);
-    tr_c =
-      { n_msgs = 0; n_bytes = 0; n_elems = 0; n_retransmits = 0; n_dups = 0 };
+    tr_cells = Hashtbl.create 64;
+    tr_retrans = Array.make nprocs 0;
+    tr_coll_msgs = 0;
+    tr_coll_bytes = 0;
     tr_trace =
       (if Obs.enabled () then
          Some
@@ -440,16 +432,11 @@ let transport_make ~machine ~faults ~nprocs =
       (if Obs.Metrics.enabled () then
          Some
            {
-             sm_nprocs = nprocs;
-             sm_cells = Hashtbl.create 64;
              sm_send_t = Array.make nprocs 0.0;
              sm_recv_t = Array.make nprocs 0.0;
              sm_coll_t = Array.make nprocs 0.0;
              sm_recv_elems = Array.make nprocs 0;
-             sm_retrans = Array.make nprocs 0;
              sm_msg_bytes = Obs.Metrics.histogram "sim/msg_bytes";
-             sm_coll_msgs = 0;
-             sm_coll_bytes = 0;
            }
        else None);
     tr_pid_ops = Array.make nprocs 0;
@@ -479,12 +466,12 @@ let publish tr =
       Condition.broadcast s.sy_wake
   | None -> ()
 
-let metrics_cell sm ~event ~src ~dst =
-  match Hashtbl.find_opt sm.sm_cells (event, src, dst) with
+let cell tr ~event ~src ~dst =
+  match Hashtbl.find_opt tr.tr_cells (event, src, dst) with
   | Some c -> c
   | None ->
       let c = (ref 0, ref 0) in
-      Hashtbl.add sm.sm_cells (event, src, dst) c;
+      Hashtbl.add tr.tr_cells (event, src, dst) c;
       c
 
 (* the idle-to-busy gap on a lane, rendered as a compute slice: the
@@ -551,11 +538,11 @@ let op_point tr ~pid ~clock =
 
 (** Complete a send: decide contiguity (§3.3 compile-time proof or runtime
     check), charge packing / send CPU, apply the deterministic fault plan
-    (drops with retransmit pricing, delay, duplication), and
-    enqueue on the channel. [tick] charges CPU time to the sending
+    (drops with retransmit pricing, delay), enqueue on the channel and
+    tally it. [tick] charges CPU time to the sending
     processor; [get_clock] reads its clock after those charges. The clock
     charges, the sequence number and the fault plan are the sender's own;
-    the commit to the shared mailbox, counters and metrics is made under
+    the commit to the shared mailbox, the tally and metrics is made under
     the transport lock of a multi-domain run. *)
 let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
     ~rect (pl : payload) : unit =
@@ -613,8 +600,8 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
       +. (plan.Fault.mp_delay *. wire)
   in
   (* flow arrows only for network messages, so the number of flow starts
-     equals the transport's point-to-point message counter; local copies
-     have a slice but no arrow *)
+     equals the off-diagonal message cells' sum; local copies have a slice
+     but no arrow *)
   let flow =
     if Option.is_some tr.tr_trace && not local then Obs.next_flow_id () else 0
   in
@@ -623,25 +610,16 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
       m_flow = flow }
   in
   lock tr;
-  if not local then begin
-    tr.tr_c.n_msgs <- tr.tr_c.n_msgs + 1;
-    tr.tr_c.n_bytes <- tr.tr_c.n_bytes + (n * m.Machine.elem_bytes);
-    tr.tr_c.n_elems <- tr.tr_c.n_elems + n
-  end;
-  tr.tr_c.n_retransmits <- tr.tr_c.n_retransmits + plan.Fault.mp_drops;
-  Hashtbl.replace tr.tr_mail (k, seq, false) msg;
-  if plan.Fault.mp_dup then
-    Hashtbl.replace tr.tr_mail (k, seq, true)
-      { msg with m_arrival = arrival +. wire };
+  Hashtbl.replace tr.tr_mail (k, seq) msg;
+  let msgs, elems = cell tr ~event ~src:pid ~dst:dst_pid in
+  Stdlib.incr msgs;
+  elems := !elems + n;
+  tr.tr_retrans.(pid) <- tr.tr_retrans.(pid) + plan.Fault.mp_drops;
   (match tr.tr_metrics with
   | None -> ()
   | Some sm ->
       (* reads only: the clock delta charged above and the payload size *)
       sm.sm_send_t.(pid) <- sm.sm_send_t.(pid) +. (tfin -. tt0);
-      let msgs, elems = metrics_cell sm ~event ~src:pid ~dst:dst_pid in
-      Stdlib.incr msgs;
-      elems := !elems + n;
-      sm.sm_retrans.(pid) <- sm.sm_retrans.(pid) + plan.Fault.mp_drops;
       if not local then
         Obs.Metrics.observe sm.sm_msg_bytes
           (float_of_int (n * m.Machine.elem_bytes)));
@@ -706,21 +684,41 @@ type proc_image = {
       (** per event id: elements packed but not yet sent *)
 }
 
+type totals = {
+  t_msgs : int;  (** network messages, collective tree messages included *)
+  t_bytes : int;
+  t_elems : int;  (** elements sent point to point over the network *)
+  t_retransmits : int;
+}
+
+(* every transport total, summed from the tally: the off-diagonal cells
+   are the network messages, the diagonal the local copies, which never
+   go on the wire *)
+let totals tr : totals =
+  let msgs = ref tr.tr_coll_msgs and elems = ref 0 in
+  Hashtbl.iter
+    (fun (_, src, dst) (m, e) ->
+      if src <> dst then begin
+        msgs := !msgs + !m;
+        elems := !elems + !e
+      end)
+    tr.tr_cells;
+  { t_msgs = !msgs;
+    t_bytes = (!elems * tr.tr_machine.Machine.elem_bytes) + tr.tr_coll_bytes;
+    t_elems = !elems;
+    t_retransmits = Array.fold_left ( + ) 0 tr.tr_retrans }
+
 type image = {
   im_ops : int;  (** global op count at capture *)
   im_procs : proc_image array;
   im_chans : (key * int * int) array;
       (** per channel: (key, next send seq, next recv seq), sorted *)
   im_inflight : (key * msg array) array;  (** undelivered messages *)
-  im_counters : counters;  (** copy of the transport counters *)
+  im_totals : totals;  (** the transport totals at capture *)
 }
 
-let counters_copy (c : counters) : counters =
-  { n_msgs = c.n_msgs; n_bytes = c.n_bytes; n_elems = c.n_elems;
-    n_retransmits = c.n_retransmits; n_dups = c.n_dups }
-
 (** Transport half of a checkpoint image: per-channel sequence counters,
-    in-flight messages, and a copy of the counters. Engine-independent —
+    in-flight messages, and the transport totals. Engine-independent —
     every engine's [capture] builds on this. *)
 let capture_transport tr =
   let chans = Hashtbl.create 64 in
@@ -738,14 +736,13 @@ let capture_transport tr =
     Hashtbl.fold (fun k (s, r) acc -> (k, s, r) :: acc) chans []
     |> List.sort compare |> Array.of_list
   in
-  (* each channel's queue in delivery order — by sequence number, a
-     duplicate right after its original; a flow id is trace bookkeeping,
-     not simulation state *)
+  (* each channel's queue in delivery order, by sequence number; a flow id
+     is trace bookkeeping, not simulation state *)
   let queues = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun (k, seq, dup) m ->
+    (fun (k, seq) m ->
       let q = Option.value (Hashtbl.find_opt queues k) ~default:[] in
-      Hashtbl.replace queues k (((seq, dup), { m with m_flow = 0 }) :: q))
+      Hashtbl.replace queues k ((seq, { m with m_flow = 0 }) :: q))
     tr.tr_mail;
   let im_inflight =
     Hashtbl.fold
@@ -756,7 +753,7 @@ let capture_transport tr =
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> Array.of_list
   in
-  (im_chans, im_inflight, counters_copy tr.tr_c)
+  (im_chans, im_inflight, totals tr)
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                           *)
@@ -769,7 +766,6 @@ type stats = {
   s_elems : int;
   s_proc_times : float array;
   s_retransmits : int;  (** dropped transmissions re-sent after a timeout *)
-  s_dups_delivered : int;  (** duplicate copies detected and discarded *)
   s_crashes : int;
       (** fail-stop crashes suffered, each recovered (checkpoint runs only) *)
   s_ckpts : int;  (** coordinated checkpoints taken on the final attempt *)
@@ -1002,7 +998,7 @@ let fire (h : hooks) (at : coll option array) : fired option =
   end
 
 (* Commit a fired collective to the transport: an element-wise collective
-   adds its 2·stages·P tree messages to the counters, a scalar one adds
+   adds its 2·stages·P tree messages to the tally, a scalar one adds
    none; every processor's wait up to completion is metered and traced. *)
 let account tr (h : hooks) (f : fired) =
   let nprocs = h.h_nprocs in
@@ -1014,13 +1010,11 @@ let account tr (h : hooks) (f : fired) =
         ( 2 * stages * nprocs,
           2 * stages * f.f_nelems * tr.tr_machine.Machine.elem_bytes )
   in
-  tr.tr_c.n_msgs <- tr.tr_c.n_msgs + msgs;
-  tr.tr_c.n_bytes <- tr.tr_c.n_bytes + bytes;
+  tr.tr_coll_msgs <- tr.tr_coll_msgs + msgs;
+  tr.tr_coll_bytes <- tr.tr_coll_bytes + bytes;
   (match tr.tr_metrics with
   | None -> ()
   | Some sm ->
-      sm.sm_coll_msgs <- sm.sm_coll_msgs + msgs;
-      sm.sm_coll_bytes <- sm.sm_coll_bytes + bytes;
       for p = 0 to nprocs - 1 do
         sm.sm_coll_t.(p) <- sm.sm_coll_t.(p) +. (f.f_tdone -. h.h_clock p)
       done);
@@ -1063,33 +1057,16 @@ let reduce_tables op tables =
     tables;
   Hashtbl.length combined
 
-(* One visit of processor [pid], blocked on channel [k]: discard a stale
-   duplicate, then take the message carrying the next expected sequence
-   number if it is there. A duplicate is queued with its original and a
-   receiver consumes a channel's messages only at visits, so the one stale
-   copy a visit can find is the duplicate of the message consumed last
-   (and only a fault schedule makes duplicates). *)
+(* One visit of processor [pid], blocked on channel [k]: take the message
+   carrying the next expected sequence number if it is there. *)
 let deliver tr ~pid ~clock (k : key) : msg option =
   let seqs = tr.tr_recv_seq.(pid) in
   let expected = Option.value (Hashtbl.find_opt seqs k) ~default:0 in
   lock tr;
-  if
-    Option.is_some tr.tr_faults
-    && Hashtbl.mem tr.tr_mail (k, expected - 1, true)
-  then begin
-    Hashtbl.remove tr.tr_mail (k, expected - 1, true);
-    tr.tr_c.n_dups <- tr.tr_c.n_dups + 1;
-    match tr.tr_trace with
-    | Some tw ->
-        Obs.instant_at ~pid:tw.tw_pid ~tid:pid ~ts:(us clock) ~cat:"fault"
-          ~args:[ ("count", Obs.Int 1) ]
-          "dup discarded"
-    | None -> ()
-  end;
-  let m = Hashtbl.find_opt tr.tr_mail (k, expected, false) in
+  let m = Hashtbl.find_opt tr.tr_mail (k, expected) in
   (match m with
   | Some _ ->
-      Hashtbl.remove tr.tr_mail (k, expected, false);
+      Hashtbl.remove tr.tr_mail (k, expected);
       Hashtbl.replace seqs k (expected + 1);
       op_point tr ~pid ~clock
   | None -> ());
@@ -1103,7 +1080,7 @@ let diagnose tr (h : hooks) (status : fiber array) : diagnostic =
   (* in-flight messages per channel *)
   let counts = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun (k, _, _) _ ->
+    (fun (k, _) _ ->
       Hashtbl.replace counts k
         (1 + Option.value (Hashtbl.find_opt counts k) ~default:0))
     tr.tr_mail;
@@ -1180,9 +1157,8 @@ let diagnose tr (h : hooks) (status : fiber array) : diagnostic =
    checkpoints and the watchdog are keyed on, so those runs take one
    domain. At any count, values and clocks are processor-local (delivery
    is sequence-matched, and a collective fires only once every processor
-   has parked in it), counters, metric cells and histograms are sums, a
-   duplicate is discarded at its receiver's next visit on its channel,
-   and a stalled run has one final state: the results are bit-identical
+   has parked in it), the tally, metering and histograms are sums, and a
+   stalled run has one final state: the results are bit-identical
    at every domain count. Only the order of trace events in the file and
    their flow-id numbers may differ. *)
 let sched_run ?(domains = 1) (h : hooks) : unit =
@@ -1349,29 +1325,25 @@ let sched_run ?(domains = 1) (h : hooks) : unit =
 
 (** Sorted per-pair point-to-point table, one row per (event, src, dst)
     that carried traffic; the diagonal rows are co-located VP copies.
-    Empty unless [Obs.Metrics] was enabled when the transport was built.
-    Per-pair counts never re-increment on retransmission or duplication,
-    so the measured matrix is invariant under fault injection — exactly
-    the property [--check-comm] relies on. *)
+    Per-pair counts never re-increment on retransmission, so the measured
+    matrix is invariant under fault injection — exactly the property
+    [--check-comm] relies on. *)
 let comm_cells tr : comm_cell list =
-  match tr.tr_metrics with
-  | None -> []
-  | Some sm ->
-      Hashtbl.fold
-        (fun (event, src, dst) (msgs, elems) acc ->
-          { cm_event = event; cm_src = src; cm_dst = dst; cm_msgs = !msgs;
-            cm_elems = !elems;
-            cm_bytes = !elems * tr.tr_machine.Machine.elem_bytes }
-          :: acc)
-        sm.sm_cells []
-      |> List.sort compare
+  Hashtbl.fold
+    (fun (event, src, dst) (msgs, elems) acc ->
+      { cm_event = event; cm_src = src; cm_dst = dst; cm_msgs = !msgs;
+        cm_elems = !elems;
+        cm_bytes = !elems * tr.tr_machine.Machine.elem_bytes }
+      :: acc)
+    tr.tr_cells []
+  |> List.sort compare
 
 (* fold the per-run accumulators into the global metrics registry: the
    communication matrix, per-processor time split, halo occupancy, fault
    breakdown and the derived load-balance figures of merit *)
-let metrics_publish tr sm ~proc_times =
+let metrics_publish tr sm tot ~proc_times =
   let module M = Obs.Metrics in
-  let p = sm.sm_nprocs in
+  let p = Array.length proc_times in
   let label_pair src dst =
     [ ("src", string_of_int src); ("dst", string_of_int dst) ]
   in
@@ -1383,7 +1355,7 @@ let metrics_publish tr sm ~proc_times =
       let c = (src * p) + dst in
       mx_msgs.(c) <- mx_msgs.(c) + !msgs;
       mx_elems.(c) <- mx_elems.(c) + !elems)
-    sm.sm_cells;
+    tr.tr_cells;
   let local_msgs = ref 0 and local_elems = ref 0 in
   for src = 0 to p - 1 do
     for dst = 0 to p - 1 do
@@ -1416,22 +1388,21 @@ let metrics_publish tr sm ~proc_times =
       M.set (M.gauge ~labels "sim/proc_send_s") sm.sm_send_t.(i);
       M.set (M.gauge ~labels "sim/proc_recv_wait_s") sm.sm_recv_t.(i);
       M.set (M.gauge ~labels "sim/proc_coll_s") sm.sm_coll_t.(i);
-      if sm.sm_retrans.(i) > 0 then
+      if tr.tr_retrans.(i) > 0 then
         M.inc
           (M.counter ~labels:[ ("src", string_of_int i) ] "sim/retransmits_by_src")
-          (float_of_int sm.sm_retrans.(i));
+          (float_of_int tr.tr_retrans.(i));
       M.observe halo (float_of_int sm.sm_recv_elems.(i)))
     proc_times;
   let inc_tot name v = M.inc (M.counter name) (float_of_int v) in
-  inc_tot "sim/msgs_total" tr.tr_c.n_msgs;
-  inc_tot "sim/bytes_total" tr.tr_c.n_bytes;
-  inc_tot "sim/elems_total" tr.tr_c.n_elems;
-  inc_tot "sim/coll_msgs" sm.sm_coll_msgs;
-  inc_tot "sim/coll_bytes" sm.sm_coll_bytes;
+  inc_tot "sim/msgs_total" tot.t_msgs;
+  inc_tot "sim/bytes_total" tot.t_bytes;
+  inc_tot "sim/elems_total" tot.t_elems;
+  inc_tot "sim/coll_msgs" tr.tr_coll_msgs;
+  inc_tot "sim/coll_bytes" tr.tr_coll_bytes;
   inc_tot "sim/local_copies" !local_msgs;
   inc_tot "sim/local_copy_elems" !local_elems;
-  inc_tot "sim/retransmits" tr.tr_c.n_retransmits;
-  inc_tot "sim/dups_discarded" tr.tr_c.n_dups;
+  inc_tot "sim/retransmits" tot.t_retransmits;
   let mean = !compute_sum /. float_of_int (max 1 p) in
   M.set (M.gauge "sim/compute_max_s") !compute_max;
   M.set (M.gauge "sim/compute_mean_s") mean;
@@ -1439,7 +1410,7 @@ let metrics_publish tr sm ~proc_times =
   if !compute_sum > 0.0 then
     M.set (M.gauge "sim/comm_to_compute") (!comm_sum /. !compute_sum)
 
-(** Assemble the final statistics from the transport counters and the
+(** Assemble the final statistics from the transport tally and the
     per-processor clocks. For a traced run this is also the end of the
     timeline: name the lanes and fill each processor's tail (last traced
     slice to its final clock) as compute. For a metered run this is where
@@ -1456,17 +1427,17 @@ let stats_of tr ~proc_times : stats =
           tw.tw_last.(p) <- t)
         proc_times
   | None -> ());
+  let tot = totals tr in
   (match tr.tr_metrics with
-  | Some sm -> metrics_publish tr sm ~proc_times
+  | Some sm -> metrics_publish tr sm tot ~proc_times
   | None -> ());
   {
     s_time = Array.fold_left Float.max 0.0 proc_times;
-    s_msgs = tr.tr_c.n_msgs;
-    s_bytes = tr.tr_c.n_bytes;
-    s_elems = tr.tr_c.n_elems;
+    s_msgs = tot.t_msgs;
+    s_bytes = tot.t_bytes;
+    s_elems = tot.t_elems;
     s_proc_times = proc_times;
-    s_retransmits = tr.tr_c.n_retransmits;
-    s_dups_delivered = tr.tr_c.n_dups;
+    s_retransmits = tot.t_retransmits;
     (* crash/recovery accounting lives in the {!Checkpoint} controller,
        which patches these after assembling the final attempt's stats *)
     s_crashes = 0;

@@ -4,11 +4,11 @@
     native engine ({!Native}).
 
     The transport (packed payloads, per-channel sequence numbers, fault
-    plans, message/byte/retransmit counters) and the one scheduler (message
+    plans, the one communication tally) and the one scheduler (message
     delivery, one collective mechanism for scalar and element-wise
     all-reduces, deadlock diagnosis) live here and are used verbatim by
     all three engines, so the engine-differential guarantee — identical
-    counters, identical delivery order — is structural rather than
+    tallies, identical delivery order — is structural rather than
     re-implemented per engine. *)
 
 open Dhpf
@@ -138,14 +138,6 @@ type msg = {
           in a checkpoint image *)
 }
 
-type counters = {
-  mutable n_msgs : int;
-  mutable n_bytes : int;
-  mutable n_elems : int;
-  mutable n_retransmits : int;
-  mutable n_dups : int;
-}
-
 type trace
 (** Per-simulation tracing state: a fresh Chrome pid and per-processor
     last-slice times for compute-gap rendering. Allocated by
@@ -154,14 +146,13 @@ type trace
     bit-identical. *)
 
 type simmetrics
-(** Per-simulation metrics accumulators: the dense P×P communication
-    matrix, the per-(event, src, dst) cell table, per-processor
-    send/recv-wait/collective time, halo occupancy and the fault
-    breakdown. Allocated by {!transport_make} iff [Obs.Metrics.enabled
-    ()]; like tracing it only reads the virtual clocks and payload sizes,
-    so a metered run is bit-identical (values, clocks, counters) to a bare
-    one. Folded into the [Obs.Metrics] registry by {!stats_of} under
-    [sim/]-prefixed series names. *)
+(** Per-simulation metering: per-processor send/recv-wait/collective
+    time, halo occupancy and the message-size histogram. Allocated by
+    {!transport_make} iff [Obs.Metrics.enabled ()]; like tracing it only
+    reads the virtual clocks and payload sizes, so a metered run is
+    bit-identical (values, clocks, tally) to a bare one. Folded, with
+    sums of the tally, into the [Obs.Metrics] registry by {!stats_of}
+    under [sim/]-prefixed series names. *)
 
 type sync
 (** The transport lock, wake-up condition and commit epoch of a
@@ -170,14 +161,21 @@ type sync
 type transport = {
   tr_machine : Machine.t;
   tr_faults : Fault.spec option;
-  tr_mail : (key * int * bool, msg) Hashtbl.t;
-      (** in-flight messages by (channel, sequence number, duplicate?); a
-          duplicate is queued in the same commit as its original *)
+  tr_mail : (key * int, msg) Hashtbl.t;
+      (** in-flight messages by (channel, sequence number) *)
   tr_send_seq : (key, int) Hashtbl.t array;
       (** per sending processor: next sequence number of each channel *)
   tr_recv_seq : (key, int) Hashtbl.t array;
       (** per receiving processor: next expected sequence number *)
-  tr_c : counters;
+  tr_cells : (int * int * int, int ref * int ref) Hashtbl.t;
+      (** the one communication tally, always kept: (event, src, dst) ->
+          (msgs, elems) of first transmissions, the diagonal being local
+          copies. With [tr_retrans] and the collective totals it is the
+          source of every message total ({!stats_of}, the [sim/] series,
+          the image totals) *)
+  tr_retrans : int array;  (** retransmissions by sending processor *)
+  mutable tr_coll_msgs : int;  (** tree messages of element-wise collectives *)
+  mutable tr_coll_bytes : int;
   tr_trace : trace option;
   tr_metrics : simmetrics option;
   tr_pid_ops : int array;
@@ -215,10 +213,9 @@ type comm_cell = {
 
 val comm_cells : transport -> comm_cell list
 (** Measured point-to-point communication table, sorted by (event, src,
-    dst); one row per pair that carried traffic. Empty unless
-    [Obs.Metrics] was enabled when the transport was built. Per-pair
-    counts never re-increment on retransmission or duplicate delivery, so
-    the table is invariant under fault injection. *)
+    dst); one row per pair that carried traffic. Per-pair counts never
+    re-increment on retransmission, so the table is invariant under fault
+    injection. *)
 
 val trace_recv :
   transport -> tid:int -> t0:float -> t1:float -> key -> msg -> unit
@@ -242,9 +239,9 @@ val send :
   unit
 (** Complete a send: contiguity decision (§3.3), packing/send CPU charges
     via [tick], fault plan application (drops priced as retransmissions,
-    delay, duplication) and enqueue, under the transport lock of a
-    multi-domain run. Every engine calls this, so
-    counter and timing semantics cannot diverge. A send is one
+    delay), enqueue and tally, under the transport lock of a multi-domain
+    run. Every engine calls this, so tally and timing semantics cannot
+    diverge. A send is one
     communication operation: it ends by advancing the operation indices,
     feeding the watchdog, evaluating the crash schedule (possibly raising
     {!Crash}) and firing the checkpoint trigger on interval boundaries, as
@@ -265,7 +262,7 @@ val trace_instant :
 
     A deep, engine-independent value snapshot of a simulation: all live
     bindings and resident array elements per processor, plus the transport
-    state (channel sequence counters, in-flight messages, counters). Keys
+    state (channel sequence counters, in-flight messages, totals). Keys
     are sorted so two captures of identical state are structurally equal
     regardless of hash-table iteration order. *)
 
@@ -281,21 +278,30 @@ type proc_image = {
       (** per event id: elements packed but not yet sent *)
 }
 
+type totals = {
+  t_msgs : int;  (** network messages, collective tree messages included *)
+  t_bytes : int;
+  t_elems : int;  (** elements sent point to point over the network *)
+  t_retransmits : int;
+}
+(** The transport's message totals, each a sum of the tally: the
+    off-diagonal cells plus the collective totals, or the per-sender
+    retransmits. *)
+
 type image = {
   im_ops : int;  (** global op count at capture *)
   im_procs : proc_image array;
   im_chans : (key * int * int) array;
       (** per channel: (key, next send seq, next recv seq), sorted *)
   im_inflight : (key * msg array) array;  (** undelivered messages *)
-  im_counters : counters;  (** copy of the transport counters *)
+  im_totals : totals;  (** the transport totals at capture *)
 }
 
 val capture_transport :
-  transport -> (key * int * int) array * (key * msg array) array * counters
+  transport -> (key * int * int) array * (key * msg array) array * totals
 (** Transport half of an image: sorted per-channel sequence counters,
-    each channel's in-flight messages sorted by sequence number with a
-    duplicate after its original (flow ids zeroed), and a copy of the
-    counters. *)
+    each channel's in-flight messages sorted by sequence number (flow ids
+    zeroed), and the transport totals. *)
 
 (** {1 Effects} *)
 
@@ -322,7 +328,6 @@ type stats = {
   s_elems : int;
   s_proc_times : float array;
   s_retransmits : int;
-  s_dups_delivered : int;
   s_crashes : int;
       (** fail-stop crashes suffered, each recovered (checkpoint runs only) *)
   s_ckpts : int;  (** coordinated checkpoints taken on the final attempt *)
@@ -333,6 +338,8 @@ type stats = {
 }
 
 val stats_of : transport -> proc_times:float array -> stats
+(** The run's statistics: the clocks, and the transport totals summed
+    from the tally. *)
 
 (** {1 Deadlock diagnostics} *)
 
@@ -385,7 +392,7 @@ val sched_run : ?domains:int -> hooks -> unit
     with processor 0's operator (and array name); it completes at the
     latest processor clock plus a P-way all-reduce of its element count
     (1 for a scalar), and an element-wise one also adds its tree messages
-    to the counters. A finished processor, one blocked on a receive, or a
+    to the tally. A finished processor, one blocked on a receive, or a
     kind mismatch leaves it unfired, which ends in {!Deadlock}.
 
     Processors are sharded across [domains] OCaml domains (default 1);
@@ -397,7 +404,7 @@ val sched_run : ?domains:int -> hooks -> unit
     resuming its participants in pid order. A crash schedule, a checkpoint trigger
     or a watchdog bound reads that global operation order, so those runs
     take one domain, as does a single processor. Every domain count gives
-    bit-identical values, clocks, counters, comm cells, metrics and stall
+    bit-identical values, clocks, comm cells, totals, metrics and stall
     diagnoses: values and clocks are processor-local, the rest are sums,
     and a stalled run has one final state. A trace holds the same slices,
     instants and flow pairs at every count; at more than one domain their

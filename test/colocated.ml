@@ -8,10 +8,6 @@ let src = Codes.gauss ~n:12 ~procs:Codes.SymbolicBoth ()
 
 (* messages a fault-free closure run delivers between co-located VPs *)
 let copies ~nprocs =
-  let was_on = Obs.Metrics.enabled () in
-  Obs.Metrics.enable ();
-  Fun.protect ~finally:(fun () -> if not was_on then Obs.Metrics.disable ())
-  @@ fun () ->
   let prog =
     (Dhpf.Gen.compile (Hpf.Sema.analyze_source src)).Dhpf.Gen.cprog
   in

@@ -84,7 +84,7 @@ let test_crash_schedule_determinism () =
    bytes of a checkpointed run (every 8 ops, no crash) — the values the
    byte-serializing encoder gave, so the size model still prices exactly
    the same writes *)
-let pinned_sizes = [ (`Interp, (9469, 47086)); (`Closure, (10981, 57722)) ]
+let pinned_sizes = [ (`Interp, (9461, 47046)); (`Closure, (10973, 57682)) ]
 
 (* image equality is bit-exact on every field: a signed zero and a changed
    staged payload are differences, a NaN is equal to itself *)

@@ -1,8 +1,8 @@
 (* Resilience suite for the fault-injection layer: schedules are
    reproducible from their seed, adversarial transports (drop+retransmit,
-   duplicate delivery, delay, stragglers) leave computed values
-   bit-identical to the fault-free run and matching the serial oracle, and
-   deadlocks surface as structured wait-for-cycle diagnostics. *)
+   delay, stragglers) leave computed values bit-identical to the
+   fault-free run and matching the serial oracle, and deadlocks surface
+   as structured wait-for-cycle diagnostics. *)
 
 open Dhpf
 
@@ -90,12 +90,7 @@ let check_identical name src faults =
 
 let drop_spec =
   { (Spmdsim.Fault.default ~seed:11) with
-    drop_prob = 0.5; max_retries = 4; dup_prob = 0.0; delay_prob = 0.0;
-    skew_max = 1.0 }
-
-let dup_spec =
-  { (Spmdsim.Fault.default ~seed:12) with
-    drop_prob = 0.0; dup_prob = 0.9; delay_prob = 0.0; skew_max = 1.0 }
+    drop_prob = 0.5; max_retries = 4; delay_prob = 0.0; skew_max = 1.0 }
 
 let chaos_spec = Spmdsim.Fault.default ~seed:13
 
@@ -103,12 +98,6 @@ let test_drop_retransmit () =
   let st = check_identical "jacobi/drop" (jacobi ()) drop_spec in
   Alcotest.(check bool) "retransmits happened" true (st.s_retransmits > 0);
   ignore (check_identical "gauss/drop" (gauss ()) drop_spec)
-
-let test_duplicate_delivery () =
-  let st = check_identical "jacobi/dup" (jacobi ()) dup_spec in
-  Alcotest.(check bool) "duplicates were detected and discarded" true
-    (st.s_dups_delivered > 0);
-  ignore (check_identical "gauss/dup" (gauss ()) dup_spec)
 
 let test_chaos_all_benchmarks () =
   List.iter
@@ -129,8 +118,7 @@ let test_faults_cost_time () =
   let _, skewed = exec ~faults:skew_spec ~nprocs:4 compiled.cprog in
   Alcotest.(check bool) "stragglers slow the run" true
     (skewed.s_time > clean.s_time);
-  Alcotest.(check int) "skew alone neither drops nor duplicates" 0
-    (skewed.s_retransmits + skewed.s_dups_delivered)
+  Alcotest.(check int) "skew alone drops nothing" 0 skewed.s_retransmits
 
 (* serial-oracle matching under faults, via the differential harness *)
 let test_diffcheck_oracle () =
@@ -286,11 +274,9 @@ let test_mixed_collectives () =
             [ (0, "scalar"); (1, "array v") ] reasons)
     [ (`Interp, 1); (`Interp, 2); (`Closure, 1); (`Closure, 2) ]
 
-(* a stall that leaves messages behind: proc 0 sends twice on event 5,
-   proc 1 receives once and then waits on event 6, which is never sent.
-   Every message is duplicated, so the channel keeps the duplicate of the
-   consumed message (its receiver never visits the channel again) next to
-   the second message and its duplicate *)
+(* a stall that leaves a message behind: proc 0 sends twice on event 5,
+   proc 1 receives once and then waits on event 6, which is never sent,
+   so the channel keeps the second message *)
 let queued_stall_prog : Spmd.program =
   let open Iset.Codegen in
   {
@@ -316,7 +302,12 @@ let queued_stall_prog : Spmd.program =
     subs = [];
   }
 
-let dup_all = { Spmdsim.Fault.none with seed = 5; dup_prob = 1.0 }
+(* every message is dropped twice and delayed, so the waiting clocks in
+   the diagnosis carry the fault schedule *)
+let lossy =
+  { Spmdsim.Fault.none with
+    seed = 5; drop_prob = 1.0; max_retries = 2; delay_prob = 1.0;
+    delay_factor = 4.0 }
 
 (* The stall diagnosis is one function of the processors' final wait
    states and the queued messages, so it prints identically at every
@@ -348,12 +339,12 @@ let test_diagnosis_domains () =
     [ ("cyclic", None, cyclic_prog);
       ("mixed stall", None, mixed_stall_prog);
       ("mixed collectives", None, mixed_coll_prog);
-      ("queued stall", Some dup_all, queued_stall_prog) ];
-  (* the queued stall's channel holds the undiscarded duplicate of seq 0,
-     seq 1 and its duplicate; proc 1 waits on event 6, expecting seq 0 *)
-  let d = diagnosis ~faults:dup_all ~engine:`Closure ~domains:2 queued_stall_prog in
+      ("queued stall", Some lossy, queued_stall_prog) ];
+  (* the queued stall's channel holds seq 1; proc 1 waits on event 6,
+     expecting seq 0 *)
+  let d = diagnosis ~faults:lossy ~engine:`Closure ~domains:2 queued_stall_prog in
   Alcotest.(check (list (pair int int)))
-    "undelivered: event 5, three messages" [ (5, 3) ]
+    "undelivered: event 5, one message" [ (5, 1) ]
     (List.map (fun (ev, _, _, n) -> (ev, n)) d.dg_undelivered);
   match d.dg_waiting with
   | [ { w_pid = 1; w_reason = Spmdsim.Exec.WaitRecv r; _ } ] ->
@@ -374,8 +365,6 @@ let () =
         [
           Alcotest.test_case "drop+retransmit preserves values" `Quick
             test_drop_retransmit;
-          Alcotest.test_case "duplicate delivery preserves values" `Quick
-            test_duplicate_delivery;
           Alcotest.test_case "full chaos on jacobi/gauss/tomcatv" `Quick
             test_chaos_all_benchmarks;
           Alcotest.test_case "faults cost simulated time" `Quick

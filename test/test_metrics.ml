@@ -1,8 +1,8 @@
 (* Tests for the metrics registry and the predicted-vs-measured
-   communication machinery: the disabled fast path, histogram merge
-   associativity and percentile bounds (QCheck), point counting of
-   generated loop nests, counter-series namespacing in the Chrome trace,
-   the guarantee that metering a run changes nothing, and exact agreement
+   communication machinery: the disabled fast path, percentile bounds
+   (QCheck), point counting of generated loop nests, counter-series
+   namespacing in the Chrome trace, the guarantee that metering a run
+   changes nothing, the comm cells every run tallies, and exact agreement
    of Predict.comm with the simulator's measured matrix on the paper's
    applications under both engines. *)
 
@@ -98,18 +98,7 @@ let test_multidomain_hammer () =
   (* a quiescent registry exports deterministically *)
   Alcotest.(check string) "snapshot JSON is stable"
     (Obs.Json.to_string (M.samples_to_json snap))
-    (Obs.Json.to_string (M.samples_to_json snap));
-  (* merge with itself doubles counters and bucket counts *)
-  (match
-     List.find_opt
-       (fun (s : M.sample) -> s.m_name = "hammer/c")
-       (M.merge snap snap)
-   with
-  | Some { M.m_value = M.VCounter v; _ } ->
-      Alcotest.(check (float 0.0)) "self-merge doubles"
-        (2.0 *. float_of_int (domains * per_domain))
-        v
-  | _ -> Alcotest.fail "merged counter missing")
+    (Obs.Json.to_string (M.samples_to_json snap))
 
 (* ---- Prometheus text exposition ---- *)
 
@@ -248,7 +237,7 @@ let test_export_precision () =
   Alcotest.(check (float 0.0)) "prometheus gauge" 0.0123456
     (prom "compiler_phase_s")
 
-(* ---- QCheck: merge associativity, percentile bounds ---- *)
+(* ---- QCheck: percentile bounds ---- *)
 
 let snap_of vals =
   snd
@@ -260,33 +249,6 @@ let histo_of snap =
   match List.find_opt (fun (s : M.sample) -> s.m_name = "q/h") snap with
   | Some { m_value = M.VHisto h; _ } -> h
   | _ -> assert false
-
-let pos_floats = QCheck.(list_of_size (Gen.int_range 1 40) (pos_float))
-
-(* sums are floating-point, so associativity holds up to rounding; every
-   other field (count, min, max, buckets) must agree exactly *)
-let histo_equiv (x : M.histo) (y : M.histo) =
-  x.hs_count = y.hs_count && x.hs_min = y.hs_min && x.hs_max = y.hs_max
-  && x.hs_buckets = y.hs_buckets
-  && abs_float (x.hs_sum -. y.hs_sum)
-     <= 1e-9 *. Float.max 1.0 (abs_float x.hs_sum)
-
-let prop_merge_assoc =
-  QCheck.Test.make ~count:100 ~name:"histogram merge is associative"
-    QCheck.(triple pos_floats pos_floats pos_floats)
-    (fun (a, b, c) ->
-      let sa = snap_of a and sb = snap_of b and sc = snap_of c in
-      histo_equiv
-        (histo_of (M.merge sa (M.merge sb sc)))
-        (histo_of (M.merge (M.merge sa sb) sc)))
-
-let prop_merge_counts =
-  QCheck.Test.make ~count:100 ~name:"merged histogram sums counts and sums"
-    QCheck.(pair pos_floats pos_floats)
-    (fun (a, b) ->
-      let h = histo_of (M.merge (snap_of a) (snap_of b)) in
-      h.M.hs_count = List.length a + List.length b
-      && abs_float (h.M.hs_sum -. (List.fold_left ( +. ) 0.0 (a @ b))) < 1e-6)
 
 let prop_percentile_bounds =
   QCheck.Test.make ~count:200
@@ -527,6 +489,68 @@ let test_published_sums () =
     (Codes.jacobi ~n:24 ~iters:2 ~procs:(Codes.Fixed (2, 2)) ())
     ~faults:(Spmdsim.Fault.default ~seed:11) ~local:false 4
 
+(* ---- the cells are the transport's one tally, kept unmetered ---- *)
+
+(* with metrics off every run still tallies its cells: the table is the
+   one a metered run records, and the run's totals are its off-diagonal
+   sums plus the collective totals, or the per-sender retransmits *)
+let test_unmetered_cells () =
+  let module R = Spmdsim.Runtime in
+  let run ?faults engine prog =
+    let sim = Spmdsim.Exec.make ~engine ?faults ~nprocs:4 prog in
+    let st = Spmdsim.Exec.run sim in
+    (sim, st)
+  in
+  List.iter
+    (fun (name, src) ->
+      let prog =
+        (Dhpf.Gen.compile (Hpf.Sema.analyze_source src)).Dhpf.Gen.cprog
+      in
+      List.iter
+        (fun (engine, faults) ->
+          let what s =
+            Printf.sprintf "%s, %s%s: %s" name
+              (Spmdsim.Exec.engine_to_string engine)
+              (if faults = None then "" else ", faults")
+              s
+          in
+          M.disable ();
+          let sim, st = run ?faults engine prog in
+          let cells = Spmdsim.Exec.comm_cells sim in
+          let metered, _ =
+            with_metrics (fun () ->
+                Spmdsim.Exec.comm_cells (fst (run ?faults engine prog)))
+          in
+          Alcotest.(check bool) (what "cells recorded") true (cells <> []);
+          Alcotest.(check bool) (what "the metered run's cells") true
+            (cells = metered);
+          let tr = Spmdsim.Exec.transport sim in
+          let net field =
+            List.fold_left
+              (fun a (c : Spmdsim.Exec.comm_cell) ->
+                if c.cm_src <> c.cm_dst then a + field c else a)
+              0 cells
+          in
+          Alcotest.(check int) (what "s_msgs")
+            (net (fun c -> c.cm_msgs) + tr.R.tr_coll_msgs)
+            st.s_msgs;
+          Alcotest.(check int) (what "s_bytes")
+            (net (fun c -> c.cm_bytes) + tr.R.tr_coll_bytes)
+            st.s_bytes;
+          Alcotest.(check int) (what "s_elems") (net (fun c -> c.cm_elems))
+            st.s_elems;
+          Alcotest.(check int) (what "s_retransmits")
+            (Array.fold_left ( + ) 0 tr.R.tr_retrans)
+            st.s_retransmits)
+        (let f = Some (Spmdsim.Fault.default ~seed:11) in
+         [ (`Closure, None); (`Interp, None); (`Closure, f); (`Interp, f) ]))
+    [
+      ("jacobi", Codes.jacobi ~n:24 ~iters:2 ~procs:(Codes.Fixed (2, 2)) ());
+      ("tomcatv", Codes.tomcatv ~n:33 ~iters:1 ());
+      ("erlebacher", Codes.erlebacher ~n:16 ());
+      ("gauss (co-located)", Colocated.src);
+    ]
+
 (* the join must flag divergence in either direction *)
 let test_check_detects_mismatch () =
   let pred =
@@ -569,8 +593,6 @@ let () =
         ] );
       ( "histograms",
         [
-          QCheck_alcotest.to_alcotest prop_merge_assoc;
-          QCheck_alcotest.to_alcotest prop_merge_counts;
           QCheck_alcotest.to_alcotest prop_percentile_bounds;
           QCheck_alcotest.to_alcotest prop_bucket_covers;
         ] );
@@ -591,5 +613,7 @@ let () =
             test_check_detects_mismatch;
           Alcotest.test_case "published matrix sums the comm cells" `Quick
             test_published_sums;
+          Alcotest.test_case "unmetered runs tally their comm cells" `Quick
+            test_unmetered_cells;
         ] );
     ]
