@@ -277,7 +277,8 @@ let engine_t =
            $(b,interp) (the tree-walking interpreter kept as the \
            differential oracle), or $(b,native) (the program is emitted as \
            OCaml source, compiled out-of-process into a content-addressed \
-           cache and dynlinked — see $(b,--native-cache)). All engines \
+           cache and dynlinked; $(b,DHPF_NATIVE_CACHE) names the cache \
+           directory, else $(b,<tmpdir>/dhpf-native-cache)). All engines \
            produce bit-identical results and identical message statistics.")
 
 let resolve_engine name =
@@ -286,17 +287,6 @@ let resolve_engine name =
   | None ->
       usage "dhpfc: unknown engine %S; valid engines: %s" name
         (String.concat ", " Spmdsim.Exec.engine_names)
-
-let native_cache_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "native-cache" ] ~docv:"DIR"
-        ~doc:
-          "Build-cache directory for $(b,--engine native) kernels (also \
-           settable via $(b,DHPF_NATIVE_CACHE)). Defaults to \
-           $(b,<tmpdir>/dhpf-native-cache); a warm cache skips the \
-           out-of-process compiler entirely.")
 
 (* ---- fault-injection knobs ---- *)
 
@@ -501,13 +491,12 @@ let check_comm_t =
            check also holds under $(b,--faults).")
 
 let run_cmd =
-  let run src nprocs params engine native_cache no_split no_vect no_coal
+  let run src nprocs params engine no_split no_vect no_coal
       no_inplace faults_seed drop delay skew crash_procs crash_prob
       ckpt_every max_events diff diff_engines diff_domains diff_crashes
       check_comm session =
     handle_errors @@ fun () ->
     let engine = resolve_engine engine in
-    Option.iter (Unix.putenv "DHPF_NATIVE_CACHE") native_cache;
     List.iter
       (fun (name, v) ->
         if v < 0 then
@@ -681,8 +670,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute on the simulated machine")
     Term.(
-      const run $ src_t $ nprocs_t $ param_t $ engine_t $ native_cache_t
-      $ no_split_t $ no_vect_t $ no_coal_t $ no_inplace_t $ faults_t
+      const run $ src_t $ nprocs_t $ param_t $ engine_t $ no_split_t $ no_vect_t $ no_coal_t $ no_inplace_t $ faults_t
       $ fault_drop_t $ fault_delay_t $ fault_skew_t
       $ crash_procs_t $ crash_prob_t $ ckpt_every_t $ max_events_t $ diff_t
       $ diff_engines_t $ diff_domains_t $ diff_crashes_t $ check_comm_t

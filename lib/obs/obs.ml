@@ -309,7 +309,7 @@ module Recorder = struct
 
   type entry = {
     fr_ts : float;  (* absolute unix seconds *)
-    fr_kind : string;  (* "log" | "request" | caller-chosen *)
+    fr_kind : string;  (* "log" (a teed Log line) | caller-chosen *)
     fr_level : string;
     fr_rid : string;  (* "" when the event has no request id *)
     fr_event : string;

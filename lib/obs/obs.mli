@@ -161,7 +161,9 @@ module Recorder : sig
 
   type entry = {
     fr_ts : float;  (** absolute unix seconds *)
-    fr_kind : string;  (** ["log"], ["request"], or caller-chosen *)
+    fr_kind : string;
+        (** ["log"] for a line teed from {!Log} (the daemon's one entry
+            per request is its [serve.complete] line), or caller-chosen *)
     fr_level : string;
     fr_rid : string;  (** [""] when the event has no request id *)
     fr_event : string;

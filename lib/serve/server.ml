@@ -525,19 +525,7 @@ let handle st fd ~admitted =
       m_latency !op service_s;
       m_queue_wait !op queue_s;
       window_record st ~op:!op ~status ~queue_s ~service_s;
-      if Obs.Recorder.enabled () then
-        Obs.Recorder.record ~kind:"request" ~rid
-          ~fields:
-            [
-              ("op", Obs.Str !op);
-              ("status", Obs.Str status);
-              ("queue_wait_s", Obs.Float queue_s);
-              ("service_s", Obs.Float service_s);
-            ]
-          "serve.request";
-      Atomic.incr st.served;
-      Obs.span ~cat:"serve" "serve/write response" (fun () ->
-          try Proto.write_json fd r with _ -> ());
+      (* the log line is also the request's one flight-ring entry *)
       if Obs.Log.enabled Obs.Log.Info then
         Obs.Log.info ~rid
           ~fields:(fun () ->
@@ -548,6 +536,9 @@ let handle st fd ~admitted =
               ("service_s", Obs.Float service_s);
             ])
           "serve.complete";
+      Atomic.incr st.served;
+      Obs.span ~cat:"serve" "serve/write response" (fun () ->
+          try Proto.write_json fd r with _ -> ());
       prom_tick st);
   try Unix.close fd with _ -> ()
 

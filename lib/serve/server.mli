@@ -26,8 +26,8 @@
     prompt, until every worker is busy.
 
     Contract for processes that embed a daemon: the {!Iset.Cache} memo
-    tables and the {!Spmdsim.Runtime} lane marker are [Domain.DLS], so
-    worker 0 shares the launching domain's tables. They are safe because
+    tables are [Domain.DLS], so worker 0 shares the launching domain's
+    tables. They are safe because
     only one thread on a domain mutates them — the acceptor never calls
     into Iset, Dhpf or Spmdsim. The caller must not compile, simulate or
     touch the integer-set caches on the launching domain while the
@@ -46,7 +46,11 @@
     [dhpf-report/2] compile report when there is one, top-level
     otherwise) with queue-wait and service latency plus per-request
     integer-set counter deltas (exact at one worker, approximate under
-    concurrency — the counters are process-global). The [stats] op
+    concurrency — the counters are process-global). Each finished
+    request leaves one flight-recorder entry: its [serve.complete] log
+    line (op, status, queue wait, service time), recorded before the
+    response is written, so a [dump] that follows a response sees it.
+    The [stats] op
     answers [dhpf-stats/2]: lifetime totals plus rolling-window gauges
     (RPS, p50/p95/p99 service and queue-wait latency, errors, overload
     rejections), memo/disk hit ratios and a metrics snapshot; [dump]

@@ -1059,11 +1059,4 @@ let capture (cs : csim) : Runtime.image =
         })
       cs.c_rts
   in
-  let chans, inflight, totals = Runtime.capture_transport cs.c_tr in
-  {
-    Runtime.im_ops = cs.c_tr.Runtime.tr_gops;
-    im_procs = procs;
-    im_chans = chans;
-    im_inflight = inflight;
-    im_totals = totals;
-  }
+  Runtime.capture cs.c_tr procs

@@ -15,8 +15,8 @@
    let-sequenced in the same evaluation order (FP arithmetic is not
    associative, so shapes matter, not just operand sets), and every cold
    path (dense-slot miss, bounds failure, unbound name, non-positive step,
-   unknown subroutine) and every effect calls the shared runtime paths in
-   {!Compile}, re-exported by {!Native}. [Array.unsafe_get]/[unsafe_set]
+   unknown subroutine) and every effect calls the closure engine's own
+   runtime paths in {!Compile} directly. [Array.unsafe_get]/[unsafe_set]
    is used where it is unconditionally safe — slot reads, post-check
    ownership tables — and a subscript's bounds comparison is dropped only
    when {!Imp}'s interval analysis proved it cannot fire.
@@ -124,7 +124,7 @@ let rec pe st env (e : iexpr) : unit =
   match e with
   | IConst k -> pint b k
   | ISlot (s, _) -> pslot st env s
-  | IUnbound n -> str b "(N.unbound_int rt "; pquoted b n; chr b ')'
+  | IUnbound n -> str b "(C.unbound_int rt "; pquoted b n; chr b ')'
   | IAdd (x, y) -> pbin st env "(" x " + " y ")"
   | ISub (x, y) -> pbin st env "(" x " - " y ")"
   | IMul (k, x) -> chr b '('; pint b k; str b " * "; pe st env x; chr b ')'
@@ -295,7 +295,7 @@ let rec pf st env (e : kfexpr) : unit =
         match fallback with
         | FbSlot (s, _) -> str b "(float_of_int "; pslot st env s; chr b ')'
         | FbConst x -> pfloat b x
-        | FbUnbound n -> str b "(N.unbound_int rt "; pquoted b n; chr b ')'
+        | FbUnbound n -> str b "(C.unbound_int rt "; pquoted b n; chr b ')'
       in
       (match slot with
       | Some s ->
@@ -459,7 +459,7 @@ let uses_of f =
 (* ------------------------------------------------------------------ *)
 
 let fn_header b name n =
-  str b "\nand "; str b name; int b n; str b " (ctx : N.kctx) (rt : C.rt) : unit =\n"
+  str b "\nand "; str b name; int b n; str b " (ctx : C.link) (rt : C.rt) : unit =\n"
 
 let fn_end b = str b "  "; str b flush_clk; str b "\n  ()\n"
 
@@ -538,22 +538,22 @@ let rec estmt st ind env (s : kstmt) : unit =
       str b ") ~arr:"; pquoted b arr; str b " enc v);\n"
   | KSend { event; dest = es; inplace; rect } ->
       effect st ind env "d" es (fun vars ->
-          str b " N.do_send ctx rt ~event:"; int b event; str b " ~inplace:";
+          str b " C.send ctx rt ~event:"; int b event; str b " ~inplace:";
           str b (string_of_bool inplace); str b " ~rect:"; str b (string_of_bool rect);
           vars ())
   | KRecv { event; src = es; recv_o; unpack } ->
       effect st ind env "r" es (fun vars ->
-          str b " N.do_recv ctx rt ~event:"; int b event; str b " ~recv_o:"; pfloat b recv_o;
+          str b " C.recv ctx rt ~event:"; int b event; str b " ~recv_o:"; pfloat b recv_o;
           str b " ~unpack:"; pfloat b unpack; vars ())
   | KReduceArr { name; op } ->
       around_clk b (fun () ->
-          str b "N.do_reduce_arr "; pquoted b name; chr b ' '; str b (reduce_op op); chr b ';')
+          str b "C.reduce_arr_effect "; pquoted b name; chr b ' '; str b (reduce_op op); chr b ';')
   | KReduceScalar { slot; op } ->
       around_clk b (fun () ->
-          str b "N.do_reduce_scalar rt "; int b slot; chr b ' '; str b (reduce_op op);
+          str b "C.reduce_scalar rt "; int b slot; chr b ' '; str b (reduce_op op);
           chr b ';')
   | KCall f -> around_clk b (fun () -> str b "sub_"; int b (st.sub_index f); str b " ctx rt;")
-  | KUnknownSub f -> str b "N.unknown_sub rt "; pquoted b f; str b ";\n"
+  | KUnknownSub f -> str b "C.unknown_sub rt "; pquoted b f; str b ";\n"
 
 (* a send or receive: coordinates let-bound in order, then the call
    between a flush and a reload; [call vars] prints the call up to its
@@ -599,7 +599,7 @@ and emit_loop st env slot var lo hi step body loopt =
          raise first), then fail *)
       let_ "_" lo;
       let_ "_" hi;
-      str b "  N.bad_step rt "; pquoted b var; str b ";\n"
+      str b "  C.bad_step rt "; pquoted b var; str b ";\n"
   | IConst _ ->
       let_ "hi" hi;
       str b "  let i = ref "; pe st env lo; str b " in\n"
@@ -607,7 +607,7 @@ and emit_loop st env slot var lo hi step body loopt =
       let_ "lo" lo;
       let_ "hi" hi;
       let_ "step" step;
-      str b "  (if step <= 0 then N.bad_step rt "; pquoted b var;
+      str b "  (if step <= 0 then C.bad_step rt "; pquoted b var;
       str b ");\n  let i = ref lo in\n");
   if runs then begin
     str b "  while !i <= hi do\n";
@@ -679,7 +679,7 @@ let emit (k : kernel) : string =
   str b "module SP = Dhpf.Spmd\n\n";
   Printf.bprintf b "(* %d int slots, %d float slots; %d subscript dims proven in-bounds, %d checked *)\n"
     k.k_nint k.k_nfloat k.k_proven k.k_unproven;
-  str b "let rec k_main (ctx : N.kctx) (rt : C.rt) : unit =\n";
+  str b "let rec k_main (ctx : C.link) (rt : C.rt) : unit =\n";
   Buffer.add_buffer b main;
   Buffer.add_buffer b out;
   str b "\nlet () = N.register k_main\n";

@@ -19,6 +19,9 @@
     [max(local clock + recv overhead, message arrival)] with arrival =
     sender clock at send + alpha + bytes*beta — a LogGP-style model.
 
+    The run's results — [stats], [comm_cell], the exceptions and the stall
+    diagnosis — are {!Outcome}'s, included here as in {!Runtime}.
+
     In the interpreter, storage is one table per (processor, array) holding
     both owned elements and received non-local values; ownership is
     recomputed from the layout descriptors, so a [Local] access to a
@@ -27,8 +30,7 @@
     check of the compiler. *)
 
 open Dhpf
-
-exception Error = Runtime.Error
+include Outcome
 
 let errf fmt = Runtime.errf fmt
 
@@ -374,7 +376,7 @@ let rec exec_stmt sim p (s : Spmd.stmt) : unit =
 let reduce_arr_interp sim name (op : Spmd.reduce_op) : int =
   Runtime.reduce_tables op (meta_of sim name).mt_tables
 
-let run_interp (sim : isim) : Runtime.stats =
+let run_interp (sim : isim) : stats =
   if sim.iran then
     errf "simulation already executed: Exec.run consumed this sim (build a fresh one with Exec.make)";
   sim.iran <- true;
@@ -454,14 +456,7 @@ let capture_interp (sim : isim) : Runtime.image =
         })
       sim.procs
   in
-  let chans, inflight, totals = Runtime.capture_transport sim.tr in
-  {
-    Runtime.im_ops = sim.tr.Runtime.tr_gops;
-    im_procs = procs;
-    im_chans = chans;
-    im_inflight = inflight;
-    im_totals = totals;
-  }
+  Runtime.capture sim.tr procs
 
 (* ------------------------------------------------------------------ *)
 (* Public facade                                                       *)
@@ -503,57 +498,9 @@ let phys_of_vp = function
   | SCompiled cs -> Compile.phys_of_vp cs
   | SInterp s -> phys_of_vp_i s
 
-type stats = Runtime.stats = {
-  s_time : float;
-  s_msgs : int;
-  s_bytes : int;
-  s_elems : int;
-  s_proc_times : float array;
-  s_retransmits : int;
-  s_crashes : int;
-  s_ckpts : int;
-  s_ckpt_bytes : int;
-  s_lost_work : float;
-}
-
-type wait_reason = Runtime.wait_reason =
-  | WaitRecv of {
-      wr_event : int;
-      wr_src_vp : int list;
-      wr_src_pid : int;
-      wr_expected_seq : int;
-    }
-  | WaitReduce
-  | WaitReduceArr of string
-
-type proc_wait = Runtime.proc_wait = {
-  w_pid : int;
-  w_clock : float;
-  w_reason : wait_reason;
-}
-
-type diagnostic = Runtime.diagnostic = {
-  dg_waiting : proc_wait list;
-  dg_cycle : int list;
-  dg_undelivered : (int * int list * int list * int) list;
-}
-
-exception Deadlock = Runtime.Deadlock
-
-let diagnostic_to_string = Runtime.diagnostic_to_string
-
 let run = function
   | SCompiled cs -> Compile.run cs
   | SInterp s -> run_interp s
-
-type comm_cell = Runtime.comm_cell = {
-  cm_event : int;
-  cm_src : int;
-  cm_dst : int;
-  cm_msgs : int;
-  cm_elems : int;
-  cm_bytes : int;
-}
 
 let get_elem = function
   | SCompiled cs -> Compile.get_elem cs
@@ -562,8 +509,6 @@ let get_elem = function
 let get_scalar = function
   | SCompiled cs -> Compile.get_scalar cs
   | SInterp s -> get_scalar_interp s
-
-exception Crash = Runtime.Crash
 
 let transport = function
   | SCompiled cs -> Compile.transport cs

@@ -28,9 +28,16 @@
     Ownership is recomputed from the layout descriptors, so a [Local]
     access to a non-owned element, or a read of never-communicated
     non-local data, raises {!Error} — executing compiled code under the
-    simulator doubles as a compiler correctness check. *)
+    simulator doubles as a compiler correctness check.
 
-exception Error of string
+    What a run yields — {!stats}, the {!comm_cell} table, {!Error},
+    {!Crash}, {!Deadlock} and its {!diagnostic} — is declared once, in
+    {!Outcome}; this module and {!Runtime} include it, so their types and
+    exceptions are one. *)
+
+include module type of struct
+  include Outcome
+end
 
 type engine = [ `Closure | `Interp | `Native ]
 
@@ -81,59 +88,6 @@ val phys_of_vp : sim -> int list -> int
     tuple (identity for concrete distributions; block-start / template-cell
     decoding for the symbolic VP modes of §4). *)
 
-type stats = Runtime.stats = {
-  s_time : float;  (** simulated execution time: max processor clock *)
-  s_msgs : int;
-  s_bytes : int;
-  s_elems : int;  (** total elements communicated *)
-  s_proc_times : float array;
-  s_retransmits : int;
-      (** dropped transmissions, each re-sent after its retransmission
-          timer fired *)
-  s_crashes : int;
-      (** fail-stop crashes suffered, each recovered (checkpoint runs only) *)
-  s_ckpts : int;  (** coordinated checkpoints taken on the final attempt *)
-  s_ckpt_bytes : int;  (** encoded size of those checkpoints *)
-  s_lost_work : float;
-      (** simulated seconds of work discarded by rollbacks, summed over
-          processors and recoveries *)
-}
-
-(** {1 Deadlock diagnostics}
-
-    When the scheduler can make no progress, {!run} raises {!Deadlock} with
-    a structured diagnosis instead of a flat string: every stuck processor
-    with its simulated clock and what it waits on (event id, source VP and
-    physical pid, next expected sequence number), the extracted wait-for
-    cycle when one exists, and the channels still holding undelivered
-    messages. *)
-
-type wait_reason = Runtime.wait_reason =
-  | WaitRecv of {
-      wr_event : int;
-      wr_src_vp : int list;
-      wr_src_pid : int;
-      wr_expected_seq : int;
-    }
-  | WaitReduce
-  | WaitReduceArr of string
-
-type proc_wait = Runtime.proc_wait = {
-  w_pid : int;
-  w_clock : float;
-  w_reason : wait_reason;
-}
-
-type diagnostic = Runtime.diagnostic = {
-  dg_waiting : proc_wait list;
-  dg_cycle : int list;
-  dg_undelivered : (int * int list * int list * int) list;
-}
-
-exception Deadlock of diagnostic
-
-val diagnostic_to_string : diagnostic -> string
-
 val run : sim -> stats
 (** Execute the program on every processor to completion. Each sim is
     single-use: running it a second time would start from stale clocks,
@@ -149,15 +103,6 @@ val get_scalar : sim -> string -> float
 
 (** {1 Communication metrics} *)
 
-type comm_cell = Runtime.comm_cell = {
-  cm_event : int;  (** communication event id *)
-  cm_src : int;  (** sending physical processor *)
-  cm_dst : int;  (** [cm_src = cm_dst]: local copy between co-located VPs *)
-  cm_msgs : int;
-  cm_elems : int;
-  cm_bytes : int;  (** [cm_elems * elem_bytes] *)
-}
-
 val comm_cells : sim -> comm_cell list
 (** Measured point-to-point communication table after {!run}, sorted by
     (event, src, dst) — one row per pair that carried traffic, read from
@@ -170,11 +115,6 @@ val comm_cells : sim -> comm_cell list
 
     These expose the engine-independent hooks the {!Checkpoint} controller
     is built on; plain runs never need them. *)
-
-exception Crash of { cp_pid : int; cp_op : int; cp_clock : float }
-(** A scheduled fail-stop crash fired (same exception as {!Runtime.Crash}).
-    Under plain {!run} — no recovery controller installed — it propagates
-    here. *)
 
 val transport : sim -> Runtime.transport
 (** The sim's shared transport, for installing crash control, checkpoint

@@ -14,9 +14,10 @@
    engines differ only in how the kernel is executed ({!Diffcheck.engines}
    checks them bit-exactly).
 
-   The generated unit calls back into this module: [register] hands over
-   the entry point at load time, and the [do_*] / failure helpers are
-   {!Compile}'s shared runtime paths.
+   The generated unit calls back into this module only through
+   [register], which hands over the entry point at load time; its
+   communication, reduction and failure paths are {!Compile}'s own
+   functions, called directly.
 
    Loading requires the host executable to be linked with [-linkall]
    (dune [link_flags]); the emitted unit references library modules the
@@ -25,23 +26,15 @@
 let errf = Runtime.errf
 
 (* ------------------------------------------------------------------ *)
-(* Kernel-facing runtime                                               *)
+(* Kernel handoff                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type kctx = Compile.link
-type kernel_fn = kctx -> Compile.rt -> unit
+type kernel_fn = Compile.link -> Compile.rt -> unit
 
 (* handoff slot: the dynlinked unit's top-level [let () = N.register ...]
    runs during loadfile, and [obtain] picks the closure up right after *)
 let pending : kernel_fn option ref = ref None
 let register f = pending := Some f
-let bad_step = Compile.bad_step
-let unbound_int = Compile.unbound_int
-let unknown_sub = Compile.unknown_sub
-let do_send = Compile.send
-let do_recv = Compile.recv
-let do_reduce_arr = Compile.reduce_arr_effect
-let do_reduce_scalar = Compile.reduce_scalar
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-process build, hash-keyed cache, dynlink                     *)
@@ -276,5 +269,5 @@ let make ?machine ?faults ?domains ?cache_dir ~nprocs ?params
     match cache_dir with Some d -> d | None -> default_cache_dir ()
   in
   let fn = obtain ~cache_dir cs.Compile.c_kernel in
-  let kctx = Compile.link cs in
-  { cs with Compile.c_main = (fun rt -> fn kctx rt) }
+  let link = Compile.link cs in
+  { cs with Compile.c_main = (fun rt -> fn link rt) }

@@ -20,46 +20,15 @@
     Host executables must link with [-linkall] so the dynlinked kernel
     finds every library module. *)
 
-type kctx = Compile.link
-(** Per-sim context threaded through the generated kernel: transport,
-    VP-to-physical mapping, array ids, [vm$k] slots. *)
-
-type kernel_fn = kctx -> Compile.rt -> unit
+type kernel_fn = Compile.link -> Compile.rt -> unit
+(** A kernel's entry point: the per-sim link (transport, VP-to-physical
+    mapping, array ids, [vm$k] slots) and one processor's state. *)
 
 val register : kernel_fn -> unit
 (** Called by the dynlinked unit's top-level initializer to hand its entry
-    point to the loader. *)
-
-(** {1 Kernel runtime}
-
-    Called from emitted code only; each is the closure engine's own path
-    ({!Compile.send}, {!Compile.recv}, ...), so clock charges, effects and
-    error texts are shared, not copied. *)
-
-val bad_step : Compile.rt -> string -> 'a
-val unbound_int : Compile.rt -> string -> 'a
-val unknown_sub : Compile.rt -> string -> 'a
-
-val do_send :
-  kctx ->
-  Compile.rt ->
-  event:int ->
-  inplace:bool ->
-  rect:bool ->
-  int list ->
-  unit
-
-val do_recv :
-  kctx ->
-  Compile.rt ->
-  event:int ->
-  recv_o:float ->
-  unpack:float ->
-  int list ->
-  unit
-
-val do_reduce_arr : string -> Dhpf.Spmd.reduce_op -> unit
-val do_reduce_scalar : Compile.rt -> int -> Dhpf.Spmd.reduce_op -> unit
+    point to the loader. The unit's every other call goes straight to
+    {!Compile} ({!Compile.send}, {!Compile.recv}, ...), so clock charges,
+    effects and error texts are the closure engine's own. *)
 
 (** {1 Engine construction} *)
 

@@ -10,11 +10,13 @@
    engines — is what makes the engine-differential guarantee structural:
    the communication tally, retransmit accounting and delivery order
    cannot diverge between engines, because there is only one
-   implementation. *)
+   implementation. What a run yields (statistics, comm cells, the
+   exceptions and the stall diagnosis) is declared in {!Outcome} and
+   included here; every run keeps its tally and its time split, and
+   {!stats_of} publishes both while [Obs.Metrics] is on. *)
 
 open Dhpf
-
-exception Error of string
+include Outcome
 
 let errf fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 
@@ -283,8 +285,6 @@ let packbuf_flush (b : packbuf) : payload =
 (* Fail-stop crash control                                              *)
 (* ------------------------------------------------------------------ *)
 
-exception Crash of { cp_pid : int; cp_op : int; cp_clock : float }
-
 type crashctl = {
   cc_spec : Fault.spec option;
       (* probability-driven schedule: a crash fires at (pid, op) when
@@ -335,27 +335,11 @@ type trace = {
           collective's firing while every processor is parked in it *)
 }
 
-type comm_cell = {
-  cm_event : int;  (** communication event id *)
-  cm_src : int;
-  cm_dst : int;  (** [cm_src = cm_dst]: local copy between co-located VPs *)
-  cm_msgs : int;
-  cm_elems : int;
-  cm_bytes : int;
-}
-
-type simmetrics = {
-  sm_send_t : float array;  (** per-proc seconds inside sends (incl. packing) *)
-  sm_recv_t : float array;  (** per-proc seconds blocked + unpacking in recvs *)
-  sm_coll_t : float array;  (** per-proc seconds inside collectives *)
-  sm_recv_elems : int array;  (** per-proc halo elements received *)
-  sm_msg_bytes : Obs.Metrics.histogram;  (** wire size of network messages *)
-}
-
 (* Present while a run shards its processors across several domains: one
-   mutex guards every shared transport write (the mailbox, the tally,
-   the metering, the global operation count), and the epoch and
-   condition wake domains that sleep for want of a message or a firing. *)
+   mutex guards every shared transport write (the mailbox, the tally, the
+   send and collective time split, the global operation count), and the
+   epoch and condition wake domains that sleep for want of a message or a
+   firing. *)
 type sync = {
   sy_mu : Mutex.t;
   sy_wake : Condition.t;
@@ -382,14 +366,17 @@ type transport = {
   tr_retrans : int array;  (** retransmissions by sending processor *)
   mutable tr_coll_msgs : int;  (** tree messages of element-wise collectives *)
   mutable tr_coll_bytes : int;
+  (* each processor's time split, kept on every run (it only reads the
+     clocks and payload sizes) and published by {!stats_of} while
+     [Obs.Metrics] is on *)
+  tr_send_t : float array;  (** per-proc seconds inside sends (incl. packing) *)
+  tr_recv_t : float array;  (** per-proc seconds blocked + unpacking in recvs *)
+  tr_coll_t : float array;  (** per-proc seconds inside collectives *)
+  tr_recv_elems : int array;  (** per-proc halo elements received *)
   tr_trace : trace option;
       (** present iff tracing was enabled when the transport was built;
           tracing only reads the virtual clocks, never advances them, so a
           traced run is bit-identical to an untraced one *)
-  tr_metrics : simmetrics option;
-      (** present iff [Obs.Metrics] was enabled at build time; like
-          tracing, metrics recording only reads clocks and payload sizes,
-          so a metered run is bit-identical to a bare one *)
   tr_pid_ops : int array;
       (** per-processor communication-operation index: sends, receive
           completions and collective completions, in execution order — the
@@ -422,22 +409,15 @@ let transport_make ~machine ~faults ~nprocs =
     tr_retrans = Array.make nprocs 0;
     tr_coll_msgs = 0;
     tr_coll_bytes = 0;
+    tr_send_t = Array.make nprocs 0.0;
+    tr_recv_t = Array.make nprocs 0.0;
+    tr_coll_t = Array.make nprocs 0.0;
+    tr_recv_elems = Array.make nprocs 0;
     tr_trace =
       (if Obs.enabled () then
          Some
            { tw_pid = Atomic.fetch_and_add trace_ctr 1 + 1;
              tw_last = Array.make nprocs 0.0 }
-       else None);
-    tr_metrics =
-      (if Obs.Metrics.enabled () then
-         Some
-           {
-             sm_send_t = Array.make nprocs 0.0;
-             sm_recv_t = Array.make nprocs 0.0;
-             sm_coll_t = Array.make nprocs 0.0;
-             sm_recv_elems = Array.make nprocs 0;
-             sm_msg_bytes = Obs.Metrics.histogram "sim/msg_bytes";
-           }
        else None);
     tr_pid_ops = Array.make nprocs 0;
     tr_gops = 0;
@@ -548,10 +528,8 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
     ~rect (pl : payload) : unit =
   let m = tr.tr_machine in
   let n = Array.length pl.pl_idx in
-  (* clock before any charge: start of the traced/metered send window *)
-  let tt0 =
-    if tr.tr_trace = None && tr.tr_metrics = None then 0.0 else get_clock ()
-  in
+  (* clock before any charge: start of the send window *)
+  let tt0 = get_clock () in
   (* §3.3: transfers proved contiguous at compile time go in place; a
      rectangular section that was not proved is tested at run time (a
      handful of predicate evaluations — far cheaper than packing) and
@@ -615,14 +593,13 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
   Stdlib.incr msgs;
   elems := !elems + n;
   tr.tr_retrans.(pid) <- tr.tr_retrans.(pid) + plan.Fault.mp_drops;
-  (match tr.tr_metrics with
-  | None -> ()
-  | Some sm ->
-      (* reads only: the clock delta charged above and the payload size *)
-      sm.sm_send_t.(pid) <- sm.sm_send_t.(pid) +. (tfin -. tt0);
-      if not local then
-        Obs.Metrics.observe sm.sm_msg_bytes
-          (float_of_int (n * m.Machine.elem_bytes)));
+  tr.tr_send_t.(pid) <- tr.tr_send_t.(pid) +. (tfin -. tt0);
+  (* the registry exports every cell it holds, metered or not: only a
+     metered run may create this one *)
+  if (not local) && Obs.Metrics.enabled () then
+    Obs.Metrics.observe
+      (Obs.Metrics.histogram "sim/msg_bytes")
+      (float_of_int (n * m.Machine.elem_bytes));
   (match tr.tr_trace with
   | None -> ()
   | Some tw ->
@@ -642,19 +619,16 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
   publish tr;
   unlock tr
 
-(** Trace a completed receive: [t0] is the receiver's clock when it
+(** Account a completed receive: [t0] is the receiver's clock when it
     blocked, [t1] its clock after arrival synchronization and unpack
-    charges. Emits the recv slice (blocking wait included) and closes the
-    send's flow arrow. All three engines call this from their [Recv]
-    implementations; a no-op when the transport is untraced. It writes
-    only the receiver's own metric and trace slots. *)
+    charges. Adds the wait and the elements to the receiver's time split
+    and, when traced, emits the recv slice (blocking wait included) and
+    closes the send's flow arrow. All three engines call this from their
+    [Recv] implementations. It writes only the receiver's own slots. *)
 let trace_recv tr ~tid ~t0 ~t1 (k : key) (msg : msg) : unit =
-  (match tr.tr_metrics with
-  | None -> ()
-  | Some sm ->
-      sm.sm_recv_t.(tid) <- sm.sm_recv_t.(tid) +. (t1 -. t0);
-      sm.sm_recv_elems.(tid) <-
-        sm.sm_recv_elems.(tid) + Array.length msg.m_payload.pl_idx);
+  tr.tr_recv_t.(tid) <- tr.tr_recv_t.(tid) +. (t1 -. t0);
+  tr.tr_recv_elems.(tid) <-
+    tr.tr_recv_elems.(tid) + Array.length msg.m_payload.pl_idx;
   match tr.tr_trace with
   | None -> ()
   | Some tw ->
@@ -717,10 +691,10 @@ type image = {
   im_totals : totals;  (** the transport totals at capture *)
 }
 
-(** Transport half of a checkpoint image: per-channel sequence counters,
-    in-flight messages, and the transport totals. Engine-independent —
-    every engine's [capture] builds on this. *)
-let capture_transport tr =
+(** A checkpoint image: the engine's per-processor images, plus the
+    transport's per-channel sequence counters, in-flight messages and
+    totals. Every engine's [capture] ends here. *)
+let capture tr (procs : proc_image array) : image =
   let chans = Hashtbl.create 64 in
   let note k f =
     let sr = Option.value (Hashtbl.find_opt chans k) ~default:(0, 0) in
@@ -753,89 +727,12 @@ let capture_transport tr =
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> Array.of_list
   in
-  (im_chans, im_inflight, totals tr)
+  { im_ops = tr.tr_gops; im_procs = procs; im_chans; im_inflight;
+    im_totals = totals tr }
 
 (* ------------------------------------------------------------------ *)
-(* Statistics                                                           *)
+(* Deadlock diagnosis                                                   *)
 (* ------------------------------------------------------------------ *)
-
-type stats = {
-  s_time : float;  (** simulated execution time: max processor clock *)
-  s_msgs : int;
-  s_bytes : int;
-  s_elems : int;
-  s_proc_times : float array;
-  s_retransmits : int;  (** dropped transmissions re-sent after a timeout *)
-  s_crashes : int;
-      (** fail-stop crashes suffered, each recovered (checkpoint runs only) *)
-  s_ckpts : int;  (** coordinated checkpoints taken on the final attempt *)
-  s_ckpt_bytes : int;  (** encoded size of those checkpoints *)
-  s_lost_work : float;
-      (** simulated seconds of work discarded by rollbacks, summed over
-          processors and recoveries *)
-}
-
-(* ------------------------------------------------------------------ *)
-(* Deadlock diagnostics                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type wait_reason =
-  | WaitRecv of {
-      wr_event : int;
-      wr_src_vp : int list;
-      wr_src_pid : int;  (** physical processor the wait is on *)
-      wr_expected_seq : int;
-    }
-  | WaitReduce  (** blocked in a replicated-scalar collective *)
-  | WaitReduceArr of string  (** blocked in an array-reduction collective *)
-
-type proc_wait = { w_pid : int; w_clock : float; w_reason : wait_reason }
-
-type diagnostic = {
-  dg_waiting : proc_wait list;  (** every stuck processor, by pid *)
-  dg_cycle : int list;
-      (** pids forming a wait-for cycle (first element repeats conceptually);
-          [] when the stall is not cyclic (e.g. a missing send) *)
-  dg_undelivered : (int * int list * int list * int) list;
-      (** (event, src vp, dst vp, queued count) for nonempty channels *)
-}
-
-exception Deadlock of diagnostic
-
-let pp_vp fmt vp =
-  Fmt.pf fmt "(%s)" (String.concat "," (List.map string_of_int vp))
-
-let pp_diagnostic fmt (d : diagnostic) =
-  Fmt.pf fmt "deadlock: %d processor(s) stuck@." (List.length d.dg_waiting);
-  List.iter
-    (fun w ->
-      match w.w_reason with
-      | WaitRecv r ->
-          Fmt.pf fmt
-            "  proc %d [t=%.3e]: recv event %d from vp%a (pid %d), expecting \
-             seq %d@."
-            w.w_pid w.w_clock r.wr_event pp_vp r.wr_src_vp r.wr_src_pid
-            r.wr_expected_seq
-      | WaitReduce ->
-          Fmt.pf fmt "  proc %d [t=%.3e]: blocked in scalar reduction@."
-            w.w_pid w.w_clock
-      | WaitReduceArr a ->
-          Fmt.pf fmt "  proc %d [t=%.3e]: blocked in array reduction of %s@."
-            w.w_pid w.w_clock a)
-    d.dg_waiting;
-  (match d.dg_cycle with
-  | [] -> Fmt.pf fmt "  no wait-for cycle: a send is missing entirely@."
-  | c ->
-      Fmt.pf fmt "  wait-for cycle: %s -> %s@."
-        (String.concat " -> " (List.map string_of_int c))
-        (string_of_int (List.hd c)));
-  List.iter
-    (fun (ev, src, dst, n) ->
-      Fmt.pf fmt "  undelivered: event %d vp%a -> vp%a, %d message(s)@." ev
-        pp_vp src pp_vp dst n)
-    d.dg_undelivered
-
-let diagnostic_to_string d = Fmt.str "%a" pp_diagnostic d
 
 (* shortest-path-free cycle finding: DFS over the wait-for edges; small
    graphs, recursion depth bounded by nprocs *)
@@ -999,7 +896,8 @@ let fire (h : hooks) (at : coll option array) : fired option =
 
 (* Commit a fired collective to the transport: an element-wise collective
    adds its 2·stages·P tree messages to the tally, a scalar one adds
-   none; every processor's wait up to completion is metered and traced. *)
+   none; every processor's wait up to completion is added to its
+   collective time and traced. *)
 let account tr (h : hooks) (f : fired) =
   let nprocs = h.h_nprocs in
   let stages = Machine.stages nprocs in
@@ -1012,12 +910,9 @@ let account tr (h : hooks) (f : fired) =
   in
   tr.tr_coll_msgs <- tr.tr_coll_msgs + msgs;
   tr.tr_coll_bytes <- tr.tr_coll_bytes + bytes;
-  (match tr.tr_metrics with
-  | None -> ()
-  | Some sm ->
-      for p = 0 to nprocs - 1 do
-        sm.sm_coll_t.(p) <- sm.sm_coll_t.(p) +. (f.f_tdone -. h.h_clock p)
-      done);
+  for p = 0 to nprocs - 1 do
+    tr.tr_coll_t.(p) <- tr.tr_coll_t.(p) +. (f.f_tdone -. h.h_clock p)
+  done;
   match tr.tr_trace with
   | None -> ()
   | Some tw ->
@@ -1157,7 +1052,7 @@ let diagnose tr (h : hooks) (status : fiber array) : diagnostic =
    checkpoints and the watchdog are keyed on, so those runs take one
    domain. At any count, values and clocks are processor-local (delivery
    is sequence-matched, and a collective fires only once every processor
-   has parked in it), the tally, metering and histograms are sums, and a
+   has parked in it), the tally, time split and histograms are sums, and a
    stalled run has one final state: the results are bit-identical
    at every domain count. Only the order of trace events in the file and
    their flow-id numbers may differ. *)
@@ -1341,7 +1236,7 @@ let comm_cells tr : comm_cell list =
 (* fold the per-run accumulators into the global metrics registry: the
    communication matrix, per-processor time split, halo occupancy, fault
    breakdown and the derived load-balance figures of merit *)
-let metrics_publish tr sm tot ~proc_times =
+let metrics_publish tr tot ~proc_times =
   let module M = Obs.Metrics in
   let p = Array.length proc_times in
   let label_pair src dst =
@@ -1374,10 +1269,13 @@ let metrics_publish tr sm tot ~proc_times =
     done
   done;
   let halo = M.histogram "sim/halo_elems_per_proc" in
+  (* {!send} fills this one; a run without network messages still
+     exports it, empty *)
+  ignore (M.histogram "sim/msg_bytes" : M.histogram);
   let compute_sum = ref 0.0 and compute_max = ref 0.0 and comm_sum = ref 0.0 in
   Array.iteri
     (fun i total ->
-      let comm = sm.sm_send_t.(i) +. sm.sm_recv_t.(i) +. sm.sm_coll_t.(i) in
+      let comm = tr.tr_send_t.(i) +. tr.tr_recv_t.(i) +. tr.tr_coll_t.(i) in
       let compute = Float.max 0.0 (total -. comm) in
       compute_sum := !compute_sum +. compute;
       comm_sum := !comm_sum +. comm;
@@ -1385,14 +1283,14 @@ let metrics_publish tr sm tot ~proc_times =
       let labels = [ ("proc", string_of_int i) ] in
       M.set (M.gauge ~labels "sim/proc_total_s") total;
       M.set (M.gauge ~labels "sim/proc_compute_s") compute;
-      M.set (M.gauge ~labels "sim/proc_send_s") sm.sm_send_t.(i);
-      M.set (M.gauge ~labels "sim/proc_recv_wait_s") sm.sm_recv_t.(i);
-      M.set (M.gauge ~labels "sim/proc_coll_s") sm.sm_coll_t.(i);
+      M.set (M.gauge ~labels "sim/proc_send_s") tr.tr_send_t.(i);
+      M.set (M.gauge ~labels "sim/proc_recv_wait_s") tr.tr_recv_t.(i);
+      M.set (M.gauge ~labels "sim/proc_coll_s") tr.tr_coll_t.(i);
       if tr.tr_retrans.(i) > 0 then
         M.inc
           (M.counter ~labels:[ ("src", string_of_int i) ] "sim/retransmits_by_src")
           (float_of_int tr.tr_retrans.(i));
-      M.observe halo (float_of_int sm.sm_recv_elems.(i)))
+      M.observe halo (float_of_int tr.tr_recv_elems.(i)))
     proc_times;
   let inc_tot name v = M.inc (M.counter name) (float_of_int v) in
   inc_tot "sim/msgs_total" tot.t_msgs;
@@ -1413,8 +1311,8 @@ let metrics_publish tr sm tot ~proc_times =
 (** Assemble the final statistics from the transport tally and the
     per-processor clocks. For a traced run this is also the end of the
     timeline: name the lanes and fill each processor's tail (last traced
-    slice to its final clock) as compute. For a metered run this is where
-    the accumulators fold into the [Obs.Metrics] registry. *)
+    slice to its final clock) as compute. While [Obs.Metrics] is on, the
+    tally and the time split fold into its registry here. *)
 let stats_of tr ~proc_times : stats =
   (match tr.tr_trace with
   | Some tw ->
@@ -1428,9 +1326,7 @@ let stats_of tr ~proc_times : stats =
         proc_times
   | None -> ());
   let tot = totals tr in
-  (match tr.tr_metrics with
-  | Some sm -> metrics_publish tr sm tot ~proc_times
-  | None -> ());
+  if Obs.Metrics.enabled () then metrics_publish tr tot ~proc_times;
   {
     s_time = Array.fold_left Float.max 0.0 proc_times;
     s_msgs = tot.t_msgs;

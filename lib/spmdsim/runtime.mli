@@ -9,11 +9,16 @@
     all-reduces, deadlock diagnosis) live here and are used verbatim by
     all three engines, so the engine-differential guarantee — identical
     tallies, identical delivery order — is structural rather than
-    re-implemented per engine. *)
+    re-implemented per engine. What a run yields — {!stats}, the
+    {!comm_cell} table, {!Error}, {!Crash}, {!Deadlock} and its
+    {!diagnostic} — is declared once, in {!Outcome}, and included here
+    and in {!Exec}. *)
 
 open Dhpf
 
-exception Error of string
+include module type of struct
+  include Outcome
+end
 
 val errf : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Error} with a formatted message. *)
@@ -106,12 +111,6 @@ val packbuf_peek : packbuf -> payload
 
 (** {1 Fail-stop crash control} *)
 
-exception Crash of { cp_pid : int; cp_op : int; cp_clock : float }
-(** A scheduled fail-stop crash fired: processor [cp_pid] died at its
-    [cp_op]-th communication operation, local clock [cp_clock]. Recovered
-    by {!Checkpoint.run}; under plain [Exec.run] it propagates to the
-    caller. *)
-
 type crashctl
 (** Crash schedule control block: the probability spec and/or explicit
     (pid, op) plan, the remaining crash budget, and the set of crashes
@@ -145,15 +144,6 @@ type trace
     clocks but never advances them, so traced and untraced runs are
     bit-identical. *)
 
-type simmetrics
-(** Per-simulation metering: per-processor send/recv-wait/collective
-    time, halo occupancy and the message-size histogram. Allocated by
-    {!transport_make} iff [Obs.Metrics.enabled ()]; like tracing it only
-    reads the virtual clocks and payload sizes, so a metered run is
-    bit-identical (values, clocks, tally) to a bare one. Folded, with
-    sums of the tally, into the [Obs.Metrics] registry by {!stats_of}
-    under [sim/]-prefixed series names. *)
-
 type sync
 (** The transport lock, wake-up condition and commit epoch of a
     multi-domain run. *)
@@ -176,8 +166,16 @@ type transport = {
   tr_retrans : int array;  (** retransmissions by sending processor *)
   mutable tr_coll_msgs : int;  (** tree messages of element-wise collectives *)
   mutable tr_coll_bytes : int;
+  tr_send_t : float array;
+      (** per processor: seconds inside sends, packing included. With the
+          three fields below it is the run's time split, kept on every run
+          (it only reads the clocks and payload sizes) and published by
+          {!stats_of} while [Obs.Metrics] is on *)
+  tr_recv_t : float array;
+      (** per processor: seconds blocked and unpacking in receives *)
+  tr_coll_t : float array;  (** per processor: seconds inside collectives *)
+  tr_recv_elems : int array;  (** per processor: halo elements received *)
   tr_trace : trace option;
-  tr_metrics : simmetrics option;
   tr_pid_ops : int array;
       (** per-processor communication-operation index (sends, receive
           completions, collective completions, in execution order) — the
@@ -202,15 +200,6 @@ type transport = {
 val transport_make :
   machine:Machine.t -> faults:Fault.spec option -> nprocs:int -> transport
 
-type comm_cell = {
-  cm_event : int;  (** communication event id *)
-  cm_src : int;  (** sending physical processor *)
-  cm_dst : int;  (** [cm_src = cm_dst]: local copy between co-located VPs *)
-  cm_msgs : int;
-  cm_elems : int;
-  cm_bytes : int;  (** [cm_elems * elem_bytes] *)
-}
-
 val comm_cells : transport -> comm_cell list
 (** Measured point-to-point communication table, sorted by (event, src,
     dst); one row per pair that carried traffic. Per-pair counts never
@@ -219,10 +208,11 @@ val comm_cells : transport -> comm_cell list
 
 val trace_recv :
   transport -> tid:int -> t0:float -> t1:float -> key -> msg -> unit
-(** Trace a completed receive ([t0] = clock at block, [t1] = clock after
-    arrival sync and unpack charges, both in simulated seconds): emits the
-    recv slice and closes the matching send's flow arrow. No-op when the
-    transport is untraced — every engine calls it unconditionally. *)
+(** Account a completed receive ([t0] = clock at block, [t1] = clock
+    after arrival sync and unpack charges, both in simulated seconds): adds
+    the wait and the elements to the receiver's time split and, when
+    traced, emits the recv slice and closes the matching send's flow
+    arrow. Every engine calls it on every receive. *)
 
 val send :
   transport ->
@@ -297,11 +287,11 @@ type image = {
   im_totals : totals;  (** the transport totals at capture *)
 }
 
-val capture_transport :
-  transport -> (key * int * int) array * (key * msg array) array * totals
-(** Transport half of an image: sorted per-channel sequence counters,
-    each channel's in-flight messages sorted by sequence number (flow ids
-    zeroed), and the transport totals. *)
+val capture : transport -> proc_image array -> image
+(** The image of a simulation whose processors' images are given: adds
+    the global op count, the sorted per-channel sequence counters, each
+    channel's in-flight messages sorted by sequence number (flow ids
+    zeroed), and the transport totals. Every engine's capture ends here. *)
 
 (** {1 Effects} *)
 
@@ -321,49 +311,10 @@ type _ Effect.t +=
 
 (** {1 Statistics} *)
 
-type stats = {
-  s_time : float;
-  s_msgs : int;
-  s_bytes : int;
-  s_elems : int;
-  s_proc_times : float array;
-  s_retransmits : int;
-  s_crashes : int;
-      (** fail-stop crashes suffered, each recovered (checkpoint runs only) *)
-  s_ckpts : int;  (** coordinated checkpoints taken on the final attempt *)
-  s_ckpt_bytes : int;  (** encoded size of those checkpoints *)
-  s_lost_work : float;
-      (** simulated seconds of work discarded by rollbacks, summed over
-          processors and recoveries *)
-}
-
 val stats_of : transport -> proc_times:float array -> stats
 (** The run's statistics: the clocks, and the transport totals summed
-    from the tally. *)
-
-(** {1 Deadlock diagnostics} *)
-
-type wait_reason =
-  | WaitRecv of {
-      wr_event : int;
-      wr_src_vp : int list;
-      wr_src_pid : int;
-      wr_expected_seq : int;
-    }
-  | WaitReduce
-  | WaitReduceArr of string
-
-type proc_wait = { w_pid : int; w_clock : float; w_reason : wait_reason }
-
-type diagnostic = {
-  dg_waiting : proc_wait list;
-  dg_cycle : int list;
-  dg_undelivered : (int * int list * int list * int) list;
-}
-
-exception Deadlock of diagnostic
-
-val diagnostic_to_string : diagnostic -> string
+    from the tally. While [Obs.Metrics] is on it also publishes the
+    tally and the time split as [sim/]-prefixed series. *)
 
 (** {1 Scheduler} *)
 

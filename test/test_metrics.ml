@@ -551,6 +551,71 @@ let test_unmetered_cells () =
       ("gauss (co-located)", Colocated.src);
     ]
 
+(* ---- every run keeps its time split ---- *)
+
+(* a sim built while metrics are off still keeps each processor's send,
+   receive-wait and collective seconds and its halo count, so enabling
+   metrics before it runs publishes the same [sim/] series as a sim built
+   with metrics on *)
+let test_time_split_kept () =
+  let was_on = M.enabled () in
+  Fun.protect ~finally:(fun () -> if was_on then M.enable () else M.disable ())
+  @@ fun () ->
+  let sim_series snap =
+    List.filter
+      (fun (s : M.sample) -> String.starts_with ~prefix:"sim/" s.m_name)
+      snap
+  in
+  List.iter
+    (fun (name, src) ->
+      let prog =
+        (Dhpf.Gen.compile (Hpf.Sema.analyze_source src)).Dhpf.Gen.cprog
+      in
+      List.iter
+        (fun engine ->
+          let what s =
+            Printf.sprintf "%s, %s: %s" name
+              (Spmdsim.Exec.engine_to_string engine)
+              s
+          in
+          M.reset ();
+          M.disable ();
+          let sim = Spmdsim.Exec.make ~engine ~nprocs:4 prog in
+          let (), late =
+            with_metrics (fun () -> ignore (Spmdsim.Exec.run sim))
+          in
+          let (), built_on =
+            with_metrics (fun () ->
+                ignore
+                  (Spmdsim.Exec.run (Spmdsim.Exec.make ~engine ~nprocs:4 prog)))
+          in
+          let late = sim_series late and built_on = sim_series built_on in
+          List.iter
+            (fun series ->
+              let n =
+                List.length
+                  (List.filter
+                     (fun (s : M.sample) ->
+                       s.m_name = series && List.mem_assoc "proc" s.m_labels)
+                     late)
+              in
+              Alcotest.(check int) (what (series ^ " per processor")) 4 n)
+            [ "sim/proc_send_s"; "sim/proc_recv_wait_s"; "sim/proc_coll_s" ];
+          Alcotest.(check bool)
+            (what "sim/halo_elems_per_proc published")
+            true
+            (List.exists
+               (fun (s : M.sample) -> s.m_name = "sim/halo_elems_per_proc")
+               late);
+          Alcotest.(check bool)
+            (what "every sim/ series as when built metered")
+            true (late = built_on))
+        [ `Closure; `Interp ])
+    [
+      ("jacobi", Codes.jacobi ~n:24 ~iters:2 ~procs:(Codes.Fixed (2, 2)) ());
+      ("erlebacher", Codes.erlebacher ~n:16 ());
+    ]
+
 (* the join must flag divergence in either direction *)
 let test_check_detects_mismatch () =
   let pred =
@@ -615,5 +680,7 @@ let () =
             test_published_sums;
           Alcotest.test_case "unmetered runs tally their comm cells" `Quick
             test_unmetered_cells;
+          Alcotest.test_case "every run keeps its time split" `Quick
+            test_time_split_kept;
         ] );
     ]

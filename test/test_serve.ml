@@ -1566,13 +1566,17 @@ let test_dump_op () =
     | None -> Alcotest.fail "flight bundle has no entries"
   in
   Alcotest.(check bool) "entries nonempty" true (entries <> []);
-  Alcotest.(check bool)
-    "request summary recorded" true
-    (List.exists
-       (fun e ->
-         Obs.Json.get_str e "kind" = Some "request"
-         && Obs.Json.get_str e "rid" = Some "dump-probe")
-       entries);
+  (* the request's serve.complete line is its one summary entry *)
+  Alcotest.(check int)
+    "one request summary recorded" 1
+    (List.length
+       (List.filter
+          (fun e ->
+            Obs.Json.get_str e "rid" = Some "dump-probe"
+            && Option.bind (Obs.Json.get e "fields") (fun f ->
+                   Obs.Json.get f "service_s")
+               <> None)
+          entries));
   match Obs.Json.get r "metrics" with
   | Some (Obs.Json.Obj _) -> ()
   | _ -> Alcotest.fail "dump has no metrics snapshot"
