@@ -618,21 +618,22 @@ let par_smoke () =
 (* Native-engine smoke: three-way bit-identity (closure / interpreter /
    generated-OCaml kernel, fault schedules included) is always asserted;
    the speedup gate compares warm-cache kernel execution against the
-   closure engine's run phase on JACOBI-384. The out-of-process ocamlopt
-   build is reported separately — it is a one-time cost the source-hash
-   cache amortizes across runs. *)
+   closure engine's run phase on JACOBI-384, over [native_pairs] paired
+   samples. The out-of-process ocamlopt build is reported separately — it
+   is a one-time cost the source-hash cache amortizes across runs. *)
 
 type native_row = {
   nv_diff_runs : int;  (* three-way differential runs that agreed *)
   nv_obtain_s : float;  (* first make: cold build or cache hit *)
   nv_make_warm_s : float;  (* second make: lower+emit+hash+dynlink *)
   nv_interp_s : float;
-  nv_closure_s : float;
-  nv_native_s : float;
+  nv_pairs : (float * float) list;  (* closure and native run phases *)
   nv_unit_bytes : int;  (* JACOBI-384's emitted unit *)
   nv_unit_loops : int;  (* its loop functions *)
   nv_kfors : int;  (* its kernel's [KFor] nodes *)
 }
+
+let native_pairs = 7
 
 let native_measure () =
   let chk =
@@ -665,27 +666,30 @@ let native_measure () =
   let make_warm_s, _ =
     timed (fun () -> Spmdsim.Exec.make ~engine:`Native ~nprocs:8 prog)
   in
-  (* run phase only, best of [best] after one warm-up run: each engine
-     gets a fresh sim per run (the runtime refuses to re-run one) *)
-  let run_phase ?(best = 3) engine =
-    let one () =
-      let sim = Spmdsim.Exec.make ~engine ~nprocs:8 prog in
-      fst (timed (fun () -> ignore (Spmdsim.Exec.run sim)))
-    in
-    ignore (one ());
-    let t = ref infinity in
-    for _ = 1 to best do
-      t := Float.min !t (one ())
-    done;
-    !t
+  (* run phase only: each run gets a fresh sim (the runtime refuses to
+     re-run one) *)
+  let run_phase engine =
+    let sim = Spmdsim.Exec.make ~engine ~nprocs:8 prog in
+    fst (timed (fun () -> ignore (Spmdsim.Exec.run sim)))
+  in
+  (* one warm-up run of each engine first *)
+  ignore (run_phase `Interp);
+  let interp_s = run_phase `Interp in
+  ignore (run_phase `Closure);
+  ignore (run_phase `Native);
+  (* a closure run and a native run back to back make one pair, so both
+     halves of a ratio see the same moment of a shared host *)
+  let pairs =
+    List.init native_pairs (fun _ ->
+        let c = run_phase `Closure in
+        (c, run_phase `Native))
   in
   {
     nv_diff_runs = runs;
     nv_obtain_s = obtain_s;
     nv_make_warm_s = make_warm_s;
-    nv_interp_s = run_phase ~best:1 `Interp;
-    nv_closure_s = run_phase `Closure;
-    nv_native_s = run_phase `Native;
+    nv_interp_s = interp_s;
+    nv_pairs = pairs;
     nv_unit_bytes = String.length unit_src;
     nv_unit_loops =
       List.length
@@ -696,25 +700,38 @@ let native_measure () =
   }
 
 (* Backs `make bench-native-smoke`: identity always, and the run phase
-   must beat the closure engine by [native_min_speedup] (the comparison is
-   single-threaded, so unlike par-smoke it holds on one core too). *)
+   must beat the closure engine by [native_min_speedup] in the median of
+   the paired samples' ratios (the comparison is single-threaded, so
+   unlike par-smoke it holds on one core too). *)
 let native_min_speedup = 3.0
 
 let native_smoke () =
   let r = native_measure () in
-  let sp = r.nv_closure_s /. Float.max r.nv_native_s 1e-9 in
+  let ratios =
+    List.mapi
+      (fun i (c, n) ->
+        let x = c /. Float.max n 1e-9 in
+        Fmt.epr
+          "bench native-smoke: JACOBI-384 run phase, pair %d: closure=%.3fs \
+           native=%.3fs (%.2fx)@."
+          (i + 1) c n x;
+        x)
+      r.nv_pairs
+  in
+  let sorted = Array.of_list (List.sort Float.compare ratios) in
+  let sp = sorted.(Array.length sorted / 2) in
   Fmt.epr
     "bench native-smoke: three-way ok (%d run(s)); JACOBI-384 run phase \
-     closure=%.3fs native=%.3fs interp=%.3fs (%.2fx over closure; warm make \
-     %.3fs, first obtain %.3fs)@."
-    r.nv_diff_runs r.nv_closure_s r.nv_native_s r.nv_interp_s sp
-    r.nv_make_warm_s r.nv_obtain_s;
+     median %.2fx over closure of %d pairs; interp=%.3fs; warm make %.3fs, \
+     first obtain %.3fs@."
+    r.nv_diff_runs sp (Array.length sorted) r.nv_interp_s r.nv_make_warm_s
+    r.nv_obtain_s;
   Fmt.epr
     "bench native-smoke: JACOBI-384 unit %d bytes, %d loop functions for %d \
      KFor nodes@."
     r.nv_unit_bytes r.nv_unit_loops r.nv_kfors;
   if sp < native_min_speedup then begin
-    Fmt.epr "bench native-smoke: speedup below %.2fx threshold@."
+    Fmt.epr "bench native-smoke: median speedup below %.2fx threshold@."
       native_min_speedup;
     exit 1
   end;

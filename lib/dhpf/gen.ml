@@ -181,7 +181,27 @@ type gctx = {
   comm_write : (int, unit) Hashtbl.t;  (** likewise for non-local writes *)
   mutable splits : Split.sections list;
       (** the sections of every nest split so far, latest first *)
+  iters : (Cp.loop list, Rel.t) Hashtbl.t;  (** {!iter_space} per nest *)
+  refmaps : (Cp.loop list * Hpf.Ast.ref_, Rel.t) Hashtbl.t;
+      (** {!restricted_refmap} per nest and reference *)
 }
+
+(* Built once per unit: a repeat would convert the same AST again and
+   re-intern the result before the relation memo could answer. *)
+let cached tbl k f =
+  match Hashtbl.find_opt tbl k with
+  | Some v -> v
+  | None ->
+      let v = f () in
+      Hashtbl.add tbl k v;
+      v
+
+let iter_space g nest = cached g.iters nest (fun () -> Cp.iter_space g.ctx nest)
+
+(* RefMap of [r] restricted to its nest's iteration space *)
+let restricted_refmap g nest r =
+  cached g.refmaps (nest, r) (fun () ->
+      Rel.restrict_domain (Cp.refmap g.ctx nest r) (iter_space g nest))
 
 let is_distributed g name = Layout.distributed g.ctx name
 
@@ -230,7 +250,7 @@ let rec analyze_stmt g nest (s : Hpf.Ast.stmt) : node =
             None
         | r -> r
       in
-      let iter = Cp.iter_space g.ctx nest in
+      let iter = iter_space g nest in
       let refs = cp_refs_of g lhs on_home reduction in
       let cpmap =
         if refs = [] then Cp.replicated_cpmap g.ctx iter
@@ -334,8 +354,7 @@ let ref_is_nonlocal g ai (r : Hpf.Ast.ref_) =
   | None -> false
   | Some layout ->
       Phase.time g.phase "communication analysis" @@ fun () ->
-      let iter = Cp.iter_space g.ctx ai.ai_nest in
-      let rm = Rel.restrict_domain (Cp.refmap g.ctx ai.ai_nest r) iter in
+      let rm = restricted_refmap g ai.ai_nest r in
       let accessed = Rel.apply rm ai.ai_cpiter in
       let owned = Rel.apply_point layout (Layout.my_vp_point g.ctx) in
       not (Rel.is_empty (Rel.diff accessed owned))
@@ -385,8 +404,7 @@ let rec pending_writes = function
 
 (* Data touched by reference [r] of [ai], for conflict tests. *)
 let data_of_ref g ai r =
-  let iter = Cp.iter_space g.ctx ai.ai_nest in
-  Rel.apply (Cp.refmap g.ctx ai.ai_nest r) iter
+  Rel.range (restricted_refmap g ai.ai_nest r)
 
 (* Would communication for read [r] of [ai_r], placed just before this
    subtree at loop depth [depth], be stale because the subtree writes the
@@ -407,12 +425,8 @@ let rec write_conflict g node ~depth ~(read : assign_info * Hpf.Ast.ref_) =
   match node with
   | NAssign ai_w when fst ai_w.ai_lhs = name && snd ai_w.ai_lhs <> [] ->
       Phase.time g.phase "communication analysis" @@ fun () ->
-      let iter_r = Cp.iter_space g.ctx ai_r.ai_nest in
-      let rm_r = Rel.restrict_domain (Cp.refmap g.ctx ai_r.ai_nest r) iter_r in
-      let iter_w = Cp.iter_space g.ctx ai_w.ai_nest in
-      let rm_w =
-        Rel.restrict_domain (Cp.refmap g.ctx ai_w.ai_nest ai_w.ai_lhs) iter_w
-      in
+      let rm_r = restricted_refmap g ai_r.ai_nest r in
+      let rm_w = restricted_refmap g ai_w.ai_nest ai_w.ai_lhs in
       let d = Rel.compose rm_w (Rel.inverse rm_r) in
       let k = min depth (min (Rel.in_arity d) (Rel.out_arity d)) in
       let prefix_eq =
@@ -470,9 +484,7 @@ let make_event g ~nest ~kind ~array (refs : (assign_info * Hpf.Ast.ref_) list) :
   let pairs =
     List.map
       (fun (ai, r) ->
-        let iter = Cp.iter_space g.ctx ai.ai_nest in
-        let rm = Rel.restrict_domain (Cp.refmap g.ctx ai.ai_nest r) iter in
-        (ai.ai_cpmap, rm))
+        (ai.ai_cpmap, restricted_refmap g ai.ai_nest r))
       refs
   in
   let maps =
@@ -1041,18 +1053,7 @@ let split_candidate g ~outer_depth node =
             (List.sort_uniq compare (Cp.refs_of_fexpr ai.ai_rhs))
         in
         let nest = a0.ai_nest in
-        let iter = lazy (Cp.iter_space g.ctx nest) in
-        let refmaps = ref [] in
-        let rm r =
-          match List.assoc_opt r !refmaps with
-          | Some m -> m
-          | None ->
-              let m =
-                Rel.restrict_domain (Cp.refmap g.ctx nest r) (Lazy.force iter)
-              in
-              refmaps := (r, m) :: !refmaps;
-              m
-        in
+        let rm = restricted_refmap g nest in
         let no_carried_deps () =
           Phase.time g.phase "loop splitting" @@ fun () ->
           let depth = List.length nest in
@@ -1268,7 +1269,7 @@ and try_split g ~outer loop_node (nest, assigns, rm) ~sends ~recvs :
     else begin
       let outern = Array.of_list outer in
       let context =
-        bind_prefix_params outern (Cp.iter_space g.ctx nest)
+        bind_prefix_params outern (iter_space g nest)
       in
       let emit_sec sec =
         let set = Split.section_set sections sec in
@@ -1380,6 +1381,8 @@ let compile ?(opts = default_options) ?(phase = Phase.global)
         phase;
         comm_reads = Hashtbl.create 64;
         comm_write = Hashtbl.create 64;
+        iters = Hashtbl.create 16;
+        refmaps = Hashtbl.create 64;
         splits = [];
       }
     in

@@ -111,7 +111,9 @@ let () = Tbl.register_gauge "interned conjuncts"
    paths in [Constr.equal] / [Lin.compare] fire on every later comparison.
    A lookup that hits interns nothing else: the representative's children
    are canonical already. A representative keeps its id, and skips the
-   table while no clear has made that id stale (see {!Hcons}). *)
+   table while no clear of its stripe has made that id stale (see
+   {!Hcons}); its [hc] is always filled, and [cid = -1] is never
+   trusted. *)
 let intern_table t =
   let ((rep, id) as r) =
     Tbl.intern_with t (fun t ->
@@ -122,9 +124,10 @@ let intern_table t =
   if rep.cid <> id then rep.cid <- id;
   r
 
-let intern_pair t = if Tbl.trusted t.cid then (t, t.cid) else intern_table t
-let intern t = if Tbl.trusted t.cid then t else fst (intern_table t)
-let id t = if Tbl.trusted t.cid then t.cid else snd (intern_table t)
+let trusted t = Tbl.trusted ~hash:t.hc t.cid
+let intern_pair t = if trusted t then (t, t.cid) else intern_table t
+let intern t = if trusted t then t else fst (intern_table t)
+let id t = if trusted t then t.cid else snd (intern_table t)
 
 (* canonical byte codec: the existential count, then the constraints in
    list order (the order is part of structural identity, exactly as in
@@ -796,8 +799,10 @@ let trivially_unsat t =
                 let g = Lin.coeff_gcd lin in
                 if g > 1 && Lin.constant lin mod g <> 0 then raise Kill
             | Constr.Geq -> ());
-            match Var.Map.bindings lin.Lin.coeffs with
-            | [ (v, a) ] ->
+            (* one variable, tested without listing the bindings *)
+            match Var.Map.cardinal lin.Lin.coeffs with
+            | 1 ->
+                let v, a = Var.Map.choose lin.Lin.coeffs in
                 let k = Lin.constant lin in
                 let lo, hi =
                   match Var.Map.find_opt v ivals with
@@ -828,8 +833,12 @@ let trivially_unsat t =
 let sat_memo =
   Cache.Id.create Stats.sat ~disk:(Diskcache.bool_codec wire_of_conj) sat_raw
 
+(* A conjunct with a trusted id (a representative, such as a memoized
+   result) is looked up first: its answer is usually in the table, and
+   the pre-filter runs only in front of conjuncts without one. *)
 let sat t =
-  if trivially_unsat t then begin
+  if Cache.enabled () && trusted t then Cache.Id.find_or_add sat_memo t.cid t
+  else if trivially_unsat t then begin
     Stats.bump Stats.sat_prefilter_kills;
     false
   end

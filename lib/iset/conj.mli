@@ -60,7 +60,8 @@ val wire_read : Wire.cursor -> t
 val trivially_unsat : t -> bool
 (** Cheap sound unsatisfiability pre-filter (constant violations, equality
     gcd tests, single-variable interval contradictions); [true] means the
-    conjunct is definitely empty, [false] means "don't know". *)
+    conjunct is definitely empty, [false] means "don't know". It lists no
+    coefficient map's bindings. *)
 
 val shift_ex : int -> t -> t
 (** Shift every existential id; used to rename conjuncts apart. *)
@@ -82,8 +83,11 @@ val simplify : t -> t option
 val sat : t -> bool
 (** The full Omega test, treating every variable (tuple, parameter,
     existential) as existentially quantified: is the conjunct satisfiable
-    for {e some} assignment? Exact. Guarded by {!trivially_unsat} and
-    memoized on the interned id (see {!Cache}). *)
+    for {e some} assignment? Exact. Memoized on the interned id (see
+    {!Cache}). A conjunct that carries a trusted id (an interned
+    representative, such as a memoized result) is looked up in the table
+    first; any other conjunct is guarded by {!trivially_unsat} first, and
+    only those kills count as [sat pre-filter kills] in {!Stats}. *)
 
 val is_empty : t -> bool
 

@@ -21,12 +21,14 @@
     its buckets. Each entry keeps those bucket bits, which a chain walk
     compares before calling [H.equal] and a resize reuses.
 
-    Cached ids: a caller may keep a representative's id beside it and skip
-    [intern] while {!trusted} holds for that id. Every clear, wholesale or
-    on full, raises the table's watermark to the next id to be issued, so
-    an id issued before the latest clear is no longer trusted: its entry
-    may be gone, and re-interning would issue a fresh id. One watermark
-    per table is enough because ids are monotone. *)
+    Cached ids: a caller may keep a representative's id and hash beside
+    it and skip [intern] while {!trusted} holds for them. Each stripe has
+    a watermark; a clear raises it to the next id to be issued, so an id
+    issued before its stripe's latest clear is no longer trusted: its
+    entry may be gone, and re-interning would issue a fresh id. A
+    clear-on-full raises only its own stripe's watermark, so ids held in
+    the other stripes stay trusted; a wholesale clear raises them all.
+    One watermark per stripe is enough because ids are monotone. *)
 
 module Make (H : Hashtbl.HashedType) () = struct
   let stripe_bits = 4
@@ -49,23 +51,22 @@ module Make (H : Hashtbl.HashedType) () = struct
 
   let next_id = Atomic.make 0
 
-  (* ids below it were issued before the latest clear *)
-  let watermark = Atomic.make 0
+  (* per stripe: ids below it were issued before the stripe's latest
+     clear; written under the stripe's lock, read without it *)
+  let watermarks = Array.init n_stripes (fun _ -> Atomic.make 0)
 
-  let rec raise_watermark () =
-    let w = Atomic.get watermark and n = Atomic.get next_id in
-    if n > w && not (Atomic.compare_and_set watermark w n) then raise_watermark ()
-
-  let trusted id = id >= Atomic.get watermark
-
-  let reset s =
+  (* under stripe [i]'s lock; the watermark rises before the entries go,
+     so no check made after they are gone trusts their ids *)
+  let clear i s =
+    Atomic.set watermarks.(i) (Atomic.get next_id);
     s.buckets <- Array.make initial_buckets Nil;
     s.count <- 0
 
   let () =
     Cache.register_clear (fun () ->
-        Array.iter (fun s -> Mutex.protect s.mu (fun () -> reset s)) stripes;
-        raise_watermark ())
+        Array.iteri
+          (fun i s -> Mutex.protect s.mu (fun () -> clear i s))
+          stripes)
 
   let size () = Array.fold_left (fun acc s -> acc + s.count) 0 stripes
 
@@ -80,6 +81,9 @@ module Make (H : Hashtbl.HashedType) () = struct
 
   let slot s bits = bits land (Array.length s.buckets - 1)
 
+  let trusted ~hash id =
+    id >= Atomic.get watermarks.(mix hash land (n_stripes - 1))
+
   let grow s =
     let old = s.buckets in
     s.buckets <- Array.make (2 * Array.length old) Nil;
@@ -92,10 +96,9 @@ module Make (H : Hashtbl.HashedType) () = struct
     in
     Array.iter move old
 
-  let insert s bits x =
+  let insert i s bits x =
     if s.count >= max 1 (Cache.capacity () / n_stripes) then begin
-      reset s;
-      raise_watermark ();
+      clear i s;
       Stats.bump Stats.evictions
     end
     else if s.count >= 2 * Array.length s.buckets then grow s;
@@ -107,11 +110,12 @@ module Make (H : Hashtbl.HashedType) () = struct
 
   let intern_with x canon =
     let h = mix (H.hash x) in
-    let s = stripes.(h land (n_stripes - 1)) in
+    let i = h land (n_stripes - 1) in
+    let s = stripes.(i) in
     let bits = h lsr stripe_bits in
     Mutex.protect s.mu @@ fun () ->
     let rec find = function
-      | Nil -> insert s bits (canon x)
+      | Nil -> insert i s bits (canon x)
       | Cons e ->
           if e.bits = bits && H.equal e.rep x then (e.rep, e.id) else find e.next
     in

@@ -21,10 +21,11 @@ module Make (H : Hashtbl.HashedType) () : sig
 
   val id : H.t -> int
 
-  val trusted : int -> bool
-  (** [trusted id]: no clear has hit this table since [id] was issued, so
-      re-interning the value [id] was issued for would return [id] again.
-      A caller that keeps an id beside its representative may skip
+  val trusted : hash:int -> int -> bool
+  (** [trusted ~hash id], [hash] being [H.hash] of the value [id] was
+      issued for: no clear has hit that value's stripe since [id] was
+      issued, so re-interning the value would return [id] again. A caller
+      that keeps an id and hash beside its representative may skip
       {!intern} while this holds. *)
 
   val size : unit -> int

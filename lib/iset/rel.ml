@@ -57,17 +57,21 @@ let check_sig op a b =
 (* Relation-level memo                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The relation operations the compiler chains (diff, coalesce, compose,
-   domain, range, apply_point) are pure functions of their operands'
-   conjuncts, so they are memoized like the conjunct-level operations. A
-   key is a flat int array: an op code, then for each operand its arities,
-   its conjunct count and the interned id of every conjunct, then (for
+(* The relation operations the compiler chains (inter, diff, coalesce,
+   compose, domain, range, inverse, restrict_domain, restrict_range,
+   flatten, apply_point) are pure functions of their operands' conjuncts,
+   so they are memoized like the conjunct-level operations. A key is a
+   flat int array: an op code, then for each operand its arities, its
+   conjunct count and the interned id of every conjunct, then (for
    [apply_point]) the interned id of every term. Names are cosmetic and
    stay out of the key: the tables hold result conjuncts (or the subset
    verdict), and each operation builds the result's names exactly as the
-   uncached path does. Ids are never reused (see {!Cache}), so a key can
-   never match an entry of a retired id. Exceptions are not cached:
-   [find_or_add] inserts only after the computation returns. *)
+   uncached path does. The result conjuncts are interned representatives,
+   so a chain of operations passes trusted ids along and the next key,
+   [simplify] or [sat] on a result is a table lookup. Ids are never
+   reused (see {!Cache}), so a key can never match an entry of a retired
+   id. Exceptions are not cached: [find_or_add] inserts only after the
+   computation returns. *)
 
 let op_diff = 0
 let op_coalesce = 1
@@ -76,6 +80,11 @@ let op_domain = 3
 let op_range = 4
 let op_apply_point = 5
 let op_subset = 6
+let op_inter = 7
+let op_inverse = 8
+let op_restrict_domain = 9
+let op_restrict_range = 10
+let op_flatten = 11
 
 let key ?(lins = []) op rels =
   let len =
@@ -109,10 +118,14 @@ let key ?(lins = []) op rels =
 let rel_memo = Cache.Ids.create ~share:16 Stats.rel (fun f -> f ())
 
 (* [memo op rels f]: the result conjuncts [f ()] computes, answered from
-   the table when [op] met the same operands before. With caching off no
-   key is built (building one interns the operands). *)
+   the table when [op] met the same operands before, as interned
+   representatives (a result of [Conj.simplify] is one already). With
+   caching off no key is built and nothing is interned (building a key
+   interns the operands). *)
 let memo ?lins op rels f =
-  if Cache.enabled () then Cache.Ids.find_or_add rel_memo (key ?lins op rels) f
+  if Cache.enabled () then
+    Cache.Ids.find_or_add rel_memo (key ?lins op rels) (fun () ->
+        List.map Conj.intern (f ()))
   else f ()
 
 (* ------------------------------------------------------------------ *)
@@ -150,12 +163,15 @@ let union a b =
   check_sig "union" a b;
   { a with conjs = a.conjs @ b.conjs }
 
+(* the simplified pairwise meets of two conjunct lists *)
+let meets xs ys =
+  List.concat_map
+    (fun x -> List.filter_map (fun y -> Conj.simplify (Conj.meet x y)) ys)
+    xs
+
 let inter a b =
   check_sig "inter" a b;
-  let conjs =
-    List.concat_map (fun ca -> List.map (fun cb -> Conj.meet ca cb) b.conjs) a.conjs
-  in
-  simplify { a with conjs }
+  { a with conjs = memo op_inter [ a; b ] (fun () -> meets a.conjs b.conjs) }
 
 (** [diff a b] = a minus b. Exact; raises [Conj.Inexact_negation] if some
     conjunct of [b] has non-stride residual existentials (does not occur for
@@ -164,10 +180,7 @@ let diff a b =
   check_sig "diff" a b;
   let sub_one acc bconj =
     (* acc := acc ∧ ¬bconj *)
-    let negs = Conj.negate bconj in
-    List.concat_map
-      (fun ca -> List.filter_map (fun n -> Conj.simplify (Conj.meet ca n)) negs)
-      acc
+    meets acc (Conj.negate bconj)
   in
   let conjs =
     memo op_diff [ a; b ] (fun () ->
@@ -219,7 +232,8 @@ let range t =
 let inverse t =
   let f = function Var.In i -> Var.Out i | Var.Out i -> Var.In i | v -> v in
   make ~in_names:t.out_names ~out_names:t.in_names ~in_ar:t.out_ar ~out_ar:t.in_ar
-    (List.map (fun c -> Conj.map_lin (Lin.map_vars f) c) t.conjs)
+    (memo op_inverse [ t ] (fun () ->
+         List.map (Conj.map_lin (Lin.map_vars f)) t.conjs))
 
 (** [compose r1 r2] (paper's [R1 o R2]): i -> j iff exists a. r1(i,a) and
     r2(a,j). Requires [r1.out_ar = r2.in_ar]. *)
@@ -257,21 +271,19 @@ let restrict_domain r s =
   if not (is_set s) || s.in_ar <> r.in_ar then
     invalid_arg "Rel.restrict_domain: operand must be a set over the input tuple";
   let conjs =
-    List.concat_map
-      (fun cr -> List.map (fun cs -> Conj.meet cr cs) s.conjs)
-      r.conjs
+    memo op_restrict_domain [ r; s ] (fun () -> meets r.conjs s.conjs)
   in
-  simplify { r with conjs }
+  { r with conjs }
 
 let restrict_range r s =
   if not (is_set s) || s.in_ar <> r.out_ar then
     invalid_arg "Rel.restrict_range: operand must be a set over the output tuple";
   let f = function Var.In i -> Var.Out i | v -> v in
-  let s' = List.map (fun c -> Conj.map_lin (Lin.map_vars f) c) s.conjs in
   let conjs =
-    List.concat_map (fun cr -> List.map (fun cs -> Conj.meet cr cs) s') r.conjs
+    memo op_restrict_range [ r; s ] (fun () ->
+        meets r.conjs (List.map (Conj.map_lin (Lin.map_vars f)) s.conjs))
   in
-  simplify { r with conjs }
+  { r with conjs }
 
 (** [apply r s] = Range(restrict_domain r s) — the paper's [R(S)]. *)
 let apply r s = range (restrict_domain r s)
@@ -282,7 +294,8 @@ let flatten r =
   let f = function Var.Out i -> Var.In (k + i) | v -> v in
   let names = Array.append r.in_names r.out_names in
   make ~in_names:names ~in_ar:(k + r.out_ar) ~out_ar:0
-    (List.map (fun c -> Conj.map_lin (Lin.map_vars f) c) r.conjs)
+    (memo op_flatten [ r ] (fun () ->
+         List.map (Conj.map_lin (Lin.map_vars f)) r.conjs))
 
 (** Inverse of {!flatten}: split a set over [k + m] variables into a relation
     [k -> m]. *)

@@ -11,10 +11,12 @@
     {!diff} is exact on sets whose residual existentials are stride/window
     shaped and raises {!Conj.Inexact_negation} otherwise.
 
-    {!diff}, {!coalesce}, {!compose}, {!domain}, {!range}, {!apply_point}
-    and {!subset} are memoized on their operands' arities and interned
-    conjunct (and term) ids, never on names (see {!Cache}): a repeat
-    returns the same conjuncts, under names built from its own operands. *)
+    {!inter}, {!diff}, {!coalesce}, {!compose}, {!domain}, {!range},
+    {!inverse}, {!restrict_domain}, {!restrict_range}, {!flatten},
+    {!apply_point} and {!subset} are memoized on their operands' arities
+    and interned conjunct (and term) ids, never on names (see {!Cache}): a
+    repeat returns the same conjuncts, interned representatives, under
+    names built from its own operands. *)
 
 type t
 

@@ -37,8 +37,9 @@ val implies : memo
 val subset : memo
 
 val rel : memo
-(** The relation-level memo of {!Rel} (diff, coalesce, compose, domain,
-    range, apply_point); subset has its own table above. *)
+(** The relation-level memo of {!Rel} (inter, diff, coalesce, compose,
+    domain, range, inverse, restrict_domain, restrict_range, flatten,
+    apply_point); subset has its own table above. *)
 
 val codegen : memo
 (** The loop-nest memo of {!Codegen.gen}. *)
@@ -52,6 +53,9 @@ val memos : memo list
 (** {1 The engine's other counters} *)
 
 val sat_prefilter_kills : counter
+(** Conjuncts {!Conj.trivially_unsat} found empty in {!Conj.sat}. Only
+    conjuncts without a trusted interned id are pre-filtered, so a
+    representative (a memoized result, say) is never counted here. *)
 
 (** Omega elimination steps done on memo misses: Fourier-Motzkin
     eliminations that were exact (in simplification and in the

@@ -2,16 +2,18 @@
 
    - differential QCheck properties asserting that memoized and
      cache-disabled runs agree on sat / simplify / subset / equal / gist
-     and on the memoized relation operations (diff, coalesce, compose,
-     domain, range, apply_point) for random sets (including the
-     repeated-query path, where the second call is served from the cache);
+     and on the memoized relation operations (inter, diff, coalesce,
+     compose, domain, range, inverse, restrict_domain, restrict_range,
+     flatten, apply_point) for random sets (including the repeated-query
+     path, where the second call is served from the cache);
    - soundness of the trivially_unsat pre-filter against the full Omega
      test;
    - shape independence of interning: terms, constraints and conjuncts
      built in permuted orders are equal, hash equal, share one id, and
      the representative's children are canonical;
    - the eviction bound: every intern/memo table stays within the
-     configured capacity, with monotone (never reused) interned ids. *)
+     configured capacity, with monotone (never reused) interned ids, and
+     a clear-on-full retires only the ids of its own stripe. *)
 
 open Iset
 open Gsets
@@ -118,13 +120,22 @@ let same_rel a b =
    and apply_point have a non-trivial output tuple to work on *)
 let as_rel s = Rel.unflatten ~in_ar:1 s
 
+(* restrict_domain and restrict_range take the same operands: a 1 -> 1
+   relation and a set over one variable *)
+let restrict f a b = f (as_rel a) (Rel.domain (as_rel b))
+
 let rel_ops =
   [
+    ("inter", Rel.inter);
     ("diff", Rel.diff);
     ("coalesce", fun a _ -> Rel.coalesce (Rel.union a a));
     ("compose", fun a b -> Rel.compose (as_rel a) (as_rel b));
     ("domain", fun a _ -> Rel.domain (as_rel a));
     ("range", fun a _ -> Rel.range (as_rel a));
+    ("inverse", fun a _ -> Rel.inverse (as_rel a));
+    ("restrict_domain", restrict Rel.restrict_domain);
+    ("restrict_range", restrict Rel.restrict_range);
+    ("flatten", fun a _ -> Rel.flatten (as_rel a));
     ("apply_point", fun a _ -> Rel.apply_point (as_rel a) [ Lin.var (Var.Param "m") ]);
   ]
 
@@ -441,6 +452,42 @@ let test_rel_hits_recorded () =
   Alcotest.(check string) "names come from the operands, not the table"
     "{[x] : x <= 10 && 7 <= x || x <= 3 && 1 <= x}" (Rel.to_string d2)
 
+(* A repeated inter or restrict_domain is one rel hit: the results come
+   back as representatives, so nothing is simplified or interned again. *)
+let test_rel_repeat_is_a_lookup () =
+  Cache.set_enabled true;
+  let r =
+    Rel.make ~in_ar:1 ~out_ar:1
+      [
+        Conj.make ~n_ex:0
+          [
+            Constr.eq (Lin.of_list [ (1, Var.Out 0); (-1, Var.In 0) ] (-1));
+            Constr.geq (Lin.of_list [ (1, Var.In 0) ] (-1));
+            Constr.geq (Lin.of_list [ (-1, Var.In 0) ] 20);
+          ];
+      ]
+  in
+  let s = Rel.set ~ar:1 [ mk_interval 5 12 ] in
+  let a = Rel.set ~ar:1 [ mk_interval 2 30; mk_interval 40 50 ] in
+  let b = Rel.set ~ar:1 [ mk_interval 25 45 ] in
+  let d1 = Rel.restrict_domain r s and i1 = Rel.inter a b in
+  let interned () = List.assoc "interned conjuncts" (Stats.report ()) in
+  let before = interned () in
+  Stats.reset ();
+  let d2 = Rel.restrict_domain r s in
+  Alcotest.(check int) "repeated restrict_domain: one rel hit" 1
+    (Stats.count Stats.rel.hits);
+  let i2 = Rel.inter a b in
+  Alcotest.(check int) "repeated inter: one rel hit" 2
+    (Stats.count Stats.rel.hits);
+  Alcotest.(check int) "no simplify lookups" 0
+    (Stats.count Stats.simplify.lookups);
+  Alcotest.(check int) "no new interned conjunct" before (interned ());
+  Alcotest.(check string) "same restriction" (Rel.to_string d1)
+    (Rel.to_string d2);
+  Alcotest.(check string) "same intersection" (Rel.to_string i1)
+    (Rel.to_string i2)
+
 let test_interned_ids_stable () =
   Cache.set_enabled true;
   let c = mk_interval 2 5 in
@@ -479,6 +526,47 @@ let test_cached_ids_follow_clears () =
   Alcotest.(check bool) "clear-on-full retired the id" true (fresh <> id1);
   Alcotest.(check int) "after a clear-on-full" fresh after;
   Cache.set_capacity 65536
+
+(* A clear-on-full empties one stripe of an intern table and retires only
+   the ids issued in it: a representative in another stripe stays
+   trusted. Which stripe a value lands in is the table's business, so the
+   test interns values until a clear has hit a stripe other than the
+   probe's. *)
+module Probe_tbl = Hcons.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Fun.id
+end) ()
+
+let test_stripe_clear_keeps_others () =
+  Cache.set_capacity 32;
+  Fun.protect ~finally:(fun () -> Cache.set_capacity 65536) @@ fun () ->
+  let probe = 0 in
+  let _, id0 = Probe_tbl.intern probe in
+  Alcotest.(check bool) "a fresh id is trusted" true
+    (Probe_tbl.trusted ~hash:probe id0);
+  let rec flood id v =
+    if v > 10_000 then
+      Alcotest.fail "no clear-on-full left the probe's stripe alone"
+    else begin
+      let evictions = Stats.count Stats.evictions in
+      ignore (Probe_tbl.intern v);
+      if Stats.count Stats.evictions = evictions then flood id (v + 1)
+      else
+        match Probe_tbl.intern probe with
+        | _, id' when id' = id ->
+            (* the clear hit another stripe *)
+            Alcotest.(check bool) "the probe's id stays trusted" true
+              (Probe_tbl.trusted ~hash:probe id)
+        | _, id' ->
+            (* the clear hit the probe's own stripe *)
+            Alcotest.(check bool) "a cleared stripe's id is retired" false
+              (Probe_tbl.trusted ~hash:probe id);
+            flood id' (v + 1)
+    end
+  in
+  flood id0 1
 
 let test_eviction_bound () =
   let cap = 32 in
@@ -601,9 +689,13 @@ let () =
         [
           Alcotest.test_case "hits recorded" `Quick test_hits_recorded;
           Alcotest.test_case "rel hits recorded" `Quick test_rel_hits_recorded;
+          Alcotest.test_case "repeated rel op is a lookup" `Quick
+            test_rel_repeat_is_a_lookup;
           Alcotest.test_case "interned ids stable" `Quick test_interned_ids_stable;
           Alcotest.test_case "cached ids follow clears" `Quick
             test_cached_ids_follow_clears;
+          Alcotest.test_case "stripe clear keeps other stripes" `Quick
+            test_stripe_clear_keeps_others;
           Alcotest.test_case "eviction bound" `Quick test_eviction_bound;
           Alcotest.test_case "disabled mode transparent" `Quick
             test_disabled_is_transparent;
