@@ -535,15 +535,34 @@ let metrics_smoke () =
      engines agree)@."
     (List.length mat)
 
+(* The median of paired samples' ratios [x / y], each pair printed on
+   stderr after [what] as [xname=…s yname=…s (ratio)]. Two samples taken
+   back to back see the same moment of a shared host, and the median of
+   several pairs does not move with one slow moment. *)
+let paired_median ~what ~xname ~yname pairs =
+  let ratios =
+    List.mapi
+      (fun i (x, y) ->
+        let r = x /. Float.max y 1e-9 in
+        Fmt.epr "%s, pair %d: %s=%.3fs %s=%.3fs (%.2fx)@." what (i + 1) xname x
+          yname y r;
+        r)
+      pairs
+  in
+  let sorted = Array.of_list (List.sort Float.compare ratios) in
+  sorted.(Array.length sorted / 2)
+
 (* Backs `make bench-par-smoke`: the correctness half always runs (the
    domain-differential axis on a mid-size workload — a sharded run must be
    bit-identical to the 1-domain run, faults included); the
    speedup half is gated on the host actually having cores to scale on.
    On a multi-core host the 4-way (or as-wide-as-the-host) compile and
-   simulation must beat 1 domain by [par_min_speedup]; single-core hosts
-   skip with a message, because oversubscribed domains can only measure
+   simulation must beat 1 domain by [par_min_speedup] in the median of
+   [par_pairs] paired samples each; single-core hosts skip with a
+   message, because oversubscribed domains can only measure
    interleaving, not speed. *)
 let par_min_speedup = 1.5
+let par_pairs = 7
 
 let par_smoke () =
   let chk =
@@ -574,32 +593,47 @@ let par_smoke () =
         (Codes.sp_like ~n:24 ~nsub:30 ~procs:(Codes.Symbolic2 2) ())
     in
     ignore (compile_par_timed ~domains:1 schk) (* warm caches *);
-    let c1 = compile_par_timed ~domains:1 schk in
-    let cd = compile_par_timed ~domains:d schk in
-    let cs = c1 /. Float.max cd 1e-9 in
-    Fmt.epr "bench par-smoke: compile %d-domain speedup %.2fx (%.3fs -> %.3fs)@."
-      d cs c1 cd;
+    let cs =
+      paired_median ~what:"bench par-smoke: compile" ~xname:"1-domain"
+        ~yname:(Printf.sprintf "%d-domain" d)
+        (List.init par_pairs (fun _ ->
+             let c1 = compile_par_timed ~domains:1 schk in
+             (c1, compile_par_timed ~domains:d schk)))
+    in
+    Fmt.epr "bench par-smoke: compile %d-domain speedup median %.2fx of %d pairs@."
+      d cs par_pairs;
     if cs < par_min_speedup then begin
       Fmt.epr "bench par-smoke: compile speedup below %.2fx threshold@."
         par_min_speedup;
       fail := true
     end;
-    (* simulator side: the large JACOBI closure-engine run *)
+    (* simulator side: the large JACOBI closure-engine run; a first
+       1-domain run gives the stats every sharded run must equal *)
     let jchk =
       Hpf.Sema.analyze_source
         (Codes.jacobi ~n:384 ~iters:4 ~procs:(Codes.Symbolic2 2) ())
     in
     let prog = (Dhpf.Gen.compile jchk).Dhpf.Gen.cprog in
-    let s1 = Spmdsim.Exec.make ~domains:1 ~nprocs:8 prog in
-    let w1, st1 = ((fun () ->
-        let t0 = Unix.gettimeofday () in
-        let st = Spmdsim.Exec.run s1 in
-        (Unix.gettimeofday () -. t0, st)) ()) in
-    let wd, deq = time_domains ~domains:d prog 8 st1 in
-    let ss = w1 /. Float.max wd 1e-9 in
-    Fmt.epr "bench par-smoke: sim %d-domain speedup %.2fx (%.3fs -> %.3fs)@."
-      d ss w1 wd;
-    if not deq then begin
+    let run1 () =
+      let sim = Spmdsim.Exec.make ~domains:1 ~nprocs:8 prog in
+      let t0 = Unix.gettimeofday () in
+      let st = Spmdsim.Exec.run sim in
+      (Unix.gettimeofday () -. t0, st)
+    in
+    let _, st1 = run1 () in
+    let identical = ref true in
+    let ss =
+      paired_median ~what:"bench par-smoke: sim" ~xname:"1-domain"
+        ~yname:(Printf.sprintf "%d-domain" d)
+        (List.init par_pairs (fun _ ->
+             let w1, _ = run1 () in
+             let wd, eq = time_domains ~domains:d prog 8 st1 in
+             if not eq then identical := false;
+             (w1, wd)))
+    in
+    Fmt.epr "bench par-smoke: sim %d-domain speedup median %.2fx of %d pairs@."
+      d ss par_pairs;
+    if not !identical then begin
       Fmt.epr "bench par-smoke: sharded run not bit-identical@.";
       fail := true
     end;
@@ -707,24 +741,15 @@ let native_min_speedup = 3.0
 
 let native_smoke () =
   let r = native_measure () in
-  let ratios =
-    List.mapi
-      (fun i (c, n) ->
-        let x = c /. Float.max n 1e-9 in
-        Fmt.epr
-          "bench native-smoke: JACOBI-384 run phase, pair %d: closure=%.3fs \
-           native=%.3fs (%.2fx)@."
-          (i + 1) c n x;
-        x)
-      r.nv_pairs
+  let sp =
+    paired_median ~what:"bench native-smoke: JACOBI-384 run phase"
+      ~xname:"closure" ~yname:"native" r.nv_pairs
   in
-  let sorted = Array.of_list (List.sort Float.compare ratios) in
-  let sp = sorted.(Array.length sorted / 2) in
   Fmt.epr
     "bench native-smoke: three-way ok (%d run(s)); JACOBI-384 run phase \
      median %.2fx over closure of %d pairs; interp=%.3fs; warm make %.3fs, \
      first obtain %.3fs@."
-    r.nv_diff_runs sp (Array.length sorted) r.nv_interp_s r.nv_make_warm_s
+    r.nv_diff_runs sp (List.length r.nv_pairs) r.nv_interp_s r.nv_make_warm_s
     r.nv_obtain_s;
   Fmt.epr
     "bench native-smoke: JACOBI-384 unit %d bytes, %d loop functions for %d \

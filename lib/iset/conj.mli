@@ -80,6 +80,11 @@ val simplify : t -> t option
     [None] means the conjunct was detected unsatisfiable. Memoized on the
     interned id (see {!Cache}). *)
 
+val simplify_raw : t -> t option
+(** {!simplify} without the memo: nothing is looked up, interned or
+    stored. For a caller that memoizes the step that built its argument
+    under that step's own operands, such as {!Rel}'s meets. *)
+
 val sat : t -> bool
 (** The full Omega test, treating every variable (tuple, parameter,
     existential) as existentially quantified: is the conjunct satisfiable

@@ -28,7 +28,34 @@
     entry may be gone, and re-interning would issue a fresh id. A
     clear-on-full raises only its own stripe's watermark, so ids held in
     the other stripes stay trusted; a wholesale clear raises them all.
-    One watermark per stripe is enough because ids are monotone. *)
+    One watermark per stripe is enough because ids are monotone.
+
+    Lock-free hits: [intern_with] first walks the value's bucket chain
+    without the stripe lock, and takes the lock only on a miss, where it
+    walks the chain again before it inserts. This is sound under OCaml
+    5's memory model for three reasons. A racy read of a mutable field or
+    array slot returns some value once written there, never one made up;
+    and the fields of a block are initialized before any other domain can
+    see the block, so a [Cons] found is whole. The chains are immutable
+    [Cons] records, and a stripe's [buckets] array is read once, its own
+    length giving the slot, so a walk sees one consistent snapshot of one
+    array. And every write a walk can race with leaves that snapshot
+    sound:
+    - an insert conses a new head onto a bucket; a walk that read the old
+      head misses the entry and takes the locked path, which finds it;
+    - a resize fills a new array with new [Cons] records and then
+      publishes it, never touching the old array or its chains, so a walk
+      over either array finds what it held, and one that sees a slot of
+      the new array before its fill is visible misses and locks;
+    - a clear raises the watermark, then installs an empty array; a walk
+      over the old one may return an entry the clear dropped, whose id is
+      then below the stripe's new watermark: [trusted] rejects it, and the
+      next intern of that value issues a fresh id.
+    An id a walk returns always names the value it was issued for (ids are
+    never reused), so a memo key built from it stays correct; two ids for
+    one value, across a clear, only cost a duplicate memo entry. Inserts
+    stay under the lock, so a stripe never holds two entries for one
+    value. *)
 
 module Make (H : Hashtbl.HashedType) () = struct
   let stripe_bits = 4
@@ -79,22 +106,25 @@ module Make (H : Hashtbl.HashedType) () = struct
     let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
     h lxor (h lsr 33)
 
-  let slot s bits = bits land (Array.length s.buckets - 1)
+  let slot buckets bits = bits land (Array.length buckets - 1)
 
   let trusted ~hash id =
     id >= Atomic.get watermarks.(mix hash land (n_stripes - 1))
 
+  (* the new array is filled before it is published, so a lock-free walk
+     sees either array whole, or a slot not yet visible, and misses *)
   let grow s =
     let old = s.buckets in
-    s.buckets <- Array.make (2 * Array.length old) Nil;
+    let buckets = Array.make (2 * Array.length old) Nil in
     let rec move = function
       | Nil -> ()
       | Cons e ->
-          let i = slot s e.bits in
-          s.buckets.(i) <- Cons { e with next = s.buckets.(i) };
+          let i = slot buckets e.bits in
+          buckets.(i) <- Cons { e with next = buckets.(i) };
           move e.next
     in
-    Array.iter move old
+    Array.iter move old;
+    s.buckets <- buckets
 
   let insert i s bits x =
     if s.count >= max 1 (Cache.capacity () / n_stripes) then begin
@@ -103,23 +133,33 @@ module Make (H : Hashtbl.HashedType) () = struct
     end
     else if s.count >= 2 * Array.length s.buckets then grow s;
     let id = Atomic.fetch_and_add next_id 1 in
-    let i = slot s bits in
-    s.buckets.(i) <- Cons { bits; rep = x; id; next = s.buckets.(i) };
+    let buckets = s.buckets in
+    let i = slot buckets bits in
+    buckets.(i) <- Cons { bits; rep = x; id; next = buckets.(i) };
     s.count <- s.count + 1;
     (x, id)
+
+  (* the entry for [x] in one bucket chain, or [Nil] *)
+  let rec find bits x = function
+    | Nil -> Nil
+    | Cons e as c -> if e.bits = bits && H.equal e.rep x then c else find bits x e.next
+
+  let lookup s bits x =
+    let buckets = s.buckets in
+    find bits x buckets.(slot buckets bits)
 
   let intern_with x canon =
     let h = mix (H.hash x) in
     let i = h land (n_stripes - 1) in
     let s = stripes.(i) in
     let bits = h lsr stripe_bits in
-    Mutex.protect s.mu @@ fun () ->
-    let rec find = function
-      | Nil -> insert i s bits (canon x)
-      | Cons e ->
-          if e.bits = bits && H.equal e.rep x then (e.rep, e.id) else find e.next
-    in
-    find s.buckets.(slot s bits)
+    match lookup s bits x with
+    | Cons e -> (e.rep, e.id)
+    | Nil -> (
+        Mutex.protect s.mu @@ fun () ->
+        match lookup s bits x with
+        | Cons e -> (e.rep, e.id)
+        | Nil -> insert i s bits (canon x))
 
   let intern x = intern_with x Fun.id
   let id x = snd (intern x)

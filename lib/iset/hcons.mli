@@ -12,12 +12,14 @@ module Make (H : Hashtbl.HashedType) () : sig
       makes it the representative. *)
 
   val intern_with : H.t -> (H.t -> H.t) -> H.t * int
-  (** [intern_with x canon] looks [x] up as it is; only on a miss does it
-      insert [canon x] as the representative. [canon x] must be [H.equal]
-      to [x] (typically [x] with its children interned). It runs under
+  (** [intern_with x canon] looks [x] up as it is, without a lock; only
+      on a miss does it take the stripe lock, look again and insert
+      [canon x] as the representative. [canon x] must be [H.equal] to [x]
+      (typically [x] with its children interned). [canon] runs under
       this table's stripe lock, so it may intern into other tables but
       never into this one; tables nest in one fixed order, which rules out
-      deadlock. *)
+      deadlock. A hit that races a clear may return an id the clear
+      retired; {!trusted} then rejects it. *)
 
   val id : H.t -> int
 

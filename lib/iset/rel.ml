@@ -63,7 +63,9 @@ let check_sig op a b =
    so they are memoized like the conjunct-level operations. A key is a
    flat int array: an op code, then for each operand its arities, its
    conjunct count and the interned id of every conjunct, then (for
-   [apply_point]) the interned id of every term. Names are cosmetic and
+   [apply_point]) the interned id of every term. The pairwise meets of
+   [inter], [diff] and the restrictions have entries of their own,
+   keyed by [op_meet] and the two conjunct ids. Names are cosmetic and
    stay out of the key: the tables hold result conjuncts (or the subset
    verdict), and each operation builds the result's names exactly as the
    uncached path does. The result conjuncts are interned representatives,
@@ -85,6 +87,7 @@ let op_inverse = 8
 let op_restrict_domain = 9
 let op_restrict_range = 10
 let op_flatten = 11
+let op_meet = 12
 
 let key ?(lins = []) op rels =
   let len =
@@ -163,11 +166,20 @@ let union a b =
   check_sig "union" a b;
   { a with conjs = a.conjs @ b.conjs }
 
+(* [simplify (meet x y)] as a list of at most one conjunct, answered from
+   the relation memo under the operands' ids ([op_meet], then the two
+   conjunct ids). A miss simplifies the meet without interning it or
+   looking it up, and interns only the result: the meet itself is a
+   throwaway that no later key names. *)
+let meet x y =
+  if Cache.enabled () then
+    Cache.Ids.find_or_add rel_memo [| op_meet; Conj.id x; Conj.id y |]
+      (fun () ->
+        Option.to_list (Option.map Conj.intern (Conj.simplify_raw (Conj.meet x y))))
+  else Option.to_list (Conj.simplify_raw (Conj.meet x y))
+
 (* the simplified pairwise meets of two conjunct lists *)
-let meets xs ys =
-  List.concat_map
-    (fun x -> List.filter_map (fun y -> Conj.simplify (Conj.meet x y)) ys)
-    xs
+let meets xs ys = List.concat_map (fun x -> List.concat_map (meet x) ys) xs
 
 let inter a b =
   check_sig "inter" a b;

@@ -13,7 +13,11 @@
      the representative's children are canonical;
    - the eviction bound: every intern/memo table stays within the
      configured capacity, with monotone (never reused) interned ids, and
-     a clear-on-full retires only the ids of its own stripe. *)
+     a clear-on-full retires only the ids of its own stripe;
+   - interning from several domains at once, through the lock-free hit
+     path, leaves one representative per value;
+   - a pairwise meet of the relation operations is one [rel] entry keyed
+     by its operands' ids. *)
 
 open Iset
 open Gsets
@@ -137,6 +141,12 @@ let rel_ops =
     ("restrict_range", restrict Rel.restrict_range);
     ("flatten", fun a _ -> Rel.flatten (as_rel a));
     ("apply_point", fun a _ -> Rel.apply_point (as_rel a) [ Lin.var (Var.Param "m") ]);
+    (* every pair [inter] met is met again under another op code: each
+       meet is answered by its own entry, keyed by the two conjunct ids *)
+    ( "meets",
+      fun a b ->
+        ignore (Rel.inter a b);
+        Rel.restrict_domain a b );
   ]
 
 let prop_rel (name, f) =
@@ -488,6 +498,38 @@ let test_rel_repeat_is_a_lookup () =
   Alcotest.(check string) "same intersection" (Rel.to_string i1)
     (Rel.to_string i2)
 
+(* An [inter] is one rel entry over its operands and one per pair of
+   conjuncts met. A restriction over the same conjuncts misses the first
+   and hits every meet: nothing is simplified or interned again. *)
+let test_meets_keyed_by_ids () =
+  Cache.set_enabled true;
+  Cache.clear_all ();
+  let a = Rel.set ~ar:1 [ mk_interval 2 30; mk_interval 40 50 ] in
+  let b = Rel.set ~ar:1 [ mk_interval 25 45; mk_interval 0 3 ] in
+  let interned () = List.assoc "interned conjuncts" (Stats.report ()) in
+  Stats.reset ();
+  let i1 = Rel.inter a b in
+  Alcotest.(check int) "cold inter: one lookup per pair, plus its own" 5
+    (Stats.count Stats.rel.lookups);
+  Alcotest.(check int) "cold inter: no rel hit" 0 (Stats.count Stats.rel.hits);
+  Alcotest.(check int) "a meet is not looked up in simplify" 0
+    (Stats.count Stats.simplify.lookups);
+  let before = interned () in
+  Stats.reset ();
+  let r1 = Rel.restrict_domain a b in
+  Alcotest.(check int) "restrict_domain: every meet hits" 4
+    (Stats.count Stats.rel.hits);
+  Alcotest.(check int) "restrict_domain: one miss, its own" 5
+    (Stats.count Stats.rel.lookups);
+  Alcotest.(check int) "no simplify lookups" 0
+    (Stats.count Stats.simplify.lookups);
+  Alcotest.(check int) "no new interned conjunct" before (interned ());
+  Alcotest.(check string) "same conjuncts" (Rel.to_string i1)
+    (Rel.to_string r1);
+  Alcotest.(check string) "the meets"
+    "{[i1] : i1 <= 30 && 25 <= i1 || i1 <= 3 && 2 <= i1 || i1 <= 45 && 40 <= i1}"
+    (Rel.to_string i1)
+
 let test_interned_ids_stable () =
   Cache.set_enabled true;
   let c = mk_interval 2 5 in
@@ -526,6 +568,71 @@ let test_cached_ids_follow_clears () =
   Alcotest.(check bool) "clear-on-full retired the id" true (fresh <> id1);
   Alcotest.(check int) "after a clear-on-full" fresh after;
   Cache.set_capacity 65536
+
+(* Domains intern the same values at once, each from copies of its own,
+   through the lock-free hit path and the locked insert, while stripes
+   grow and clear: at capacity 2,400 a stripe holds up to 150 entries and
+   its 64 buckets double at 128, and the 3,000 constraints (1,000 alone,
+   2,000 inside the conjuncts) overflow that share; at 640 the conjunct
+   table clears too. Afterwards each value has one representative: every
+   representative a domain was handed either is it, or lost its entry to
+   a clear, is no longer trusted, and re-interns to it. *)
+let concurrent_n = 1000
+let concurrent_constr i =
+  Constr.geq (Lin.of_list [ (1, Var.In 0); (i + 1, Var.In 1) ] i)
+
+let concurrent_conj i =
+  Conj.make ~n_ex:0
+    [
+      Constr.eq (Lin.of_list [ (1, Var.In 1); (-1, Var.Param "n") ] (-i));
+      Constr.geq
+        (Lin.of_list [ (-1, Var.In 0); (2, Var.In 1) ] (i + concurrent_n));
+    ]
+
+(* [got.(d).(i)]: what domain [d] was handed for value [i]. Checking [i]
+   inserts at most [i] itself, before the representative is taken, so no
+   clear falls between the checks of one value. *)
+let agree_after ~what ~intern ~id make got =
+  for i = 0 to concurrent_n - 1 do
+    let rep = intern (make i) in
+    let rid = id rep in
+    Array.iteri
+      (fun d g ->
+        let r = g.(i) in
+        if not (intern r == rep && id r = rid) then
+          Alcotest.failf "%s %d: domain %d holds id %d, the representative %d"
+            what i d (id r) rid)
+      got
+  done
+
+let test_concurrent_interns () =
+  Cache.set_enabled true;
+  Fun.protect ~finally:(fun () -> Cache.set_capacity 65536) @@ fun () ->
+  List.iter
+    (fun (domains, capacity) ->
+      Cache.set_capacity capacity;
+      let evictions = Stats.count Stats.evictions in
+      let got_c = Array.make domains [||] and got_j = Array.make domains [||] in
+      let ready = Atomic.make 0 in
+      Par.spawn_join domains (fun d ->
+          let cs = Array.init concurrent_n concurrent_constr in
+          let js = Array.init concurrent_n concurrent_conj in
+          Atomic.incr ready;
+          while Atomic.get ready < domains do
+            Domain.cpu_relax ()
+          done;
+          got_c.(d) <- Array.map Constr.intern cs;
+          got_j.(d) <- Array.map Conj.intern js);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains, capacity %d: stripes cleared" domains
+           capacity)
+        true
+        (Stats.count Stats.evictions > evictions);
+      agree_after ~what:"constraint" ~intern:Constr.intern ~id:Constr.id
+        concurrent_constr got_c;
+      agree_after ~what:"conjunct" ~intern:Conj.intern ~id:Conj.id
+        concurrent_conj got_j)
+    [ (2, 2400); (2, 640); (4, 2400); (4, 640) ]
 
 (* A clear-on-full empties one stripe of an intern table and retires only
    the ids issued in it: a representative in another stripe stays
@@ -694,6 +801,10 @@ let () =
           Alcotest.test_case "interned ids stable" `Quick test_interned_ids_stable;
           Alcotest.test_case "cached ids follow clears" `Quick
             test_cached_ids_follow_clears;
+          Alcotest.test_case "meets keyed by operand ids" `Quick
+            test_meets_keyed_by_ids;
+          Alcotest.test_case "concurrent interns agree" `Quick
+            test_concurrent_interns;
           Alcotest.test_case "stripe clear keeps other stripes" `Quick
             test_stripe_clear_keeps_others;
           Alcotest.test_case "eviction bound" `Quick test_eviction_bound;
