@@ -64,14 +64,12 @@ let table1_apps ?(smoke = false) () =
 
 (* The cache counters shown alongside Table 1 (time and cache behaviour per
    row, as the perf-trajectory tracking wants): every memo table's lookups
-   and hits from the registry, then the pre-filter, evictions and the
-   intern tables. *)
+   and hits from the registry, then evictions and the intern tables. *)
 let cache_keys =
   List.concat_map
     (fun (m : Iset.Stats.memo) -> Iset.Stats.[ name m.lookups; name m.hits ])
     Iset.Stats.memos
   @ [
-      "sat pre-filter kills";
       "cache evictions";
       "interned conjuncts";
       "interned constraints";
@@ -794,9 +792,10 @@ let warm_guard () =
 
 (* Smoke mode backs `make bench-smoke` in the tier-1 check flow: a fast
    Table-1 subset, and a hard failure if the memoization layer shows no
-   hits (i.e. the caches silently stopped working), its warm path
-   allocates like a cold compile, or a warm compile records no codegen
-   hits. *)
+   hits (i.e. the caches silently stopped working), a memo table records
+   no lookup at all (a table the compiler's traffic never reaches), its
+   warm path allocates like a cold compile, or a warm compile records no
+   codegen hits. *)
 let smoke () =
   let stats =
     List.map
@@ -816,8 +815,23 @@ let smoke () =
       List.fold_left
         (fun acc key -> acc + (try List.assoc key stats with Not_found -> 0))
         0
-        [ "sat hits"; "simplify hits"; "gist hits"; "implies hits"; "subset hits" ]
+        [ "sat hits"; "simplify hits" ]
     in
+    let unused =
+      List.filter_map
+        (fun (m : Iset.Stats.memo) ->
+          let key = Iset.Stats.name m.lookups in
+          let lookups =
+            List.fold_left (fun acc s -> acc + List.assoc key s) 0 stats
+          in
+          if lookups = 0 then Some m.name else None)
+        Iset.Stats.memos
+    in
+    if unused <> [] then begin
+      Fmt.epr "bench smoke: FAILED — memo tables with zero lookups: %s@."
+        (String.concat ", " unused);
+      exit 1
+    end;
     let total_hits = List.fold_left (fun acc s -> acc + hits_of s) 0 stats in
     if total_hits = 0 then begin
       Fmt.epr "bench smoke: FAILED — zero cache hits across the smoke apps@.";

@@ -75,8 +75,8 @@ let disk_cache_t =
     & info [ "disk-cache" ] ~docv:"DIR"
         ~doc:
           "Persistent analysis-cache directory. Memoized integer-set \
-           analyses — simplify, satisfiability, implication, gist, subset — \
-           are stored content-addressed under $(docv) and shared by every \
+           analyses — simplification and satisfiability — are stored \
+           content-addressed under $(docv) and shared by every \
            process pointed at the same directory; a warm cache turns \
            recompiles into disk lookups. Corrupt or truncated entries are \
            treated as misses, never errors.")

@@ -65,7 +65,6 @@ end
 (** Tables keyed by one interned id: [sat] and [simplify]. *)
 module Id : module type of Memo (Id_key)
 
-(** Tables keyed by a flat array of ids: the pair-keyed [gist] and
-    [implies], {!Rel}'s [rel] and [subset], and {!Codegen}'s loop-nest
-    memo. *)
+(** Tables keyed by a flat array of ids: {!Rel}'s [rel] and {!Codegen}'s
+    loop-nest memo. *)
 module Ids : module type of Memo (Ids_key)

@@ -149,12 +149,6 @@ let wire_of_conj t =
   wire_put b t;
   Buffer.contents b
 
-let wire_of_pair (t, u) =
-  let b = Buffer.create 256 in
-  wire_put b t;
-  wire_put b u;
-  Buffer.contents b
-
 (* decoded structures are interned so a disk hit hands back the same
    canonical representative recomputation would *)
 let dec_conj c = intern (wire_read c)
@@ -775,74 +769,14 @@ let rec omega_sat ~fuel t =
 
 let sat_raw t = omega_sat ~fuel:300 (all_existential t)
 
-(* Cheap unsatisfiability pre-filter, run before the Omega machinery spins
-   up: constant violations, gcd non-divisibility of equalities, and
-   single-variable interval contradictions. Sound: [true] means the conjunct
-   is definitely empty. *)
-let trivially_unsat t =
-  let exception Kill in
-  try
-    let (_ : (int * int) Var.Map.t) =
-      List.fold_left
-        (fun ivals c ->
-          let lin = Constr.lin c in
-          if Lin.is_const lin then begin
-            let k = Lin.constant lin in
-            (match Constr.kind c with
-            | Constr.Eq -> if k <> 0 then raise Kill
-            | Constr.Geq -> if k < 0 then raise Kill);
-            ivals
-          end
-          else begin
-            (match Constr.kind c with
-            | Constr.Eq ->
-                let g = Lin.coeff_gcd lin in
-                if g > 1 && Lin.constant lin mod g <> 0 then raise Kill
-            | Constr.Geq -> ());
-            (* one variable, tested without listing the bindings *)
-            match Var.Map.cardinal lin.Lin.coeffs with
-            | 1 ->
-                let v, a = Var.Map.choose lin.Lin.coeffs in
-                let k = Lin.constant lin in
-                let lo, hi =
-                  match Var.Map.find_opt v ivals with
-                  | Some b -> b
-                  | None -> (min_int, max_int)
-                in
-                let lo, hi =
-                  match Constr.kind c with
-                  | Constr.Geq ->
-                      (* a·v + k >= 0 *)
-                      if a > 0 then (max lo (Lin.cdiv (-k) a), hi)
-                      else (lo, min hi (Lin.fdiv k (-a)))
-                  | Constr.Eq ->
-                      if k mod a <> 0 then raise Kill
-                      else
-                        let x = -k / a in
-                        (max lo x, min hi x)
-                in
-                if lo > hi then raise Kill;
-                Var.Map.add v (lo, hi) ivals
-            | _ -> ivals
-          end)
-        Var.Map.empty t.cs
-    in
-    false
-  with Kill -> true
-
 let sat_memo =
   Cache.Id.create Stats.sat ~disk:(Diskcache.bool_codec wire_of_conj) sat_raw
 
 (* A conjunct with a trusted id (a representative, such as a memoized
-   result) is looked up first: its answer is usually in the table, and
-   the pre-filter runs only in front of conjuncts without one. *)
+   result) goes straight to the lookup: [intern_pair] skips the intern
+   table for it. *)
 let sat t =
-  if Cache.enabled () && trusted t then Cache.Id.find_or_add sat_memo t.cid t
-  else if trivially_unsat t then begin
-    Stats.bump Stats.sat_prefilter_kills;
-    false
-  end
-  else if not (Cache.enabled ()) then sat_raw t
+  if not (Cache.enabled ()) then sat_raw t
   else
     let rep, key = intern_pair t in
     Cache.Id.find_or_add sat_memo key rep
@@ -918,29 +852,15 @@ let negate t =
 
 (** [implies t c]: does [t] entail the single constraint [c]?
     [c] must not mention existential variables of [t]. *)
-let implies_raw t c =
-  List.for_all (fun nc -> is_empty (meet t nc)) (negate (make ~n_ex:0 [ c ]))
-
-let implies_memo =
-  Cache.Ids.create Stats.implies
-    ~disk:
-      (Diskcache.bool_codec (fun (t, c) ->
-           let b = Buffer.create 192 in
-           wire_put b t;
-           Constr.wire_put b c;
-           Buffer.contents b))
-    (fun (t, c) -> implies_raw t c)
-
 let implies t c =
-  if not (Cache.enabled ()) then implies_raw t c
-  else Cache.Ids.find_or_add implies_memo [| id t; Constr.id c |] (t, c)
+  List.for_all (fun nc -> is_empty (meet t nc)) (negate (make ~n_ex:0 [ c ]))
 
 let constr_has_ex c = Lin.exists_var Var.is_ex (Constr.lin c)
 
 (** [gist t ~given]: drop constraints of [t] entailed by [given] plus the
     remaining constraints of [t]. Constraints mentioning existentials of [t]
     are always kept (dropping them safely would require scoped negation). *)
-let gist_raw t ~given =
+let gist t ~given =
   let rec go kept = function
     | [] -> with_cs t (List.rev kept)
     | c :: rest ->
@@ -950,15 +870,6 @@ let gist_raw t ~given =
           if implies (meet ctx given) c then go kept rest else go (c :: kept) rest
   in
   go [] t.cs
-
-let gist_memo =
-  Cache.Ids.create Stats.gist
-    ~disk:{ key = wire_of_pair; encode = wire_of_conj; decode = dec_conj }
-    (fun (t, given) -> gist_raw t ~given)
-
-let gist t ~given =
-  if not (Cache.enabled ()) then gist_raw t ~given
-  else Cache.Ids.find_or_add gist_memo [| id t; id given |] (t, given)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -57,12 +57,6 @@ val wire_put : Buffer.t -> t -> unit
 val wire_read : Wire.cursor -> t
 (** @raise Wire.Malformed on a truncated or ill-formed stream. *)
 
-val trivially_unsat : t -> bool
-(** Cheap sound unsatisfiability pre-filter (constant violations, equality
-    gcd tests, single-variable interval contradictions); [true] means the
-    conjunct is definitely empty, [false] means "don't know". It lists no
-    coefficient map's bindings. *)
-
 val shift_ex : int -> t -> t
 (** Shift every existential id; used to rename conjuncts apart. *)
 
@@ -90,9 +84,8 @@ val sat : t -> bool
     existential) as existentially quantified: is the conjunct satisfiable
     for {e some} assignment? Exact. Memoized on the interned id (see
     {!Cache}). A conjunct that carries a trusted id (an interned
-    representative, such as a memoized result) is looked up in the table
-    first; any other conjunct is guarded by {!trivially_unsat} first, and
-    only those kills count as [sat pre-filter kills] in {!Stats}. *)
+    representative, such as a memoized result) is looked up without
+    touching the intern table; any other conjunct is interned first. *)
 
 val is_empty : t -> bool
 
@@ -105,11 +98,13 @@ val negate : t -> t list
 
 val implies : t -> Constr.t -> bool
 (** [implies t c]: does [t] entail [c]? [c] must not mention existentials
-    of [t]. *)
+    of [t]. Not memoized itself: each of its emptiness tests is a {!sat}
+    lookup. *)
 
 val gist : t -> given:t -> t
 (** Drop constraints of [t] entailed by [given] plus the remaining
-    constraints; constraints mentioning [t]'s existentials are kept. *)
+    constraints; constraints mentioning [t]'s existentials are kept. Not
+    memoized itself: it is a chain of {!implies} tests. *)
 
 val pp : ?pp_var:(Format.formatter -> Var.t -> unit) -> Format.formatter -> t -> unit
 val to_string : t -> string

@@ -17,7 +17,9 @@
       or mismatched-key entry is a {e miss}, never an error;
     - the store is size-bounded: once the tracked footprint exceeds the
       budget, whole entries are evicted oldest-first (reads refresh an
-      entry's timestamp, approximating LRU).
+      entry's timestamp, approximating LRU). Entries of a kind that no
+      table stores any more are never read again and leave through the
+      same eviction.
 
     The layer is disabled until a directory is configured ({!set_dir} or
     [--disk-cache]); when disabled, {!memo} is a transparent pass-through.

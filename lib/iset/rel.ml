@@ -66,9 +66,9 @@ let check_sig op a b =
    [apply_point]) the interned id of every term. The pairwise meets of
    [inter], [diff] and the restrictions have entries of their own,
    keyed by [op_meet] and the two conjunct ids. Names are cosmetic and
-   stay out of the key: the tables hold result conjuncts (or the subset
-   verdict), and each operation builds the result's names exactly as the
-   uncached path does. The result conjuncts are interned representatives,
+   stay out of the key: the table holds result conjuncts, and each
+   operation builds the result's names exactly as the uncached path
+   does. The result conjuncts are interned representatives,
    so a chain of operations passes trusted ids along and the next key,
    [simplify] or [sat] on a result is a table lookup. Ids are never
    reused (see {!Cache}), so a key can never match an entry of a retired
@@ -81,13 +81,12 @@ let op_compose = 2
 let op_domain = 3
 let op_range = 4
 let op_apply_point = 5
-let op_subset = 6
-let op_inter = 7
-let op_inverse = 8
-let op_restrict_domain = 9
-let op_restrict_range = 10
-let op_flatten = 11
-let op_meet = 12
+let op_inter = 6
+let op_inverse = 7
+let op_restrict_domain = 8
+let op_restrict_range = 9
+let op_flatten = 10
+let op_meet = 11
 
 let key ?(lins = []) op rels =
   let len =
@@ -347,24 +346,9 @@ let apply_point r lins =
 (* Predicates                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* content-keyed on disk exactly like the in-memory key: arities plus
-   both conjunct lists (names are cosmetic and excluded) *)
-let subset_memo =
-  Cache.Ids.create Stats.subset
-    ~disk:
-      (Diskcache.bool_codec (fun (a, b) ->
-           let buf = Buffer.create 256 in
-           Wire.int buf a.in_ar;
-           Wire.int buf a.out_ar;
-           Wire.list Conj.wire_put buf a.conjs;
-           Wire.list Conj.wire_put buf b.conjs;
-           Buffer.contents buf))
-    (fun (a, b) -> is_empty (diff a b))
-
 let subset a b =
   check_sig "subset" a b;
-  if not (Cache.enabled ()) then is_empty (diff a b)
-  else Cache.Ids.find_or_add subset_memo (key op_subset [ a; b ]) (a, b)
+  is_empty (diff a b)
 
 let equal a b = subset a b && subset b a
 

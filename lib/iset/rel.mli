@@ -12,11 +12,13 @@
     shaped and raises {!Conj.Inexact_negation} otherwise.
 
     {!inter}, {!diff}, {!coalesce}, {!compose}, {!domain}, {!range},
-    {!inverse}, {!restrict_domain}, {!restrict_range}, {!flatten},
-    {!apply_point} and {!subset} are memoized on their operands' arities
-    and interned conjunct (and term) ids, never on names (see {!Cache}): a
-    repeat returns the same conjuncts, interned representatives, under
-    names built from its own operands. *)
+    {!inverse}, {!restrict_domain}, {!restrict_range}, {!flatten} and
+    {!apply_point} are memoized on their operands' arities and interned
+    conjunct (and term) ids, never on names (see {!Cache}): a repeat
+    returns the same conjuncts, interned representatives, under names
+    built from its own operands. {!subset} (and so {!equal}) is not
+    memoized itself: it is the emptiness of the memoized {!diff}, whose
+    result conjuncts are {!Conj.sat} lookups. *)
 
 type t
 

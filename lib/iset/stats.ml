@@ -43,14 +43,10 @@ let memo name =
 (* -- the counters of the iset engine, in reporting order -- *)
 
 let sat = memo "sat"
-let sat_prefilter_kills = counter "sat pre-filter kills"
 let simplify = memo "simplify"
 let fme_exact = counter "omega exact eliminations"
 let dark_shadows = counter "omega dark shadows"
 let splinters = counter "omega splinters"
-let gist = memo "gist"
-let implies = memo "implies"
-let subset = memo "subset"
 let rel = memo "rel"
 let codegen = memo "codegen"
 let evictions = counter "cache evictions"

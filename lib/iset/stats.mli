@@ -32,14 +32,11 @@ type memo = { name : string; lookups : counter; hits : counter }
 
 val sat : memo
 val simplify : memo
-val gist : memo
-val implies : memo
-val subset : memo
 
 val rel : memo
 (** The relation-level memo of {!Rel} (inter, diff, coalesce, compose,
     domain, range, inverse, restrict_domain, restrict_range, flatten,
-    apply_point); subset has its own table above. *)
+    apply_point, and the pairwise meets). *)
 
 val codegen : memo
 (** The loop-nest memo of {!Codegen.gen}. *)
@@ -51,11 +48,6 @@ val memos : memo list
     table appears in each of them by construction. *)
 
 (** {1 The engine's other counters} *)
-
-val sat_prefilter_kills : counter
-(** Conjuncts {!Conj.trivially_unsat} found empty in {!Conj.sat}. Only
-    conjuncts without a trusted interned id are pre-filtered, so a
-    representative (a memoized result, say) is never counted here. *)
 
 (** Omega elimination steps done on memo misses: Fourier-Motzkin
     eliminations that were exact (in simplification and in the

@@ -6,8 +6,6 @@
      compose, domain, range, inverse, restrict_domain, restrict_range,
      flatten, apply_point) for random sets (including the repeated-query
      path, where the second call is served from the cache);
-   - soundness of the trivially_unsat pre-filter against the full Omega
-     test;
    - shape independence of interning: terms, constraints and conjuncts
      built in permuted orders are equal, hash equal, share one id, and
      the representative's children are canonical;
@@ -17,7 +15,8 @@
    - interning from several domains at once, through the lock-free hit
      path, leaves one representative per value;
    - a pairwise meet of the relation operations is one [rel] entry keyed
-     by its operands' ids. *)
+     by its operands' ids, and a repeated subset is answered by the [rel]
+     and [sat] tables. *)
 
 open Iset
 open Gsets
@@ -168,11 +167,6 @@ let prop_rel_shared =
       agree (List.equal same_rel) (three_ways all))
 
 let prop_rel_ops = List.map prop_rel rel_ops @ [ prop_rel_shared ]
-
-let prop_prefilter_sound =
-  QCheck.Test.make ~count:500
-    ~name:"trivially_unsat implies Omega-unsat (pre-filter soundness)" arb_conj
-    (fun c -> (not (Conj.trivially_unsat c)) || not (Conj.sat c))
 
 (* ------------------------------------------------------------------ *)
 (* Interning is shape-independent                                      *)
@@ -530,6 +524,30 @@ let test_meets_keyed_by_ids () =
     "{[i1] : i1 <= 30 && 25 <= i1 || i1 <= 3 && 2 <= i1 || i1 <= 45 && 40 <= i1}"
     (Rel.to_string i1)
 
+(* A subset is the emptiness of a diff: a repeat is a [rel] hit on the
+   diff and [sat] lookups of its result conjuncts, which are
+   representatives, so nothing is interned again. *)
+let test_subset_answered_by_rel_and_sat () =
+  Cache.set_enabled true;
+  Cache.clear_all ();
+  let a = Rel.set ~ar:1 [ mk_interval 1 10 ] in
+  let b = Rel.set ~ar:1 [ mk_interval 4 6; mk_interval 20 30 ] in
+  let interned () = List.assoc "interned conjuncts" (Stats.report ()) in
+  let first = Rel.subset a b in
+  let before = interned () in
+  Stats.reset ();
+  let again = Rel.subset a b in
+  Alcotest.(check bool) "same verdict" first again;
+  Alcotest.(check bool) "the repeat hits rel" true
+    (Stats.count Stats.rel.hits >= 1);
+  List.iter
+    (fun (m : Stats.memo) ->
+      if m != Stats.rel && m != Stats.sat then
+        Alcotest.(check int) (m.name ^ ": not looked up") 0
+          (Stats.count m.lookups))
+    Stats.memos;
+  Alcotest.(check int) "no new interned conjunct" before (interned ())
+
 let test_interned_ids_stable () =
   Cache.set_enabled true;
   let c = mk_interval 2 5 in
@@ -713,8 +731,9 @@ let test_eviction_bound () =
   Alcotest.(check bool) "ids are never reused after a clear" true (idB > idA);
   Cache.set_capacity 65536
 
-(* one call of every memoized operation: each of the seven tables is
-   looked up at least once when caching is on *)
+(* one call of every memoized operation, and of gist, implies and subset
+   built on them: each of the four tables is looked up at least once when
+   caching is on *)
 let drive_every_table () =
   let c = mk_interval 1 4 and given = mk_interval 0 10 in
   let s = Rel.set ~ar:1 [ c ] and t = Rel.set ~ar:1 [ given ] in
@@ -777,7 +796,6 @@ let () =
             prop_gist;
             prop_subset;
             prop_equal;
-            prop_prefilter_sound;
           ]
         @ List.map QCheck_alcotest.to_alcotest prop_rel_ops );
       ( "codegen",
@@ -803,6 +821,8 @@ let () =
             test_cached_ids_follow_clears;
           Alcotest.test_case "meets keyed by operand ids" `Quick
             test_meets_keyed_by_ids;
+          Alcotest.test_case "subset is answered by rel and sat" `Quick
+            test_subset_answered_by_rel_and_sat;
           Alcotest.test_case "concurrent interns agree" `Quick
             test_concurrent_interns;
           Alcotest.test_case "stripe clear keeps other stripes" `Quick

@@ -308,13 +308,13 @@ let test_counter_namespacing () =
   in
   Alcotest.(check bool) "compile emits iset counter samples" true
     (List.mem "iset/cache hits" counters);
-  (* the series are the seven memo tables Server.cache_ratios sums *)
+  (* the series are the four memo tables Server.cache_ratios sums *)
   List.iter
     (fun e ->
       if e.Obs.e_ph = Obs.C && e.Obs.e_name = "iset/cache hits" then
         Alcotest.(check (list string))
           "iset/cache hits series"
-          [ "sat"; "simplify"; "gist"; "implies"; "subset"; "rel"; "codegen" ]
+          [ "sat"; "simplify"; "rel"; "codegen" ]
           (List.map fst e.Obs.e_args))
     evs;
   List.iter

@@ -409,7 +409,7 @@ let window_counters =
   List.concat_map
     (fun (m : Iset.Stats.memo) -> [ m.lookups; m.hits ])
     Iset.Stats.memos
-  @ [ Iset.Stats.sat_prefilter_kills; Iset.Stats.evictions ]
+  @ [ Iset.Stats.evictions ]
 
 let test_stats_window_reset () =
   let src = Codes.jacobi ~n:12 ~iters:1 () in
