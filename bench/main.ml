@@ -40,14 +40,27 @@ let compile_timed src =
    the check is the same on every machine. *)
 let domain_sweep = [ 1; 2; 4 ]
 
-(* Wall-clock of a parallel compile at a given domain count (par-smoke).
-   The output is byte-identical at every count (enforced by the test
-   suite), so only the time is interesting here. *)
+(* Wall-clock of a parallel compile at a given domain count (par-smoke),
+   and the misses each memo table recorded during it, as
+   [sat=N simplify=N rel=N codegen=N]. The output is byte-identical at
+   every count (enforced by the test suite), so only the time is
+   interesting here; the misses tell a slow compile that recomputed from
+   one that paid for its domains. *)
 let compile_par_timed ~domains chk =
+  let miss (m : Iset.Stats.memo) =
+    Iset.Stats.count m.lookups - Iset.Stats.count m.hits
+  in
   let ph = Dhpf.Phase.create () in
+  let before = List.map miss Iset.Stats.memos in
   let t0 = Unix.gettimeofday () in
   ignore (Dhpf.Gen.compile ~phase:ph ~domains chk);
-  Unix.gettimeofday () -. t0
+  let t = Unix.gettimeofday () -. t0 in
+  ( t,
+    String.concat " "
+      (List.map2
+         (fun (m : Iset.Stats.memo) b ->
+           Printf.sprintf "%s=%d" m.name (miss m - b))
+         Iset.Stats.memos before) )
 
 let table1_apps ?(smoke = false) () =
   if smoke then
@@ -534,16 +547,17 @@ let metrics_smoke () =
     (List.length mat)
 
 (* The median of paired samples' ratios [x / y], each pair printed on
-   stderr after [what] as [xname=…s yname=…s (ratio)]. Two samples taken
-   back to back see the same moment of a shared host, and the median of
-   several pairs does not move with one slow moment. *)
-let paired_median ~what ~xname ~yname pairs =
+   stderr after [what] as [xname=…s yname=…s (ratio)], then [note i] for
+   the [i]th pair. Two samples taken back to back see the same moment of a
+   shared host, and the median of several pairs does not move with one
+   slow moment. *)
+let paired_median ?(note = fun _ -> "") ~what ~xname ~yname pairs =
   let ratios =
     List.mapi
       (fun i (x, y) ->
         let r = x /. Float.max y 1e-9 in
-        Fmt.epr "%s, pair %d: %s=%.3fs %s=%.3fs (%.2fx)@." what (i + 1) xname x
-          yname y r;
+        Fmt.epr "%s, pair %d: %s=%.3fs %s=%.3fs (%.2fx)%s@." what (i + 1) xname
+          x yname y r (note i);
         r)
       pairs
   in
@@ -591,12 +605,16 @@ let par_smoke () =
         (Codes.sp_like ~n:24 ~nsub:30 ~procs:(Codes.Symbolic2 2) ())
     in
     ignore (compile_par_timed ~domains:1 schk) (* warm caches *);
+    let misses = Array.make par_pairs "" in
     let cs =
       paired_median ~what:"bench par-smoke: compile" ~xname:"1-domain"
         ~yname:(Printf.sprintf "%d-domain" d)
-        (List.init par_pairs (fun _ ->
-             let c1 = compile_par_timed ~domains:1 schk in
-             (c1, compile_par_timed ~domains:d schk)))
+        ~note:(fun i -> Printf.sprintf ", %d-domain misses %s" d misses.(i))
+        (List.init par_pairs (fun i ->
+             let c1, _ = compile_par_timed ~domains:1 schk in
+             let cd, m = compile_par_timed ~domains:d schk in
+             misses.(i) <- m;
+             (c1, cd)))
     in
     Fmt.epr "bench par-smoke: compile %d-domain speedup median %.2fx of %d pairs@."
       d cs par_pairs;

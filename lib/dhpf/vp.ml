@@ -37,12 +37,3 @@ let for_event (_ctx : Layout.ctx) ~(layout : Rel.t)
   match kind with
   | `Read -> { busy; active_send = vps_that_own; active_recv = vps_that_access }
   | `Write -> { busy; active_send = vps_that_access; active_recv = vps_that_own }
-
-(** Figure 5(a) when both read and write references exist: union of the
-    per-kind active sets. *)
-let union a b =
-  {
-    busy = Rel.union a.busy b.busy;
-    active_send = Rel.union a.active_send b.active_send;
-    active_recv = Rel.union a.active_recv b.active_recv;
-  }

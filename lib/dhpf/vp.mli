@@ -18,5 +18,3 @@ val for_event :
   active
 (** Figure 5(a) for one logical communication event; the pairs are
     (CPMap, RefMap) as in {!Comm.comm_maps}. *)
-
-val union : active -> active -> active

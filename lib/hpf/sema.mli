@@ -6,8 +6,6 @@ open Ast
 
 exception Error of string
 
-val intrinsics : string list
-
 type extent = Concrete of int | Symbolic of string * iexpr
 (** A processor-array extent: known at compile time, or a named symbolic
     parameter whose value is computed at SPMD startup from the expression

@@ -657,17 +657,20 @@ let generate ~context_conj ~disjoint ~order ~names (stmts : 'a stmt list) :
    cannot collide with a parameter name. [Unbounded] and [Unsupported] are
    never cached ([find_or_add] inserts only after [generate] returns).
 
-   A 256th of the shared capacity (256 entries at the default): an entry
-   holds a whole nest and a Table-1 compile adds at most 56, while a
-   daemon serving programs that never repeat keeps only dead entries. At
-   capacity/64 such a daemon's peak RSS grew by about 6%. *)
+   A 256th of the shared capacity (16 entries a stripe, 256 in all, at
+   the default): an entry holds a whole nest and a Table-1 compile adds at
+   most 56, while a daemon serving programs that never repeat keeps only
+   dead entries. At capacity/64 such a daemon's peak RSS grew by about
+   6%. *)
 
 type entry = {
   nest : int ast list;  (* over placeholder names *)
   mutable named : string array * int ast list;
       (* the last caller's names and the nest renamed to them: repeats
          mostly come back under the same names, and renaming is most of
-         the cost of a hit. Tables are domain-local, so is the slot. *)
+         the cost of a hit. Shared by every domain: a write stores one
+         immutable pair (its names a private copy), which a reader takes
+         in one read and uses only if the names are its own. *)
 }
 
 let key ~order ~disjoint ~k ~context_id doms =

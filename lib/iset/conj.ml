@@ -98,7 +98,7 @@ let hash t =
     h
   end
 
-module Tbl = Hcons.Make (struct
+module Tbl = Cache.Intern (struct
   type nonrec t = t
   let equal = equal
   let hash = hash
@@ -107,12 +107,12 @@ end) ()
 let () = Tbl.register_gauge "interned conjuncts"
 
 (* A new representative gets its constraints (and their terms) interned,
-   so equal conjuncts share the whole subtree and the physical-equality fast
-   paths in [Constr.equal] / [Lin.compare] fire on every later comparison.
+   so equal conjuncts share the whole subtree, and the representatives the
+   memo tables keep alive share their memory (see {!Constr.intern}).
    A lookup that hits interns nothing else: the representative's children
    are canonical already. A representative keeps its id, and skips the
    table while no clear of its stripe has made that id stale (see
-   {!Hcons}); its [hc] is always filled, and [cid = -1] is never
+   {!Cache.Intern}); its [hc] is always filled, and [cid = -1] is never
    trusted. *)
 let intern_table t =
   let ((rep, id) as r) =

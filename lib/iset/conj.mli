@@ -47,7 +47,8 @@ val intern : t -> t
     nothing else. *)
 
 val id : t -> int
-(** Stable interned id (see {!Hcons}); never reused across evictions. *)
+(** Stable interned id (see {!Cache.Intern}); never reused across
+    evictions. *)
 
 val wire_put : Buffer.t -> t -> unit
 (** Canonical byte codec (see {!Wire}): the content key and value format

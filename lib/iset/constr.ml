@@ -29,7 +29,7 @@ let equal a b = a == b || (a.kind = b.kind && Lin.equal a.lin b.lin)
 (* O(1): the term stores its hash *)
 let hash c = (Lin.hash c.lin * 2) + (match c.kind with Eq -> 0 | Geq -> 1)
 
-module Tbl = Hcons.Make (struct
+module Tbl = Cache.Intern (struct
   type nonrec t = t
   let equal = equal
   let hash = hash
@@ -37,9 +37,11 @@ end) ()
 
 let () = Tbl.register_gauge "interned constraints"
 
-(* A new representative gets its term interned, so structurally equal
-   constraints share their whole subtree and compare by pointer. A lookup
-   that hits interns nothing else. *)
+(* A new representative gets its term interned, so the representatives
+   the memo tables keep alive store each constraint and term once: that
+   memory is what this table and the term table are worth (EXPERIMENTS,
+   "What the kept tables are worth"), not pointer-equality fast paths.
+   A lookup that hits interns nothing else. *)
 let intern_pair c = Tbl.intern_with c (fun c -> { c with lin = Lin.intern c.lin })
 let intern c = fst (intern_pair c)
 let id c = snd (intern_pair c)

@@ -221,17 +221,6 @@ let gc () =
             removed
           end)
 
-let clear () =
-  match dir () with
-  | None -> ()
-  | Some root ->
-      Mutex.protect mu (fun () ->
-          List.iter
-            (fun (p, _, _) -> try Sys.remove p with Sys_error _ -> ())
-            (entries root);
-          Atomic.set bytes_ref 0;
-          note_bytes ())
-
 (* -- entry access --------------------------------------------------- *)
 
 let encode_entry ~kind key value =

@@ -83,15 +83,6 @@ val memo : kind:string -> ('x, 'v) codec -> ('x -> 'v) -> 'x -> 'v
     compute, store and return. [c.key] is only called when the layer is
     enabled. *)
 
-(** {1 Maintenance} *)
-
-val gc : unit -> int
-(** Evict oldest-first until the footprint is within budget; returns the
-    number of entries removed. Runs automatically from {!store}. *)
-
-val clear : unit -> unit
-(** Remove every entry of the enabled cache (all format versions). *)
-
 (** {1 Shared hygiene helpers}
 
     Reused by other on-disk caches (the native engine's kernel cache). *)

@@ -138,7 +138,7 @@ let opposite_coeffs a b =
   coeffs_hash a = -coeffs_hash b
   && Var.Map.equal (fun x y -> x = -y) a.coeffs b.coeffs
 
-module Tbl = Hcons.Make (struct
+module Tbl = Cache.Intern (struct
   type nonrec t = t
   let equal = equal
   let hash = hash

@@ -51,8 +51,7 @@ val coeff_gcd : t -> int
 (** Gcd of all variable coefficients (0 if the term is constant). *)
 
 val compare : t -> t -> int
-(** Physical equality is used as a fast path: interned terms compare in
-    O(1). *)
+(** Physical equality is tried first. *)
 
 val equal : t -> t -> bool
 (** Rejects on unequal stored hashes before comparing coefficient maps. *)
@@ -69,7 +68,9 @@ val opposite_coeffs : t -> t -> bool
     rejects in O(1) as {!equal_coeffs} does. *)
 
 val intern : t -> t
-(** Canonical physically-shared representative (see {!Hcons}). *)
+(** Canonical physically-shared representative (see {!Cache.Intern}):
+    the terms of the representatives the memo tables keep are stored
+    once. *)
 
 val id : t -> int
 (** Stable interned id; never reused across cache evictions. *)

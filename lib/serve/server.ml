@@ -24,11 +24,6 @@
    other domains (see [worker]), so the wait falls on admissions only
    while worker 0 is computing.
 
-   Domain-local state: the Iset.Cache memo tables are Domain.DLS, and a
-   systhread switch can land in the middle of a table update. They stay
-   safe because worker 0 is the only thread on the launching domain that
-   touches them: the acceptor never calls into Iset, Dhpf or Spmdsim.
-
    Telemetry model: every admitted connection is stamped at admission,
    so the worker that dequeues it can split queue-wait from service
    time. Each request gets a trace id (the client's "rid" field, or a

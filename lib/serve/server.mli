@@ -7,10 +7,10 @@
     clients hang. A fixed set of workers drains the queue; each request
     compiles with a private {!Dhpf.Phase} profiler, so concurrent
     compiles never interleave their phase accounting, while both cache
-    layers — the in-memory {!Iset.Cache} tables of each worker's domain
-    and the on-disk {!Iset.Diskcache} — outlive the request, which is
-    the whole point: the second compile of a program is served out of
-    cache.
+    layers — the in-memory {!Iset.Cache} tables, which every worker
+    shares, and the on-disk {!Iset.Diskcache} — outlive the request,
+    which is the whole point: the second compile of a program is served
+    out of cache, whichever worker serves it.
 
     Domain layout: one domain per worker, counting the launching one.
     {!launch} starts the acceptor and worker 0 as systhreads on the
@@ -24,15 +24,6 @@
     several workers, worker 0 takes a queued request only when no worker
     on another domain is idle, which keeps it free, and the acceptor
     prompt, until every worker is busy.
-
-    Contract for processes that embed a daemon: the {!Iset.Cache} memo
-    tables are [Domain.DLS], so worker 0 shares the launching domain's
-    tables. They are safe because
-    only one thread on a domain mutates them — the acceptor never calls
-    into Iset, Dhpf or Spmdsim. The caller must not compile, simulate or
-    touch the integer-set caches on the launching domain while the
-    daemon is serving a request; doing so while it is idle (or after
-    {!wait}) is fine, and other domains are always fine.
 
     Shutdown is cooperative: {!request_stop} (safe to call from a signal
     handler: one atomic store and one pipe write) stops admission, the

@@ -169,7 +169,6 @@ val make :
     [Par.domains ()]. *)
 
 val nprocs : csim -> int
-val phys_of_vp : csim -> int list -> int
 
 val run : csim -> Runtime.stats
 (** Execute to completion.

@@ -494,10 +494,6 @@ let nprocs = function
   | SCompiled cs -> Compile.nprocs cs
   | SInterp s -> s.inprocs
 
-let phys_of_vp = function
-  | SCompiled cs -> Compile.phys_of_vp cs
-  | SInterp s -> phys_of_vp_i s
-
 let run = function
   | SCompiled cs -> Compile.run cs
   | SInterp s -> run_interp s

@@ -83,11 +83,6 @@ val make :
 val nprocs : sim -> int
 (** Actual processor count (the product of the grid extents). *)
 
-val phys_of_vp : sim -> int list -> int
-(** Linear physical processor id owning a virtual-processor coordinate
-    tuple (identity for concrete distributions; block-start / template-cell
-    decoding for the symbolic VP modes of §4). *)
-
 val run : sim -> stats
 (** Execute the program on every processor to completion. Each sim is
     single-use: running it a second time would start from stale clocks,

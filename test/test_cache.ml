@@ -9,11 +9,14 @@
    - shape independence of interning: terms, constraints and conjuncts
      built in permuted orders are equal, hash equal, share one id, and
      the representative's children are canonical;
-   - the eviction bound: every intern/memo table stays within the
-     configured capacity, with monotone (never reused) interned ids, and
-     a clear-on-full retires only the ids of its own stripe;
+   - the eviction bound: every stripe of every intern/memo table stays
+     within its share of the configured capacity, with monotone (never
+     reused) interned ids, and a clear-on-full retires only the ids of
+     its own stripe;
    - interning from several domains at once, through the lock-free hit
-     path, leaves one representative per value;
+     path, leaves one representative per value, and memoizing from
+     several domains into the shared tables answers what caching off
+     answers;
    - a pairwise meet of the relation operations is one [rel] entry keyed
      by its operands' ids, and a repeated subset is answered by the [rel]
      and [sat] tables. *)
@@ -253,6 +256,24 @@ let mk_interval lo hi =
       Constr.geq (Lin.of_list [ (-1, Var.In 0) ] hi);
     ]
 
+(* every table's stripes within their bound, or a failure naming [what] *)
+let check_stripes what =
+  List.iter
+    (fun (name, bound, sizes) ->
+      Array.iteri
+        (fun i n ->
+          if n > bound then
+            Alcotest.failf "%s: %s stripe %d holds %d, its bound is %d" what
+              name i n bound)
+        sizes)
+    (Cache.occupancy ())
+
+(* the per-stripe bound and stripe sizes of the table published as [name] *)
+let stripes name =
+  match List.find_opt (fun (n, _, _) -> n = name) (Cache.occupancy ()) with
+  | Some (_, bound, sizes) -> (bound, sizes)
+  | None -> Alcotest.failf "no table publishes %s" name
+
 (* ------------------------------------------------------------------ *)
 (* The loop-nest memo of Codegen.gen                                    *)
 (* ------------------------------------------------------------------ *)
@@ -378,10 +399,12 @@ let test_codegen_unsupported_name () =
   check "repeat" "unbounded loop variable y" [| "x"; "y" |];
   check "other names" "unbounded loop variable j" [| "i"; "j" |]
 
-(* Far more distinct nests than the table's share of the capacity: it
-   stays within its bound, clearing when full. *)
+(* More distinct nests than the table holds: its stripes clear when
+   full, one fills to its bound (2 entries, a 256th of the capacity over
+   16 stripes; 40 nests cannot otherwise fit in 16 stripes of one), and
+   none passes it. *)
 let test_codegen_bound () =
-  let cap = 1024 in
+  let cap = 8192 in
   Cache.set_capacity cap;
   Stats.reset ();
   let sizes =
@@ -394,18 +417,21 @@ let test_codegen_bound () =
                  dom = Rel.set ~ar:1 [ mk_interval 1 (i + 1) ];
                };
              ]);
-        List.assoc "codegen cache size" (Stats.report ()))
+        snd (stripes "codegen cache size"))
   in
+  let bound = fst (stripes "codegen cache size") in
   Cache.set_capacity 65536;
-  let bound = cap / 256 in
+  Alcotest.(check int) "a 256th of the capacity per stripe" (cap / 256 / 16)
+    bound;
   Alcotest.(check int) "every nest was a miss" 0
     (Stats.count Stats.codegen.hits);
-  Alcotest.(check bool) "filled to its bound" true (List.mem bound sizes);
+  Alcotest.(check bool) "a stripe filled to its bound" true
+    (List.exists (Array.mem bound) sizes);
   List.iter
-    (fun n ->
-      Alcotest.(check bool)
-        (Printf.sprintf "size %d within %d" n bound)
-        true (n <= bound))
+    (Array.iter (fun n ->
+         Alcotest.(check bool)
+           (Printf.sprintf "stripe size %d within %d" n bound)
+           true (n <= bound)))
     sizes
 
 let test_codegen_hits_recorded () =
@@ -594,7 +620,8 @@ let test_cached_ids_follow_clears () =
    2,000 inside the conjuncts) overflow that share; at 640 the conjunct
    table clears too. Afterwards each value has one representative: every
    representative a domain was handed either is it, or lost its entry to
-   a clear, is no longer trusted, and re-interns to it. *)
+   a clear, is no longer trusted, and re-interns to it. The same domains
+   then share the memo tables (below). *)
 let concurrent_n = 1000
 let concurrent_constr i =
   Constr.geq (Lin.of_list [ (1, Var.In 0); (i + 1, Var.In 1) ] i)
@@ -623,33 +650,81 @@ let agree_after ~what ~intern ~id make got =
       got
   done
 
+(* The memo half's operands: random conjuncts and set pairs, fixed by a
+   seed. An answer is what [sat], [simplify] and every memoized relation
+   operation return for one of them, printed. *)
+let memo_operands =
+  lazy
+    (let rand = Random.State.make [| 39 |] in
+     Array.init 60 (fun _ ->
+         ( QCheck.Gen.generate1 ~rand conj_gen,
+           QCheck.Gen.generate1 ~rand QCheck.Gen.(pair rel_gen rel_gen) )))
+
+let memo_answer (c, (a, b)) =
+  let show f = try f () with Conj.Inexact_negation -> "inexact" in
+  show (fun () -> string_of_bool (Conj.sat c))
+  :: show (fun () ->
+         Option.fold ~none:"empty" ~some:Conj.to_string (Conj.simplify c))
+  :: List.map (fun (_, f) -> show (fun () -> Rel.to_string (f a b))) rel_ops
+
+(* [domains] domains run [f d] for their index [d], released together *)
+let released domains f =
+  let ready = Atomic.make 0 in
+  Par.spawn_join domains (fun d ->
+      Atomic.incr ready;
+      while Atomic.get ready < domains do
+        Domain.cpu_relax ()
+      done;
+      f d)
+
 let test_concurrent_interns () =
   Cache.set_enabled true;
   Fun.protect ~finally:(fun () -> Cache.set_capacity 65536) @@ fun () ->
   List.iter
     (fun (domains, capacity) ->
+      let what = Printf.sprintf "%d domains, capacity %d" domains capacity in
       Cache.set_capacity capacity;
       let evictions = Stats.count Stats.evictions in
       let got_c = Array.make domains [||] and got_j = Array.make domains [||] in
-      let ready = Atomic.make 0 in
-      Par.spawn_join domains (fun d ->
-          let cs = Array.init concurrent_n concurrent_constr in
-          let js = Array.init concurrent_n concurrent_conj in
-          Atomic.incr ready;
-          while Atomic.get ready < domains do
-            Domain.cpu_relax ()
-          done;
-          got_c.(d) <- Array.map Constr.intern cs;
-          got_j.(d) <- Array.map Conj.intern js);
-      Alcotest.(check bool)
-        (Printf.sprintf "%d domains, capacity %d: stripes cleared" domains
-           capacity)
-        true
+      let copies make =
+        Array.init domains (fun _ -> Array.init concurrent_n make)
+      in
+      let cs = copies concurrent_constr and js = copies concurrent_conj in
+      released domains (fun d ->
+          got_c.(d) <- Array.map Constr.intern cs.(d);
+          got_j.(d) <- Array.map Conj.intern js.(d));
+      Alcotest.(check bool) (what ^ ": stripes cleared") true
         (Stats.count Stats.evictions > evictions);
       agree_after ~what:"constraint" ~intern:Constr.intern ~id:Constr.id
         concurrent_constr got_c;
       agree_after ~what:"conjunct" ~intern:Conj.intern ~id:Conj.id
-        concurrent_conj got_j)
+        concurrent_conj got_j;
+      (* the memo half: each domain answers every operand, one behind the
+         domain before it, into the shared memo tables, whose stripes
+         clear (the rel table's bound is 2 or 9 entries a stripe here) *)
+      let ops = Lazy.force memo_operands in
+      let n = Array.length ops in
+      Cache.set_enabled false;
+      let want = Array.map memo_answer ops in
+      Cache.set_enabled true;
+      let evictions = Stats.count Stats.evictions in
+      let got = Array.make domains [||] in
+      released domains (fun d ->
+          got.(d) <-
+            Array.init n (fun j ->
+                let i = (j + d) mod n in
+                (i, memo_answer ops.(i))));
+      Array.iteri
+        (fun d ->
+          Array.iter (fun (i, answer) ->
+              if answer <> want.(i) then
+                Alcotest.failf "%s: domain %d, operand %d: %s, caches off: %s"
+                  what d i (String.concat "; " answer)
+                  (String.concat "; " want.(i))))
+        got;
+      Alcotest.(check bool) (what ^ ": memo stripes cleared") true
+        (Stats.count Stats.evictions > evictions);
+      check_stripes what)
     [ (2, 2400); (2, 640); (4, 2400); (4, 640) ]
 
 (* A clear-on-full empties one stripe of an intern table and retires only
@@ -657,7 +732,7 @@ let test_concurrent_interns () =
    trusted. Which stripe a value lands in is the table's business, so the
    test interns values until a clear has hit a stripe other than the
    probe's. *)
-module Probe_tbl = Hcons.Make (struct
+module Probe_tbl = Cache.Intern (struct
   type t = int
 
   let equal = Int.equal
@@ -693,37 +768,35 @@ let test_stripe_clear_keeps_others () =
   in
   flood id0 1
 
+(* Far more distinct queries than the capacity: every table stays within
+   its per-stripe bound, [max 1 (capacity / share / 16)], and every table
+   the queries reach fills a stripe to that bound. *)
 let test_eviction_bound () =
   let cap = 32 in
   Cache.set_capacity cap;
-  (* far more distinct queries than the capacity *)
+  let filled = Hashtbl.create 8 in
   for i = 1 to 40 * cap do
     ignore (Conj.sat (mk_interval 1 i));
-    ignore (Rel.coalesce (Rel.set ~ar:1 [ mk_interval 1 i ]))
+    ignore (Rel.coalesce (Rel.set ~ar:1 [ mk_interval 1 i ]));
+    check_stripes (Printf.sprintf "query %d" i);
+    List.iter
+      (fun (name, bound, sizes) ->
+        if Array.mem bound sizes then Hashtbl.replace filled name ())
+      (Cache.occupancy ())
   done;
   List.iter
-    (fun (name, v) ->
-      let is_size =
-        List.exists
-          (fun suffix ->
-            String.length name >= String.length suffix
-            && String.sub name
-                 (String.length name - String.length suffix)
-                 (String.length suffix)
-               = suffix)
-          [ "cache size" ]
-        || String.length name >= 8 && String.sub name 0 8 = "interned"
-      in
-      if is_size then
-        Alcotest.(check bool)
-          (Printf.sprintf "%s (= %d) within capacity %d" name v cap)
-          true (v <= cap))
-    (Stats.report ());
+    (fun name ->
+      Alcotest.(check bool) (name ^ " filled a stripe to its bound") true
+        (Hashtbl.mem filled name))
+    [ "interned terms"; "interned constraints"; "interned conjuncts";
+      "sat cache size"; "simplify cache size"; "rel cache size" ];
   Alcotest.(check bool) "clear-on-full evictions occurred" true
     (Stats.count Stats.evictions > 0);
-  (* the relation table holds a sixteenth of the capacity *)
-  Alcotest.(check bool) "rel cache within its share" true
-    (List.assoc "rel cache size" (Stats.report ()) <= cap / 16);
+  (* the relation table's share is a sixteenth, the intern tables' all *)
+  Alcotest.(check int) "rel stripe bound" (max 1 (cap / 16 / 16))
+    (fst (stripes "rel cache size"));
+  Alcotest.(check int) "conjunct stripe bound" (cap / 16)
+    (fst (stripes "interned conjuncts"));
   (* ids keep growing across evictions: no reuse, so no stale hits *)
   let idA = Conj.id (mk_interval 1 1) in
   Cache.clear_all ();

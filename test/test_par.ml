@@ -115,6 +115,44 @@ let test_compile_deterministic () =
         [ 2; 3; 4 ])
     benchmarks
 
+(* The memo tables are shared by every domain: after a 1-domain compile,
+   a 2-domain compile of the same program misses in none of them, and a
+   [Conj.sat] answered on a helper domain is a hit on the launching
+   one. *)
+let test_compile_shares_tables () =
+  let misses () =
+    List.map
+      (fun (m : Iset.Stats.memo) ->
+        (m.name, Iset.Stats.count m.lookups - Iset.Stats.count m.hits))
+      Iset.Stats.memos
+  in
+  let chk =
+    Hpf.Sema.analyze_source
+      (Codes.sp_like ~n:24 ~nsub:30 ~procs:(Codes.Fixed (2, 2)) ())
+  in
+  Iset.Cache.clear_all ();
+  ignore (Dhpf.Gen.compile ~domains:1 chk);
+  let before = misses () in
+  ignore (Dhpf.Gen.compile ~domains:2 chk);
+  List.iter2
+    (fun (name, b) (_, a) ->
+      Alcotest.(check int)
+        (Printf.sprintf
+           "SP-4: %s misses of a 2-domain compile after a 1-domain one" name)
+        0 (a - b))
+    before (misses ());
+  let c =
+    let open Iset in
+    Conj.make ~n_ex:0
+      [ Constr.geq (Lin.add_const 7 (Lin.var ~coef:3 (Var.In 0))) ]
+  in
+  ignore (Domain.join (Domain.spawn (fun () -> Iset.Conj.sat c)));
+  let hits = Iset.Stats.count Iset.Stats.sat.hits in
+  ignore (Iset.Conj.sat c);
+  Alcotest.(check int)
+    "sat answered on a helper domain hits on the launching one" (hits + 1)
+    (Iset.Stats.count Iset.Stats.sat.hits)
+
 (* ---- domain-differential simulator runs ---- *)
 
 let outcome_ok name = function
@@ -252,6 +290,8 @@ let () =
         [
           Alcotest.test_case "byte-identical output at 1/2/3/4 domains"
             `Slow test_compile_deterministic;
+          Alcotest.test_case "a 2-domain compile reuses 1-domain entries" `Quick
+            test_compile_shares_tables;
         ] );
       ( "simulator",
         [

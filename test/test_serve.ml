@@ -640,6 +640,31 @@ let test_socket_conflict () =
 let compile_all socket =
   List.map (fun (label, _) -> (label, compile_via socket label)) small
 
+(* every small program's response status and SPMD text, asserting
+   nothing: Alcotest's output is not domain-safe, so client domains
+   collect and the launching domain checks *)
+let responses_via socket =
+  List.map
+    (fun (label, _) ->
+      let r =
+        Client.request ~socket (Proto.Compile { label; source = None; opts })
+      in
+      (label, status r, Option.value (Obs.Json.get_str r "spmd") ~default:""))
+    small
+
+(* [got] against the reference answers, each assertion naming the
+   daemon's worker count and the client *)
+let check_responses ~workers ~client reference got =
+  List.iter2
+    (fun (label, want) (label', st, spmd) ->
+      let what s =
+        Printf.sprintf "%d workers, client %d, %s: %s" workers client label s
+      in
+      Alcotest.(check string) (what "same program") label label';
+      Alcotest.(check string) (what "status") "ok" st;
+      Alcotest.(check string) (what "spmd byte-identical") want spmd)
+    reference got
+
 (* a one-worker daemon serves on the domain that launched it: no domain
    is spawned at all. Its answers are the reference a three-worker
    daemon under concurrent clients must reproduce byte for byte. *)
@@ -653,22 +678,74 @@ let test_worker_on_launching_domain () =
     with_server ~workers:1 ~lookup @@ fun socket ->
     let answers = compile_all socket in
     Alcotest.(check int)
-      "worker 0 ran on the launching domain"
+      "1 worker: worker 0 ran on the launching domain"
       (Domain.self () :> int)
       (Atomic.get seen);
     answers
   in
-  let clients = 3 in
+  let workers = 3 and clients = 3 in
   let answers = Array.make clients [] in
-  with_server ~workers:3 (fun socket ->
-      Par.spawn_join clients (fun c -> answers.(c) <- compile_all socket));
-  Array.iter
-    (List.iter2
-       (fun (label, want) (label', got) ->
-         Alcotest.(check string) "same program" label label';
-         Alcotest.(check string) (label ^ " spmd byte-identical") want got)
-       reference)
+  with_server ~workers (fun socket ->
+      Par.spawn_join clients (fun c -> answers.(c) <- responses_via socket));
+  Array.iteri
+    (fun client got -> check_responses ~workers ~client reference got)
     answers
+
+(* The memo tables are shared by every domain and thread, so the
+   launching domain may compile, and clear the tables, while its own
+   worker 0 serves: a client domain keeps a one-worker daemon busy while
+   this domain compiles every small program and clears the tables
+   between rounds, until the daemon has answered at least three times
+   meanwhile. Both sides must print what a compile with caches off
+   prints. *)
+let test_compile_while_serving () =
+  let compile_direct src =
+    let chk = Hpf.Sema.analyze_source src in
+    Dhpf.Spmd.program_to_string
+      (Dhpf.Gen.compile ~opts ~phase:(Dhpf.Phase.create ()) chk)
+        .Dhpf.Gen.cprog
+  in
+  Iset.Cache.set_enabled false;
+  let reference =
+    Fun.protect
+      ~finally:(fun () -> Iset.Cache.set_enabled true)
+      (fun () -> List.map (fun (l, src) -> (l, compile_direct src)) small)
+  in
+  let done_ = Atomic.make false and answered = Atomic.make 0 in
+  let got = ref [] in
+  let direct = ref [] in
+  with_server ~workers:1 (fun socket ->
+      let client =
+        Domain.spawn (fun () ->
+            while not (Atomic.get done_) do
+              got := responses_via socket :: !got;
+              Atomic.incr answered
+            done)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set done_ true;
+          Domain.join client)
+        (fun () ->
+          let start = Atomic.get answered in
+          let deadline = Unix.gettimeofday () +. 60.0 in
+          while
+            Atomic.get answered < start + 3 && Unix.gettimeofday () < deadline
+          do
+            Iset.Cache.clear_all ();
+            direct := List.map (fun (l, src) -> (l, compile_direct src)) small;
+            List.iter2
+              (fun (l, want) (_, d) ->
+                Alcotest.(check string)
+                  (l ^ ": direct compile while serving") want d)
+              reference !direct
+          done;
+          Alcotest.(check bool)
+            "the daemon answered while this domain compiled" true
+            (Atomic.get answered >= start + 3)));
+  List.iteri
+    (fun i g -> check_responses ~workers:1 ~client:i reference g)
+    !got
 
 (* Holding a worker on request "hold" in a CPU-bound loop, like a long
    compile: no blocking call, so on the launching domain the acceptor
@@ -887,9 +964,7 @@ let test_warm_second_server () =
       Alcotest.(check bool)
         "squeezed hit ratio below warm" true
         (disk_hit_ratio squeezed_stats < disk_hit_ratio warm_stats);
-      (* and both match a plain batch compile with every cache off. This
-         compiles on the launching domain, which the daemon contract
-         allows only while no daemon is serving: both are stopped here. *)
+      (* and both match a plain batch compile with every cache off *)
       Iset.Cache.set_enabled false;
       let direct =
         Fun.protect
@@ -1765,6 +1840,8 @@ let () =
             test_worker0_defers;
           Alcotest.test_case "dhpfc serve under load, SIGTERM" `Slow
             test_cli_daemon;
+          Alcotest.test_case "launching domain compiles while serving" `Quick
+            test_compile_while_serving;
         ] );
       ( "telemetry",
         [
